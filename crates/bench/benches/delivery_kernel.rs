@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the cache-resident message plane: SoA envelope
 //! batches, the hoisted fate kernel, and the end-to-end delivery path.
 //!
-//! Three groups:
+//! Four groups:
 //!
 //! * `emit` — filling an [`EnvBatch`] through run-length `push` vs the
 //!   legacy `Vec<Envelope>` stream, and reading it back in emission
@@ -10,7 +10,11 @@
 //!   [`Conditions::fate_run`] kernel that derives the per-source seed
 //!   once per run;
 //! * `deliver` — a full dating run on the sequential executor, which is
-//!   dominated by the route → slot-row → counting-delivery pass.
+//!   dominated by the route → slot-row → counting-delivery pass;
+//! * `deliver_mixed` — [`order_deliveries`] on a bucket that `k` send
+//!   rounds filed into (what a latency spread produces), over the same
+//!   message count: the conditioned counterpart of `deliver`, with
+//!   `k = 1` (plain concatenation) as the reference point.
 //!
 //! Set `RENDEZ_BENCH_QUICK=1` for the CI smoke mode (smallest size,
 //! few samples) that keeps the harness from bit-rotting without
@@ -18,6 +22,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rendez_core::{Platform, UniformSelector};
+use rendez_runtime::batch::{order_deliveries, DeliverScratch};
 use rendez_runtime::{
     Conditions, EnvBatch, Envelope, Executor, RunConfig, RuntimeDating, SequentialExecutor,
 };
@@ -133,5 +138,45 @@ fn bench_deliver(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_emit, bench_fate, bench_deliver);
+fn bench_deliver_mixed(c: &mut Criterion) {
+    let quick = std::env::var("RENDEZ_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
+    let n: usize = if quick { 1_000 } else { 10_000 };
+    let total = CYCLES as usize * n;
+    let mut g = c.benchmark_group("delivery_kernel/deliver_mixed");
+    g.sample_size(if quick { 3 } else { 10 });
+    g.throughput(Throughput::Elements(total as u64));
+    for k in [1usize, 2, 8] {
+        g.bench_with_input(BenchmarkId::new("order_deliveries", k), &k, |b, &k| {
+            let mut segments: Vec<EnvBatch<u64>> = (0..k).map(|_| EnvBatch::new()).collect();
+            let mut ds = DeliverScratch::default();
+            b.iter(|| {
+                // Refill (the kernel drains its input): segment `r` is
+                // send round `r`, `total / k` messages from senders in
+                // ascending id order, the same senders in every round —
+                // so all `k` streams interleave sender by sender, and a
+                // sender's burst splits into `k` shorter runs, as under
+                // a latency spread. The refill is timed too; it pushes
+                // the same messages for every `k`.
+                let per_seg = total / k;
+                for (r, seg) in segments.iter_mut().enumerate() {
+                    for m in 0..per_seg {
+                        let src = m * n / per_seg;
+                        let dst = (src * 7 + (r * per_seg + m) * 13) % n;
+                        seg.push_grouped(NodeId(src as u32), NodeId(dst as u32), m as u64);
+                    }
+                }
+                order_deliveries(&mut segments, 0, n, &mut ds)
+            });
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_emit,
+    bench_fate,
+    bench_deliver,
+    bench_deliver_mixed
+);
 criterion_main!(benches);

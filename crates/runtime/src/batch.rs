@@ -31,13 +31,17 @@
 //!    stores (see invariant 3).
 //! 3. **Order.** A routed batch is `(src, seq)`-sorted: `route_sends`
 //!    walks senders in ascending id order and each sender's messages in
-//!    seq order. Concatenating routed batches from contiguous shards in
-//!    shard order therefore yields the sequential emission order, and
-//!    one stable counting pass by destination (`order_deliveries`)
-//!    reproduces the canonical `(dst, src, seq)` delivery order with no
-//!    comparison sort. Buckets that accumulated more than one send round
-//!    fall back to a stable `(dst, src)` sort — stability plus
-//!    round-ordered segments again equals `(dst, src, seq)`.
+//!    seq order, so its run headers are src-ascending. A delivery bucket
+//!    lists such segments in send order (round by round, shard by shard
+//!    within a round), so a sender's later messages sit in later
+//!    segments. Merging the segments' run *headers* by `(src, segment
+//!    position)` therefore yields the bucket's `(src, seq)` order, and
+//!    one stable counting pass by destination over the runs in that
+//!    order (`order_deliveries`) the canonical `(dst, src, seq)` order —
+//!    no comparison sort over messages, whatever the latency
+//!    distribution. Segments that continue ascending (contiguous shards
+//!    of one round) form one stream: a single-round bucket is plain
+//!    concatenation.
 //!
 //! lint: deterministic
 
@@ -72,11 +76,7 @@ pub struct EnvBatch<M> {
 
 impl<M> Default for EnvBatch<M> {
     fn default() -> Self {
-        Self {
-            dst: Vec::new(),
-            msg: Vec::new(),
-            runs: Vec::new(),
-        }
+        Self::with_capacity(0, 0)
     }
 }
 
@@ -84,6 +84,15 @@ impl<M> EnvBatch<M> {
     /// An empty batch.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty batch with room for `msgs` messages in `runs` runs.
+    pub fn with_capacity(msgs: usize, runs: usize) -> Self {
+        Self {
+            dst: Vec::with_capacity(msgs),
+            msg: Vec::with_capacity(msgs),
+            runs: Vec::with_capacity(runs),
+        }
     }
 
     /// Number of queued messages.
@@ -296,14 +305,13 @@ pub(crate) fn route_sends<M: Clone>(
             }
             continue;
         }
-        let fr = match &fate {
-            Some((src, fr)) if *src == run.src => *fr,
-            _ => {
-                let fr = cond.fate_run(seed, run.src);
-                fate = Some((run.src, fr));
-                fr
-            }
+        let fr = match fate {
+            Some((src, fr)) if src == run.src => fr,
+            // Next sender: re-key the kernel, keeping its loss threshold.
+            Some((_, fr)) => fr.for_src(seed, run.src),
+            None => cond.fate_run(seed, run.src),
         };
+        fate = Some((run.src, fr));
         for (k, (dst, m)) in dsts.iter().zip(msgs).enumerate() {
             match fr.fate(run.first_seq + k as u64) {
                 None => stats.dropped += 1,
@@ -318,7 +326,7 @@ pub(crate) fn route_sends<M: Clone>(
 /// for a contiguous destination range, in canonical `(dst, src, seq)`
 /// order as two parallel arrays plus per-destination group offsets.
 #[derive(Debug)]
-pub(crate) struct DeliverScratch<M> {
+pub struct DeliverScratch<M> {
     /// Senders, delivery-ordered (expanded from the run headers).
     pub srcs: Vec<NodeId>,
     /// Payloads, delivery-ordered.
@@ -328,7 +336,7 @@ pub(crate) struct DeliverScratch<M> {
     /// Only valid when the last [`order_deliveries`] returned > 0.
     pub starts: Vec<u32>,
     counts: Vec<u32>,
-    flat: Vec<(NodeId, NodeId, M)>,
+    cursors: Vec<Cursor>,
 }
 
 impl<M> Default for DeliverScratch<M> {
@@ -338,23 +346,111 @@ impl<M> Default for DeliverScratch<M> {
             msgs: Vec::new(),
             starts: Vec::new(),
             counts: Vec::new(),
-            flat: Vec::new(),
+            cursors: Vec::new(),
         }
     }
 }
 
+/// Read position of one merge stream: segments `seg..end`, at run `run`
+/// of `seg`, whose first message sits at offset `off`. `key` is the head
+/// run's `(src, stream index)` packed into a `u64`, `MAX` once exhausted.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    key: u64,
+    seg: usize,
+    end: usize,
+    run: usize,
+    off: usize,
+}
+
+impl Cursor {
+    /// Hand the stream's runs to `emit` while their key is below `bound`.
+    fn drain_below<M>(
+        &mut self,
+        bound: u64,
+        segments: &[EnvBatch<M>],
+        emit: &mut impl FnMut(NodeId, &[NodeId], &[M]),
+    ) {
+        let stream = self.key & u64::from(u32::MAX);
+        while self.seg < self.end {
+            let seg = &segments[self.seg];
+            while let Some(run) = seg.runs.get(self.run) {
+                self.key = u64::from(run.src.0) << 32 | stream;
+                if self.key >= bound {
+                    return;
+                }
+                let end = self.off + run.len as usize;
+                emit(run.src, &seg.dst[self.off..end], &seg.msg[self.off..end]);
+                (self.run, self.off) = (self.run + 1, end);
+            }
+            (self.seg, self.run, self.off) = (self.seg + 1, 0, 0);
+        }
+        self.key = u64::MAX;
+    }
+}
+
+/// Hand every run of `segments` to `emit` exactly once, in the bucket's
+/// `(src, seq)` order (batch invariant 3): a k-way merge of run headers
+/// over the src-ascending streams the segment list splits into. k, the
+/// send rounds in the bucket, is at most the latency spread: scan it.
+fn merge_runs<M>(
+    segments: &[EnvBatch<M>],
+    cursors: &mut Vec<Cursor>,
+    mut emit: impl FnMut(NodeId, &[NodeId], &[M]),
+) {
+    cursors.clear();
+    let mut last_src = None;
+    for (i, seg) in segments.iter().enumerate() {
+        debug_assert!(
+            seg.runs.windows(2).all(|w| w[0].src <= w[1].src),
+            "segment {i} is not src-ascending (batch invariant 3)"
+        );
+        let (Some(first), Some(last)) = (seg.runs.first(), seg.runs.last()) else {
+            continue;
+        };
+        // A segment that does not step back below its predecessor's
+        // last sender continues that stream (next shard, same round).
+        match cursors.last_mut() {
+            Some(c) if last_src <= Some(first.src) => c.end = i + 1,
+            _ => cursors.push(Cursor {
+                key: u64::from(first.src.0) << 32 | cursors.len() as u64,
+                seg: i,
+                end: i + 1,
+                run: 0,
+                off: 0,
+            }),
+        }
+        last_src = Some(last.src);
+    }
+    loop {
+        // Drain the smallest head until it passes the runner-up; keys
+        // are distinct (stream index), so each step emits a run.
+        let (mut best, mut best_key, mut bound) = (0, u64::MAX, u64::MAX);
+        for (i, c) in cursors.iter().enumerate() {
+            if c.key < best_key {
+                (best, bound, best_key) = (i, best_key, c.key);
+            } else if c.key < bound {
+                bound = c.key;
+            }
+        }
+        if best_key == u64::MAX {
+            return;
+        }
+        cursors[best].drain_below(bound, segments, &mut emit);
+    }
+}
+
 /// Order one round's due segments into canonical `(dst, src, seq)`
-/// delivery order, draining them. Returns the number of deliveries.
+/// delivery order, draining them. Returns the number of deliveries;
+/// destinations are `base..base + width`.
 ///
-/// The counting pass operates on batch *headers*: per message it costs
-/// one histogram bump and one 12-byte-plus-payload scatter write —
-/// against the legacy path's comparison sort over 24-byte-plus-payload
-/// AoS records. `segments` must concatenate `(src, seq)`-sorted (batch
-/// invariant 3); when `mixed` says several send rounds share the bucket
-/// the kernel falls back to a stable `(dst, src)` sort.
-pub(crate) fn order_deliveries<M: Clone>(
+/// Segments must satisfy batch invariant 3. No messages are compared:
+/// the run headers are merged into `(src, seq)` order (`merge_runs`)
+/// and each run's messages go through one stable counting pass by
+/// destination — per message one histogram bump and one
+/// 4-byte-plus-payload scatter write, whatever the latency distribution.
+pub fn order_deliveries<M: Clone>(
     segments: &mut [EnvBatch<M>],
-    mixed: bool,
     base: usize,
     width: usize,
     ds: &mut DeliverScratch<M>,
@@ -363,46 +459,8 @@ pub(crate) fn order_deliveries<M: Clone>(
     ds.srcs.clear();
     ds.msgs.clear();
     if total == 0 {
-        for seg in segments {
-            seg.clear();
-        }
         return 0;
     }
-
-    if mixed {
-        // Rare path (latency distributions with spread): flatten and
-        // stable-sort by (dst, src). Segments arrive in send-round
-        // order and each sender lives in exactly one segment stream,
-        // so stability restores the full (dst, src, seq) order.
-        ds.flat.clear();
-        ds.flat.reserve(total);
-        for seg in segments.iter() {
-            seg.for_each_run(|run, dsts, msgs| {
-                for (dst, m) in dsts.iter().zip(msgs) {
-                    ds.flat.push((*dst, run.src, m.clone()));
-                }
-            });
-        }
-        for seg in segments {
-            seg.clear();
-        }
-        ds.flat.sort_by_key(|t| (t.0, t.1));
-        ds.counts.clear();
-        ds.counts.resize(width, 0);
-        for (dst, _, _) in &ds.flat {
-            ds.counts[dst.index() - base] += 1;
-        }
-        exclusive_prefix(&ds.counts, &mut ds.starts, total);
-        ds.srcs.reserve(total);
-        ds.msgs.reserve(total);
-        for (_, src, m) in ds.flat.drain(..) {
-            ds.srcs.push(src);
-            ds.msgs.push(m);
-        }
-        return total;
-    }
-
-    // Hot path: one stable counting pass by destination offset.
     ds.counts.clear();
     ds.counts.resize(width, 0);
     for seg in segments.iter() {
@@ -410,30 +468,41 @@ pub(crate) fn order_deliveries<M: Clone>(
             ds.counts[dst.index() - base] += 1;
         }
     }
-    exclusive_prefix(&ds.counts, &mut ds.starts, total);
-    ds.counts.copy_from_slice(&ds.starts[..width]);
+    // Exclusive prefix sums: `starts` keeps them (plus the total as a
+    // sentinel), `counts` becomes each group's write cursor.
+    ds.starts.clear();
+    let mut acc = 0u32;
+    for c in ds.counts.iter_mut() {
+        ds.starts.push(acc);
+        let here = *c;
+        *c = acc;
+        acc += here;
+    }
+    debug_assert_eq!(acc as usize, total);
+    ds.starts.push(acc);
     ds.srcs.reserve(total);
     ds.msgs.reserve(total);
-    // SAFETY: the write positions `counts[dst offset]++` enumerate each
-    // destination group's slots in arrival order; the exclusive prefix
-    // sums were exact, so the positions are a permutation of
-    // `0..total` — every reserved slot is initialized exactly once
-    // before `set_len`, and no message is dropped or duplicated.
+    // SAFETY: `merge_runs` hands every run of every segment to the
+    // closure exactly once, so the write positions `counts[dst
+    // offset]++` enumerate each destination group's slots in arrival
+    // order; the exclusive prefix sums were exact over the same
+    // messages, so the positions are a permutation of `0..total` —
+    // every reserved slot is initialized exactly once before `set_len`,
+    // and no message is dropped or duplicated.
     let sp = ds.srcs.as_mut_ptr();
     let mp = ds.msgs.as_mut_ptr();
-    for seg in segments.iter() {
-        seg.for_each_run(|run, dsts, msgs| {
-            for (dst, m) in dsts.iter().zip(msgs) {
-                let k = dst.index() - base;
-                let pos = ds.counts[k] as usize;
-                ds.counts[k] += 1;
-                unsafe {
-                    sp.add(pos).write(run.src);
-                    mp.add(pos).write(m.clone());
-                }
+    let counts = &mut ds.counts;
+    merge_runs(segments, &mut ds.cursors, |src, dsts, msgs| {
+        for (dst, m) in dsts.iter().zip(msgs) {
+            let k = dst.index() - base;
+            let pos = counts[k] as usize;
+            counts[k] += 1;
+            unsafe {
+                sp.add(pos).write(src);
+                mp.add(pos).write(m.clone());
             }
-        });
-    }
+        }
+    });
     unsafe {
         ds.srcs.set_len(total);
         ds.msgs.set_len(total);
@@ -442,20 +511,6 @@ pub(crate) fn order_deliveries<M: Clone>(
         seg.clear();
     }
     total
-}
-
-/// Fill `starts` with the exclusive prefix sums of `counts`, plus the
-/// grand total as a final sentinel entry.
-fn exclusive_prefix(counts: &[u32], starts: &mut Vec<u32>, total: usize) {
-    starts.clear();
-    starts.reserve(counts.len() + 1);
-    let mut acc = 0u32;
-    for &c in counts {
-        starts.push(acc);
-        acc += c;
-    }
-    debug_assert_eq!(acc as usize, total);
-    starts.push(acc);
 }
 
 #[cfg(test)]
@@ -567,58 +622,56 @@ mod tests {
         }
     }
 
-    #[test]
-    fn order_deliveries_counting_matches_sort() {
-        // Two (src, seq)-sorted segments from contiguous shards.
-        let a = EnvBatch::from_envelopes(&[env(0, 2, 0), env(0, 1, 1), env(1, 2, 0)]);
-        let b = EnvBatch::from_envelopes(&[env(3, 0, 0), env(3, 2, 1), env(4, 1, 2)]);
-        let mut expect: Vec<_> = [a.to_envelopes(), b.to_envelopes()].concat();
+    /// Run the kernel over `segments` (destinations `0..width`) and
+    /// compare with the reference `(dst, src, seq)` sort.
+    fn assert_orders_like_sort(mut segments: Vec<EnvBatch<u32>>, width: usize) {
+        let mut expect: Vec<_> = segments.iter().flat_map(EnvBatch::to_envelopes).collect();
         expect.sort_by_key(|e| (e.dst, e.src, e.seq));
-
-        let mut segments = vec![a, b];
         let mut ds = DeliverScratch::default();
-        let total = order_deliveries(&mut segments, false, 0, 5, &mut ds);
-        assert_eq!(total, expect.len());
+        assert_eq!(
+            order_deliveries(&mut segments, 0, width, &mut ds),
+            expect.len()
+        );
         let got: Vec<_> = ds
             .srcs
             .iter()
-            .zip(&ds.msgs)
-            .map(|(s, m)| (*s, *m))
+            .copied()
+            .zip(ds.msgs.iter().copied())
             .collect();
         let want: Vec<_> = expect.iter().map(|e| (e.src, e.msg)).collect();
         assert_eq!(got, want);
         // Group offsets address each destination's slice.
-        for off in 0..5 {
+        for off in 0..width {
             let (s, e) = (ds.starts[off] as usize, ds.starts[off + 1] as usize);
-            for env in &expect[s..e] {
-                assert_eq!(env.dst, NodeId(off as u32));
-            }
+            assert!(expect[s..e].iter().all(|env| env.dst.index() == off));
         }
         assert!(segments.iter().all(EnvBatch::is_empty), "segments drained");
     }
 
     #[test]
-    fn order_deliveries_mixed_is_stable_across_rounds() {
-        // Same sender contributing to one bucket from two send rounds:
-        // the segment order (round order) must be preserved per (dst,
-        // src) — equivalent to the (dst, src, seq) sort.
-        let round0 = EnvBatch::from_envelopes(&[env(1, 0, 0), env(2, 0, 0)]);
-        let round1 = EnvBatch::from_envelopes(&[env(1, 0, 7), env(0, 0, 3)]);
-        let mut expect: Vec<_> = [round0.to_envelopes(), round1.to_envelopes()].concat();
-        expect.sort_by_key(|e| (e.dst, e.src, e.seq));
+    fn order_deliveries_counting_matches_sort() {
+        // Two (src, seq)-sorted segments from contiguous shards.
+        let a = EnvBatch::from_envelopes(&[env(0, 2, 0), env(0, 1, 1), env(1, 2, 0)]);
+        let b = EnvBatch::from_envelopes(&[env(3, 0, 0), env(3, 2, 1), env(4, 1, 2)]);
+        assert_orders_like_sort(vec![a, b], 5);
+    }
 
-        let mut segments = vec![round0, round1];
-        let mut ds = DeliverScratch::default();
-        let total = order_deliveries(&mut segments, true, 0, 3, &mut ds);
-        assert_eq!(total, 4);
-        let got: Vec<_> = ds
-            .srcs
-            .iter()
-            .zip(&ds.msgs)
-            .map(|(s, m)| (*s, *m))
-            .collect();
-        let want: Vec<_> = expect.iter().map(|e| (e.src, e.msg)).collect();
-        assert_eq!(got, want);
+    #[test]
+    fn order_deliveries_mixed_is_stable_across_rounds() {
+        // Senders contributing to one bucket from two send rounds, each
+        // round's segment src-ascending: the header merge must interleave
+        // the rounds by sender and keep round order per (dst, src).
+        let round0 = EnvBatch::from_envelopes(&[env(1, 0, 0), env(2, 0, 0), env(2, 1, 1)]);
+        let round1 = EnvBatch::from_envelopes(&[env(0, 0, 3), env(1, 0, 7), env(2, 1, 2)]);
+        assert_orders_like_sort(vec![round0, round1], 3);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not src-ascending")]
+    fn order_deliveries_rejects_src_descending_segment() {
+        let mut segments = vec![EnvBatch::from_envelopes(&[env(1, 0, 0), env(0, 0, 0)])];
+        order_deliveries(&mut segments, 0, 1, &mut DeliverScratch::default());
     }
 
     #[test]
@@ -626,7 +679,7 @@ mod tests {
         let mut segments: Vec<EnvBatch<u32>> = vec![EnvBatch::new(), EnvBatch::new()];
         let mut ds = DeliverScratch::default();
         ds.srcs.push(NodeId(0)); // stale scratch must be cleared
-        assert_eq!(order_deliveries(&mut segments, false, 0, 4, &mut ds), 0);
+        assert_eq!(order_deliveries(&mut segments, 0, 4, &mut ds), 0);
         assert!(ds.srcs.is_empty());
     }
 }

@@ -109,6 +109,20 @@ pub(crate) fn to_unit(u: u64) -> f64 {
     (u >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+/// Integer form of the loss test: `to_unit(h) < drop_prob` holds exactly
+/// when `(h >> 11) < drop_threshold(drop_prob)`. `to_unit` scales the
+/// 53-bit integer `h >> 11` by an exact power of two, so the float
+/// compare is the real-number compare `h >> 11 < drop_prob · 2⁵³` (that
+/// product is exact too), and an integer is below a real exactly when
+/// it is below its ceiling — taken here without a libm call, since this
+/// runs once per sender and round. The casts saturate: NaN and negative
+/// probabilities give 0 = never drop, like the float compare.
+fn drop_threshold(drop_prob: f64) -> u64 {
+    let scaled = drop_prob * (1u64 << 53) as f64;
+    let floor = scaled as u64;
+    floor.saturating_add(u64::from((floor as f64) < scaled))
+}
+
 /// Channel conditions applied to every message of a run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Conditions {
@@ -183,17 +197,13 @@ impl Conditions {
     /// of that sender's messages with [`FateRun::fate`] at one
     /// `derive_seed` per message instead of two.
     pub fn fate_run(&self, seed: u64, src: NodeId) -> FateRun {
-        let ideal = self.is_ideal();
         FateRun {
-            per_src: if ideal {
-                0
-            } else {
-                derive_seed(seed ^ FATE_SALT, src.0 as u64)
-            },
-            drop_prob: self.drop_prob,
+            per_src: 0,
+            drop_below: drop_threshold(self.drop_prob),
             latency: self.latency,
-            ideal,
+            ideal: self.is_ideal(),
         }
+        .for_src(seed, src)
     }
 }
 
@@ -204,12 +214,25 @@ impl Conditions {
 #[derive(Debug, Clone, Copy)]
 pub struct FateRun {
     per_src: u64,
-    drop_prob: f64,
+    /// [`drop_threshold`] of the conditions' `drop_prob`.
+    drop_below: u64,
     latency: LatencyDist,
     ideal: bool,
 }
 
 impl FateRun {
+    /// The same conditions' kernel for another sender of the run keyed
+    /// by `seed`: re-derives the per-sender seed only, not the loss
+    /// threshold — what a routing pass over many senders wants.
+    pub fn for_src(self, seed: u64, src: NodeId) -> FateRun {
+        let per_src = if self.ideal {
+            0
+        } else {
+            derive_seed(seed ^ FATE_SALT, src.0 as u64)
+        };
+        FateRun { per_src, ..self }
+    }
+
     /// Decide the fate of the sender's message number `seq`: `None` =
     /// lost, `Some(l)` = delivered `l ≥ 1` rounds after sending.
     /// Bit-identical to [`Conditions::fate`] on the same message.
@@ -219,7 +242,7 @@ impl FateRun {
             return Some(1);
         }
         let h = derive_seed(self.per_src, seq);
-        if self.drop_prob > 0.0 && to_unit(h) < self.drop_prob {
+        if (h >> 11) < self.drop_below {
             return None;
         }
         let latency = self.latency.sample(SplitMix64::mix(h));
@@ -351,6 +374,36 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    proptest::proptest! {
+        /// The integer loss test is the float one, bit for bit: random
+        /// and edge-case probabilities, hashes random and straddling the
+        /// threshold.
+        #[test]
+        fn drop_threshold_equals_float_compare(
+            h in proptest::prelude::any::<u64>(),
+            p_bits in proptest::prelude::any::<u64>(),
+            pick in 0u8..8,
+            near in 0u64..4,
+        ) {
+            let p = match pick {
+                0 => 0.0,
+                1 => f64::from_bits(1), // smallest positive f64
+                2 => 1.0 - f64::EPSILON,
+                3 => f64::from_bits(1.0f64.to_bits() - 1), // largest below 1
+                _ => to_unit(p_bits),
+            };
+            let t = drop_threshold(p);
+            proptest::prop_assert!(t <= 1 << 53);
+            // `near` 0 keeps the random hash; 1..=3 put `h >> 11` at
+            // threshold − 1, threshold, threshold + 1.
+            let h = match near {
+                0 => h,
+                k => ((t + k).saturating_sub(2) << 11) | (h & 0x7FF),
+            };
+            proptest::prop_assert_eq!((h >> 11) < t, p > 0.0 && to_unit(h) < p, "p={}, h={}", p, h);
         }
     }
 

@@ -8,9 +8,10 @@
 //! It runs on the same message-plane kernels as the sharded workers
 //! ([`route_sends`] / [`order_deliveries`] over [`EnvBatch`] lanes), so
 //! the reference semantics and the parallel hot path cannot drift apart:
-//! a message's journey is batch → hoisted fate → slot row → one stable
-//! counting pass → [`on_receive_run`](RoundProtocol::on_receive_run),
-//! whichever executor drives it.
+//! a message's journey is batch → hoisted fate → slot row → run-header
+//! merge + one stable counting pass →
+//! [`on_receive_run`](RoundProtocol::on_receive_run), whichever executor
+//! drives it and whatever the latency distribution.
 //!
 //! lint: deterministic
 
@@ -22,26 +23,6 @@ use crate::report::{NetStats, RunConfig, RunReport, TimeAxis};
 use rand::rngs::SmallRng;
 use rendez_sim::{small_rng_for, NodeId};
 use std::collections::VecDeque;
-
-/// One latency slot's accumulated messages: a segment per send round
-/// that filed into it, in send-round order. `mixed` records whether more
-/// than one round contributed (forcing the stable-sort delivery path);
-/// `filled_round` tracks the segment boundary.
-struct SlotRow<M> {
-    segs: Vec<EnvBatch<M>>,
-    filled_round: u64,
-    mixed: bool,
-}
-
-impl<M> Default for SlotRow<M> {
-    fn default() -> Self {
-        Self {
-            segs: Vec::new(),
-            filled_round: u64::MAX,
-            mixed: false,
-        }
-    }
-}
 
 /// Runs every node on the calling thread, in id order.
 ///
@@ -69,14 +50,20 @@ impl Executor for SequentialExecutor {
             .map(|i| proto.init_node(NodeId::from_index(i), &mut rngs[i]))
             .collect();
 
-        // `buckets[k]` holds messages due `k` rounds after the current
-        // pop; drained rows and segment batches cycle through the free
-        // lists so the loop stops allocating once the latency window is
-        // warm.
-        let mut buckets: VecDeque<SlotRow<P::Msg>> = VecDeque::new();
-        let mut row_free: Vec<SlotRow<P::Msg>> = Vec::new();
+        // `buckets[k]` holds the messages due `k` rounds after the
+        // current pop, one src-ascending segment per send round that
+        // filed into it (batch invariant 3): a ring of `latency_slots()`
+        // rows, popped at the front and pushed back empty once per
+        // round, so filing never grows it. `opened[k]`: this round's
+        // segment exists in row `k`. Segments cycle through `seg_pool`
+        // and the emission batch starts with room for one message and
+        // one run per node, so warm rounds do not allocate and cold
+        // ones do not grow buffers from zero.
+        let slots = cfg.conditions.latency_slots();
+        let mut buckets: VecDeque<Vec<EnvBatch<P::Msg>>> = (0..slots).map(|_| Vec::new()).collect();
+        let mut opened = vec![false; slots];
         let mut seg_pool: Vec<EnvBatch<P::Msg>> = Vec::new();
-        let mut fresh: EnvBatch<P::Msg> = EnvBatch::new();
+        let mut fresh: EnvBatch<P::Msg> = EnvBatch::with_capacity(n, n);
         let mut rs = RouteScratch::default();
         let mut ds = DeliverScratch::default();
         let mut arena = NodeArena::new(0, n);
@@ -107,16 +94,14 @@ impl Executor for SequentialExecutor {
             // Phase 2: deliveries due this round. The counting pass puts
             // them in canonical (dst, src, seq) order; a down destination
             // loses its whole run.
-            let mut row = buckets.pop_front().unwrap_or_default();
-            let total = order_deliveries(&mut row.segs, row.mixed, 0, n, &mut ds);
-            for seg in row.segs.drain(..) {
+            let mut row = buckets.pop_front().expect("ring holds `slots` rows");
+            let total = order_deliveries(&mut row, 0, n, &mut ds);
+            for seg in row.drain(..) {
                 if seg.has_capacity() {
                     seg_pool.push(seg);
                 }
             }
-            row.filled_round = u64::MAX;
-            row.mixed = false;
-            row_free.push(row);
+            buckets.push_back(row);
             if total > 0 {
                 for i in 0..n {
                     let (s, e) = (ds.starts[i] as usize, ds.starts[i + 1] as usize);
@@ -153,6 +138,13 @@ impl Executor for SequentialExecutor {
             }
 
             // File this round's sends through the hoisted fate kernel.
+            // A segment the pool cannot supply starts with room for
+            // its share of this round's emission instead of growing
+            // from zero.
+            let seg_msgs = fresh.len().div_ceil(slots);
+            let seg_runs = fresh.runs().len().min(seg_msgs);
+            let cold_seg = move || EnvBatch::with_capacity(seg_msgs, seg_runs);
+            opened.fill(false);
             route_sends(
                 &mut fresh,
                 cfg.seed,
@@ -163,20 +155,12 @@ impl Executor for SequentialExecutor {
                 &mut stats,
                 |m| proto.msg_bytes(m),
                 |slot, src, dst, msg| {
-                    while buckets.len() <= slot {
-                        buckets.push_back(row_free.pop().unwrap_or_default());
-                    }
                     let row = &mut buckets[slot];
-                    if row.filled_round != round {
-                        if row.filled_round != u64::MAX {
-                            row.mixed = true;
-                        }
-                        row.filled_round = round;
-                        row.segs.push(seg_pool.pop().unwrap_or_default());
+                    if !std::mem::replace(&mut opened[slot], true) {
+                        row.push(seg_pool.pop().unwrap_or_else(cold_seg));
                     }
-                    row.segs
-                        .last_mut()
-                        .expect("segment just pushed")
+                    row.last_mut()
+                        .expect("opened rows end in this round's segment")
                         .push_grouped(src, dst, msg);
                 },
             );

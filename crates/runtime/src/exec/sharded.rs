@@ -44,16 +44,13 @@
 //!    Concatenating shard buckets in shard order therefore yields
 //!    exactly the sequential executor's per-bucket content and order.
 //! 4. **Delivery order.** Messages due in a round are consumed in
-//!    `(dst, src, seq)` order. When a delivery bucket was filled by a
-//!    single send round (always true under fixed latency, in particular
-//!    the paper's synchronous model), its concatenated segments are
-//!    already `(src, seq)`-sorted, so one stable counting pass by
-//!    destination ([`order_deliveries`]) reproduces the full
-//!    `(dst, src, seq)` sort in `O(m + shard_width)` with no comparison
-//!    sort. Buckets that mixed several send rounds (latency
-//!    distributions with spread) carry a `mixed` flag and fall back to
-//!    a stable `(dst, src)` sort — same order, just paid for only when
-//!    latency actually interleaves rounds.
+//!    `(dst, src, seq)` order. A lane holds src-ascending segments in
+//!    (send round, shard) order; [`order_deliveries`] merges their run
+//!    *headers* into `(src, seq)` order — one stream per send round, so
+//!    a lane filled by one round (always, under fixed latency such as
+//!    the paper's synchronous model) is plain concatenation — and one
+//!    stable counting pass by destination completes the sort in
+//!    `O(m + shard_width)`, with no comparison sort over messages.
 //!
 //! # Memory discipline
 //!
@@ -172,9 +169,6 @@ struct Task<M> {
     round: u64,
     /// Delivery segments due this round for this shard, in splice order.
     due: Vec<EnvBatch<M>>,
-    /// Whether `due` accumulated sends from more than one send round
-    /// (breaks the concatenated `(src, seq)` pre-sort; see module docs).
-    mixed: bool,
     /// The routed structure this shard returned last round, hollowed by
     /// the coordinator's splice — ping-ponged back so the skeleton's
     /// allocations (outer slot `Vec`, per-slot lane `Vec`s) are reused
@@ -266,7 +260,6 @@ fn run_shard_round<P: RoundProtocol>(
     let Task {
         round,
         mut due,
-        mixed,
         skeleton,
     } = task;
     // SAFETY: exclusive access during the round per the module's safety
@@ -308,10 +301,10 @@ fn run_shard_round<P: RoundProtocol>(
         proto.on_round_start(node, id, round, &mut rngs[off], &mut out);
     }
 
-    // Phase 2: deliveries in (dst, src, seq) order — one stable
-    // counting pass over the batch headers (mixed buckets pay a stable
-    // sort), then one `on_receive_run` dispatch per destination.
-    let total = order_deliveries(&mut due, mixed, h.base, h.len, ds);
+    // Phase 2: deliveries in (dst, src, seq) order — run-header merge
+    // plus one stable counting pass, then one `on_receive_run` dispatch
+    // per destination.
+    let total = order_deliveries(&mut due, h.base, h.len, ds);
     for seg in due {
         recycle(pool, seg);
     }
@@ -420,26 +413,9 @@ fn worker_loop<P: RoundProtocol>(
     }
 }
 
-/// One delivery round's worth of queued messages, per destination shard.
-struct Row<M> {
-    /// `lanes[dest_shard]` = spliced segments, in arrival (= emission)
-    /// order.
-    lanes: Vec<Vec<EnvBatch<M>>>,
-    /// Send round that last filled this row (`u64::MAX` = never).
-    filled_round: u64,
-    /// Whether two different send rounds contributed (see [`Task::mixed`]).
-    mixed: bool,
-}
-
-impl<M> Row<M> {
-    fn empty(shards: usize) -> Self {
-        Self {
-            lanes: (0..shards).map(|_| Vec::new()).collect(),
-            filled_round: u64::MAX,
-            mixed: false,
-        }
-    }
-}
+/// One delivery round's worth of queued messages: `row[dest_shard]` =
+/// spliced segments, in arrival (= emission) order.
+type Row<M> = Vec<Vec<EnvBatch<M>>>;
 
 impl Executor for ShardedExecutor {
     fn name(&self) -> String {
@@ -607,13 +583,13 @@ where
         });
     }
 
-    let mut buckets: VecDeque<Row<P::Msg>> = VecDeque::new();
-    // Recycled shells: dispatched rows (only the outer
-    // length-`shards` lane Vec keeps its capacity — the per-dest
-    // segment lists move into tasks and are tiny) and each
-    // shard's hollowed routed skeleton, returned with the next
-    // task.
-    let mut row_pool: Vec<Row<P::Msg>> = Vec::new();
+    // `buckets[k]` is due `k` rounds after the current pop: a ring of
+    // `slots` rows, popped at the front and pushed back hollow once per
+    // round (the per-dest segment lists move into tasks and are tiny).
+    // Each shard's hollowed routed skeleton returns with its next task.
+    let mut buckets: VecDeque<Row<P::Msg>> = (0..slots)
+        .map(|_| (0..shards).map(|_| Vec::new()).collect())
+        .collect();
     let mut skeletons: Vec<Routed<P::Msg>> = (0..shards).map(|_| Routed::default()).collect();
     let mut stats = NetStats::default();
     let mut digests = Vec::new();
@@ -621,22 +597,16 @@ where
     for round in 0..cfg.max_rounds {
         // Fan out: hand each worker its due segments. Lane `Vec`s
         // move wholesale — no envelope is touched here.
-        let mut row = buckets
-            .pop_front()
-            .or_else(|| row_pool.pop())
-            .unwrap_or_else(|| Row::empty(shards));
+        let mut row = buckets.pop_front().expect("ring holds `slots` rows");
         for (s, tx) in task_txs.iter().enumerate() {
             tx.send(Task {
                 round,
-                due: std::mem::take(&mut row.lanes[s]),
-                mixed: row.mixed,
+                due: std::mem::take(&mut row[s]),
                 skeleton: std::mem::take(&mut skeletons[s]),
             })
             .expect("shard worker exited early");
         }
-        row.filled_round = u64::MAX;
-        row.mixed = false;
-        row_pool.push(row);
+        buckets.push_back(row);
 
         // Collect in shard order and splice: shard s's bucket for
         // (slot, dest) is appended after shards 0..s's, so each
@@ -656,19 +626,11 @@ where
                 }
             }
             for (slot, lanes) in out.routed.iter_mut().enumerate() {
-                while buckets.len() <= slot {
-                    buckets.push_back(row_pool.pop().unwrap_or_else(|| Row::empty(shards)));
-                }
                 let row = &mut buckets[slot];
                 for (dest, seg) in lanes.iter_mut().enumerate() {
-                    if seg.is_empty() {
-                        continue;
+                    if !seg.is_empty() {
+                        row[dest].push(std::mem::take(seg));
                     }
-                    if row.filled_round != u64::MAX && row.filled_round != round {
-                        row.mixed = true;
-                    }
-                    row.filled_round = round;
-                    row.lanes[dest].push(std::mem::take(seg));
                 }
             }
             // The hollowed structure goes back to shard s as the

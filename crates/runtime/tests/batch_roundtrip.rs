@@ -1,9 +1,12 @@
 //! Property tests: [`EnvBatch`] round-trips the legacy [`Envelope`]
 //! stream bit-identically (invariant 1 in `rendez_runtime::batch`) under
 //! random emission patterns, sources that never emit, and emission
-//! spliced across multiple batches with carried-over seq counters.
+//! spliced across multiple batches with carried-over seq counters — and
+//! `order_deliveries` turns any list of src-ascending segments (batch
+//! invariant 3) into the `(dst, src, seq)` order a sort would give.
 
 use proptest::prelude::*;
+use rendez_runtime::batch::{order_deliveries, DeliverScratch};
 use rendez_runtime::{EnvBatch, Envelope};
 use rendez_sim::NodeId;
 
@@ -110,5 +113,55 @@ proptest! {
             whole.extend(legacy);
         }
         prop_assert_eq!(spliced, whole);
+    }
+
+    /// The sort-free delivery kernel against the reference sort: 1–8
+    /// segments (send rounds), each src-ascending with carried-over seq
+    /// counters, senders repeating across segments, some segments empty,
+    /// each round cut into two contiguous "shard" segments at `cut`,
+    /// destinations in a window that starts at `base > 0`. The scratch is
+    /// reused across two calls, as the executors do.
+    #[test]
+    fn order_deliveries_matches_reference_sort(
+        rounds in prop::collection::vec(
+            prop::collection::vec((0u32..SRCS, 0u32..DSTS, any::<u8>()), 0..30),
+            1..9,
+        ),
+        base in 0u32..1000,
+        cut in 0usize..30,
+    ) {
+        let mut seqs = vec![0u64; SRCS as usize];
+        let mut ds = DeliverScratch::default();
+        for _ in 0..2 {
+            let mut segments = Vec::new();
+            let mut expect = Vec::new();
+            for events in &rounds {
+                // One send round: every sender's burst, senders ascending
+                // (what `route_sends` files into a slot row).
+                let mut events: Vec<_> =
+                    events.iter().map(|&(s, d, m)| (s, d + base, m)).collect();
+                events.sort_by_key(|&(src, _, _)| src);
+                let (lo, hi) = events.split_at(cut.min(events.len()));
+                for shard in [lo, hi] {
+                    let (batch, legacy) = emit(shard, &mut seqs);
+                    segments.push(batch);
+                    expect.extend(legacy);
+                }
+            }
+            expect.sort_by_key(|e| (e.dst, e.src, e.seq));
+
+            let total = order_deliveries(&mut segments, base as usize, DSTS as usize, &mut ds);
+            prop_assert_eq!(total, expect.len());
+            prop_assert!(segments.iter().all(EnvBatch::is_empty), "segments drained");
+            let got: Vec<_> = ds.srcs.iter().copied().zip(ds.msgs.iter().copied()).collect();
+            let want: Vec<_> = expect.iter().map(|e| (e.src, e.msg)).collect();
+            prop_assert_eq!(got, want);
+            if total > 0 {
+                for (k, w) in ds.starts.windows(2).enumerate() {
+                    let group = &expect[w[0] as usize..w[1] as usize];
+                    prop_assert!(group.iter().all(|e| e.dst == NodeId(base + k as u32)));
+                }
+            }
+        }
     }
 }

@@ -13,10 +13,11 @@
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rendezvous::prelude::*;
 use rendezvous::runtime::{
-    ConditionedExecutor, Conditions, LatencyDist, RtDatingSpread, RtPushPull,
+    ConditionedExecutor, Conditions, LatencyDist, Outbox, RoundProtocol, RtDatingSpread,
+    RtPushPull, Verdict,
 };
 use rendezvous::stats::ks_two_sample;
 
@@ -82,6 +83,110 @@ fn conditioned_runs_are_executor_independent() {
         assert_eq!(seq.digests, sh.digests, "shards={shards}");
         assert_eq!(seq.stats, sh.stats, "shards={shards}");
         assert_eq!(seq.output, sh.output, "shards={shards}");
+    }
+}
+
+/// Order witness: every node sends three numbered messages per round;
+/// receivers check the canonical `(src, seq)` order of each delivery run
+/// themselves and fold what they saw, in order, into their state.
+struct OrderWitness {
+    n: u32,
+}
+
+impl RoundProtocol for OrderWitness {
+    /// `(messages sent, order-sensitive fold of deliveries)`.
+    type Node = (u64, u64);
+    /// The sender's send counter, i.e. the message's `seq`.
+    type Msg = u64;
+    type Output = ();
+
+    fn init_node(&self, _id: NodeId, _rng: &mut SmallRng) -> Self::Node {
+        (0, 0)
+    }
+
+    fn on_round_start(
+        &self,
+        node: &mut Self::Node,
+        _id: NodeId,
+        _round: u64,
+        rng: &mut SmallRng,
+        out: &mut Outbox<'_, u64>,
+    ) {
+        for _ in 0..3 {
+            out.send(NodeId(rng.gen_range(0..self.n)), node.0);
+            node.0 += 1;
+        }
+    }
+
+    fn on_message(
+        &self,
+        _: &mut Self::Node,
+        _: NodeId,
+        _: NodeId,
+        _: u64,
+        _: u64,
+        _: &mut SmallRng,
+        _: &mut Outbox<'_, u64>,
+    ) {
+        unreachable!("on_receive_run is overridden");
+    }
+
+    fn on_receive_run(
+        &self,
+        node: &mut Self::Node,
+        id: NodeId,
+        srcs: &[NodeId],
+        msgs: &[u64],
+        round: u64,
+        _rng: &mut SmallRng,
+        _out: &mut Outbox<'_, u64>,
+    ) {
+        let keys: Vec<_> = srcs.iter().zip(msgs).collect();
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "node {id:?} round {round}: run not in (src, seq) order: {keys:?}"
+        );
+        for (src, seq) in keys {
+            node.1 = (node.1 ^ (u64::from(src.0) << 40 | seq)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn finalize(&mut self, _nodes: &[Self::Node], _round: u64) -> Verdict<()> {
+        Verdict::Continue
+    }
+
+    fn digest(&self, nodes: &[Self::Node], _round: u64) -> u64 {
+        nodes
+            .iter()
+            .fold(0, |acc, node| acc.rotate_left(7) ^ node.1 ^ node.0)
+    }
+}
+
+#[test]
+fn geometric_latency_delivers_in_canonical_order_on_every_executor() {
+    // Geometric latency with a 16-round cap puts up to 16 send rounds
+    // into one delivery bucket: the run-header merge at its widest, with
+    // each sender present in many segments.
+    let n = 300;
+    let cfg = RunConfig::seeded(0xE3).max_rounds(60);
+    let conditions = Conditions {
+        drop_prob: 0.1,
+        latency: LatencyDist::Geometric { p: 0.3, cap: 16 },
+    };
+    let seq = ConditionedExecutor::new(SequentialExecutor, conditions).run(
+        &mut OrderWitness { n: n as u32 },
+        n,
+        &cfg,
+    );
+    assert!(seq.stats.delivered > 40_000 && seq.stats.dropped > 0);
+    for shards in [1, 3, 8] {
+        let sh = ConditionedExecutor::new(ShardedExecutor::new(shards), conditions).run(
+            &mut OrderWitness { n: n as u32 },
+            n,
+            &cfg,
+        );
+        assert_eq!(seq.digests, sh.digests, "shards={shards}");
+        assert_eq!(seq.stats, sh.stats, "shards={shards}");
     }
 }
 
