@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the cache-resident message plane: SoA envelope
 //! batches, the hoisted fate kernel, and the end-to-end delivery path.
 //!
-//! Four groups:
+//! Five groups:
 //!
 //! * `emit` — filling an [`EnvBatch`] through run-length `push` vs the
 //!   legacy `Vec<Envelope>` stream, and reading it back in emission
@@ -14,7 +14,11 @@
 //! * `deliver_mixed` — [`order_deliveries`] on a bucket that `k` send
 //!   rounds filed into (what a latency spread produces), over the same
 //!   message count: the conditioned counterpart of `deliver`, with
-//!   `k = 1` (plain concatenation) as the reference point.
+//!   `k = 1` (plain concatenation) as the reference point;
+//! * `event_queue` — the event executor's wake queue under the hold
+//!   model (pop the earliest wake, push the same node back one
+//!   exponential inter-arrival later): the calendar [`WakeQueue`]
+//!   against the `BinaryHeap` it replaced, at `n` = 10⁴ and 10⁶.
 //!
 //! Set `RENDEZ_BENCH_QUICK=1` for the CI smoke mode (smallest size,
 //! few samples) that keeps the harness from bit-rotting without
@@ -25,8 +29,11 @@ use rendez_core::{Platform, UniformSelector};
 use rendez_runtime::batch::{order_deliveries, DeliverScratch};
 use rendez_runtime::{
     Conditions, EnvBatch, Envelope, Executor, RunConfig, RuntimeDating, SequentialExecutor,
+    WakeQueue, TICKS_PER_SEC,
 };
-use rendez_sim::NodeId;
+use rendez_sim::{NodeId, SplitMix64};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 const CYCLES: u64 = 3;
 
@@ -172,11 +179,74 @@ fn bench_deliver_mixed(c: &mut Criterion) {
     g.finish();
 }
 
+/// Exponential inter-arrival at one wake per simulated second, from
+/// the next hash of `draws` — the executor's wake clock, minus the
+/// per-node streams.
+fn hold_dt(draws: &mut SplitMix64) -> u64 {
+    let u = (draws.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+    ((-(1.0 - u).ln() * TICKS_PER_SEC as f64) as u64).max(1)
+}
+
+fn bench_event_queue(c: &mut Criterion) {
+    let quick = std::env::var("RENDEZ_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
+    const HOLDS: u64 = 100_000;
+    let sizes: &[usize] = if quick {
+        &[10_000]
+    } else {
+        &[10_000, 1_000_000]
+    };
+    let mut g = c.benchmark_group("delivery_kernel/event_queue");
+    g.sample_size(if quick { 3 } else { 20 });
+    g.throughput(Throughput::Elements(HOLDS));
+    for &n in sizes {
+        // Both queues start from the same `n` wakes and see the same
+        // inter-arrivals; the hold loop carries on across iterations.
+        let mut draws = SplitMix64::new(7);
+        let starts: Vec<u64> = (0..n).map(|_| hold_dt(&mut draws)).collect();
+
+        g.bench_with_input(BenchmarkId::new("calendar", n), &n, |b, &n| {
+            let mut draws = SplitMix64::new(11);
+            let mut timers: Vec<(u64, u32)> = starts.iter().map(|&at| (at, 0)).collect();
+            let mut queue = WakeQueue::new(n, 1.0);
+            for node in 0..n as u32 {
+                queue.push(&mut timers, node);
+            }
+            b.iter(|| {
+                let mut last = 0;
+                for _ in 0..HOLDS {
+                    let (now, node) = queue.pop(&timers).expect("n wakes are queued");
+                    timers[node as usize].0 = now + hold_dt(&mut draws);
+                    queue.push(&mut timers, node);
+                    last = now;
+                }
+                last
+            });
+        });
+
+        g.bench_with_input(BenchmarkId::new("binary_heap", n), &n, |b, _| {
+            let mut draws = SplitMix64::new(11);
+            let mut heap: BinaryHeap<Reverse<(u64, u32)>> =
+                starts.iter().copied().zip(0u32..).map(Reverse).collect();
+            b.iter(|| {
+                let mut last = 0;
+                for _ in 0..HOLDS {
+                    let Reverse((now, node)) = heap.pop().expect("n wakes are queued");
+                    heap.push(Reverse((now + hold_dt(&mut draws), node)));
+                    last = now;
+                }
+                last
+            });
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_emit,
     bench_fate,
     bench_deliver,
-    bench_deliver_mixed
+    bench_deliver_mixed,
+    bench_event_queue
 );
 criterion_main!(benches);

@@ -13,8 +13,8 @@
 //!   point of the millions-of-nodes series (ns/round, msgs/sec **and**
 //!   resident bytes/node), emitted by
 //!   `exp_runtime_scaling --n-series --bench-out PATH`;
-//! * `async_events` — one [`AsyncEventsRecord`] per `{workload, n,
-//!   lanes}` cell of the event-driven continuous-time executor
+//! * `async_events` — one [`AsyncEventsRecord`] per `{workload, n}`
+//!   cell of the event-driven continuous-time executor
 //!   (events/sec, ns/event), emitted by
 //!   `exp_runtime_scaling --time-model continuous --bench-out PATH`.
 //!
@@ -196,7 +196,7 @@ impl ScalingRecord {
     }
 }
 
-/// One benchmarked `{workload, n, lanes}` cell of the event-driven
+/// One benchmarked `{workload, n}` cell of the event-driven
 /// continuous-time executor ([`rendez_runtime::EventExecutor`]), the
 /// `async_events` series of `BENCH_runtime.json`.
 #[derive(Debug, Clone, PartialEq)]
@@ -205,11 +205,11 @@ pub struct AsyncEventsRecord {
     pub workload: String,
     /// Node count.
     pub n: usize,
-    /// Wake-queue lane count the run was partitioned into.
-    pub lanes: usize,
-    /// Events the run processed.
+    /// Identical runs timed; `wall_s` is their median.
+    pub reps: usize,
+    /// Events one run processed.
     pub events: u64,
-    /// Wall-clock for the whole run, seconds.
+    /// Median wall-clock of one whole run, seconds.
     pub wall_s: f64,
 }
 
@@ -233,10 +233,11 @@ impl AsyncEventsRecord {
 
     fn to_json(&self) -> String {
         format!(
-            "{{\"workload\":{},\"n\":{},\"lanes\":{},\"events\":{},             \"wall_s\":{:.6},\"ns_per_event\":{:.1},\"events_per_sec\":{:.1}}}",
+            "{{\"workload\":{},\"n\":{},\"reps\":{},\"events\":{},\
+             \"wall_s\":{:.6},\"ns_per_event\":{:.1},\"events_per_sec\":{:.1}}}",
             json_string(&self.workload),
             self.n,
-            self.lanes,
+            self.reps,
             self.events,
             self.wall_s,
             self.ns_per_event(),
@@ -421,7 +422,7 @@ fn async_events_record_from(v: &Json) -> Option<AsyncEventsRecord> {
     Some(AsyncEventsRecord {
         workload: v.get("workload")?.as_str()?.to_string(),
         n: field_f64(v, "n")? as usize,
-        lanes: field_f64(v, "lanes")? as usize,
+        reps: field_f64(v, "reps")? as usize,
         events: field_f64(v, "events")? as u64,
         wall_s: field_f64(v, "wall_s")?,
     })
@@ -484,7 +485,7 @@ mod tests {
         AsyncEventsRecord {
             workload: "push-pull".to_string(),
             n: 20_000,
-            lanes: 8,
+            reps: 5,
             events: 500_000,
             wall_s: 0.25,
         }

@@ -2,7 +2,7 @@
 //!
 //! Joins the `records` and `scaling` series of an old and a new
 //! benchmark document on `{workload, n, shards}` (and `sweep_throughput`
-//! on `{engine, pool}`, `async_events` on `{workload, n, lanes}`) and
+//! on `{engine, pool}`, `async_events` on `{workload, n}`) and
 //! prints the throughput delta for every matched cell, plus cells that
 //! appear on only one side. CI runs this as an informational step after
 //! regenerating the benchmark file, so perf regressions show up in the
@@ -102,7 +102,7 @@ fn main() -> ExitCode {
             1e6,
             &old_async,
             &new_async,
-            |r| format!("{} n={} lanes={}", r.workload, r.n, r.lanes),
+            |r| format!("{} n={}", r.workload, r.n),
             |r| r.events_per_sec(),
         ),
     ];

@@ -26,17 +26,18 @@
 //!    into the `scaling` series of the benchmark file. Points whose
 //!    estimated footprint exceeds `MemAvailable` are skipped.
 //! 5. **Async determinism gate** (`--time-model continuous`) — every
-//!    workload with a continuous-time port, run through the
-//!    event-driven [`EventExecutor`] at wake-queue lane counts
-//!    {1, 2, 8}; the event trace must be bit-identical across lane
-//!    counts, and each `{workload, lanes}` cell records events/sec and
-//!    ns/event into the `async_events` series of the benchmark file.
+//!    workload with a continuous-time port, run [`ASYNC_RUNS`] times
+//!    through the event-driven [`EventExecutor`] at each `--async-n`
+//!    size; every repetition must reproduce the first one's event
+//!    trace bit for bit, and each `{workload, n}` cell records
+//!    events/sec and ns/event at the median wall time into the
+//!    `async_events` series of the benchmark file.
 //!
 //! Usage: `exp_runtime_scaling [--quick] [--n N] [--seed S]
 //!         [--shards 2,4,8] [--gate-n N] [--bench-out PATH]
 //!         [--n-series] [--series-n 100000,1000000]
 //!         [--series-shards 1,2,8] [--series-floor MSGS_PER_SEC]
-//!         [--time-model continuous] [--async-n N] [--csv]`
+//!         [--time-model continuous] [--async-n 20000,100000] [--csv]`
 //!
 //! `--series-floor` turns the n-scaling series into a perf regression
 //! gate: every regenerated scaling point must sustain at least the
@@ -79,6 +80,11 @@ fn record(workload: &str, n: usize, shards: usize, r: &ScenarioReport, wall_s: f
         msgs_delivered: r.stats.delivered,
     }
 }
+
+/// Identical runs per async gate cell: all must produce one event
+/// trace, and the recorded wall time is their median (odd, so the
+/// median is a run).
+const ASYNC_RUNS: usize = 5;
 
 /// Per-node resident-footprint estimate used by the memory gate:
 /// node state plus arena lanes plus in-flight envelopes. Deliberately
@@ -328,83 +334,79 @@ fn main() {
         }
     }
 
-    // ---- Async determinism gate: the continuous-time executor at
-    // several wake-queue lane counts must reproduce one event trace.
+    // ---- Async determinism gate: the continuous-time executor must
+    // reproduce its event trace run after run.
     let mut async_records: Vec<AsyncEventsRecord> = Vec::new();
     let run_async = args.get_str("time-model", "") == "continuous";
     if run_async {
-        let an = args.get_u64("async-n", 20_000) as usize;
-        let lane_counts = [1usize, 2, 8];
+        let async_ns = args.get_usize_list("async-n", &[20_000]);
         println!();
         println!(
             "# Async determinism gate — event-driven executor (rate 1.0/s), \
-             n={an}, lanes {{1, 2, 8}} must be bit-identical"
+             n={async_ns:?}, {ASYNC_RUNS} runs per cell must be bit-identical"
         );
         let mut at = Table::new(
             vec![
-                "workload", "lanes", "events", "sim_s", "wall_s", "ns/event", "Mev/s", "trace",
+                "workload", "n", "events", "sim_s", "wall_s", "ns/event", "Mev/s", "trace",
             ],
             args.has("csv"),
         );
         let cfg = RunConfig::seeded(seed ^ 0xA57C);
-        for sp in Spreader::ALL
-            .into_iter()
-            .filter(|s| s.supports_continuous())
-        {
-            let mut reference: Option<RunReport<AsyncSpreadSummary>> = None;
-            for &lanes in &lane_counts {
-                let mut proto = AsyncSpread::new(an, NodeId(0), sp);
-                let start = Instant::now();
-                let r = EventExecutor::with_lanes(1.0, lanes).run(&mut proto, an, &cfg);
-                let wall = start.elapsed().as_secs_f64();
-                assert!(r.completed, "{sp} must complete at n={an}");
-                let same = match &reference {
-                    None => true,
-                    Some(first) => {
-                        r.rounds == first.rounds
-                            && r.digests == first.digests
-                            && r.stats == first.stats
-                            && r.output == first.output
-                            && r.time == first.time
+        for &an in &async_ns {
+            for sp in Spreader::ALL
+                .into_iter()
+                .filter(|s| s.supports_continuous())
+            {
+                let mut walls = Vec::with_capacity(ASYNC_RUNS);
+                let mut reference: Option<RunReport<AsyncSpreadSummary>> = None;
+                let mut same = true;
+                for _ in 0..ASYNC_RUNS {
+                    let mut proto = AsyncSpread::new(an, NodeId(0), sp);
+                    let start = Instant::now();
+                    let r = EventExecutor::new(1.0).run(&mut proto, an, &cfg);
+                    walls.push(start.elapsed().as_secs_f64());
+                    assert!(r.completed, "{sp} must complete at n={an}");
+                    match &reference {
+                        None => reference = Some(r),
+                        Some(first) => {
+                            same &= r.rounds == first.rounds
+                                && r.digests == first.digests
+                                && r.stats == first.stats
+                                && r.output == first.output
+                                && r.time == first.time
+                        }
                     }
-                };
+                }
                 all_identical &= same;
+                let first = reference.expect("ASYNC_RUNS > 0");
+                walls.sort_by(f64::total_cmp);
                 let rec = AsyncEventsRecord {
                     workload: sp.name().to_string(),
                     n: an,
-                    lanes,
-                    events: r.rounds,
-                    wall_s: wall,
+                    reps: ASYNC_RUNS,
+                    events: first.rounds,
+                    wall_s: walls[ASYNC_RUNS / 2],
                 };
                 at.row(vec![
                     sp.name().to_string(),
-                    lanes.to_string(),
-                    r.rounds.to_string(),
-                    format!("{:.2}", r.time.sim_seconds().unwrap_or(0.0)),
-                    format!("{wall:.3}"),
+                    an.to_string(),
+                    first.rounds.to_string(),
+                    format!("{:.2}", first.time.sim_seconds().unwrap_or(0.0)),
+                    format!("{:.3}", rec.wall_s),
                     format!("{:.0}", rec.ns_per_event()),
                     format!("{:.2}", rec.events_per_sec() / 1e6),
-                    if lanes == 1 {
-                        "reference".to_string()
-                    } else if same {
-                        "identical".to_string()
-                    } else {
-                        "DIVERGED".to_string()
-                    },
+                    if same { "identical" } else { "DIVERGED" }.to_string(),
                 ]);
                 async_records.push(rec);
-                if reference.is_none() {
-                    reference = Some(r);
-                }
             }
         }
         at.print();
         println!(
             "# async determinism: {}",
             if all_identical {
-                "every lane count reproduced the single-lane event trace bit-for-bit"
+                "every repeated run reproduced its event trace bit-for-bit"
             } else {
-                "FAILURE: event traces diverged across lane counts"
+                "FAILURE: event traces diverged between runs of one seed"
             }
         );
     }
@@ -435,5 +437,8 @@ fn main() {
             async_out.len()
         );
     }
-    assert!(all_identical, "sharded executor diverged from sequential");
+    assert!(
+        all_identical,
+        "a run diverged from its reference trace (sharded vs sequential, or async run vs run)"
+    );
 }

@@ -11,7 +11,9 @@
 //!
 //! lint: deterministic
 
-use rendez_runtime::{Churn, Conditions, ExecChoice, Scenario, ScenarioError, Spreader, TimeModel};
+use rendez_runtime::{
+    Churn, Conditions, ExecChoice, Scenario, ScenarioError, Spreader, TimeModel, MAX_NODES,
+};
 use rendez_sim::rng::derive_seed;
 
 /// A parameter sweep: the cartesian product of four axes, each cell
@@ -209,12 +211,17 @@ impl SweepSpec {
             }
         }
         for cell in self.cells() {
-            self.scenario_for(&cell)
-                .validate()
-                .map_err(|source| SweepError::BadCell {
-                    cell: cell.index,
-                    source,
-                })?;
+            // Checked before the scenario (and its n-node platform) is
+            // built, so an absurd size is an error, not an allocation.
+            let checked = if cell.n > MAX_NODES {
+                Err(ScenarioError::TooManyNodes { n: cell.n })
+            } else {
+                self.scenario_for(&cell).validate()
+            };
+            checked.map_err(|source| SweepError::BadCell {
+                cell: cell.index,
+                source,
+            })?;
         }
         Ok(())
     }
@@ -397,7 +404,7 @@ mod tests {
             time_model: TimeModel::Continuous { rate: 2.0 },
         };
         let s = spec.scenario_for(&cell);
-        assert_eq!(s.executor_name(), "event(1)");
+        assert_eq!(s.executor_name(), "event");
         let report = s.run(7).expect("continuous cell runs");
         assert!(report.completed);
         let out = report.expect_output();
@@ -430,6 +437,14 @@ mod tests {
             err,
             SweepError::BadCell {
                 source: ScenarioError::TooFewNodes { n: 1 },
+                ..
+            }
+        ));
+        let err = tiny().ns(vec![8, MAX_NODES + 1]).validate().unwrap_err();
+        assert!(matches!(
+            err,
+            SweepError::BadCell {
+                source: ScenarioError::TooManyNodes { .. },
                 ..
             }
         ));

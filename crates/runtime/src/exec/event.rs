@@ -15,19 +15,31 @@
 //! * **Integer simulated time.** Wake times are `u64` nanosecond ticks
 //!   ([`TICKS_PER_SEC`]); event order is the total order on
 //!   `(ticks, node)` with no float comparisons anywhere, so traces
-//!   cannot drift across platforms or lane layouts.
-//! * **Lane-invariant dispatch.** Nodes are partitioned into contiguous
-//!   *lanes*, one binary heap per lane (the analogue of the sharded
-//!   executor's node shards); each step pops the globally minimal
-//!   `(ticks, node)` across lane heads. Since the minimum of a set does
-//!   not depend on how the set is partitioned, the event trace is
-//!   bit-identical at any lane count — the property
-//!   `tests/event_exec.rs` pins at lanes {1, 2, 8}.
+//!   cannot drift across platforms or queue layouts.
+//! * **Calendar dispatch.** Every node has exactly one outstanding wake,
+//!   and its next one lies after the current time, so the wake queue is
+//!   a calendar ([`WakeQueue`]) rather than a heap: buckets are disjoint,
+//!   ordered tick ranges, only the bucket being drained is kept sorted
+//!   by `(ticks, node)`, and a wake landing in that bucket is
+//!   sorted-inserted. Every wake of an earlier bucket precedes every
+//!   wake of a later one, hence the pop sequence is exactly the total
+//!   order above — the one a binary heap pops, which
+//!   `tests/event_exec.rs` checks against a reference heap and pins with
+//!   digests recorded from the heap-based executor. Bucket width and
+//!   ring length derive from `n` and the wake rate and influence cost
+//!   only, never order.
+//! * **One slot per node.** Wake time, calendar link, RNG, send and wake
+//!   counters, inbox head and protocol state of a node sit side by side
+//!   in one `Slot`, so an event touches the waking node's slot and the
+//!   slots of the nodes it sends to.
 //! * **Parked messages.** There is no "current round" for a message to
-//!   land in: sends are parked in a FIFO pending buffer at the
-//!   destination (manul-style caching of messages for activations that
-//!   have not started yet) and delivered, in arrival order, when the
-//!   destination next wakes.
+//!   land in: sends are parked at the destination (manul-style caching
+//!   of messages for activations that have not started yet) and
+//!   delivered, in arrival order, when the destination next wakes.
+//!   Parked messages live in one recycled slab; each slot heads an
+//!   intrusive last-in-first-out list through it, which delivery
+//!   reverses, so per-destination order is FIFO and a message a node
+//!   sends to itself waits for its next wake.
 //! * **Incremental observation.** The executor maintains one global
 //!   [`RoundObs`]: before a node's event it retracts the node's old
 //!   contribution ([`RoundObs::retract`]), after the callbacks it merges
@@ -36,12 +48,11 @@
 //!
 //! Unlike the round executors, event processing is inherently serial
 //! (each event observes the state left by every earlier one), so the
-//! executor runs on the calling thread; lanes exist to pin the
-//! partition-invariance that a future parallel speculative variant
-//! would need, not to spread load.
+//! executor runs on the calling thread.
 //!
 //! lint: deterministic
 
+use super::calendar::{link, WakeQueue, WakeTimer, NIL};
 use crate::arena::NodeArena;
 use crate::batch::EnvBatch;
 use crate::conditions::to_unit;
@@ -49,8 +60,6 @@ use crate::proto::{AsyncProtocol, Outbox, RoundObs, Verdict};
 use crate::report::{NetStats, RunConfig, RunReport, TimeAxis};
 use rand::rngs::SmallRng;
 use rendez_sim::{derive_seed, small_rng_for, NodeId, SplitMix64};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Simulated-time resolution: one tick is a nanosecond, so `u64` holds
 /// ~584 years of simulated time and every comparison is integral.
@@ -59,6 +68,120 @@ pub const TICKS_PER_SEC: u64 = 1_000_000_000;
 /// Stream salt separating wake-clock hashes from every other hash family
 /// derived from the run seed (message fate, churn liveness, node RNGs).
 const WAKE_SALT: u64 = 0xA57C_C10C;
+
+/// Everything the executor keeps for one node, side by side, so a wake
+/// reads and writes one record (a cache line or two).
+struct Slot<N> {
+    /// The node's one outstanding wake, in ticks.
+    wake_at: u64,
+    /// The node's wake-clock stream ([`EventExecutor::wake_stream`]),
+    /// derived once instead of once per wake.
+    wake_stream: u64,
+    /// Wakes taken so far — the index of the next inter-arrival.
+    wake_seq: u64,
+    /// The node's send counter ([`Outbox`] sequence numbers).
+    seq: u64,
+    /// Next node in this node's calendar bucket.
+    timer_next: u32,
+    /// Most recently parked message for this node ([`NIL`] when none).
+    inbox: u32,
+    rng: SmallRng,
+    node: N,
+}
+
+impl<N> WakeTimer for Slot<N> {
+    #[inline]
+    fn wake_at(&self) -> u64 {
+        self.wake_at
+    }
+    #[inline]
+    fn timer_next(&self) -> u32 {
+        self.timer_next
+    }
+    #[inline]
+    fn set_timer_next(&mut self, next: u32) {
+        self.timer_next = next;
+    }
+}
+
+/// One parked message: a cell of the [`Parking`] slab. `msg` is `None`
+/// while the cell sits on the free list.
+struct Parked<M> {
+    next: u32,
+    from: NodeId,
+    msg: Option<M>,
+}
+
+/// The slab all parked messages live in. Each destination heads an
+/// intrusive list through `cells`, newest first, so a send touches the
+/// destination's slot and nothing else of the destination's; delivered
+/// cells go back on the free list, so the slab grows to the high-water
+/// mark of messages in flight and steady-state events allocate nothing.
+struct Parking<M> {
+    cells: Vec<Parked<M>>,
+    free: u32,
+}
+
+impl<M> Parking<M> {
+    fn new() -> Self {
+        Self {
+            cells: Vec::new(),
+            free: NIL,
+        }
+    }
+
+    /// Park `msg` from `from` on the list headed by `inbox`.
+    #[inline]
+    fn park(&mut self, inbox: &mut u32, from: NodeId, msg: M) {
+        let cell = Parked {
+            next: *inbox,
+            from,
+            msg: Some(msg),
+        };
+        if self.free == NIL {
+            *inbox = link(self.cells.len());
+            self.cells.push(cell);
+        } else {
+            *inbox = self.free;
+            let reused = &mut self.cells[self.free as usize];
+            self.free = reused.next;
+            *reused = cell;
+        }
+    }
+
+    /// Detach the list headed by `inbox` and reverse it into arrival
+    /// order; returns its first cell ([`NIL`] when nothing is parked).
+    #[inline]
+    fn detach(&mut self, inbox: &mut u32) -> u32 {
+        let mut at = std::mem::replace(inbox, NIL);
+        let mut first = NIL;
+        while at != NIL {
+            let next = std::mem::replace(&mut self.cells[at as usize].next, first);
+            first = at;
+            at = next;
+        }
+        first
+    }
+
+    /// Take the message out of cell `at` of a detached list and recycle
+    /// the cell; returns `(sender, message, next cell)`.
+    #[inline]
+    fn take(&mut self, at: u32) -> (NodeId, M, u32) {
+        let cell = &mut self.cells[at as usize];
+        let msg = cell.msg.take().expect("a listed cell holds a message");
+        let next = std::mem::replace(&mut cell.next, self.free);
+        self.free = at;
+        (cell.from, msg, next)
+    }
+}
+
+/// Fold `node` alone into `scratch`, replacing whatever it held.
+fn observe_alone<P: AsyncProtocol>(proto: &P, node: &P::Node, id: NodeId, scratch: &mut RoundObs) {
+    scratch.count = 0;
+    scratch.digest = 0;
+    scratch.lanes.clear();
+    proto.observe_node(node, id, scratch);
+}
 
 /// Drives an [`AsyncProtocol`] in continuous time: a deterministic
 /// event-queue executor with exponential per-node wake clocks.
@@ -73,24 +196,13 @@ const WAKE_SALT: u64 = 0xA57C_C10C;
 #[derive(Debug, Clone, Copy)]
 pub struct EventExecutor {
     rate: f64,
-    lanes: usize,
 }
 
 impl EventExecutor {
     /// An executor whose nodes wake `rate` times per simulated second on
-    /// average, with a single event lane.
+    /// average.
     pub fn new(rate: f64) -> Self {
-        Self::with_lanes(rate, 1)
-    }
-
-    /// Like [`new`](Self::new), with the node set partitioned into
-    /// `lanes` contiguous heap lanes. The event trace is bit-identical
-    /// for every lane count ≥ 1.
-    pub fn with_lanes(rate: f64, lanes: usize) -> Self {
-        Self {
-            rate,
-            lanes: lanes.max(1),
-        }
+        Self { rate }
     }
 
     /// Mean wakes per node per simulated second.
@@ -100,14 +212,22 @@ impl EventExecutor {
 
     /// Human-readable name for experiment tables.
     pub fn name(&self) -> String {
-        format!("event({})", self.lanes)
+        "event".to_string()
     }
 
-    /// Node `node`'s `seq`-th exponential inter-arrival, in ticks ≥ 1.
+    /// Node `node`'s wake-clock stream: the part of the wake hash that
+    /// does not depend on the wake index, derived once per node.
+    fn wake_stream(seed: u64, node: u64) -> u64 {
+        derive_seed(seed ^ WAKE_SALT, node)
+    }
+
+    /// The `seq`-th exponential inter-arrival of the node whose
+    /// [`wake_stream`](Self::wake_stream) is `stream`, in ticks ≥ 1.
     /// A pure function of `(seed, node, seq)` — the async leg of the
     /// determinism contract.
-    fn wake_dt(&self, seed: u64, node: u64, seq: u64) -> u64 {
-        let u = to_unit(derive_seed(derive_seed(seed ^ WAKE_SALT, node), seq));
+    #[inline]
+    fn wake_dt(&self, stream: u64, seq: u64) -> u64 {
+        let u = to_unit(derive_seed(stream, seq));
         let dt = -(1.0 - u).ln() / self.rate * TICKS_PER_SEC as f64;
         (dt as u64).max(1)
     }
@@ -136,103 +256,87 @@ impl EventExecutor {
         );
         let max_events = cfg.max_rounds.saturating_mul(n as u64);
 
-        let mut rngs: Vec<SmallRng> = (0..n).map(|i| small_rng_for(cfg.seed, i as u64)).collect();
-        let mut seqs: Vec<u64> = vec![0; n];
-        let mut nodes: Vec<P::Node> = (0..n)
-            .map(|i| proto.init_node(NodeId::from_index(i), &mut rngs[i]))
+        // The global observation, kept incrementally via retract/merge.
+        let mut obs = RoundObs::default();
+        let mut slots: Vec<Slot<P::Node>> = (0..n)
+            .map(|i| {
+                let id = NodeId(link(i));
+                let mut rng = small_rng_for(cfg.seed, i as u64);
+                let node = proto.init_node(id, &mut rng);
+                proto.observe_node(&node, id, &mut obs);
+                let wake_stream = Self::wake_stream(cfg.seed, i as u64);
+                Slot {
+                    wake_at: self.wake_dt(wake_stream, 0),
+                    wake_stream,
+                    wake_seq: 0,
+                    seq: 0,
+                    timer_next: NIL,
+                    inbox: NIL,
+                    rng,
+                    node,
+                }
+            })
             .collect();
+        let mut queue = WakeQueue::new(n, self.rate);
+        for i in 0..n {
+            queue.push(&mut slots, link(i));
+        }
 
-        // One pending FIFO per destination: `(sender, payload)` pairs
-        // wait here, in arrival order, for the destination's next
-        // activation (sequence numbers are not needed once a message is
-        // parked — FIFO order is arrival order). The buffers are
-        // recycled in place, so steady-state events reuse their
-        // allocations.
-        let mut pending: Vec<Vec<(NodeId, P::Msg)>> = (0..n).map(|_| Vec::new()).collect();
+        let mut parking: Parking<P::Msg> = Parking::new();
         let mut fresh: EnvBatch<P::Msg> = EnvBatch::new();
         let mut arena = NodeArena::new(0, n);
         let mut stats = NetStats::default();
         let mut digests = Vec::new();
-
-        // Lane heaps: contiguous node chunks, min-heap per lane keyed by
-        // (ticks, node). Every node keeps exactly one outstanding wake,
-        // so keys are unique and the scan over lane heads pops the same
-        // global minimum regardless of how many lanes there are.
-        let lanes = self.lanes.min(n);
-        let chunk = n.div_ceil(lanes);
-        let mut heaps: Vec<BinaryHeap<Reverse<(u64, u32)>>> =
-            (0..lanes).map(|_| BinaryHeap::new()).collect();
-        let mut wake_seq: Vec<u64> = vec![0; n];
-        for i in 0..n {
-            let t0 = self.wake_dt(cfg.seed, i as u64, 0);
-            heaps[i / chunk].push(Reverse((t0, i as u32)));
-        }
-
-        // The global observation, kept incrementally via retract/merge.
-        let mut obs = RoundObs::default();
-        for (i, node) in nodes.iter().enumerate() {
-            proto.observe_node(node, NodeId::from_index(i), &mut obs);
-        }
         let mut scratch = RoundObs::default();
         let mut chain = 0u64;
         let mut now = 0u64;
         let mut events = 0u64;
+        let mut output = None;
 
         while events < max_events {
-            let mut best: Option<(usize, (u64, u32))> = None;
-            for (l, heap) in heaps.iter().enumerate() {
-                if let Some(&Reverse(key)) = heap.peek() {
-                    let better = match best {
-                        None => true,
-                        Some((_, b)) => key < b,
-                    };
-                    if better {
-                        best = Some((l, key));
-                    }
-                }
-            }
-            let (lane, (t, node_u32)) = best.expect("every node always has one scheduled wake");
-            heaps[lane].pop();
+            let (t, woken) = queue
+                .pop(&slots)
+                .expect("every node always has one scheduled wake");
             now = t;
             events += 1;
-            let i = node_u32 as usize;
-            let id = NodeId::from_index(i);
+            let i = woken as usize;
+            let id = NodeId(woken);
+            let slot = &mut slots[i];
 
             // Retract the waking node's old contribution, run its event,
             // merge the new one — obs stays the exact whole-slice fold.
-            scratch.count = 0;
-            scratch.digest = 0;
-            scratch.lanes.clear();
-            proto.observe_node(&nodes[i], id, &mut scratch);
+            observe_alone(proto, &slot.node, id, &mut scratch);
             obs.retract(&scratch);
 
             // One node per event, so the arena epoch doubles as the
             // node's per-activation scratch (request stashes etc.).
             arena.begin_round();
-            let mut inbox = std::mem::take(&mut pending[i]);
-            for (from, msg) in inbox.drain(..) {
+            // The inbox is detached first: whatever this event sends to
+            // its own node is parked for the node's next wake.
+            let mut parked = parking.detach(&mut slot.inbox);
+            while parked != NIL {
+                let (from, msg, next) = parking.take(parked);
+                parked = next;
                 stats.delivered += 1;
-                let mut out = Outbox::new(id, n, &mut seqs[i], &mut fresh, &mut arena);
-                proto.on_message(&mut nodes[i], id, from, msg, now, &mut rngs[i], &mut out);
+                let mut out = Outbox::new(id, n, &mut slot.seq, &mut fresh, &mut arena);
+                proto.on_message(&mut slot.node, id, from, msg, now, &mut slot.rng, &mut out);
             }
-            pending[i] = inbox;
             {
-                let mut out = Outbox::new(id, n, &mut seqs[i], &mut fresh, &mut arena);
-                proto.on_wake(&mut nodes[i], id, now, &mut rngs[i], &mut out);
+                let mut out = Outbox::new(id, n, &mut slot.seq, &mut fresh, &mut arena);
+                proto.on_wake(&mut slot.node, id, now, &mut slot.rng, &mut out);
             }
+
             fresh.for_each_run(|run, dsts, msgs| {
                 stats.sent += run.len as u64;
                 for (dst, msg) in dsts.iter().zip(msgs) {
                     stats.bytes_sent += proto.msg_bytes(msg) as u64;
-                    pending[dst.index()].push((run.src, msg.clone()));
+                    parking.park(&mut slots[dst.index()].inbox, run.src, msg.clone());
                 }
             });
             fresh.clear();
 
-            scratch.count = 0;
-            scratch.digest = 0;
-            scratch.lanes.clear();
-            proto.observe_node(&nodes[i], id, &mut scratch);
+            let slot = &mut slots[i];
+            observe_alone(proto, &slot.node, id, &mut scratch);
             obs.merge(&scratch);
 
             // The per-event trace entry is a *chained* hash — order
@@ -243,23 +347,13 @@ impl EventExecutor {
                 SplitMix64::mix(chain ^ now ^ SplitMix64::mix(i as u64) ^ proto.digest_obs(&obs));
             digests.push(chain);
 
-            wake_seq[i] += 1;
-            let next = now.saturating_add(self.wake_dt(cfg.seed, i as u64, wake_seq[i]));
-            heaps[lane].push(Reverse((next, node_u32)));
+            slot.wake_seq += 1;
+            slot.wake_at = now.saturating_add(self.wake_dt(slot.wake_stream, slot.wake_seq));
+            queue.push(&mut slots, woken);
 
-            if let Verdict::Halt(output) = proto.finalize(&obs, now, events) {
-                return RunReport {
-                    rounds: events,
-                    time: TimeAxis::SimSeconds {
-                        seconds: now as f64 / TICKS_PER_SEC as f64,
-                        events,
-                    },
-                    completed: true,
-                    output: Some(output),
-                    digests,
-                    stats,
-                    node_bytes: nodes.iter().map(|v| proto.node_mem_bytes(v) as u64).sum(),
-                };
+            if let Verdict::Halt(halted) = proto.finalize(&obs, now, events) {
+                output = Some(halted);
+                break;
             }
         }
 
@@ -269,11 +363,14 @@ impl EventExecutor {
                 seconds: now as f64 / TICKS_PER_SEC as f64,
                 events,
             },
-            completed: false,
-            output: None,
+            completed: output.is_some(),
+            output,
             digests,
             stats,
-            node_bytes: nodes.iter().map(|v| proto.node_mem_bytes(v) as u64).sum(),
+            node_bytes: slots
+                .iter()
+                .map(|s| proto.node_mem_bytes(&s.node) as u64)
+                .sum(),
         }
     }
 }
@@ -346,21 +443,17 @@ mod tests {
         }
     }
 
-    fn run_lanes(lanes: usize, n: usize, seed: u64) -> RunReport<u64> {
+    fn run_ping(n: usize, seed: u64) -> RunReport<u64> {
         let mut p = AsyncPing {
             n,
             target_total: 4 * n as u64,
         };
-        EventExecutor::with_lanes(1.0, lanes).run(
-            &mut p,
-            n,
-            &RunConfig::seeded(seed).max_rounds(64),
-        )
+        EventExecutor::new(1.0).run(&mut p, n, &RunConfig::seeded(seed).max_rounds(64))
     }
 
     #[test]
     fn completes_and_accounts() {
-        let r = run_lanes(1, 60, 3);
+        let r = run_ping(60, 3);
         assert!(r.completed);
         let (seconds, events) = match r.time {
             TimeAxis::SimSeconds { seconds, events } => (seconds, events),
@@ -377,17 +470,25 @@ mod tests {
     }
 
     #[test]
-    fn event_trace_is_lane_invariant() {
-        for seed in [0, 9, 1234] {
-            let base = run_lanes(1, 97, seed);
-            for lanes in [2, 3, 8, 97, 200] {
-                let other = run_lanes(lanes, 97, seed);
-                assert_eq!(base.digests, other.digests, "lanes={lanes}");
-                assert_eq!(base.stats, other.stats, "lanes={lanes}");
-                assert_eq!(base.output, other.output, "lanes={lanes}");
-                assert_eq!(base.time, other.time, "lanes={lanes}");
-            }
-        }
+    fn a_run_is_a_pure_function_of_the_seed() {
+        let base = run_ping(97, 9);
+        let again = run_ping(97, 9);
+        assert_eq!(base.digests, again.digests);
+        assert_eq!(base.stats, again.stats);
+        assert_eq!(base.output, again.output);
+        assert_eq!(base.time, again.time);
+        assert_ne!(base.digests, run_ping(97, 10).digests, "seeds matter");
+    }
+
+    #[test]
+    fn single_node_runs_talk_to_themselves() {
+        // n = 1: every ping is a self-send, parked until the next wake.
+        let r = run_ping(1, 5);
+        assert!(r.completed);
+        assert_eq!(r.output, Some(4));
+        assert_eq!(r.rounds, 5, "the k-th wake delivers the (k-1)-th ping");
+        assert_eq!(r.stats.sent, 5);
+        assert_eq!(r.stats.delivered, 4);
     }
 
     #[test]
@@ -406,8 +507,9 @@ mod tests {
     fn wake_schedule_matches_the_rate() {
         // Mean inter-arrival over many hashed draws ≈ 1/rate seconds.
         let exec = EventExecutor::new(4.0);
+        let stream = EventExecutor::wake_stream(99, 7);
         let draws = 20_000u64;
-        let total: u64 = (0..draws).map(|s| exec.wake_dt(99, 7, s)).sum();
+        let total: u64 = (0..draws).map(|s| exec.wake_dt(stream, s)).sum();
         let mean_s = total as f64 / draws as f64 / TICKS_PER_SEC as f64;
         assert!(
             (mean_s - 0.25).abs() < 0.01,
@@ -416,8 +518,55 @@ mod tests {
     }
 
     #[test]
-    fn executor_name_shows_lanes() {
-        assert_eq!(EventExecutor::with_lanes(1.0, 8).name(), "event(8)");
+    fn hoisted_wake_stream_equals_the_per_wake_hash() {
+        // The wake clock as specified: both hashes taken on every wake.
+        let unhoisted = |rate: f64, seed: u64, node: u64, seq: u64| {
+            let u = to_unit(derive_seed(derive_seed(seed ^ WAKE_SALT, node), seq));
+            let dt = -(1.0 - u).ln() / rate * TICKS_PER_SEC as f64;
+            (dt as u64).max(1)
+        };
+        for (rate, seed) in [(1.0, 0u64), (0.37, 0xBEEF), (250.0, u64::MAX)] {
+            let exec = EventExecutor::new(rate);
+            for node in (0..100u64).map(|k| k * k * 977) {
+                let stream = EventExecutor::wake_stream(seed, node);
+                for seq in (0..100u64).map(|k| k * 31) {
+                    assert_eq!(
+                        exec.wake_dt(stream, seq),
+                        unhoisted(rate, seed, node, seq),
+                        "rate {rate} seed {seed} node {node} seq {seq}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parking_is_fifo_per_list_and_recycles_cells() {
+        let mut parking: Parking<u32> = Parking::new();
+        let (mut a, mut b) = (NIL, NIL);
+        for k in 0..3 {
+            parking.park(&mut a, NodeId(k), 10 + k);
+            parking.park(&mut b, NodeId(k), 20 + k);
+        }
+        let drain = |parking: &mut Parking<u32>, inbox: &mut u32| {
+            let mut got = Vec::new();
+            let mut at = parking.detach(inbox);
+            while at != NIL {
+                let (from, msg, next) = parking.take(at);
+                got.push((from.0, msg));
+                at = next;
+            }
+            got
+        };
+        assert_eq!(drain(&mut parking, &mut a), [(0, 10), (1, 11), (2, 12)]);
+        assert_eq!(a, NIL);
+        // Freed cells are reused before the slab grows.
+        parking.park(&mut a, NodeId(9), 99);
+        parking.park(&mut a, NodeId(8), 98);
+        assert_eq!(parking.cells.len(), 6);
+        assert_eq!(drain(&mut parking, &mut b), [(0, 20), (1, 21), (2, 22)]);
+        assert_eq!(drain(&mut parking, &mut a), [(9, 99), (8, 98)]);
+        assert_eq!(drain(&mut parking, &mut a), []);
     }
 
     #[test]

@@ -27,12 +27,14 @@
 //!
 //! lint: deterministic
 
+mod calendar;
 mod conditioned;
 mod event;
 mod pool;
 mod sequential;
 mod sharded;
 
+pub use calendar::{WakeQueue, WakeTimer};
 pub use conditioned::ConditionedExecutor;
 pub use event::{EventExecutor, TICKS_PER_SEC};
 pub use pool::{PoolScope, WorkerPool};

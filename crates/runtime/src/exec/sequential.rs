@@ -3,7 +3,7 @@
 //! Determinism guarantee: the trace is a pure function of
 //! `(protocol, n, seed, conditions)` — this executor *defines* the
 //! canonical digest trace that every other executor must reproduce
-//! bit-for-bit at any shard, lane, or pool count.
+//! bit-for-bit at any shard or pool count.
 //!
 //! It runs on the same message-plane kernels as the sharded workers
 //! ([`route_sends`] / [`order_deliveries`] over [`EnvBatch`] lanes), so

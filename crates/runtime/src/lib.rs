@@ -110,12 +110,12 @@ pub use churn::{Churn, ChurnModel};
 pub use conditions::{Conditions, FateRun, LatencyDist};
 pub use exec::{
     ConditionedExecutor, EventExecutor, Executor, PoolScope, SequentialExecutor, ShardedExecutor,
-    WorkerPool, TICKS_PER_SEC,
+    WakeQueue, WakeTimer, WorkerPool, TICKS_PER_SEC,
 };
 pub use proto::{observe_nodes, AsyncProtocol, Envelope, Outbox, RoundObs, RoundProtocol, Verdict};
 pub use registry::Spreader;
 pub use report::{NetStats, RunConfig, RunReport, TimeAxis};
 pub use scenario::{
     ExecChoice, Scenario, ScenarioError, ScenarioReport, TimeModel, WorkloadOutput,
-    AUTO_SEQUENTIAL_BELOW,
+    AUTO_SEQUENTIAL_BELOW, MAX_NODES,
 };

@@ -440,15 +440,16 @@ pub trait RoundProtocol: Sync {
 ///
 /// 1. every message parked for the waking node since its last activation
 ///    is delivered through [`on_message`](Self::on_message), in arrival
-///    order (the pending buffer is FIFO per destination — early messages
-///    wait, manul-style, for the destination's next activation);
+///    order (parking is FIFO per destination — early messages wait,
+///    manul-style, for the destination's next activation);
 /// 2. [`on_wake`](Self::on_wake) runs — the node's own action (push a
 ///    rumor, issue a pull request, answer a stashed request);
 /// 3. the executor re-observes the node and feeds the updated global
 ///    [`RoundObs`] to [`finalize`](Self::finalize).
 ///
 /// Messages sent from either hook are parked at their destinations and
-/// delivered at the destination's next wake.
+/// delivered at the destination's next wake — including a node's
+/// messages to itself, which wait for its *next* wake.
 ///
 /// # Time-independent observation
 ///

@@ -124,11 +124,21 @@ pub enum TimeModel {
     },
 }
 
+/// The largest node count a scenario accepts: [`NodeId`] is a `u32`
+/// (the adapters draw peers as `u32`s) and the event executor's
+/// intrusive lists use `u32::MAX` as their nil link.
+pub const MAX_NODES: usize = (u32::MAX - 1) as usize;
+
 /// What a [`Scenario`] run can reject at validation time.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioError {
     /// Fewer than two nodes: nobody to date or inform.
     TooFewNodes {
+        /// The offending node count.
+        n: usize,
+    },
+    /// More than [`MAX_NODES`] nodes: node ids would not fit a `u32`.
+    TooManyNodes {
         /// The offending node count.
         n: usize,
     },
@@ -199,6 +209,9 @@ impl std::fmt::Display for ScenarioError {
         match self {
             ScenarioError::TooFewNodes { n } => {
                 write!(f, "a scenario needs at least 2 nodes, got {n}")
+            }
+            ScenarioError::TooManyNodes { n } => {
+                write!(f, "a scenario holds at most {MAX_NODES} nodes, got {n}")
             }
             ScenarioError::PlatformMismatch { platform_n, n } => {
                 write!(
@@ -513,6 +526,9 @@ impl<S: NodeSelector + Clone> Scenario<S> {
         if self.n < 2 {
             return Err(ScenarioError::TooFewNodes { n: self.n });
         }
+        if self.n > MAX_NODES {
+            return Err(ScenarioError::TooManyNodes { n: self.n });
+        }
         if self.platform.n() != self.n {
             return Err(ScenarioError::PlatformMismatch {
                 platform_n: self.platform.n(),
@@ -771,6 +787,27 @@ mod tests {
             Scenario::new(1).run(0).unwrap_err(),
             ScenarioError::TooFewNodes { n: 1 }
         );
+    }
+
+    #[test]
+    fn too_many_nodes_is_a_typed_error() {
+        // Built field-wise: `Scenario::new` would allocate the platform.
+        let sized = |n| Scenario {
+            n,
+            ..Scenario::new(2).protocol(Spreader::Push)
+        };
+        let n = MAX_NODES + 1;
+        assert_eq!(
+            sized(n).run(0).unwrap_err(),
+            ScenarioError::TooManyNodes { n }
+        );
+        // The bound itself passes this check (and fails the next one).
+        assert!(matches!(
+            sized(MAX_NODES).validate(),
+            Err(ScenarioError::PlatformMismatch { .. })
+        ));
+        let shown = ScenarioError::TooManyNodes { n: usize::MAX }.to_string();
+        assert!(shown.contains(&MAX_NODES.to_string()), "{shown}");
     }
 
     #[test]
@@ -1041,6 +1078,6 @@ mod tests {
         let s = Scenario::new(50)
             .protocol(Spreader::Push)
             .time_model(TimeModel::Continuous { rate: 1.0 });
-        assert_eq!(s.executor_name(), "event(1)");
+        assert_eq!(s.executor_name(), "event");
     }
 }
