@@ -10,11 +10,9 @@
 
 // Instant::now() in a line comment is prose, not code.
 
-/// Docs quoting `.executor(ExecChoice::Sharded(2))` must not trip the
-/// deprecated-shim rule either.
 pub fn literals_hide_everything() -> usize {
     let plain = "HashMap::new() unsafe { Instant::now() } thread_rng()";
-    let raw = r#"SystemTime::now() .sum::<f64>() .auto_executor() "quoted""#;
+    let raw = r#"SystemTime::now() .sum::<f64>() "quoted""#;
     let many = r##"r#"nested raw"# with OsRng and seed as u32"##;
     let bytes = b"HashSet iteration .fold(0.0, |a, b| a + b)";
     let ch = '"';

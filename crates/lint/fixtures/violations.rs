@@ -25,10 +25,6 @@ pub fn truncated_seed(seed: u64) -> u32 {
     seed as u32
 }
 
-pub fn uses_deprecated_shim(s: Scenario) -> Scenario {
-    s.auto_executor()
-}
-
 pub fn uncovered_unsafe(p: *const u8) -> u8 {
     unsafe { *p }
 }

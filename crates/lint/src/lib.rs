@@ -19,10 +19,8 @@
 //!    wall clocks, OS entropy, order-sensitive float accumulation and
 //!    seed/hash truncation; escape hatch:
 //!    `// lint: allow(<rule>) — <reason>`.
-//! 3. **Deprecation / drift** (`deprecated-shim`,
-//!    `exec-doc-determinism`) — no internal calls to the deprecated
-//!    `executor()`/`auto_executor()` builder shims, and every executor
-//!    module's rustdoc must state its determinism guarantee.
+//! 3. **Drift** (`exec-doc-determinism`) — every executor module's
+//!    rustdoc must state its determinism guarantee.
 //!
 //! The `rendez-lint` binary wires this into CI: `--workspace` must exit
 //! 0 on the repo, `--self-test` proves the rules still catch the

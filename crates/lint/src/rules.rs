@@ -11,10 +11,8 @@
 //!    carries `//! lint: deterministic`, and only outside `#[cfg(test)]`
 //!    scopes: `det-collection`, `det-clock`, `det-entropy`,
 //!    `det-float-accum`, `det-cast-truncation`.
-//! 3. **Deprecation / drift** — `deprecated-shim` (no internal calls to
-//!    the deprecated `executor()` / `auto_executor()` builder shims) and
-//!    `exec-doc-determinism` (every executor module's rustdoc must state
-//!    its determinism guarantee).
+//! 3. **Drift** — `exec-doc-determinism` (every executor module's
+//!    rustdoc must state its determinism guarantee).
 //!
 //! ## SAFETY adjacency
 //!
@@ -22,15 +20,15 @@
 //! — skipping lines that contain code — the first comment block reached
 //! contains `SAFETY:`. A blank line or a non-SAFETY comment terminates
 //! the walk uncovered. One SAFETY comment therefore covers a contiguous
-//! run of statements below it (the shard executor materializes several
-//! raw slices under one argument), but never reaches across a blank
+//! run of statements below it (`order_deliveries` scatters and then
+//! `set_len`s under one argument), but never reaches across a blank
 //! line or an unrelated comment.
 //!
 //! ## The allow escape hatch
 //!
 //! `// lint: allow(<rule>) — <reason>` on the finding's line or the
-//! line directly above suppresses one allowable rule (`det-*`,
-//! `deprecated-shim`). The reason is mandatory (`lint-allow-syntax`)
+//! line directly above suppresses one allowable rule (`det-*`). The
+//! reason is mandatory (`lint-allow-syntax`)
 //! and the allow must actually match a finding (`lint-allow-unused`).
 //! `safety-comment` and the ledger diff are **not** allowable: the only
 //! escape is writing the SAFETY comment / amending the ledger.
@@ -68,10 +66,6 @@ pub const RULES: &[(&str, &str)] = &[
         "`as` truncation of seed/hash/digest values silently discards entropy",
     ),
     (
-        "deprecated-shim",
-        "internal code must use time_model(), not the deprecated executor()/auto_executor() shims",
-    ),
-    (
         "exec-doc-determinism",
         "every executor module's rustdoc must state its determinism guarantee",
     ),
@@ -92,7 +86,6 @@ const ALLOWABLE: &[&str] = &[
     "det-entropy",
     "det-float-accum",
     "det-cast-truncation",
-    "deprecated-shim",
 ];
 
 /// One lint finding.
@@ -223,13 +216,6 @@ pub fn lint_source(rel: &str, src: &str) -> FileLint {
             used: false,
         });
     }
-
-    // A file defining the deprecated shims may reference them (its own
-    // rustdoc examples and pin tests are the sanctioned exception).
-    let defines_shims = lexed.toks.windows(2).any(|w| {
-        w[0].kind.is_ident("fn")
-            && (w[1].kind.is_ident("executor") || w[1].kind.is_ident("auto_executor"))
-    });
 
     // ---- executor-module rustdoc drift ----------------------------
     if rel.starts_with("crates/runtime/src/exec/") {
@@ -454,38 +440,6 @@ pub fn lint_source(rel: &str, src: &str) -> FileLint {
                         .to_string(),
                 ));
             }
-            // .executor( / .auto_executor(
-            if !defines_shims
-                && is(1, &|k| {
-                    k.is_ident("executor") || k.is_ident("auto_executor")
-                })
-                && is(2, &|k| k.is_punct('('))
-            {
-                raw.push((
-                    t.line,
-                    "deprecated-shim",
-                    "deprecated builder shim; use time_model(TimeModel::Rounds(..)) \
-                     or the sharded()/sequential() sugar"
-                        .to_string(),
-                ));
-            }
-        } else if t.kind.is_punct('.') {
-            // deprecated-shim also applies outside deterministic files.
-            let shim = toks
-                .get(i + 1)
-                .map(|t| &t.kind)
-                .map(|k| k.is_ident("executor") || k.is_ident("auto_executor"))
-                == Some(true)
-                && toks.get(i + 2).map(|t| &t.kind).map(|k| k.is_punct('(')) == Some(true);
-            if shim && !defines_shims {
-                raw.push((
-                    t.line,
-                    "deprecated-shim",
-                    "deprecated builder shim; use time_model(TimeModel::Rounds(..)) \
-                     or the sharded()/sequential() sugar"
-                        .to_string(),
-                ));
-            }
         }
         i += 1;
     }
@@ -673,21 +627,6 @@ mod tests {
         assert!(lint_source("crates/runtime/src/x.rs", &src)
             .findings
             .is_empty());
-    }
-
-    #[test]
-    fn deprecated_shim_fires_everywhere_except_its_defining_file() {
-        let call = "fn f() { let s = Scenario::new(4).auto_executor(); }\n";
-        let fl = lint_source("tests/x.rs", call);
-        assert_eq!(rules_of(&fl), vec!["deprecated-shim"]);
-        // The defining file (has `fn auto_executor`) is exempt.
-        let def = format!("fn auto_executor() {{}}\n{call}");
-        assert!(lint_source("crates/runtime/src/scenario.rs", &def)
-            .findings
-            .is_empty());
-        // `executor_name()` must not be mistaken for `executor()`.
-        let near = "fn f(s: &Scenario) -> String { s.executor_name() }\n";
-        assert!(lint_source("tests/x.rs", near).findings.is_empty());
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub const EXEC_DOC_BAD: (&str, &str) = (
 
 /// Expected rule multiset for [`VIOLATIONS`], sorted.
 pub const VIOLATION_EXPECT: &[&str] = &[
-    "deprecated-shim",
     "det-cast-truncation",
     "det-clock",
     "det-clock",

@@ -23,30 +23,17 @@ use super::spread::{
     observe_spread, spread_digest_obs, spread_finalize, GossipMsg, SpreadNode, SpreadRunSummary,
 };
 use crate::arena::STASH_REQUESTS;
-use crate::proto::{observe_nodes, Outbox, RoundObs, RoundProtocol, Verdict};
+use crate::proto::{Outbox, RoundObs, RoundProtocol, Verdict};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use rendez_sim::NodeId;
 
-/// The six observation methods every baseline shares: streaming
-/// [`RoundObs`] fold via [`observe_spread`], verdict via
-/// [`spread_finalize`], and the slice fallbacks expressed as the same
-/// fold — parameterized only by the adapter's engine-rounds-per-cycle.
+/// The three observation methods every baseline shares: [`RoundObs`]
+/// fold via [`observe_spread`], verdict via [`spread_finalize`], digest
+/// via [`spread_digest_obs`] — parameterized only by the adapter's
+/// engine-rounds-per-cycle.
 macro_rules! spread_observation {
     ($cycle:expr) => {
-        fn finalize(&mut self, nodes: &[SpreadNode], round: u64) -> Verdict<SpreadRunSummary> {
-            let obs = observe_nodes(&*self, 0, nodes, round);
-            self.finalize_obs(&obs, round)
-        }
-
-        fn digest(&self, nodes: &[SpreadNode], round: u64) -> u64 {
-            spread_digest_obs(&observe_nodes(self, 0, nodes, round), round)
-        }
-
-        fn streams(&self) -> bool {
-            true
-        }
-
         fn observe_node(&self, node: &SpreadNode, id: NodeId, round: u64, obs: &mut RoundObs) {
             observe_spread(node, id, round, obs);
         }

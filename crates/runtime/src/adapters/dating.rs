@@ -29,7 +29,7 @@
 //! lint: deterministic
 
 use crate::arena::{STASH_OFFERS, STASH_REQUESTS};
-use crate::proto::{observe_nodes, Outbox, RoundObs, RoundProtocol, Verdict};
+use crate::proto::{Outbox, RoundObs, RoundProtocol, Verdict};
 use rand::rngs::SmallRng;
 use rendez_core::distributed::{DatingMsg, PAYLOAD_BYTES};
 use rendez_core::overhead::ADDRESS_BYTES;
@@ -260,25 +260,11 @@ impl<S: NodeSelector> RoundProtocol for RuntimeDating<S> {
         // No clearing: the arena stash expires at the round boundary.
     }
 
-    fn finalize(&mut self, nodes: &[DatingNode], round: u64) -> Verdict<DatingRunSummary> {
-        let obs = observe_nodes(&*self, 0, nodes, round);
-        self.finalize_obs(&obs, round)
-    }
-
-    fn digest(&self, nodes: &[DatingNode], round: u64) -> u64 {
-        let obs = observe_nodes(self, 0, nodes, round);
-        self.digest_obs(&obs, round)
-    }
-
     fn msg_bytes(&self, msg: &DatingMsg) -> usize {
         match msg {
             DatingMsg::Payload => PAYLOAD_BYTES,
             _ => ADDRESS_BYTES,
         }
-    }
-
-    fn streams(&self) -> bool {
-        true
     }
 
     fn observe_node(&self, node: &DatingNode, id: NodeId, round: u64, obs: &mut RoundObs) {

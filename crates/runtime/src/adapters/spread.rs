@@ -18,7 +18,7 @@
 //! lint: deterministic
 
 use crate::arena::{STASH_OFFERS, STASH_REQUESTS};
-use crate::proto::{observe_nodes, Outbox, RoundObs, RoundProtocol, Verdict};
+use crate::proto::{Outbox, RoundObs, RoundProtocol, Verdict};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use rendez_core::distributed::PAYLOAD_BYTES;
@@ -107,8 +107,7 @@ pub(crate) fn check_loss(loss: f64) -> Result<(), &'static str> {
 /// `n` nodes know the rumor, converting engine rounds to
 /// legacy-equivalent cycles with `cycle_len` (and `lag` trailing
 /// delivery rounds). `count` is the informed total from this round's
-/// observation — either a merged streaming [`RoundObs`] or a slice scan;
-/// by the merge-determinism rule the two are equal.
+/// merged [`RoundObs`].
 pub(crate) fn spread_finalize(
     history: &mut Vec<u64>,
     count: u64,
@@ -260,19 +259,6 @@ impl RoundProtocol for RtPushPull {
             }
         }
         node.pending = pending;
-    }
-
-    fn finalize(&mut self, nodes: &[SpreadNode], round: u64) -> Verdict<SpreadRunSummary> {
-        let obs = observe_nodes(&*self, 0, nodes, round);
-        self.finalize_obs(&obs, round)
-    }
-
-    fn digest(&self, nodes: &[SpreadNode], round: u64) -> u64 {
-        spread_digest_obs(&observe_nodes(self, 0, nodes, round), round)
-    }
-
-    fn streams(&self) -> bool {
-        true
     }
 
     fn observe_node(&self, node: &SpreadNode, id: NodeId, round: u64, obs: &mut RoundObs) {
@@ -513,24 +499,11 @@ impl<S: NodeSelector> RoundProtocol for RtDatingSpread<S> {
         // No clearing: the arena stash expires at the round boundary.
     }
 
-    fn finalize(&mut self, nodes: &[SpreadNode], round: u64) -> Verdict<SpreadRunSummary> {
-        let obs = observe_nodes(&*self, 0, nodes, round);
-        self.finalize_obs(&obs, round)
-    }
-
-    fn digest(&self, nodes: &[SpreadNode], round: u64) -> u64 {
-        spread_digest_obs(&observe_nodes(self, 0, nodes, round), round)
-    }
-
     fn msg_bytes(&self, msg: &DatingSpreadMsg) -> usize {
         match msg {
             DatingSpreadMsg::Payload { .. } => PAYLOAD_BYTES,
             _ => ADDRESS_BYTES,
         }
-    }
-
-    fn streams(&self) -> bool {
-        true
     }
 
     fn observe_node(&self, node: &SpreadNode, id: NodeId, round: u64, obs: &mut RoundObs) {
@@ -558,7 +531,7 @@ impl<S: NodeSelector> RoundProtocol for RtDatingSpread<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{ConditionedExecutor, Executor, SequentialExecutor, ShardedExecutor};
+    use crate::exec::{Executor, SequentialExecutor, ShardedExecutor};
     use crate::report::RunConfig;
     use crate::Conditions;
     use rendez_core::UniformSelector;
@@ -614,8 +587,8 @@ mod tests {
         let mut ideal = RtDatingSpread::new(Platform::unit(n), UniformSelector::new(n), NodeId(0));
         let clean = SequentialExecutor.run(&mut ideal, n, &cfg).expect_output();
         let mut lossy = RtDatingSpread::new(Platform::unit(n), UniformSelector::new(n), NodeId(0));
-        let noisy = ConditionedExecutor::new(SequentialExecutor, Conditions::with_loss(0.3))
-            .run(&mut lossy, n, &cfg)
+        let noisy = SequentialExecutor
+            .run(&mut lossy, n, &cfg.conditions(Conditions::with_loss(0.3)))
             .expect_output();
         assert_eq!(noisy.final_informed(), n as u64);
         assert!(

@@ -15,9 +15,10 @@
 //!   an epoch counter and truncates the flat buffers; ranges stamped
 //!   with an older epoch simply read as empty. No per-node clearing
 //!   loop, no freeing — steady-state rounds allocate nothing;
-//! * **first-touch on the owning worker** — each shard worker constructs
-//!   its own arena on its own thread, so the backing pages are faulted
-//!   in locally (NUMA-friendly by construction).
+//! * **first-touch on a worker** — an arena is part of its shard and
+//!   allocates nothing until the first stash, so the backing pages are
+//!   faulted in by the thread that runs the shard's first round, not by
+//!   the coordinator that built it.
 //!
 //! # Contiguity
 //!
@@ -83,9 +84,8 @@ pub struct NodeArena {
 }
 
 impl NodeArena {
-    /// Arena for nodes `base..base + len`. Construct it on the worker
-    /// thread that owns the shard so the backing pages are first-touched
-    /// locally.
+    /// Arena for nodes `base..base + len`. Allocation-free: the lanes
+    /// are sized on first stash.
     pub fn new(base: usize, len: usize) -> Self {
         Self {
             base,

@@ -2,17 +2,23 @@
 //!
 //! All executors implement [`Executor`] and are observationally
 //! equivalent: for the same `(protocol, RunConfig)` they produce the same
-//! rounds, output, digest trace and message statistics. They differ only
-//! in *how* the per-node work of a round is scheduled:
+//! rounds, output, digest trace and message statistics. There is one
+//! round engine (the private `engine` module: shards that own their
+//! nodes, one round body, one coordinator loop); the two round executors
+//! differ only in how many shards it runs over and on which threads:
 //!
-//! * [`SequentialExecutor`] — one thread, nodes in id order; the
-//!   reference semantics every other executor is tested against;
-//! * [`ShardedExecutor`] — nodes partitioned into contiguous shards, a
-//!   persistent worker thread per shard; workers decide message fate and
-//!   route sends shard-locally, and the coordinator only splices whole
-//!   buckets between rounds;
-//! * [`ConditionedExecutor`] — wraps any inner executor and overrides the
-//!   run's channel [`Conditions`](crate::Conditions) (loss, latency distributions).
+//! * [`SequentialExecutor`] — one shard, run inline on the calling
+//!   thread; the reference semantics every other executor is tested
+//!   against;
+//! * [`ShardedExecutor`] — nodes partitioned into contiguous shards,
+//!   each round one [`WorkerPool`] scope (a job per shard, bar the one
+//!   the coordinating thread runs itself); shards decide message fate
+//!   and route sends locally, and the coordinator only splices whole
+//!   buckets and merges the observation partials between rounds.
+//!
+//! Channel conditions (loss, latency distributions) and churn are not
+//! executors but fields of the [`RunConfig`]
+//! ([`RunConfig::conditions`], [`RunConfig::churn`]).
 //!
 //! Outside the round family, [`EventExecutor`] drives continuous-time
 //! [`AsyncProtocol`](crate::proto::AsyncProtocol) state machines from a
@@ -20,22 +26,21 @@
 //! from `(seed, node, seq)`) — see its module docs for the async leg of
 //! the determinism contract.
 //!
-//! For back-to-back runs (Monte-Carlo sweeps), [`WorkerPool`] keeps the
-//! shard worker threads parked between runs:
-//! [`ShardedExecutor::run_in`] borrows the pool instead of spawning
-//! fresh threads, with a bit-identical report.
+//! For back-to-back runs (Monte-Carlo sweeps), a long-lived
+//! [`WorkerPool`] keeps the worker threads parked between runs:
+//! [`ShardedExecutor::run_in`] borrows it instead of spawning a pool per
+//! run, with a bit-identical report.
 //!
 //! lint: deterministic
 
 mod calendar;
-mod conditioned;
+mod engine;
 mod event;
 mod pool;
 mod sequential;
 mod sharded;
 
 pub use calendar::{WakeQueue, WakeTimer};
-pub use conditioned::ConditionedExecutor;
 pub use event::{EventExecutor, TICKS_PER_SEC};
 pub use pool::{PoolScope, WorkerPool};
 pub use sequential::SequentialExecutor;
@@ -52,8 +57,8 @@ pub trait Executor {
     /// Drive `proto` over `n` nodes until it halts or `cfg.max_rounds`.
     ///
     /// `proto` is borrowed mutably only for
-    /// [`finalize`](RoundProtocol::finalize), which runs between rounds on
-    /// the coordinating thread; round callbacks see `&P`.
+    /// [`finalize_obs`](RoundProtocol::finalize_obs), which runs between
+    /// rounds on the coordinating thread; round callbacks see `&P`.
     fn run<P: RoundProtocol>(
         &self,
         proto: &mut P,
@@ -62,33 +67,13 @@ pub trait Executor {
     ) -> RunReport<P::Output>;
 }
 
-/// Sum [`RoundProtocol::node_mem_bytes`] over a run's final node states
-/// — the bytes/node metric recorded into
-/// [`RunReport::node_bytes`](crate::RunReport::node_bytes).
-pub(crate) fn tally_node_bytes<P: RoundProtocol>(proto: &P, nodes: &[P::Node]) -> u64 {
-    nodes.iter().map(|v| proto.node_mem_bytes(v) as u64).sum()
-}
-
-/// Shared conditions sanity-check for executor entry points.
-pub(crate) fn validate_run(n: usize, cfg: &RunConfig) {
-    assert!(n > 0, "a run needs at least one node");
-    assert!(
-        (0.0..1.0).contains(&cfg.conditions.drop_prob),
-        "drop_prob must be in [0,1), got {}",
-        cfg.conditions.drop_prob
-    );
-    cfg.conditions.latency.validate();
-    cfg.churn.validate();
-}
-
 #[cfg(test)]
 pub(crate) mod testproto {
     //! A tiny protocol used by the executor unit tests: every node sends
     //! one `Ping` to a random target per round; nodes count receptions;
     //! the run halts when the total reception count reaches a threshold.
-    //! Runs on the streaming observation path, like the real adapters.
 
-    use crate::proto::{observe_nodes, Outbox, RoundObs, RoundProtocol, Verdict};
+    use crate::proto::{Outbox, RoundObs, RoundProtocol, Verdict};
     use rand::rngs::SmallRng;
     use rand::Rng;
     use rendez_sim::{NodeId, SplitMix64};
@@ -139,20 +124,6 @@ pub(crate) mod testproto {
             _out: &mut Outbox<'_, u8>,
         ) {
             node.received += msg as u64;
-        }
-
-        fn finalize(&mut self, nodes: &[PingNode], round: u64) -> Verdict<u64> {
-            let obs = observe_nodes(&*self, 0, nodes, round);
-            self.finalize_obs(&obs, round)
-        }
-
-        fn digest(&self, nodes: &[PingNode], round: u64) -> u64 {
-            let obs = observe_nodes(self, 0, nodes, round);
-            self.digest_obs(&obs, round)
-        }
-
-        fn streams(&self) -> bool {
-            true
         }
 
         fn observe_node(&self, node: &PingNode, id: NodeId, round: u64, obs: &mut RoundObs) {
@@ -242,12 +213,10 @@ mod tests {
                 n: 40,
                 target_total: 1,
             };
-            let cfg = RunConfig::seeded(13).max_rounds(4);
+            let cfg = RunConfig::seeded(13).max_rounds(4).conditions(cond);
             match shards {
-                None => ConditionedExecutor::new(SequentialExecutor, cond).run(&mut p, 40, &cfg),
-                Some(s) => {
-                    ConditionedExecutor::new(ShardedExecutor::new(s), cond).run(&mut p, 40, &cfg)
-                }
+                None => SequentialExecutor.run(&mut p, 40, &cfg),
+                Some(s) => ShardedExecutor::new(s).run(&mut p, 40, &cfg),
             }
         };
         let seq = run(None);
@@ -274,12 +243,10 @@ mod tests {
                 n: 90,
                 target_total: 400,
             };
-            let cfg = RunConfig::seeded(17).max_rounds(200);
+            let cfg = RunConfig::seeded(17).max_rounds(200).conditions(cond);
             match shards {
-                None => ConditionedExecutor::new(SequentialExecutor, cond).run(&mut p, 90, &cfg),
-                Some(s) => {
-                    ConditionedExecutor::new(ShardedExecutor::new(s), cond).run(&mut p, 90, &cfg)
-                }
+                None => SequentialExecutor.run(&mut p, 90, &cfg),
+                Some(s) => ShardedExecutor::new(s).run(&mut p, 90, &cfg),
             }
         };
         let seq = run(None);
@@ -298,28 +265,22 @@ mod tests {
 
     #[test]
     fn conditioned_loss_drops_messages_identically_on_both_executors() {
-        let cond = Conditions::with_loss(0.4);
+        let cfg = RunConfig::seeded(5)
+            .max_rounds(100)
+            .conditions(Conditions::with_loss(0.4));
         let a = {
             let mut p = RandomPing {
                 n: 80,
                 target_total: 200,
             };
-            ConditionedExecutor::new(SequentialExecutor, cond).run(
-                &mut p,
-                80,
-                &RunConfig::seeded(5).max_rounds(100),
-            )
+            SequentialExecutor.run(&mut p, 80, &cfg)
         };
         let b = {
             let mut p = RandomPing {
                 n: 80,
                 target_total: 200,
             };
-            ConditionedExecutor::new(ShardedExecutor::new(4), cond).run(
-                &mut p,
-                80,
-                &RunConfig::seeded(5).max_rounds(100),
-            )
+            ShardedExecutor::new(4).run(&mut p, 80, &cfg)
         };
         assert!(a.stats.dropped > 0, "loss must actually drop messages");
         assert_eq!(a.digests, b.digests);
@@ -333,10 +294,10 @@ mod tests {
             n: 50,
             target_total: 100,
         };
-        let r = ConditionedExecutor::new(SequentialExecutor, cond).run(
+        let r = SequentialExecutor.run(
             &mut p,
             50,
-            &RunConfig::seeded(6).max_rounds(100),
+            &RunConfig::seeded(6).max_rounds(100).conditions(cond),
         );
         assert!(r.completed);
         assert_eq!(r.stats.dropped, 0);
@@ -409,8 +370,6 @@ mod tests {
     fn executor_names() {
         assert_eq!(SequentialExecutor.name(), "sequential");
         assert_eq!(ShardedExecutor::new(8).name(), "sharded(8)");
-        let c = ConditionedExecutor::new(ShardedExecutor::new(2), Conditions::with_loss(0.1));
-        assert!(c.name().starts_with("conditioned(sharded(2)"));
     }
 
     #[test]
@@ -431,10 +390,6 @@ mod tests {
             target_total: 1,
         };
         let cond = Conditions::with_latency(LatencyDist::Geometric { p: 0.0, cap: 64 });
-        let _ = ConditionedExecutor::new(SequentialExecutor, cond).run(
-            &mut p,
-            4,
-            &RunConfig::default(),
-        );
+        let _ = SequentialExecutor.run(&mut p, 4, &RunConfig::default().conditions(cond));
     }
 }

@@ -1,22 +1,28 @@
 //! A persistent worker pool: parked OS threads that outlive any single
-//! run, so back-to-back executions pay thread spawn cost **once**.
+//! scope, so back-to-back uses pay thread spawn cost **once**.
 //!
-//! [`ShardedExecutor::run`](super::ShardedExecutor::run) spawns its shard
-//! workers with [`std::thread::scope`] — correct, but every run pays the
-//! full spawn/join cost. For Monte-Carlo sweeps that execute thousands of
-//! short runs, that setup dominates. [`WorkerPool`] keeps a fixed set of
-//! threads parked on a job queue; [`WorkerPool::scope`] hands out a
-//! [`PoolScope`] whose [`spawn`](PoolScope::spawn) accepts closures
-//! borrowing the caller's stack, exactly like `std::thread::scope`, but
-//! reusing the parked threads instead of spawning fresh ones.
+//! [`WorkerPool`] keeps a fixed set of threads parked on a job queue;
+//! [`WorkerPool::scope`] hands out a [`PoolScope`] whose
+//! [`spawn`](PoolScope::spawn) accepts closures borrowing the caller's
+//! stack, exactly like `std::thread::scope`, but reusing the parked
+//! threads instead of spawning fresh ones.
 //!
 //! Two consumers exist today:
 //!
-//! * [`ShardedExecutor::run_in`](super::ShardedExecutor::run_in) /
-//!   [`Scenario::run_pooled`](crate::Scenario::run_pooled) — one sharded
-//!   run borrowing the pool for its shard workers;
+//! * the round engine — the sharded executor runs every round as one
+//!   scope (a job per shard but the last, which the scope body runs
+//!   itself), on a pool spawned for the run
+//!   ([`ShardedExecutor::run`](super::ShardedExecutor)) or on a
+//!   caller-owned one that outlives many runs
+//!   ([`ShardedExecutor::run_in`](super::ShardedExecutor::run_in) /
+//!   [`Scenario::run_pooled`](crate::Scenario::run_pooled));
 //! * `rendez_fleet` — the Monte-Carlo sweep scheduler, which parks one
 //!   trial-crunching loop per pool thread for a whole parameter grid.
+//!
+//! Determinism: the pool schedules jobs in no particular order on no
+//! particular thread, so consumers must make their results independent
+//! of both — the round engine's jobs own disjoint shards and are merged
+//! in shard order after the scope returns.
 //!
 //! # Scope semantics
 //!
@@ -32,11 +38,9 @@
 //!
 //! Jobs must not block on work that only a later job on the same pool can
 //! perform: the pool has exactly [`size`](WorkerPool::size) threads and
-//! never spawns more. Consumers that park long-lived loops (the sharded
-//! executor's shard workers) must therefore spawn at most `size` of them
-//! per scope — `run_in` caps its shard count accordingly, which is free
-//! because the determinism contract makes the report independent of the
-//! shard count.
+//! never spawns more. A scope may hold more jobs than threads — they
+//! queue — as long as no job waits on another: the round engine's shard
+//! jobs and the fleet's trial loops are both independent.
 //!
 //! lint: deterministic
 

@@ -15,13 +15,15 @@
 //!   end-of-round work, and finalizes each round into
 //!   continue / halt-with-result ([`Verdict`]);
 //! * it performs no I/O and owns no clock — an [`Executor`] drives it.
-//!   Three are provided: [`SequentialExecutor`] (reference semantics),
-//!   [`ShardedExecutor`] (a persistent worker thread per node shard,
-//!   shard-local message fate + routing, a coordinator that only splices
-//!   buckets — see its module docs for the zero-coordinator hot path) and
-//!   [`ConditionedExecutor`] (message loss and latency distributions
-//!   layered over any inner executor) — plus, outside the round family,
-//!   [`EventExecutor`]: a deterministic continuous-time executor driving
+//!   The round family is one engine — shards that own their nodes, one
+//!   round body, one coordinator loop — behind two executors:
+//!   [`SequentialExecutor`] (one shard on the calling thread: the
+//!   reference semantics) and [`ShardedExecutor`] (each round's shards
+//!   side by side on a [`WorkerPool`], shard-local message fate +
+//!   routing, a coordinator that only splices buckets and merges
+//!   observation partials); message loss, latency distributions and churn are
+//!   [`RunConfig`] fields, not executors. Outside the round family,
+//!   [`EventExecutor`] is a deterministic continuous-time executor driving
 //!   [`AsyncProtocol`] state machines from an event queue of exponential
 //!   per-node wake clocks ([`TimeModel::Continuous`](scenario::TimeModel));
 //! * [`adapters`] host all eight workloads — the distributed dating
@@ -52,11 +54,10 @@
 //! 4. **Scheduling-free churn.** Node liveness under [`Churn`] is a bit
 //!    hashed from `(seed, node, round)`, checked at dispatch and at
 //!    delivery, so failures commute with execution strategy too.
-//! 5. **Associative observation.** Protocols on the streaming path
-//!    (`RoundProtocol::streams()`) fold per-node observables into a
-//!    [`RoundObs`] whose merge is commutative and associative, so the
-//!    sharded executor's shard-order merge of per-worker partials equals
-//!    the sequential whole-slice fold bit-for-bit — between-round
+//! 5. **Associative observation.** Protocols fold per-node observables
+//!    into a [`RoundObs`] whose merge is commutative and associative, so
+//!    the shard-order merge of per-shard partials equals the one-shard
+//!    fold bit-for-bit at every shard count — and between-round
 //!    coordinator work is O(shards), independent of `n`.
 //!
 //! Consequently `SequentialExecutor` and `ShardedExecutor::new(k)` return
@@ -109,8 +110,8 @@ pub use batch::{EnvBatch, SrcRun};
 pub use churn::{Churn, ChurnModel};
 pub use conditions::{Conditions, FateRun, LatencyDist};
 pub use exec::{
-    ConditionedExecutor, EventExecutor, Executor, PoolScope, SequentialExecutor, ShardedExecutor,
-    WakeQueue, WakeTimer, WorkerPool, TICKS_PER_SEC,
+    EventExecutor, Executor, PoolScope, SequentialExecutor, ShardedExecutor, WakeQueue, WakeTimer,
+    WorkerPool, TICKS_PER_SEC,
 };
 pub use proto::{observe_nodes, AsyncProtocol, Envelope, Outbox, RoundObs, RoundProtocol, Verdict};
 pub use registry::Spreader;

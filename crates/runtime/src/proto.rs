@@ -147,12 +147,11 @@ impl<'a, M> Outbox<'a, M> {
     }
 }
 
-/// An associative per-round observation partial — the streaming
-/// replacement for whole-slice [`finalize`](RoundProtocol::finalize) /
-/// [`digest`](RoundProtocol::digest) scans.
+/// An associative per-round observation partial: what the coordinator
+/// sees of a round, in place of the node states themselves.
 ///
 /// Each executor shard folds its own nodes into a `RoundObs` via
-/// [`observe_node`](RoundProtocol::observe_node) during the round-end
+/// [`observe_node`](RoundProtocol::observe_node) after the round-end
 /// pass (in parallel, on the worker threads), and the coordinator merges
 /// the per-shard partials in shard order — so between-round coordinator
 /// work is O(shards), not O(n).
@@ -235,9 +234,9 @@ impl RoundObs {
 /// Fold `nodes` (ids `base..base + nodes.len()`) into one [`RoundObs`]
 /// via [`RoundProtocol::observe_node`].
 ///
-/// This is both the per-shard worker-side pass and the sequential
-/// executor's whole-slice pass — by the merge-determinism rule the two
-/// compose to identical totals.
+/// This is the per-shard pass of every round executor (the sequential
+/// executor's one shard holds all nodes) — by the merge-determinism rule
+/// any shard layout composes to identical totals.
 pub fn observe_nodes<P: RoundProtocol + ?Sized>(
     proto: &P,
     base: usize,
@@ -251,7 +250,7 @@ pub fn observe_nodes<P: RoundProtocol + ?Sized>(
     obs
 }
 
-/// What [`RoundProtocol::finalize`] decided after a round.
+/// What [`RoundProtocol::finalize_obs`] decided after a round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict<R> {
     /// Run another round.
@@ -274,20 +273,15 @@ pub enum Verdict<R> {
 ///    [`on_message`](Self::on_message) per entry);
 /// 3. [`on_round_end`](Self::on_round_end) for every node, in id order —
 ///    local end-of-round processing (e.g. matchmaking), possibly sending;
-/// 4. observation — either the **streaming path** (when
-///    [`streams`](Self::streams) is `true`): each shard folds its nodes
-///    into a [`RoundObs`] via [`observe_node`](Self::observe_node), the
-///    merged partial feeds [`digest_obs`](Self::digest_obs) and
-///    [`finalize_obs`](Self::finalize_obs) on the coordinator — or the
-///    **slice fallback**: [`digest`](Self::digest) and
-///    [`finalize`](Self::finalize) once, with a view of **all** node
-///    states.
+/// 4. observation — each shard folds its nodes into a [`RoundObs`] via
+///    [`observe_node`](Self::observe_node); the partials, merged in
+///    shard order, feed [`digest_obs`](Self::digest_obs) and
+///    [`finalize_obs`](Self::finalize_obs) on the coordinator.
 ///
-/// Steps 1–3 (and the streaming observation fold) see node state shard-
-/// locally and may run on any thread; the verdict itself is computed on
-/// the coordinating thread between rounds. On the streaming path the
-/// coordinator's between-round work is O(shards); on the fallback it is
-/// an O(n) scan.
+/// Steps 1–3 and the observation fold see node state shard-locally and
+/// may run on any thread; the verdict itself is computed on the
+/// coordinating thread between rounds, from the merged partial alone —
+/// O(shards) work, and no executor ever holds a view of all node states.
 pub trait RoundProtocol: Sync {
     /// Per-node state.
     type Node: Send;
@@ -366,22 +360,28 @@ pub trait RoundProtocol: Sync {
     ) {
     }
 
-    /// Inspect all node states after `round`; continue or halt.
+    /// Fold one node into a [`RoundObs`] partial. Runs on the shard
+    /// worker that owns `node`, after its round-end hook; must respect
+    /// the [`RoundObs`] merge-determinism rule.
+    fn observe_node(&self, node: &Self::Node, id: NodeId, round: u64, obs: &mut RoundObs);
+
+    /// Decide continue / halt from the merged observation of `round`.
     ///
     /// Takes `&mut self` so protocols can accumulate per-round
     /// observables (informed counts, date tallies) into the eventual
     /// [`Verdict::Halt`] output.
-    fn finalize(&mut self, nodes: &[Self::Node], round: u64) -> Verdict<Self::Output>;
+    fn finalize_obs(&mut self, obs: &RoundObs, round: u64) -> Verdict<Self::Output>;
 
-    /// A fingerprint of global protocol state after `round`, recorded
-    /// into [`RunReport::digests`](crate::RunReport::digests).
+    /// A fingerprint of global protocol state after `round`, computed
+    /// from the merged observation and recorded into
+    /// [`RunReport::digests`](crate::RunReport::digests).
     ///
     /// Executors of every flavour must produce identical digest traces
     /// for the same `(protocol, config)` — this is the hook the
-    /// cross-executor equivalence tests key on. The default (constant 0)
-    /// opts out.
-    fn digest(&self, _nodes: &[Self::Node], _round: u64) -> u64 {
-        0
+    /// cross-executor equivalence tests key on. The default passes the
+    /// XOR accumulator through; override to mix in a round salt.
+    fn digest_obs(&self, obs: &RoundObs, _round: u64) -> u64 {
+        obs.digest
     }
 
     /// Declared wire size of a message, for byte accounting.
@@ -389,34 +389,29 @@ pub trait RoundProtocol: Sync {
         1
     }
 
-    /// Opt into the streaming observation path. When `true`, executors
-    /// never call [`finalize`](Self::finalize) / [`digest`](Self::digest)
-    /// with a whole-node slice; they drive
-    /// [`observe_node`](Self::observe_node) shard-locally and hand the
-    /// merged [`RoundObs`] to [`digest_obs`](Self::digest_obs) and
-    /// [`finalize_obs`](Self::finalize_obs) instead.
+    /// [`finalize_obs`](Self::finalize_obs) over a whole node slice (ids
+    /// `0..nodes.len()`).
+    ///
+    /// **No executor calls this.** It is a stub kept, with
+    /// [`digest`](Self::digest) and [`streams`](Self::streams), only
+    /// because the frozen `benchmark/` package overrides and forwards
+    /// all three; they go when that package can next be edited (see
+    /// ROADMAP). New code neither overrides nor calls it.
+    fn finalize(&mut self, nodes: &[Self::Node], round: u64) -> Verdict<Self::Output> {
+        let obs = observe_nodes(&*self, 0, nodes, round);
+        self.finalize_obs(&obs, round)
+    }
+
+    /// [`digest_obs`](Self::digest_obs) over a whole node slice. A stub
+    /// no executor calls — see [`finalize`](Self::finalize).
+    fn digest(&self, nodes: &[Self::Node], round: u64) -> u64 {
+        self.digest_obs(&observe_nodes(self, 0, nodes, round), round)
+    }
+
+    /// Always `true`: observation through [`RoundObs`] is the only path.
+    /// A stub no executor calls — see [`finalize`](Self::finalize).
     fn streams(&self) -> bool {
-        false
-    }
-
-    /// Fold one node into a [`RoundObs`] partial. Runs on the shard
-    /// worker that owns `node`, after its round-end hook; must respect
-    /// the [`RoundObs`] merge-determinism rule.
-    fn observe_node(&self, _node: &Self::Node, _id: NodeId, _round: u64, _obs: &mut RoundObs) {}
-
-    /// Streaming counterpart of [`finalize`](Self::finalize): decide
-    /// continue / halt from the merged round observation. Only called
-    /// when [`streams`](Self::streams) is `true` — implement both or
-    /// neither of `finalize_obs` / `observe_node` meaningfully.
-    fn finalize_obs(&mut self, _obs: &RoundObs, _round: u64) -> Verdict<Self::Output> {
-        Verdict::Continue
-    }
-
-    /// Streaming counterpart of [`digest`](Self::digest): fingerprint
-    /// the merged round observation. The default passes the XOR
-    /// accumulator through; override to mix in a round salt.
-    fn digest_obs(&self, obs: &RoundObs, _round: u64) -> u64 {
-        obs.digest
+        true
     }
 
     /// Resident bytes attributed to one node's state, for the

@@ -14,8 +14,8 @@ pub struct RunConfig {
     /// Round cap: the run stops (with `completed = false`) if the
     /// protocol has not halted after this many rounds.
     pub max_rounds: u64,
-    /// Channel conditions (ideal unless overridden — usually by wrapping
-    /// the executor in [`ConditionedExecutor`](crate::ConditionedExecutor)).
+    /// Channel conditions (ideal unless overridden with
+    /// [`conditions`](Self::conditions)).
     pub conditions: Conditions,
     /// Node churn (none unless overridden). Liveness is a pure function
     /// of `(seed, node, round)`, so churned runs stay bit-identical

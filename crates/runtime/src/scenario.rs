@@ -26,21 +26,17 @@
 //! unchanged — for a fixed scenario and seed, every executor
 //! configuration returns a bit-identical [`RunReport`].
 //!
-//! ## Time models — migrating from `executor()` / `auto_executor()`
+//! ## Time models
 //!
-//! Executor selection used to be the builder's only scheduling axis.
-//! With the continuous-time [`EventExecutor`] the
-//! real axis is the **time model** — synchronous rounds (under any round
-//! executor) or continuous time (exponential per-node wake clocks) —
-//! selected via [`Scenario::time_model`]:
+//! The builder's scheduling axis is the **time model** — synchronous
+//! rounds (under any round executor) or continuous time (exponential
+//! per-node wake clocks, on the [`EventExecutor`]) — selected via
+//! [`Scenario::time_model`]:
 //!
 //! ```rust
 //! use rendez_runtime::{ExecChoice, Scenario, Spreader, TimeModel};
 //!
-//! // Old (deprecated shims, still working):
-//! //   Scenario::new(n).executor(ExecChoice::Auto)
-//! //   Scenario::new(n).auto_executor()
-//! // New:
+//! // Rounds, executor picked from the node count.
 //! let sync = Scenario::new(50_000).time_model(TimeModel::Rounds(ExecChoice::Auto));
 //!
 //! // Asynchronous PUSH&PULL: each node wakes ~1.0 times per simulated
@@ -404,16 +400,14 @@ impl<S: NodeSelector + Clone> Scenario<S> {
 
     /// Set the time model: synchronous rounds under a chosen round
     /// executor, or continuous time on the event-driven executor. This
-    /// is the primary scheduling axis — see the [module docs](self) for
-    /// the migration note from the old `executor()`/`auto_executor()`
-    /// calls.
+    /// is the scheduling axis — see the [module docs](self).
     pub fn time_model(mut self, time: TimeModel) -> Self {
         self.time = time;
         self
     }
 
-    /// Execute rounds shard-parallel over `k` scoped threads (`0` = one
-    /// shard per core). The report is bit-identical to sequential
+    /// Execute rounds shard-parallel over `k` shards (`0` = one shard
+    /// per core). The report is bit-identical to sequential
     /// execution for every `k` — that is the runtime's contract.
     /// Shorthand for `time_model(TimeModel::Rounds(ExecChoice::Sharded(k)))`.
     pub fn sharded(self, k: usize) -> Self {
@@ -424,28 +418,6 @@ impl<S: NodeSelector + Clone> Scenario<S> {
     /// for `time_model(TimeModel::Rounds(ExecChoice::Sequential))`.
     pub fn sequential(self) -> Self {
         self.time_model(TimeModel::Rounds(ExecChoice::Sequential))
-    }
-
-    /// Deprecated shim: pick a round executor directly. Equivalent to
-    /// `time_model(TimeModel::Rounds(choice))`.
-    #[deprecated(since = "0.2.0", note = "use time_model(TimeModel::Rounds(choice))")]
-    pub fn executor(self, choice: ExecChoice) -> Self {
-        self.time_model(TimeModel::Rounds(choice))
-    }
-
-    /// Deprecated shim: pick the round executor from the node count —
-    /// sequential below [`AUTO_SEQUENTIAL_BELOW`] nodes (where the
-    /// sharded executor's per-round coordination overhead was a measured
-    /// 2.2× throughput regression), sharded with one shard per core at
-    /// or above it. Equivalent to
-    /// `time_model(TimeModel::Rounds(ExecChoice::Auto))`; the chosen
-    /// executor never changes the report, only wall-clock time.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use time_model(TimeModel::Rounds(ExecChoice::Auto))"
-    )]
-    pub fn auto_executor(self) -> Self {
-        self.time_model(TimeModel::Rounds(ExecChoice::Auto))
     }
 
     /// Set the rumor source (default: node 0). Ignored by the
@@ -926,63 +898,36 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn auto_executor_picks_by_node_count() {
+    fn auto_choice_picks_by_node_count() {
+        let auto = |n: usize| Scenario::new(n).time_model(TimeModel::Rounds(ExecChoice::Auto));
         // Below the cut: the sharded executor's per-round handshakes
         // lose to sequential (2.2× at n=4000 in BENCH_runtime.json),
         // so auto must resolve small scenarios to sequential.
+        assert_eq!(auto(4_000).executor_name(), "sequential");
         assert_eq!(
-            Scenario::new(4_000).auto_executor().executor_name(),
-            "sequential"
-        );
-        assert_eq!(
-            Scenario::new(AUTO_SEQUENTIAL_BELOW - 1)
-                .auto_executor()
-                .executor_name(),
+            auto(AUTO_SEQUENTIAL_BELOW - 1).executor_name(),
             "sequential"
         );
         // At or above the cut: one shard per core.
-        assert!(Scenario::new(AUTO_SEQUENTIAL_BELOW)
-            .auto_executor()
+        assert!(auto(AUTO_SEQUENTIAL_BELOW)
             .executor_name()
             .starts_with("sharded("));
         // Explicit choices always beat the heuristic.
-        assert_eq!(
-            Scenario::new(1_000_000)
-                .auto_executor()
-                .sequential()
-                .executor_name(),
-            "sequential"
-        );
-        assert_eq!(
-            Scenario::new(100)
-                .auto_executor()
-                .sharded(2)
-                .executor_name(),
-            "sharded(2)"
-        );
+        assert_eq!(auto(1_000_000).sequential().executor_name(), "sequential");
+        assert_eq!(auto(100).sharded(2).executor_name(), "sharded(2)");
         // The heuristic changes wall-clock, never the report.
         let base = Scenario::new(200).protocol(Spreader::PushPull);
         assert_eq!(
             base.clone().run(9).expect("valid").digests,
-            base.clone().auto_executor().run(9).expect("valid").digests
+            base.time_model(TimeModel::Rounds(ExecChoice::Auto))
+                .run(9)
+                .expect("valid")
+                .digests
         );
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_forward_to_time_model() {
-        // executor(choice) and auto_executor() must be pure sugar.
-        assert_eq!(
-            Scenario::new(50)
-                .executor(ExecChoice::Sharded(3))
-                .time_model_choice(),
-            TimeModel::Rounds(ExecChoice::Sharded(3))
-        );
-        assert_eq!(
-            Scenario::new(50).auto_executor().time_model_choice(),
-            TimeModel::Rounds(ExecChoice::Auto)
-        );
+    fn sugar_forwards_to_time_model() {
         assert_eq!(
             Scenario::new(50).sharded(2).time_model_choice(),
             TimeModel::Rounds(ExecChoice::Sharded(2))

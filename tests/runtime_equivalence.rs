@@ -16,9 +16,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rendezvous::prelude::*;
 use rendezvous::runtime::{
-    ConditionedExecutor, Conditions, LatencyDist, Outbox, RoundProtocol, RtDatingSpread,
-    RtPushPull, Verdict,
+    Conditions, LatencyDist, Outbox, RoundObs, RoundProtocol, RtDatingSpread, RtPushPull, Verdict,
 };
+use rendezvous::sim::SplitMix64;
 use rendezvous::stats::ks_two_sample;
 
 #[test]
@@ -61,19 +61,17 @@ fn conditioned_runs_are_executor_independent() {
     // Loss and latency fates are hashed per message, so conditioning must
     // commute with the execution strategy.
     let n = 800;
-    let cfg = RunConfig::seeded(0xE2).max_rounds(5_000);
-    let conditions = Conditions {
-        drop_prob: 0.15,
-        latency: LatencyDist::Uniform { min: 1, max: 3 },
-    };
+    let cfg = RunConfig::seeded(0xE2)
+        .max_rounds(5_000)
+        .conditions(Conditions {
+            drop_prob: 0.15,
+            latency: LatencyDist::Uniform { min: 1, max: 3 },
+        });
     let run = |shards: Option<usize>| {
         let mut proto = RtDatingSpread::new(Platform::unit(n), UniformSelector::new(n), NodeId(0));
         match shards {
-            None => {
-                ConditionedExecutor::new(SequentialExecutor, conditions).run(&mut proto, n, &cfg)
-            }
-            Some(s) => ConditionedExecutor::new(ShardedExecutor::new(s), conditions)
-                .run(&mut proto, n, &cfg),
+            None => SequentialExecutor.run(&mut proto, n, &cfg),
+            Some(s) => ShardedExecutor::new(s).run(&mut proto, n, &cfg),
         }
     };
     let seq = run(None);
@@ -151,14 +149,13 @@ impl RoundProtocol for OrderWitness {
         }
     }
 
-    fn finalize(&mut self, _nodes: &[Self::Node], _round: u64) -> Verdict<()> {
-        Verdict::Continue
+    fn observe_node(&self, node: &Self::Node, id: NodeId, _round: u64, obs: &mut RoundObs) {
+        // XOR of per-node hashes: invariant under any shard layout.
+        obs.digest ^= SplitMix64::mix(node.1 ^ node.0 ^ SplitMix64::mix(u64::from(id.0)));
     }
 
-    fn digest(&self, nodes: &[Self::Node], _round: u64) -> u64 {
-        nodes
-            .iter()
-            .fold(0, |acc, node| acc.rotate_left(7) ^ node.1 ^ node.0)
+    fn finalize_obs(&mut self, _obs: &RoundObs, _round: u64) -> Verdict<()> {
+        Verdict::Continue
     }
 }
 
@@ -168,23 +165,16 @@ fn geometric_latency_delivers_in_canonical_order_on_every_executor() {
     // into one delivery bucket: the run-header merge at its widest, with
     // each sender present in many segments.
     let n = 300;
-    let cfg = RunConfig::seeded(0xE3).max_rounds(60);
-    let conditions = Conditions {
-        drop_prob: 0.1,
-        latency: LatencyDist::Geometric { p: 0.3, cap: 16 },
-    };
-    let seq = ConditionedExecutor::new(SequentialExecutor, conditions).run(
-        &mut OrderWitness { n: n as u32 },
-        n,
-        &cfg,
-    );
+    let cfg = RunConfig::seeded(0xE3)
+        .max_rounds(60)
+        .conditions(Conditions {
+            drop_prob: 0.1,
+            latency: LatencyDist::Geometric { p: 0.3, cap: 16 },
+        });
+    let seq = SequentialExecutor.run(&mut OrderWitness { n: n as u32 }, n, &cfg);
     assert!(seq.stats.delivered > 40_000 && seq.stats.dropped > 0);
     for shards in [1, 3, 8] {
-        let sh = ConditionedExecutor::new(ShardedExecutor::new(shards), conditions).run(
-            &mut OrderWitness { n: n as u32 },
-            n,
-            &cfg,
-        );
+        let sh = ShardedExecutor::new(shards).run(&mut OrderWitness { n: n as u32 }, n, &cfg);
         assert_eq!(seq.digests, sh.digests, "shards={shards}");
         assert_eq!(seq.stats, sh.stats, "shards={shards}");
     }

@@ -280,10 +280,6 @@ fn time_model_is_the_one_axis_for_executor_choice() {
 
 #[test]
 fn sharded_sugar_is_equivalent_to_explicit_time_model() {
-    // The deprecated `executor()`/`auto_executor()` shims are pinned by
-    // in-file tests next to their definitions in `scenario.rs`; external
-    // code (this file included) is swept onto `time_model()` and kept
-    // clean by rendez-lint's deprecated-shim rule.
     let n = 400;
     let base = Scenario::new(n).protocol(Spreader::Push);
     let via_sugar = base.clone().sharded(2).run(4);

@@ -1,126 +1,46 @@
 //! Streaming-observation equivalence: the per-shard [`RoundObs`]
-//! reduction must be indistinguishable from the legacy whole-slice
-//! `finalize`/`digest` path for every registry workload.
+//! reduction is the runtime's only observation path, so for every
+//! registry workload it must give one report whatever the shard layout —
+//! and the whole-slice `finalize`/`digest` stubs the trait still
+//! provides must be exactly that reduction over a slice.
 //!
-//! The harness wraps each workload in [`SlicePath`], a delegating
-//! adapter that leaves `streams()` at its `false` default so executors
-//! take the legacy coordinator scan, and compares the wrapped run
-//! against the native streaming run — digest trace, round count,
-//! message statistics and final output — on the sequential executor and
-//! on the sharded executor at 1, 2 and 8 shards, under ideal, lossy,
-//! latency-spread and churned conditions alike. A property sweep then
-//! drives random `(seed, n, conditions, churn)` combinations through
-//! all eight workloads.
+//! The harness compares the sequential run against the sharded executor
+//! at 1, 2 and 8 shards — digest trace, round count, message statistics,
+//! final output and node bytes — under ideal, lossy, latency-spread and
+//! churned conditions alike, and checks the provided slice methods
+//! against `observe_nodes` + `finalize_obs`/`digest_obs` on a hand-built
+//! node slice. A property sweep then drives random `(seed, n,
+//! conditions, churn)` combinations through all eight workloads.
 
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
 use rendezvous::prelude::*;
 use rendezvous::runtime::{
-    Conditions, LatencyDist, Outbox, RoundProtocol, RtDatingSpread, RtFairPull, RtFairPushPull,
-    RtPull, RtPush, RtPushPull, Verdict,
+    observe_nodes, Conditions, LatencyDist, RoundProtocol, RtDatingSpread, RtFairPull,
+    RtFairPushPull, RtPull, RtPush, RtPushPull,
 };
-
-/// Force the legacy slice path: delegate every [`RoundProtocol`] hook
-/// to the inner protocol except the streaming quartet, which stays at
-/// the trait defaults (`streams() == false`).
-struct SlicePath<P>(P);
-
-impl<P: RoundProtocol> RoundProtocol for SlicePath<P> {
-    type Node = P::Node;
-    type Msg = P::Msg;
-    type Output = P::Output;
-
-    fn init_node(&self, id: NodeId, rng: &mut SmallRng) -> Self::Node {
-        self.0.init_node(id, rng)
-    }
-
-    fn on_round_start(
-        &self,
-        node: &mut Self::Node,
-        id: NodeId,
-        round: u64,
-        rng: &mut SmallRng,
-        out: &mut Outbox<'_, Self::Msg>,
-    ) {
-        self.0.on_round_start(node, id, round, rng, out);
-    }
-
-    fn on_message(
-        &self,
-        node: &mut Self::Node,
-        id: NodeId,
-        from: NodeId,
-        msg: Self::Msg,
-        round: u64,
-        rng: &mut SmallRng,
-        out: &mut Outbox<'_, Self::Msg>,
-    ) {
-        self.0.on_message(node, id, from, msg, round, rng, out);
-    }
-
-    fn on_round_end(
-        &self,
-        node: &mut Self::Node,
-        id: NodeId,
-        round: u64,
-        rng: &mut SmallRng,
-        out: &mut Outbox<'_, Self::Msg>,
-    ) {
-        self.0.on_round_end(node, id, round, rng, out);
-    }
-
-    fn finalize(&mut self, nodes: &[Self::Node], round: u64) -> Verdict<Self::Output> {
-        self.0.finalize(nodes, round)
-    }
-
-    fn digest(&self, nodes: &[Self::Node], round: u64) -> u64 {
-        self.0.digest(nodes, round)
-    }
-
-    fn msg_bytes(&self, msg: &Self::Msg) -> usize {
-        self.0.msg_bytes(msg)
-    }
-
-    fn node_mem_bytes(&self, node: &Self::Node) -> usize {
-        self.0.node_mem_bytes(node)
-    }
-}
+use rendezvous::sim::small_rng_for;
 
 const SHARDS: [usize; 3] = [1, 2, 8];
 
-/// Run `make()`'s protocol natively (streaming) and through
-/// [`SlicePath`] (legacy), on every executor, and demand bit-identical
-/// reports across the whole matrix.
+/// Run `make()`'s protocol on every executor and demand bit-identical
+/// reports across the whole matrix; then check the provided slice
+/// methods against the streaming fold they are defined by.
 fn assert_streaming_matches_slice<P, F>(label: &str, make: F, n: usize, cfg: &RunConfig)
 where
     P: RoundProtocol,
     P::Output: PartialEq + std::fmt::Debug + Clone,
     F: Fn() -> P,
 {
-    assert!(
-        make().streams(),
-        "{label}: registry workloads must opt into streaming"
-    );
-    let mut native = make();
-    let reference = SequentialExecutor.run(&mut native, n, cfg);
-
-    let mut wrapped = SlicePath(make());
-    let slice = SequentialExecutor.run(&mut wrapped, n, cfg);
-    assert_eq!(
-        reference.digests, slice.digests,
-        "{label}: seq digest trace"
-    );
-    assert_eq!(reference.rounds, slice.rounds, "{label}: seq rounds");
-    assert_eq!(reference.stats, slice.stats, "{label}: seq stats");
-    assert_eq!(reference.output, slice.output, "{label}: seq output");
-    assert_eq!(reference.node_bytes, slice.node_bytes, "{label}: seq bytes");
-
+    let reference = SequentialExecutor.run(&mut make(), n, cfg);
     for shards in SHARDS {
-        let mut native = make();
-        let sh = ShardedExecutor::new(shards).run(&mut native, n, cfg);
+        let sh = ShardedExecutor::new(shards).run(&mut make(), n, cfg);
         assert_eq!(
             reference.digests, sh.digests,
-            "{label}: sharded({shards}) streaming digest trace"
+            "{label}: sharded({shards}) digest trace"
+        );
+        assert_eq!(
+            reference.rounds, sh.rounds,
+            "{label}: sharded({shards}) rounds"
         );
         assert_eq!(
             reference.stats, sh.stats,
@@ -130,18 +50,34 @@ where
             reference.output, sh.output,
             "{label}: sharded({shards}) output"
         );
-
-        let mut wrapped = SlicePath(make());
-        let shw = ShardedExecutor::new(shards).run(&mut wrapped, n, cfg);
         assert_eq!(
-            reference.digests, shw.digests,
-            "{label}: sharded({shards}) slice digest trace"
-        );
-        assert_eq!(
-            reference.output, shw.output,
-            "{label}: sharded({shards}) slice output"
+            reference.node_bytes, sh.node_bytes,
+            "{label}: sharded({shards}) bytes"
         );
     }
+
+    // Executors expose no node slice, so build one: the initial states.
+    let (mut by_slice, mut by_obs) = (make(), make());
+    assert!(by_slice.streams(), "{label}: streams() is constant true");
+    let nodes: Vec<P::Node> = (0..n)
+        .map(|i| {
+            by_slice.init_node(
+                NodeId::from_index(i),
+                &mut small_rng_for(cfg.seed, i as u64),
+            )
+        })
+        .collect();
+    let obs = observe_nodes(&by_obs, 0, &nodes, 0);
+    assert_eq!(
+        by_slice.digest(&nodes, 0),
+        by_obs.digest_obs(&obs, 0),
+        "{label}: provided digest"
+    );
+    assert_eq!(
+        by_slice.finalize(&nodes, 0),
+        by_obs.finalize_obs(&obs, 0),
+        "{label}: provided finalize"
+    );
 }
 
 /// All eight registry workloads through the full matrix.
