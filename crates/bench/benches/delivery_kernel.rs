@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the cache-resident message plane: SoA envelope
 //! batches, the hoisted fate kernel, and the end-to-end delivery path.
 //!
-//! Five groups:
+//! Six groups:
 //!
 //! * `emit` — filling an [`EnvBatch`] through run-length `push` vs the
 //!   legacy `Vec<Envelope>` stream, and reading it back in emission
@@ -15,6 +15,11 @@
 //!   rounds filed into (what a latency spread produces), over the same
 //!   message count: the conditioned counterpart of `deliver`, with
 //!   `k = 1` (plain concatenation) as the reference point;
+//! * `route` — the round engine's two ways of routing a round's sends on
+//!   one shard, at 10⁵ messages a round: the emission batch handed over
+//!   whole (every sender emits in one phase, headers src-ascending)
+//!   against the regrouping per-message copy (the same messages, emitted
+//!   from two phases so the headers step back);
 //! * `event_queue` — the event executor's wake queue under the hold
 //!   model (pop the earliest wake, push the same node back one
 //!   exponential inter-arrival later): the calendar [`WakeQueue`]
@@ -25,11 +30,12 @@
 //! spending CI minutes on statistics.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use rand::rngs::SmallRng;
 use rendez_core::{Platform, UniformSelector};
 use rendez_runtime::batch::{order_deliveries, DeliverScratch};
 use rendez_runtime::{
-    Conditions, EnvBatch, Envelope, Executor, RunConfig, RuntimeDating, SequentialExecutor,
-    WakeQueue, TICKS_PER_SEC,
+    Conditions, EnvBatch, Envelope, Executor, Outbox, RoundObs, RoundProtocol, RunConfig,
+    RuntimeDating, SequentialExecutor, Verdict, WakeQueue, TICKS_PER_SEC,
 };
 use rendez_sim::{NodeId, SplitMix64};
 use std::cmp::Reverse;
@@ -179,6 +185,103 @@ fn bench_deliver_mixed(c: &mut Criterion) {
     g.finish();
 }
 
+/// One message per node and round to a strided target, nothing else.
+/// With `two_phase` the upper half of the ids sends from `on_round_start`
+/// and the lower half from `on_round_end`: the same messages, but the
+/// round's run headers step back once, which is what sends the engine
+/// down its regrouping copy path instead of the whole-batch hand-over.
+struct Stride {
+    n: u32,
+    two_phase: bool,
+}
+
+impl Stride {
+    fn send(&self, id: NodeId, out: &mut Outbox<'_, u64>) {
+        out.send(NodeId((id.0 * 7 + 13) % self.n), u64::from(id.0));
+    }
+}
+
+impl RoundProtocol for Stride {
+    type Node = u64;
+    type Msg = u64;
+    type Output = u64;
+
+    fn init_node(&self, _id: NodeId, _rng: &mut SmallRng) -> u64 {
+        0
+    }
+
+    fn on_round_start(
+        &self,
+        _node: &mut u64,
+        id: NodeId,
+        _round: u64,
+        _rng: &mut SmallRng,
+        out: &mut Outbox<'_, u64>,
+    ) {
+        if !self.two_phase || id.0 >= self.n / 2 {
+            self.send(id, out);
+        }
+    }
+
+    fn on_message(
+        &self,
+        node: &mut u64,
+        _id: NodeId,
+        _from: NodeId,
+        msg: u64,
+        _round: u64,
+        _rng: &mut SmallRng,
+        _out: &mut Outbox<'_, u64>,
+    ) {
+        *node = node.wrapping_add(msg);
+    }
+
+    fn on_round_end(
+        &self,
+        _node: &mut u64,
+        id: NodeId,
+        _round: u64,
+        _rng: &mut SmallRng,
+        out: &mut Outbox<'_, u64>,
+    ) {
+        if self.two_phase && id.0 < self.n / 2 {
+            self.send(id, out);
+        }
+    }
+
+    fn observe_node(&self, node: &u64, _id: NodeId, _round: u64, obs: &mut RoundObs) {
+        obs.count = obs.count.wrapping_add(*node);
+    }
+
+    fn finalize_obs(&mut self, _obs: &RoundObs, _round: u64) -> Verdict<u64> {
+        Verdict::Continue
+    }
+}
+
+fn bench_route(c: &mut Criterion) {
+    let quick = std::env::var("RENDEZ_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
+    const ROUNDS: u64 = 8;
+    let n: usize = 100_000;
+    let mut g = c.benchmark_group("delivery_kernel/route");
+    g.sample_size(if quick { 3 } else { 10 });
+    g.throughput(Throughput::Elements(ROUNDS * n as u64));
+    for (path, two_phase) in [("whole_batch", false), ("copy", true)] {
+        g.bench_with_input(BenchmarkId::new(path, n), &n, |b, &n| {
+            b.iter(|| {
+                let mut proto = Stride {
+                    n: n as u32,
+                    two_phase,
+                };
+                let report =
+                    SequentialExecutor.run(&mut proto, n, &RunConfig::seeded(1).max_rounds(ROUNDS));
+                assert_eq!(report.stats.sent, ROUNDS * n as u64);
+                report.stats.delivered
+            });
+        });
+    }
+    g.finish();
+}
+
 /// Exponential inter-arrival at one wake per simulated second, from
 /// the next hash of `draws` — the executor's wake clock, minus the
 /// per-node streams.
@@ -247,6 +350,7 @@ criterion_group!(
     bench_fate,
     bench_deliver,
     bench_deliver_mixed,
+    bench_route,
     bench_event_queue
 );
 criterion_main!(benches);

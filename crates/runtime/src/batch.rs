@@ -21,31 +21,39 @@
 //!    seq-contiguous — [`push`](EnvBatch::push) starts a new run
 //!    otherwise. The full `(src, dst, seq, msg)` stream is recoverable
 //!    bit-for-bit ([`EnvBatch::to_envelopes`], property-tested in
-//!    `tests/batch_roundtrip.rs`).
-//! 2. **Routed batches** (filled through [`EnvBatch::push_grouped`],
-//!    i.e. by `route_sends` after fate was decided) drop per-message
-//!    sequence numbers entirely: runs merge on sender identity alone and
-//!    `first_seq` is not meaningful. Nothing downstream needs `seq`
-//!    anymore — fate already ran, and delivery order within a
-//!    destination only needs the *relative* order the batch already
-//!    stores (see invariant 3).
-//! 3. **Order.** A routed batch is `(src, seq)`-sorted: `route_sends`
-//!    walks senders in ascending id order and each sender's messages in
-//!    seq order, so its run headers are src-ascending. A delivery bucket
-//!    lists such segments in send order (round by round, shard by shard
-//!    within a round), so a sender's later messages sit in later
-//!    segments. Merging the segments' run *headers* by `(src, segment
-//!    position)` therefore yields the bucket's `(src, seq)` order, and
-//!    one stable counting pass by destination over the runs in that
-//!    order (`order_deliveries`) the canonical `(dst, src, seq)` order —
-//!    no comparison sort over messages, whatever the latency
-//!    distribution. Segments that continue ascending (contiguous shards
-//!    of one round) form one stream: a single-round bucket is plain
-//!    concatenation.
+//!    `tests/batch_roundtrip.rs`) — until the batch is routed.
+//! 2. **Routed batches** carry no per-message sequence numbers: fate
+//!    already ran, delivery order within a destination only needs the
+//!    *relative* order the batch stores (invariant 3), and nobody reads
+//!    `first_seq` again. They come about in two ways. `route_sends`
+//!    copies survivors out through [`EnvBatch::push_grouped`], which
+//!    merges runs on sender identity alone (`first_seq` reads 0).
+//!    `route_whole` turns an emission batch into a routed one where it
+//!    stands: the messages fate loses are compacted out in place, runs
+//!    shrink to their survivors and keep a `first_seq` that no longer
+//!    describes them — so [`iter`](EnvBatch::iter) and
+//!    [`to_envelopes`](EnvBatch::to_envelopes) are exact on such a batch
+//!    only if nothing was lost (ideal conditions).
+//! 3. **Order.** A routed batch is `(src, seq)`-sorted, i.e. its run
+//!    headers are src-ascending and a sender's messages sit in seq
+//!    order: `route_sends` walks senders in ascending id order and each
+//!    sender's messages in seq order, and `route_whole` only takes a
+//!    batch whose headers are ascending as emitted (every round that
+//!    sends from one phase — the batch tracks this as it is pushed to).
+//!    A delivery bucket lists such segments in send order (round by
+//!    round, shard by shard within a round), so a sender's later
+//!    messages sit in later segments. Merging the segments' run
+//!    *headers* by `(src, segment position)` therefore yields the
+//!    bucket's `(src, seq)` order, and one stable counting pass by
+//!    destination over the runs in that order (`order_deliveries`) the
+//!    canonical `(dst, src, seq)` order — no comparison sort over
+//!    messages, whatever the latency distribution. Segments that
+//!    continue ascending (contiguous shards of one round) form one
+//!    stream: a single-round bucket is plain concatenation.
 //!
 //! lint: deterministic
 
-use crate::conditions::Conditions;
+use crate::conditions::{Conditions, FateRun, LatencyDist};
 use crate::proto::Envelope;
 use crate::report::NetStats;
 use rendez_sim::NodeId;
@@ -72,6 +80,11 @@ pub struct EnvBatch<M> {
     dst: Vec<NodeId>,
     msg: Vec<M>,
     runs: Vec<SrcRun>,
+    /// Whether `runs` is src-ascending (no header steps back below its
+    /// predecessor's sender) — kept by the push methods, one compare per
+    /// new run, so the route kernels know in O(1) that storage order is
+    /// already `(src, seq)` order.
+    ascending: bool,
 }
 
 impl<M> Default for EnvBatch<M> {
@@ -92,6 +105,7 @@ impl<M> EnvBatch<M> {
             dst: Vec::with_capacity(msgs),
             msg: Vec::with_capacity(msgs),
             runs: Vec::with_capacity(runs),
+            ascending: true,
         }
     }
 
@@ -110,12 +124,23 @@ impl<M> EnvBatch<M> {
         self.dst.clear();
         self.msg.clear();
         self.runs.clear();
+        self.ascending = true;
     }
 
     /// Whether any of the backing arrays holds reusable capacity —
     /// the executors' buffer pools only keep such batches.
     pub(crate) fn has_capacity(&self) -> bool {
         self.dst.capacity() > 0 || self.msg.capacity() > 0 || self.runs.capacity() > 0
+    }
+
+    /// Capacities of the destination, payload and header arrays.
+    #[cfg(test)]
+    pub(crate) fn capacities(&self) -> [usize; 3] {
+        [
+            self.dst.capacity(),
+            self.msg.capacity(),
+            self.runs.capacity(),
+        ]
     }
 
     /// The run headers, in storage order.
@@ -129,11 +154,14 @@ impl<M> EnvBatch<M> {
     pub fn push(&mut self, src: NodeId, seq: u64, dst: NodeId, msg: M) {
         match self.runs.last_mut() {
             Some(run) if run.src == src && run.first_seq + run.len as u64 == seq => run.len += 1,
-            _ => self.runs.push(SrcRun {
-                first_seq: seq,
-                src,
-                len: 1,
-            }),
+            last => {
+                self.ascending &= last.is_none_or(|run| run.src <= src);
+                self.runs.push(SrcRun {
+                    first_seq: seq,
+                    src,
+                    len: 1,
+                });
+            }
         }
         self.dst.push(dst);
         self.msg.push(msg);
@@ -144,11 +172,14 @@ impl<M> EnvBatch<M> {
     pub fn push_grouped(&mut self, src: NodeId, dst: NodeId, msg: M) {
         match self.runs.last_mut() {
             Some(run) if run.src == src => run.len += 1,
-            _ => self.runs.push(SrcRun {
-                first_seq: 0,
-                src,
-                len: 1,
-            }),
+            last => {
+                self.ascending &= last.is_none_or(|run| run.src <= src);
+                self.runs.push(SrcRun {
+                    first_seq: 0,
+                    src,
+                    len: 1,
+                });
+            }
         }
         self.dst.push(dst);
         self.msg.push(msg);
@@ -215,8 +246,88 @@ impl<M: Clone> EnvBatch<M> {
     }
 }
 
+/// Route a fresh emission batch **without copying it**, when the whole
+/// batch is one routed bucket: the layout has a single destination shard
+/// (the caller's half of the test), the latency is
+/// [`Fixed`](LatencyDist::Fixed) — one delivery slot for every survivor —
+/// and the run headers are already src-ascending, i.e. storage order is
+/// `(src, seq)` order (batch invariant 3).
+///
+/// Tallies `sent`/`bytes_sent`, compacts the messages lost to
+/// `cond.drop_prob` out in place (nothing to do without loss) and
+/// returns the slot `latency − 1` the batch is due in: `fresh` now *is*
+/// the routed bucket, for the caller to move into the ring. Returns
+/// `None` with `fresh` untouched when the batch does not qualify —
+/// [`route_sends`] takes it from there — and with `fresh` accounted for
+/// and empty when no message survived.
+pub(crate) fn route_whole<M>(
+    fresh: &mut EnvBatch<M>,
+    seed: u64,
+    cond: &Conditions,
+    stats: &mut NetStats,
+    mut msg_bytes: impl FnMut(&M) -> usize,
+) -> Option<usize> {
+    let LatencyDist::Fixed(latency) = cond.latency else {
+        return None;
+    };
+    if !fresh.ascending {
+        return None;
+    }
+    stats.sent += fresh.len() as u64;
+    for m in &fresh.msg {
+        stats.bytes_sent += msg_bytes(m) as u64;
+    }
+    if cond.drop_prob > 0.0 {
+        stats.dropped += fresh.drop_lost(seed, cond);
+    }
+    (!fresh.is_empty()).then_some((latency - 1) as usize)
+}
+
+impl<M> EnvBatch<M> {
+    /// Remove, in place, every message of this emission batch that
+    /// `cond` loses, keeping the survivors' order; returns how many went.
+    /// Runs shrink to their survivors (their `first_seq` is spent — batch
+    /// invariant 2) and emptied runs go, so the batch stays src-ascending
+    /// if it was.
+    fn drop_lost(&mut self, seed: u64, cond: &Conditions) -> u64 {
+        let (mut read, mut write, mut kept_runs) = (0usize, 0usize, 0usize);
+        let mut fate: Option<FateRun> = None;
+        for i in 0..self.runs.len() {
+            let run = self.runs[i];
+            // Re-key the kernel per sender, keeping its loss threshold.
+            let fr = match fate {
+                Some(fr) => fr.for_src(seed, run.src),
+                None => cond.fate_run(seed, run.src),
+            };
+            fate = Some(fr);
+            let before = write;
+            for seq in run.first_seq..run.first_seq + u64::from(run.len) {
+                if fr.fate(seq).is_some() {
+                    if write != read {
+                        self.dst[write] = self.dst[read];
+                        self.msg.swap(write, read);
+                    }
+                    write += 1;
+                }
+                read += 1;
+            }
+            if write > before {
+                self.runs[kept_runs] = SrcRun {
+                    len: (write - before) as u32,
+                    ..run
+                };
+                kept_runs += 1;
+            }
+        }
+        self.runs.truncate(kept_runs);
+        self.dst.truncate(write);
+        self.msg.truncate(write);
+        (read - write) as u64
+    }
+}
+
 /// Scratch for [`route_sends`]: the counting pass that orders a fresh
-/// emission batch's runs by sender.
+/// emission batch's runs by sender when they are not already.
 #[derive(Debug, Default)]
 pub(crate) struct RouteScratch {
     counts: Vec<u32>,
@@ -228,12 +339,14 @@ pub(crate) struct RouteScratch {
 /// `base..base + width`) and hand survivors to `file(slot, src, dst,
 /// msg)` in `(src, seq)` order, draining the batch.
 ///
-/// This is the hoisted fate kernel shared by the sequential and sharded
-/// executors: runs are walked grouped by sender (a stable counting pass
-/// over the run *headers* — per-message work is one bucket push), the
-/// per-sender fate stream seed is derived once per sender
-/// ([`Conditions::fate_run`]), and ideal conditions skip fate hashing
-/// entirely. `stats` absorbs the sent/bytes/dropped accounting.
+/// This is the hoisted fate kernel of the round engine: runs are walked
+/// grouped by sender — in storage order when the headers are already
+/// src-ascending (every round whose sends come from one phase), else
+/// through a stable counting pass over the run *headers* — so
+/// per-message work is one bucket push, the per-sender fate stream seed
+/// is derived once per sender ([`Conditions::fate_run`]), and ideal
+/// conditions skip fate hashing entirely. `stats` absorbs the
+/// sent/bytes/dropped accounting.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn route_sends<M: Clone>(
     fresh: &mut EnvBatch<M>,
@@ -246,50 +359,58 @@ pub(crate) fn route_sends<M: Clone>(
     mut msg_bytes: impl FnMut(&M) -> usize,
     mut file: impl FnMut(usize, NodeId, NodeId, M),
 ) {
-    if fresh.runs.is_empty() {
-        fresh.clear();
-        return;
-    }
-    // Group run indices by sender offset: counting pass over headers.
-    // Per-sender emission is seq-ascending across the whole round
-    // (sequence counters only advance on sends), so walking each
-    // sender's runs in arrival order yields its messages in seq order.
     let RouteScratch {
         counts,
         run_starts,
         run_order,
     } = rs;
-    counts.clear();
-    counts.resize(width, 0);
-    run_starts.clear();
-    run_starts.reserve(fresh.runs.len());
-    let mut start = 0u32;
-    for run in &fresh.runs {
-        counts[run.src.index() - base] += 1;
-        run_starts.push(start);
-        start += run.len;
-    }
-    let mut acc = 0u32;
-    for c in counts.iter_mut() {
-        let here = *c;
-        *c = acc;
-        acc += here;
-    }
-    run_order.clear();
-    run_order.resize(fresh.runs.len(), 0);
-    for (idx, run) in fresh.runs.iter().enumerate() {
-        let k = run.src.index() - base;
-        run_order[counts[k] as usize] = idx as u32;
-        counts[k] += 1;
+    let in_order = fresh.ascending;
+    if !in_order {
+        // Group run indices by sender offset: counting pass over headers.
+        // Per-sender emission is seq-ascending across the whole round
+        // (sequence counters only advance on sends), so walking each
+        // sender's runs in arrival order yields its messages in seq order.
+        counts.clear();
+        counts.resize(width, 0);
+        run_starts.clear();
+        run_starts.reserve(fresh.runs.len());
+        let mut start = 0u32;
+        for run in &fresh.runs {
+            counts[run.src.index() - base] += 1;
+            run_starts.push(start);
+            start += run.len;
+        }
+        let mut acc = 0u32;
+        for c in counts.iter_mut() {
+            let here = *c;
+            *c = acc;
+            acc += here;
+        }
+        run_order.clear();
+        run_order.resize(fresh.runs.len(), 0);
+        for (idx, run) in fresh.runs.iter().enumerate() {
+            let k = run.src.index() - base;
+            run_order[counts[k] as usize] = idx as u32;
+            counts[k] += 1;
+        }
     }
 
     let ideal = cond.is_ideal();
     // One fate stream per sender, shared by that sender's consecutive
     // runs (derive_seed once per sender, not once per message).
-    let mut fate: Option<(NodeId, crate::conditions::FateRun)> = None;
-    for &ri in run_order.iter() {
-        let run = fresh.runs[ri as usize];
-        let s = run_starts[ri as usize] as usize;
+    let mut fate: Option<(NodeId, FateRun)> = None;
+    let mut next_start = 0usize;
+    for (i, &run) in fresh.runs.iter().enumerate() {
+        // The `i`-th run in sender order: the `i`-th stored when the
+        // headers are already src-ascending.
+        let (run, s) = if in_order {
+            let s = next_start;
+            next_start += run.len as usize;
+            (run, s)
+        } else {
+            let ri = run_order[i] as usize;
+            (fresh.runs[ri], run_starts[ri] as usize)
+        };
         let e = s + run.len as usize;
         let dsts = &fresh.dst[s..e];
         let msgs = &fresh.msg[s..e];
@@ -516,7 +637,6 @@ pub fn order_deliveries<M: Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conditions::LatencyDist;
 
     fn env(src: u32, dst: u32, seq: u64) -> Envelope<u32> {
         Envelope {
@@ -620,6 +740,165 @@ mod tests {
             assert_eq!(stats, want_stats, "cond={cond:?}");
             assert!(fresh.is_empty(), "fresh is drained");
         }
+    }
+
+    const SRCS: u32 = 6;
+    const DSTS: usize = 8;
+
+    /// One round's emission: in each phase senders emit in ascending id
+    /// order (the engine's id-order hooks), seq counters carrying over.
+    fn emission(phases: &[Vec<(u32, u32)>]) -> Vec<Envelope<u32>> {
+        let mut seqs = [0u64; SRCS as usize];
+        let mut envs = Vec::new();
+        for phase in phases {
+            let mut phase = phase.clone();
+            phase.sort_by_key(|&(src, _)| src);
+            for (src, dst) in phase {
+                envs.push(env(src, dst, seqs[src as usize]));
+                seqs[src as usize] += 1;
+            }
+        }
+        envs
+    }
+
+    /// What destinations `0..DSTS` receive from `bucket`, in delivery
+    /// order, as `(dst, src, msg)`.
+    fn delivered(bucket: EnvBatch<u32>) -> Vec<(usize, NodeId, u32)> {
+        let mut ds = DeliverScratch::default();
+        let mut out = Vec::new();
+        if order_deliveries(&mut [bucket], 0, DSTS, &mut ds) > 0 {
+            for dst in 0..DSTS {
+                for i in ds.starts[dst] as usize..ds.starts[dst + 1] as usize {
+                    out.push((dst, ds.srcs[i], ds.msgs[i]));
+                }
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        /// In-place route ≡ copy route ≡ per-envelope fate plus a
+        /// `(dst, src, seq)` sort, deliveries and `NetStats` alike. One
+        /// phase gives src-ascending headers; two or three usually do
+        /// not, and then the in-place kernel must leave the batch alone.
+        #[test]
+        fn in_place_route_equals_copy_route_equals_reference(
+            phases in proptest::collection::vec(
+                proptest::collection::vec((0u32..SRCS, 0u32..DSTS as u32), 0..12),
+                1..4,
+            ),
+            pick in 0usize..4,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let cond = [
+                Conditions::ideal(),
+                Conditions::with_loss(0.4),
+                Conditions::with_latency(LatencyDist::Uniform { min: 1, max: 3 }),
+                Conditions { drop_prob: 0.4, latency: LatencyDist::Fixed(2) },
+            ][pick];
+            let slots = cond.latency_slots();
+            let envs = emission(&phases);
+
+            let mut want_stats = NetStats::default();
+            let mut due: Vec<Vec<&Envelope<u32>>> = vec![Vec::new(); slots];
+            for e in &envs {
+                want_stats.sent += 1;
+                want_stats.bytes_sent += 1;
+                match cond.fate(seed, e) {
+                    None => want_stats.dropped += 1,
+                    Some(l) => due[(l - 1) as usize].push(e),
+                }
+            }
+            let want: Vec<Vec<_>> = due
+                .into_iter()
+                .map(|mut slot| {
+                    slot.sort_by_key(|e| (e.dst, e.src, e.seq));
+                    slot.iter().map(|e| (e.dst.index(), e.src, e.msg)).collect()
+                })
+                .collect();
+
+            let fresh = EnvBatch::from_envelopes(&envs);
+            let ascending = fresh.runs().windows(2).all(|w| w[0].src <= w[1].src);
+            proptest::prop_assert_eq!(fresh.ascending, ascending);
+
+            let mut copied = fresh.clone();
+            let mut buckets: Vec<EnvBatch<u32>> = (0..slots).map(|_| EnvBatch::new()).collect();
+            let mut stats = NetStats::default();
+            route_sends(
+                &mut copied,
+                seed,
+                &cond,
+                0,
+                SRCS as usize,
+                &mut RouteScratch::default(),
+                &mut stats,
+                |_| 1,
+                |slot, src, dst, msg| buckets[slot].push_grouped(src, dst, msg),
+            );
+            proptest::prop_assert_eq!(&stats, &want_stats);
+            let got: Vec<_> = buckets.into_iter().map(delivered).collect();
+            proptest::prop_assert_eq!(&got, &want);
+
+            let mut moved = fresh.clone();
+            let mut stats = NetStats::default();
+            let slot = route_whole(&mut moved, seed, &cond, &mut stats, |_| 1);
+            if ascending && matches!(cond.latency, LatencyDist::Fixed(_)) {
+                proptest::prop_assert_eq!(&stats, &want_stats);
+                let survivors = (want_stats.sent - want_stats.dropped) as usize;
+                proptest::prop_assert_eq!(moved.len(), survivors);
+                proptest::prop_assert_eq!(slot, (survivors > 0).then_some(slots - 1));
+                proptest::prop_assert_eq!(&delivered(moved), &want[slots - 1]);
+            } else {
+                proptest::prop_assert_eq!(slot, None);
+                proptest::prop_assert_eq!(&moved, &fresh);
+                proptest::prop_assert_eq!(&stats, &NetStats::default());
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_loss_can_empty_a_run_or_the_whole_batch() {
+        let cond = Conditions::with_loss(0.9);
+        let envs = [
+            env(0, 1, 0),
+            env(0, 2, 1),
+            env(1, 0, 0),
+            env(1, 2, 1),
+            env(2, 0, 0),
+            env(2, 1, 1),
+        ];
+        let (mut emptied_run, mut emptied_batch) = (false, false);
+        for seed in 0..200 {
+            let mut batch = EnvBatch::from_envelopes(&envs);
+            let mut stats = NetStats::default();
+            let slot = route_whole(&mut batch, seed, &cond, &mut stats, |_| 1);
+
+            let mut want = Vec::new();
+            let mut want_runs: Vec<(NodeId, u32)> = Vec::new();
+            for e in envs.iter().filter(|e| cond.fate(seed, e).is_some()) {
+                want.push((e.src, e.dst, e.msg));
+                match want_runs.last_mut() {
+                    Some((src, len)) if *src == e.src => *len += 1,
+                    _ => want_runs.push((e.src, 1)),
+                }
+            }
+            let mut got = Vec::new();
+            batch.for_each_run(|run, dsts, msgs| {
+                got.extend(dsts.iter().zip(msgs).map(|(d, m)| (run.src, *d, *m)));
+            });
+            assert_eq!(got, want, "seed={seed}");
+            let got_runs: Vec<_> = batch.runs().iter().map(|r| (r.src, r.len)).collect();
+            assert_eq!(got_runs, want_runs, "no emptied run keeps a header");
+            assert_eq!(stats.sent, 6);
+            assert_eq!(stats.dropped as usize, 6 - want.len());
+            assert_eq!(slot, (!want.is_empty()).then_some(0));
+            emptied_run |= (1..3).contains(&want_runs.len());
+            emptied_batch |= want.is_empty();
+        }
+        assert!(
+            emptied_run && emptied_batch,
+            "both cases occur in 200 seeds"
+        );
     }
 
     /// Run the kernel over `segments` (destinations `0..width`) and

@@ -9,7 +9,9 @@
 //! churn streams and the node arena. [`Shard::round`] is the only round
 //! body in the crate: churn mask → round-start → deliveries → round-end
 //! → observation fold → fate + routing of the shard's own sends into
-//! `routed[latency_slot][destination_shard]`.
+//! `routed[latency_slot][destination_shard]` (a move of the whole
+//! emission batch where the layout has one such bucket, see "Memory
+//! discipline").
 //!
 //! [`drive`] is the only coordinator: it keeps the latency ring, hands
 //! each shard the segments due this round, splices the routed lanes back
@@ -46,6 +48,7 @@
 //! 3. **Splice order = emission order.** Shards are contiguous id ranges
 //!    spliced in shard order, and each shard's routed buckets are
 //!    `(src, seq)`-sorted ([`route_sends`] walks sources in ascending id
+//!    order; [`route_whole`] only takes a batch that was emitted in that
 //!    order). Concatenating shard buckets in shard order therefore
 //!    yields the one-shard run's per-bucket content and order.
 //! 4. **Delivery order.** Messages due in a round are consumed in
@@ -64,19 +67,31 @@
 //!
 //! Messages travel in compact SoA [`EnvBatch`] lanes (see the
 //! [`batch`](crate::batch) module), and batches cycle rather than churn:
-//! a shard's routed batch is moved (pointer-level) into the ring, later
-//! handed to the destination shard as a delivery segment, drained there,
-//! and kept in that shard's segment pool to back its next routed
-//! batches. A segment the pool cannot supply starts with room for its
-//! share of the round's emission, and the emission batch with room for
-//! one message and one run per node, so cold rounds do not grow buffers
+//! fresh → ring → due → pool → fresh. A routed batch is moved
+//! (pointer-level) into the ring, later handed to the destination shard
+//! as a delivery segment, drained there, and kept in that shard's segment
+//! pool. Where a round's whole emission is one routed bucket — one shard,
+//! fixed latency (the paper's synchronous model, with or without loss),
+//! sends already in `(src, seq)` order — the emission batch *is* that
+//! routed batch: fate filters it in place ([`route_whole`]), it goes to
+//! the ring as it stands, and the pool backs the next round's emissions,
+//! so two batches alternate and no message is copied between emission and
+//! delivery ordering. Every other round ([`route_sends`]: several shards,
+//! a latency spread, or a node that sent from two phases of the round)
+//! copies survivors into per-bucket batches that the pool backs. What
+//! the pool cannot supply is sized, not grown: the first emission batch
+//! has room for one message and one run per node, its stand-in after a
+//! hand-over for at least the round just routed, and a routed bucket for
+//! its share of the round's emission — so cold rounds do not grow buffers
 //! from zero and warm rounds do not allocate.
 //!
 //! lint: deterministic
 
 use super::pool::WorkerPool;
 use crate::arena::NodeArena;
-use crate::batch::{order_deliveries, route_sends, DeliverScratch, EnvBatch, RouteScratch};
+use crate::batch::{
+    order_deliveries, route_sends, route_whole, DeliverScratch, EnvBatch, RouteScratch,
+};
 use crate::churn::ChurnCache;
 use crate::proto::{observe_nodes, Outbox, RoundObs, RoundProtocol, Verdict};
 use crate::report::{NetStats, RunConfig, RunReport, TimeAxis};
@@ -107,11 +122,13 @@ struct Shard<P: RoundProtocol> {
     live: Vec<bool>,
     churn: ChurnCache,
     arena: NodeArena,
-    /// This round's emissions, drained by [`route_sends`].
+    /// This round's emissions: drained by [`route_sends`], or handed
+    /// over whole ([`route_whole`]) and replaced from `pool`.
     fresh: EnvBatch<P::Msg>,
     rs: RouteScratch,
     ds: DeliverScratch<P::Msg>,
-    /// Drained delivery segments, kept to back the next routed batches.
+    /// Drained delivery segments, kept to back the next routed batches
+    /// and emission batches.
     pool: Vec<EnvBatch<P::Msg>>,
     /// This round's surviving sends: `routed[slot][dest_shard]`, each
     /// batch `(src, seq)`-sorted; slot `k` is due `k + 1` rounds on. The
@@ -250,33 +267,53 @@ impl<P: RoundProtocol> Shard<P> {
 
         let obs = observe_nodes(proto, base, nodes, round);
 
-        // Routing: the hoisted fate kernel walks this shard's emissions
-        // grouped by source and buckets survivors by
-        // [latency_slot][destination_shard]; downstream splices preserve
-        // the (src, seq) order, which is what makes delivery-side
-        // counting exact. A bucket the splice took is re-backed on its
-        // first push, from the pool or sized to its share of the round.
-        let seg_msgs = fresh.len().div_ceil(geo.slots * geo.shards);
-        let seg_runs = fresh.runs().len().min(seg_msgs);
-        route_sends(
-            fresh,
-            cfg.seed,
-            &cfg.conditions,
-            base,
-            len,
-            rs,
-            &mut tally,
-            |m| proto.msg_bytes(m),
-            |slot, src, dst, msg| {
-                let bucket = &mut routed[slot][dst.index() / geo.chunk];
-                if !bucket.has_capacity() {
-                    *bucket = pool
-                        .pop()
-                        .unwrap_or_else(|| EnvBatch::with_capacity(seg_msgs, seg_runs));
-                }
-                bucket.push_grouped(src, dst, msg);
-            },
-        );
+        // Routing. Where the whole emission is one routed bucket (one
+        // shard, fixed latency, sends already in (src, seq) order) it is
+        // handed over as it stands: fate filters it in place, the batch
+        // itself becomes the bucket, and a pooled batch — or a new one
+        // sized like this round — backs the next emissions.
+        let whole = if geo.shards == 1 {
+            route_whole(fresh, cfg.seed, &cfg.conditions, &mut tally, |m| {
+                proto.msg_bytes(m)
+            })
+        } else {
+            None
+        };
+        if let Some(slot) = whole {
+            let next = pool
+                .pop()
+                .unwrap_or_else(|| EnvBatch::with_capacity(len.max(fresh.len()), len));
+            routed[slot][0] = std::mem::replace(fresh, next);
+        } else {
+            // The hoisted fate kernel walks this shard's emissions
+            // grouped by source and buckets survivors by
+            // [latency_slot][destination_shard]; downstream splices
+            // preserve the (src, seq) order, which is what makes
+            // delivery-side counting exact. A bucket the splice took is
+            // re-backed on its first push, from the pool or sized to its
+            // share of the round.
+            let seg_msgs = fresh.len().div_ceil(geo.slots * geo.shards);
+            let seg_runs = fresh.runs().len().min(seg_msgs);
+            route_sends(
+                fresh,
+                cfg.seed,
+                &cfg.conditions,
+                base,
+                len,
+                rs,
+                &mut tally,
+                |m| proto.msg_bytes(m),
+                |slot, src, dst, msg| {
+                    let bucket = &mut routed[slot][dst.index() / geo.chunk];
+                    if !bucket.has_capacity() {
+                        *bucket = pool
+                            .pop()
+                            .unwrap_or_else(|| EnvBatch::with_capacity(seg_msgs, seg_runs));
+                    }
+                    bucket.push_grouped(src, dst, msg);
+                },
+            );
+        }
         (tally, obs)
     }
 }
@@ -388,7 +425,50 @@ pub(super) fn drive<P: RoundProtocol>(
 
 #[cfg(test)]
 mod tests {
+    use super::super::testproto::RandomPing;
     use super::*;
+    use crate::conditions::Conditions;
+
+    /// The batch cycle fresh → ring → due → pool → fresh closes on two
+    /// batches: once both are warm no round allocates, grows or strands
+    /// one — on the hand-over path with and without loss.
+    #[test]
+    fn batch_capacities_are_stable_after_three_warm_rounds() {
+        const N: usize = 64;
+        for cond in [Conditions::ideal(), Conditions::with_loss(0.3)] {
+            let proto = RandomPing {
+                n: N,
+                target_total: u64::MAX,
+            };
+            let cfg = RunConfig::seeded(4).conditions(cond);
+            let geo = Geometry {
+                n: N,
+                chunk: N,
+                shards: 1,
+                slots: 1,
+            };
+            let mut shard = Shard::new(&proto, &cfg, geo, 0);
+            let mut due = Vec::new();
+            let mut live = Vec::new();
+            for round in 0..8 {
+                let (tally, _) = shard.round(&proto, &cfg, geo, round, &mut due);
+                assert_eq!(tally.sent, N as u64);
+                // The coordinator's splice, for the one lane there is.
+                assert!(due.is_empty());
+                due.push(std::mem::take(&mut shard.routed[0][0]));
+                assert!(!due[0].runs().is_empty(), "the emission was handed over");
+                let mut caps: Vec<_> = std::iter::once(&shard.fresh)
+                    .chain(&due)
+                    .chain(&shard.pool)
+                    .map(EnvBatch::capacities)
+                    .collect();
+                caps.sort_unstable();
+                live.push(caps);
+            }
+            assert_eq!(live[3].len(), 2, "fresh + the one in flight: {live:?}");
+            assert!(live[3..].iter().all(|caps| *caps == live[3]), "{live:?}");
+        }
+    }
 
     #[test]
     fn recycle_pool_is_bounded() {
