@@ -15,11 +15,12 @@
 //!   rounds filed into (what a latency spread produces), over the same
 //!   message count: the conditioned counterpart of `deliver`, with
 //!   `k = 1` (plain concatenation) as the reference point;
-//! * `route` — the round engine's two ways of routing a round's sends on
-//!   one shard, at 10⁵ messages a round: the emission batch handed over
+//! * `route` — the round engine's two ways of routing a round's sends,
+//!   at 10⁵ messages a round: on one shard the emission lane handed over
 //!   whole (every sender emits in one phase, headers src-ascending)
 //!   against the regrouping per-message copy (the same messages, emitted
-//!   from two phases so the headers step back);
+//!   from two phases so the headers step back), and the hand-over lane by
+//!   lane on two shards (`ShardedExecutor::run_in` on a 2-thread pool);
 //! * `event_queue` — the event executor's wake queue under the hold
 //!   model (pop the earliest wake, push the same node back one
 //!   exponential inter-arrival later): the calendar [`WakeQueue`]
@@ -35,7 +36,8 @@ use rendez_core::{Platform, UniformSelector};
 use rendez_runtime::batch::{order_deliveries, DeliverScratch};
 use rendez_runtime::{
     Conditions, EnvBatch, Envelope, Executor, Outbox, RoundObs, RoundProtocol, RunConfig,
-    RuntimeDating, SequentialExecutor, Verdict, WakeQueue, TICKS_PER_SEC,
+    RuntimeDating, SequentialExecutor, ShardedExecutor, Verdict, WakeQueue, WorkerPool,
+    TICKS_PER_SEC,
 };
 use rendez_sim::{NodeId, SplitMix64};
 use std::cmp::Reverse;
@@ -265,15 +267,23 @@ fn bench_route(c: &mut Criterion) {
     let mut g = c.benchmark_group("delivery_kernel/route");
     g.sample_size(if quick { 3 } else { 10 });
     g.throughput(Throughput::Elements(ROUNDS * n as u64));
-    for (path, two_phase) in [("whole_batch", false), ("copy", true)] {
+    let pool = WorkerPool::new(2);
+    for (path, two_phase, shards) in [
+        ("whole_batch", false, 1),
+        ("copy", true, 1),
+        ("sharded(2)", false, 2),
+    ] {
         g.bench_with_input(BenchmarkId::new(path, n), &n, |b, &n| {
             b.iter(|| {
                 let mut proto = Stride {
                     n: n as u32,
                     two_phase,
                 };
-                let report =
-                    SequentialExecutor.run(&mut proto, n, &RunConfig::seeded(1).max_rounds(ROUNDS));
+                let cfg = RunConfig::seeded(1).max_rounds(ROUNDS);
+                let report = match shards {
+                    1 => SequentialExecutor.run(&mut proto, n, &cfg),
+                    _ => ShardedExecutor::new(shards).run_in(&pool, &mut proto, n, &cfg),
+                };
                 assert_eq!(report.stats.sent, ROUNDS * n as u64);
                 report.stats.delivered
             });

@@ -13,43 +13,48 @@
 //!
 //! # Batch invariants
 //!
-//! 1. **Emission batches** (filled through [`EnvBatch::push`], i.e. by
+//! 1. **Emission lanes** (filled through [`EnvBatch::push`], i.e. by
 //!    [`Outbox::send`](crate::Outbox::send)) are exact: message `k` of a
-//!    run has sequence number `first_seq + k`. This relies on the
-//!    runtime invariant that a sender's `seq` counter only advances when
-//!    that sender emits, so consecutive sends of one node are always
-//!    seq-contiguous — [`push`](EnvBatch::push) starts a new run
-//!    otherwise. The full `(src, dst, seq, msg)` stream is recoverable
-//!    bit-for-bit ([`EnvBatch::to_envelopes`], property-tested in
-//!    `tests/batch_roundtrip.rs`) — until the batch is routed.
+//!    run has sequence number `first_seq + k`, because
+//!    [`push`](EnvBatch::push) extends a run only with the sender's next
+//!    sequence number and starts a new one otherwise. A shard emits into
+//!    one lane per destination shard (`Lanes`), so a sender's
+//!    consecutive sends may alternate between lanes: within a lane its
+//!    runs sit next to each other, each with its own `first_seq`, and
+//!    need not be seq-contiguous with one another. (With one lane — the
+//!    sequential and the event executor — a sender's `seq` counter only
+//!    advances when that sender emits, so a phase's sends form one run.)
+//!    The lane's `(src, dst, seq, msg)` stream is recoverable bit-for-bit
+//!    ([`EnvBatch::to_envelopes`], property-tested in
+//!    `tests/batch_roundtrip.rs`) — until the lane is routed.
 //! 2. **Routed batches** carry no per-message sequence numbers: fate
 //!    already ran, delivery order within a destination only needs the
 //!    *relative* order the batch stores (invariant 3), and nobody reads
 //!    `first_seq` again. They come about in two ways. `route_sends`
 //!    copies survivors out through [`EnvBatch::push_grouped`], which
 //!    merges runs on sender identity alone (`first_seq` reads 0).
-//!    `route_whole` turns an emission batch into a routed one where it
+//!    `route_whole` turns an emission lane into a routed batch where it
 //!    stands: the messages fate loses are compacted out in place, runs
 //!    shrink to their survivors and keep a `first_seq` that no longer
 //!    describes them — so [`iter`](EnvBatch::iter) and
 //!    [`to_envelopes`](EnvBatch::to_envelopes) are exact on such a batch
 //!    only if nothing was lost (ideal conditions).
 //! 3. **Order.** A routed batch is `(src, seq)`-sorted, i.e. its run
-//!    headers are src-ascending and a sender's messages sit in seq
-//!    order: `route_sends` walks senders in ascending id order and each
-//!    sender's messages in seq order, and `route_whole` only takes a
-//!    batch whose headers are ascending as emitted (every round that
-//!    sends from one phase — the batch tracks this as it is pushed to).
-//!    A delivery bucket lists such segments in send order (round by
-//!    round, shard by shard within a round), so a sender's later
-//!    messages sit in later segments. Merging the segments' run
-//!    *headers* by `(src, segment position)` therefore yields the
-//!    bucket's `(src, seq)` order, and one stable counting pass by
-//!    destination over the runs in that order (`order_deliveries`) the
-//!    canonical `(dst, src, seq)` order — no comparison sort over
-//!    messages, whatever the latency distribution. Segments that
-//!    continue ascending (contiguous shards of one round) form one
-//!    stream: a single-round bucket is plain concatenation.
+//!    headers are src-ascending (a sender may head several adjacent
+//!    runs) and a sender's messages sit in seq order: `route_sends`
+//!    walks senders in ascending id order and each sender's messages in
+//!    seq order, and `route_whole` only takes a lane whose headers are
+//!    ascending as emitted (every round that sends from one phase — the
+//!    batch tracks this as it is pushed to). A delivery bucket lists
+//!    such segments in send order (round by round, shard by shard within
+//!    a round), so a sender's later messages sit in later segments.
+//!    Merging the segments' run *headers* by `(src, segment position)`
+//!    therefore yields the bucket's `(src, seq)` order, and one stable
+//!    counting pass by destination over the runs in that order
+//!    (`order_deliveries`) the canonical `(dst, src, seq)` order — no
+//!    comparison sort over messages, whatever the latency distribution.
+//!    Segments that continue ascending (contiguous shards of one round)
+//!    form one stream: a single-round bucket is plain concatenation.
 //!
 //! lint: deterministic
 
@@ -246,18 +251,93 @@ impl<M: Clone> EnvBatch<M> {
     }
 }
 
-/// Route a fresh emission batch **without copying it**, when the whole
-/// batch is one routed bucket: the layout has a single destination shard
-/// (the caller's half of the test), the latency is
-/// [`Fixed`](LatencyDist::Fixed) — one delivery slot for every survivor —
-/// and the run headers are already src-ascending, i.e. storage order is
-/// `(src, seq)` order (batch invariant 3).
+/// Which emission lane — destination shard — a message belongs in:
+/// `dst / chunk` for shards of `chunk` ids, without the division.
+///
+/// The quotient is the high half of one 64×64-bit product with the
+/// per-layout reciprocal `⌊(2⁶⁴ − 1) / chunk⌋`, taken at `dst + 1`: the
+/// round-down form of multiply-by-reciprocal division, exact for every
+/// 32-bit `dst` and every `chunk` in `1..=u32::MAX` (`chunk == 1`
+/// included, which the round-up form's reciprocal `2⁶⁴` does not fit).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LaneOf {
+    recip: u64,
+}
+
+impl LaneOf {
+    /// The lane map of a layout whose shards hold `chunk ≥ 1` ids each.
+    pub(crate) fn new(chunk: usize) -> Self {
+        Self {
+            recip: u64::MAX / chunk as u64,
+        }
+    }
+
+    /// `dst.index() / chunk`.
+    #[inline]
+    pub(crate) fn lane(self, dst: NodeId) -> usize {
+        ((u128::from(self.recip) * u128::from(u64::from(dst.0) + 1)) >> 64) as usize
+    }
+}
+
+/// A shard's emission: one [`EnvBatch`] lane per destination shard,
+/// filled through [`push`](Self::push) — i.e. by
+/// [`Outbox::send`](crate::Outbox::send) — and routed lane by lane.
+#[derive(Debug)]
+pub(crate) enum Lanes<M> {
+    /// One shard, or the event executor: the one lane, held inline so
+    /// that a push reaches it exactly as it reached the single emission
+    /// batch there used to be.
+    One(EnvBatch<M>),
+    /// A lane per destination shard, and which one a destination is in.
+    Several(Vec<EnvBatch<M>>, LaneOf),
+}
+
+impl<M> Lanes<M> {
+    /// `lanes ≥ 1` empty lanes for destination shards of `chunk ≥ 1` ids.
+    pub(crate) fn new(lanes: usize, chunk: usize) -> Self {
+        if lanes == 1 {
+            Lanes::One(EnvBatch::new())
+        } else {
+            let empty = (0..lanes).map(|_| EnvBatch::new()).collect();
+            Lanes::Several(empty, LaneOf::new(chunk))
+        }
+    }
+
+    /// The lanes, indexed by destination shard.
+    pub(crate) fn batches(&mut self) -> &mut [EnvBatch<M>] {
+        match self {
+            Lanes::One(only) => std::slice::from_mut(only),
+            Lanes::Several(lanes, _) => lanes,
+        }
+    }
+
+    /// Queue one emission ([`EnvBatch::push`]) in the lane of `dst`'s
+    /// shard; with one lane there is no lane arithmetic. Kept out of
+    /// line and behind one pointer: a send site then holds the same
+    /// values and makes the same one call as when it pushed into a
+    /// single batch.
+    #[inline(never)]
+    pub(crate) fn push(&mut self, src: NodeId, seq: u64, dst: NodeId, msg: M) {
+        let lane = match self {
+            Lanes::One(only) => only,
+            Lanes::Several(lanes, lane_of) => &mut lanes[lane_of.lane(dst)],
+        };
+        lane.push(src, seq, dst, msg);
+    }
+}
+
+/// Route a fresh emission lane **without copying it**, when the whole
+/// lane is one routed bucket: a lane holds one destination shard's
+/// messages by construction ([`Lanes`]), so what is left to ask is that
+/// the latency is [`Fixed`](LatencyDist::Fixed) — one delivery slot for
+/// every survivor — and that the run headers are already src-ascending,
+/// i.e. storage order is `(src, seq)` order (batch invariant 3).
 ///
 /// Tallies `sent`/`bytes_sent`, compacts the messages lost to
 /// `cond.drop_prob` out in place (nothing to do without loss) and
-/// returns the slot `latency − 1` the batch is due in: `fresh` now *is*
+/// returns the slot `latency − 1` the lane is due in: `fresh` now *is*
 /// the routed bucket, for the caller to move into the ring. Returns
-/// `None` with `fresh` untouched when the batch does not qualify —
+/// `None` with `fresh` untouched when the lane does not qualify —
 /// [`route_sends`] takes it from there — and with `fresh` accounted for
 /// and empty when no message survived.
 pub(crate) fn route_whole<M>(
@@ -899,6 +979,72 @@ mod tests {
             emptied_run && emptied_batch,
             "both cases occur in 200 seeds"
         );
+    }
+
+    #[test]
+    fn in_place_loss_is_exact_on_a_lane_of_seq_discontiguous_runs() {
+        // Three senders whose consecutive sends alternate between two
+        // lanes, as `Outbox::send` files them: every message of a lane
+        // heads its own run, and fate must key on that run's `first_seq`,
+        // not on the position within the sender's stretch.
+        let cond = Conditions::with_loss(0.5);
+        let envs: Vec<_> = (0..3u32)
+            .flat_map(|src| (0..8u64).map(move |seq| env(src, (seq % 2) as u32 * 4, seq)))
+            .collect();
+        for seed in 0..50 {
+            for parity in 0..2u64 {
+                let lane: Vec<_> = envs
+                    .iter()
+                    .filter(|e| e.seq % 2 == parity)
+                    .cloned()
+                    .collect();
+                let mut batch = EnvBatch::from_envelopes(&lane);
+                assert_eq!(batch.runs().len(), lane.len(), "one run per message");
+                assert!(batch.ascending);
+                let mut stats = NetStats::default();
+                let slot = route_whole(&mut batch, seed, &cond, &mut stats, |_| 1);
+                let want: Vec<_> = lane
+                    .iter()
+                    .filter(|e| cond.fate(seed, e).is_some())
+                    .map(|e| (e.src, e.dst, e.msg))
+                    .collect();
+                let mut got = Vec::new();
+                batch.for_each_run(|run, dsts, msgs| {
+                    got.extend(dsts.iter().zip(msgs).map(|(d, m)| (run.src, *d, *m)));
+                });
+                assert_eq!(got, want, "seed={seed} parity={parity}");
+                assert_eq!(stats.sent as usize, lane.len());
+                assert_eq!(stats.dropped as usize, lane.len() - want.len());
+                assert_eq!(slot, (!want.is_empty()).then_some(0));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The reciprocal lane is the quotient, for every 32-bit
+        /// destination and chunk — the ends of both ranges included.
+        #[test]
+        fn lane_of_equals_division(
+            dst in proptest::prelude::any::<u32>(),
+            chunk in 1u32..=u32::MAX,
+            edge in 0usize..9,
+        ) {
+            let (dst, chunk) = match edge {
+                0 => (dst, 1),
+                1 => (u32::MAX, chunk),
+                2 => (u32::MAX, 1),
+                3 => (dst, u32::MAX),
+                // Around a multiple of the chunk, where a reciprocal
+                // rounded the wrong way shows.
+                4 => ((dst / chunk * chunk).wrapping_sub(1), chunk),
+                5 => (dst / chunk * chunk, chunk),
+                _ => (dst, chunk),
+            };
+            proptest::prop_assert_eq!(
+                LaneOf::new(chunk as usize).lane(NodeId(dst)),
+                (dst / chunk) as usize
+            );
+        }
     }
 
     /// Run the kernel over `segments` (destinations `0..width`) and

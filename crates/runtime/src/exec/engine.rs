@@ -4,14 +4,16 @@
 //! Nodes are partitioned into contiguous shards of `n.div_ceil(shards)`
 //! ids. A [`Shard`] **owns** its chunk of the run state — node states,
 //! RNG streams, send counters, liveness mask — plus everything a round
-//! needs to stay allocation-free: the emission batch, the route/deliver
+//! needs to stay allocation-free: the emission lanes, the route/deliver
 //! kernels' scratch, a pool of recycled envelope segments, the hoisted
 //! churn streams and the node arena. [`Shard::round`] is the only round
 //! body in the crate: churn mask → round-start → deliveries → round-end
 //! → observation fold → fate + routing of the shard's own sends into
-//! `routed[latency_slot][destination_shard]` (a move of the whole
-//! emission batch where the layout has one such bucket, see "Memory
-//! discipline").
+//! `routed[latency_slot][destination_shard]`. The destination shard is
+//! decided where a message is emitted — [`Outbox::send`] files it in the
+//! emission lane of its destination's shard — so routing works lane by
+//! lane and, where a lane is one latency slot's worth in delivery order,
+//! moves it instead of copying it (see "Memory discipline").
 //!
 //! [`drive`] is the only coordinator: it keeps the latency ring, hands
 //! each shard the segments due this round, splices the routed lanes back
@@ -46,14 +48,19 @@
 //!    alone, so deciding it in the sending shard cannot change any
 //!    outcome.
 //! 3. **Splice order = emission order.** Shards are contiguous id ranges
-//!    spliced in shard order, and each shard's routed buckets are
-//!    `(src, seq)`-sorted ([`route_sends`] walks sources in ascending id
-//!    order; [`route_whole`] only takes a batch that was emitted in that
-//!    order). Concatenating shard buckets in shard order therefore
-//!    yields the one-shard run's per-bucket content and order.
+//!    spliced in shard order, and each shard's routed bucket for a
+//!    destination shard is `(src, seq)`-sorted: it is the emission lane
+//!    of that destination — the shard's sends to it, in emission order —
+//!    either as emitted ([`route_whole`] only takes a lane whose senders
+//!    ascend, i.e. one emitted in that order) or regrouped
+//!    ([`route_sends`] walks sources in ascending id order). Filing a
+//!    send by destination shard keeps the relative order of the sends
+//!    that share a lane, so concatenating shard buckets in shard order
+//!    yields, per bucket, the one-shard run's messages for those
+//!    destinations in the one-shard run's order.
 //! 4. **Delivery order.** Messages due in a round are consumed in
-//!    `(dst, src, seq)` order. A lane holds src-ascending segments in
-//!    (send round, shard) order; [`order_deliveries`] merges their run
+//!    `(dst, src, seq)` order. A ring lane holds src-ascending segments
+//!    in (send round, shard) order; [`order_deliveries`] merges their run
 //!    *headers* into `(src, seq)` order — one stream per send round, so
 //!    a lane filled by one round (always, under fixed latency such as
 //!    the paper's synchronous model) is plain concatenation — and one
@@ -67,30 +74,36 @@
 //!
 //! Messages travel in compact SoA [`EnvBatch`] lanes (see the
 //! [`batch`](crate::batch) module), and batches cycle rather than churn:
-//! fresh → ring → due → pool → fresh. A routed batch is moved
-//! (pointer-level) into the ring, later handed to the destination shard
-//! as a delivery segment, drained there, and kept in that shard's segment
-//! pool. Where a round's whole emission is one routed bucket — one shard,
-//! fixed latency (the paper's synchronous model, with or without loss),
-//! sends already in `(src, seq)` order — the emission batch *is* that
-//! routed batch: fate filters it in place ([`route_whole`]), it goes to
-//! the ring as it stands, and the pool backs the next round's emissions,
-//! so two batches alternate and no message is copied between emission and
-//! delivery ordering. Every other round ([`route_sends`]: several shards,
-//! a latency spread, or a node that sent from two phases of the round)
-//! copies survivors into per-bucket batches that the pool backs. What
-//! the pool cannot supply is sized, not grown: the first emission batch
-//! has room for one message and one run per node, its stand-in after a
-//! hand-over for at least the round just routed, and a routed bucket for
-//! its share of the round's emission — so cold rounds do not grow buffers
-//! from zero and warm rounds do not allocate.
+//! lane → ring → due → pool → lane, on every shard count. A shard emits
+//! into one lane per destination shard. Under fixed latency (the paper's
+//! synchronous model, with or without loss) a lane whose sends are
+//! already in `(src, seq)` order — every round that sends from one phase
+//! — *is* the routed bucket for its destination: fate filters it in
+//! place ([`route_whole`]), it is moved (pointer-level) into the ring,
+//! later handed to the destination shard as a delivery segment, drained
+//! there and kept in that shard's segment pool, which backs that shard's
+//! next lanes. Two batches alternate per (source, destination) pair of
+//! shards and no message is copied between emission and delivery
+//! ordering. A lane that does not qualify (a latency spread, or a node
+//! that sent to it from two phases of the round) is copied by
+//! [`route_sends`] into its latency slots' buckets, which the pool backs
+//! — lane by lane, so one regrouped lane does not make its neighbours
+//! copy. What the pool cannot supply is sized, not grown, and not before
+//! it is needed: a lane without a batch — every lane when the run
+//! begins, later one that was handed over while the pool was empty — is
+//! backed as the next round starts, with room for its share of one
+//! message and one run per node and for a round like the one just routed
+//! ([`Geometry::lane_room`]); a copied bucket gets room for its share of
+//! the lane. So cold rounds do not grow buffers from zero, warm rounds do
+//! not allocate, and a run's last round leaves no batch behind for a
+//! round that does not come.
 //!
 //! lint: deterministic
 
 use super::pool::WorkerPool;
 use crate::arena::NodeArena;
 use crate::batch::{
-    order_deliveries, route_sends, route_whole, DeliverScratch, EnvBatch, RouteScratch,
+    order_deliveries, route_sends, route_whole, DeliverScratch, EnvBatch, Lanes, RouteScratch,
 };
 use crate::churn::ChurnCache;
 use crate::proto::{observe_nodes, Outbox, RoundObs, RoundProtocol, Verdict};
@@ -99,16 +112,45 @@ use rand::rngs::SmallRng;
 use rendez_sim::{small_rng_for, NodeId};
 use std::collections::VecDeque;
 
-/// Cap on a shard's pool of recycled envelope segments.
-const POOL_CAP: usize = 64;
-
-/// Shard layout of one run.
+/// Shard layout of one run: `shards` contiguous ranges of `chunk` ids
+/// (the last may be shorter) and `slots` latency slots.
 #[derive(Clone, Copy)]
 struct Geometry {
     n: usize,
     chunk: usize,
     shards: usize,
     slots: usize,
+}
+
+impl Geometry {
+    fn new(n: usize, shards: usize, slots: usize) -> Self {
+        let chunk = n.div_ceil(shards.max(1));
+        Geometry {
+            n,
+            chunk,
+            shards: n.div_ceil(chunk),
+            slots,
+        }
+    }
+
+    /// Capacity for an emission lane expected to carry `msgs`. With
+    /// several lanes a shard's sends split over them at random, so a
+    /// phase lands a little above its mean share every other round: an
+    /// eighth of headroom keeps that from doubling the buffer. With one
+    /// lane the volume is the protocol's own and gets exactly its room.
+    fn lane_room(&self, msgs: usize) -> usize {
+        if self.shards > 1 {
+            msgs + msgs / 8
+        } else {
+            msgs
+        }
+    }
+
+    /// Cap on a shard's pool of recycled envelope segments: room for the
+    /// segments one round of this layout can bring in, twice over.
+    fn pool_cap(&self) -> usize {
+        (2 * self.shards * self.slots).max(64)
+    }
 }
 
 /// One contiguous id range `base..base + nodes.len()` of a run, with
@@ -122,13 +164,19 @@ struct Shard<P: RoundProtocol> {
     live: Vec<bool>,
     churn: ChurnCache,
     arena: NodeArena,
-    /// This round's emissions: drained by [`route_sends`], or handed
-    /// over whole ([`route_whole`]) and replaced from `pool`.
-    fresh: EnvBatch<P::Msg>,
+    /// This round's emissions, one lane per destination shard: each is
+    /// handed over whole ([`route_whole`]) and replaced from `pool`, or
+    /// drained by [`route_sends`]. A lane without a batch gets one when
+    /// the round begins.
+    fresh: Lanes<P::Msg>,
+    /// Messages and runs of the largest lane handed over last round with
+    /// no pooled batch to take its place: what the next round sizes such
+    /// lanes' new batches for.
+    stand_in: [usize; 2],
     rs: RouteScratch,
     ds: DeliverScratch<P::Msg>,
-    /// Drained delivery segments, kept to back the next routed batches
-    /// and emission batches.
+    /// Drained delivery segments, kept to back the next emission lanes
+    /// and routed batches.
     pool: Vec<EnvBatch<P::Msg>>,
     /// This round's surviving sends: `routed[slot][dest_shard]`, each
     /// batch `(src, seq)`-sorted; slot `k` is due `k + 1` rounds on. The
@@ -136,10 +184,10 @@ struct Shard<P: RoundProtocol> {
     routed: Vec<Vec<EnvBatch<P::Msg>>>,
 }
 
-/// Keep a drained segment in `pool` for reuse (bounded, so a bursty
-/// round cannot pin memory forever).
-fn recycle<M>(pool: &mut Vec<EnvBatch<M>>, seg: EnvBatch<M>) {
-    if pool.len() < POOL_CAP && seg.has_capacity() {
+/// Keep a drained segment in `pool` for reuse (bounded by `cap`, so a
+/// bursty round cannot pin memory forever).
+fn recycle<M>(pool: &mut Vec<EnvBatch<M>>, cap: usize, seg: EnvBatch<M>) {
+    if pool.len() < cap && seg.has_capacity() {
         pool.push(seg);
     }
 }
@@ -167,7 +215,10 @@ impl<P: RoundProtocol> Shard<P> {
             live: vec![true; if churn.is_none() { 0 } else { len }],
             churn,
             arena: NodeArena::new(base, len),
-            fresh: EnvBatch::with_capacity(len, len),
+            // Backed when the first round begins, like every lane that
+            // was handed over.
+            fresh: Lanes::new(geo.shards, geo.chunk),
+            stand_in: [0; 2],
             rs: RouteScratch::default(),
             ds: DeliverScratch::default(),
             pool: Vec::new(),
@@ -198,6 +249,7 @@ impl<P: RoundProtocol> Shard<P> {
             churn,
             arena,
             fresh,
+            stand_in,
             rs,
             ds,
             pool,
@@ -213,6 +265,20 @@ impl<P: RoundProtocol> Shard<P> {
         let up = |off: usize| live.is_empty() || live[off];
         arena.begin_round();
 
+        // A lane that was handed over when the pool had nothing to put in
+        // its place — every lane, when the run begins — is backed now
+        // rather than then, so a run's last round allocates nothing for
+        // a round that does not come: room for the lane's share of one
+        // message and one run per node, and for a round like the last.
+        let share = geo.lane_room(len.div_ceil(geo.shards));
+        let [msgs, runs] = stand_in.map(|last| share.max(geo.lane_room(last)));
+        for lane in fresh.batches() {
+            if !lane.has_capacity() {
+                *lane = EnvBatch::with_capacity(msgs, runs);
+            }
+        }
+        *stand_in = [0; 2];
+
         // Phase 1: round-start hooks, id order.
         for (off, node) in nodes.iter_mut().enumerate() {
             if !up(off) {
@@ -227,8 +293,9 @@ impl<P: RoundProtocol> Shard<P> {
         // plus one stable counting pass, then one `on_receive_run`
         // dispatch per destination.
         let total = order_deliveries(due, base, len, ds);
+        let pool_cap = geo.pool_cap();
         for seg in due.drain(..) {
-            recycle(pool, seg);
+            recycle(pool, pool_cap, seg);
         }
         if total > 0 {
             for off in 0..len {
@@ -267,35 +334,39 @@ impl<P: RoundProtocol> Shard<P> {
 
         let obs = observe_nodes(proto, base, nodes, round);
 
-        // Routing. Where the whole emission is one routed bucket (one
-        // shard, fixed latency, sends already in (src, seq) order) it is
-        // handed over as it stands: fate filters it in place, the batch
-        // itself becomes the bucket, and a pooled batch — or a new one
-        // sized like this round — backs the next emissions.
-        let whole = if geo.shards == 1 {
-            route_whole(fresh, cfg.seed, &cfg.conditions, &mut tally, |m| {
+        // Routing, lane by lane: lane `dest` holds this shard's sends to
+        // shard `dest`, so each lane files into `routed[slot][dest]`.
+        for (dest, lane) in fresh.batches().iter_mut().enumerate() {
+            if lane.is_empty() {
+                continue;
+            }
+            // Fixed latency, sends already in (src, seq) order: the lane
+            // is one routed bucket and is handed over as it stands — fate
+            // filters it in place, the batch itself becomes the bucket,
+            // and a pooled batch backs the next emissions (failing that,
+            // a new one when the next round begins).
+            let emitted = [lane.len(), lane.runs().len()];
+            let whole = route_whole(lane, cfg.seed, &cfg.conditions, &mut tally, |m| {
                 proto.msg_bytes(m)
-            })
-        } else {
-            None
-        };
-        if let Some(slot) = whole {
-            let next = pool
-                .pop()
-                .unwrap_or_else(|| EnvBatch::with_capacity(len.max(fresh.len()), len));
-            routed[slot][0] = std::mem::replace(fresh, next);
-        } else {
-            // The hoisted fate kernel walks this shard's emissions
-            // grouped by source and buckets survivors by
-            // [latency_slot][destination_shard]; downstream splices
-            // preserve the (src, seq) order, which is what makes
-            // delivery-side counting exact. A bucket the splice took is
-            // re-backed on its first push, from the pool or sized to its
-            // share of the round.
-            let seg_msgs = fresh.len().div_ceil(geo.slots * geo.shards);
-            let seg_runs = fresh.runs().len().min(seg_msgs);
+            });
+            if let Some(slot) = whole {
+                let next = pool.pop().unwrap_or_else(|| {
+                    *stand_in = [stand_in[0].max(emitted[0]), stand_in[1].max(emitted[1])];
+                    EnvBatch::new()
+                });
+                routed[slot][dest] = std::mem::replace(lane, next);
+                continue;
+            }
+            // Otherwise the hoisted fate kernel walks the lane grouped by
+            // source and copies survivors into their latency slot's
+            // bucket; downstream splices preserve the (src, seq) order,
+            // which is what makes delivery-side counting exact. A bucket
+            // the splice took is re-backed on its first push, from the
+            // pool or sized to its share of the lane.
+            let seg_msgs = lane.len().div_ceil(geo.slots);
+            let seg_runs = lane.runs().len().min(seg_msgs);
             route_sends(
-                fresh,
+                lane,
                 cfg.seed,
                 &cfg.conditions,
                 base,
@@ -304,7 +375,7 @@ impl<P: RoundProtocol> Shard<P> {
                 &mut tally,
                 |m| proto.msg_bytes(m),
                 |slot, src, dst, msg| {
-                    let bucket = &mut routed[slot][dst.index() / geo.chunk];
+                    let bucket = &mut routed[slot][dest];
                     if !bucket.has_capacity() {
                         *bucket = pool
                             .pop()
@@ -339,13 +410,7 @@ pub(super) fn drive<P: RoundProtocol>(
     cfg.conditions.latency.validate();
     cfg.churn.validate();
 
-    let chunk = n.div_ceil(shards.max(1));
-    let geo = Geometry {
-        n,
-        chunk,
-        shards: n.div_ceil(chunk),
-        slots: cfg.conditions.latency_slots(),
-    };
+    let geo = Geometry::new(n, shards, cfg.conditions.latency_slots());
     let mut shards: Vec<Shard<P>> = (0..geo.shards)
         .map(|s| Shard::new(&*proto, cfg, geo, s))
         .collect();
@@ -425,61 +490,119 @@ pub(super) fn drive<P: RoundProtocol>(
 
 #[cfg(test)]
 mod tests {
-    use super::super::testproto::RandomPing;
     use super::*;
     use crate::conditions::Conditions;
 
-    /// The batch cycle fresh → ring → due → pool → fresh closes on two
-    /// batches: once both are warm no round allocates, grows or strands
-    /// one — on the hand-over path with and without loss.
+    /// Every node sends one message a round, node `i` to shard
+    /// `i % shards`, so every emission lane carries exactly its share.
+    struct Comb {
+        n: usize,
+        shards: usize,
+    }
+
+    impl RoundProtocol for Comb {
+        type Node = ();
+        type Msg = u8;
+        type Output = ();
+
+        fn init_node(&self, _id: NodeId, _rng: &mut SmallRng) {}
+
+        fn on_round_start(
+            &self,
+            _node: &mut (),
+            id: NodeId,
+            _round: u64,
+            _rng: &mut SmallRng,
+            out: &mut Outbox<'_, u8>,
+        ) {
+            let (i, k) = (id.index(), self.shards);
+            out.send(NodeId::from_index(i % k * (self.n / k) + i / k), 1);
+        }
+
+        fn on_message(
+            &self,
+            _node: &mut (),
+            _id: NodeId,
+            _from: NodeId,
+            _msg: u8,
+            _round: u64,
+            _rng: &mut SmallRng,
+            _out: &mut Outbox<'_, u8>,
+        ) {
+        }
+
+        fn observe_node(&self, _node: &(), _id: NodeId, _round: u64, _obs: &mut RoundObs) {}
+
+        fn finalize_obs(&mut self, _obs: &RoundObs, _round: u64) -> Verdict<()> {
+            Verdict::Continue
+        }
+    }
+
+    /// The batch cycle lane → ring → due → pool → lane closes on two
+    /// batches per (source, destination) pair of shards: once they are
+    /// warm no round allocates, grows or strands one — on the hand-over
+    /// path with and without loss, on one shard and on two.
     #[test]
     fn batch_capacities_are_stable_after_three_warm_rounds() {
         const N: usize = 64;
-        for cond in [Conditions::ideal(), Conditions::with_loss(0.3)] {
-            let proto = RandomPing {
-                n: N,
-                target_total: u64::MAX,
-            };
-            let cfg = RunConfig::seeded(4).conditions(cond);
-            let geo = Geometry {
-                n: N,
-                chunk: N,
-                shards: 1,
-                slots: 1,
-            };
-            let mut shard = Shard::new(&proto, &cfg, geo, 0);
-            let mut due = Vec::new();
-            let mut live = Vec::new();
-            for round in 0..8 {
-                let (tally, _) = shard.round(&proto, &cfg, geo, round, &mut due);
-                assert_eq!(tally.sent, N as u64);
-                // The coordinator's splice, for the one lane there is.
-                assert!(due.is_empty());
-                due.push(std::mem::take(&mut shard.routed[0][0]));
-                assert!(!due[0].runs().is_empty(), "the emission was handed over");
-                let mut caps: Vec<_> = std::iter::once(&shard.fresh)
-                    .chain(&due)
-                    .chain(&shard.pool)
-                    .map(EnvBatch::capacities)
+        for shards in [1, 2] {
+            for cond in [Conditions::ideal(), Conditions::with_loss(0.3)] {
+                let proto = Comb { n: N, shards };
+                let cfg = RunConfig::seeded(4).conditions(cond);
+                let geo = Geometry::new(N, shards, 1);
+                let mut layout: Vec<_> = (0..shards)
+                    .map(|s| Shard::new(&proto, &cfg, geo, s))
                     .collect();
-                caps.sort_unstable();
-                live.push(caps);
+                let mut dues: Vec<Vec<EnvBatch<u8>>> = vec![Vec::new(); shards];
+                let mut live = Vec::new();
+                for round in 0..8 {
+                    for (shard, due) in layout.iter_mut().zip(&mut dues) {
+                        let (tally, _) = shard.round(&proto, &cfg, geo, round, due);
+                        assert_eq!(tally.sent, (N / shards) as u64);
+                        assert!(due.is_empty());
+                    }
+                    // The coordinator's splice, for the one slot there is.
+                    for shard in &mut layout {
+                        for (seg, due) in shard.routed[0].iter_mut().zip(&mut dues) {
+                            assert!(!seg.runs().is_empty(), "every lane was handed over");
+                            due.push(std::mem::take(seg));
+                        }
+                    }
+                    let mut caps = Vec::new();
+                    for shard in &mut layout {
+                        let lanes = shard.fresh.batches().iter();
+                        caps.extend(lanes.chain(&shard.pool).map(EnvBatch::capacities));
+                    }
+                    caps.extend(dues.iter().flatten().map(EnvBatch::capacities));
+                    caps.sort_unstable();
+                    live.push(caps);
+                }
+                let what = format!("shards={shards} {cond:?}: {live:?}");
+                assert_eq!(
+                    live[3].len(),
+                    2 * shards * shards,
+                    "lanes + in flight, {what}"
+                );
+                assert!(live[3..].iter().all(|caps| *caps == live[3]), "{what}");
             }
-            assert_eq!(live[3].len(), 2, "fresh + the one in flight: {live:?}");
-            assert!(live[3..].iter().all(|caps| *caps == live[3]), "{live:?}");
         }
     }
 
     #[test]
-    fn recycle_pool_is_bounded() {
+    fn recycle_pool_is_bounded_by_one_round_of_the_layout() {
+        let small = Geometry::new(1000, 8, 2).pool_cap();
+        assert_eq!(small, 64);
+        // 100 shards × 3 slots can bring 300 segments into one round.
+        let wide = Geometry::new(1000, 100, 3).pool_cap();
+        assert_eq!(wide, 600);
         let mut pool: Vec<EnvBatch<u32>> = Vec::new();
-        for _ in 0..(POOL_CAP + 10) {
-            recycle(&mut pool, EnvBatch::with_capacity(1, 1));
+        for _ in 0..(small + 10) {
+            recycle(&mut pool, small, EnvBatch::with_capacity(1, 1));
         }
-        assert_eq!(pool.len(), POOL_CAP);
+        assert_eq!(pool.len(), small);
         // Zero-capacity batches are not worth pooling.
         pool.pop();
-        recycle(&mut pool, EnvBatch::new());
-        assert_eq!(pool.len(), POOL_CAP - 1);
+        recycle(&mut pool, small, EnvBatch::new());
+        assert_eq!(pool.len(), small - 1);
     }
 }

@@ -54,7 +54,7 @@
 
 use super::calendar::{link, WakeQueue, WakeTimer, NIL};
 use crate::arena::NodeArena;
-use crate::batch::EnvBatch;
+use crate::batch::Lanes;
 use crate::conditions::to_unit;
 use crate::proto::{AsyncProtocol, Outbox, RoundObs, Verdict};
 use crate::report::{NetStats, RunConfig, RunReport, TimeAxis};
@@ -283,7 +283,8 @@ impl EventExecutor {
         }
 
         let mut parking: Parking<P::Msg> = Parking::new();
-        let mut fresh: EnvBatch<P::Msg> = EnvBatch::new();
+        // One emission lane: every destination is parked from it.
+        let mut fresh: Lanes<P::Msg> = Lanes::new(1, n);
         let mut arena = NodeArena::new(0, n);
         let mut stats = NetStats::default();
         let mut digests = Vec::new();
@@ -326,14 +327,15 @@ impl EventExecutor {
                 proto.on_wake(&mut slot.node, id, now, &mut slot.rng, &mut out);
             }
 
-            fresh.for_each_run(|run, dsts, msgs| {
+            let sent = &mut fresh.batches()[0];
+            sent.for_each_run(|run, dsts, msgs| {
                 stats.sent += run.len as u64;
                 for (dst, msg) in dsts.iter().zip(msgs) {
                     stats.bytes_sent += proto.msg_bytes(msg) as u64;
                     parking.park(&mut slots[dst.index()].inbox, run.src, msg.clone());
                 }
             });
-            fresh.clear();
+            sent.clear();
 
             let slot = &mut slots[i];
             observe_alone(proto, &slot.node, id, &mut scratch);

@@ -19,7 +19,7 @@
 //! lint: deterministic
 
 use crate::arena::NodeArena;
-use crate::batch::EnvBatch;
+use crate::batch::Lanes;
 use rand::rngs::SmallRng;
 use rendez_sim::NodeId;
 
@@ -31,7 +31,7 @@ use rendez_sim::NodeId;
 /// what makes delivery order and per-message fate reproducible.
 ///
 /// On the executor hot path this AoS record no longer exists: queued
-/// messages live in [`EnvBatch`] lanes, which store `dst` and `msg` in
+/// messages live in [`EnvBatch`](crate::EnvBatch) lanes, which store `dst` and `msg` in
 /// flat arrays and carry `(src, first_seq, len)` once per *run* of
 /// consecutive same-sender messages (see the [`batch`](crate::batch)
 /// module docs for the invariants). `Envelope` remains the canonical
@@ -60,7 +60,7 @@ pub struct Outbox<'a, M> {
     src: NodeId,
     n: usize,
     seq: &'a mut u64,
-    env: &'a mut EnvBatch<M>,
+    env: &'a mut Lanes<M>,
     arena: &'a mut NodeArena,
 }
 
@@ -75,12 +75,12 @@ fn bad_destination(dst: NodeId, n: usize) -> ! {
 
 impl<'a, M> Outbox<'a, M> {
     /// Bind an outbox to sender `src` with its persistent send counter
-    /// and the shard's arena.
+    /// and the shard's emission lanes and arena.
     pub(crate) fn new(
         src: NodeId,
         n: usize,
         seq: &'a mut u64,
-        env: &'a mut EnvBatch<M>,
+        env: &'a mut Lanes<M>,
         arena: &'a mut NodeArena,
     ) -> Self {
         Self {
@@ -287,7 +287,7 @@ pub trait RoundProtocol: Sync {
     type Node: Send;
     /// The message type exchanged between nodes. `Clone` (in practice:
     /// `Copy` — payloads are small value enums) lets the executors keep
-    /// messages in flat [`EnvBatch`] arrays and hand delivery slices to
+    /// messages in flat [`EnvBatch`](crate::EnvBatch) arrays and hand delivery slices to
     /// [`on_receive_run`](Self::on_receive_run).
     type Msg: Send + Clone;
     /// The protocol's final result, produced on halt.
@@ -458,7 +458,7 @@ pub trait AsyncProtocol: Sync {
     /// Per-node state.
     type Node: Send;
     /// The message type exchanged between nodes. `Clone` lets the
-    /// executor park payloads out of flat [`EnvBatch`] send buffers.
+    /// executor park payloads out of flat [`EnvBatch`](crate::EnvBatch) send buffers.
     type Msg: Send + Clone;
     /// The protocol's final result, produced on halt.
     type Output;
@@ -527,6 +527,7 @@ pub trait AsyncProtocol: Sync {
 mod tests {
     use super::*;
     use crate::arena::{STASH_OFFERS, STASH_REQUESTS};
+    use crate::batch::EnvBatch;
 
     fn arena(n: usize) -> NodeArena {
         let mut a = NodeArena::new(0, n);
@@ -537,7 +538,7 @@ mod tests {
     #[test]
     fn outbox_stamps_src_and_seq() {
         let mut seq = 5u64;
-        let mut env: EnvBatch<u8> = EnvBatch::new();
+        let mut env: Lanes<u8> = Lanes::new(1, 4);
         let mut arena = arena(4);
         let mut out = Outbox::new(NodeId(2), 4, &mut seq, &mut env, &mut arena);
         assert_eq!(out.src(), NodeId(2));
@@ -545,6 +546,9 @@ mod tests {
         out.send(NodeId(0), 7);
         out.send(NodeId(3), 9);
         assert_eq!(seq, 7);
+        let [env] = env.batches() else {
+            panic!("one lane")
+        };
         let envs = env.to_envelopes();
         assert_eq!(envs[0].src, NodeId(2));
         assert_eq!(envs[0].dst, NodeId(0));
@@ -554,10 +558,32 @@ mod tests {
     }
 
     #[test]
+    fn outbox_files_each_send_in_its_destination_shards_lane() {
+        // 7 nodes in shards of 3 ids: lanes 0..=2, the last one short.
+        let mut seq = 0u64;
+        let mut env: Lanes<u8> = Lanes::new(3, 3);
+        let mut arena = arena(7);
+        let mut out = Outbox::new(NodeId(4), 7, &mut seq, &mut env, &mut arena);
+        for dst in [0, 6, 2, 3, 5, 1] {
+            out.send(NodeId(dst), dst as u8);
+        }
+        let filed = |lane: &EnvBatch<u8>| -> Vec<_> {
+            lane.iter().map(|(_, seq, dst, _)| (seq, dst.0)).collect()
+        };
+        let lanes = env.batches();
+        assert_eq!(filed(&lanes[0]), [(0, 0), (2, 2), (5, 1)]);
+        assert_eq!(filed(&lanes[1]), [(3, 3), (4, 5)]);
+        assert_eq!(filed(&lanes[2]), [(1, 6)]);
+        // Sends that alternated between lanes head their own runs.
+        assert_eq!(lanes[0].runs().len(), 3);
+        assert_eq!(lanes[1].runs().len(), 1);
+    }
+
+    #[test]
     #[should_panic(expected = "out-of-range")]
     fn outbox_rejects_bad_destination() {
         let mut seq = 0u64;
-        let mut env: EnvBatch<u8> = EnvBatch::new();
+        let mut env: Lanes<u8> = Lanes::new(1, 2);
         let mut arena = arena(2);
         let mut out = Outbox::new(NodeId(0), 2, &mut seq, &mut env, &mut arena);
         out.send(NodeId(2), 1);
@@ -566,7 +592,7 @@ mod tests {
     #[test]
     fn outbox_stash_lanes_are_per_sender() {
         let mut seq = 0u64;
-        let mut env: EnvBatch<u8> = EnvBatch::new();
+        let mut env: Lanes<u8> = Lanes::new(1, 4);
         let mut arena = arena(4);
         {
             let mut out = Outbox::new(NodeId(1), 4, &mut seq, &mut env, &mut arena);

@@ -72,14 +72,21 @@ use rendez_sim::NodeId;
 /// Below this node count, [`ExecChoice::Auto`] resolves to sequential
 /// execution.
 ///
-/// The threshold comes from the recorded perf baseline
-/// (`BENCH_runtime.json`): at `n = 4000` the sharded executor moves
-/// ~5.7M msgs/sec on the push workload against ~12.3M sequential — a
-/// 2.2× *regression*, because per-round shard handshakes dominate when
-/// each shard only holds a few thousand nodes. The crossover sits
-/// between 10⁴ and 10⁵ on the recorded hardware; 32 768 is a
-/// conservative power-of-two cut below which sharding has never been
-/// observed to win.
+/// A sharded round ends in a barrier, and below some round length the
+/// barrier costs more than the second core saves. Recorded with the
+/// lane-routing engine on the 2-vCPU shared host (dating spread to
+/// completion, sequential against `sharded(2)`, medians of three blocks
+/// of 12–60 runs each, EXPERIMENTS.md "route at emission"): at
+/// `n = 2 500` 24 / 22 / 18 ms against 28 / 23 / 18 ms, at `n = 10⁴`
+/// 129 / 115 / 89 ms against 125 / 86 / 81 ms, at `n = 5×10⁴`
+/// 842 / 811 / 806 ms against 509 / 481 / 476 ms — level at a few
+/// thousand nodes, 1.1–1.2× at 16 384, 1.2–1.4× at 32 768, 1.7× at
+/// 5×10⁴. That is the host at rest; when a neighbour takes a core
+/// mid-round the barrier waits for it, and a recording of the same
+/// sizes on a busy phase read 183 against 32 ms at `n = 2 500` and 337
+/// against 124 ms at `n = 10⁴`. 32 768 stays, as the conservative cut:
+/// below it sharding gains at most 1.2× on a host at rest and loses
+/// multiples on a busy one.
 pub const AUTO_SEQUENTIAL_BELOW: usize = 32_768;
 
 /// Round-executor selection for the synchronous time model
@@ -900,9 +907,9 @@ mod tests {
     #[test]
     fn auto_choice_picks_by_node_count() {
         let auto = |n: usize| Scenario::new(n).time_model(TimeModel::Rounds(ExecChoice::Auto));
-        // Below the cut: the sharded executor's per-round handshakes
-        // lose to sequential (2.2× at n=4000 in BENCH_runtime.json),
-        // so auto must resolve small scenarios to sequential.
+        // Below the cut a round is too short to pay for its barrier
+        // (see `AUTO_SEQUENTIAL_BELOW`), so auto must resolve small
+        // scenarios to sequential.
         assert_eq!(auto(4_000).executor_name(), "sequential");
         assert_eq!(
             auto(AUTO_SEQUENTIAL_BELOW - 1).executor_name(),

@@ -1,18 +1,21 @@
-//! The three ways into the one round engine — `SequentialExecutor`,
-//! `ShardedExecutor::run` (run-scoped pool) and `ShardedExecutor::run_in`
-//! (shared pool) — agree on *which thread* runs a shard, on what a
-//! panicking protocol callback looks like to the caller, and on the
-//! report whichever way a round's sends were routed (handed over whole
-//! on one shard, copied bucket by bucket otherwise).
+//! The ways into the one round engine — `SequentialExecutor`,
+//! `ShardedExecutor::run` (run-scoped pool), `ShardedExecutor::run_in`
+//! and `Scenario::run_pooled` (shared pool) — agree on *which thread*
+//! runs a shard, on what a panicking protocol callback looks like to the
+//! caller, and on the report whichever way a round's sends were routed:
+//! each emission lane handed over whole, or copied bucket by bucket —
+//! which of the two happened is read off the number of times the engine
+//! cloned a message, never off a clock.
 
 use rand::rngs::SmallRng;
 use rendez_runtime::{
     Conditions, Executor, LatencyDist, Outbox, RoundObs, RoundProtocol, RunConfig, RunReport,
-    SequentialExecutor, ShardedExecutor, Verdict, WorkerPool,
+    Scenario, SequentialExecutor, ShardedExecutor, Spreader, Verdict, WorkerPool,
 };
 use rendez_sim::{NodeId, SplitMix64};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 
 const GAVE_UP: &str = "probe: node 7 gave up in round 2";
@@ -186,14 +189,52 @@ fn one_shard_runs_inline_on_the_calling_thread() {
 struct Echo {
     n: u32,
     reply: bool,
+    /// How often a [`Note`] of this run was cloned.
+    clones: Arc<AtomicU64>,
+}
+
+impl Echo {
+    fn new(n: usize, reply: bool) -> Self {
+        Echo {
+            n: n as u32,
+            reply,
+            clones: Arc::default(),
+        }
+    }
+
+    fn note(&self, kind: u8) -> Note {
+        Note {
+            kind,
+            clones: Arc::clone(&self.clones),
+        }
+    }
 }
 
 const PING: u8 = 1;
 const PONG: u8 = 2;
 
+/// `Echo`'s message: a kind, and a tally of its own clones. The engine
+/// clones a message once to copy it into a routed bucket (the hand-over
+/// moves the lane instead), once to put it in delivery order, and the
+/// default `on_receive_run` once more to pass it to `on_message`.
+struct Note {
+    kind: u8,
+    clones: Arc<AtomicU64>,
+}
+
+impl Clone for Note {
+    fn clone(&self) -> Self {
+        self.clones.fetch_add(1, Ordering::Relaxed);
+        Note {
+            kind: self.kind,
+            clones: Arc::clone(&self.clones),
+        }
+    }
+}
+
 impl RoundProtocol for Echo {
     type Node = u64;
-    type Msg = u8;
+    type Msg = Note;
     type Output = u64;
 
     fn init_node(&self, id: NodeId, _rng: &mut SmallRng) -> u64 {
@@ -206,10 +247,10 @@ impl RoundProtocol for Echo {
         id: NodeId,
         round: u64,
         _rng: &mut SmallRng,
-        out: &mut Outbox<'_, u8>,
+        out: &mut Outbox<'_, Note>,
     ) {
         let hop = 1 + (7 * round as u32 + id.0 % 3) % (self.n - 1);
-        out.send(NodeId((id.0 + hop) % self.n), PING);
+        out.send(NodeId((id.0 + hop) % self.n), self.note(PING));
     }
 
     fn on_message(
@@ -217,14 +258,15 @@ impl RoundProtocol for Echo {
         node: &mut u64,
         _id: NodeId,
         from: NodeId,
-        msg: u8,
+        msg: Note,
         round: u64,
         _rng: &mut SmallRng,
-        out: &mut Outbox<'_, u8>,
+        out: &mut Outbox<'_, Note>,
     ) {
-        *node = SplitMix64::mix(*node ^ (u64::from(from.0) << 8 | u64::from(msg)) ^ round << 40);
-        if self.reply && msg == PING {
-            out.send(from, PONG);
+        *node =
+            SplitMix64::mix(*node ^ (u64::from(from.0) << 8 | u64::from(msg.kind)) ^ round << 40);
+        if self.reply && msg.kind == PING {
+            out.send(from, self.note(PONG));
         }
     }
 
@@ -246,69 +288,178 @@ impl RoundProtocol for Echo {
     }
 }
 
-/// `Echo` on every path into the engine; all must equal the sequential
-/// report, which is returned.
-fn echo_everywhere(reply: bool, cond: Conditions) -> RunReport<u64> {
-    const N: usize = 53;
+/// Nodes in an `Echo` run: a prime, so no shard count divides it.
+const ECHO_N: usize = 53;
+
+/// One `Echo` run's report and how many message clones it took.
+fn echo_run(reply: bool, run: impl FnOnce(&mut Echo) -> RunReport<u64>) -> (RunReport<u64>, u64) {
+    let mut echo = Echo::new(ECHO_N, reply);
+    let report = run(&mut echo);
+    let clones = echo.clones.load(Ordering::Relaxed);
+    (report, clones)
+}
+
+/// `Echo` on every path into the engine and on layouts of one shard, of
+/// several with a short last one (53 is prime), and of one node per
+/// shard (`chunk = 1`: 53 and "64" shards). Every report must equal the
+/// sequential one, which is returned with each layout's
+/// `(shards, clones)`.
+fn echo_everywhere(reply: bool, cond: Conditions) -> (RunReport<u64>, Vec<(usize, u64)>) {
     let cfg = RunConfig::seeded(21).max_rounds(30).conditions(cond);
-    let echo = || Echo { n: N as u32, reply };
-    let reference = SequentialExecutor.run(&mut echo(), N, &cfg);
+    let (reference, clones) = echo_run(reply, |p| SequentialExecutor.run(p, ECHO_N, &cfg));
     assert!(reference.completed);
+    let mut layouts = vec![(1, clones)];
     let pool = WorkerPool::new(2);
-    for shards in [1, 2, 3, 5] {
+    for shards in [1, 2, 3, 5, 53, 64] {
         let sharded = ShardedExecutor::new(shards);
-        for (path, report) in [
-            ("run", sharded.run(&mut echo(), N, &cfg)),
-            ("run_in", sharded.run_in(&pool, &mut echo(), N, &cfg)),
+        for (path, (report, clones)) in [
+            ("run", echo_run(reply, |p| sharded.run(p, ECHO_N, &cfg))),
+            (
+                "run_in",
+                echo_run(reply, |p| sharded.run_in(&pool, p, ECHO_N, &cfg)),
+            ),
         ] {
             let what = format!("reply={reply} {cond:?} shards={shards} {path}");
             assert_eq!(reference.digests, report.digests, "{what}");
             assert_eq!(reference.stats, report.stats, "{what}");
             assert_eq!(reference.rounds, report.rounds, "{what}");
             assert_eq!(reference.output, report.output, "{what}");
+            assert_eq!(reference.node_bytes, report.node_bytes, "{what}");
+            layouts.push((shards, clones));
         }
     }
-    reference
+    (reference, layouts)
+}
+
+/// Clones of a run whose every lane was handed over: one per message
+/// put in delivery order, one per message passed to `on_message`.
+fn clones_if_handed_over(report: &RunReport<u64>) -> u64 {
+    2 * report.stats.delivered
+}
+
+/// Clones of a run whose every lane was copied: one more per message
+/// that survived fate.
+fn clones_if_copied(report: &RunReport<u64>) -> u64 {
+    report.stats.sent - report.stats.dropped + 2 * report.stats.delivered
 }
 
 #[test]
-fn a_round_that_sends_from_two_phases_routes_like_any_other() {
-    // Ideal conditions on one shard would hand the batch over whole —
-    // but its headers step back, so it takes the regrouping copy, and
-    // the report must not show which.
-    let report = echo_everywhere(true, Conditions::ideal());
-    // 53 pings a round and, from round 1 on, 53 replies to last
-    // round's pings.
-    assert_eq!(report.stats.sent, 53 * 12 + 53 * 11);
-    assert_eq!(report.stats.dropped, 0);
-    assert_ne!(
-        report.digests,
-        echo_everywhere(false, Conditions::ideal()).digests,
-        "the replies are observable"
-    );
-}
-
-#[test]
-fn loss_filters_the_same_messages_in_place_and_on_the_copy_path() {
-    // One phase, fixed latency: one shard filters the emission batch in
-    // place and hands it over, several shards copy survivors out.
+fn single_phase_rounds_hand_every_lane_over_on_every_layout() {
+    // One phase, fixed latency — ideal, lossy, three rounds late: every
+    // lane of every shard is filtered in place and moved, whatever the
+    // shard count.
     for cond in [
+        Conditions::ideal(),
         Conditions::with_loss(0.35),
         Conditions {
             drop_prob: 0.35,
             latency: LatencyDist::Fixed(3),
         },
     ] {
-        let report = echo_everywhere(false, cond);
+        let (report, layouts) = echo_everywhere(false, cond);
         assert_eq!(report.stats.sent, 53 * 12);
-        assert!(report.stats.dropped > 100, "{:?}", report.stats);
         assert!(report.stats.delivered > 100, "{:?}", report.stats);
+        assert_eq!(
+            report.stats.dropped > 100,
+            cond.drop_prob > 0.0,
+            "{:?}",
+            report.stats
+        );
+        for (shards, clones) in layouts {
+            assert_eq!(
+                clones,
+                clones_if_handed_over(&report),
+                "{cond:?} shards={shards}"
+            );
+        }
     }
-    // Two phases under loss: the copy path on every layout.
-    assert!(
-        echo_everywhere(true, Conditions::with_loss(0.35))
-            .stats
-            .dropped
-            > 100
+}
+
+#[test]
+fn a_lane_that_was_sent_to_from_two_phases_falls_back_alone() {
+    let (report, layouts) = echo_everywhere(true, Conditions::ideal());
+    // 53 pings a round and, from round 1 on, 53 replies to last
+    // round's pings.
+    assert_eq!(report.stats.sent, 53 * 12 + 53 * 11);
+    assert_eq!(report.stats.dropped, 0);
+    assert_ne!(
+        report.digests,
+        echo_everywhere(false, Conditions::ideal()).0.digests,
+        "the replies are observable"
     );
+    // On one shard the one lane's headers step back in every round but
+    // the first, which sends no replies: all but its 53 pings are
+    // copied. On several shards some lanes of such a round still hold
+    // one phase's messages only and are handed over; with one node per
+    // shard every lane has one sender and none is ever copied.
+    for &(shards, clones) in &layouts {
+        let lanes = shards.min(53);
+        let want = match lanes {
+            1 => clones_if_copied(&report) - 53,
+            53 => clones_if_handed_over(&report),
+            _ => {
+                assert!(clones > clones_if_handed_over(&report), "shards={shards}");
+                assert!(clones < clones_if_copied(&report) - 53, "shards={shards}");
+                continue;
+            }
+        };
+        assert_eq!(clones, want, "shards={shards}");
+    }
+    // The same under loss: the fallback filters what the hand-over would.
+    let (lossy, _) = echo_everywhere(true, Conditions::with_loss(0.35));
+    assert!(lossy.stats.dropped > 100, "{:?}", lossy.stats);
+}
+
+#[test]
+fn a_latency_spread_copies_every_lane() {
+    let cond = Conditions {
+        drop_prob: 0.2,
+        latency: LatencyDist::Uniform { min: 1, max: 3 },
+    };
+    let (report, layouts) = echo_everywhere(false, cond);
+    assert!(report.stats.dropped > 50, "{:?}", report.stats);
+    assert!(
+        report.stats.delivered < report.stats.sent - report.stats.dropped,
+        "some messages are still in flight at the halt"
+    );
+    for (shards, clones) in layouts {
+        assert_eq!(clones, clones_if_copied(&report), "shards={shards}");
+    }
+}
+
+#[test]
+fn pooled_scenarios_match_sequential_under_every_routing_condition() {
+    // The dating spreader through the builder: three phases a cycle, so
+    // lanes of different volume meet in the segment pools.
+    let pool = WorkerPool::new(2);
+    for cond in [
+        Conditions::ideal(),
+        Conditions {
+            drop_prob: 0.1,
+            latency: LatencyDist::Fixed(3),
+        },
+        Conditions::with_latency(LatencyDist::Uniform { min: 1, max: 3 }),
+    ] {
+        // (Late answers stall the dating cycle, so the delayed runs end
+        // at the round cap; what is compared is the trace up to it.)
+        let base = Scenario::new(211)
+            .protocol(Spreader::Dating)
+            .conditions(cond)
+            .max_rounds(60);
+        let reference = base.clone().sequential().run(17).expect("valid");
+        assert!(reference.stats.delivered > 1000, "{cond:?}");
+        for shards in [2, 3, 5, 211, 300] {
+            let pooled = base
+                .clone()
+                .sharded(shards)
+                .run_pooled(&pool, 17)
+                .expect("valid");
+            let what = format!("{cond:?} shards={shards}");
+            assert_eq!(reference.digests, pooled.digests, "{what}");
+            assert_eq!(reference.stats, pooled.stats, "{what}");
+            assert_eq!(reference.rounds, pooled.rounds, "{what}");
+            assert_eq!(reference.output, pooled.output, "{what}");
+            assert_eq!(reference.node_bytes, pooled.node_bytes, "{what}");
+        }
+    }
 }
