@@ -6,8 +6,9 @@
 //!
 //! Implements the API subset the workspace's `benches/` use — benchmark
 //! groups, [`BenchmarkId`], [`Throughput`], `bench_with_input`, `Bencher::
-//! iter` — with plain wall-clock measurement: a short warm-up, then
-//! `sample_size` timed samples, reporting the median per-iteration time
+//! iter`, `Bencher::iter_custom` — with plain wall-clock measurement: a
+//! short warm-up, then `sample_size` timed samples, reporting the median
+//! per-iteration time
 //! (plus throughput when declared). No statistics engine, no HTML reports,
 //! no comparison against saved baselines; the goal is that `cargo bench`
 //! compiles, runs, and prints honest numbers in a vendored environment.
@@ -184,6 +185,19 @@ impl<'a> Bencher<'a> {
                 black_box(f());
             }
             self.samples.push(start.elapsed() / iters_per_sample as u32);
+        }
+    }
+
+    /// Measure with a routine that reads the clock itself: `f(iters)`
+    /// runs `iters` iterations and returns the time that counts — for a
+    /// benchmark that times a part of each iteration (criterion's
+    /// `iter_custom`). One untimed call warms up; samples are one
+    /// iteration each.
+    pub fn iter_custom<F: FnMut(u64) -> Duration>(&mut self, mut f: F) {
+        black_box(f(1));
+        self.samples.clear();
+        for _ in 0..self.sample_size {
+            self.samples.push(f(1));
         }
     }
 

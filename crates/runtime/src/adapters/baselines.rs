@@ -20,7 +20,8 @@
 //! lint: deterministic
 
 use super::spread::{
-    observe_spread, spread_digest_obs, spread_finalize, GossipMsg, SpreadNode, SpreadRunSummary,
+    gossip_cycle_start, observe_spread, spread_digest_obs, spread_finalize, GossipMsg, SpreadNode,
+    SpreadRunSummary,
 };
 use crate::arena::STASH_REQUESTS;
 use crate::proto::{Outbox, RoundObs, RoundProtocol, Verdict};
@@ -83,6 +84,7 @@ impl RoundProtocol for RtPush {
         SpreadNode::seeded(id == self.source)
     }
 
+    #[inline]
     fn on_round_start(
         &self,
         node: &mut SpreadNode,
@@ -91,13 +93,8 @@ impl RoundProtocol for RtPush {
         rng: &mut SmallRng,
         out: &mut Outbox<'_, GossipMsg>,
     ) {
-        if !round.is_multiple_of(Self::CYCLE) {
-            return;
-        }
-        node.informed |= std::mem::take(&mut node.pending);
-        if node.informed {
-            let target = NodeId(rng.gen_range(0..self.n as u32));
-            out.send(target, GossipMsg::Rumor);
+        if round.is_multiple_of(Self::CYCLE) {
+            gossip_cycle_start(self.n, (true, false), node, rng, out);
         }
     }
 
@@ -168,6 +165,7 @@ impl RoundProtocol for RtPull {
         SpreadNode::seeded(id == self.source)
     }
 
+    #[inline]
     fn on_round_start(
         &self,
         node: &mut SpreadNode,
@@ -176,13 +174,8 @@ impl RoundProtocol for RtPull {
         rng: &mut SmallRng,
         out: &mut Outbox<'_, GossipMsg>,
     ) {
-        if !round.is_multiple_of(Self::CYCLE) {
-            return;
-        }
-        node.informed |= std::mem::take(&mut node.pending);
-        if !node.informed {
-            let target = NodeId(rng.gen_range(0..self.n as u32));
-            out.send(target, GossipMsg::PullRequest);
+        if round.is_multiple_of(Self::CYCLE) {
+            gossip_cycle_start(self.n, (false, true), node, rng, out);
         }
     }
 
@@ -270,6 +263,7 @@ impl RtFairPull {
 /// wastes the requests addressed to it, exactly as in the legacy
 /// grouping (and the RNG is consumed only when an answer is drawn, same
 /// as before).
+#[inline(never)]
 fn answer_one_request(informed: bool, rng: &mut SmallRng, out: &mut Outbox<'_, GossipMsg>) {
     let pending = out.stash_len(STASH_REQUESTS);
     if informed && pending > 0 {
@@ -287,6 +281,7 @@ impl RoundProtocol for RtFairPull {
         SpreadNode::seeded(id == self.source)
     }
 
+    #[inline]
     fn on_round_start(
         &self,
         node: &mut SpreadNode,
@@ -295,13 +290,8 @@ impl RoundProtocol for RtFairPull {
         rng: &mut SmallRng,
         out: &mut Outbox<'_, GossipMsg>,
     ) {
-        if !round.is_multiple_of(Self::CYCLE) {
-            return;
-        }
-        node.informed |= std::mem::take(&mut node.pending);
-        if !node.informed {
-            let target = NodeId(rng.gen_range(0..self.n as u32));
-            out.send(target, GossipMsg::PullRequest);
+        if round.is_multiple_of(Self::CYCLE) {
+            gossip_cycle_start(self.n, (false, true), node, rng, out);
         }
     }
 
@@ -341,6 +331,7 @@ impl RoundProtocol for RtFairPull {
         node.pending = pending;
     }
 
+    #[inline]
     fn on_round_end(
         &self,
         node: &mut SpreadNode,
@@ -392,6 +383,7 @@ impl RoundProtocol for RtFairPushPull {
         SpreadNode::seeded(id == self.source)
     }
 
+    #[inline]
     fn on_round_start(
         &self,
         node: &mut SpreadNode,
@@ -400,15 +392,8 @@ impl RoundProtocol for RtFairPushPull {
         rng: &mut SmallRng,
         out: &mut Outbox<'_, GossipMsg>,
     ) {
-        if !round.is_multiple_of(Self::CYCLE) {
-            return;
-        }
-        node.informed |= std::mem::take(&mut node.pending);
-        let target = NodeId(rng.gen_range(0..self.n as u32));
-        if node.informed {
-            out.send(target, GossipMsg::Rumor);
-        } else {
-            out.send(target, GossipMsg::PullRequest);
+        if round.is_multiple_of(Self::CYCLE) {
+            gossip_cycle_start(self.n, (true, true), node, rng, out);
         }
     }
 
@@ -448,6 +433,7 @@ impl RoundProtocol for RtFairPushPull {
         node.pending = pending;
     }
 
+    #[inline]
     fn on_round_end(
         &self,
         node: &mut SpreadNode,

@@ -32,6 +32,7 @@ use crate::arena::{STASH_OFFERS, STASH_REQUESTS};
 use crate::proto::{Outbox, RoundObs, RoundProtocol, Verdict};
 use rand::rngs::SmallRng;
 use rendez_core::distributed::{DatingMsg, PAYLOAD_BYTES};
+use rendez_core::matching::partial_shuffle;
 use rendez_core::overhead::ADDRESS_BYTES;
 use rendez_core::{NodeSelector, Platform};
 use rendez_sim::{NodeId, SplitMix64};
@@ -92,6 +93,62 @@ impl<S: NodeSelector> RuntimeDating<S> {
     }
 }
 
+/// Phase 0 of the dating cycle, shared by both dating adapters: `id`
+/// sends `bout(id)` offers and `bin(id)` requests to selected nodes.
+#[inline(never)]
+pub(super) fn emit<S: NodeSelector, M: Copy>(
+    platform: &Platform,
+    selector: &S,
+    id: NodeId,
+    rng: &mut SmallRng,
+    out: &mut Outbox<'_, M>,
+    (offer, request): (M, M),
+) {
+    let caps = platform.caps(id);
+    for _ in 0..caps.bw_out {
+        out.send(selector.select(rng), offer);
+    }
+    for _ in 0..caps.bw_in {
+        out.send(selector.select(rng), request);
+    }
+}
+
+/// Phase-1 round end of the dating cycle, shared by both dating
+/// adapters: keep a uniform `q = min(offers, requests)` of each side,
+/// pair them positionally and answer every originator; returns `q`.
+///
+/// Uniform q-subsets in uniform order → positional pairing is a uniform
+/// random perfect matching (identical to the oracle form). The stash is
+/// shuffled where it lies in the arena — offers first, then requests,
+/// each consuming the RNG exactly like [`partial_shuffle`] on the old
+/// per-node inbox `Vec`s — and never cleared: it expires at the round
+/// boundary.
+#[inline(never)]
+pub(super) fn matchmake<M>(
+    rng: &mut SmallRng,
+    out: &mut Outbox<'_, M>,
+    answer_offer: impl Fn(Option<NodeId>) -> M,
+    answer_request: impl Fn(Option<NodeId>) -> M,
+) -> usize {
+    let ([offers, requests], tx) = out.split_stash();
+    let q = offers.len().min(requests.len());
+    partial_shuffle(offers, q, rng);
+    partial_shuffle(requests, q, rng);
+    let ((offers, spare_offers), (requests, spare_requests)) =
+        (offers.split_at(q), requests.split_at(q));
+    for (&o, &r) in offers.iter().zip(requests) {
+        tx.send(o, answer_offer(Some(r)));
+        tx.send(r, answer_request(Some(o)));
+    }
+    for &o in spare_offers {
+        tx.send(o, answer_offer(None));
+    }
+    for &r in spare_requests {
+        tx.send(r, answer_request(None));
+    }
+    q
+}
+
 /// Per-node dating state: flat scalars only (40 bytes, no heap — the
 /// inboxes live in the shard's arena, the per-cycle history in the
 /// protocol object).
@@ -137,6 +194,7 @@ impl<S: NodeSelector> RoundProtocol for RuntimeDating<S> {
         DatingNode::default()
     }
 
+    #[inline]
     fn on_round_start(
         &self,
         _node: &mut DatingNode,
@@ -145,17 +203,9 @@ impl<S: NodeSelector> RoundProtocol for RuntimeDating<S> {
         rng: &mut SmallRng,
         out: &mut Outbox<'_, DatingMsg>,
     ) {
-        if Self::phase_of(round) != 0 || Self::cycle_of(round) >= self.max_cycles {
-            return;
-        }
-        let caps = self.platform.caps(id);
-        for _ in 0..caps.bw_out {
-            let dst = self.selector.select(rng);
-            out.send(dst, DatingMsg::Offer);
-        }
-        for _ in 0..caps.bw_in {
-            let dst = self.selector.select(rng);
-            out.send(dst, DatingMsg::Request);
+        if Self::phase_of(round) == 0 && Self::cycle_of(round) < self.max_cycles {
+            let msgs = (DatingMsg::Offer, DatingMsg::Request);
+            emit(&self.platform, &self.selector, id, rng, out, msgs);
         }
     }
 
@@ -187,6 +237,7 @@ impl<S: NodeSelector> RoundProtocol for RuntimeDating<S> {
         }
     }
 
+    #[inline]
     fn on_receive_run(
         &self,
         node: &mut DatingNode,
@@ -204,8 +255,12 @@ impl<S: NodeSelector> RoundProtocol for RuntimeDating<S> {
         let mut payloads = 0u64;
         for (from, msg) in srcs.iter().zip(msgs) {
             match msg {
-                DatingMsg::Offer => out.stash(STASH_OFFERS, *from),
-                DatingMsg::Request => out.stash(STASH_REQUESTS, *from),
+                // One arm, the lane computed: a matchmaker's mail is
+                // offers and requests in no order, a coin-flip branch.
+                DatingMsg::Offer | DatingMsg::Request => {
+                    let request = matches!(msg, DatingMsg::Request);
+                    out.stash(STASH_OFFERS + usize::from(request), *from);
+                }
                 DatingMsg::AnswerOffer(partner) => {
                     answers += 1;
                     if let Some(p) = partner {
@@ -220,6 +275,7 @@ impl<S: NodeSelector> RoundProtocol for RuntimeDating<S> {
         node.payloads_received += payloads;
     }
 
+    #[inline]
     fn on_round_end(
         &self,
         node: &mut DatingNode,
@@ -228,36 +284,12 @@ impl<S: NodeSelector> RoundProtocol for RuntimeDating<S> {
         rng: &mut SmallRng,
         out: &mut Outbox<'_, DatingMsg>,
     ) {
-        if Self::phase_of(round) != 1 {
-            return;
+        if Self::phase_of(round) == 1 {
+            let q = matchmake(rng, out, DatingMsg::AnswerOffer, DatingMsg::AnswerRequest) as u64;
+            node.dates_cycle = q;
+            node.dates_mark = Self::cycle_of(round) + 1;
+            node.dates_total += q;
         }
-        let offers = out.stash_len(STASH_OFFERS);
-        let requests = out.stash_len(STASH_REQUESTS);
-        let q = offers.min(requests);
-        // Uniform q-subsets in uniform order → positional pairing is a
-        // uniform random perfect matching (identical to the oracle
-        // form). The stash shuffle consumes the RNG exactly like
-        // `partial_shuffle` on the old per-node inbox `Vec`s.
-        out.shuffle_stash(STASH_OFFERS, q, rng);
-        out.shuffle_stash(STASH_REQUESTS, q, rng);
-        node.dates_cycle = q as u64;
-        node.dates_mark = Self::cycle_of(round) + 1;
-        node.dates_total += q as u64;
-        for j in 0..q {
-            let o = out.stash_at(STASH_OFFERS, j);
-            let r = out.stash_at(STASH_REQUESTS, j);
-            out.send(o, DatingMsg::AnswerOffer(Some(r)));
-            out.send(r, DatingMsg::AnswerRequest(Some(o)));
-        }
-        for j in q..offers {
-            let o = out.stash_at(STASH_OFFERS, j);
-            out.send(o, DatingMsg::AnswerOffer(None));
-        }
-        for j in q..requests {
-            let r = out.stash_at(STASH_REQUESTS, j);
-            out.send(r, DatingMsg::AnswerRequest(None));
-        }
-        // No clearing: the arena stash expires at the round boundary.
     }
 
     fn msg_bytes(&self, msg: &DatingMsg) -> usize {
@@ -320,6 +352,93 @@ mod tests {
         SequentialExecutor
             .run(&mut proto, n, &RunConfig::seeded(seed).max_rounds(rounds))
             .expect_output()
+    }
+
+    /// The matchmaker on per-node `Vec` inboxes: what `matchmake` sends,
+    /// as `(dst, msg)` in send order.
+    fn matchmake_on_vecs(
+        mut offers: Vec<NodeId>,
+        mut requests: Vec<NodeId>,
+        rng: &mut SmallRng,
+    ) -> Vec<(NodeId, DatingMsg)> {
+        let q = offers.len().min(requests.len());
+        partial_shuffle(&mut offers, q, rng);
+        partial_shuffle(&mut requests, q, rng);
+        let mut sent = Vec::new();
+        for j in 0..q {
+            sent.push((offers[j], DatingMsg::AnswerOffer(Some(requests[j]))));
+            sent.push((requests[j], DatingMsg::AnswerRequest(Some(offers[j]))));
+        }
+        sent.extend(
+            offers[q..]
+                .iter()
+                .map(|&o| (o, DatingMsg::AnswerOffer(None))),
+        );
+        sent.extend(
+            requests[q..]
+                .iter()
+                .map(|&r| (r, DatingMsg::AnswerRequest(None))),
+        );
+        sent
+    }
+
+    #[test]
+    fn arena_matchmaking_matches_the_vec_reference() {
+        use crate::arena::NodeArena;
+        use crate::batch::Lanes;
+        use rand::{Rng, SeedableRng};
+
+        const N: usize = 16;
+        let ids = |v: &[u32]| v.iter().map(|&i| NodeId(i)).collect::<Vec<_>>();
+        // (offers, requests) of matchmaker 3: nothing at all (q = 0), one
+        // side empty either way, either side longer, level.
+        let cases: [(&[u32], &[u32]); 7] = [
+            (&[], &[]),
+            (&[1, 2, 9], &[]),
+            (&[], &[4]),
+            (&[1, 2, 5, 8, 13], &[6, 7]),
+            (&[1, 2], &[3, 4, 5, 6, 15]),
+            (&[10, 11, 12, 0], &[0, 3, 3, 7]),
+            (&[14], &[14]),
+        ];
+        for (case, (offers, requests)) in cases.into_iter().enumerate() {
+            // `relocated`: matchmaker 4 stashes between 3's first entry
+            // and the rest, so the arena moves 3's range to the tail.
+            for relocated in [false, true] {
+                let (mut seq, mut env) = (5u64, Lanes::<DatingMsg>::new(1, N));
+                let mut arena = NodeArena::new(0, N);
+                arena.begin_round();
+                for (lane, entries) in [(STASH_OFFERS, offers), (STASH_REQUESTS, requests)] {
+                    for (k, &e) in entries.iter().enumerate() {
+                        if relocated && k == 1 {
+                            arena.push(NodeId(4), lane, NodeId(2));
+                        }
+                        arena.push(NodeId(3), lane, NodeId(e));
+                    }
+                }
+                let what = format!("case {case}, relocated: {relocated}");
+                let (mut rng, mut ref_rng) = (
+                    SmallRng::seed_from_u64(case as u64),
+                    SmallRng::seed_from_u64(case as u64),
+                );
+                let want = matchmake_on_vecs(ids(offers), ids(requests), &mut ref_rng);
+                let mut out = Outbox::new(NodeId(3), N, &mut seq, &mut env, &mut arena);
+                let q = matchmake(
+                    &mut rng,
+                    &mut out,
+                    DatingMsg::AnswerOffer,
+                    DatingMsg::AnswerRequest,
+                );
+                assert_eq!(q, offers.len().min(requests.len()), "{what}");
+                let [lane] = env.batches() else {
+                    panic!("one lane")
+                };
+                let got: Vec<_> = lane.iter().map(|(_, _, dst, &msg)| (dst, msg)).collect();
+                assert_eq!(got, want, "{what}");
+                assert_eq!(seq, 5 + want.len() as u64, "{what}");
+                assert_eq!(rng.gen::<u64>(), ref_rng.gen::<u64>(), "RNG state, {what}");
+            }
+        }
     }
 
     #[test]

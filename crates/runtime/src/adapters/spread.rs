@@ -7,16 +7,34 @@
 //! executor and degrade gracefully under conditioning (loss, latency) and
 //! churn. Every spread adapter in this crate follows the same
 //! **phase-cycle convention**: one legacy Figure-2 round is expanded into
-//! a fixed number of engine rounds (one per message hop), informs
-//! received mid-cycle are buffered (`pending`) and applied at the next
-//! cycle start, so every decision reads the informed set as of cycle
-//! start — exactly the synchronous-round semantics of
-//! `rendez_gossip::protocols`. [`SpreadRunSummary::cycles`] reports the
-//! legacy-equivalent round count, which is what the KS-agreement tests in
+//! a fixed number of engine rounds (one per message hop) and an inform
+//! received during a delivery phase is buffered (`pending`), never
+//! applied mid-delivery, so no decision depends on the order in which a
+//! round's mail arrives. *When* the buffer is applied differs:
+//!
+//! * the five uniform-gossip baselines apply it at the next **cycle**
+//!   start, so every decision reads the informed set as of cycle start —
+//!   exactly the synchronous-round semantics of
+//!   `rendez_gossip::protocols`;
+//! * [`RtDatingSpread`] applies it at the start of **every** engine
+//!   round, not at the next cycle start: a payload of cycle `c` lands in
+//!   phase 0 of cycle `c + 1`, after that round's start hook, and its
+//!   receiver must be a carrier by the time phase 2's answers read
+//!   `informed`. On the synchronous model folding at phase 1's start
+//!   alone would do; under a latency spread payloads and answers land in
+//!   any phase, and a node carries the rumor from the round after it
+//!   learnt it. Where the fold sits is therefore part of the trace under
+//!   conditioning: with it behind a phase guard the ideal workloads keep
+//!   their pins and `spread-faulty-seq` loses its own
+//!   (`benchmark/pins.json`).
+//!
+//! [`SpreadRunSummary::cycles`] reports the legacy-equivalent round
+//! count, which is what the KS-agreement tests in
 //! `tests/scenario_api.rs` pin to the centralized oracle.
 //!
 //! lint: deterministic
 
+use super::dating::{emit, matchmake};
 use crate::arena::{STASH_OFFERS, STASH_REQUESTS};
 use crate::proto::{Outbox, RoundObs, RoundProtocol, Verdict};
 use rand::rngs::SmallRng;
@@ -33,7 +51,8 @@ use rendez_sim::{NodeId, SplitMix64};
 pub struct SpreadNode {
     /// Informed as of the current cycle's start.
     pub informed: bool,
-    /// Informed mid-cycle; becomes `informed` at the next cycle start.
+    /// Informed during a delivery phase; becomes `informed` when the
+    /// adapter next folds it in (see the module docs for when).
     pub pending: bool,
 }
 
@@ -132,6 +151,30 @@ pub(crate) fn spread_finalize(
     }
 }
 
+/// Cycle start of the five uniform-gossip baselines, out of line behind
+/// their inlined `round % CYCLE` guards: apply the informs buffered over
+/// the last cycle, then contact one uniform target — an informed node
+/// pushes the rumor if the protocol `push`es, an uninformed one asks for
+/// it if the protocol `pull`s. The target is drawn only if one is used.
+#[inline(never)]
+pub(crate) fn gossip_cycle_start(
+    n: usize,
+    (push, pull): (bool, bool),
+    node: &mut SpreadNode,
+    rng: &mut SmallRng,
+    out: &mut Outbox<'_, GossipMsg>,
+) {
+    node.informed |= std::mem::take(&mut node.pending);
+    let (sends, msg) = if node.informed {
+        (push, GossipMsg::Rumor)
+    } else {
+        (pull, GossipMsg::PullRequest)
+    };
+    if sends {
+        out.send(NodeId(rng.gen_range(0..n as u32)), msg);
+    }
+}
+
 /// PUSH&PULL over explicit messages, phase-aligned with the legacy
 /// baseline.
 ///
@@ -190,6 +233,7 @@ impl RoundProtocol for RtPushPull {
         SpreadNode::seeded(id == self.source)
     }
 
+    #[inline]
     fn on_round_start(
         &self,
         node: &mut SpreadNode,
@@ -198,15 +242,8 @@ impl RoundProtocol for RtPushPull {
         rng: &mut SmallRng,
         out: &mut Outbox<'_, GossipMsg>,
     ) {
-        if !round.is_multiple_of(Self::CYCLE) {
-            return;
-        }
-        node.informed |= std::mem::take(&mut node.pending);
-        let target = NodeId(rng.gen_range(0..self.n as u32));
-        if node.informed {
-            out.send(target, GossipMsg::Rumor);
-        } else {
-            out.send(target, GossipMsg::PullRequest);
+        if round.is_multiple_of(Self::CYCLE) {
+            gossip_cycle_start(self.n, (true, true), node, rng, out);
         }
     }
 
@@ -361,6 +398,7 @@ impl<S: NodeSelector> RoundProtocol for RtDatingSpread<S> {
         SpreadNode::seeded(id == self.source)
     }
 
+    #[inline]
     fn on_round_start(
         &self,
         node: &mut SpreadNode,
@@ -369,18 +407,11 @@ impl<S: NodeSelector> RoundProtocol for RtDatingSpread<S> {
         rng: &mut SmallRng,
         out: &mut Outbox<'_, DatingSpreadMsg>,
     ) {
+        // Every round, not only at cycle start (module docs).
         node.informed |= std::mem::take(&mut node.pending);
-        if !round.is_multiple_of(Self::CYCLE) {
-            return;
-        }
-        let caps = self.platform.caps(id);
-        for _ in 0..caps.bw_out {
-            let dst = self.selector.select(rng);
-            out.send(dst, DatingSpreadMsg::Offer);
-        }
-        for _ in 0..caps.bw_in {
-            let dst = self.selector.select(rng);
-            out.send(dst, DatingSpreadMsg::Request);
+        if round.is_multiple_of(Self::CYCLE) {
+            let msgs = (DatingSpreadMsg::Offer, DatingSpreadMsg::Request);
+            emit(&self.platform, &self.selector, id, rng, out, msgs);
         }
     }
 
@@ -422,6 +453,7 @@ impl<S: NodeSelector> RoundProtocol for RtDatingSpread<S> {
         }
     }
 
+    #[inline]
     fn on_receive_run(
         &self,
         node: &mut SpreadNode,
@@ -440,8 +472,12 @@ impl<S: NodeSelector> RoundProtocol for RtDatingSpread<S> {
         let mut pending = node.pending;
         for (from, msg) in srcs.iter().zip(msgs) {
             match msg {
-                DatingSpreadMsg::Offer => out.stash(STASH_OFFERS, *from),
-                DatingSpreadMsg::Request => out.stash(STASH_REQUESTS, *from),
+                // One arm, the lane computed: a matchmaker's mail is
+                // offers and requests in no order, a coin-flip branch.
+                DatingSpreadMsg::Offer | DatingSpreadMsg::Request => {
+                    let request = matches!(msg, DatingSpreadMsg::Request);
+                    out.stash(STASH_OFFERS + usize::from(request), *from);
+                }
                 DatingSpreadMsg::AnswerOffer(partner) => {
                     if let Some(p) = partner {
                         if self.loss > 0.0 && rng.gen::<f64>() < self.loss {
@@ -466,6 +502,7 @@ impl<S: NodeSelector> RoundProtocol for RtDatingSpread<S> {
         node.pending = pending;
     }
 
+    #[inline]
     fn on_round_end(
         &self,
         _node: &mut SpreadNode,
@@ -474,29 +511,10 @@ impl<S: NodeSelector> RoundProtocol for RtDatingSpread<S> {
         rng: &mut SmallRng,
         out: &mut Outbox<'_, DatingSpreadMsg>,
     ) {
-        if round % Self::CYCLE != 1 {
-            return;
+        if round % Self::CYCLE == 1 {
+            use DatingSpreadMsg::{AnswerOffer, AnswerRequest};
+            matchmake(rng, out, AnswerOffer, AnswerRequest);
         }
-        let offers = out.stash_len(STASH_OFFERS);
-        let requests = out.stash_len(STASH_REQUESTS);
-        let q = offers.min(requests);
-        out.shuffle_stash(STASH_OFFERS, q, rng);
-        out.shuffle_stash(STASH_REQUESTS, q, rng);
-        for j in 0..q {
-            let o = out.stash_at(STASH_OFFERS, j);
-            let r = out.stash_at(STASH_REQUESTS, j);
-            out.send(o, DatingSpreadMsg::AnswerOffer(Some(r)));
-            out.send(r, DatingSpreadMsg::AnswerRequest(Some(o)));
-        }
-        for j in q..offers {
-            let o = out.stash_at(STASH_OFFERS, j);
-            out.send(o, DatingSpreadMsg::AnswerOffer(None));
-        }
-        for j in q..requests {
-            let r = out.stash_at(STASH_REQUESTS, j);
-            out.send(r, DatingSpreadMsg::AnswerRequest(None));
-        }
-        // No clearing: the arena stash expires at the round boundary.
     }
 
     fn msg_bytes(&self, msg: &DatingSpreadMsg) -> usize {

@@ -54,6 +54,9 @@ pub const STASH_OFFERS: usize = 0;
 pub const STASH_REQUESTS: usize = 1;
 /// Number of stash lanes an arena carries.
 pub const STASH_LANES: usize = 2;
+// The dating adapters compute a message's lane as "offers, plus one if
+// it is a request".
+const _: () = assert!(STASH_REQUESTS == STASH_OFFERS + 1);
 
 /// One node's slice of a lane's flat buffer, valid for one epoch.
 #[derive(Debug, Clone, Copy, Default)]
@@ -165,6 +168,21 @@ impl NodeArena {
             }
             _ => &[],
         }
+    }
+
+    /// `id`'s stashed entries in every lane at once, mutable — what a
+    /// matchmaker shuffles and pairs in place (same entries, same order
+    /// as [`slice`](Self::slice); a lane never stashed into reads empty).
+    pub(crate) fn slices_mut(&mut self, id: NodeId) -> [&mut [NodeId]; STASH_LANES] {
+        let (off, epoch) = (self.off(id), self.epoch);
+        self.lanes
+            .each_mut()
+            .map(|lane| match lane.ranges.get(off) {
+                Some(r) if r.epoch == epoch => {
+                    &mut lane.data[r.start as usize..(r.start + r.len) as usize]
+                }
+                _ => &mut [],
+            })
     }
 
     /// Partial Fisher–Yates over `id`'s stash in `lane`: afterwards the

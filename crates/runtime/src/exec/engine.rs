@@ -192,6 +192,37 @@ fn recycle<M>(pool: &mut Vec<EnvBatch<M>>, cap: usize, seg: EnvBatch<M>) {
     }
 }
 
+/// Phases 1 and 3 of a round: `hook` (`on_round_start`, `on_round_end`)
+/// for every node that is up (`live` empty: all), in id order, the node
+/// arrays walked in step.
+///
+/// A function of its own, and not inlined, for the rounds in which the
+/// phase has nothing to do: the adapters' hooks are inlinable guards on
+/// the round number in front of out-of-line bodies, and with this loop
+/// the only one in its function the optimiser unswitches it on the
+/// guard — an off-phase round-end pass is skipped whole, an off-phase
+/// round-start pass is a sweep over the node states. Among the sibling
+/// loops of [`Shard::round`] it is not (unswitching is budgeted per
+/// function), and every node pays for an [`Outbox`] it does not use.
+#[inline(never)]
+fn each_live<P: RoundProtocol>(
+    proto: &P,
+    hook: impl Fn(&P, &mut P::Node, NodeId, u64, &mut SmallRng, &mut Outbox<'_, P::Msg>),
+    (nodes, rngs, seqs): (&mut [P::Node], &mut [SmallRng], &mut [u64]),
+    live: &[bool],
+    (base, n, round): (usize, usize, u64),
+    (fresh, arena): (&mut Lanes<P::Msg>, &mut NodeArena),
+) {
+    let states = nodes.iter_mut().zip(rngs.iter_mut()).zip(seqs.iter_mut());
+    for (off, ((node, rng), seq)) in states.enumerate() {
+        if live.is_empty() || live[off] {
+            let id = NodeId::from_index(base + off);
+            let mut out = Outbox::new(id, n, seq, fresh, arena);
+            hook(proto, node, id, round, rng, &mut out);
+        }
+    }
+}
+
 impl<P: RoundProtocol> Shard<P> {
     /// Shard `s` of the layout `geo`: RNG streams, then node states in
     /// id order.
@@ -262,6 +293,7 @@ impl<P: RoundProtocol> Shard<P> {
         }
         // Down nodes are not dispatched (their RNG streams do not
         // advance) and lose the mail due to them this round.
+        let (live, at) = (live.as_slice(), (base, n, round));
         let up = |off: usize| live.is_empty() || live[off];
         arena.begin_round();
 
@@ -280,14 +312,8 @@ impl<P: RoundProtocol> Shard<P> {
         *stand_in = [0; 2];
 
         // Phase 1: round-start hooks, id order.
-        for (off, node) in nodes.iter_mut().enumerate() {
-            if !up(off) {
-                continue;
-            }
-            let id = NodeId::from_index(base + off);
-            let mut out = Outbox::new(id, n, &mut seqs[off], fresh, arena);
-            proto.on_round_start(node, id, round, &mut rngs[off], &mut out);
-        }
+        let states = (&mut nodes[..], &mut rngs[..], &mut seqs[..]);
+        each_live(proto, P::on_round_start, states, live, at, (fresh, arena));
 
         // Phase 2: deliveries in (dst, src, seq) order — run-header merge
         // plus one stable counting pass, then one `on_receive_run`
@@ -323,14 +349,8 @@ impl<P: RoundProtocol> Shard<P> {
         }
 
         // Phase 3: round-end hooks, id order.
-        for (off, node) in nodes.iter_mut().enumerate() {
-            if !up(off) {
-                continue;
-            }
-            let id = NodeId::from_index(base + off);
-            let mut out = Outbox::new(id, n, &mut seqs[off], fresh, arena);
-            proto.on_round_end(node, id, round, &mut rngs[off], &mut out);
-        }
+        let states = (&mut nodes[..], &mut rngs[..], &mut seqs[..]);
+        each_live(proto, P::on_round_end, states, live, at, (fresh, arena));
 
         let obs = observe_nodes(proto, base, nodes, round);
 

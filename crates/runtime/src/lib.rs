@@ -113,7 +113,9 @@ pub use exec::{
     EventExecutor, Executor, PoolScope, SequentialExecutor, ShardedExecutor, WakeQueue, WakeTimer,
     WorkerPool, TICKS_PER_SEC,
 };
-pub use proto::{observe_nodes, AsyncProtocol, Envelope, Outbox, RoundObs, RoundProtocol, Verdict};
+pub use proto::{
+    observe_nodes, AsyncProtocol, Envelope, Outbox, RoundObs, RoundProtocol, SendHalf, Verdict,
+};
 pub use registry::Spreader;
 pub use report::{NetStats, RunConfig, RunReport, TimeAxis};
 pub use scenario::{

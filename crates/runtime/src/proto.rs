@@ -18,7 +18,7 @@
 //!
 //! lint: deterministic
 
-use crate::arena::NodeArena;
+use crate::arena::{NodeArena, STASH_LANES};
 use crate::batch::Lanes;
 use rand::rngs::SmallRng;
 use rendez_sim::NodeId;
@@ -57,20 +57,42 @@ pub struct Envelope<M> {
 ///
 /// [`Conditions`]: crate::Conditions
 pub struct Outbox<'a, M> {
+    tx: SendHalf<'a, M>,
+    arena: &'a mut NodeArena,
+}
+
+/// The send half of an [`Outbox`]: the sender's identity and counter and
+/// the shard's emission lanes, without the stash — what is left to send
+/// through while [`Outbox::split_stash`] lends the stash out.
+pub struct SendHalf<'a, M> {
     src: NodeId,
     n: usize,
     seq: &'a mut u64,
     env: &'a mut Lanes<M>,
-    arena: &'a mut NodeArena,
 }
 
-/// Out-of-line panic for [`Outbox::send`]'s bounds check, so the hot
+/// Out-of-line panic for [`SendHalf::send`]'s bounds check, so the hot
 /// send path is a compare-and-branch to a cold stub instead of inlining
 /// panic formatting into every protocol callback.
 #[cold]
 #[inline(never)]
 fn bad_destination(dst: NodeId, n: usize) -> ! {
     panic!("send to out-of-range node {dst} (n = {n})");
+}
+
+impl<M> SendHalf<'_, M> {
+    /// Queue `msg` for delivery to `dst`.
+    ///
+    /// # Panics
+    /// Panics if `dst` is out of range.
+    #[inline]
+    pub fn send(&mut self, dst: NodeId, msg: M) {
+        if dst.index() >= self.n {
+            bad_destination(dst, self.n);
+        }
+        self.env.push(self.src, *self.seq, dst, msg);
+        *self.seq += 1;
+    }
 }
 
 impl<'a, M> Outbox<'a, M> {
@@ -83,67 +105,55 @@ impl<'a, M> Outbox<'a, M> {
         env: &'a mut Lanes<M>,
         arena: &'a mut NodeArena,
     ) -> Self {
-        Self {
-            src,
-            n,
-            seq,
-            env,
-            arena,
-        }
+        let tx = SendHalf { src, n, seq, env };
+        Self { tx, arena }
     }
 
     /// The node this outbox belongs to.
     pub fn src(&self) -> NodeId {
-        self.src
+        self.tx.src
     }
 
     /// Total number of nodes.
     pub fn n(&self) -> usize {
-        self.n
+        self.tx.n
     }
 
     /// Queue `msg` for delivery to `dst`.
     ///
     /// # Panics
     /// Panics if `dst` is out of range.
+    #[inline]
     pub fn send(&mut self, dst: NodeId, msg: M) {
-        if dst.index() >= self.n {
-            bad_destination(dst, self.n);
-        }
-        self.env.push(self.src, *self.seq, dst, msg);
-        *self.seq += 1;
+        self.tx.send(dst, msg);
     }
 
     /// Stash `v` into this node's `lane` inbox (arena-backed; see
     /// [`NodeArena`]). Entries live until the end of the current round.
     pub fn stash(&mut self, lane: usize, v: NodeId) {
-        self.arena.push(self.src, lane, v);
+        self.arena.push(self.tx.src, lane, v);
     }
 
     /// Number of entries stashed in `lane` this round.
     pub fn stash_len(&self, lane: usize) -> usize {
-        self.arena.len_of(self.src, lane)
+        self.arena.len_of(self.tx.src, lane)
     }
 
-    /// The `j`-th stashed entry in `lane` (arrival order, possibly
-    /// permuted by [`shuffle_stash`](Self::shuffle_stash)).
+    /// The `j`-th stashed entry in `lane` (arrival order, unless permuted
+    /// through [`split_stash`](Self::split_stash)).
     ///
     /// # Panics
     /// Panics if `j` is out of range.
     pub fn stash_at(&self, lane: usize, j: usize) -> NodeId {
-        self.arena.get(self.src, lane, j)
+        self.arena.get(self.tx.src, lane, j)
     }
 
-    /// Partial Fisher–Yates over this node's `lane` stash: afterwards
-    /// the first `q` entries are a uniform random `q`-subset in uniform
-    /// random order, consuming the RNG exactly like
-    /// [`partial_shuffle`](rendez_core::matching::partial_shuffle) on an
-    /// equivalent `Vec`.
-    ///
-    /// # Panics
-    /// Panics if `q` exceeds the stash length.
-    pub fn shuffle_stash(&mut self, lane: usize, q: usize, rng: &mut SmallRng) {
-        self.arena.shuffle(self.src, lane, q, rng);
+    /// Lend out this node's whole stash — one mutable slice per lane,
+    /// the entries [`stash_at`](Self::stash_at) reads, in that order —
+    /// together with the send half, so a matchmaker can shuffle and pair
+    /// the slices in place and answer as it goes.
+    pub fn split_stash(&mut self) -> ([&mut [NodeId]; STASH_LANES], &mut SendHalf<'a, M>) {
+        (self.arena.slices_mut(self.tx.src), &mut self.tx)
     }
 }
 
@@ -333,6 +343,9 @@ pub trait RoundProtocol: Sync {
     /// field accesses, one accumulator write-back instead of `len`
     /// read-modify-writes), not different semantics — digest traces are
     /// compared across executors, which all dispatch through this hook.
+    /// The gate is `tests/per_message.rs`: every registry adapter, with
+    /// its override taken away by a `PerMessage` wrapper, must reproduce
+    /// its whole report.
     #[allow(clippy::too_many_arguments)]
     fn on_receive_run(
         &self,
@@ -605,6 +618,41 @@ mod tests {
         }
         let out = Outbox::new(NodeId(0), 4, &mut seq, &mut env, &mut arena);
         assert_eq!(out.stash_len(STASH_OFFERS), 0, "stash follows the sender");
+    }
+
+    #[test]
+    fn split_stash_lends_the_slices_stash_at_reads() {
+        let mut seq = 0u64;
+        let mut env: Lanes<u8> = Lanes::new(1, 4);
+        let mut arena = arena(4);
+        // Node 1's stash in between relocates node 2's offers.
+        for (node, lane, v) in [
+            (2, STASH_OFFERS, 7),
+            (1, STASH_OFFERS, 5),
+            (2, STASH_OFFERS, 8),
+            (2, STASH_REQUESTS, 9),
+        ] {
+            Outbox::new(NodeId(node), 4, &mut seq, &mut env, &mut arena).stash(lane, NodeId(v));
+        }
+        let mut out = Outbox::new(NodeId(2), 4, &mut seq, &mut env, &mut arena);
+        let read = |out: &Outbox<'_, u8>, lane| -> Vec<NodeId> {
+            (0..out.stash_len(lane))
+                .map(|j| out.stash_at(lane, j))
+                .collect()
+        };
+        let want = [read(&out, STASH_OFFERS), read(&out, STASH_REQUESTS)];
+        assert_eq!(want[STASH_OFFERS], [NodeId(7), NodeId(8)]);
+        let (lent, tx) = out.split_stash();
+        assert_eq!([lent[0].to_vec(), lent[1].to_vec()], want);
+        // The slices are the stash itself, and the half still sends.
+        lent[STASH_OFFERS].swap(0, 1);
+        tx.send(NodeId(0), 1);
+        assert_eq!(read(&out, STASH_OFFERS), [NodeId(8), NodeId(7)]);
+        // A node with nothing stashed — or a lane never stashed into by
+        // anyone — is lent empty slices.
+        let mut out = Outbox::new(NodeId(3), 4, &mut seq, &mut env, &mut arena);
+        assert!(out.split_stash().0.iter().all(|lane| lane.is_empty()));
+        assert_eq!(seq, 1);
     }
 
     #[test]
