@@ -15,12 +15,14 @@
 //!   rounds filed into (what a latency spread produces), over the same
 //!   message count: the conditioned counterpart of `deliver`, with
 //!   `k = 1` (plain concatenation) as the reference point;
-//! * `route` — the round engine's two ways of routing a round's sends,
-//!   at 10⁵ messages a round: on one shard the emission lane handed over
-//!   whole (every sender emits in one phase, headers src-ascending)
-//!   against the regrouping per-message copy (the same messages, emitted
-//!   from two phases so the headers step back), and the hand-over lane by
-//!   lane on two shards (`ShardedExecutor::run_in` on a 2-thread pool);
+//! * `route` — a round's sends from `Outbox::send` to delivery, at 10⁵
+//!   messages a round, every emission lane handed over whole: on one
+//!   shard with every sender emitting in one phase (`whole_batch`), the
+//!   same messages emitted from two phases so the lane's headers step
+//!   back and delivery merges two stretches (`two_phase`), under
+//!   `Uniform{1,3}` latency so fate files each send in one of three slot
+//!   rows (`spread`), and lane by lane on two shards
+//!   (`ShardedExecutor::run_in` on a 2-thread pool);
 //! * `event_queue` — the event executor's wake queue under the hold
 //!   model (pop the earliest wake, push the same node back one
 //!   exponential inter-arrival later): the calendar [`WakeQueue`]
@@ -35,8 +37,8 @@ use rand::rngs::SmallRng;
 use rendez_core::{Platform, UniformSelector};
 use rendez_runtime::batch::{order_deliveries, DeliverScratch};
 use rendez_runtime::{
-    Conditions, EnvBatch, Envelope, Executor, Outbox, RoundObs, RoundProtocol, RunConfig,
-    RuntimeDating, SequentialExecutor, ShardedExecutor, Verdict, WakeQueue, WorkerPool,
+    Conditions, EnvBatch, Envelope, Executor, LatencyDist, Outbox, RoundObs, RoundProtocol,
+    RunConfig, RuntimeDating, SequentialExecutor, ShardedExecutor, Verdict, WakeQueue, WorkerPool,
     TICKS_PER_SEC,
 };
 use rendez_sim::{NodeId, SplitMix64};
@@ -177,7 +179,7 @@ fn bench_deliver_mixed(c: &mut Criterion) {
                     for m in 0..per_seg {
                         let src = m * n / per_seg;
                         let dst = (src * 7 + (r * per_seg + m) * 13) % n;
-                        seg.push_grouped(NodeId(src as u32), NodeId(dst as u32), m as u64);
+                        seg.push(NodeId(src as u32), m as u64, NodeId(dst as u32), m as u64);
                     }
                 }
                 order_deliveries(&mut segments, 0, n, &mut ds)
@@ -190,8 +192,8 @@ fn bench_deliver_mixed(c: &mut Criterion) {
 /// One message per node and round to a strided target, nothing else.
 /// With `two_phase` the upper half of the ids sends from `on_round_start`
 /// and the lower half from `on_round_end`: the same messages, but the
-/// round's run headers step back once, which is what sends the engine
-/// down its regrouping copy path instead of the whole-batch hand-over.
+/// round's run headers step back once, and delivery merges the lane's
+/// two stretches instead of walking it straight through.
 struct Stride {
     n: u32,
     two_phase: bool,
@@ -268,10 +270,12 @@ fn bench_route(c: &mut Criterion) {
     g.sample_size(if quick { 3 } else { 10 });
     g.throughput(Throughput::Elements(ROUNDS * n as u64));
     let pool = WorkerPool::new(2);
-    for (path, two_phase, shards) in [
-        ("whole_batch", false, 1),
-        ("copy", true, 1),
-        ("sharded(2)", false, 2),
+    let spread = Conditions::with_latency(LatencyDist::Uniform { min: 1, max: 3 });
+    for (path, two_phase, cond, shards) in [
+        ("whole_batch", false, Conditions::ideal(), 1),
+        ("two_phase", true, Conditions::ideal(), 1),
+        ("spread", false, spread, 1),
+        ("sharded(2)", false, Conditions::ideal(), 2),
     ] {
         g.bench_with_input(BenchmarkId::new(path, n), &n, |b, &n| {
             b.iter(|| {
@@ -279,7 +283,7 @@ fn bench_route(c: &mut Criterion) {
                     n: n as u32,
                     two_phase,
                 };
-                let cfg = RunConfig::seeded(1).max_rounds(ROUNDS);
+                let cfg = RunConfig::seeded(1).max_rounds(ROUNDS).conditions(cond);
                 let report = match shards {
                     1 => SequentialExecutor.run(&mut proto, n, &cfg),
                     _ => ShardedExecutor::new(shards).run_in(&pool, &mut proto, n, &cfg),

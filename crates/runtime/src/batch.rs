@@ -1,6 +1,6 @@
 //! The cache-resident message plane: SoA envelope batches with
-//! run-length source headers, plus the shared route/deliver kernels
-//! every round executor is built on.
+//! run-length source headers, the emission lanes that route a message as
+//! it is sent, and the delivery kernel every round executor is built on.
 //!
 //! An [`EnvBatch`] replaces `Vec<Envelope<M>>` on the hot path. Instead
 //! of one 24-byte-plus-payload AoS record per message, it keeps two flat
@@ -13,63 +13,56 @@
 //!
 //! # Batch invariants
 //!
-//! 1. **Emission lanes** (filled through [`EnvBatch::push`], i.e. by
-//!    [`Outbox::send`](crate::Outbox::send)) are exact: message `k` of a
-//!    run has sequence number `first_seq + k`, because
-//!    [`push`](EnvBatch::push) extends a run only with the sender's next
-//!    sequence number and starts a new one otherwise. A shard emits into
-//!    one lane per destination shard (`Lanes`), so a sender's
-//!    consecutive sends may alternate between lanes: within a lane its
-//!    runs sit next to each other, each with its own `first_seq`, and
-//!    need not be seq-contiguous with one another. (With one lane — the
-//!    sequential and the event executor — a sender's `seq` counter only
-//!    advances when that sender emits, so a phase's sends form one run.)
-//!    The lane's `(src, dst, seq, msg)` stream is recoverable bit-for-bit
+//! 1. **Exact sequence numbers.** Every batch is filled through
+//!    [`EnvBatch::push`] — by [`Outbox::send`](crate::Outbox::send) —
+//!    and never rewritten: message `k` of a run has sequence number
+//!    `first_seq + k`, because [`push`](EnvBatch::push) extends a run
+//!    only with the sender's next sequence number and starts a new one
+//!    otherwise. A shard emits into several lanes (`Lanes`), so a
+//!    sender's consecutive sends may alternate between them: within a
+//!    lane its runs sit next to each other, each with its own
+//!    `first_seq`, and need not be seq-contiguous with one another (with
+//!    one lane a phase's sends form one run). The batch's `(src, dst,
+//!    seq, msg)` stream is recoverable bit-for-bit
 //!    ([`EnvBatch::to_envelopes`], property-tested in
-//!    `tests/batch_roundtrip.rs`) — until the lane is routed.
-//! 2. **Routed batches** carry no per-message sequence numbers: fate
-//!    already ran, delivery order within a destination only needs the
-//!    *relative* order the batch stores (invariant 3), and nobody reads
-//!    `first_seq` again. They come about in two ways. `route_sends`
-//!    copies survivors out through [`EnvBatch::push_grouped`], which
-//!    merges runs on sender identity alone (`first_seq` reads 0).
-//!    `route_whole` turns an emission lane into a routed batch where it
-//!    stands: the messages fate loses are compacted out in place, runs
-//!    shrink to their survivors and keep a `first_seq` that no longer
-//!    describes them — so [`iter`](EnvBatch::iter) and
-//!    [`to_envelopes`](EnvBatch::to_envelopes) are exact on such a batch
-//!    only if nothing was lost (ideal conditions).
-//! 3. **Order.** A routed batch is `(src, seq)`-sorted, i.e. its run
-//!    headers are src-ascending (a sender may head several adjacent
-//!    runs) and a sender's messages sit in seq order: `route_sends`
-//!    walks senders in ascending id order and each sender's messages in
-//!    seq order, and `route_whole` only takes a lane whose headers are
-//!    ascending as emitted (every round that sends from one phase — the
-//!    batch tracks this as it is pushed to). A delivery bucket lists
-//!    such segments in send order (round by round, shard by shard within
-//!    a round), so a sender's later messages sit in later segments.
-//!    Merging the segments' run *headers* by `(src, segment position)`
-//!    therefore yields the bucket's `(src, seq)` order, and one stable
-//!    counting pass by destination over the runs in that order
-//!    (`order_deliveries`) the canonical `(dst, src, seq)` order — no
-//!    comparison sort over messages, whatever the latency distribution.
-//!    Segments that continue ascending (contiguous shards of one round)
-//!    form one stream: a single-round bucket is plain concatenation.
+//!    `tests/batch_roundtrip.rs`).
+//! 2. **A lane is a routed bucket.** Where a message goes is decided
+//!    where it is sent: `Lanes::push` files it in the lane of its
+//!    destination's shard and — when the channel loses messages or
+//!    spreads latencies — of the delivery slot its fate
+//!    ([`FateRun::fate`], a pure function of `(seed, src, seq)`) assigns,
+//!    and sets a lost message aside to be counted. Routing a round's
+//!    sends is then a tally and a move of each lane; no message is
+//!    copied, filtered or regrouped between the send and
+//!    `order_deliveries`.
+//! 3. **Order.** Senders emit in ascending id order within a phase of a
+//!    round, each in seq order, so a lane is a sequence of src-ascending
+//!    *stretches* — one per phase that sent into it, its headers stepping
+//!    back where a later phase begins (the batch tracks whether any do as
+//!    it is pushed to) — and a sender's later messages lie in the same or
+//!    a later stretch. A delivery bucket lists such segments in send
+//!    order (round by round, shard by shard within a round), so the same
+//!    holds across segments. Merging the stretches' run *headers* by
+//!    `(src, stretch position)` therefore yields the bucket's `(src,
+//!    seq)` order, and one stable counting pass by destination over the
+//!    runs in that order (`order_deliveries`) the canonical `(dst, src,
+//!    seq)` order — no comparison sort over messages, whatever the
+//!    latency distribution. Stretches that continue ascending across a
+//!    segment boundary (contiguous shards of one round) form one stream:
+//!    a single-round, single-phase bucket is plain concatenation.
 //!
 //! lint: deterministic
 
-use crate::conditions::{Conditions, FateRun, LatencyDist};
+use crate::conditions::{Conditions, FateRun};
 use crate::proto::Envelope;
-use crate::report::NetStats;
 use rendez_sim::NodeId;
 
 /// Run-length header of an [`EnvBatch`]: `len` consecutive messages
-/// sent by `src`. For emission batches message `k` of the run carries
-/// sequence number `first_seq + k` (batch invariant 1); for routed
-/// batches `first_seq` is not meaningful (invariant 2).
+/// sent by `src`, message `k` of the run carrying sequence number
+/// `first_seq + k` (batch invariant 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SrcRun {
-    /// Sequence number of the run's first message (emission batches).
+    /// Sequence number of the run's first message.
     pub first_seq: u64,
     /// The sender of every message in the run.
     pub src: NodeId,
@@ -86,9 +79,8 @@ pub struct EnvBatch<M> {
     msg: Vec<M>,
     runs: Vec<SrcRun>,
     /// Whether `runs` is src-ascending (no header steps back below its
-    /// predecessor's sender) — kept by the push methods, one compare per
-    /// new run, so the route kernels know in O(1) that storage order is
-    /// already `(src, seq)` order.
+    /// predecessor's sender) — kept by `push`, one compare per new run,
+    /// so `merge_runs` knows in O(1) that the batch is one stretch.
     ascending: bool,
 }
 
@@ -153,9 +145,15 @@ impl<M> EnvBatch<M> {
         &self.runs
     }
 
+    /// The payloads, in storage order.
+    pub(crate) fn msgs(&self) -> &[M] {
+        &self.msg
+    }
+
     /// Queue one emission: `src`'s send number `seq` to `dst`. Extends
     /// the last run when `src` matches and `seq` is contiguous with it
     /// (batch invariant 1), otherwise starts a new run.
+    #[inline]
     pub fn push(&mut self, src: NodeId, seq: u64, dst: NodeId, msg: M) {
         match self.runs.last_mut() {
             Some(run) if run.src == src && run.first_seq + run.len as u64 == seq => run.len += 1,
@@ -163,24 +161,6 @@ impl<M> EnvBatch<M> {
                 self.ascending &= last.is_none_or(|run| run.src <= src);
                 self.runs.push(SrcRun {
                     first_seq: seq,
-                    src,
-                    len: 1,
-                });
-            }
-        }
-        self.dst.push(dst);
-        self.msg.push(msg);
-    }
-
-    /// Queue one routed message from `src` to `dst`, merging runs on
-    /// sender identity alone (batch invariant 2 — `first_seq` reads 0).
-    pub fn push_grouped(&mut self, src: NodeId, dst: NodeId, msg: M) {
-        match self.runs.last_mut() {
-            Some(run) if run.src == src => run.len += 1,
-            last => {
-                self.ascending &= last.is_none_or(|run| run.src <= src);
-                self.runs.push(SrcRun {
-                    first_seq: 0,
                     src,
                     len: 1,
                 });
@@ -202,8 +182,8 @@ impl<M> EnvBatch<M> {
     }
 
     /// Iterate the batch as `(src, seq, dst, &msg)` tuples in storage
-    /// order. Sequence numbers are reconstructed from the run headers,
-    /// so this is only exact for emission batches (batch invariant 1).
+    /// order, sequence numbers reconstructed from the run headers
+    /// (batch invariant 1).
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, u64, NodeId, &M)> + '_ {
         self.runs
             .iter()
@@ -226,9 +206,9 @@ impl<M> EnvBatch<M> {
 }
 
 impl<M: Clone> EnvBatch<M> {
-    /// Reconstruct the legacy AoS stream. Exact for emission batches
-    /// (batch invariant 1); the round-trip with
-    /// [`from_envelopes`](Self::from_envelopes) is property-tested.
+    /// Reconstruct the legacy AoS stream (batch invariant 1); the
+    /// round-trip with [`from_envelopes`](Self::from_envelopes) is
+    /// property-tested.
     pub fn to_envelopes(&self) -> Vec<Envelope<M>> {
         self.iter()
             .map(|(src, seq, dst, msg)| Envelope {
@@ -279,9 +259,9 @@ impl LaneOf {
     }
 }
 
-/// A shard's emission: one [`EnvBatch`] lane per destination shard,
-/// filled through [`push`](Self::push) — i.e. by
-/// [`Outbox::send`](crate::Outbox::send) — and routed lane by lane.
+/// A shard's emission: [`EnvBatch`] lanes filled through
+/// [`push`](Self::push), each one routed bucket (batch invariant 2), in
+/// one of three layouts fixed when the run starts.
 #[derive(Debug)]
 pub(crate) enum Lanes<M> {
     /// One shard, or the event executor: the one lane, held inline so
@@ -290,10 +270,56 @@ pub(crate) enum Lanes<M> {
     One(EnvBatch<M>),
     /// A lane per destination shard, and which one a destination is in.
     Several(Vec<EnvBatch<M>>, LaneOf),
+    /// A channel that loses messages or spreads latencies: fate is
+    /// decided at the send.
+    Fated(Fated<M>),
+}
+
+/// The [`Lanes::Fated`] layout: lanes indexed `[latency − min_latency]
+/// [destination shard]`, and the messages fate lost.
+#[derive(Debug)]
+pub(crate) struct Fated<M> {
+    lanes: Vec<EnvBatch<M>>,
+    /// Lost messages, kept until the round is tallied: `bytes_sent`
+    /// wants the protocol's `msg_bytes`, which a send site does not have.
+    lost: Vec<M>,
+    lane_of: LaneOf,
+    dests: usize,
+    min_latency: u64,
+    seed: u64,
+    /// The fate kernel of the sender that sent last; re-keyed when
+    /// another sends (one `derive_seed` per sender and phase).
+    fate: (NodeId, FateRun),
+}
+
+/// How many latencies `cond` can assign: the lanes a shard emits into
+/// per destination shard, one for each of the delivery slots
+/// `min_latency − 1 .. latency_slots()`.
+pub(crate) fn slot_rows(cond: &Conditions) -> usize {
+    (cond.latency.max_latency() - cond.latency.min_latency()) as usize + 1
+}
+
+impl<M> Fated<M> {
+    /// [`Lanes::push`] where fate is decided: file the message under the
+    /// latency [`FateRun::fate`] gives it, or with the lost. A call of
+    /// its own, so the other layouts keep a plain [`EnvBatch::push`]'s frame.
+    #[inline(never)]
+    fn push(&mut self, src: NodeId, seq: u64, dst: NodeId, msg: M) {
+        if self.fate.0 != src {
+            self.fate = (src, self.fate.1.for_src(self.seed, src));
+        }
+        let Some(latency) = self.fate.1.fate(seq) else {
+            self.lost.push(msg);
+            return;
+        };
+        let row = (latency - self.min_latency) as usize;
+        self.lanes[row * self.dests + self.lane_of.lane(dst)].push(src, seq, dst, msg);
+    }
 }
 
 impl<M> Lanes<M> {
-    /// `lanes ≥ 1` empty lanes for destination shards of `chunk ≥ 1` ids.
+    /// `lanes ≥ 1` empty lanes for destination shards of `chunk ≥ 1` ids,
+    /// on a channel that neither loses nor spreads.
     pub(crate) fn new(lanes: usize, chunk: usize) -> Self {
         if lanes == 1 {
             Lanes::One(EnvBatch::new())
@@ -303,224 +329,59 @@ impl<M> Lanes<M> {
         }
     }
 
-    /// The lanes, indexed by destination shard.
+    /// Empty lanes for `dests ≥ 1` destination shards of `chunk ≥ 1` ids
+    /// in the run keyed by `seed` under `cond`: one row of them per
+    /// latency the channel can assign ([`slot_rows`]). Lossless fixed
+    /// latency needs no fate and gets the layouts of [`new`](Self::new).
+    pub(crate) fn conditioned(dests: usize, chunk: usize, seed: u64, cond: &Conditions) -> Self {
+        let rows = slot_rows(cond);
+        if cond.drop_prob <= 0.0 && rows == 1 {
+            return Self::new(dests, chunk);
+        }
+        Lanes::Fated(Fated {
+            lanes: (0..rows * dests).map(|_| EnvBatch::new()).collect(),
+            lost: Vec::new(),
+            lane_of: LaneOf::new(chunk),
+            dests,
+            min_latency: cond.latency.min_latency(),
+            seed,
+            fate: (NodeId(0), cond.fate_run(seed, NodeId(0))),
+        })
+    }
+
+    /// The lanes, slot row by slot row, each row indexed by destination
+    /// shard.
     pub(crate) fn batches(&mut self) -> &mut [EnvBatch<M>] {
         match self {
             Lanes::One(only) => std::slice::from_mut(only),
             Lanes::Several(lanes, _) => lanes,
+            Lanes::Fated(fated) => &mut fated.lanes,
+        }
+    }
+
+    /// The messages fate lost since they were last cleared, if this
+    /// layout decides fate.
+    pub(crate) fn lost(&mut self) -> Option<&mut Vec<M>> {
+        match self {
+            Lanes::Fated(fated) => Some(&mut fated.lost),
+            _ => None,
         }
     }
 
     /// Queue one emission ([`EnvBatch::push`]) in the lane of `dst`'s
-    /// shard; with one lane there is no lane arithmetic. Kept out of
-    /// line and behind one pointer: a send site then holds the same
-    /// values and makes the same one call as when it pushed into a
-    /// single batch.
+    /// shard and, where fate is decided, of its delivery slot; with one
+    /// lane there is no lane arithmetic. Kept out of line and behind one
+    /// pointer: a send site then holds the same values and makes the
+    /// same one call as when it pushed into a single batch.
     #[inline(never)]
     pub(crate) fn push(&mut self, src: NodeId, seq: u64, dst: NodeId, msg: M) {
         let lane = match self {
             Lanes::One(only) => only,
             Lanes::Several(lanes, lane_of) => &mut lanes[lane_of.lane(dst)],
+            Lanes::Fated(fated) => return fated.push(src, seq, dst, msg),
         };
         lane.push(src, seq, dst, msg);
     }
-}
-
-/// Route a fresh emission lane **without copying it**, when the whole
-/// lane is one routed bucket: a lane holds one destination shard's
-/// messages by construction ([`Lanes`]), so what is left to ask is that
-/// the latency is [`Fixed`](LatencyDist::Fixed) — one delivery slot for
-/// every survivor — and that the run headers are already src-ascending,
-/// i.e. storage order is `(src, seq)` order (batch invariant 3).
-///
-/// Tallies `sent`/`bytes_sent`, compacts the messages lost to
-/// `cond.drop_prob` out in place (nothing to do without loss) and
-/// returns the slot `latency − 1` the lane is due in: `fresh` now *is*
-/// the routed bucket, for the caller to move into the ring. Returns
-/// `None` with `fresh` untouched when the lane does not qualify —
-/// [`route_sends`] takes it from there — and with `fresh` accounted for
-/// and empty when no message survived.
-pub(crate) fn route_whole<M>(
-    fresh: &mut EnvBatch<M>,
-    seed: u64,
-    cond: &Conditions,
-    stats: &mut NetStats,
-    mut msg_bytes: impl FnMut(&M) -> usize,
-) -> Option<usize> {
-    let LatencyDist::Fixed(latency) = cond.latency else {
-        return None;
-    };
-    if !fresh.ascending {
-        return None;
-    }
-    stats.sent += fresh.len() as u64;
-    for m in &fresh.msg {
-        stats.bytes_sent += msg_bytes(m) as u64;
-    }
-    if cond.drop_prob > 0.0 {
-        stats.dropped += fresh.drop_lost(seed, cond);
-    }
-    (!fresh.is_empty()).then_some((latency - 1) as usize)
-}
-
-impl<M> EnvBatch<M> {
-    /// Remove, in place, every message of this emission batch that
-    /// `cond` loses, keeping the survivors' order; returns how many went.
-    /// Runs shrink to their survivors (their `first_seq` is spent — batch
-    /// invariant 2) and emptied runs go, so the batch stays src-ascending
-    /// if it was.
-    fn drop_lost(&mut self, seed: u64, cond: &Conditions) -> u64 {
-        let (mut read, mut write, mut kept_runs) = (0usize, 0usize, 0usize);
-        let mut fate: Option<FateRun> = None;
-        for i in 0..self.runs.len() {
-            let run = self.runs[i];
-            // Re-key the kernel per sender, keeping its loss threshold.
-            let fr = match fate {
-                Some(fr) => fr.for_src(seed, run.src),
-                None => cond.fate_run(seed, run.src),
-            };
-            fate = Some(fr);
-            let before = write;
-            for seq in run.first_seq..run.first_seq + u64::from(run.len) {
-                if fr.fate(seq).is_some() {
-                    if write != read {
-                        self.dst[write] = self.dst[read];
-                        self.msg.swap(write, read);
-                    }
-                    write += 1;
-                }
-                read += 1;
-            }
-            if write > before {
-                self.runs[kept_runs] = SrcRun {
-                    len: (write - before) as u32,
-                    ..run
-                };
-                kept_runs += 1;
-            }
-        }
-        self.runs.truncate(kept_runs);
-        self.dst.truncate(write);
-        self.msg.truncate(write);
-        (read - write) as u64
-    }
-}
-
-/// Scratch for [`route_sends`]: the counting pass that orders a fresh
-/// emission batch's runs by sender when they are not already.
-#[derive(Debug, Default)]
-pub(crate) struct RouteScratch {
-    counts: Vec<u32>,
-    run_starts: Vec<u32>,
-    run_order: Vec<u32>,
-}
-
-/// Decide the fate of every message in `fresh` (senders
-/// `base..base + width`) and hand survivors to `file(slot, src, dst,
-/// msg)` in `(src, seq)` order, draining the batch.
-///
-/// This is the hoisted fate kernel of the round engine: runs are walked
-/// grouped by sender — in storage order when the headers are already
-/// src-ascending (every round whose sends come from one phase), else
-/// through a stable counting pass over the run *headers* — so
-/// per-message work is one bucket push, the per-sender fate stream seed
-/// is derived once per sender ([`Conditions::fate_run`]), and ideal
-/// conditions skip fate hashing entirely. `stats` absorbs the
-/// sent/bytes/dropped accounting.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn route_sends<M: Clone>(
-    fresh: &mut EnvBatch<M>,
-    seed: u64,
-    cond: &Conditions,
-    base: usize,
-    width: usize,
-    rs: &mut RouteScratch,
-    stats: &mut NetStats,
-    mut msg_bytes: impl FnMut(&M) -> usize,
-    mut file: impl FnMut(usize, NodeId, NodeId, M),
-) {
-    let RouteScratch {
-        counts,
-        run_starts,
-        run_order,
-    } = rs;
-    let in_order = fresh.ascending;
-    if !in_order {
-        // Group run indices by sender offset: counting pass over headers.
-        // Per-sender emission is seq-ascending across the whole round
-        // (sequence counters only advance on sends), so walking each
-        // sender's runs in arrival order yields its messages in seq order.
-        counts.clear();
-        counts.resize(width, 0);
-        run_starts.clear();
-        run_starts.reserve(fresh.runs.len());
-        let mut start = 0u32;
-        for run in &fresh.runs {
-            counts[run.src.index() - base] += 1;
-            run_starts.push(start);
-            start += run.len;
-        }
-        let mut acc = 0u32;
-        for c in counts.iter_mut() {
-            let here = *c;
-            *c = acc;
-            acc += here;
-        }
-        run_order.clear();
-        run_order.resize(fresh.runs.len(), 0);
-        for (idx, run) in fresh.runs.iter().enumerate() {
-            let k = run.src.index() - base;
-            run_order[counts[k] as usize] = idx as u32;
-            counts[k] += 1;
-        }
-    }
-
-    let ideal = cond.is_ideal();
-    // One fate stream per sender, shared by that sender's consecutive
-    // runs (derive_seed once per sender, not once per message).
-    let mut fate: Option<(NodeId, FateRun)> = None;
-    let mut next_start = 0usize;
-    for (i, &run) in fresh.runs.iter().enumerate() {
-        // The `i`-th run in sender order: the `i`-th stored when the
-        // headers are already src-ascending.
-        let (run, s) = if in_order {
-            let s = next_start;
-            next_start += run.len as usize;
-            (run, s)
-        } else {
-            let ri = run_order[i] as usize;
-            (fresh.runs[ri], run_starts[ri] as usize)
-        };
-        let e = s + run.len as usize;
-        let dsts = &fresh.dst[s..e];
-        let msgs = &fresh.msg[s..e];
-        stats.sent += run.len as u64;
-        for m in msgs {
-            stats.bytes_sent += msg_bytes(m) as u64;
-        }
-        if ideal {
-            // Fast path: no fate hashing, every message lands next
-            // round (slot 0).
-            for (dst, m) in dsts.iter().zip(msgs) {
-                file(0, run.src, *dst, m.clone());
-            }
-            continue;
-        }
-        let fr = match fate {
-            Some((src, fr)) if src == run.src => fr,
-            // Next sender: re-key the kernel, keeping its loss threshold.
-            Some((_, fr)) => fr.for_src(seed, run.src),
-            None => cond.fate_run(seed, run.src),
-        };
-        fate = Some((run.src, fr));
-        for (k, (dst, m)) in dsts.iter().zip(msgs).enumerate() {
-            match fr.fate(run.first_seq + k as u64) {
-                None => stats.dropped += 1,
-                Some(latency) => file((latency - 1) as usize, run.src, *dst, m.clone()),
-            }
-        }
-    }
-    fresh.clear();
 }
 
 /// Scratch and output of [`order_deliveries`]: one round's deliveries
@@ -552,16 +413,18 @@ impl<M> Default for DeliverScratch<M> {
     }
 }
 
-/// Read position of one merge stream: segments `seg..end`, at run `run`
-/// of `seg`, whose first message sits at offset `off`. `key` is the head
-/// run's `(src, stream index)` packed into a `u64`, `MAX` once exhausted.
+/// Read position of one merge stream: from run `run` of segment `seg`,
+/// whose first message sits at offset `off`, through whole segments up
+/// to run `stop` (exclusive) of segment `last`. `key` is the head run's
+/// `(src, stream index)` packed into a `u64`, `MAX` once exhausted.
 #[derive(Debug, Clone, Copy)]
 struct Cursor {
     key: u64,
     seg: usize,
-    end: usize,
     run: usize,
     off: usize,
+    last: usize,
+    stop: usize,
 }
 
 impl Cursor {
@@ -573,9 +436,15 @@ impl Cursor {
         emit: &mut impl FnMut(NodeId, &[NodeId], &[M]),
     ) {
         let stream = self.key & u64::from(u32::MAX);
-        while self.seg < self.end {
+        loop {
             let seg = &segments[self.seg];
-            while let Some(run) = seg.runs.get(self.run) {
+            let ending = self.seg == self.last;
+            let runs = if ending {
+                &seg.runs[..self.stop]
+            } else {
+                &seg.runs[..]
+            };
+            while let Some(run) = runs.get(self.run) {
                 self.key = u64::from(run.src.0) << 32 | stream;
                 if self.key >= bound {
                     return;
@@ -583,6 +452,9 @@ impl Cursor {
                 let end = self.off + run.len as usize;
                 emit(run.src, &seg.dst[self.off..end], &seg.msg[self.off..end]);
                 (self.run, self.off) = (self.run + 1, end);
+            }
+            if ending {
+                break;
             }
             (self.seg, self.run, self.off) = (self.seg + 1, 0, 0);
         }
@@ -592,8 +464,12 @@ impl Cursor {
 
 /// Hand every run of `segments` to `emit` exactly once, in the bucket's
 /// `(src, seq)` order (batch invariant 3): a k-way merge of run headers
-/// over the src-ascending streams the segment list splits into. k, the
-/// send rounds in the bucket, is at most the latency spread: scan it.
+/// over the src-ascending streams the segment list splits into — one
+/// per stretch, except that a stretch which opens a segment without
+/// stepping back below the previous segment's last sender continues that
+/// stream (next shard, same round). k is at most 1 + the header descents
+/// in the bucket per send round — 1 per send round when every round
+/// sends from one phase, so at most the latency spread: scan it.
 fn merge_runs<M>(
     segments: &[EnvBatch<M>],
     cursors: &mut Vec<Cursor>,
@@ -602,24 +478,34 @@ fn merge_runs<M>(
     cursors.clear();
     let mut last_src = None;
     for (i, seg) in segments.iter().enumerate() {
-        debug_assert!(
-            seg.runs.windows(2).all(|w| w[0].src <= w[1].src),
-            "segment {i} is not src-ascending (batch invariant 3)"
-        );
         let (Some(first), Some(last)) = (seg.runs.first(), seg.runs.last()) else {
             continue;
         };
-        // A segment that does not step back below its predecessor's
-        // last sender continues that stream (next shard, same round).
-        match cursors.last_mut() {
-            Some(c) if last_src <= Some(first.src) => c.end = i + 1,
-            _ => cursors.push(Cursor {
-                key: u64::from(first.src.0) << 32 | cursors.len() as u64,
+        let open = |cursors: &mut Vec<Cursor>, run: usize, off: usize, src: NodeId| {
+            cursors.push(Cursor {
+                key: u64::from(src.0) << 32 | cursors.len() as u64,
                 seg: i,
-                end: i + 1,
-                run: 0,
-                off: 0,
-            }),
+                run,
+                off,
+                last: i,
+                stop: seg.runs.len(),
+            })
+        };
+        match cursors.last_mut() {
+            Some(c) if last_src <= Some(first.src) => (c.last, c.stop) = (i, seg.runs.len()),
+            _ => open(cursors, 0, 0, first.src),
+        }
+        if !seg.ascending {
+            // Sends from several phases: end the stream at each header
+            // that steps back and open the next one there.
+            let mut off = 0;
+            for (r, pair) in seg.runs.windows(2).enumerate() {
+                off += pair[0].len as usize;
+                if pair[1].src < pair[0].src {
+                    cursors.last_mut().expect("one is open").stop = r + 1;
+                    open(cursors, r + 1, off, pair[1].src);
+                }
+            }
         }
         last_src = Some(last.src);
     }
@@ -645,10 +531,10 @@ fn merge_runs<M>(
 /// delivery order, draining them. Returns the number of deliveries;
 /// destinations are `base..base + width`.
 ///
-/// Segments must satisfy batch invariant 3. No messages are compared:
-/// the run headers are merged into `(src, seq)` order (`merge_runs`)
-/// and each run's messages go through one stable counting pass by
-/// destination — per message one histogram bump and one
+/// Segments must be in send order (batch invariant 3). No messages are
+/// compared: the run headers are merged into `(src, seq)` order
+/// (`merge_runs`) and each run's messages go through one stable counting
+/// pass by destination — per message one histogram bump and one
 /// 4-byte-plus-payload scatter write, whatever the latency distribution.
 pub fn order_deliveries<M: Clone>(
     segments: &mut [EnvBatch<M>],
@@ -717,6 +603,8 @@ pub fn order_deliveries<M: Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conditions::LatencyDist;
+    use crate::report::NetStats;
 
     fn env(src: u32, dst: u32, seq: u64) -> Envelope<u32> {
         Envelope {
@@ -742,16 +630,6 @@ mod tests {
     }
 
     #[test]
-    fn push_grouped_merges_on_src_alone() {
-        let mut b = EnvBatch::new();
-        b.push_grouped(NodeId(3), NodeId(0), 'x');
-        b.push_grouped(NodeId(3), NodeId(1), 'y'); // seq-free merge
-        b.push_grouped(NodeId(4), NodeId(2), 'z');
-        assert_eq!(b.runs().len(), 2);
-        assert_eq!(b.runs()[0].len, 2);
-    }
-
-    #[test]
     fn envelope_round_trip_is_exact() {
         let envs = vec![env(0, 3, 0), env(0, 1, 1), env(2, 0, 4), env(0, 2, 2)];
         let batch = EnvBatch::from_envelopes(&envs);
@@ -762,64 +640,6 @@ mod tests {
             .map(|(src, seq, dst, &msg)| Envelope { src, dst, seq, msg })
             .collect();
         assert_eq!(via_iter, envs);
-    }
-
-    /// Reference model for route_sends: legacy per-envelope fate.
-    fn route_reference(
-        envs: &[Envelope<u32>],
-        seed: u64,
-        cond: &Conditions,
-    ) -> (Vec<(usize, NodeId, NodeId, u32)>, NetStats) {
-        let mut sorted = envs.to_vec();
-        sorted.sort_by_key(|e| (e.src, e.seq));
-        let mut out = Vec::new();
-        let mut stats = NetStats::default();
-        for e in &sorted {
-            stats.sent += 1;
-            stats.bytes_sent += 1;
-            match cond.fate(seed, e) {
-                None => stats.dropped += 1,
-                Some(l) => out.push(((l - 1) as usize, e.src, e.dst, e.msg)),
-            }
-        }
-        (out, stats)
-    }
-
-    #[test]
-    fn route_sends_matches_per_envelope_fate() {
-        for cond in [
-            Conditions::ideal(),
-            Conditions::with_loss(0.4),
-            Conditions::with_latency(LatencyDist::Uniform { min: 1, max: 5 }),
-        ] {
-            // Interleaved emission: two sources alternating, one idle.
-            let envs = vec![
-                env(1, 0, 0),
-                env(1, 2, 1),
-                env(3, 1, 0),
-                env(1, 3, 2),
-                env(3, 0, 1),
-            ];
-            let mut fresh = EnvBatch::from_envelopes(&envs);
-            let mut rs = RouteScratch::default();
-            let mut stats = NetStats::default();
-            let mut got = Vec::new();
-            route_sends(
-                &mut fresh,
-                9,
-                &cond,
-                0,
-                4,
-                &mut rs,
-                &mut stats,
-                |_| 1,
-                |slot, src, dst, msg| got.push((slot, src, dst, msg)),
-            );
-            let (want, want_stats) = route_reference(&envs, 9, &cond);
-            assert_eq!(got, want, "cond={cond:?}");
-            assert_eq!(stats, want_stats, "cond={cond:?}");
-            assert!(fresh.is_empty(), "fresh is drained");
-        }
     }
 
     const SRCS: u32 = 6;
@@ -841,15 +661,15 @@ mod tests {
         envs
     }
 
-    /// What destinations `0..DSTS` receive from `bucket`, in delivery
-    /// order, as `(dst, src, msg)`.
-    fn delivered(bucket: EnvBatch<u32>) -> Vec<(usize, NodeId, u32)> {
+    /// What destinations `base..base + width` receive from `bucket`, in
+    /// delivery order, as `(dst, src, msg)`.
+    fn delivered(bucket: EnvBatch<u32>, base: usize, width: usize) -> Vec<(usize, NodeId, u32)> {
         let mut ds = DeliverScratch::default();
         let mut out = Vec::new();
-        if order_deliveries(&mut [bucket], 0, DSTS, &mut ds) > 0 {
-            for dst in 0..DSTS {
-                for i in ds.starts[dst] as usize..ds.starts[dst + 1] as usize {
-                    out.push((dst, ds.srcs[i], ds.msgs[i]));
+        if order_deliveries(&mut [bucket], base, width, &mut ds) > 0 {
+            for off in 0..width {
+                for i in ds.starts[off] as usize..ds.starts[off + 1] as usize {
+                    out.push((base + off, ds.srcs[i], ds.msgs[i]));
                 }
             }
         }
@@ -857,17 +677,18 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// In-place route ≡ copy route ≡ per-envelope fate plus a
-        /// `(dst, src, seq)` sort, deliveries and `NetStats` alike. One
-        /// phase gives src-ascending headers; two or three usually do
-        /// not, and then the in-place kernel must leave the batch alone.
+        /// Filing at the send ≡ per-envelope fate plus a `(dst, src, seq)`
+        /// sort, per delivery slot and destination shard, deliveries and
+        /// `NetStats` alike. One phase gives src-ascending lanes; two or
+        /// three usually lanes whose headers step back.
         #[test]
-        fn in_place_route_equals_copy_route_equals_reference(
+        fn lanes_filed_at_the_send_equal_the_per_envelope_reference(
             phases in proptest::collection::vec(
                 proptest::collection::vec((0u32..SRCS, 0u32..DSTS as u32), 0..12),
                 1..4,
             ),
             pick in 0usize..4,
+            sharded in proptest::prelude::any::<bool>(),
             seed in proptest::prelude::any::<u64>(),
         ) {
             let cond = [
@@ -876,147 +697,65 @@ mod tests {
                 Conditions::with_latency(LatencyDist::Uniform { min: 1, max: 3 }),
                 Conditions { drop_prob: 0.4, latency: LatencyDist::Fixed(2) },
             ][pick];
-            let slots = cond.latency_slots();
+            let dests = if sharded { 3 } else { 1 };
+            let chunk = DSTS.div_ceil(dests);
+            let rows = slot_rows(&cond);
+            let first_slot = cond.latency_slots() - rows;
             let envs = emission(&phases);
 
             let mut want_stats = NetStats::default();
-            let mut due: Vec<Vec<&Envelope<u32>>> = vec![Vec::new(); slots];
+            let mut due: Vec<Vec<&Envelope<u32>>> = vec![Vec::new(); rows * dests];
             for e in &envs {
                 want_stats.sent += 1;
                 want_stats.bytes_sent += 1;
                 match cond.fate(seed, e) {
                     None => want_stats.dropped += 1,
-                    Some(l) => due[(l - 1) as usize].push(e),
+                    Some(l) => {
+                        let row = l as usize - 1 - first_slot;
+                        due[row * dests + e.dst.index() / chunk].push(e);
+                    }
                 }
             }
             let want: Vec<Vec<_>> = due
                 .into_iter()
-                .map(|mut slot| {
-                    slot.sort_by_key(|e| (e.dst, e.src, e.seq));
-                    slot.iter().map(|e| (e.dst.index(), e.src, e.msg)).collect()
+                .map(|mut lane| {
+                    lane.sort_by_key(|e| (e.dst, e.src, e.seq));
+                    lane.iter().map(|e| (e.dst.index(), e.src, e.msg)).collect()
                 })
                 .collect();
 
-            let fresh = EnvBatch::from_envelopes(&envs);
-            let ascending = fresh.runs().windows(2).all(|w| w[0].src <= w[1].src);
-            proptest::prop_assert_eq!(fresh.ascending, ascending);
-
-            let mut copied = fresh.clone();
-            let mut buckets: Vec<EnvBatch<u32>> = (0..slots).map(|_| EnvBatch::new()).collect();
-            let mut stats = NetStats::default();
-            route_sends(
-                &mut copied,
-                seed,
-                &cond,
-                0,
-                SRCS as usize,
-                &mut RouteScratch::default(),
-                &mut stats,
-                |_| 1,
-                |slot, src, dst, msg| buckets[slot].push_grouped(src, dst, msg),
+            let mut lanes = Lanes::conditioned(dests, chunk, seed, &cond);
+            proptest::prop_assert_eq!(
+                matches!(lanes, Lanes::Fated(_)),
+                !cond.is_ideal(),
+                "fate is computed exactly where the channel needs it"
             );
+            for e in &envs {
+                lanes.push(e.src, e.seq, e.dst, e.msg);
+            }
+            // The round engine's tally: every message filed or lost.
+            let lost = lanes.lost().map_or(0, |lost| std::mem::take(lost).len()) as u64;
+            let filed: u64 = lanes.batches().iter().map(|lane| lane.len() as u64).sum();
+            let stats = NetStats {
+                sent: filed + lost,
+                bytes_sent: filed + lost,
+                dropped: lost,
+                ..NetStats::default()
+            };
             proptest::prop_assert_eq!(&stats, &want_stats);
-            let got: Vec<_> = buckets.into_iter().map(delivered).collect();
+            proptest::prop_assert_eq!(lanes.batches().len(), rows * dests);
+            let got: Vec<_> = lanes
+                .batches()
+                .iter_mut()
+                .enumerate()
+                .map(|(i, lane)| {
+                    let ascending = lane.runs().windows(2).all(|w| w[0].src <= w[1].src);
+                    assert_eq!(lane.ascending, ascending);
+                    let base = i % dests * chunk;
+                    delivered(std::mem::take(lane), base, chunk.min(DSTS - base))
+                })
+                .collect();
             proptest::prop_assert_eq!(&got, &want);
-
-            let mut moved = fresh.clone();
-            let mut stats = NetStats::default();
-            let slot = route_whole(&mut moved, seed, &cond, &mut stats, |_| 1);
-            if ascending && matches!(cond.latency, LatencyDist::Fixed(_)) {
-                proptest::prop_assert_eq!(&stats, &want_stats);
-                let survivors = (want_stats.sent - want_stats.dropped) as usize;
-                proptest::prop_assert_eq!(moved.len(), survivors);
-                proptest::prop_assert_eq!(slot, (survivors > 0).then_some(slots - 1));
-                proptest::prop_assert_eq!(&delivered(moved), &want[slots - 1]);
-            } else {
-                proptest::prop_assert_eq!(slot, None);
-                proptest::prop_assert_eq!(&moved, &fresh);
-                proptest::prop_assert_eq!(&stats, &NetStats::default());
-            }
-        }
-    }
-
-    #[test]
-    fn in_place_loss_can_empty_a_run_or_the_whole_batch() {
-        let cond = Conditions::with_loss(0.9);
-        let envs = [
-            env(0, 1, 0),
-            env(0, 2, 1),
-            env(1, 0, 0),
-            env(1, 2, 1),
-            env(2, 0, 0),
-            env(2, 1, 1),
-        ];
-        let (mut emptied_run, mut emptied_batch) = (false, false);
-        for seed in 0..200 {
-            let mut batch = EnvBatch::from_envelopes(&envs);
-            let mut stats = NetStats::default();
-            let slot = route_whole(&mut batch, seed, &cond, &mut stats, |_| 1);
-
-            let mut want = Vec::new();
-            let mut want_runs: Vec<(NodeId, u32)> = Vec::new();
-            for e in envs.iter().filter(|e| cond.fate(seed, e).is_some()) {
-                want.push((e.src, e.dst, e.msg));
-                match want_runs.last_mut() {
-                    Some((src, len)) if *src == e.src => *len += 1,
-                    _ => want_runs.push((e.src, 1)),
-                }
-            }
-            let mut got = Vec::new();
-            batch.for_each_run(|run, dsts, msgs| {
-                got.extend(dsts.iter().zip(msgs).map(|(d, m)| (run.src, *d, *m)));
-            });
-            assert_eq!(got, want, "seed={seed}");
-            let got_runs: Vec<_> = batch.runs().iter().map(|r| (r.src, r.len)).collect();
-            assert_eq!(got_runs, want_runs, "no emptied run keeps a header");
-            assert_eq!(stats.sent, 6);
-            assert_eq!(stats.dropped as usize, 6 - want.len());
-            assert_eq!(slot, (!want.is_empty()).then_some(0));
-            emptied_run |= (1..3).contains(&want_runs.len());
-            emptied_batch |= want.is_empty();
-        }
-        assert!(
-            emptied_run && emptied_batch,
-            "both cases occur in 200 seeds"
-        );
-    }
-
-    #[test]
-    fn in_place_loss_is_exact_on_a_lane_of_seq_discontiguous_runs() {
-        // Three senders whose consecutive sends alternate between two
-        // lanes, as `Outbox::send` files them: every message of a lane
-        // heads its own run, and fate must key on that run's `first_seq`,
-        // not on the position within the sender's stretch.
-        let cond = Conditions::with_loss(0.5);
-        let envs: Vec<_> = (0..3u32)
-            .flat_map(|src| (0..8u64).map(move |seq| env(src, (seq % 2) as u32 * 4, seq)))
-            .collect();
-        for seed in 0..50 {
-            for parity in 0..2u64 {
-                let lane: Vec<_> = envs
-                    .iter()
-                    .filter(|e| e.seq % 2 == parity)
-                    .cloned()
-                    .collect();
-                let mut batch = EnvBatch::from_envelopes(&lane);
-                assert_eq!(batch.runs().len(), lane.len(), "one run per message");
-                assert!(batch.ascending);
-                let mut stats = NetStats::default();
-                let slot = route_whole(&mut batch, seed, &cond, &mut stats, |_| 1);
-                let want: Vec<_> = lane
-                    .iter()
-                    .filter(|e| cond.fate(seed, e).is_some())
-                    .map(|e| (e.src, e.dst, e.msg))
-                    .collect();
-                let mut got = Vec::new();
-                batch.for_each_run(|run, dsts, msgs| {
-                    got.extend(dsts.iter().zip(msgs).map(|(d, m)| (run.src, *d, *m)));
-                });
-                assert_eq!(got, want, "seed={seed} parity={parity}");
-                assert_eq!(stats.sent as usize, lane.len());
-                assert_eq!(stats.dropped as usize, lane.len() - want.len());
-                assert_eq!(slot, (!want.is_empty()).then_some(0));
-            }
         }
     }
 
@@ -1092,11 +831,28 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "not src-ascending")]
-    fn order_deliveries_rejects_src_descending_segment() {
-        let mut segments = vec![EnvBatch::from_envelopes(&[env(1, 0, 0), env(0, 0, 0)])];
-        order_deliveries(&mut segments, 0, 1, &mut DeliverScratch::default());
+    fn order_deliveries_splits_a_segment_at_its_descents() {
+        // Two shards' lanes of a round that sent from two phases — each
+        // steps back once, and shard 1's first stretch continues the
+        // stream shard 0's second one opened — then the next round's.
+        let shard0 = EnvBatch::from_envelopes(&[
+            env(0, 1, 0),
+            env(1, 0, 0),
+            env(2, 1, 0),
+            env(0, 1, 1),
+            env(2, 1, 1),
+        ]);
+        let shard1 = EnvBatch::from_envelopes(&[
+            env(3, 1, 0),
+            env(4, 0, 0),
+            env(5, 1, 0),
+            env(3, 1, 1),
+            env(3, 0, 2),
+            env(5, 1, 1),
+        ]);
+        let later = EnvBatch::from_envelopes(&[env(0, 1, 2), env(2, 0, 2), env(3, 1, 3)]);
+        assert!(!shard0.ascending && !shard1.ascending && later.ascending);
+        assert_orders_like_sort(vec![shard0, shard1, later], 2);
     }
 
     #[test]

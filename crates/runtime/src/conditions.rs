@@ -50,6 +50,15 @@ impl LatencyDist {
         }
     }
 
+    /// Smallest latency this distribution can produce.
+    pub fn min_latency(&self) -> u64 {
+        match *self {
+            LatencyDist::Fixed(l) => l,
+            LatencyDist::Uniform { min, .. } => min,
+            LatencyDist::Geometric { .. } => 1,
+        }
+    }
+
     /// Check the variant's parameter invariants, returning the violated
     /// rule if any. The single source of truth shared by the panicking
     /// executor entry points ([`validate`](Self::validate)) and the typed
@@ -318,10 +327,11 @@ mod tests {
     }
 
     #[test]
-    fn max_latency_matches_variants() {
-        assert_eq!(LatencyDist::Fixed(3).max_latency(), 3);
-        assert_eq!(LatencyDist::Uniform { min: 1, max: 9 }.max_latency(), 9);
-        assert_eq!(LatencyDist::Geometric { p: 0.1, cap: 40 }.max_latency(), 40);
+    fn latency_bounds_match_variants() {
+        let bounds = |d: LatencyDist| (d.min_latency(), d.max_latency());
+        assert_eq!(bounds(LatencyDist::Fixed(3)), (3, 3));
+        assert_eq!(bounds(LatencyDist::Uniform { min: 2, max: 9 }), (2, 9));
+        assert_eq!(bounds(LatencyDist::Geometric { p: 0.1, cap: 40 }), (1, 40));
     }
 
     #[test]

@@ -4,16 +4,16 @@
 //! Nodes are partitioned into contiguous shards of `n.div_ceil(shards)`
 //! ids. A [`Shard`] **owns** its chunk of the run state — node states,
 //! RNG streams, send counters, liveness mask — plus everything a round
-//! needs to stay allocation-free: the emission lanes, the route/deliver
-//! kernels' scratch, a pool of recycled envelope segments, the hoisted
+//! needs to stay allocation-free: the emission lanes, the delivery
+//! kernel's scratch, a pool of recycled envelope segments, the hoisted
 //! churn streams and the node arena. [`Shard::round`] is the only round
 //! body in the crate: churn mask → round-start → deliveries → round-end
-//! → observation fold → fate + routing of the shard's own sends into
-//! `routed[latency_slot][destination_shard]`. The destination shard is
-//! decided where a message is emitted — [`Outbox::send`] files it in the
-//! emission lane of its destination's shard — so routing works lane by
-//! lane and, where a lane is one latency slot's worth in delivery order,
-//! moves it instead of copying it (see "Memory discipline").
+//! → observation fold → routing of the shard's own sends into
+//! `routed[latency_slot][destination_shard]`. Where a message goes is
+//! decided where it is emitted — [`Outbox::send`] files it in the
+//! emission lane of its destination's shard and, on a channel that loses
+//! or delays, of the latency slot its fate assigns — so routing is a
+//! tally and a move of each lane (see "Memory discipline").
 //!
 //! [`drive`] is the only coordinator: it keeps the latency ring, hands
 //! each shard the segments due this round, splices the routed lanes back
@@ -48,24 +48,21 @@
 //!    alone, so deciding it in the sending shard cannot change any
 //!    outcome.
 //! 3. **Splice order = emission order.** Shards are contiguous id ranges
-//!    spliced in shard order, and each shard's routed bucket for a
-//!    destination shard is `(src, seq)`-sorted: it is the emission lane
-//!    of that destination — the shard's sends to it, in emission order —
-//!    either as emitted ([`route_whole`] only takes a lane whose senders
-//!    ascend, i.e. one emitted in that order) or regrouped
-//!    ([`route_sends`] walks sources in ascending id order). Filing a
-//!    send by destination shard keeps the relative order of the sends
-//!    that share a lane, so concatenating shard buckets in shard order
-//!    yields, per bucket, the one-shard run's messages for those
-//!    destinations in the one-shard run's order.
+//!    spliced in shard order, and each shard's routed bucket for a slot
+//!    and destination shard is its emission lane for them, as emitted.
+//!    Filing a send by slot and destination shard keeps the relative
+//!    order of the sends that share a lane, so concatenating shard
+//!    buckets in shard order yields, per bucket, the one-shard run's
+//!    messages for those destinations in the one-shard run's order.
 //! 4. **Delivery order.** Messages due in a round are consumed in
-//!    `(dst, src, seq)` order. A ring lane holds src-ascending segments
-//!    in (send round, shard) order; [`order_deliveries`] merges their run
-//!    *headers* into `(src, seq)` order — one stream per send round, so
-//!    a lane filled by one round (always, under fixed latency such as
-//!    the paper's synchronous model) is plain concatenation — and one
-//!    stable counting pass by destination completes the sort in
-//!    `O(m + shard_width)`, with no comparison sort over messages.
+//!    `(dst, src, seq)` order. A ring lane holds segments in (send
+//!    round, shard) order, each src-ascending but for a step back where
+//!    a later phase of its round began; [`order_deliveries`] merges their
+//!    run *headers* into `(src, seq)` order — one stream per send round
+//!    and phase, so a lane filled by one single-phase round (the paper's
+//!    synchronous model) is plain concatenation — and one stable counting
+//!    pass by destination completes the sort in `O(m + shard_width)`,
+//!    with no comparison sort over messages.
 //! 5. **Associative observation.** [`RoundObs::merge`] is commutative
 //!    and associative, so the shard-order merge of per-shard partials
 //!    equals a single whole-run fold.
@@ -74,38 +71,29 @@
 //!
 //! Messages travel in compact SoA [`EnvBatch`] lanes (see the
 //! [`batch`](crate::batch) module), and batches cycle rather than churn:
-//! lane → ring → due → pool → lane, on every shard count. A shard emits
-//! into one lane per destination shard. Under fixed latency (the paper's
-//! synchronous model, with or without loss) a lane whose sends are
-//! already in `(src, seq)` order — every round that sends from one phase
-//! — *is* the routed bucket for its destination: fate filters it in
-//! place ([`route_whole`]), it is moved (pointer-level) into the ring,
+//! lane → ring → due → pool → lane, on every shard count and under every
+//! [`Conditions`]. A lane *is* the routed bucket for its latency slot and
+//! destination shard: it is tallied, moved (pointer-level) into the ring,
 //! later handed to the destination shard as a delivery segment, drained
 //! there and kept in that shard's segment pool, which backs that shard's
-//! next lanes. Two batches alternate per (source, destination) pair of
-//! shards and no message is copied between emission and delivery
-//! ordering. A lane that does not qualify (a latency spread, or a node
-//! that sent to it from two phases of the round) is copied by
-//! [`route_sends`] into its latency slots' buckets, which the pool backs
-//! — lane by lane, so one regrouped lane does not make its neighbours
-//! copy. What the pool cannot supply is sized, not grown, and not before
-//! it is needed: a lane without a batch — every lane when the run
-//! begins, later one that was handed over while the pool was empty — is
-//! backed as the next round starts, with room for its share of one
-//! message and one run per node and for a round like the one just routed
-//! ([`Geometry::lane_room`]); a copied bucket gets room for its share of
-//! the lane. So cold rounds do not grow buffers from zero, warm rounds do
-//! not allocate, and a run's last round leaves no batch behind for a
-//! round that does not come.
+//! next lanes. Two batches alternate per lane and no message is copied
+//! between emission and delivery ordering. What the pool cannot supply is
+//! sized, not grown, and not before it is needed: a lane without a batch
+//! — every lane when the run begins, later one that was handed over while
+//! the pool was empty — is backed as the next round starts, with room for
+//! its share of one message and one run per node and for a round like the
+//! one just routed ([`Geometry::lane_room`]). So cold rounds do not grow
+//! buffers from zero, warm rounds do not allocate, a lane nothing is ever
+//! due in keeps its first batch, and a run's last round leaves no batch
+//! behind for a round that does not come.
 //!
 //! lint: deterministic
 
 use super::pool::WorkerPool;
 use crate::arena::NodeArena;
-use crate::batch::{
-    order_deliveries, route_sends, route_whole, DeliverScratch, EnvBatch, Lanes, RouteScratch,
-};
+use crate::batch::{order_deliveries, slot_rows, DeliverScratch, EnvBatch, Lanes};
 use crate::churn::ChurnCache;
+use crate::conditions::Conditions;
 use crate::proto::{observe_nodes, Outbox, RoundObs, RoundProtocol, Verdict};
 use crate::report::{NetStats, RunConfig, RunReport, TimeAxis};
 use rand::rngs::SmallRng;
@@ -113,23 +101,26 @@ use rendez_sim::{small_rng_for, NodeId};
 use std::collections::VecDeque;
 
 /// Shard layout of one run: `shards` contiguous ranges of `chunk` ids
-/// (the last may be shorter) and `slots` latency slots.
+/// (the last may be shorter) and `slots` latency slots, of which a
+/// round's sends can be due in the last `rows`.
 #[derive(Clone, Copy)]
 struct Geometry {
     n: usize,
     chunk: usize,
     shards: usize,
     slots: usize,
+    rows: usize,
 }
 
 impl Geometry {
-    fn new(n: usize, shards: usize, slots: usize) -> Self {
+    fn new(n: usize, shards: usize, cond: &Conditions) -> Self {
         let chunk = n.div_ceil(shards.max(1));
         Geometry {
             n,
             chunk,
             shards: n.div_ceil(chunk),
-            slots,
+            slots: cond.latency_slots(),
+            rows: slot_rows(cond),
         }
     }
 
@@ -139,7 +130,7 @@ impl Geometry {
     /// eighth of headroom keeps that from doubling the buffer. With one
     /// lane the volume is the protocol's own and gets exactly its room.
     fn lane_room(&self, msgs: usize) -> usize {
-        if self.shards > 1 {
+        if self.shards * self.rows > 1 {
             msgs + msgs / 8
         } else {
             msgs
@@ -164,22 +155,18 @@ struct Shard<P: RoundProtocol> {
     live: Vec<bool>,
     churn: ChurnCache,
     arena: NodeArena,
-    /// This round's emissions, one lane per destination shard: each is
-    /// handed over whole ([`route_whole`]) and replaced from `pool`, or
-    /// drained by [`route_sends`]. A lane without a batch gets one when
-    /// the round begins.
+    /// This round's emissions, one lane per latency slot they can be due
+    /// in and destination shard ([`back_lanes`], [`hand_over`]).
     fresh: Lanes<P::Msg>,
     /// Messages and runs of the largest lane handed over last round with
     /// no pooled batch to take its place: what the next round sizes such
     /// lanes' new batches for.
     stand_in: [usize; 2],
-    rs: RouteScratch,
     ds: DeliverScratch<P::Msg>,
-    /// Drained delivery segments, kept to back the next emission lanes
-    /// and routed batches.
+    /// Drained delivery segments, kept to back the next emission lanes.
     pool: Vec<EnvBatch<P::Msg>>,
     /// This round's surviving sends: `routed[slot][dest_shard]`, each
-    /// batch `(src, seq)`-sorted; slot `k` is due `k + 1` rounds on. The
+    /// batch an emission lane; slot `k` is due `k + 1` rounds on. The
     /// coordinator's splice takes the batches and leaves the skeleton.
     routed: Vec<Vec<EnvBatch<P::Msg>>>,
 }
@@ -223,6 +210,77 @@ fn each_live<P: RoundProtocol>(
     }
 }
 
+/// As a round begins, give every lane without a batch one (module docs,
+/// "Memory discipline"): room for its share of one message and one run
+/// per node of the shard's `len` and for a round like the last
+/// (`stand_in`), and for the share `drop_prob` of them that fate loses.
+/// Out of line with [`hand_over`], which says why.
+#[inline(never)]
+fn back_lanes<M>(
+    fresh: &mut Lanes<M>,
+    stand_in: &mut [usize; 2],
+    geo: Geometry,
+    len: usize,
+    drop_prob: f64,
+) {
+    let share = geo.lane_room(len.div_ceil(geo.shards * geo.rows));
+    let [msgs, runs] = stand_in.map(|last| share.max(geo.lane_room(last)));
+    for lane in fresh.batches() {
+        if !lane.has_capacity() {
+            *lane = EnvBatch::with_capacity(msgs, runs);
+        }
+    }
+    *stand_in = [0; 2];
+    if let Some(lost) = fresh.lost() {
+        lost.reserve((drop_prob * len as f64).ceil() as usize);
+    }
+}
+
+/// The routing of a round: every lane of `fresh` is one routed bucket as
+/// emitted — row by row the shard's surviving sends due in one slot,
+/// lane `dest` of a row those to shard `dest` — so each is tallied and
+/// moved into `routed[slot][dest]`, a batch from `pool` taking its place.
+/// What fate lost is tallied and dropped.
+/// Not inlined, nor is [`back_lanes`] — like [`each_live`], measured:
+/// with the two inline, `spread-ideal-seq` read 0.97–0.98 of what it
+/// read with the copying router, out of line 1.00–1.02.
+#[inline(never)]
+fn hand_over<P: RoundProtocol>(
+    proto: &P,
+    geo: Geometry,
+    fresh: &mut Lanes<P::Msg>,
+    (pool, stand_in): (&mut Vec<EnvBatch<P::Msg>>, &mut [usize; 2]),
+    routed: &mut [Vec<EnvBatch<P::Msg>>],
+    tally: &mut NetStats,
+) {
+    let mut sent = |msgs: &[P::Msg]| {
+        tally.sent += msgs.len() as u64;
+        for m in msgs {
+            tally.bytes_sent += proto.msg_bytes(m) as u64;
+        }
+    };
+    let rows = fresh.batches().chunks_mut(geo.shards);
+    for (row, buckets) in rows.zip(&mut routed[geo.slots - geo.rows..]) {
+        for (lane, bucket) in row.iter_mut().zip(buckets) {
+            if lane.is_empty() {
+                continue;
+            }
+            sent(lane.msgs());
+            let next = pool.pop().unwrap_or_else(|| {
+                let emitted = [lane.len(), lane.runs().len()];
+                *stand_in = [0, 1].map(|i| stand_in[i].max(emitted[i]));
+                EnvBatch::new()
+            });
+            *bucket = std::mem::replace(lane, next);
+        }
+    }
+    if let Some(lost) = fresh.lost() {
+        sent(lost);
+        tally.dropped += lost.len() as u64;
+        lost.clear();
+    }
+}
+
 impl<P: RoundProtocol> Shard<P> {
     /// Shard `s` of the layout `geo`: RNG streams, then node states in
     /// id order.
@@ -248,9 +306,8 @@ impl<P: RoundProtocol> Shard<P> {
             arena: NodeArena::new(base, len),
             // Backed when the first round begins, like every lane that
             // was handed over.
-            fresh: Lanes::new(geo.shards, geo.chunk),
+            fresh: Lanes::conditioned(geo.shards, geo.chunk, cfg.seed, &cfg.conditions),
             stand_in: [0; 2],
-            rs: RouteScratch::default(),
             ds: DeliverScratch::default(),
             pool: Vec::new(),
             routed: (0..geo.slots)
@@ -260,8 +317,8 @@ impl<P: RoundProtocol> Shard<P> {
     }
 
     /// One full round for this shard's nodes: the three phase hooks, the
-    /// observation fold, then fate + routing of the shard's own sends
-    /// into `self.routed`. `due` holds the delivery segments due this
+    /// observation fold, then routing of the shard's own sends into
+    /// `self.routed`. `due` holds the delivery segments due this
     /// round, in splice order, and is left empty.
     fn round(
         &mut self,
@@ -281,7 +338,6 @@ impl<P: RoundProtocol> Shard<P> {
             arena,
             fresh,
             stand_in,
-            rs,
             ds,
             pool,
             routed,
@@ -297,19 +353,7 @@ impl<P: RoundProtocol> Shard<P> {
         let up = |off: usize| live.is_empty() || live[off];
         arena.begin_round();
 
-        // A lane that was handed over when the pool had nothing to put in
-        // its place — every lane, when the run begins — is backed now
-        // rather than then, so a run's last round allocates nothing for
-        // a round that does not come: room for the lane's share of one
-        // message and one run per node, and for a round like the last.
-        let share = geo.lane_room(len.div_ceil(geo.shards));
-        let [msgs, runs] = stand_in.map(|last| share.max(geo.lane_room(last)));
-        for lane in fresh.batches() {
-            if !lane.has_capacity() {
-                *lane = EnvBatch::with_capacity(msgs, runs);
-            }
-        }
-        *stand_in = [0; 2];
+        back_lanes(fresh, stand_in, geo, len, cfg.conditions.drop_prob);
 
         // Phase 1: round-start hooks, id order.
         let states = (&mut nodes[..], &mut rngs[..], &mut seqs[..]);
@@ -354,57 +398,7 @@ impl<P: RoundProtocol> Shard<P> {
 
         let obs = observe_nodes(proto, base, nodes, round);
 
-        // Routing, lane by lane: lane `dest` holds this shard's sends to
-        // shard `dest`, so each lane files into `routed[slot][dest]`.
-        for (dest, lane) in fresh.batches().iter_mut().enumerate() {
-            if lane.is_empty() {
-                continue;
-            }
-            // Fixed latency, sends already in (src, seq) order: the lane
-            // is one routed bucket and is handed over as it stands — fate
-            // filters it in place, the batch itself becomes the bucket,
-            // and a pooled batch backs the next emissions (failing that,
-            // a new one when the next round begins).
-            let emitted = [lane.len(), lane.runs().len()];
-            let whole = route_whole(lane, cfg.seed, &cfg.conditions, &mut tally, |m| {
-                proto.msg_bytes(m)
-            });
-            if let Some(slot) = whole {
-                let next = pool.pop().unwrap_or_else(|| {
-                    *stand_in = [stand_in[0].max(emitted[0]), stand_in[1].max(emitted[1])];
-                    EnvBatch::new()
-                });
-                routed[slot][dest] = std::mem::replace(lane, next);
-                continue;
-            }
-            // Otherwise the hoisted fate kernel walks the lane grouped by
-            // source and copies survivors into their latency slot's
-            // bucket; downstream splices preserve the (src, seq) order,
-            // which is what makes delivery-side counting exact. A bucket
-            // the splice took is re-backed on its first push, from the
-            // pool or sized to its share of the lane.
-            let seg_msgs = lane.len().div_ceil(geo.slots);
-            let seg_runs = lane.runs().len().min(seg_msgs);
-            route_sends(
-                lane,
-                cfg.seed,
-                &cfg.conditions,
-                base,
-                len,
-                rs,
-                &mut tally,
-                |m| proto.msg_bytes(m),
-                |slot, src, dst, msg| {
-                    let bucket = &mut routed[slot][dest];
-                    if !bucket.has_capacity() {
-                        *bucket = pool
-                            .pop()
-                            .unwrap_or_else(|| EnvBatch::with_capacity(seg_msgs, seg_runs));
-                    }
-                    bucket.push_grouped(src, dst, msg);
-                },
-            );
-        }
+        hand_over(proto, geo, fresh, (pool, stand_in), routed, &mut tally);
         (tally, obs)
     }
 }
@@ -430,7 +424,7 @@ pub(super) fn drive<P: RoundProtocol>(
     cfg.conditions.latency.validate();
     cfg.churn.validate();
 
-    let geo = Geometry::new(n, shards, cfg.conditions.latency_slots());
+    let geo = Geometry::new(n, shards, &cfg.conditions);
     let mut shards: Vec<Shard<P>> = (0..geo.shards)
         .map(|s| Shard::new(&*proto, cfg, geo, s))
         .collect();
@@ -511,7 +505,7 @@ pub(super) fn drive<P: RoundProtocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::conditions::Conditions;
+    use crate::conditions::LatencyDist;
 
     /// Every node sends one message a round, node `i` to shard
     /// `i % shards`, so every emission lane carries exactly its share.
@@ -558,34 +552,46 @@ mod tests {
         }
     }
 
-    /// The batch cycle lane → ring → due → pool → lane closes on two
-    /// batches per (source, destination) pair of shards: once they are
-    /// warm no round allocates, grows or strands one — on the hand-over
-    /// path with and without loss, on one shard and on two.
+    /// The batch cycle lane → ring → due → pool → lane closes: once the
+    /// batches are warm no round allocates, grows or strands one — one
+    /// batch per lane and one per bucket in flight, with and without
+    /// loss, under a latency spread (two slot rows), on one shard and on
+    /// two.
     #[test]
     fn batch_capacities_are_stable_after_three_warm_rounds() {
-        const N: usize = 64;
+        // Large enough that a lane's random share of a round stays
+        // inside `lane_room`'s eighth of headroom (≥ 4 σ).
+        const N: usize = 4096;
+        let spread = Conditions {
+            drop_prob: 0.3,
+            latency: LatencyDist::Uniform { min: 1, max: 2 },
+        };
         for shards in [1, 2] {
-            for cond in [Conditions::ideal(), Conditions::with_loss(0.3)] {
+            for cond in [Conditions::ideal(), Conditions::with_loss(0.3), spread] {
                 let proto = Comb { n: N, shards };
                 let cfg = RunConfig::seeded(4).conditions(cond);
-                let geo = Geometry::new(N, shards, 1);
+                let geo = Geometry::new(N, shards, &cond);
                 let mut layout: Vec<_> = (0..shards)
                     .map(|s| Shard::new(&proto, &cfg, geo, s))
                     .collect();
-                let mut dues: Vec<Vec<EnvBatch<u8>>> = vec![Vec::new(); shards];
+                // The coordinator's ring: `ring[k][dest]` is due `k` rounds on.
+                let mut ring: VecDeque<Vec<Vec<EnvBatch<u8>>>> =
+                    vec![vec![Vec::new(); shards]; geo.slots].into();
                 let mut live = Vec::new();
                 for round in 0..8 {
+                    let mut dues = ring.pop_front().expect("`slots` rows");
                     for (shard, due) in layout.iter_mut().zip(&mut dues) {
                         let (tally, _) = shard.round(&proto, &cfg, geo, round, due);
                         assert_eq!(tally.sent, (N / shards) as u64);
                         assert!(due.is_empty());
                     }
-                    // The coordinator's splice, for the one slot there is.
+                    ring.push_back(dues);
                     for shard in &mut layout {
-                        for (seg, due) in shard.routed[0].iter_mut().zip(&mut dues) {
-                            assert!(!seg.runs().is_empty(), "every lane was handed over");
-                            due.push(std::mem::take(seg));
+                        for (buckets, row) in shard.routed.iter_mut().zip(ring.iter_mut()) {
+                            for (seg, due) in buckets.iter_mut().zip(row) {
+                                assert!(!seg.runs().is_empty(), "every lane was handed over");
+                                due.push(std::mem::take(seg));
+                            }
                         }
                     }
                     let mut caps = Vec::new();
@@ -593,14 +599,16 @@ mod tests {
                         let lanes = shard.fresh.batches().iter();
                         caps.extend(lanes.chain(&shard.pool).map(EnvBatch::capacities));
                     }
-                    caps.extend(dues.iter().flatten().map(EnvBatch::capacities));
+                    caps.extend(ring.iter().flatten().flatten().map(EnvBatch::capacities));
                     caps.sort_unstable();
                     live.push(caps);
                 }
                 let what = format!("shards={shards} {cond:?}: {live:?}");
+                // A bucket due `l` rounds on is in flight for `l` rounds.
+                let in_flight: usize = (geo.slots - geo.rows + 1..=geo.slots).sum();
                 assert_eq!(
                     live[3].len(),
-                    2 * shards * shards,
+                    (geo.rows + in_flight) * shards * shards,
                     "lanes + in flight, {what}"
                 );
                 assert!(live[3..].iter().all(|caps| *caps == live[3]), "{what}");
@@ -610,10 +618,11 @@ mod tests {
 
     #[test]
     fn recycle_pool_is_bounded_by_one_round_of_the_layout() {
-        let small = Geometry::new(1000, 8, 2).pool_cap();
+        let slots = |max| Conditions::with_latency(LatencyDist::Uniform { min: 1, max });
+        let small = Geometry::new(1000, 8, &slots(2)).pool_cap();
         assert_eq!(small, 64);
         // 100 shards × 3 slots can bring 300 segments into one round.
-        let wide = Geometry::new(1000, 100, 3).pool_cap();
+        let wide = Geometry::new(1000, 100, &slots(3)).pool_cap();
         assert_eq!(wide, 600);
         let mut pool: Vec<EnvBatch<u32>> = Vec::new();
         for _ in 0..(small + 10) {

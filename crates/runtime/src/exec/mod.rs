@@ -13,9 +13,9 @@
 //! * [`ShardedExecutor`] — nodes partitioned into contiguous shards,
 //!   each round one [`WorkerPool`] scope (a job per shard, bar the one
 //!   the coordinating thread runs itself); a shard's sends are filed by
-//!   destination shard as they are emitted, shards decide message fate
-//!   and route those lanes locally, and the coordinator only splices
-//!   whole buckets and merges the observation partials between rounds.
+//!   fate — lost, or due in which round — and destination shard as they
+//!   are emitted, and the coordinator only splices those lanes whole and
+//!   merges the observation partials between rounds.
 //!
 //! Channel conditions (loss, latency distributions) and churn are not
 //! executors but fields of the [`RunConfig`]

@@ -2,13 +2,11 @@
 //! round one [`WorkerPool`] scope — `k − 1` shards as jobs, the last on
 //! the coordinating thread.
 //!
-//! Every shard runs the full phase schedule for its own nodes, emits
-//! into one lane per destination shard, decides its sent messages' fate
-//! lane by lane and files the survivors by
-//! `[latency_slot][destination_shard]` — under fixed latency by moving
-//! the lane, which already is that bucket; the coordinator only splices
-//! whole buckets, merges `k` observation partials and asks the protocol
-//! for the verdict. See the `engine` module for the round body, the
+//! Every shard runs the full phase schedule for its own nodes, decides
+//! each message's fate as it is sent and files the survivors in emission
+//! lanes indexed `[latency_slot][destination_shard]`, which it hands
+//! over whole; the coordinator only splices those buckets, merges `k`
+//! observation partials and asks the protocol for the verdict. See the `engine` module for the round body, the
 //! coordinator loop and the invariants behind the guarantee below.
 //!
 //! # Determinism

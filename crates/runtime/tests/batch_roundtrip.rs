@@ -137,7 +137,7 @@ proptest! {
             let mut expect = Vec::new();
             for events in &rounds {
                 // One send round: every sender's burst, senders ascending
-                // (what `route_sends` files into a slot row).
+                // (what a single-phase round files into a slot row).
                 let mut events: Vec<_> =
                     events.iter().map(|&(s, d, m)| (s, d + base, m)).collect();
                 events.sort_by_key(|&(src, _, _)| src);

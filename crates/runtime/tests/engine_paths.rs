@@ -2,10 +2,9 @@
 //! `ShardedExecutor::run` (run-scoped pool), `ShardedExecutor::run_in`
 //! and `Scenario::run_pooled` (shared pool) — agree on *which thread*
 //! runs a shard, on what a panicking protocol callback looks like to the
-//! caller, and on the report whichever way a round's sends were routed:
-//! each emission lane handed over whole, or copied bucket by bucket —
-//! which of the two happened is read off the number of times the engine
-//! cloned a message, never off a clock.
+//! caller, and on the report whatever the channel and the phases a round
+//! sends from: every emission lane is handed over whole — read off the
+//! number of times the engine cloned a message, never off a clock.
 
 use rand::rngs::SmallRng;
 use rendez_runtime::{
@@ -183,9 +182,9 @@ fn one_shard_runs_inline_on_the_calling_thread() {
 /// Every node pings a round-dependent target from `on_round_start`;
 /// with `reply`, a pinged node answers from `on_receive_run` in the same
 /// round, so that round's run headers step back (senders `0..n` from
-/// the first phase, then repliers from the second) and routing has to
-/// regroup them. Node state is an order-sensitive hash of everything
-/// received.
+/// the first phase, then repliers from the second) and delivery has to
+/// merge the two stretches. Node state is an order-sensitive hash of
+/// everything received.
 struct Echo {
     n: u32,
     reply: bool,
@@ -214,9 +213,9 @@ const PING: u8 = 1;
 const PONG: u8 = 2;
 
 /// `Echo`'s message: a kind, and a tally of its own clones. The engine
-/// clones a message once to copy it into a routed bucket (the hand-over
-/// moves the lane instead), once to put it in delivery order, and the
-/// default `on_receive_run` once more to pass it to `on_message`.
+/// clones a message once to put it in delivery order (routing moves the
+/// lane it was sent into), and the default `on_receive_run` once more to
+/// pass it to `on_message`.
 struct Note {
     kind: u8,
     clones: Arc<AtomicU64>,
@@ -337,17 +336,21 @@ fn clones_if_handed_over(report: &RunReport<u64>) -> u64 {
     2 * report.stats.delivered
 }
 
-/// Clones of a run whose every lane was copied: one more per message
-/// that survived fate.
-fn clones_if_copied(report: &RunReport<u64>) -> u64 {
-    report.stats.sent - report.stats.dropped + 2 * report.stats.delivered
+/// Every layout of `echo_everywhere` moved every lane.
+fn assert_handed_over(report: &RunReport<u64>, layouts: &[(usize, u64)], what: &str) {
+    for &(shards, clones) in layouts {
+        assert_eq!(
+            clones,
+            clones_if_handed_over(report),
+            "{what} shards={shards}"
+        );
+    }
 }
 
 #[test]
 fn single_phase_rounds_hand_every_lane_over_on_every_layout() {
     // One phase, fixed latency — ideal, lossy, three rounds late: every
-    // lane of every shard is filtered in place and moved, whatever the
-    // shard count.
+    // lane of every shard is moved, whatever the shard count.
     for cond in [
         Conditions::ideal(),
         Conditions::with_loss(0.35),
@@ -365,18 +368,18 @@ fn single_phase_rounds_hand_every_lane_over_on_every_layout() {
             "{:?}",
             report.stats
         );
-        for (shards, clones) in layouts {
-            assert_eq!(
-                clones,
-                clones_if_handed_over(&report),
-                "{cond:?} shards={shards}"
-            );
-        }
+        assert_handed_over(&report, &layouts, &format!("{cond:?}"));
     }
 }
 
+/// Loss and three latencies: fate files each send in one of three rows.
+const SPREAD: Conditions = Conditions {
+    drop_prob: 0.2,
+    latency: LatencyDist::Uniform { min: 1, max: 3 },
+};
+
 #[test]
-fn a_lane_that_was_sent_to_from_two_phases_falls_back_alone() {
+fn a_lane_that_was_sent_to_from_two_phases_is_handed_over_like_any_other() {
     let (report, layouts) = echo_everywhere(true, Conditions::ideal());
     // 53 pings a round and, from round 1 on, 53 replies to last
     // round's pings.
@@ -387,44 +390,31 @@ fn a_lane_that_was_sent_to_from_two_phases_falls_back_alone() {
         echo_everywhere(false, Conditions::ideal()).0.digests,
         "the replies are observable"
     );
-    // On one shard the one lane's headers step back in every round but
-    // the first, which sends no replies: all but its 53 pings are
-    // copied. On several shards some lanes of such a round still hold
-    // one phase's messages only and are handed over; with one node per
-    // shard every lane has one sender and none is ever copied.
-    for &(shards, clones) in &layouts {
-        let lanes = shards.min(53);
-        let want = match lanes {
-            1 => clones_if_copied(&report) - 53,
-            53 => clones_if_handed_over(&report),
-            _ => {
-                assert!(clones > clones_if_handed_over(&report), "shards={shards}");
-                assert!(clones < clones_if_copied(&report) - 53, "shards={shards}");
-                continue;
-            }
-        };
-        assert_eq!(clones, want, "shards={shards}");
+    // The lanes' headers step back where the replies begin; delivery
+    // merges the two stretches, routing does not look.
+    assert_handed_over(&report, &layouts, "two phases");
+    // The same under loss, and under loss and a latency spread at once.
+    for cond in [Conditions::with_loss(0.35), SPREAD] {
+        let (lossy, layouts) = echo_everywhere(true, cond);
+        assert!(lossy.stats.dropped > 100, "{:?}", lossy.stats);
+        assert_handed_over(&lossy, &layouts, &format!("two phases, {cond:?}"));
     }
-    // The same under loss: the fallback filters what the hand-over would.
-    let (lossy, _) = echo_everywhere(true, Conditions::with_loss(0.35));
-    assert!(lossy.stats.dropped > 100, "{:?}", lossy.stats);
 }
 
 #[test]
-fn a_latency_spread_copies_every_lane() {
-    let cond = Conditions {
-        drop_prob: 0.2,
-        latency: LatencyDist::Uniform { min: 1, max: 3 },
-    };
-    let (report, layouts) = echo_everywhere(false, cond);
+fn a_latency_spread_hands_every_lane_over() {
+    let (report, layouts) = echo_everywhere(false, SPREAD);
     assert!(report.stats.dropped > 50, "{:?}", report.stats);
     assert!(
         report.stats.delivered < report.stats.sent - report.stats.dropped,
         "some messages are still in flight at the halt"
     );
-    for (shards, clones) in layouts {
-        assert_eq!(clones, clones_if_copied(&report), "shards={shards}");
-    }
+    assert_handed_over(&report, &layouts, "spread");
+    // 64 rows, most of them never due in.
+    let long_tail = Conditions::with_latency(LatencyDist::Geometric { p: 0.5, cap: 64 });
+    let (report, layouts) = echo_everywhere(false, long_tail);
+    assert!(report.stats.delivered > 400, "{:?}", report.stats);
+    assert_handed_over(&report, &layouts, "geometric");
 }
 
 #[test]
