@@ -15,6 +15,16 @@
 //!          unit payload, which lands at phase 0 of the next cycle
 //! ```
 //!
+//! # Wire format
+//!
+//! A [`DatingMsg`] is one 8-byte word (pinned at compile time): the
+//! variant tag plus, in the two answers, a [`Partner`] — the partner's
+//! address in four bytes, `u32::MAX` standing for "no date". No node
+//! carries that id: the runtime's `MAX_NODES` is `u32::MAX − 1`, which
+//! keeps it free for this encoding as well as for the event executor's
+//! nil link. The runtime's dating adapters send the same type (and
+//! `DatingSpreadMsg` the same partner field), so there is one encoding.
+//!
 //! The integration test `oracle_vs_distributed` checks the two forms
 //! produce statistically identical date counts; the tests here check
 //! protocol-level invariants (every request answered, payloads = dates,
@@ -25,7 +35,7 @@ use crate::matching::partial_shuffle;
 use crate::overhead::ADDRESS_BYTES;
 use crate::selector::NodeSelector;
 use crate::service::Date;
-use rendez_sim::{Ctx, Engine, EngineConfig, NodeId, Protocol};
+use rendez_sim::{Ctx, Engine, EngineConfig, NodeId, Partner, Protocol};
 
 /// Payload wire size used by the distributed form (unit message).
 pub const PAYLOAD_BYTES: usize = 1024;
@@ -37,13 +47,15 @@ pub enum DatingMsg {
     Offer,
     /// "Request for receiving": the origin wants one incoming unit.
     Request,
-    /// Answer to an offer: the partner to send to, or `None` for no date.
-    AnswerOffer(Option<NodeId>),
-    /// Answer to a request: the partner that will send, or `None`.
-    AnswerRequest(Option<NodeId>),
+    /// Answer to an offer: the partner to send to, or none for no date.
+    AnswerOffer(Partner),
+    /// Answer to a request: the partner that will send, or none.
+    AnswerRequest(Partner),
     /// The unit-size payload travelling on an arranged date.
     Payload,
 }
+
+const _: () = assert!(std::mem::size_of::<DatingMsg>() == 8);
 
 /// Protocol state for all nodes (single-owner, per the engine's design).
 pub struct DistributedDating<S: NodeSelector> {
@@ -143,7 +155,7 @@ impl<S: NodeSelector> Protocol for DistributedDating<S> {
             DatingMsg::Request => self.requests_inbox[node.index()].push(from),
             DatingMsg::AnswerOffer(partner) => {
                 self.answers_received += 1;
-                if let Some(p) = partner {
+                if let Some(p) = partner.get() {
                     // The sender ships the unit payload directly.
                     ctx.send(p, DatingMsg::Payload);
                 }
@@ -181,15 +193,21 @@ impl<S: NodeSelector> Protocol for DistributedDating<S> {
                 receiver: requests[j],
                 matchmaker: node,
             });
-            ctx.send(offers[j], DatingMsg::AnswerOffer(Some(requests[j])));
-            ctx.send(requests[j], DatingMsg::AnswerRequest(Some(offers[j])));
+            ctx.send(
+                offers[j],
+                DatingMsg::AnswerOffer(Partner::new(Some(requests[j]))),
+            );
+            ctx.send(
+                requests[j],
+                DatingMsg::AnswerRequest(Partner::new(Some(offers[j]))),
+            );
         }
         // Algorithm 1: every unmatched originator is told "not possible".
         for &o in &offers[q..] {
-            ctx.send(o, DatingMsg::AnswerOffer(None));
+            ctx.send(o, DatingMsg::AnswerOffer(Partner::new(None)));
         }
         for &r in &requests[q..] {
-            ctx.send(r, DatingMsg::AnswerRequest(None));
+            ctx.send(r, DatingMsg::AnswerRequest(Partner::new(None)));
         }
         offers.clear();
         requests.clear();

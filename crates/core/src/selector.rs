@@ -78,16 +78,25 @@ impl NodeSelector for UniformSelector {
     }
 }
 
-/// Weighted selection in O(1) per draw via Vose's alias method.
+/// Weighted selection in O(1) per draw via Vose's alias method: one
+/// table, one line per draw. A column's acceptance threshold and its
+/// fallback node sit side by side, so a draw reads one 16-byte entry and
+/// picks between its two candidates without a branch.
 #[derive(Debug, Clone)]
 pub struct AliasSelector {
-    /// Acceptance threshold per column.
-    prob: Vec<f64>,
-    /// Fallback node per column.
-    alias: Vec<u32>,
+    table: Vec<Column>,
     /// The normalized weights (kept for `weights()` and predictions).
     weights: Vec<f64>,
     name: String,
+}
+
+/// One column of the alias table.
+#[derive(Debug, Clone, Copy)]
+struct Column {
+    /// Acceptance threshold: the column keeps its own index below it.
+    prob: f64,
+    /// Fallback node otherwise.
+    alias: u32,
 }
 
 impl AliasSelector {
@@ -109,15 +118,20 @@ impl AliasSelector {
         let n = weights.len();
         let normalized: Vec<f64> = weights.iter().map(|w| w / total).collect();
 
-        // Vose's alias construction: scale to mean 1, split into small and
-        // large columns, pair each small column with a large donor.
-        let mut scaled: Vec<f64> = normalized.iter().map(|w| w * n as f64).collect();
-        let mut prob = vec![0.0f64; n];
-        let mut alias = vec![0u32; n];
+        // Vose's alias construction, in the table itself: scale to mean
+        // 1, split into small and large columns, pair each small column
+        // with a large donor. A column's `prob` is final once it is small.
+        let mut table: Vec<Column> = normalized
+            .iter()
+            .map(|w| Column {
+                prob: w * n as f64,
+                alias: 0,
+            })
+            .collect();
         let mut small: Vec<u32> = Vec::with_capacity(n);
         let mut large: Vec<u32> = Vec::with_capacity(n);
-        for (i, &s) in scaled.iter().enumerate() {
-            if s < 1.0 {
+        for (i, col) in table.iter().enumerate() {
+            if col.prob < 1.0 {
                 small.push(i as u32);
             } else {
                 large.push(i as u32);
@@ -125,21 +139,19 @@ impl AliasSelector {
         }
         while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
             small.pop();
-            prob[s as usize] = scaled[s as usize];
-            alias[s as usize] = l;
-            scaled[l as usize] -= 1.0 - scaled[s as usize];
-            if scaled[l as usize] < 1.0 {
+            table[s as usize].alias = l;
+            table[l as usize].prob -= 1.0 - table[s as usize].prob;
+            if table[l as usize].prob < 1.0 {
                 large.pop();
                 small.push(l);
             }
         }
         // Leftovers (roundoff) become certain columns.
         for &i in small.iter().chain(large.iter()) {
-            prob[i as usize] = 1.0;
+            table[i as usize].prob = 1.0;
         }
         Self {
-            prob,
-            alias,
+            table,
             weights: normalized,
             name: name.into(),
         }
@@ -169,16 +181,14 @@ impl AliasSelector {
 impl NodeSelector for AliasSelector {
     #[inline]
     fn select(&self, rng: &mut SmallRng) -> NodeId {
-        let i = rng.gen_range(0..self.prob.len());
-        if rng.gen::<f64>() < self.prob[i] {
-            NodeId(i as u32)
-        } else {
-            NodeId(self.alias[i])
-        }
+        let i = rng.gen_range(0..self.table.len());
+        let Column { prob, alias } = self.table[i];
+        let keep = rng.gen::<f64>() < prob;
+        NodeId(if keep { i as u32 } else { alias })
     }
 
     fn n(&self) -> usize {
-        self.prob.len()
+        self.table.len()
     }
 
     fn weights(&self) -> Vec<f64> {
@@ -264,6 +274,83 @@ mod tests {
         for (i, &p) in f.iter().enumerate() {
             let expect = weights[i] / 10.0;
             assert!((p - expect).abs() < 0.01, "node {i}: {p} vs {expect}");
+        }
+    }
+
+    /// Vose's method on two arrays with a branchy draw — the layout
+    /// `AliasSelector` had before its table was interleaved, kept as the
+    /// reference the one-table form must reproduce draw for draw.
+    struct TwoArrayAlias {
+        prob: Vec<f64>,
+        alias: Vec<u32>,
+    }
+
+    impl TwoArrayAlias {
+        /// From weights already normalized (`AliasSelector::weights`).
+        fn new(normalized: &[f64]) -> Self {
+            let n = normalized.len();
+            let mut scaled: Vec<f64> = normalized.iter().map(|w| w * n as f64).collect();
+            let mut prob = vec![0.0f64; n];
+            let mut alias = vec![0u32; n];
+            let (mut small, mut large) = (Vec::new(), Vec::new());
+            for (i, &s) in scaled.iter().enumerate() {
+                if s < 1.0 {
+                    small.push(i as u32);
+                } else {
+                    large.push(i as u32);
+                }
+            }
+            while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
+                small.pop();
+                prob[s as usize] = scaled[s as usize];
+                alias[s as usize] = l;
+                scaled[l as usize] -= 1.0 - scaled[s as usize];
+                if scaled[l as usize] < 1.0 {
+                    large.pop();
+                    small.push(l);
+                }
+            }
+            for &i in small.iter().chain(large.iter()) {
+                prob[i as usize] = 1.0;
+            }
+            Self { prob, alias }
+        }
+
+        fn select(&self, rng: &mut SmallRng) -> NodeId {
+            let i = rng.gen_range(0..self.prob.len());
+            if rng.gen::<f64>() < self.prob[i] {
+                NodeId(i as u32)
+            } else {
+                NodeId(self.alias[i])
+            }
+        }
+    }
+
+    #[test]
+    fn one_table_alias_draws_what_the_two_array_form_drew() {
+        use crate::bandwidth::Platform;
+        // The benchmark's `hetero-dating-seq` selector: incoming bandwidth
+        // of its power-law platform.
+        let bw_in: Vec<f64> = Platform::power_law(20_000, 1.1, 4.0, 0xBE9C)
+            .iter()
+            .map(|(_, caps)| caps.bw_in as f64)
+            .collect();
+        let cases = [
+            ("power-law bw_in", AliasSelector::new(&bw_in, "bw_in")),
+            ("zipf", AliasSelector::zipf(1000, 1.0)),
+            ("hotspot", AliasSelector::hotspot(500, 5, 50.0)),
+            ("one node", AliasSelector::new(&[3.0], "one")),
+            // Every column certain: the alias is never taken.
+            ("all equal", AliasSelector::new(&[2.5; 64], "equal")),
+        ];
+        for (what, sel) in cases {
+            let reference = TwoArrayAlias::new(&sel.weights());
+            let (mut rng, mut ref_rng) = (SmallRng::seed_from_u64(77), SmallRng::seed_from_u64(77));
+            for draw in 0..100_000 {
+                let (got, want) = (sel.select(&mut rng), reference.select(&mut ref_rng));
+                assert_eq!(got, want, "{what}, draw {draw}");
+            }
+            assert_eq!(rng.gen::<u64>(), ref_rng.gen::<u64>(), "RNG state, {what}");
         }
     }
 

@@ -1,7 +1,9 @@
 //! Algorithm 1 — the distributed dating service, hosted on the runtime.
 //!
 //! Same 3-round cycle as `rendez_core::distributed::DistributedDating`
-//! (and the same wire messages — [`DatingMsg`] is reused):
+//! (and the same wire messages — [`DatingMsg`] is reused: one 8-byte word,
+//! the partner of an answer a 4-byte [`Partner`] with `u32::MAX` for "no
+//! date", which [`MAX_NODES`](crate::MAX_NODES) keeps free of node ids):
 //!
 //! ```text
 //! phase 0: every node sends bout(i) Offer and bin(i) Request messages
@@ -35,7 +37,7 @@ use rendez_core::distributed::{DatingMsg, PAYLOAD_BYTES};
 use rendez_core::matching::partial_shuffle;
 use rendez_core::overhead::ADDRESS_BYTES;
 use rendez_core::{NodeSelector, Platform};
-use rendez_sim::{NodeId, SplitMix64};
+use rendez_sim::{NodeId, Partner, SplitMix64};
 
 /// [`RoundObs`] lane: cumulative payloads received, summed over nodes.
 const L_PAYLOADS: usize = 0;
@@ -224,7 +226,7 @@ impl<S: NodeSelector> RoundProtocol for RuntimeDating<S> {
             DatingMsg::Request => out.stash(STASH_REQUESTS, from),
             DatingMsg::AnswerOffer(partner) => {
                 node.answers_received += 1;
-                if let Some(p) = partner {
+                if let Some(p) = partner.get() {
                     out.send(p, DatingMsg::Payload);
                 }
             }
@@ -263,8 +265,8 @@ impl<S: NodeSelector> RoundProtocol for RuntimeDating<S> {
                 }
                 DatingMsg::AnswerOffer(partner) => {
                     answers += 1;
-                    if let Some(p) = partner {
-                        out.send(*p, DatingMsg::Payload);
+                    if let Some(p) = partner.get() {
+                        out.send(p, DatingMsg::Payload);
                     }
                 }
                 DatingMsg::AnswerRequest(_) => answers += 1,
@@ -285,7 +287,12 @@ impl<S: NodeSelector> RoundProtocol for RuntimeDating<S> {
         out: &mut Outbox<'_, DatingMsg>,
     ) {
         if Self::phase_of(round) == 1 {
-            let q = matchmake(rng, out, DatingMsg::AnswerOffer, DatingMsg::AnswerRequest) as u64;
+            let q = matchmake(
+                rng,
+                out,
+                |p| DatingMsg::AnswerOffer(Partner::new(p)),
+                |p| DatingMsg::AnswerRequest(Partner::new(p)),
+            ) as u64;
             node.dates_cycle = q;
             node.dates_mark = Self::cycle_of(round) + 1;
             node.dates_total += q;
@@ -366,18 +373,24 @@ mod tests {
         partial_shuffle(&mut requests, q, rng);
         let mut sent = Vec::new();
         for j in 0..q {
-            sent.push((offers[j], DatingMsg::AnswerOffer(Some(requests[j]))));
-            sent.push((requests[j], DatingMsg::AnswerRequest(Some(offers[j]))));
+            sent.push((
+                offers[j],
+                DatingMsg::AnswerOffer(Partner::new(Some(requests[j]))),
+            ));
+            sent.push((
+                requests[j],
+                DatingMsg::AnswerRequest(Partner::new(Some(offers[j]))),
+            ));
         }
         sent.extend(
             offers[q..]
                 .iter()
-                .map(|&o| (o, DatingMsg::AnswerOffer(None))),
+                .map(|&o| (o, DatingMsg::AnswerOffer(Partner::new(None)))),
         );
         sent.extend(
             requests[q..]
                 .iter()
-                .map(|&r| (r, DatingMsg::AnswerRequest(None))),
+                .map(|&r| (r, DatingMsg::AnswerRequest(Partner::new(None)))),
         );
         sent
     }
@@ -426,8 +439,8 @@ mod tests {
                 let q = matchmake(
                     &mut rng,
                     &mut out,
-                    DatingMsg::AnswerOffer,
-                    DatingMsg::AnswerRequest,
+                    |p| DatingMsg::AnswerOffer(Partner::new(p)),
+                    |p| DatingMsg::AnswerRequest(Partner::new(p)),
                 );
                 assert_eq!(q, offers.len().min(requests.len()), "{what}");
                 let [lane] = env.batches() else {

@@ -42,7 +42,7 @@ use rand::Rng;
 use rendez_core::distributed::PAYLOAD_BYTES;
 use rendez_core::overhead::ADDRESS_BYTES;
 use rendez_core::{NodeSelector, Platform};
-use rendez_sim::{NodeId, SplitMix64};
+use rendez_sim::{NodeId, Partner, SplitMix64};
 
 /// Per-node rumor state shared by the spread adapters: two booleans, no
 /// heap — the offer/request inboxes of the dating-style adapters live in
@@ -339,16 +339,19 @@ pub enum DatingSpreadMsg {
     Offer,
     /// "Request for receiving": the origin wants one incoming unit.
     Request,
-    /// Answer to an offer: the partner to send to, or `None`.
-    AnswerOffer(Option<NodeId>),
+    /// Answer to an offer: the partner to send to, or none — the same
+    /// 4-byte encoding as `rendez_core::DatingMsg`.
+    AnswerOffer(Partner),
     /// Answer to a request (spreading ignores it; kept for fidelity).
-    AnswerRequest(Option<NodeId>),
+    AnswerRequest(Partner),
     /// The unit payload; `informed` is the sender's rumor state.
     Payload {
         /// Whether the payload carries the rumor.
         informed: bool,
     },
 }
+
+const _: () = assert!(std::mem::size_of::<DatingSpreadMsg>() == 8);
 
 impl<S: NodeSelector> RtDatingSpread<S> {
     /// Engine rounds per dating cycle.
@@ -429,7 +432,7 @@ impl<S: NodeSelector> RoundProtocol for RtDatingSpread<S> {
             DatingSpreadMsg::Offer => out.stash(STASH_OFFERS, from),
             DatingSpreadMsg::Request => out.stash(STASH_REQUESTS, from),
             DatingSpreadMsg::AnswerOffer(partner) => {
-                if let Some(p) = partner {
+                if let Some(p) = partner.get() {
                     // Link-fault injection: the payload of this date is
                     // lost with probability `loss`, decided by the
                     // sender's private stream (deterministic per run).
@@ -479,12 +482,12 @@ impl<S: NodeSelector> RoundProtocol for RtDatingSpread<S> {
                     out.stash(STASH_OFFERS + usize::from(request), *from);
                 }
                 DatingSpreadMsg::AnswerOffer(partner) => {
-                    if let Some(p) = partner {
+                    if let Some(p) = partner.get() {
                         if self.loss > 0.0 && rng.gen::<f64>() < self.loss {
                             continue;
                         }
                         out.send(
-                            *p,
+                            p,
                             DatingSpreadMsg::Payload {
                                 informed: my_informed,
                             },
@@ -513,7 +516,12 @@ impl<S: NodeSelector> RoundProtocol for RtDatingSpread<S> {
     ) {
         if round % Self::CYCLE == 1 {
             use DatingSpreadMsg::{AnswerOffer, AnswerRequest};
-            matchmake(rng, out, AnswerOffer, AnswerRequest);
+            matchmake(
+                rng,
+                out,
+                |p| AnswerOffer(Partner::new(p)),
+                |p| AnswerRequest(Partner::new(p)),
+            );
         }
     }
 

@@ -9,7 +9,12 @@
 //! stretch of consecutive messages that share a sender. `src` and `seq`
 //! are stored once per run instead of once per message, which is ~16
 //! bytes/message saved on the workloads that matter (small `Copy`
-//! payloads, runs of a node's whole phase emission).
+//! payloads, runs of a node's whole phase emission). A dating message
+//! costs 4 (`dst`) + 8 (`DatingMsg` / `DatingSpreadMsg`, one word — the
+//! partner of an answer is a 4-byte `rendez_sim::Partner`) + its share of
+//! a 16-byte header — 14.3 bytes where a header covers seven sends, the
+//! benchmark's `batch.bytes_per_msg` on `hetero-dating-seq` — and 4 + 8
+//! again in the delivery scratch (`srcs` + `msgs`).
 //!
 //! # Batch invariants
 //!

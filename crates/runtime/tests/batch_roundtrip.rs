@@ -37,11 +37,10 @@ fn batch_layout_is_compact() {
     use rendez_runtime::adapters::{DatingSpreadMsg, GossipMsg};
     use rendez_runtime::SrcRun;
     assert_eq!(std::mem::size_of::<SrcRun>(), 16);
-    // The dating workloads' message enum (tag + Option<NodeId> payload;
-    // two payload-carrying variants, so no niche packing): 32-byte
-    // envelope vs 16 bytes batched per message.
-    assert_eq!(std::mem::size_of::<DatingSpreadMsg>(), 12);
-    assert_eq!(std::mem::size_of::<Envelope<DatingSpreadMsg>>(), 32);
+    // The dating workloads' message enum (tag + 4-byte `Partner`, one
+    // word): 24-byte envelope vs 12 bytes batched per message.
+    assert_eq!(std::mem::size_of::<DatingSpreadMsg>(), 8);
+    assert_eq!(std::mem::size_of::<Envelope<DatingSpreadMsg>>(), 24);
     // Unit-variant gossip messages: 24-byte envelope (padding-bound)
     // vs 5 bytes batched.
     assert_eq!(std::mem::size_of::<GossipMsg>(), 1);

@@ -14,7 +14,8 @@
 //!
 //! Components:
 //!
-//! * [`node`] — [`NodeId`] and node-indexed helpers;
+//! * [`node`] — [`NodeId`], node-indexed helpers and the 4-byte optional
+//!   id ([`Partner`]) the dating messages carry;
 //! * [`rng`] — SplitMix64 seed derivation: one independent, reproducible
 //!   RNG stream per node, per trial, per purpose;
 //! * [`engine`] — the synchronous engine: a [`Protocol`]
@@ -44,7 +45,7 @@ pub mod trace;
 pub use churn::{ChurnEvent, ChurnSchedule};
 pub use engine::{Ctx, Engine, EngineConfig, Protocol, RunOutcome};
 pub use metrics::Metrics;
-pub use node::NodeId;
+pub use node::{NodeId, Partner};
 pub use rng::{derive_seed, small_rng_for, SplitMix64};
 pub use runner::{run_trials, run_trials_stats, TrialCtx};
 pub use trace::{Trace, TraceEvent};

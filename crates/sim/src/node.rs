@@ -31,6 +31,46 @@ impl NodeId {
     }
 }
 
+/// An optional [`NodeId`] in the four bytes of one: the partner field of
+/// the dating service's answers ("the partner's address, or no date").
+///
+/// `Option<NodeId>` is eight bytes and would make every dating message
+/// twelve; with this they are eight, one machine word. `u32::MAX` encodes
+/// `None` — no node carries that id (`NodeId::all(n)` stops below it and
+/// the runtime's `MAX_NODES` is `u32::MAX − 1`), and [`new`](Self::new)
+/// refuses it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Partner(u32);
+
+impl Partner {
+    /// Encode `partner`.
+    ///
+    /// # Panics
+    /// Panics on `Some(NodeId(u32::MAX))`, the value that encodes `None`.
+    #[inline]
+    pub fn new(partner: Option<NodeId>) -> Self {
+        match partner {
+            Some(id) => {
+                assert!(id.0 != u32::MAX, "node id u32::MAX encodes \"no date\"");
+                Partner(id.0)
+            }
+            None => Partner(u32::MAX),
+        }
+    }
+
+    /// The partner, if there is a date.
+    #[inline]
+    pub fn get(self) -> Option<NodeId> {
+        (self.0 != u32::MAX).then_some(NodeId(self.0))
+    }
+}
+
+impl std::fmt::Debug for Partner {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.get().fmt(f)
+    }
+}
+
 impl std::fmt::Display for NodeId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "n{}", self.0)
@@ -46,6 +86,7 @@ impl From<u32> for NodeId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn index_round_trip() {
@@ -63,6 +104,35 @@ mod tests {
     #[test]
     fn display_compact() {
         assert_eq!(NodeId(7).to_string(), "n7");
+    }
+
+    #[test]
+    fn partner_round_trips_the_edges() {
+        // The runtime's `MAX_NODES` is `u32::MAX - 1`, so the largest id
+        // a scenario can hold is `u32::MAX - 2`.
+        let largest = NodeId(u32::MAX - 2);
+        for p in [None, Some(NodeId(0)), Some(largest)] {
+            assert_eq!(Partner::new(p).get(), p);
+        }
+        assert_eq!(std::mem::size_of::<Partner>(), 4);
+        assert_eq!(
+            format!("{:?}", Partner::new(Some(NodeId(7)))),
+            "Some(NodeId(7))"
+        );
+        assert_eq!(format!("{:?}", Partner::new(None)), "None");
+    }
+
+    #[test]
+    #[should_panic(expected = "no date")]
+    fn partner_refuses_the_sentinel_id() {
+        let _ = Partner::new(Some(NodeId(u32::MAX)));
+    }
+
+    proptest! {
+        #[test]
+        fn partner_round_trips_any_id(id in 0u32..u32::MAX) {
+            prop_assert_eq!(Partner::new(Some(NodeId(id))).get(), Some(NodeId(id)));
+        }
     }
 
     #[test]
