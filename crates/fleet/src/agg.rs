@@ -1,29 +1,28 @@
 //! Streaming per-cell aggregation: Welford accumulators per metric,
-//! merged block-by-block in a deterministic order.
+//! folded through fixed blocks in a deterministic order.
 //!
-//! The fleet never materializes per-trial vectors. Each worker folds a
-//! fixed block of trials ([`TRIALS_PER_JOB`]) into a [`CellAgg`] in
-//! trial order, and the aggregator merges block accumulators into the
-//! cell's accumulator in block order. Because floating-point Welford
-//! merges are order-dependent, that fixed block structure — not the
-//! thread schedule — is what makes a cell's aggregate bit-identical
-//! across pool sizes and identical to the serial engine, which walks
-//! the very same blocks in the very same order.
+//! The fleet never materializes per-trial vectors. Its block folder
+//! takes trial points in canonical trial order, pushes each into a
+//! block [`CellAgg`] and merges the block into its cell every
+//! [`TRIALS_PER_JOB`] trials (and at a cell's short last block).
+//! Because floating-point Welford merges are order-dependent, that fixed
+//! block structure and order — not the thread schedule — is what makes
+//! a cell's aggregate bit-identical across pool sizes and identical to
+//! the serial engine, which feeds the very same folder the very same
+//! sequence.
 //!
 //! lint: deterministic
 
 use rendez_runtime::{ScenarioReport, WorkloadOutput};
 use rendez_stats::RunningStats;
 
-/// Trials folded per scheduled job. Large enough that job dispatch is
-/// noise next to the trials themselves, small enough that a grid cell
-/// splits into several jobs for the pool to balance.
+/// Trials per aggregation block: a cell's trials are pushed into a
+/// fresh [`CellAgg`] this many at a time, and each block is merged into
+/// the cell in block order. It fixes the Welford `push`/`merge`
+/// sequence — and so the report bits, which `"trials_per_job"` in the
+/// report JSON records — and has nothing to do with scheduling: the
+/// fleet hands out single trials.
 pub const TRIALS_PER_JOB: u64 = 16;
-
-/// Jobs needed to cover `trials` trials (the last block may be short).
-pub fn blocks_per_cell(trials: u64) -> usize {
-    trials.div_ceil(TRIALS_PER_JOB) as usize
-}
 
 /// One trial reduced to the numbers the sweep aggregates.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,6 +118,52 @@ impl CellAgg {
     }
 }
 
+/// Folds a sweep's trial points, fed in canonical order (trial
+/// `j = cell · trials + trial`), into per-cell aggregates through the
+/// fixed [`TRIALS_PER_JOB`]-trial blocks — the one Welford
+/// `push`/`merge` sequence both engines produce.
+#[derive(Debug)]
+pub(crate) struct BlockFolder {
+    trials: u64,
+    next: u64,
+    block: CellAgg,
+    cells: Vec<CellAgg>,
+}
+
+impl BlockFolder {
+    /// A folder for `cells` cells of `trials` trials each.
+    pub(crate) fn new(cells: usize, trials: u64) -> Self {
+        Self {
+            trials,
+            next: 0,
+            block: CellAgg::new(),
+            cells: vec![CellAgg::new(); cells],
+        }
+    }
+
+    /// Global index of the trial the next [`push`](Self::push) folds.
+    pub(crate) fn next(&self) -> usize {
+        self.next as usize
+    }
+
+    /// Fold trial [`next`](Self::next); close its block if it is the
+    /// block's last trial or the cell's.
+    pub(crate) fn push(&mut self, p: &TrialPoint) {
+        self.block.push(p);
+        let done = self.next % self.trials + 1;
+        if done.is_multiple_of(TRIALS_PER_JOB) || done == self.trials {
+            let cell = (self.next / self.trials) as usize;
+            self.cells[cell].merge(&std::mem::take(&mut self.block));
+        }
+        self.next += 1;
+    }
+
+    /// The per-cell aggregates, in cell order.
+    pub(crate) fn finish(self) -> Vec<CellAgg> {
+        self.cells
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,11 +179,32 @@ mod tests {
     }
 
     #[test]
-    fn blocks_cover_all_trials() {
-        assert_eq!(blocks_per_cell(1), 1);
-        assert_eq!(blocks_per_cell(16), 1);
-        assert_eq!(blocks_per_cell(17), 2);
-        assert_eq!(blocks_per_cell(48), 3);
+    fn folder_closes_every_block_and_each_short_last_block() {
+        // Reference: each cell's trials chunked into blocks, each block
+        // pushed into a fresh aggregate and merged in block order.
+        for trials in [1u64, 15, 16, 17, 33] {
+            let point_of = |j: u64| point(((j * 37) % 23) as f64 + 0.25);
+            let mut folder = BlockFolder::new(3, trials);
+            for j in 0..3 * trials {
+                assert_eq!(folder.next(), j as usize);
+                folder.push(&point_of(j));
+            }
+            let expected: Vec<CellAgg> = (0..3)
+                .map(|cell| {
+                    let js: Vec<u64> = (cell * trials..(cell + 1) * trials).collect();
+                    let mut agg = CellAgg::new();
+                    for chunk in js.chunks(TRIALS_PER_JOB as usize) {
+                        let mut block = CellAgg::new();
+                        for &j in chunk {
+                            block.push(&point_of(j));
+                        }
+                        agg.merge(&block);
+                    }
+                    agg
+                })
+                .collect();
+            assert_eq!(folder.finish(), expected, "trials={trials}");
+        }
     }
 
     #[test]

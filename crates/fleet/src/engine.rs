@@ -1,20 +1,31 @@
-//! The fleet engine: one persistent worker pool, a work-stealing job
-//! list, and a reorder-buffer aggregator.
+//! The fleet engine: one persistent worker pool, a work-stealing trial
+//! list, and an in-order block folder.
 //!
-//! A sweep decomposes into jobs — `(cell, block)` pairs, each covering
-//! [`TRIALS_PER_JOB`] trials — enumerated in one canonical order. The
-//! pool's workers claim jobs from an atomic counter (the same
-//! work-stealing idiom as `rendez_sim::run_trials`), fold each block
-//! into a [`CellAgg`] locally, and stream the block aggregates to the
-//! caller's thread, which merges them into the per-cell accumulators
-//! **in job order** via a reorder buffer. Scheduling therefore decides
-//! only *when* a block is merged, never *in which order* — the source
-//! of the engine's bit-identical-at-any-pool-size guarantee, which
-//! [`run_serial`] shares by walking the identical job list inline.
+//! A sweep is `cells × trials` trials, each with a global index
+//! `j = cell · trials + trial` in one canonical order. The pool's
+//! workers claim trials one at a time from an atomic counter (the same
+//! work-stealing idiom as `rendez_sim::run_trials`), build each cell's
+//! scenario once for all the trials of it they claim, and stream
+//! `(j, TrialPoint)` to the caller's thread. There a reorder buffer
+//! releases the points **in `j` order** into one block folder, which
+//! pushes them into fixed blocks of
+//! [`TRIALS_PER_JOB`](crate::TRIALS_PER_JOB) trials and merges each
+//! block into its cell. Scheduling therefore decides only *when* a
+//! point is folded, never *in which order* — the source of the engine's
+//! bit-identical-at-any-pool-size guarantee, which [`run_serial`] shares
+//! by feeding the identical trial sequence through the identical folder
+//! inline.
+//!
+//! The scheduling unit is one trial, not one block, because cells
+//! differ in cost by orders of magnitude (a dating cell at the largest
+//! `n` can outweigh a dozen spreading cells): with a block per claim, a
+//! grid of 16-trial cells is one claim per cell, and the heaviest cells
+//! — last in canonical order — leave one worker running alone. A trial
+//! is milliseconds; its claim and its channel message are not.
 //!
 //! A panicking trial cancels the sweep: the panic is caught on the
-//! worker, the first payload is recorded, and every worker stops
-//! claiming jobs. The pool survives and the sweep returns
+//! worker, the first payload is recorded, and every worker stops at its
+//! next claim. The pool survives and the sweep returns
 //! [`SweepError::TrialPanicked`].
 //!
 //! lint: deterministic
@@ -24,9 +35,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 
-use rendez_runtime::WorkerPool;
+use rendez_runtime::{Scenario, WorkerPool};
 
-use crate::agg::{blocks_per_cell, CellAgg, TrialPoint, TRIALS_PER_JOB};
+use crate::agg::{BlockFolder, CellAgg, TrialPoint};
 use crate::report::SweepReport;
 use crate::spec::{Cell, SweepError, SweepSpec};
 
@@ -69,11 +80,11 @@ impl Fleet {
     pub fn run(&self, spec: &SweepSpec) -> Result<SweepReport, SweepError> {
         spec.validate()?;
         let cells = spec.cells();
-        let aggs = self.drive(spec, &cells, &|cell, block| run_block(spec, cell, block))?;
+        let aggs = self.drive(spec, &cells, &run_trial)?;
         Ok(SweepReport::assemble(spec, cells, aggs))
     }
 
-    /// The scheduler core, generic over the block runner so tests can
+    /// The scheduler core, generic over the trial runner so tests can
     /// inject panicking workloads.
     fn drive<F>(
         &self,
@@ -82,112 +93,117 @@ impl Fleet {
         runner: &F,
     ) -> Result<Vec<CellAgg>, SweepError>
     where
-        F: Fn(&Cell, usize) -> CellAgg + Sync,
+        F: Fn(&SweepSpec, &Scenario, &Cell, u64) -> TrialPoint + Sync,
     {
-        let bpc = blocks_per_cell(spec.trials);
-        let total_jobs = cells.len() * bpc;
-        let threads = self.pool.size();
-
-        let next_job = AtomicUsize::new(0);
+        let total = cells.len() * spec.trials as usize;
+        let next_trial = AtomicUsize::new(0);
+        // Release on a panic pairs with the Acquire before each claim;
+        // it publishes nothing else (the error travels in `failure`).
         let cancel = AtomicBool::new(false);
-        let failure: Mutex<Option<(usize, String)>> = Mutex::new(None);
-        let mut aggs = vec![CellAgg::new(); cells.len()];
-        let (tx, rx) = mpsc::channel::<WorkerMsg>();
+        let failure: Mutex<Option<SweepError>> = Mutex::new(None);
+        let mut folder = BlockFolder::new(cells.len(), spec.trials);
+        let (tx, rx) = mpsc::channel::<(usize, TrialPoint)>();
 
         self.pool.scope(|s| {
-            for _ in 0..threads {
+            for _ in 0..self.pool.size() {
                 let tx = tx.clone();
-                let (next_job, cancel, failure) = (&next_job, &cancel, &failure);
+                let (next_trial, cancel, failure) = (&next_trial, &cancel, &failure);
                 s.spawn(move || {
-                    loop {
-                        if cancel.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let j = next_job.fetch_add(1, Ordering::Relaxed);
-                        if j >= total_jobs {
-                            break;
-                        }
-                        let cell = &cells[j / bpc];
-                        match catch_unwind(AssertUnwindSafe(|| runner(cell, j % bpc))) {
-                            Ok(block) => {
-                                // The receiver outlives the scope; send
-                                // cannot fail while workers run.
-                                let _ = tx.send(WorkerMsg::Block(j, block));
-                            }
-                            Err(payload) => {
-                                let mut slot = failure.lock().expect("failure lock poisoned");
-                                if slot.is_none() {
-                                    *slot = Some((cell.index, panic_message(&*payload)));
-                                }
-                                drop(slot);
-                                cancel.store(true, Ordering::Release);
-                                break;
-                            }
-                        }
+                    let claim = || {
+                        let j = (!cancel.load(Ordering::Acquire))
+                            .then(|| next_trial.fetch_add(1, Ordering::Relaxed))?;
+                        (j < total).then_some(j)
+                    };
+                    // The receiver outlives the scope; send cannot fail
+                    // while workers run.
+                    let emit = |j, point| {
+                        let _ = tx.send((j, point));
+                    };
+                    if let Err(err) = run_claimed(spec, cells, runner, claim, emit) {
+                        failure
+                            .lock()
+                            .expect("failure lock poisoned")
+                            .get_or_insert(err);
+                        cancel.store(true, Ordering::Release);
                     }
-                    let _ = tx.send(WorkerMsg::Done);
                 });
             }
             drop(tx);
 
-            // Aggregate on the calling thread while workers produce:
-            // a reorder buffer delivers block aggregates in job order,
-            // so the merge sequence is independent of scheduling.
-            let mut done = 0;
-            let mut next = 0usize;
-            let mut pending: BTreeMap<usize, CellAgg> = BTreeMap::new();
-            while done < threads {
-                match rx.recv().expect("a worker sender is always alive here") {
-                    WorkerMsg::Block(j, block) => {
-                        pending.insert(j, block);
-                        while let Some(block) = pending.remove(&next) {
-                            aggs[next / bpc].merge(&block);
-                            next += 1;
-                        }
-                    }
-                    WorkerMsg::Done => done += 1,
+            // Fold on the calling thread while workers produce: the
+            // reorder buffer releases points in trial order, so the
+            // push/merge sequence is independent of scheduling. The
+            // loop ends when the last worker drops its sender.
+            let mut pending: BTreeMap<usize, TrialPoint> = BTreeMap::new();
+            for (j, point) in rx {
+                pending.insert(j, point);
+                while let Some(point) = pending.remove(&folder.next()) {
+                    folder.push(&point);
                 }
             }
         });
 
         match failure.into_inner().expect("failure lock poisoned") {
-            Some((cell, message)) => Err(SweepError::TrialPanicked { cell, message }),
-            None => Ok(aggs),
+            Some(err) => Err(err),
+            None => Ok(folder.finish()),
         }
     }
 }
 
-/// What a worker streams back to the aggregator.
-enum WorkerMsg {
-    /// Job `j` finished with this block aggregate.
-    Block(usize, CellAgg),
-    /// This worker claimed its last job and is exiting its loop.
-    Done,
-}
-
 /// Run the same sweep without the pool: the caller's thread walks the
-/// identical job list in order, through the identical block runner and
-/// merge — the honest baseline for speedup claims, byte-identical to
-/// [`Fleet::run`]'s report.
+/// identical trial list in order, through the identical trial runner
+/// and folder — the honest baseline for speedup claims, byte-identical
+/// to [`Fleet::run`]'s report.
 pub fn run_serial(spec: &SweepSpec) -> Result<SweepReport, SweepError> {
     spec.validate()?;
     let cells = spec.cells();
-    let aggs = serial_drive(spec, &cells, &|cell, block| run_block(spec, cell, block))?;
+    let aggs = serial_drive(spec, &cells, &run_trial)?;
     Ok(SweepReport::assemble(spec, cells, aggs))
 }
 
-/// Serial counterpart of [`Fleet::drive`], sharing its job order,
-/// block runner and cancellation semantics.
+/// Serial counterpart of [`Fleet::drive`], sharing its trial order,
+/// trial loop, folder and cancellation semantics.
 fn serial_drive<F>(spec: &SweepSpec, cells: &[Cell], runner: &F) -> Result<Vec<CellAgg>, SweepError>
 where
-    F: Fn(&Cell, usize) -> CellAgg,
+    F: Fn(&SweepSpec, &Scenario, &Cell, u64) -> TrialPoint,
 {
-    let bpc = blocks_per_cell(spec.trials);
-    let mut aggs = vec![CellAgg::new(); cells.len()];
-    for j in 0..cells.len() * bpc {
-        let cell = &cells[j / bpc];
-        match catch_unwind(AssertUnwindSafe(|| runner(cell, j % bpc))) {
-            Ok(block) => aggs[j / bpc].merge(&block),
+    let mut folder = BlockFolder::new(cells.len(), spec.trials);
+    let mut trials = 0..cells.len() * spec.trials as usize;
+    run_claimed(
+        spec,
+        cells,
+        runner,
+        || trials.next(),
+        |_, point| folder.push(&point),
+    )?;
+    Ok(folder.finish())
+}
+
+/// The worker loop of both engines: run each trial `claim` hands out,
+/// in the order it hands them out, and give its point to `emit`. Claims
+/// only move forward, so rebuilding the scenario whenever the claimed
+/// cell changes builds each cell's at most once. Stops at the first
+/// panicking trial and returns it.
+fn run_claimed<F>(
+    spec: &SweepSpec,
+    cells: &[Cell],
+    runner: &F,
+    mut claim: impl FnMut() -> Option<usize>,
+    mut emit: impl FnMut(usize, TrialPoint),
+) -> Result<(), SweepError>
+where
+    F: Fn(&SweepSpec, &Scenario, &Cell, u64) -> TrialPoint,
+{
+    let mut built: Option<(usize, Scenario)> = None;
+    while let Some(j) = claim() {
+        let cell = &cells[j / spec.trials as usize];
+        let scenario = match built {
+            Some((index, ref scenario)) if index == cell.index => scenario,
+            _ => &built.insert((cell.index, spec.scenario_for(cell))).1,
+        };
+        let trial = j as u64 % spec.trials;
+        match catch_unwind(AssertUnwindSafe(|| runner(spec, scenario, cell, trial))) {
+            Ok(point) => emit(j, point),
             Err(payload) => {
                 return Err(SweepError::TrialPanicked {
                     cell: cell.index,
@@ -196,24 +212,15 @@ where
             }
         }
     }
-    Ok(aggs)
+    Ok(())
 }
 
-/// Fold one block of trials: build the cell's scenario once, run
-/// [`TRIALS_PER_JOB`] seeds against it (the last block may be short),
-/// push each report into a fresh [`CellAgg`] in trial order.
-fn run_block(spec: &SweepSpec, cell: &Cell, block: usize) -> CellAgg {
-    let scenario = spec.scenario_for(cell);
-    let lo = block as u64 * TRIALS_PER_JOB;
-    let hi = (lo + TRIALS_PER_JOB).min(spec.trials);
-    let mut agg = CellAgg::new();
-    for trial in lo..hi {
-        let report = scenario
-            .run(spec.trial_seed(cell.index, trial))
-            .expect("spec.validate() checked every cell");
-        agg.push(&TrialPoint::from_report(&report));
-    }
-    agg
+/// Run trial `trial` of `cell` against the cell's scenario.
+fn run_trial(spec: &SweepSpec, scenario: &Scenario, cell: &Cell, trial: u64) -> TrialPoint {
+    let report = scenario
+        .run(spec.trial_seed(cell.index, trial))
+        .expect("spec.validate() checked every cell");
+    TrialPoint::from_report(&report)
 }
 
 /// Best-effort text of a panic payload.
@@ -262,18 +269,21 @@ mod tests {
     }
 
     #[test]
-    fn trial_panic_cancels_the_sweep_and_spares_the_fleet() {
+    fn a_panic_mid_block_cancels_the_sweep_and_spares_the_fleet() {
+        // Trial 5 of cell 1 sits inside the cell's first 16-trial block
+        // (trials = 20): the panic must surface from the middle of a
+        // block, not only at a block edge.
         let spec = spec();
         let cells = spec.cells();
         let fleet = Fleet::new(2);
         let claimed = AtomicUsize::new(0);
         let err = fleet
-            .drive(&spec, &cells, &|cell, block| {
+            .drive(&spec, &cells, &|spec, scenario, cell, trial| {
                 claimed.fetch_add(1, Ordering::Relaxed);
-                if cell.index == 1 {
+                if cell.index == 1 && trial == 5 {
                     panic!("injected trial failure");
                 }
-                run_block(&spec, cell, block)
+                run_trial(spec, scenario, cell, trial)
             })
             .expect_err("must cancel");
         assert_eq!(
@@ -283,32 +293,47 @@ mod tests {
                 message: "injected trial failure".to_string()
             }
         );
-        // Cancellation: nowhere near all jobs were claimed... at least
-        // not guaranteed on tiny grids; what IS guaranteed is that the
-        // fleet is still fully usable afterwards.
+        // Each worker stops at its next claim; how many trials the other
+        // worker finishes first is up to the schedule, but the panicking
+        // trial (global index 25) was claimed, and the fleet is still
+        // fully usable afterwards.
+        assert!(claimed.load(Ordering::Relaxed) >= 26);
         let report = fleet.run(&spec).expect("fleet survives a panic");
-        assert_eq!(report.cells.len(), cells.len());
-        assert!(claimed.load(Ordering::Relaxed) >= 1);
+        assert_eq!(
+            report.to_json(),
+            run_serial(&spec).expect("serial").to_json()
+        );
     }
 
     #[test]
     fn serial_engine_reports_panics_too() {
         let spec = spec();
         let cells = spec.cells();
-        let err = serial_drive(&spec, &cells, &|cell, _| {
-            if cell.index == 2 {
+        let ran = AtomicUsize::new(0);
+        let err = serial_drive(&spec, &cells, &|_, _, cell, trial| {
+            if cell.index == 1 && trial == 5 {
                 panic!("boom");
             }
-            CellAgg::new()
+            ran.fetch_add(1, Ordering::Relaxed);
+            TrialPoint {
+                completed: true,
+                value: 1.0,
+                rounds: 1.0,
+                sent: 1.0,
+                delivered: 1.0,
+            }
         })
         .expect_err("must fail");
         assert_eq!(
             err,
             SweepError::TrialPanicked {
-                cell: 2,
+                cell: 1,
                 message: "boom".to_string()
             }
         );
+        // Serial cancellation is exact: cell 0's 20 trials and cell 1's
+        // first five ran, nothing after the panic.
+        assert_eq!(ran.load(Ordering::Relaxed), 25);
     }
 
     #[test]

@@ -165,13 +165,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through unchanged).
-                let rest = std::str::from_utf8(&bytes[*pos..])
+                // Copy the run up to the next quote or backslash. Both
+                // are ASCII, so the run ends on a char boundary and
+                // multi-byte sequences pass through whole.
+                let start = *pos;
+                while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos])
                     .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                let ch = rest.chars().next().expect("non-empty");
-                out.push(ch);
-                *pos += ch.len_utf8();
+                out.push_str(run);
             }
         }
     }
@@ -258,6 +261,31 @@ mod tests {
     fn unicode_escapes_and_multibyte_decode() {
         assert_eq!(parse("\"\\u00e9A\"").unwrap(), Json::Str("éA".to_string()));
         assert_eq!(parse("\"é→\"").unwrap(), Json::Str("é→".to_string()));
+        // Multi-byte runs directly against escapes on both sides.
+        assert_eq!(
+            parse(r#""é\"→\\u00e9""#).unwrap(),
+            Json::Str("é\"→\\u00e9".to_string())
+        );
+        assert_eq!(parse(r#""é\"→é""#).unwrap(), Json::Str("é\"→é".to_string()));
+    }
+
+    #[test]
+    fn a_large_object_round_trips() {
+        // 10⁴ members whose keys mix plain, escaped and multi-byte text:
+        // long enough that a per-character pass over the rest of the
+        // document would be quadratic.
+        let members: Vec<(String, Json)> = (0..10_000)
+            .map(|i| (format!("k{i}\"é\\→{i}"), Json::Num(i as f64 * 0.5)))
+            .collect();
+        let mut text = String::from("{");
+        for (i, (key, value)) in members.iter().enumerate() {
+            let key = key.replace('\\', "\\\\").replace('"', "\\\"");
+            let value = value.as_f64().expect("numbers only");
+            let sep = if i + 1 < members.len() { ", " } else { "" };
+            text.push_str(&format!("\"{key}\": {value:?}{sep}"));
+        }
+        text.push('}');
+        assert_eq!(parse(&text).unwrap(), Json::Obj(members));
     }
 
     #[test]

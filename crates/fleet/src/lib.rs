@@ -15,30 +15,31 @@
 //!   a trials-per-cell budget and one master seed;
 //! * a [`Fleet`] owns a persistent
 //!   [`WorkerPool`](rendez_runtime::WorkerPool): its threads are
-//!   spawned once and parked between sweeps, and trials are scheduled
-//!   onto them as work-stealing block jobs;
+//!   spawned once and parked between sweeps, and they claim trials one
+//!   at a time from a shared counter (work stealing at trial grain, so
+//!   every worker shares in an expensive cell);
 //! * aggregation is **streaming** — Welford accumulators per metric
-//!   ([`rendez_stats::RunningStats`]), merged block-by-block, never a
-//!   per-trial vector — into one machine-readable [`SweepReport`]
-//!   (schema `rendez-fleet/sweep-v1`).
+//!   ([`rendez_stats::RunningStats`]), folded through fixed blocks,
+//!   never a per-trial vector — into one machine-readable
+//!   [`SweepReport`] (schema `rendez-fleet/sweep-v1`).
 //!
 //! ## Determinism
 //!
 //! Trial seeds derive from `(sweep seed, cell index, trial index)`
-//! alone, and block aggregates merge in canonical job order through a
-//! reorder buffer, so a sweep's report — down to its JSON bytes — is a
-//! pure function of the [`SweepSpec`]: independent of pool size, job
+//! alone, and trial results are folded in canonical trial order through
+//! a reorder buffer, so a sweep's report — down to its JSON bytes — is a
+//! pure function of the [`SweepSpec`]: independent of pool size, trial
 //! interleaving, and of whether [`Fleet::run`] or the inline
 //! [`run_serial`] baseline produced it. Floating-point merge order is
 //! the one hazard (Welford merges don't commute bit-for-bit), which is
-//! why both engines share one fixed block structure
-//! ([`TRIALS_PER_JOB`] trials per job) instead of folding wherever the
-//! scheduler happens to land.
+//! why both engines fold through one fixed block structure
+//! ([`TRIALS_PER_JOB`] trials pushed per block, blocks merged in order)
+//! whatever the scheduler did.
 //!
 //! ## Failure semantics
 //!
-//! A panicking trial cancels the sweep at the first panic: workers stop
-//! claiming jobs, the panic is reported as
+//! A panicking trial cancels the sweep at the first panic: each worker
+//! stops before its next trial, the panic is reported as
 //! [`SweepError::TrialPanicked`], and the fleet's threads survive for
 //! the next sweep.
 //!
@@ -76,7 +77,7 @@ pub mod json;
 pub mod report;
 pub mod spec;
 
-pub use agg::{blocks_per_cell, CellAgg, TrialPoint, TRIALS_PER_JOB};
+pub use agg::{CellAgg, TrialPoint, TRIALS_PER_JOB};
 pub use engine::{run_serial, Fleet};
 pub use report::{CellReport, MetricSummary, SweepReport};
 pub use spec::{Cell, SweepError, SweepSpec};

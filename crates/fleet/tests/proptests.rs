@@ -1,10 +1,10 @@
 //! Property tests for the fleet's streaming aggregation: the Welford
 //! path (push, block merge, CI) must agree with the naive two-pass
 //! computation on arbitrary samples, including through the exact block
-//! structure the engines schedule.
+//! structure the engines fold.
 
 use proptest::prelude::*;
-use rendez_fleet::{blocks_per_cell, CellAgg, TrialPoint, TRIALS_PER_JOB};
+use rendez_fleet::{CellAgg, TrialPoint, TRIALS_PER_JOB};
 use rendez_stats::RunningStats;
 
 fn naive_mean_var(xs: &[f64]) -> (f64, f64) {
@@ -110,13 +110,5 @@ proptest! {
         prop_assert_eq!(agg.value.count(), completed.len() as u64);
         let whole = RunningStats::from_iter(completed.iter().copied());
         prop_assert_eq!(agg.value.mean(), whole.mean());
-    }
-
-    /// blocks_per_cell covers every trial exactly once.
-    #[test]
-    fn block_decomposition_covers_trials(trials in 1u64..500) {
-        let bpc = blocks_per_cell(trials) as u64;
-        prop_assert!(bpc * TRIALS_PER_JOB >= trials);
-        prop_assert!((bpc - 1) * TRIALS_PER_JOB < trials);
     }
 }
