@@ -3,15 +3,17 @@
 //! "The dating service will need some overhead communication but these
 //! will be only small messages — typically one IP address in each
 //! message." We run the *distributed* protocol (real request / answer /
-//! payload messages on the simulator) and report measured control bytes
-//! per round and the control fraction for unit-, 1 KiB- and 1 MiB-payload
-//! regimes.
+//! payload messages: `RuntimeDating` on the sequential executor) and
+//! report measured control bytes per round and the control fraction for
+//! unit-, 1 KiB- and 1 MiB-payload regimes.
 //!
 //! Usage: `exp_overhead [--quick|--full] [--seed S]`
 
 use rendez_bench::{CliArgs, Table};
+use rendez_core::distributed::PAYLOAD_BYTES;
 use rendez_core::overhead::{control_msgs_per_round, ControlOverhead, ADDRESS_BYTES};
-use rendez_core::{run_distributed, Platform, UniformSelector};
+use rendez_core::{Platform, UniformSelector};
+use rendez_runtime::{Executor, RunConfig, RuntimeDating, SequentialExecutor};
 
 fn main() {
     let args = CliArgs::parse();
@@ -35,17 +37,16 @@ fn main() {
     );
 
     for &n in &ns {
-        let r = run_distributed(
-            Platform::unit(n),
-            UniformSelector::new(n),
-            cycles,
-            seed ^ n as u64,
-        );
-        let total_dates: u64 = r.dates_per_cycle.iter().sum();
-        let mean_dates = total_dates as f64 / cycles as f64;
-        let ctrl_msgs = (r.messages_sent - r.payloads_received) as f64 / cycles as f64;
+        let mut proto = RuntimeDating::new(Platform::unit(n), UniformSelector::new(n), cycles);
+        let cfg = RunConfig::seeded(seed ^ n as u64).max_rounds(proto.total_rounds());
+        let report = SequentialExecutor.run(&mut proto, n, &cfg);
+        let stats = report.stats;
+        let r = report.expect_output();
+        let mean_dates = r.total_dates() as f64 / cycles as f64;
+        let ctrl_msgs = (stats.sent - r.payloads_received) as f64 / cycles as f64;
         let theory = control_msgs_per_round(&Platform::unit(n));
-        let ctrl_bytes = r.control_bytes as f64 / cycles as f64;
+        let control_bytes = stats.bytes_sent - r.payloads_received * PAYLOAD_BYTES as u64;
+        let ctrl_bytes = control_bytes as f64 / cycles as f64;
         let frac = |payload: u64| {
             let oh = ControlOverhead {
                 request_msgs: 2 * n as u64,

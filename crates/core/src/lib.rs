@@ -38,8 +38,8 @@
 //!   alias-weighted, Zipf, hotspot, degenerate);
 //! * [`service`] — Algorithm 1, oracle form (fast centralized sampling of
 //!   the identical process; used for the `n = 10⁵` sweeps);
-//! * [`distributed`] — Algorithm 1 as an actual message-passing protocol
-//!   on [`rendez_sim`], with request/answer/payload messages;
+//! * [`distributed`] — Algorithm 1's request/answer/payload messages (the
+//!   protocol itself runs on the round runtime: `RuntimeDating`);
 //! * [`matching`] — uniform subset/matching primitives;
 //! * [`capacity`] — invariant checkers;
 //! * [`analysis`] — numeric theory (Poisson/binomial predictions, bounds);
@@ -58,7 +58,7 @@ pub mod service;
 
 pub use bandwidth::{NodeCaps, Platform};
 pub use capacity::{date_loads, verify_dates, CapacityViolation, DateLoads, LoadSummary};
-pub use distributed::{run_distributed, DatingMsg, DistributedDating, DistributedRunResult};
+pub use distributed::DatingMsg;
 pub use selector::{AliasSelector, NodeSelector, SingleTargetSelector, UniformSelector};
 pub use service::{
     run_round_counts, CountWorkspace, Date, DatingService, RoundOutcome, RoundWorkspace,

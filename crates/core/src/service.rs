@@ -2,9 +2,9 @@
 //!
 //! This is the paper's algorithm executed as one centralized sampling of
 //! the *identical* random process (the distributed message-passing form
-//! lives in [`crate::distributed`]; the integration test
-//! `oracle_vs_distributed` certifies the two produce the same date-count
-//! distribution).
+//! is `rendez_runtime::RuntimeDating`, speaking [`crate::distributed`]'s
+//! messages; the integration test `oracle_vs_distributed` certifies the
+//! two produce the same date-count distribution).
 //!
 //! Per round:
 //!

@@ -104,7 +104,7 @@ impl ChordNet {
     /// Among `cur`'s fingers (and successor), the node whose position is
     /// furthest along the arc `(pos(cur), key]` — i.e. the best next hop
     /// toward the owner of `key`.
-    fn closest_preceding(&self, cur: NodeId, key: u64) -> NodeId {
+    pub(crate) fn closest_preceding(&self, cur: NodeId, key: u64) -> NodeId {
         let p = self.ring.position(cur);
         let target_dist = Ring::cw_distance(p, key);
         let mut best: Option<(u64, NodeId)> = None;

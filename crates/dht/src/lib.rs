@@ -26,7 +26,9 @@
 //! * [`analysis`] — arc-length statistics (`max ≈ ln n / n`,
 //!   `min ≈ 1/n²` behavior, as quoted in §4);
 //! * [`naor_wieder`] — the continuous–discrete distance-halving network of
-//!   Naor & Wieder (cited as \[NW03b\]) as an alternative routing substrate.
+//!   Naor & Wieder (cited as \[NW03b\]) as an alternative routing substrate;
+//! * [`routed_dating`] — §4's dating over hop-by-hop routed requests,
+//!   sequential vs pipelined, as a `rendez_runtime` protocol.
 
 pub mod analysis;
 pub mod chord;
@@ -39,5 +41,5 @@ pub use analysis::ArcStats;
 pub use chord::{ChordNet, RouteResult};
 pub use naor_wieder::NaorWiederNet;
 pub use ring::Ring;
-pub use routed_dating::{run_routed_dating, IssueMode, RoutedDating};
+pub use routed_dating::{run_routed_dating, IssueMode, RoutedDating, RoutedDatingSummary};
 pub use selector::DhtSelector;

@@ -1,25 +1,47 @@
 //! Dating over *routed* requests: the §4 deployment, message by message.
 //!
 //! On a real DHT a request is not delivered in one step — it travels
-//! `Θ(log n)` overlay hops. This module runs the dating service on the
-//! [`rendez_sim`] engine with every request routed hop-by-hop along Chord
-//! fingers, in two modes:
+//! `Θ(log n)` overlay hops. [`RoutedDating`] runs the dating service as a
+//! runtime protocol ([`RoundProtocol`]) with every request routed
+//! hop-by-hop along Chord fingers, in two modes:
 //!
 //! * **sequential** — a node issues its next cycle's requests only after
 //!   the previous cycle's answers arrive: each cycle costs a full
-//!   round-trip, `Θ(log n)` engine rounds;
+//!   round-trip, `Θ(log n)` rounds;
 //! * **pipelined** — the paper's fix: "send requests for dates in each
 //!   round even before receiving the answers for the previous one", so
 //!   after a warm-up of one round-trip, one cycle's worth of dates
-//!   completes *every* engine round.
+//!   completes *every* round.
 //!
 //! The measured makespans validate the closed forms in
 //! `rendez_core::pipeline` on live message traffic.
+//!
+//! Routing state is per node — its issue cursor, the answers it awaits,
+//! its matchmaker inboxes, its date tally and hop counter — and the ring
+//! is shared read-only, so any executor runs the protocol, sharded runs
+//! reproducing sequential ones bit for bit. The run's measurements are
+//! folded from the round observations ([`RoutedDatingSummary`]).
+//!
+//! lint: deterministic
 
 use crate::chord::ChordNet;
+use crate::ring::Ring;
+use rand::rngs::SmallRng;
+use rand::Rng;
+use rendez_core::distributed::PAYLOAD_BYTES;
 use rendez_core::matching::partial_shuffle;
+use rendez_core::overhead::ADDRESS_BYTES;
 use rendez_core::Platform;
-use rendez_sim::{Ctx, Engine, EngineConfig, NodeId, Protocol};
+use rendez_runtime::{
+    Executor, Outbox, RoundObs, RoundProtocol, RunConfig, SequentialExecutor, Verdict,
+};
+use rendez_sim::{NodeId, SplitMix64};
+
+/// [`RoundObs`] lane: overlay hops taken so far, summed over nodes.
+const L_HOPS: usize = 0;
+/// [`RoundObs`] lanes `L_DATES + c`: dates of cycle `c` so far, summed
+/// over the offers' originators.
+const L_DATES: usize = 1;
 
 /// Messages of the routed dating protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,24 +74,40 @@ pub enum RoutedMsg {
 pub enum IssueMode {
     /// New cycle only after the previous cycle's answers returned.
     Sequential,
-    /// New cycle issued every engine round (the paper's pipelining).
+    /// New cycle issued every round (the paper's pipelining).
     Pipelined,
 }
 
-/// The routed protocol state.
+/// The routed protocol: ring, platform and schedule, shared by every
+/// node, plus the measurements folded from each round's observation.
 pub struct RoutedDating {
     chord: ChordNet,
     platform: Platform,
     mode: IssueMode,
     total_cycles: u32,
-    /// Next cycle each node will issue.
-    next_cycle: Vec<u32>,
-    /// Outstanding answers per node (sequential mode gating).
-    awaiting: Vec<u32>,
-    /// Matchmaker inboxes: (cycle, origin) per kind, drained each round.
-    offers_inbox: Vec<Vec<(u32, NodeId)>>,
-    requests_inbox: Vec<Vec<(u32, NodeId)>>,
-    /// Engine round at which each cycle's first payload arrived.
+    summary: RoutedDatingSummary,
+}
+
+/// One node's routed-dating state.
+#[derive(Debug)]
+pub struct RoutedNode {
+    /// Next cycle this node will issue.
+    next_cycle: u32,
+    /// Outstanding answers to its offers (sequential mode gating).
+    awaiting: u32,
+    /// Matchmaker inboxes: `(cycle, origin)` per kind, drained each round.
+    offers: Vec<(u32, NodeId)>,
+    requests: Vec<(u32, NodeId)>,
+    /// Per cycle, the answers to this node's offers that named a partner.
+    dates: Vec<u32>,
+    /// Overlay hops this node forwarded requests over.
+    hops: u64,
+}
+
+/// What a routed dating run measured.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RoutedDatingSummary {
+    /// Round at which each cycle's first payload arrived.
     pub cycle_payload_round: Vec<Option<u64>>,
     /// Dates arranged per cycle.
     pub dates_per_cycle: Vec<u64>,
@@ -77,39 +115,42 @@ pub struct RoutedDating {
     pub total_hops: u64,
 }
 
+impl RoutedDatingSummary {
+    /// Round by which every cycle had produced payloads (`None` if some
+    /// cycle never completed).
+    pub fn makespan(&self) -> Option<u64> {
+        let latest = |m: u64, r: &Option<u64>| r.map(|r| m.max(r));
+        self.cycle_payload_round.iter().try_fold(0, latest)
+    }
+}
+
 impl RoutedDating {
     /// Build over a Chord network; `platform` ids must match ring ids.
     pub fn new(chord: ChordNet, platform: Platform, mode: IssueMode, total_cycles: u32) -> Self {
         assert_eq!(chord.n(), platform.n(), "ring/platform size mismatch");
-        let n = platform.n();
         Self {
             chord,
             platform,
             mode,
             total_cycles,
-            next_cycle: vec![0; n],
-            awaiting: vec![0; n],
-            offers_inbox: vec![Vec::new(); n],
-            requests_inbox: vec![Vec::new(); n],
-            cycle_payload_round: vec![None; total_cycles as usize],
-            dates_per_cycle: vec![0; total_cycles as usize],
-            total_hops: 0,
+            summary: RoutedDatingSummary {
+                cycle_payload_round: vec![None; total_cycles as usize],
+                dates_per_cycle: vec![0; total_cycles as usize],
+                total_hops: 0,
+            },
         }
     }
 
-    /// Engine round by which every cycle had produced payloads (`None`
-    /// if some cycle never completed).
-    pub fn makespan(&self) -> Option<u64> {
-        self.cycle_payload_round
-            .iter()
-            .copied()
-            .collect::<Option<Vec<u64>>>()
-            .map(|rs| rs.into_iter().max().unwrap_or(0))
-    }
-
     /// Advance a routed request one step: enqueue it if `me` owns its
-    /// key, otherwise forward it one greedy Chord hop.
-    fn forward(&mut self, me: NodeId, msg: RoutedMsg, ctx: &mut Ctx<'_, RoutedMsg>) {
+    /// key, otherwise forward it one greedy Chord hop (closest preceding
+    /// finger, successor fallback — `ChordNet::route`'s rule).
+    fn forward(
+        &self,
+        node: &mut RoutedNode,
+        me: NodeId,
+        msg: RoutedMsg,
+        out: &mut Outbox<'_, RoutedMsg>,
+    ) {
         let RoutedMsg::Routed {
             cycle,
             origin,
@@ -120,204 +161,196 @@ impl RoutedDating {
             return;
         };
         if self.chord.ring().owner(key) == me {
-            if is_offer {
-                self.offers_inbox[me.index()].push((cycle, origin));
+            let inbox = if is_offer {
+                &mut node.offers
             } else {
-                self.requests_inbox[me.index()].push((cycle, origin));
-            }
+                &mut node.requests
+            };
+            inbox.push((cycle, origin));
         } else {
-            let next = self.first_hop(me, key);
-            self.total_hops += 1;
-            ctx.send(next, msg);
+            node.hops += 1;
+            out.send(self.chord.closest_preceding(me, key), msg);
         }
-    }
-
-    /// One greedy Chord step: the closest preceding finger toward `key`,
-    /// successor fallback — the same rule `ChordNet::route` applies end
-    /// to end.
-    fn first_hop(&self, me: NodeId, key: u64) -> NodeId {
-        let ring = self.chord.ring();
-        let p = ring.position(me);
-        let target_dist = key.wrapping_sub(p);
-        let mut best: Option<(u64, NodeId)> = None;
-        for k in 0..crate::chord::FINGER_BITS {
-            let f = ring.successor_of_key(p.wrapping_add(1u64 << k));
-            if f == me {
-                continue;
-            }
-            let d = ring.position(f).wrapping_sub(p);
-            if d > 0 && d <= target_dist && best.is_none_or(|(bd, _)| d > bd) {
-                best = Some((d, f));
-            }
-        }
-        best.map(|(_, f)| f).unwrap_or_else(|| ring.successor(me))
     }
 }
 
-impl Protocol for RoutedDating {
-    type Msg = RoutedMsg;
+/// Split the leading entries of `cycle` off a cycle-sorted inbox.
+fn take_cycle<'a>(inbox: &mut &'a mut [(u32, NodeId)], cycle: u32) -> &'a mut [(u32, NodeId)] {
+    let k = inbox.iter().take_while(|&&(c, _)| c == cycle).count();
+    let (head, tail) = std::mem::take(inbox).split_at_mut(k);
+    *inbox = tail;
+    head
+}
 
-    fn on_round_start(&mut self, node: NodeId, ctx: &mut Ctx<'_, RoutedMsg>) {
-        let i = node.index();
-        let cycle = self.next_cycle[i];
-        if cycle >= self.total_cycles {
+impl RoundProtocol for RoutedDating {
+    type Node = RoutedNode;
+    type Msg = RoutedMsg;
+    type Output = RoutedDatingSummary;
+
+    fn init_node(&self, _id: NodeId, _rng: &mut SmallRng) -> RoutedNode {
+        RoutedNode {
+            next_cycle: 0,
+            awaiting: 0,
+            offers: Vec::new(),
+            requests: Vec::new(),
+            dates: vec![0; self.total_cycles as usize],
+            hops: 0,
+        }
+    }
+
+    fn on_round_start(
+        &self,
+        node: &mut RoutedNode,
+        id: NodeId,
+        _round: u64,
+        rng: &mut SmallRng,
+        out: &mut Outbox<'_, RoutedMsg>,
+    ) {
+        let cycle = node.next_cycle;
+        if cycle >= self.total_cycles || (self.mode == IssueMode::Sequential && node.awaiting > 0) {
             return;
         }
-        if self.mode == IssueMode::Sequential && self.awaiting[i] > 0 {
-            return;
+        let caps = self.platform.caps(id);
+        for (count, is_offer) in [(caps.bw_out, true), (caps.bw_in, false)] {
+            for _ in 0..count {
+                let msg = RoutedMsg::Routed {
+                    cycle,
+                    origin: id,
+                    key: rng.gen::<u64>(),
+                    is_offer,
+                };
+                // Inject locally: if we own the key we are our own matchmaker.
+                self.forward(node, id, msg, out);
+            }
         }
-        let caps = self.platform.caps(node);
-        for _ in 0..caps.bw_out {
-            let key = {
-                use rand::Rng;
-                ctx.rng().gen::<u64>()
-            };
-            let msg = RoutedMsg::Routed {
-                cycle,
-                origin: node,
-                key,
-                is_offer: true,
-            };
-            // Inject locally: if we own the key we are our own matchmaker.
-            self.forward(node, msg, ctx);
-        }
-        for _ in 0..caps.bw_in {
-            let key = {
-                use rand::Rng;
-                ctx.rng().gen::<u64>()
-            };
-            let msg = RoutedMsg::Routed {
-                cycle,
-                origin: node,
-                key,
-                is_offer: false,
-            };
-            self.forward(node, msg, ctx);
-        }
-        self.awaiting[i] += caps.bw_out; // offers get answers
-        self.next_cycle[i] = cycle + 1;
+        node.awaiting += caps.bw_out; // offers get answers
+        node.next_cycle = cycle + 1;
     }
 
     fn on_message(
-        &mut self,
-        node: NodeId,
+        &self,
+        node: &mut RoutedNode,
+        id: NodeId,
         _from: NodeId,
         msg: RoutedMsg,
-        ctx: &mut Ctx<'_, RoutedMsg>,
+        _round: u64,
+        _rng: &mut SmallRng,
+        out: &mut Outbox<'_, RoutedMsg>,
     ) {
         match msg {
-            RoutedMsg::Routed { .. } => self.forward(node, msg, ctx),
+            RoutedMsg::Routed { .. } => self.forward(node, id, msg, out),
             RoutedMsg::Answer { cycle, partner } => {
-                self.awaiting[node.index()] = self.awaiting[node.index()].saturating_sub(1);
+                node.awaiting = node.awaiting.saturating_sub(1);
                 if let Some(p) = partner {
-                    ctx.send(p, RoutedMsg::Payload);
-                    self.dates_per_cycle[cycle as usize] += 1;
-                    let slot = &mut self.cycle_payload_round[cycle as usize];
-                    // Payload lands next round.
-                    let when = ctx.round() + 1;
-                    if slot.is_none_or(|r| r > when) {
-                        *slot = Some(when);
-                    }
+                    out.send(p, RoutedMsg::Payload);
+                    node.dates[cycle as usize] += 1;
                 }
             }
             RoutedMsg::Payload => {}
         }
     }
 
-    fn on_round_end(&mut self, node: NodeId, ctx: &mut Ctx<'_, RoutedMsg>) {
-        // Matchmake everything that arrived this round, per cycle.
-        let i = node.index();
-        if self.offers_inbox[i].is_empty() && self.requests_inbox[i].is_empty() {
-            return;
-        }
-        let mut offers = std::mem::take(&mut self.offers_inbox[i]);
-        let mut requests = std::mem::take(&mut self.requests_inbox[i]);
-        // Group by cycle (requests of different cycles are never matched).
-        offers.sort_unstable_by_key(|&(c, _)| c);
-        requests.sort_unstable_by_key(|&(c, _)| c);
-        let cycles: Vec<u32> = {
-            let mut cs: Vec<u32> = offers
-                .iter()
-                .chain(requests.iter())
-                .map(|&(c, _)| c)
-                .collect();
-            cs.sort_unstable();
-            cs.dedup();
-            cs
-        };
-        for cycle in cycles {
-            let mut os: Vec<NodeId> = offers
-                .iter()
-                .filter(|&&(c, _)| c == cycle)
-                .map(|&(_, o)| o)
-                .collect();
-            let mut rs: Vec<NodeId> = requests
-                .iter()
-                .filter(|&&(c, _)| c == cycle)
-                .map(|&(_, o)| o)
-                .collect();
-            let q = os.len().min(rs.len());
-            partial_shuffle(&mut os, q, ctx.rng());
-            partial_shuffle(&mut rs, q, ctx.rng());
-            for j in 0..q {
-                ctx.send(
-                    os[j],
-                    RoutedMsg::Answer {
-                        cycle,
-                        partner: Some(rs[j]),
-                    },
-                );
-            }
-            for &o in &os[q..] {
-                ctx.send(
-                    o,
-                    RoutedMsg::Answer {
-                        cycle,
-                        partner: None,
-                    },
-                );
+    /// Matchmake everything that arrived this round, one cycle at a time
+    /// in ascending order (requests of different cycles are never
+    /// matched), answering every offer.
+    fn on_round_end(
+        &self,
+        node: &mut RoutedNode,
+        _id: NodeId,
+        _round: u64,
+        rng: &mut SmallRng,
+        out: &mut Outbox<'_, RoutedMsg>,
+    ) {
+        node.offers.sort_unstable_by_key(|&(c, _)| c);
+        node.requests.sort_unstable_by_key(|&(c, _)| c);
+        let (mut os, mut rs) = (&mut node.offers[..], &mut node.requests[..]);
+        while let Some(&(cycle, _)) = [os.first(), rs.first()].into_iter().flatten().min() {
+            let (o, r) = (take_cycle(&mut os, cycle), take_cycle(&mut rs, cycle));
+            let q = o.len().min(r.len());
+            partial_shuffle(o, q, rng);
+            partial_shuffle(r, q, rng);
+            for (j, &(_, origin)) in o.iter().enumerate() {
+                let partner = (j < q).then(|| r[j].1);
+                out.send(origin, RoutedMsg::Answer { cycle, partner });
             }
             // Unmatched requests receive no answer in this simplified
             // accounting (only offers gate the sequential mode).
         }
-        offers.clear();
-        requests.clear();
-        self.offers_inbox[i] = offers;
-        self.requests_inbox[i] = requests;
+        node.offers.clear();
+        node.requests.clear();
     }
 
-    fn msg_bytes(msg: &RoutedMsg) -> usize {
+    fn msg_bytes(&self, msg: &RoutedMsg) -> usize {
         match msg {
-            RoutedMsg::Payload => 1024,
-            _ => rendez_core::overhead::ADDRESS_BYTES + 8,
+            RoutedMsg::Payload => PAYLOAD_BYTES,
+            _ => ADDRESS_BYTES + 8,
+        }
+    }
+
+    fn observe_node(&self, node: &RoutedNode, id: NodeId, round: u64, obs: &mut RoundObs) {
+        obs.count += u64::from(node.next_cycle >= self.total_cycles);
+        obs.lane_add(L_HOPS, node.hops);
+        let mut dates = 0u64;
+        for (cycle, &d) in node.dates.iter().enumerate() {
+            if d > 0 {
+                obs.lane_add(L_DATES + cycle, u64::from(d));
+                dates += u64::from(d);
+            }
+        }
+        // The inboxes are empty here: round end drained them.
+        let local = u64::from(node.next_cycle)
+            ^ u64::from(node.awaiting) << 16
+            ^ dates << 40
+            ^ node.hops.rotate_left(52);
+        let salt = SplitMix64::mix(round ^ 0xD47E);
+        obs.digest ^= SplitMix64::mix(local ^ SplitMix64::mix(salt ^ id.index() as u64));
+    }
+
+    /// Fold the round into the summary: per-cycle date totals and hops
+    /// from the lanes, and a cycle's first-payload round the first time
+    /// its tally is non-zero (an answer naming a partner in round `t`
+    /// ships a payload that lands in `t + 1`). Halts once every node has
+    /// issued every cycle and every cycle has a payload.
+    fn finalize_obs(&mut self, obs: &RoundObs, round: u64) -> Verdict<RoutedDatingSummary> {
+        let s = &mut self.summary;
+        s.total_hops = obs.lane(L_HOPS);
+        let cycles = s.dates_per_cycle.iter_mut().zip(&mut s.cycle_payload_round);
+        for (c, (dates, first)) in cycles.enumerate() {
+            *dates = obs.lane(L_DATES + c);
+            if *dates > 0 && first.is_none() {
+                *first = Some(round + 1);
+            }
+        }
+        if obs.count == self.chord.n() as u64 && s.makespan().is_some() {
+            Verdict::Halt(s.clone())
+        } else {
+            Verdict::Continue
         }
     }
 }
 
-/// Run `cycles` routed dating cycles over a fresh random ring; returns
-/// the protocol state after `max_rounds` engine rounds.
+/// Run `cycles` routed dating cycles over a fresh random ring of `n`
+/// nodes, sequentially, for at most `max_rounds` rounds. A run that
+/// exhausts `max_rounds` first reports the tally so far, with
+/// `makespan() == None` unless every cycle had landed a payload.
 pub fn run_routed_dating(
     n: usize,
     cycles: u32,
     mode: IssueMode,
     seed: u64,
     max_rounds: u64,
-) -> RoutedDating {
-    let ring = crate::ring::Ring::random(n, seed);
-    let chord = ChordNet::build(ring);
-    let platform = Platform::unit(n);
-    let protocol = RoutedDating::new(chord, platform, mode, cycles);
-    let mut engine = Engine::new(n, protocol, EngineConfig::seeded(seed ^ 0xA11C));
-    engine.run_until(
-        |p, _| p.makespan().is_some() && p.next_cycle.iter().all(|&c| c >= cycles),
-        max_rounds,
-    );
-    engine.into_protocol()
+) -> RoutedDatingSummary {
+    let chord = ChordNet::build(Ring::random(n, seed));
+    let mut proto = RoutedDating::new(chord, Platform::unit(n), mode, cycles);
+    let cfg = RunConfig::seeded(seed ^ 0xA11C).max_rounds(max_rounds);
+    SequentialExecutor.run(&mut proto, n, &cfg);
+    proto.summary
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rendez_runtime::ShardedExecutor;
 
     #[test]
     fn pipelined_beats_sequential_makespan() {
@@ -381,5 +414,33 @@ mod tests {
         let ms = seq.makespan().expect("completed");
         // Each cycle costs at least 3 rounds (route ≥1, answer, payload).
         assert!(ms >= 3 * cycles as u64 - 3, "makespan {ms} too small");
+    }
+
+    #[test]
+    fn out_of_rounds_reports_no_makespan() {
+        let short = run_routed_dating(128, 30, IssueMode::Sequential, 1, 20);
+        assert_eq!(short.makespan(), None);
+        assert!(short.dates_per_cycle[0] > 0 && short.total_hops > 0);
+    }
+
+    #[test]
+    fn sharded_runs_are_identical() {
+        let n = 128;
+        for mode in [IssueMode::Sequential, IssueMode::Pipelined] {
+            let mk = || {
+                let chord = ChordNet::build(Ring::random(n, 6));
+                RoutedDating::new(chord, Platform::unit(n), mode, 12)
+            };
+            let cfg = RunConfig::seeded(7).max_rounds(5_000);
+            let seq = SequentialExecutor.run(&mut mk(), n, &cfg);
+            assert!(seq.completed, "{mode:?}");
+            for shards in [2, 3, 5] {
+                let sh = ShardedExecutor::new(shards).run(&mut mk(), n, &cfg);
+                let what = format!("{mode:?} shards={shards}");
+                assert_eq!(seq.digests, sh.digests, "{what}");
+                assert_eq!(seq.output, sh.output, "{what}");
+                assert_eq!(seq.stats, sh.stats, "{what}");
+            }
+        }
     }
 }

@@ -1,9 +1,9 @@
 //! Algorithm 1 — the distributed dating service, hosted on the runtime.
 //!
-//! Same 3-round cycle as `rendez_core::distributed::DistributedDating`
-//! (and the same wire messages — [`DatingMsg`] is reused: one 8-byte word,
-//! the partner of an answer a 4-byte [`Partner`] with `u32::MAX` for "no
-//! date", which [`MAX_NODES`](crate::MAX_NODES) keeps free of node ids):
+//! The 3-round cycle of `rendez_core::distributed`, on its wire messages
+//! ([`DatingMsg`]: one 8-byte word, the partner of an answer a 4-byte
+//! [`Partner`] with `u32::MAX` for "no date", which
+//! [`MAX_NODES`](crate::MAX_NODES) keeps free of node ids):
 //!
 //! ```text
 //! phase 0: every node sends bout(i) Offer and bin(i) Request messages
@@ -12,10 +12,10 @@
 //! phase 2: matched senders receive their partner and ship the payload
 //! ```
 //!
-//! The difference is structural: state lives per node, so the protocol
-//! runs unchanged on the sequential, sharded and conditioned executors.
-//! `oracle_vs_distributed`-style equivalence is asserted in
-//! `tests/runtime_equivalence.rs` via the same KS harness.
+//! State lives per node, so the protocol runs unchanged on the
+//! sequential, sharded and conditioned executors.
+//! Equivalence with the oracle sampler is asserted by KS tests in
+//! `tests/oracle_vs_distributed.rs` and `tests/runtime_equivalence.rs`.
 //!
 //! # Millions-of-nodes layout
 //!
@@ -350,15 +350,17 @@ impl<S: NodeSelector> RoundProtocol for RuntimeDating<S> {
 mod tests {
     use super::*;
     use crate::exec::{Executor, SequentialExecutor, ShardedExecutor};
-    use crate::report::RunConfig;
-    use rendez_core::UniformSelector;
+    use crate::report::{RunConfig, RunReport};
+    use rendez_core::{analysis, UniformSelector};
 
-    fn run(n: usize, cycles: u64, seed: u64) -> DatingRunSummary {
+    fn report(n: usize, cycles: u64, seed: u64) -> RunReport<DatingRunSummary> {
         let mut proto = RuntimeDating::new(Platform::unit(n), UniformSelector::new(n), cycles);
         let rounds = proto.total_rounds();
-        SequentialExecutor
-            .run(&mut proto, n, &RunConfig::seeded(seed).max_rounds(rounds))
-            .expect_output()
+        SequentialExecutor.run(&mut proto, n, &RunConfig::seeded(seed).max_rounds(rounds))
+    }
+
+    fn run(n: usize, cycles: u64, seed: u64) -> DatingRunSummary {
+        report(n, cycles, seed).expect_output()
     }
 
     /// The matchmaker on per-node `Vec` inboxes: what `matchmake` sends,
@@ -478,6 +480,38 @@ mod tests {
             assert!(d as f64 > 0.3 * m, "cycle with only {d} dates");
             assert!((d as f64) < m, "cannot exceed centralized optimum");
         }
+        let predicted = analysis::expected_dates_uniform(n, n as u64, n as u64);
+        let mean = r.total_dates() as f64 / r.dates_per_cycle.len() as f64;
+        assert!(
+            (mean - predicted).abs() < 0.1 * predicted,
+            "mean {mean} vs predicted {predicted}"
+        );
+    }
+
+    #[test]
+    fn deterministic_in_seed() {
+        let (a, b) = (report(60, 3, 9), report(60, 3, 9));
+        assert_eq!(a.digests, b.digests);
+        assert_eq!(a.output, b.output);
+        assert_eq!(a.stats, b.stats);
+        assert_ne!(
+            a.digests,
+            report(60, 3, 10).digests,
+            "different seeds should differ"
+        );
+    }
+
+    #[test]
+    fn control_bytes_accounting() {
+        let n = 100u64;
+        let cycles = 3u64;
+        let r = report(n as usize, cycles, 6);
+        let payloads = r.output.as_ref().expect("halted").payloads_received;
+        // Control = requests (2n per cycle) + answers (2n per cycle), each
+        // ADDRESS_BYTES; everything else on the wire is payload.
+        let control = r.stats.bytes_sent - payloads * PAYLOAD_BYTES as u64;
+        assert_eq!(control, cycles * (2 * n + 2 * n) * ADDRESS_BYTES as u64);
+        assert_eq!(r.stats.sent - payloads, cycles * (2 * n + 2 * n));
     }
 
     #[test]
@@ -498,7 +532,9 @@ mod tests {
 
     #[test]
     fn zero_cycles_is_quiet() {
-        let r = run(10, 0, 7);
+        let r = report(10, 0, 7);
+        assert_eq!(r.stats.sent, 0);
+        let r = r.expect_output();
         assert!(r.dates_per_cycle.is_empty());
         assert_eq!(r.payloads_received, 0);
     }

@@ -1,12 +1,11 @@
 //! Adapters hosting the workspace's protocols on the runtime.
 //!
-//! The legacy `rendez_sim::Protocol` trait stores **all** node state in
-//! one object, which is simple but unshardable. These adapters re-express
-//! the same protocols as per-node [`RoundProtocol`](crate::RoundProtocol)
-//! state machines so any executor — sequential, sharded, conditioned —
-//! can run them, with or without churn. The legacy engine path keeps
-//! working untouched; the integration tests pin the adapters to it
-//! statistically (same date-count distribution as the oracle, same
+//! Each adapter expresses one protocol as a per-node
+//! [`RoundProtocol`](crate::RoundProtocol) state machine, so any
+//! executor — sequential, sharded, conditioned — can run it, with or
+//! without churn. The integration tests pin the adapters statistically
+//! to the centralised oracle samplers of `rendez_core` and
+//! `rendez_gossip` (same date-count distribution as the oracle, same
 //! round-count distribution per spreader).
 //!
 //! All eight workloads are hosted here: the distributed dating service

@@ -1,11 +1,10 @@
 //! Node churn: deterministic per-node liveness.
 //!
 //! The paper's introduction motivates designs that tolerate "dynamics of
-//! the networks, also node failures". The legacy `rendez_sim` engine
-//! injects crash-stop events from an explicit [`ChurnSchedule`]; the
-//! runtime models churn the same way it models loss and latency — as a
-//! **pure function of the run seed**. A node's liveness in a round is a
-//! bit hashed from `(seed, node, round)`, so executors of every flavour
+//! the networks, also node failures". The runtime models churn the same
+//! way it models loss and latency — as a **pure function of the run
+//! seed**. A node's liveness in a round is a bit hashed from
+//! `(seed, node, round)`, so executors of every flavour
 //! (sequential, sharded at any shard count) see exactly the same failure
 //! pattern and the determinism contract of the [crate docs](crate) is
 //! preserved without any coordination.
@@ -20,9 +19,7 @@
 //!   (counted in [`NetStats::churn_lost`](crate::NetStats::churn_lost)).
 //!
 //! Protocol state is preserved across downtime (crash-recovery semantics
-//! are the protocol's concern, exactly as in `rendez_sim`'s schedule).
-//!
-//! [`ChurnSchedule`]: rendez_sim::ChurnSchedule
+//! are the protocol's concern).
 //!
 //! lint: deterministic
 
@@ -45,8 +42,8 @@ pub enum ChurnModel {
         down_prob: f64,
     },
     /// Crash-stop failures: a hashed `fail_frac` fraction of the nodes
-    /// each crash permanently at a hashed round in `0..horizon`, matching
-    /// `rendez_sim::ChurnSchedule::random_crashes` in law.
+    /// each crash permanently at a hashed round in `0..horizon` — a
+    /// uniform random victim set with uniform crash rounds.
     CrashStop {
         /// Fraction of nodes that eventually crash (`0 ≤ f < 1`).
         fail_frac: f64,

@@ -4,11 +4,12 @@
 //! # rendez-runtime — sans-I/O round runtime with pluggable executors
 //!
 //! Every protocol in this workspace — the dating service and all seven
-//! Figure-2 spreaders — is a round-based message-passing protocol, but the
-//! seed implementations hard-wire them either to centralized sampling
-//! (`rendez_gossip`) or to the single-threaded `rendez_sim` engine. This
-//! crate separates **what a protocol does** from **how its rounds are
-//! executed**, in the style of manul's round-based protocol framework:
+//! Figure-2 spreaders — is a round-based message-passing protocol, and
+//! this crate is the workspace's one engine for running them (the oracle
+//! samplers in `rendez_core` and `rendez_gossip` draw the same random
+//! processes centrally). It separates **what a protocol does** from **how
+//! its rounds are executed**, in the style of manul's round-based
+//! protocol framework:
 //!
 //! * a protocol is a typed per-node state machine ([`RoundProtocol`]):
 //!   it emits messages at round start, absorbs deliveries, does local
@@ -27,8 +28,9 @@
 //!   [`AsyncProtocol`] state machines from an event queue of exponential
 //!   per-node wake clocks ([`TimeModel::Continuous`](scenario::TimeModel));
 //! * [`adapters`] host all eight workloads — the distributed dating
-//!   service and the seven Figure-2 spreaders — on the runtime, while
-//!   the legacy `rendez_sim::Protocol` path keeps working untouched;
+//!   service and the seven Figure-2 spreaders — on the runtime; §4's
+//!   routed dating (`rendez_dht::RoutedDating`) is a [`RoundProtocol`]
+//!   of its own, outside the registry;
 //! * the [`Scenario`] builder composes workload × platform × selector ×
 //!   conditions × churn × executor behind one validated entry point.
 //!

@@ -4,12 +4,15 @@
 //! runs a shard, on what a panicking protocol callback looks like to the
 //! caller, and on the report whatever the channel and the phases a round
 //! sends from: every emission lane is handed over whole — read off the
-//! number of times the engine cloned a message, never off a clock.
+//! number of times the engine cloned a message, never off a clock. And
+//! every path keeps the books: each message sent is delivered, lost to
+//! the channel or lost to churn, never before its latency is up.
 
+use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rendez_runtime::{
-    Conditions, Executor, LatencyDist, Outbox, RoundObs, RoundProtocol, RunConfig, RunReport,
-    Scenario, SequentialExecutor, ShardedExecutor, Spreader, Verdict, WorkerPool,
+    Churn, Conditions, Executor, LatencyDist, Outbox, RoundObs, RoundProtocol, RunConfig,
+    RunReport, Scenario, SequentialExecutor, ShardedExecutor, Spreader, Verdict, WorkerPool,
 };
 use rendez_sim::{NodeId, SplitMix64};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -450,6 +453,133 @@ fn pooled_scenarios_match_sequential_under_every_routing_condition() {
             assert_eq!(reference.rounds, pooled.rounds, "{what}");
             assert_eq!(reference.output, pooled.output, "{what}");
             assert_eq!(reference.node_bytes, pooled.node_bytes, "{what}");
+        }
+    }
+}
+
+/// Every node sends one message a round, to a round-dependent target,
+/// while `round < stop`, then falls silent; nodes count what they
+/// receive. A round's digest is the reception count so far, and the run
+/// halts after `rounds` rounds with the final one.
+struct Burst {
+    n: u32,
+    stop: u64,
+    rounds: u64,
+}
+
+impl RoundProtocol for Burst {
+    type Node = u64;
+    type Msg = u8;
+    type Output = u64;
+
+    fn init_node(&self, _id: NodeId, _rng: &mut SmallRng) -> u64 {
+        0
+    }
+
+    fn on_round_start(
+        &self,
+        _node: &mut u64,
+        id: NodeId,
+        round: u64,
+        _rng: &mut SmallRng,
+        out: &mut Outbox<'_, u8>,
+    ) {
+        if round < self.stop {
+            let hop = 1 + round as u32 % (self.n - 1);
+            out.send(NodeId((id.0 + hop) % self.n), 1);
+        }
+    }
+
+    fn on_message(
+        &self,
+        node: &mut u64,
+        _id: NodeId,
+        _from: NodeId,
+        _msg: u8,
+        _round: u64,
+        _rng: &mut SmallRng,
+        _out: &mut Outbox<'_, u8>,
+    ) {
+        *node += 1;
+    }
+
+    fn observe_node(&self, node: &u64, _id: NodeId, _round: u64, obs: &mut RoundObs) {
+        obs.count += node;
+    }
+
+    fn finalize_obs(&mut self, obs: &RoundObs, round: u64) -> Verdict<u64> {
+        if round + 1 == self.rounds {
+            Verdict::Halt(obs.count)
+        } else {
+            Verdict::Continue
+        }
+    }
+
+    fn digest_obs(&self, obs: &RoundObs, _round: u64) -> u64 {
+        obs.count
+    }
+}
+
+const LATENCIES: [LatencyDist; 6] = [
+    LatencyDist::Fixed(1),
+    LatencyDist::Fixed(2),
+    LatencyDist::Fixed(3),
+    LatencyDist::Fixed(4),
+    LatencyDist::Uniform { min: 1, max: 3 },
+    LatencyDist::Geometric { p: 0.5, cap: 8 },
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Conservation and latency on every executor path: a burst of
+    /// `stop` rounds, run until its slowest message is due, ends with
+    /// `sent == delivered + dropped + churn_lost` exactly, under loss ×
+    /// latency × churn; on an ideal channel with fixed latency `l`
+    /// nothing arrives before round `l` and round 0's sends all arrive
+    /// in it. Sharded runs at 1, 2 and 3 shards reproduce the sequential
+    /// report.
+    #[test]
+    fn every_send_is_delivered_dropped_or_churn_lost(
+        n in 2usize..40,
+        stop in 1u64..12,
+        seed in 0u64..10_000,
+    ) {
+        let pool = WorkerPool::new(2);
+        let churns = [Churn::none(), Churn::intermittent(0.1), Churn::crash_stop(0.3, 10)];
+        for drop_prob in [0.0, 0.1] {
+            for latency in LATENCIES {
+                for churn in churns {
+                    let rounds = stop + latency.max_latency();
+                    let burst = || Burst { n: n as u32, stop, rounds };
+                    let cfg = RunConfig::seeded(seed)
+                        .conditions(Conditions { drop_prob, latency })
+                        .churn(churn)
+                        .max_rounds(rounds);
+                    let what = format!("n={n} stop={stop} {cfg:?}");
+                    let reference = SequentialExecutor.run(&mut burst(), n, &cfg);
+                    let (s, received) = (reference.stats, &reference.digests);
+                    prop_assert_eq!(s.sent, s.delivered + s.dropped + s.churn_lost, "{}", what);
+                    prop_assert_eq!(reference.output, Some(s.delivered), "{}", what);
+                    if churn.is_none() {
+                        prop_assert_eq!(s.sent, (n as u64) * stop, "{}", what);
+                    }
+                    match latency {
+                        LatencyDist::Fixed(l) if drop_prob == 0.0 && churn.is_none() => {
+                            let l = l as usize;
+                            prop_assert_eq!(received[l - 1], 0, "{}", what);
+                            prop_assert_eq!(received[l], n as u64, "{}", what);
+                        }
+                        _ => {}
+                    }
+                    for shards in [1, 2, 3] {
+                        let sharded = ShardedExecutor::new(shards).run_in(&pool, &mut burst(), n, &cfg);
+                        prop_assert_eq!(&sharded.digests, received, "{} shards={}", what, shards);
+                        prop_assert_eq!(sharded.stats, s, "{} shards={}", what, shards);
+                        prop_assert_eq!(sharded.output, reference.output, "{} shards={}", what, shards);
+                    }
+                }
+            }
         }
     }
 }

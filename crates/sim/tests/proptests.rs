@@ -1,84 +1,12 @@
-//! Property-based tests for the simulation engine.
+//! Property-based tests for the Monte-Carlo trial runner. (The round
+//! engine's conservation, latency and determinism laws are pinned on the
+//! runtime, in `crates/runtime/tests/engine_paths.rs`.)
 
 use proptest::prelude::*;
-use rendez_sim::{run_trials, ChurnSchedule, Ctx, Engine, EngineConfig, NodeId, Protocol};
-
-/// Broadcast protocol: each node sends one message to a derived neighbor
-/// each round; used to exercise the engine generically.
-struct Chatter {
-    received: Vec<u64>,
-}
-
-impl Protocol for Chatter {
-    type Msg = u8;
-
-    fn on_round_start(&mut self, node: NodeId, ctx: &mut Ctx<'_, u8>) {
-        let dst = NodeId((node.0 + 1) % ctx.n() as u32);
-        ctx.send(dst, (node.0 % 251) as u8);
-    }
-
-    fn on_message(&mut self, node: NodeId, _from: NodeId, msg: u8, _ctx: &mut Ctx<'_, u8>) {
-        self.received[node.index()] += msg as u64 + 1;
-    }
-}
+use rendez_sim::run_trials;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Bit-for-bit determinism: same seed → same metrics and state; the
-    /// per-round message conservation law holds (with latency 1, every
-    /// round's sends are next round's deliveries when nobody dies).
-    #[test]
-    fn engine_is_deterministic(n in 1usize..40, rounds in 1u64..30, seed in 0u64..10_000) {
-        let run = |seed: u64| {
-            let mut e = Engine::new(
-                n,
-                Chatter { received: vec![0; n] },
-                EngineConfig::seeded(seed),
-            );
-            e.run_rounds(rounds);
-            (
-                e.metrics().sent,
-                e.metrics().delivered,
-                e.protocol().received.clone(),
-            )
-        };
-        let a = run(seed);
-        let b = run(seed);
-        prop_assert_eq!(&a, &b);
-        // Conservation: sent = n per round; delivered lags one round.
-        prop_assert_eq!(a.0, n as u64 * rounds);
-        prop_assert_eq!(a.1, n as u64 * (rounds - 1));
-    }
-
-    /// With churn, messages are never lost silently: sent = delivered +
-    /// dropped + in-flight.
-    #[test]
-    fn message_accounting_balances(
-        n in 3usize..30,
-        rounds in 2u64..25,
-        seed in 0u64..10_000,
-        fails in prop::collection::vec((0u64..20, any::<u32>()), 0..5),
-    ) {
-        let mut churn = ChurnSchedule::none();
-        for (round, node) in fails {
-            churn = churn.fail_at(round, NodeId(node % n as u32));
-        }
-        let mut e = Engine::new(
-            n,
-            Chatter { received: vec![0; n] },
-            EngineConfig {
-                churn,
-                ..EngineConfig::seeded(seed)
-            },
-        );
-        e.run_rounds(rounds);
-        let m = e.metrics();
-        prop_assert_eq!(
-            m.sent,
-            m.delivered + m.dropped_dead + m.dropped_random + m.in_flight()
-        );
-    }
 
     /// The parallel trial runner returns identical results regardless of
     /// thread count.
@@ -88,22 +16,5 @@ proptest! {
         let one = run_trials(trials, seed, 1, f);
         let many = run_trials(trials, seed, 8, f);
         prop_assert_eq!(one, many);
-    }
-
-    /// Latency delays delivery by exactly the configured rounds.
-    #[test]
-    fn latency_contract(n in 2usize..20, latency in 1u64..6, seed in 0u64..1_000) {
-        let mut e = Engine::new(
-            n,
-            Chatter { received: vec![0; n] },
-            EngineConfig {
-                latency,
-                ..EngineConfig::seeded(seed)
-            },
-        );
-        e.run_rounds(latency);
-        prop_assert_eq!(e.metrics().delivered, 0);
-        e.run_round();
-        prop_assert_eq!(e.metrics().delivered, n as u64);
     }
 }

@@ -5,9 +5,10 @@
 //! * **Lemma 3** — conditioned on the number of dates `k`, the dating
 //!   service's date set must be a *uniform* random `k`-matching; we
 //!   enumerate small matchings and chi-square the observed frequencies.
-//! * **Oracle ≡ distributed protocol** — the two implementations of
-//!   Algorithm 1 must produce identically distributed date counts; we
-//!   compare samples with the KS test.
+//! * **Oracle ≡ distributed protocol** — the oracle sampler and the
+//!   message-passing protocol on the round runtime must produce
+//!   identically distributed date counts; we compare samples with the KS
+//!   test.
 
 use crate::special::reg_upper_gamma;
 

@@ -21,12 +21,12 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`core`] | the dating service: platforms, selectors, Algorithm 1 (oracle + distributed), matchings, capacity invariants, analytic predictions, overhead and pipelining models |
+//! | [`core`] | the dating service: platforms, selectors, Algorithm 1 (oracle form and the distributed wire format), matchings, capacity invariants, analytic predictions, overhead and pipelining models |
 //! | [`gossip`] | rumor spreading over dates + the PUSH/PULL baseline family of Figure 2, Theorem 4 phase instrumentation, Theorem 10 heterogeneous experiments, multi-rumor |
-//! | [`dht`] | Chord-style DHT substrate: random ring, arc ownership, finger routing, Naor–Wieder routing, and the §4 DHT-based selector |
+//! | [`dht`] | Chord-style DHT substrate: random ring, arc ownership, finger routing, Naor–Wieder routing, the §4 DHT-based selector, and §4's routed (sequential vs pipelined) dating as a runtime protocol |
 //! | [`coding`] | §5 extension: GF(256) randomized network coding for rumor mongering |
 //! | [`storage`] | §5 extension: replicated storage via dating-driven block exchange |
-//! | [`sim`] | deterministic synchronous round engine, churn, metrics, parallel Monte-Carlo runner |
+//! | [`sim`] | node ids, SplitMix64 seed streams, parallel Monte-Carlo trial runner |
 //! | [`runtime`] | sans-I/O round runtime: per-node protocol state machines behind pluggable sequential / sharded-parallel / conditioned executors, plus the persistent [`WorkerPool`](runtime::WorkerPool) |
 //! | [`fleet`] | Monte-Carlo fleet engine: persistent-pool sweep scheduler with streaming (Welford) aggregation into machine-readable sweep reports |
 //! | [`stats`] | Welford summaries, histograms, Poisson/Binomial/Hypergeometric/Geometric/Zipf, chi-square and KS tests |

@@ -1,81 +1,75 @@
 //! Churn resilience: the dating service is stateless across rounds, so
-//! crashed matchmakers only cost their in-flight requests — the property
+//! failed matchmakers only cost their in-flight requests — the property
 //! that §1 motivates ("dynamics of the networks, also node failures").
+//! Every run here is `RuntimeDating` under runtime churn, wrapped in the
+//! `DateCapacity` checks: no node dates beyond its bandwidth in a cycle,
+//! and no date has a matchmaker that was down in its matchmaking round.
 
-use rendezvous::core::{verify_dates, DistributedDating, Platform, UniformSelector};
-use rendezvous::sim::{ChurnSchedule, Engine, EngineConfig, NodeId};
+mod support;
 
+use rendezvous::prelude::*;
+use rendezvous::runtime::DatingRunSummary;
+use support::run_checked;
+
+/// A checked sequential run of `cycles` cycles; returns the summary and
+/// the number of dates the checks saw.
 fn run_with_churn(
-    n: usize,
+    platform: &Platform,
     cycles: u64,
-    churn: ChurnSchedule,
+    churn: Churn,
     seed: u64,
-) -> Vec<Vec<rendezvous::core::Date>> {
-    let platform = Platform::unit(n);
-    let protocol = DistributedDating::new(platform, UniformSelector::new(n), cycles);
-    let mut engine = Engine::new(
-        n,
-        protocol,
-        EngineConfig {
-            churn,
-            ..EngineConfig::seeded(seed)
-        },
-    );
-    engine.run_rounds(3 * cycles + 1);
-    engine.into_protocol().per_cycle_dates().to_vec()
+) -> (DatingRunSummary, u64) {
+    let proto = RuntimeDating::new(platform.clone(), UniformSelector::new(platform.n()), cycles);
+    let cfg = RunConfig::seeded(seed)
+        .churn(churn)
+        .max_rounds(proto.total_rounds());
+    let (report, seen) = run_checked(&SequentialExecutor, proto, platform, &cfg);
+    (report.expect_output(), seen)
 }
 
 #[test]
 fn dating_continues_through_crashes() {
     let n = 200;
     let cycles = 12u64;
-    // Crash 20 nodes over the first half of the run.
-    let mut churn = ChurnSchedule::none();
-    for i in 0..20u32 {
-        churn = churn.fail_at(i as u64, NodeId(i + 1));
-    }
-    let per_cycle = run_with_churn(n, cycles, churn, 1);
-    assert_eq!(per_cycle.len() as u64, cycles);
-    for (c, dates) in per_cycle.iter().enumerate() {
+    // A tenth of the nodes crash over the first 20 rounds.
+    let churn = Churn::crash_stop(0.1, 20);
+    let (r, _) = run_with_churn(&Platform::unit(n), cycles, churn, 1);
+    assert_eq!(r.dates_per_cycle.len() as u64, cycles);
+    let live = |round| NodeId::all(n).filter(|&v| churn.alive(1, v, round)).count();
+    assert!(live(3 * cycles) < n, "the churn must crash someone");
+    for (c, &d) in r.dates_per_cycle.iter().enumerate() {
+        let up = live(3 * c as u64 + 1);
         assert!(
-            dates.len() as f64 > 0.064 * (n as f64 - 25.0),
-            "cycle {c}: only {} dates under churn",
-            dates.len()
+            d as f64 > 0.064 * up as f64,
+            "cycle {c}: only {d} dates among {up} live nodes"
         );
-    }
-    // Dates arranged after the crashes never involve dead matchmakers
-    // (dead nodes receive nothing, so they cannot matchmake).
-    let last = per_cycle.last().expect("cycles ran");
-    for d in last {
-        assert!(d.matchmaker.0 == 0 || d.matchmaker.0 > 20);
     }
 }
 
 #[test]
 fn recovery_restores_full_throughput() {
-    let n = 150;
-    let cycles = 10u64;
-    // Node 1..=30 down for cycles 0-4, back for 5+ (engine rounds = 3×cycle).
-    let mut churn = ChurnSchedule::none();
-    for i in 1..=30u32 {
-        churn = churn.fail_at(0, NodeId(i)).recover_at(14, NodeId(i));
-    }
-    let per_cycle = run_with_churn(n, cycles, churn, 2);
-    let early: f64 = per_cycle[1..4].iter().map(|c| c.len() as f64).sum::<f64>() / 3.0;
-    let late: f64 = per_cycle[6..9].iter().map(|c| c.len() as f64).sum::<f64>() / 3.0;
+    // Intermittent churn: every node is down a fifth of the rounds and
+    // comes back, so throughput settles in a band below the churn-free
+    // mean instead of decaying. A matchmaker is up 4/5 of the time and
+    // then hears Poisson(0.8) offers and requests: E[min] ≈ 0.342 per
+    // node against 0.476 without churn, a ratio of 0.8 · 0.342 / 0.476
+    // ≈ 0.575. Measured: 0.566 (n = 150, 40 cycles, seed 2).
+    let platform = Platform::unit(150);
+    let (free, _) = run_with_churn(&platform, 40, Churn::none(), 2);
+    let (churned, _) = run_with_churn(&platform, 40, Churn::intermittent(0.2), 2);
+    // Equal cycle counts: the ratio of totals is the ratio of means.
+    let ratio = churned.total_dates() as f64 / free.total_dates() as f64;
     assert!(
-        late > early,
-        "throughput should rise after recovery: early {early}, late {late}"
+        (0.50..0.65).contains(&ratio),
+        "churned / churn-free mean dates = {ratio}"
     );
 }
 
 #[test]
 fn capacity_holds_under_churn() {
-    let n = 100;
-    let platform = Platform::unit(n);
-    let churn = ChurnSchedule::random_crashes(n, 15, 20, Some(NodeId(0)), 3);
-    let per_cycle = run_with_churn(n, 8, churn, 4);
-    for dates in &per_cycle {
-        verify_dates(&platform, dates).expect("capacity violated under churn");
-    }
+    let platform = Platform::power_law(100, 1.0, 3.0, 3);
+    let churn = Churn::crash_stop(0.15, 20).protect(NodeId(0));
+    let (r, seen) = run_with_churn(&platform, 8, churn, 4);
+    assert!(seen > 0 && r.total_dates() > 0);
+    assert!(churn.alive(4, NodeId(0), 3 * 8));
 }
