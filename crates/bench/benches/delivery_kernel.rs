@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the cache-resident message plane: SoA envelope
 //! batches, the hoisted fate kernel, and the end-to-end delivery path.
 //!
-//! Six groups:
+//! Seven groups:
 //!
 //! * `emit` — filling an [`EnvBatch`] through run-length `push` vs the
 //!   legacy `Vec<Envelope>` stream, and reading it back in emission
@@ -26,7 +26,11 @@
 //! * `event_queue` — the event executor's wake queue under the hold
 //!   model (pop the earliest wake, push the same node back one
 //!   exponential inter-arrival later): the calendar [`WakeQueue`]
-//!   against the `BinaryHeap` it replaced, at `n` = 10⁴ and 10⁶.
+//!   against the `BinaryHeap` it replaced, at `n` = 10⁴ and 10⁶;
+//! * `event_loop` — a whole asynchronous push&pull run on the
+//!   [`EventExecutor`] at `n` = 2.5×10⁴, in wake events per second: the
+//!   queue, the callbacks parking their sends and the per-event
+//!   observation and digest together.
 //!
 //! Set `RENDEZ_BENCH_QUICK=1` for the CI smoke mode (smallest size,
 //! few samples) that keeps the harness from bit-rotting without
@@ -37,9 +41,9 @@ use rand::rngs::SmallRng;
 use rendez_core::{Platform, UniformSelector};
 use rendez_runtime::batch::{order_deliveries, DeliverScratch};
 use rendez_runtime::{
-    Conditions, EnvBatch, Envelope, Executor, LatencyDist, Outbox, RoundObs, RoundProtocol,
-    RunConfig, RuntimeDating, SequentialExecutor, ShardedExecutor, Verdict, WakeQueue, WorkerPool,
-    TICKS_PER_SEC,
+    AsyncSpread, Conditions, EnvBatch, Envelope, EventExecutor, Executor, LatencyDist, Outbox,
+    RoundObs, RoundProtocol, RunConfig, RuntimeDating, SequentialExecutor, ShardedExecutor,
+    Spreader, Verdict, WakeQueue, WorkerPool, TICKS_PER_SEC,
 };
 use rendez_sim::{NodeId, SplitMix64};
 use std::cmp::Reverse;
@@ -358,6 +362,29 @@ fn bench_event_queue(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_event_loop(c: &mut Criterion) {
+    let quick = std::env::var("RENDEZ_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
+    let n: usize = if quick { 2_500 } else { 25_000 };
+    let cfg = RunConfig::seeded(1).max_rounds(500);
+    let run = || {
+        let mut proto = AsyncSpread::new(n, NodeId(0), Spreader::PushPull);
+        EventExecutor::new(1.0).run(&mut proto, n, &cfg)
+    };
+    // Every run processes the same events, so one tells the throughput.
+    let events = run().rounds;
+    let mut g = c.benchmark_group("delivery_kernel/event_loop");
+    g.sample_size(if quick { 3 } else { 10 });
+    g.throughput(Throughput::Elements(events));
+    g.bench_with_input(BenchmarkId::new("push_pull", n), &n, |b, _| {
+        b.iter(|| {
+            let report = run();
+            assert!(report.completed);
+            report.stats.delivered
+        });
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_emit,
@@ -365,6 +392,7 @@ criterion_group!(
     bench_deliver,
     bench_deliver_mixed,
     bench_route,
-    bench_event_queue
+    bench_event_queue,
+    bench_event_loop
 );
 criterion_main!(benches);

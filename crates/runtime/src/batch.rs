@@ -1,6 +1,8 @@
 //! The cache-resident message plane: SoA envelope batches with
 //! run-length source headers, the emission lanes that route a message as
-//! it is sent, and the delivery kernel every round executor is built on.
+//! it is sent, and the delivery kernel every round executor is built on;
+//! for the event executor, the parking a message is moved into as it is
+//! sent and taken out of when its destination wakes.
 //!
 //! An [`EnvBatch`] replaces `Vec<Envelope<M>>` on the hot path. Instead
 //! of one 24-byte-plus-payload AoS record per message, it keeps two flat
@@ -59,6 +61,7 @@
 //! lint: deterministic
 
 use crate::conditions::{Conditions, FateRun};
+use crate::exec::{link, NIL};
 use crate::proto::Envelope;
 use rendez_sim::NodeId;
 
@@ -264,20 +267,124 @@ impl LaneOf {
     }
 }
 
-/// A shard's emission: [`EnvBatch`] lanes filled through
-/// [`push`](Self::push), each one routed bucket (batch invariant 2), in
-/// one of three layouts fixed when the run starts.
+/// An executor's emission, filled through [`push`](Self::push) in one of
+/// four layouts fixed when the run starts: a round shard's [`EnvBatch`]
+/// lanes, each one routed bucket (batch invariant 2), or the event
+/// executor's parking.
 #[derive(Debug)]
 pub(crate) enum Lanes<M> {
-    /// One shard, or the event executor: the one lane, held inline so
-    /// that a push reaches it exactly as it reached the single emission
-    /// batch there used to be.
+    /// One shard: the one lane, held inline so that a push reaches it
+    /// exactly as it reached the single emission batch there used to be.
     One(EnvBatch<M>),
     /// A lane per destination shard, and which one a destination is in.
     Several(Vec<EnvBatch<M>>, LaneOf),
     /// A channel that loses messages or spreads latencies: fate is
     /// decided at the send.
     Fated(Fated<M>),
+    /// The event executor: no lane at all, every message is parked at
+    /// its destination as it is sent.
+    Parked(Parking<M>),
+}
+
+/// One parked message: a cell of the [`Parking`] slab. `msg` is `None`
+/// while the cell sits on the free list.
+#[derive(Debug)]
+struct Parked<M> {
+    next: u32,
+    from: NodeId,
+    msg: Option<M>,
+}
+
+/// The [`Lanes::Parked`] layout: messages waiting for their destination
+/// to collect them (manul-style caching of messages for activations that
+/// have not started yet). They live in one slab; each destination heads
+/// an intrusive list through it, newest first, and the heads are one
+/// dense array, so a send writes a cell and `heads[dst]` and touches
+/// nothing else of the destination's. Collected cells go back on the
+/// free list, so the slab grows to the high-water mark of messages in
+/// flight and steady-state sends allocate nothing.
+#[derive(Debug)]
+pub(crate) struct Parking<M> {
+    cells: Vec<Parked<M>>,
+    /// Per destination, its most recently parked cell ([`NIL`] when
+    /// none).
+    heads: Vec<u32>,
+    free: u32,
+}
+
+impl<M> Parking<M> {
+    /// Nothing parked, for destinations `0..n`.
+    pub(crate) fn new(n: usize) -> Self {
+        Self {
+            cells: Vec::new(),
+            heads: vec![NIL; n],
+            free: NIL,
+        }
+    }
+
+    /// Park `msg` from `from` at `dst`, moving it into a free cell.
+    #[inline]
+    pub(crate) fn park(&mut self, dst: NodeId, from: NodeId, msg: M) {
+        if self.free == NIL {
+            self.grow();
+        }
+        let at = self.free;
+        let head = &mut self.heads[dst.index()];
+        let cell = &mut self.cells[at as usize];
+        self.free = cell.next;
+        *cell = Parked {
+            next: *head,
+            from,
+            msg: Some(msg),
+        };
+        *head = at;
+    }
+
+    /// Put one new cell on the free list. Cold and out of line: `park`
+    /// is inlined into [`Lanes::push`], which every round executor's
+    /// send calls too, and with the growth path inline there the
+    /// one-lane sends of `spread-ideal-seq` ran at 0.97 of their speed
+    /// (2-vCPU x86-64 host).
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self) {
+        self.free = link(self.cells.len());
+        self.cells.push(Parked {
+            next: NIL,
+            from: NodeId(0),
+            msg: None,
+        });
+    }
+
+    /// Detach `dst`'s list and reverse it into arrival order; returns its
+    /// first cell ([`NIL`] when nothing is parked).
+    #[inline]
+    pub(crate) fn detach(&mut self, dst: NodeId) -> u32 {
+        let mut at = std::mem::replace(&mut self.heads[dst.index()], NIL);
+        let mut first = NIL;
+        while at != NIL {
+            let next = std::mem::replace(&mut self.cells[at as usize].next, first);
+            first = at;
+            at = next;
+        }
+        first
+    }
+
+    /// Take the message out of cell `at` of a detached list and recycle
+    /// the cell; returns `(sender, message, next cell)`.
+    #[inline]
+    pub(crate) fn take(&mut self, at: u32) -> (NodeId, M, u32) {
+        let cell = &mut self.cells[at as usize];
+        let msg = cell.msg.take().expect("a listed cell holds a message");
+        let next = std::mem::replace(&mut cell.next, self.free);
+        self.free = at;
+        (cell.from, msg, next)
+    }
+
+    /// The messages still parked, in slab order.
+    pub(crate) fn parked(&self) -> impl Iterator<Item = &M> {
+        self.cells.iter().filter_map(|cell| cell.msg.as_ref())
+    }
 }
 
 /// The [`Lanes::Fated`] layout: lanes indexed `[latency − min_latency]
@@ -355,12 +462,13 @@ impl<M> Lanes<M> {
     }
 
     /// The lanes, slot row by slot row, each row indexed by destination
-    /// shard.
+    /// shard; none on the parked layout.
     pub(crate) fn batches(&mut self) -> &mut [EnvBatch<M>] {
         match self {
             Lanes::One(only) => std::slice::from_mut(only),
             Lanes::Several(lanes, _) => lanes,
             Lanes::Fated(fated) => &mut fated.lanes,
+            Lanes::Parked(_) => &mut [],
         }
     }
 
@@ -373,17 +481,27 @@ impl<M> Lanes<M> {
         }
     }
 
+    /// The parking, if this is the parked layout.
+    pub(crate) fn parking(&mut self) -> Option<&mut Parking<M>> {
+        match self {
+            Lanes::Parked(parking) => Some(parking),
+            _ => None,
+        }
+    }
+
     /// Queue one emission ([`EnvBatch::push`]) in the lane of `dst`'s
     /// shard and, where fate is decided, of its delivery slot; with one
-    /// lane there is no lane arithmetic. Kept out of line and behind one
-    /// pointer: a send site then holds the same values and makes the
-    /// same one call as when it pushed into a single batch.
+    /// lane there is no lane arithmetic. On the parked layout, park it at
+    /// `dst` instead. Kept out of line and behind one pointer: a send
+    /// site then holds the same values and makes the same one call as
+    /// when it pushed into a single batch.
     #[inline(never)]
     pub(crate) fn push(&mut self, src: NodeId, seq: u64, dst: NodeId, msg: M) {
         let lane = match self {
             Lanes::One(only) => only,
             Lanes::Several(lanes, lane_of) => &mut lanes[lane_of.lane(dst)],
             Lanes::Fated(fated) => return fated.push(src, seq, dst, msg),
+            Lanes::Parked(parking) => return parking.park(dst, src, msg),
         };
         lane.push(src, seq, dst, msg);
     }
@@ -762,6 +880,47 @@ mod tests {
                 .collect();
             proptest::prop_assert_eq!(&got, &want);
         }
+    }
+
+    #[test]
+    fn parking_is_fifo_per_list_and_recycles_cells() {
+        // Three senders, each sending to destinations 0, 1, 2 in turn.
+        let mut lanes: Lanes<u32> = Lanes::Parked(Parking::new(3));
+        for src in 0..3u32 {
+            for dst in 0..3u32 {
+                lanes.push(NodeId(src), u64::from(dst), NodeId(dst), 10 * dst + src);
+            }
+        }
+        assert!(lanes.batches().is_empty(), "the parked layout has no lane");
+        assert!(lanes.lost().is_none(), "nor does it decide fate");
+        let drain = |lanes: &mut Lanes<u32>, dst: u32| {
+            let parking = lanes.parking().expect("the parked layout");
+            let mut got = Vec::new();
+            let mut at = parking.detach(NodeId(dst));
+            while at != NIL {
+                let (from, msg, next) = parking.take(at);
+                got.push((from.0, msg));
+                at = next;
+            }
+            got
+        };
+        let cells = |lanes: &mut Lanes<u32>| lanes.parking().map(|p| p.cells.len());
+        assert_eq!(drain(&mut lanes, 1), [(0, 10), (1, 11), (2, 12)]);
+        // The three freed cells are reused before the slab grows.
+        for src in [9, 8, 7] {
+            lanes.push(NodeId(src), 3, NodeId(1), 90 + src);
+            assert_eq!(cells(&mut lanes), Some(9));
+        }
+        lanes.push(NodeId(6), 3, NodeId(1), 96);
+        assert_eq!(cells(&mut lanes), Some(10));
+        let mut left: Vec<u32> = lanes.parking().expect("parked").parked().copied().collect();
+        left.sort_unstable();
+        assert_eq!(left, [0, 1, 2, 20, 21, 22, 96, 97, 98, 99]);
+        assert_eq!(drain(&mut lanes, 2), [(0, 20), (1, 21), (2, 22)]);
+        assert_eq!(drain(&mut lanes, 0), [(0, 0), (1, 1), (2, 2)]);
+        assert_eq!(drain(&mut lanes, 1), [(9, 99), (8, 98), (7, 97), (6, 96)]);
+        assert_eq!(drain(&mut lanes, 1), []);
+        assert_eq!(lanes.parking().expect("parked").parked().count(), 0);
     }
 
     proptest::proptest! {

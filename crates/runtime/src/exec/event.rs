@@ -29,17 +29,23 @@
 //!   ring length derive from `n` and the wake rate and influence cost
 //!   only, never order.
 //! * **One slot per node.** Wake time, calendar link, RNG, send and wake
-//!   counters, inbox head and protocol state of a node sit side by side
-//!   in one `Slot`, so an event touches the waking node's slot and the
-//!   slots of the nodes it sends to.
-//! * **Parked messages.** There is no "current round" for a message to
-//!   land in: sends are parked at the destination (manul-style caching
-//!   of messages for activations that have not started yet) and
+//!   counters and protocol state of a node sit side by side in one
+//!   `Slot`, so an event touches the waking node's slot and, per send,
+//!   one parking cell and the destination's list head.
+//! * **Parked at the send.** There is no "current round" for a message
+//!   to land in: the executor's one emission layout is
+//!   [`Lanes::Parked`], so [`Outbox::send`] moves each message straight
+//!   into the destination's parking list (manul-style caching of
+//!   messages for activations that have not started yet), and it is
 //!   delivered, in arrival order, when the destination next wakes.
-//!   Parked messages live in one recycled slab; each slot heads an
-//!   intrusive last-in-first-out list through it, which delivery
-//!   reverses, so per-destination order is FIFO and a message a node
-//!   sends to itself waits for its next wake.
+//!   Parked messages live in one recycled slab; a dense array of
+//!   per-node heads starts an intrusive last-in-first-out list through
+//!   it for each node, which delivery reverses, so per-destination order
+//!   is FIFO and a message a node sends to itself waits for its next
+//!   wake. No message is copied: `sent` is the waking node's send count
+//!   per event, and `bytes_sent` is added up as a message is taken for
+//!   delivery and, for what is still parked when the run ends, in one
+//!   sweep of the slab.
 //! * **Incremental observation.** The executor maintains one global
 //!   [`RoundObs`]: before a node's event it retracts the node's old
 //!   contribution ([`RoundObs::retract`]), after the callbacks it merges
@@ -54,7 +60,7 @@
 
 use super::calendar::{link, WakeQueue, WakeTimer, NIL};
 use crate::arena::NodeArena;
-use crate::batch::Lanes;
+use crate::batch::{Lanes, Parking};
 use crate::conditions::to_unit;
 use crate::proto::{AsyncProtocol, Outbox, RoundObs, Verdict};
 use crate::report::{NetStats, RunConfig, RunReport, TimeAxis};
@@ -83,8 +89,6 @@ struct Slot<N> {
     seq: u64,
     /// Next node in this node's calendar bucket.
     timer_next: u32,
-    /// Most recently parked message for this node ([`NIL`] when none).
-    inbox: u32,
     rng: SmallRng,
     node: N,
 }
@@ -104,75 +108,12 @@ impl<N> WakeTimer for Slot<N> {
     }
 }
 
-/// One parked message: a cell of the [`Parking`] slab. `msg` is `None`
-/// while the cell sits on the free list.
-struct Parked<M> {
-    next: u32,
-    from: NodeId,
-    msg: Option<M>,
-}
-
-/// The slab all parked messages live in. Each destination heads an
-/// intrusive list through `cells`, newest first, so a send touches the
-/// destination's slot and nothing else of the destination's; delivered
-/// cells go back on the free list, so the slab grows to the high-water
-/// mark of messages in flight and steady-state events allocate nothing.
-struct Parking<M> {
-    cells: Vec<Parked<M>>,
-    free: u32,
-}
-
-impl<M> Parking<M> {
-    fn new() -> Self {
-        Self {
-            cells: Vec::new(),
-            free: NIL,
-        }
-    }
-
-    /// Park `msg` from `from` on the list headed by `inbox`.
-    #[inline]
-    fn park(&mut self, inbox: &mut u32, from: NodeId, msg: M) {
-        let cell = Parked {
-            next: *inbox,
-            from,
-            msg: Some(msg),
-        };
-        if self.free == NIL {
-            *inbox = link(self.cells.len());
-            self.cells.push(cell);
-        } else {
-            *inbox = self.free;
-            let reused = &mut self.cells[self.free as usize];
-            self.free = reused.next;
-            *reused = cell;
-        }
-    }
-
-    /// Detach the list headed by `inbox` and reverse it into arrival
-    /// order; returns its first cell ([`NIL`] when nothing is parked).
-    #[inline]
-    fn detach(&mut self, inbox: &mut u32) -> u32 {
-        let mut at = std::mem::replace(inbox, NIL);
-        let mut first = NIL;
-        while at != NIL {
-            let next = std::mem::replace(&mut self.cells[at as usize].next, first);
-            first = at;
-            at = next;
-        }
-        first
-    }
-
-    /// Take the message out of cell `at` of a detached list and recycle
-    /// the cell; returns `(sender, message, next cell)`.
-    #[inline]
-    fn take(&mut self, at: u32) -> (NodeId, M, u32) {
-        let cell = &mut self.cells[at as usize];
-        let msg = cell.msg.take().expect("a listed cell holds a message");
-        let next = std::mem::replace(&mut cell.next, self.free);
-        self.free = at;
-        (cell.from, msg, next)
-    }
+/// The executor's one emission layout, [`Lanes::Parked`].
+#[inline]
+fn parking<M>(fresh: &mut Lanes<M>) -> &mut Parking<M> {
+    fresh
+        .parking()
+        .expect("the event executor parks at the send")
 }
 
 /// Fold `node` alone into `scratch`, replacing whatever it held.
@@ -271,7 +212,6 @@ impl EventExecutor {
                     wake_seq: 0,
                     seq: 0,
                     timer_next: NIL,
-                    inbox: NIL,
                     rng,
                     node,
                 }
@@ -282,9 +222,7 @@ impl EventExecutor {
             queue.push(&mut slots, link(i));
         }
 
-        let mut parking: Parking<P::Msg> = Parking::new();
-        // One emission lane: every destination is parked from it.
-        let mut fresh: Lanes<P::Msg> = Lanes::new(1, n);
+        let mut fresh = Lanes::Parked(Parking::new(n));
         let mut arena = NodeArena::new(0, n);
         let mut stats = NetStats::default();
         let mut digests = Vec::new();
@@ -303,6 +241,7 @@ impl EventExecutor {
             let i = woken as usize;
             let id = NodeId(woken);
             let slot = &mut slots[i];
+            let first_seq = slot.seq;
 
             // Retract the waking node's old contribution, run its event,
             // merge the new one — obs stays the exact whole-slice fold.
@@ -314,11 +253,12 @@ impl EventExecutor {
             arena.begin_round();
             // The inbox is detached first: whatever this event sends to
             // its own node is parked for the node's next wake.
-            let mut parked = parking.detach(&mut slot.inbox);
+            let mut parked = parking(&mut fresh).detach(id);
             while parked != NIL {
-                let (from, msg, next) = parking.take(parked);
+                let (from, msg, next) = parking(&mut fresh).take(parked);
                 parked = next;
                 stats.delivered += 1;
+                stats.bytes_sent += proto.msg_bytes(&msg) as u64;
                 let mut out = Outbox::new(id, n, &mut slot.seq, &mut fresh, &mut arena);
                 proto.on_message(&mut slot.node, id, from, msg, now, &mut slot.rng, &mut out);
             }
@@ -326,18 +266,9 @@ impl EventExecutor {
                 let mut out = Outbox::new(id, n, &mut slot.seq, &mut fresh, &mut arena);
                 proto.on_wake(&mut slot.node, id, now, &mut slot.rng, &mut out);
             }
+            // The callbacks parked every send on the way.
+            stats.sent += slot.seq - first_seq;
 
-            let sent = &mut fresh.batches()[0];
-            sent.for_each_run(|run, dsts, msgs| {
-                stats.sent += run.len as u64;
-                for (dst, msg) in dsts.iter().zip(msgs) {
-                    stats.bytes_sent += proto.msg_bytes(msg) as u64;
-                    parking.park(&mut slots[dst.index()].inbox, run.src, msg.clone());
-                }
-            });
-            sent.clear();
-
-            let slot = &mut slots[i];
             observe_alone(proto, &slot.node, id, &mut scratch);
             obs.merge(&scratch);
 
@@ -357,6 +288,11 @@ impl EventExecutor {
                 output = Some(halted);
                 break;
             }
+        }
+        // Delivered messages were weighed as they were taken; weigh the
+        // rest, so `bytes_sent` covers every send.
+        for msg in parking(&mut fresh).parked() {
+            stats.bytes_sent += proto.msg_bytes(msg) as u64;
         }
 
         RunReport {
@@ -381,6 +317,7 @@ impl EventExecutor {
 mod tests {
     use super::*;
     use rand::Rng;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Every wake sends one ping to a random peer; pings are counted at
     /// delivery; halt once `target_total` pings have landed.
@@ -542,33 +479,108 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parking_is_fifo_per_list_and_recycles_cells() {
-        let mut parking: Parking<u32> = Parking::new();
-        let (mut a, mut b) = (NIL, NIL);
-        for k in 0..3 {
-            parking.park(&mut a, NodeId(k), 10 + k);
-            parking.park(&mut b, NodeId(k), 20 + k);
+    /// A payload without `Clone`: the executor only ever moves messages.
+    struct Weighed(u8);
+
+    /// Every wake sends one to three messages of random declared size to
+    /// random peers, and every even-sized message is answered; the
+    /// protocol records what it sends and receives. Halts after `events`
+    /// events, with messages still parked.
+    struct Weighing {
+        n: usize,
+        events: u64,
+        sends: AtomicU64,
+        sent_bytes: AtomicU64,
+        received: AtomicU64,
+        received_bytes: AtomicU64,
+    }
+
+    impl Weighing {
+        fn send(&self, out: &mut Outbox<'_, Weighed>, dst: NodeId, size: u8) {
+            let msg = Weighed(size);
+            self.sends.fetch_add(1, Ordering::Relaxed);
+            self.sent_bytes
+                .fetch_add(self.msg_bytes(&msg) as u64, Ordering::Relaxed);
+            out.send(dst, msg);
         }
-        let drain = |parking: &mut Parking<u32>, inbox: &mut u32| {
-            let mut got = Vec::new();
-            let mut at = parking.detach(inbox);
-            while at != NIL {
-                let (from, msg, next) = parking.take(at);
-                got.push((from.0, msg));
-                at = next;
+    }
+
+    impl AsyncProtocol for Weighing {
+        type Node = ();
+        type Msg = Weighed;
+        type Output = u64;
+
+        fn init_node(&self, _id: NodeId, _rng: &mut SmallRng) {}
+
+        fn on_wake(
+            &self,
+            _node: &mut (),
+            _id: NodeId,
+            _now_ticks: u64,
+            rng: &mut SmallRng,
+            out: &mut Outbox<'_, Weighed>,
+        ) {
+            for _ in 0..rng.gen_range(1..4) {
+                let dst = NodeId(rng.gen_range(0..self.n as u32));
+                self.send(out, dst, rng.gen_range(1..=200));
             }
-            got
+        }
+
+        fn on_message(
+            &self,
+            _node: &mut (),
+            _id: NodeId,
+            from: NodeId,
+            msg: Weighed,
+            _now_ticks: u64,
+            _rng: &mut SmallRng,
+            out: &mut Outbox<'_, Weighed>,
+        ) {
+            self.received.fetch_add(1, Ordering::Relaxed);
+            self.received_bytes
+                .fetch_add(self.msg_bytes(&msg) as u64, Ordering::Relaxed);
+            if msg.0.is_multiple_of(2) {
+                self.send(out, from, msg.0 / 2 + 1);
+            }
+        }
+
+        fn observe_node(&self, _node: &(), _id: NodeId, _obs: &mut RoundObs) {}
+
+        fn finalize(&mut self, _obs: &RoundObs, _now_ticks: u64, events: u64) -> Verdict<u64> {
+            if events >= self.events {
+                Verdict::Halt(events)
+            } else {
+                Verdict::Continue
+            }
+        }
+
+        fn msg_bytes(&self, msg: &Weighed) -> usize {
+            usize::from(msg.0)
+        }
+    }
+
+    #[test]
+    fn bytes_are_weighed_at_delivery_and_in_the_final_sweep() {
+        let n = 50;
+        let mut p = Weighing {
+            n,
+            events: 400,
+            sends: AtomicU64::new(0),
+            sent_bytes: AtomicU64::new(0),
+            received: AtomicU64::new(0),
+            received_bytes: AtomicU64::new(0),
         };
-        assert_eq!(drain(&mut parking, &mut a), [(0, 10), (1, 11), (2, 12)]);
-        assert_eq!(a, NIL);
-        // Freed cells are reused before the slab grows.
-        parking.park(&mut a, NodeId(9), 99);
-        parking.park(&mut a, NodeId(8), 98);
-        assert_eq!(parking.cells.len(), 6);
-        assert_eq!(drain(&mut parking, &mut b), [(0, 20), (1, 21), (2, 22)]);
-        assert_eq!(drain(&mut parking, &mut a), [(9, 99), (8, 98)]);
-        assert_eq!(drain(&mut parking, &mut a), []);
+        let r = EventExecutor::new(1.0).run(&mut p, n, &RunConfig::seeded(4).max_rounds(64));
+        assert_eq!(r.output, Some(400));
+        let sends = p.sends.into_inner();
+        let received = p.received.into_inner();
+        let still_parked = sends - received;
+        assert!(still_parked > 0, "the run halts with messages parked");
+        let sent_bytes = p.sent_bytes.into_inner();
+        assert!(sent_bytes > p.received_bytes.into_inner() + still_parked);
+        assert_eq!(r.stats.bytes_sent, sent_bytes);
+        assert_eq!(r.stats.sent, sends);
+        assert_eq!(r.stats.delivered + still_parked, r.stats.sent);
     }
 
     #[test]

@@ -41,6 +41,7 @@ mod pool;
 mod sequential;
 mod sharded;
 
+pub(crate) use calendar::{link, NIL};
 pub use calendar::{WakeQueue, WakeTimer};
 pub use event::{EventExecutor, TICKS_PER_SEC};
 pub use pool::{PoolScope, WorkerPool};

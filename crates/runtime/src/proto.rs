@@ -53,9 +53,13 @@ pub struct Envelope<M> {
 /// Write-side of a node's network interface, handed to every callback.
 ///
 /// Messages queued here during round `t` are delivered at round
-/// `t + latency` (latency ≥ 1; 1 under ideal [`Conditions`]).
+/// `t + latency` (latency ≥ 1; 1 under ideal [`Conditions`]). In
+/// continuous time ([`EventExecutor`]) a message is parked at its
+/// destination as it is sent and delivered when the destination next
+/// wakes.
 ///
 /// [`Conditions`]: crate::Conditions
+/// [`EventExecutor`]: crate::EventExecutor
 pub struct Outbox<'a, M> {
     tx: SendHalf<'a, M>,
     arena: &'a mut NodeArena,
@@ -470,9 +474,8 @@ pub trait RoundProtocol: Sync {
 pub trait AsyncProtocol: Sync {
     /// Per-node state.
     type Node: Send;
-    /// The message type exchanged between nodes. `Clone` lets the
-    /// executor park payloads out of flat [`EnvBatch`](crate::EnvBatch) send buffers.
-    type Msg: Send + Clone;
+    /// The message type exchanged between nodes.
+    type Msg: Send;
     /// The protocol's final result, produced on halt.
     type Output;
 
@@ -523,7 +526,10 @@ pub trait AsyncProtocol: Sync {
         obs.digest
     }
 
-    /// Declared wire size of a message, for byte accounting.
+    /// Declared wire size of a message, for byte accounting. The
+    /// executor weighs a message when it is delivered, or when the run
+    /// ends with it still parked, so the size must depend on the message
+    /// alone.
     fn msg_bytes(&self, _msg: &Self::Msg) -> usize {
         1
     }
