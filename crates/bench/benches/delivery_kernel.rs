@@ -6,9 +6,8 @@
 //! * `emit` — filling an [`EnvBatch`] through run-length `push` vs the
 //!   legacy `Vec<Envelope>` stream, and reading it back in emission
 //!   order (`iter` reconstructs seqs from run headers);
-//! * `fate` — per-message [`Conditions::fate`] vs the hoisted
-//!   [`Conditions::fate_run`] kernel that derives the per-source seed
-//!   once per run;
+//! * `fate` — a fresh [`Conditions::fate_run`] per message vs the
+//!   hoisted kernel that derives the per-source seed once per run;
 //! * `deliver` — a full dating run on the sequential executor, which is
 //!   dominated by the route → slot-row → counting-delivery pass;
 //! * `deliver_mixed` — [`order_deliveries`] on a bucket that `k` send
@@ -118,7 +117,7 @@ fn bench_fate(c: &mut Criterion) {
         b.iter(|| {
             trace
                 .iter()
-                .filter_map(|e| cond.fate(seed, e))
+                .filter_map(|e| cond.fate_run(seed, e.src).fate(e.seq))
                 .fold(0u64, u64::wrapping_add)
         });
     });

@@ -107,12 +107,13 @@ impl AsyncSpread {
     ///
     /// # Panics
     /// Panics if `mode` has no continuous-time port
-    /// ([`Spreader::supports_continuous`]).
+    /// ([`Spreader::supports_continuous`]) or `source` is out of range.
     pub fn new(n: usize, source: NodeId, mode: Spreader) -> Self {
         assert!(
             mode.supports_continuous(),
             "{mode} has no continuous-time port"
         );
+        assert!(source.index() < n, "source out of range");
         Self {
             n,
             source,
@@ -306,5 +307,11 @@ mod tests {
     #[should_panic(expected = "no continuous-time port")]
     fn dating_modes_are_rejected() {
         let _ = AsyncSpread::new(10, NodeId(0), Spreader::Dating);
+    }
+
+    #[test]
+    #[should_panic(expected = "source out of range")]
+    fn bad_source_rejected() {
+        let _ = AsyncSpread::new(10, NodeId(10), Spreader::PushPull);
     }
 }

@@ -11,9 +11,11 @@
 //! All eight workloads are hosted here: the distributed dating service
 //! ([`RuntimeDating`]) and the seven Figure-2 spreaders — dating
 //! ([`RtDatingSpread`]), lossy dating ([`RtDatingSpread::with_loss`]),
-//! PUSH&PULL ([`RtPushPull`]), PUSH ([`RtPush`]), PULL ([`RtPull`]),
-//! fair PULL ([`RtFairPull`]) and fair PUSH&PULL ([`RtFairPushPull`]).
-//! The five uniform-gossip baselines additionally have a
+//! and the five uniform-gossip baselines, one [`RtGossip`] adapter
+//! whose const parameters say whether nodes push, pull and answer
+//! fairly: PUSH&PULL ([`RtPushPull`]), PUSH ([`RtPush`]), PULL
+//! ([`RtPull`]), fair PULL ([`RtFairPull`]) and fair PUSH&PULL
+//! ([`RtFairPushPull`]). The five additionally have a
 //! **continuous-time port** ([`AsyncSpread`]) for the event-driven
 //! executor, with asynchronous PUSH&PULL as the flagship workload.
 //! Prefer constructing them through the [`Scenario`](crate::Scenario)
@@ -22,15 +24,13 @@
 //! lint: deterministic
 
 mod async_spread;
-mod baselines;
 mod dating;
+mod gossip;
 mod spread;
 
 pub(crate) use spread::check_loss;
 
 pub use async_spread::{AsyncGossipMsg, AsyncSpread, AsyncSpreadNode, AsyncSpreadSummary};
-pub use baselines::{RtFairPull, RtFairPushPull, RtPull, RtPush};
 pub use dating::{DatingRunSummary, RuntimeDating};
-pub use spread::{
-    DatingSpreadMsg, GossipMsg, RtDatingSpread, RtPushPull, SpreadNode, SpreadRunSummary,
-};
+pub use gossip::{GossipMsg, RtFairPull, RtFairPushPull, RtGossip, RtPull, RtPush, RtPushPull};
+pub use spread::{DatingSpreadMsg, RtDatingSpread, SpreadNode, SpreadRunSummary};

@@ -1,6 +1,7 @@
 //! Rumor spreading hosted on the runtime: the dating-service spreader
-//! (with optional payload loss) and the PUSH&PULL baseline, as true
-//! message-passing protocols.
+//! (with optional payload loss) as a true message-passing protocol, and
+//! the node state, summary and observation folds every spread adapter
+//! shares.
 //!
 //! The `rendez_gossip` implementations sample each round's communication
 //! centrally; these adapters exchange real messages, so they run on every
@@ -12,9 +13,10 @@
 //! applied mid-delivery, so no decision depends on the order in which a
 //! round's mail arrives. *When* the buffer is applied differs:
 //!
-//! * the five uniform-gossip baselines apply it at the next **cycle**
-//!   start, so every decision reads the informed set as of cycle start —
-//!   exactly the synchronous-round semantics of
+//! * the five uniform-gossip baselines ([`RtGossip`](super::RtGossip),
+//!   in the [`gossip`](super::gossip) module) apply it at the next
+//!   **cycle** start, so every decision reads the informed set as of
+//!   cycle start — exactly the synchronous-round semantics of
 //!   `rendez_gossip::protocols`;
 //! * [`RtDatingSpread`] applies it at the start of **every** engine
 //!   round, not at the next cycle start: a payload of cycle `c` lands in
@@ -148,166 +150,6 @@ pub(crate) fn spread_finalize(
         })
     } else {
         Verdict::Continue
-    }
-}
-
-/// Cycle start of the five uniform-gossip baselines, out of line behind
-/// their inlined `round % CYCLE` guards: apply the informs buffered over
-/// the last cycle, then contact one uniform target — an informed node
-/// pushes the rumor if the protocol `push`es, an uninformed one asks for
-/// it if the protocol `pull`s. The target is drawn only if one is used.
-#[inline(never)]
-pub(crate) fn gossip_cycle_start(
-    n: usize,
-    (push, pull): (bool, bool),
-    node: &mut SpreadNode,
-    rng: &mut SmallRng,
-    out: &mut Outbox<'_, GossipMsg>,
-) {
-    node.informed |= std::mem::take(&mut node.pending);
-    let (sends, msg) = if node.informed {
-        (push, GossipMsg::Rumor)
-    } else {
-        (pull, GossipMsg::PullRequest)
-    };
-    if sends {
-        out.send(NodeId(rng.gen_range(0..n as u32)), msg);
-    }
-}
-
-/// PUSH&PULL over explicit messages, phase-aligned with the legacy
-/// baseline.
-///
-/// One legacy round spans three engine rounds:
-///
-/// ```text
-/// phase 0: informed nodes push the rumor to a uniform target;
-///          uninformed nodes send a pull request to a uniform target
-/// phase 1: pushes land (buffered); informed targets answer every pull
-///          request addressed to them
-/// phase 2: pull answers land (buffered); next phase 0 applies them
-/// ```
-///
-/// Decisions read cycle-start state only, so the informed-set process is
-/// distribution-identical to `rendez_gossip::PushPull` per cycle —
-/// [`SpreadRunSummary::cycles`] counts exactly those legacy rounds.
-pub struct RtPushPull {
-    n: usize,
-    source: NodeId,
-    history: Vec<u64>,
-}
-
-/// Messages of [`RtPushPull`] (and the other uniform-gossip baselines).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GossipMsg {
-    /// The rumor itself (push transmission or pull answer).
-    Rumor,
-    /// "Send me the rumor if you have it."
-    PullRequest,
-}
-
-impl RtPushPull {
-    /// Engine rounds per spreading cycle.
-    pub const CYCLE: u64 = 3;
-
-    /// PUSH&PULL over `n` nodes from `source`.
-    ///
-    /// # Panics
-    /// Panics if `source` is out of range.
-    pub fn new(n: usize, source: NodeId) -> Self {
-        assert!(source.index() < n, "source out of range");
-        Self {
-            n,
-            source,
-            history: Vec::new(),
-        }
-    }
-}
-
-impl RoundProtocol for RtPushPull {
-    type Node = SpreadNode;
-    type Msg = GossipMsg;
-    type Output = SpreadRunSummary;
-
-    fn init_node(&self, id: NodeId, _rng: &mut SmallRng) -> SpreadNode {
-        SpreadNode::seeded(id == self.source)
-    }
-
-    #[inline]
-    fn on_round_start(
-        &self,
-        node: &mut SpreadNode,
-        _id: NodeId,
-        round: u64,
-        rng: &mut SmallRng,
-        out: &mut Outbox<'_, GossipMsg>,
-    ) {
-        if round.is_multiple_of(Self::CYCLE) {
-            gossip_cycle_start(self.n, (true, true), node, rng, out);
-        }
-    }
-
-    fn on_message(
-        &self,
-        node: &mut SpreadNode,
-        _id: NodeId,
-        from: NodeId,
-        msg: GossipMsg,
-        _round: u64,
-        _rng: &mut SmallRng,
-        out: &mut Outbox<'_, GossipMsg>,
-    ) {
-        match msg {
-            GossipMsg::Rumor => node.pending = true,
-            // Answer from cycle-start knowledge only: `informed` cannot
-            // change mid-cycle, so delivery order does not leak
-            // information. Unfair PULL: every request is answered.
-            GossipMsg::PullRequest => {
-                if node.informed {
-                    out.send(from, GossipMsg::Rumor);
-                }
-            }
-        }
-    }
-
-    fn on_receive_run(
-        &self,
-        node: &mut SpreadNode,
-        _id: NodeId,
-        srcs: &[NodeId],
-        msgs: &[GossipMsg],
-        _round: u64,
-        _rng: &mut SmallRng,
-        out: &mut Outbox<'_, GossipMsg>,
-    ) {
-        // Observably identical to the per-message hook: `informed` cannot
-        // change mid-run (only `pending` is written), so it is hoisted;
-        // answers go out in arrival order.
-        let informed = node.informed;
-        let mut pending = node.pending;
-        for (from, msg) in srcs.iter().zip(msgs) {
-            match msg {
-                GossipMsg::Rumor => pending = true,
-                GossipMsg::PullRequest => {
-                    if informed {
-                        out.send(*from, GossipMsg::Rumor);
-                    }
-                }
-            }
-        }
-        node.pending = pending;
-    }
-
-    fn observe_node(&self, node: &SpreadNode, id: NodeId, round: u64, obs: &mut RoundObs) {
-        observe_spread(node, id, round, obs);
-    }
-
-    fn finalize_obs(&mut self, obs: &RoundObs, round: u64) -> Verdict<SpreadRunSummary> {
-        spread_finalize(&mut self.history, obs.count, self.n, round, Self::CYCLE, 0)
-    }
-
-    fn digest_obs(&self, obs: &RoundObs, round: u64) -> u64 {
-        spread_digest_obs(obs, round)
     }
 }
 
@@ -561,24 +403,6 @@ mod tests {
     use crate::report::RunConfig;
     use crate::Conditions;
     use rendez_core::UniformSelector;
-
-    #[test]
-    fn push_pull_completes_in_logarithmic_cycles() {
-        let n = 1024;
-        let mut p = RtPushPull::new(n, NodeId(0));
-        let r = SequentialExecutor.run(&mut p, n, &RunConfig::seeded(1).max_rounds(500));
-        assert!(r.completed);
-        let out = r.expect_output();
-        assert_eq!(out.final_informed(), n as u64);
-        assert_eq!(out.informed_history[0], 1);
-        // Legacy PUSH&PULL needs ~log2(n) + O(log log n) ≈ 13 rounds at
-        // n = 1024; the phase-aligned port must match that in cycles.
-        assert!(out.cycles < 25, "took {} cycles", out.cycles);
-        assert_eq!(out.rounds.div_ceil(RtPushPull::CYCLE), out.cycles);
-        for w in out.informed_history.windows(2) {
-            assert!(w[1] >= w[0], "informed set shrank");
-        }
-    }
 
     #[test]
     fn dating_spread_completes_on_unit_platform() {

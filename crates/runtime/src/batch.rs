@@ -831,7 +831,7 @@ mod tests {
             for e in &envs {
                 want_stats.sent += 1;
                 want_stats.bytes_sent += 1;
-                match cond.fate(seed, e) {
+                match cond.fate_run(seed, e.src).fate(e.seq) {
                     None => want_stats.dropped += 1,
                     Some(l) => {
                         let row = l as usize - 1 - first_slot;

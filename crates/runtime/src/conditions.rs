@@ -11,7 +11,6 @@
 //!
 //! lint: deterministic
 
-use crate::proto::Envelope;
 use rendez_sim::{derive_seed, NodeId, SplitMix64};
 
 /// Salt separating the conditioning stream from node RNG streams.
@@ -190,17 +189,6 @@ impl Conditions {
         self.latency.max_latency() as usize
     }
 
-    /// Decide the fate of `envelope` in the run keyed by `seed`:
-    /// `None` = lost, `Some(l)` = delivered `l ≥ 1` rounds after sending.
-    ///
-    /// Deterministic in `(seed, src, seq)` alone; the same message gets
-    /// the same fate no matter which executor or thread asks. Built on
-    /// [`fate_run`](Self::fate_run), so the per-message and batched
-    /// paths agree bit-for-bit by construction.
-    pub fn fate<M>(&self, seed: u64, envelope: &Envelope<M>) -> Option<u64> {
-        self.fate_run(seed, envelope.src).fate(envelope.seq)
-    }
-
     /// Hoist the per-sender half of the fate hash: derive
     /// `derive_seed(seed ^ FATE_SALT, src)` once, then decide any number
     /// of that sender's messages with [`FateRun::fate`] at one
@@ -244,7 +232,8 @@ impl FateRun {
 
     /// Decide the fate of the sender's message number `seq`: `None` =
     /// lost, `Some(l)` = delivered `l ≥ 1` rounds after sending.
-    /// Bit-identical to [`Conditions::fate`] on the same message.
+    /// Deterministic in `(seed, src, seq)` alone: the same message gets
+    /// the same fate no matter which executor or thread asks.
     #[inline]
     pub fn fate(&self, seq: u64) -> Option<u64> {
         if self.ideal {
@@ -264,38 +253,29 @@ mod tests {
     use super::*;
     use rendez_sim::NodeId;
 
-    fn env(src: u32, seq: u64) -> Envelope<u8> {
-        Envelope {
-            src: NodeId(src),
-            dst: NodeId(0),
-            seq,
-            msg: 0,
-        }
-    }
-
     #[test]
     fn ideal_is_always_next_round() {
-        let c = Conditions::ideal();
+        let run = Conditions::ideal().fate_run(7, NodeId(3));
         for seq in 0..100 {
-            assert_eq!(c.fate(7, &env(3, seq)), Some(1));
+            assert_eq!(run.fate(seq), Some(1));
         }
     }
 
     #[test]
     fn fate_is_deterministic_and_seed_sensitive() {
         let c = Conditions::with_loss(0.5);
-        let a: Vec<_> = (0..200).map(|s| c.fate(1, &env(9, s))).collect();
-        let b: Vec<_> = (0..200).map(|s| c.fate(1, &env(9, s))).collect();
+        let a: Vec<_> = (0..200).map(|s| c.fate_run(1, NodeId(9)).fate(s)).collect();
+        let b: Vec<_> = (0..200).map(|s| c.fate_run(1, NodeId(9)).fate(s)).collect();
         assert_eq!(a, b);
-        let other: Vec<_> = (0..200).map(|s| c.fate(2, &env(9, s))).collect();
+        let other: Vec<_> = (0..200).map(|s| c.fate_run(2, NodeId(9)).fate(s)).collect();
         assert_ne!(a, other, "different seeds must recondition messages");
     }
 
     #[test]
     fn loss_rate_is_respected() {
-        let c = Conditions::with_loss(0.3);
+        let run = Conditions::with_loss(0.3).fate_run(42, NodeId(1));
         let n = 100_000;
-        let lost = (0..n).filter(|&s| c.fate(42, &env(1, s)).is_none()).count();
+        let lost = (0..n).filter(|&s| run.fate(s).is_none()).count();
         let rate = lost as f64 / n as f64;
         assert!((rate - 0.3).abs() < 0.01, "measured loss {rate}");
     }
@@ -303,9 +283,10 @@ mod tests {
     #[test]
     fn uniform_latency_bounds() {
         let c = Conditions::with_latency(LatencyDist::Uniform { min: 2, max: 5 });
+        let run = c.fate_run(3, NodeId(2));
         let mut seen = std::collections::HashSet::new();
         for s in 0..10_000 {
-            let l = c.fate(3, &env(2, s)).unwrap();
+            let l = run.fate(s).unwrap();
             assert!((2..=5).contains(&l));
             seen.insert(l);
         }
@@ -315,10 +296,11 @@ mod tests {
     #[test]
     fn geometric_latency_capped_with_correct_mean() {
         let c = Conditions::with_latency(LatencyDist::Geometric { p: 0.5, cap: 64 });
+        let run = c.fate_run(4, NodeId(5));
         let n = 100_000u64;
         let mut sum = 0u64;
         for s in 0..n {
-            let l = c.fate(4, &env(5, s)).unwrap();
+            let l = run.fate(s).unwrap();
             assert!((1..=64).contains(&l));
             sum += l;
         }
@@ -342,8 +324,9 @@ mod tests {
             Conditions::with_latency(LatencyDist::Geometric { p: 0.4, cap: 12 }),
         ] {
             let slots = cond.latency_slots();
+            let run = cond.fate_run(9, NodeId(1));
             for s in 0..2_000 {
-                let l = cond.fate(9, &env(1, s)).expect("lossless");
+                let l = run.fate(s).expect("lossless");
                 assert!(((l - 1) as usize) < slots, "latency {l} vs {slots} slots");
             }
         }
@@ -370,18 +353,6 @@ mod tests {
                         Some(c.latency.sample(SplitMix64::mix(h)).max(1))
                     };
                     assert_eq!(run.fate(seq), legacy);
-                    assert_eq!(
-                        c.fate(
-                            0x5CA1E,
-                            &Envelope {
-                                src: NodeId(src),
-                                dst: NodeId(0),
-                                seq,
-                                msg: 0u8
-                            }
-                        ),
-                        legacy
-                    );
                 }
             }
         }

@@ -43,7 +43,7 @@
 //!    private RNG stream, so running disjoint node ranges concurrently
 //!    cannot interleave state.
 //! 2. **Fate purity.** A message's loss/latency is a pure function of
-//!    `(seed, src, seq)` ([`Conditions::fate`](crate::Conditions::fate)),
+//!    `(seed, src, seq)` ([`FateRun::fate`](crate::FateRun::fate)),
 //!    and its `(src, seq)` identity is assigned by protocol behaviour
 //!    alone, so deciding it in the sending shard cannot change any
 //!    outcome.

@@ -105,7 +105,7 @@ pub mod scenario;
 
 pub use adapters::{
     AsyncSpread, AsyncSpreadSummary, DatingRunSummary, RtDatingSpread, RtFairPull, RtFairPushPull,
-    RtPull, RtPush, RtPushPull, RuntimeDating, SpreadRunSummary,
+    RtGossip, RtPull, RtPush, RtPushPull, RuntimeDating, SpreadRunSummary,
 };
 pub use arena::NodeArena;
 pub use batch::{EnvBatch, SrcRun};

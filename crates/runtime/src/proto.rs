@@ -35,9 +35,9 @@ use rendez_sim::NodeId;
 /// flat arrays and carry `(src, first_seq, len)` once per *run* of
 /// consecutive same-sender messages (see the [`batch`](crate::batch)
 /// module docs for the invariants). `Envelope` remains the canonical
-/// per-message identity — [`Conditions::fate`](crate::Conditions::fate)
-/// is specified against it, and `EnvBatch` round-trips to an `Envelope`
-/// stream bit-for-bit.
+/// per-message identity — [`FateRun::fate`](crate::FateRun::fate) is
+/// specified against its `(src, seq)`, and `EnvBatch` round-trips to an
+/// `Envelope` stream bit-for-bit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Envelope<M> {
     /// Sender.

@@ -627,39 +627,26 @@ impl<S: NodeSelector + Clone> Scenario<S> {
                     RuntimeDating::new(self.platform.clone(), self.selector.clone(), self.cycles);
                 self.execute(&mut p, &cfg, pool).map(WorkloadOutput::Dating)
             }
-            Spreader::Push => {
-                let mut p = RtPush::new(self.n, self.source);
-                self.execute(&mut p, &cfg, pool).map(WorkloadOutput::Spread)
-            }
-            Spreader::Pull => {
-                let mut p = RtPull::new(self.n, self.source);
-                self.execute(&mut p, &cfg, pool).map(WorkloadOutput::Spread)
-            }
-            Spreader::PushPull => {
-                let mut p = RtPushPull::new(self.n, self.source);
-                self.execute(&mut p, &cfg, pool).map(WorkloadOutput::Spread)
-            }
-            Spreader::FairPull => {
-                let mut p = RtFairPull::new(self.n, self.source);
-                self.execute(&mut p, &cfg, pool).map(WorkloadOutput::Spread)
-            }
+            Spreader::Push => self.spread(RtPush::new(self.n, self.source), &cfg, pool),
+            Spreader::Pull => self.spread(RtPull::new(self.n, self.source), &cfg, pool),
+            Spreader::PushPull => self.spread(RtPushPull::new(self.n, self.source), &cfg, pool),
+            Spreader::FairPull => self.spread(RtFairPull::new(self.n, self.source), &cfg, pool),
             Spreader::FairPushPull => {
-                let mut p = RtFairPushPull::new(self.n, self.source);
-                self.execute(&mut p, &cfg, pool).map(WorkloadOutput::Spread)
+                self.spread(RtFairPushPull::new(self.n, self.source), &cfg, pool)
             }
             Spreader::Dating => {
-                let mut p =
+                let p =
                     RtDatingSpread::new(self.platform.clone(), self.selector.clone(), self.source);
-                self.execute(&mut p, &cfg, pool).map(WorkloadOutput::Spread)
+                self.spread(p, &cfg, pool)
             }
             Spreader::LossyDating => {
-                let mut p = RtDatingSpread::with_loss(
+                let p = RtDatingSpread::with_loss(
                     self.platform.clone(),
                     self.selector.clone(),
                     self.source,
                     self.loss,
                 );
-                self.execute(&mut p, &cfg, pool).map(WorkloadOutput::Spread)
+                self.spread(p, &cfg, pool)
             }
         };
         Ok(report)
@@ -674,6 +661,17 @@ impl<S: NodeSelector + Clone> Scenario<S> {
             // 3 engine rounds per cycle times the legacy fig2 cap.
             _ => 3 * (200 + 80 * (self.n.max(2) as f64).log2().ceil() as u64),
         }
+    }
+
+    /// [`execute`](Self::execute) a spreader and wrap its summary.
+    fn spread<P: RoundProtocol<Output = SpreadRunSummary>>(
+        &self,
+        mut proto: P,
+        cfg: &RunConfig,
+        pool: Option<&WorkerPool>,
+    ) -> ScenarioReport {
+        self.execute(&mut proto, cfg, pool)
+            .map(WorkloadOutput::Spread)
     }
 
     fn execute<P: RoundProtocol>(
