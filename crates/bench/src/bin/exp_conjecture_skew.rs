@@ -7,14 +7,16 @@
 //! hotspot boosts and random DHT rings, printing the measured ratio and
 //! the Poisson prediction; every skewed row must beat the uniform row.
 //!
-//! Usage: `exp_conjecture_skew [--quick|--full] [--n N] [--seed S]`
+//! Usage: `exp_conjecture_skew [--quick|--full] [--n N] [--seed S] [--threads T]`
+//!
+//! `--threads T`: worker threads (0 = one per core; sizes the fleet).
 
 use rendez_bench::{table, CliArgs, Table};
 use rendez_core::{
     analysis, AliasSelector, CountWorkspace, DatingService, NodeSelector, Platform, UniformSelector,
 };
 use rendez_dht::DhtSelector;
-use rendez_sim::run_trials;
+use rendez_fleet::Fleet;
 use rendez_stats::RunningStats;
 
 fn measure(
@@ -22,15 +24,15 @@ fn measure(
     selector: &dyn NodeSelector,
     rounds: usize,
     seed: u64,
-    threads: usize,
+    fleet: &Fleet,
 ) -> (f64, f64) {
     let n = platform.n();
     let m = platform.m();
-    let fracs = run_trials(rounds, seed, threads, |tr| {
+    let fracs = fleet.map(rounds, seed, |_, seed| {
         let svc = DatingService::new(platform, selector);
         let mut ws = CountWorkspace::new(n);
         use rand::SeedableRng as _;
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(tr.seed);
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         svc.count_dates(&mut ws, &mut rng) as f64 / m as f64
     });
     let s = RunningStats::from_iter(fracs).summary();
@@ -40,7 +42,7 @@ fn measure(
 fn main() {
     let args = CliArgs::parse();
     let seed = args.get_u64("seed", 0x5E);
-    let threads = args.get_u64("threads", 0) as usize;
+    let fleet = Fleet::new(args.get_u64("threads", 0) as usize);
     let n = args.get_u64("n", 1000) as usize;
     let rounds = args.scaled_trials(5_000, 200) as usize;
     let platform = Platform::unit(n);
@@ -65,7 +67,7 @@ fn main() {
 
     let mut uniform_mean = 0.0;
     for (i, sel) in selectors.iter().enumerate() {
-        let (mean, sd) = measure(&platform, sel.as_ref(), rounds, seed ^ i as u64, threads);
+        let (mean, sd) = measure(&platform, sel.as_ref(), rounds, seed ^ i as u64, &fleet);
         let predicted =
             analysis::expected_dates_weighted(&sel.weights(), n as u64, n as u64) / n as f64;
         if i == 0 {

@@ -10,11 +10,12 @@
 use rendez_bench::experiments::fig1;
 use rendez_bench::{table, CliArgs, Table};
 use rendez_core::analysis;
+use rendez_fleet::Fleet;
 
 fn main() {
     let args = CliArgs::parse();
     let seed = args.get_u64("seed", 0xF1D1);
-    let threads = args.get_u64("threads", 0) as usize;
+    let fleet = Fleet::new(args.get_u64("threads", 0) as usize);
     let default_ns: Vec<usize> = if args.has("quick") {
         vec![10, 100, 1000]
     } else {
@@ -46,14 +47,14 @@ fn main() {
         // Paper: 10^4 rounds (10^3 for n >= 10^4).
         let paper_rounds: u64 = if n >= 10_000 { 1_000 } else { 10_000 };
         let rounds = args.scaled_trials(paper_rounds, 100);
-        let uni = fig1::uniform_point(n, rounds, seed ^ n as u64, threads);
+        let uni = fig1::uniform_point(n, rounds, seed ^ n as u64, &fleet);
         let uni_pred = analysis::expected_dates_uniform(n, n as u64, n as u64) / n as f64;
 
         // Paper: 200 DHTs; none at n = 10^5.
         if n <= 10_000 {
             let n_dhts = args.scaled_trials(200, 10) as usize;
             let dht_rounds = args.scaled_trials(if n >= 10_000 { 200 } else { 1_000 }, 50);
-            let sweep = fig1::dht_sweep(n, n_dhts, dht_rounds, seed ^ (n as u64) << 8, threads);
+            let sweep = fig1::dht_sweep(n, n_dhts, dht_rounds, seed ^ (n as u64) << 8, &fleet);
             t.row(vec![
                 n.to_string(),
                 table::pm(uni.mean, uni.std_dev, 4),

@@ -10,17 +10,17 @@
 //! message-passing runtime via the `Scenario` builder, and `--churn P`
 //! additionally runs every protocol with each node down a fraction `P`
 //! of rounds (source protected) — a variant only the runtime supports.
-//! The runtime/churn table is scheduled onto one persistent
-//! Monte-Carlo fleet (`rendez_fleet`): each row is a single-`n`
-//! `SweepSpec` over all six algorithms, so thread spawn cost is paid
-//! once for the whole table and per-trial results stream through
-//! Welford accumulators instead of being materialized.
+//! Both engines run on one persistent Monte-Carlo fleet
+//! (`rendez_fleet`), so thread spawn cost is paid once for the whole
+//! table: the legacy engine maps each cell's trials onto it, and each
+//! runtime/churn row is a single-`n` `SweepSpec` over all six
+//! algorithms whose per-trial results stream through Welford
+//! accumulators instead of being materialized.
 //!
 //! Usage: `exp_fig2_rumor [--quick|--full] [--runtime] [--churn P]
 //!         [--seed S] [--threads T] [--trials T] [--csv]`
 //!
-//! `--threads T` sizes the fleet's worker pool for the runtime engine
-//! (0 = one per core) and the trial parallelism for the legacy engine.
+//! `--threads T` sizes the fleet's worker pool (0 = one per core).
 //!
 //! `--trials T` overrides the scaled per-point trial count — the paper-
 //! scale churn sweep (`--runtime --n 100000 --churn P --trials 5`) runs
@@ -34,7 +34,7 @@ use rendez_fleet::Fleet;
 fn main() {
     let args = CliArgs::parse();
     let seed = args.get_u64("seed", 0xF162);
-    let threads = args.get_u64("threads", 0) as usize;
+    let fleet = Fleet::new(args.get_u64("threads", 0) as usize);
     let churn = args.get_f64("churn", 0.0);
     let runtime = args.has("runtime") || churn > 0.0;
     let default_ns: Vec<usize> = if args.has("quick") {
@@ -63,24 +63,17 @@ fn main() {
     headers.extend(Algo::ALL.iter().map(|a| a.name().to_string()));
     let mut t = Table::new(headers, args.has("csv"));
 
-    // One pool for the whole table: every runtime row reuses the same
-    // parked worker threads via the fleet engine.
-    let fleet = if runtime {
-        Some(Fleet::new(threads))
-    } else {
-        None
-    };
     for &n in &ns {
         let paper_trials: u64 = if n >= 10_000 { 1_000 } else { 10_000 };
         let trials = args.get_u64("trials", args.scaled_trials(paper_trials, 30));
         let mut row = vec![n.to_string(), trials.to_string()];
-        if let Some(fleet) = &fleet {
-            for (_, s) in rumor_row_fleet(fleet, n, trials, seed ^ n as u64, churn) {
+        if runtime {
+            for (_, s) in rumor_row_fleet(&fleet, n, trials, seed ^ n as u64, churn) {
                 row.push(table::pm(s.mean, s.std_dev, 1));
             }
         } else {
             for &a in &Algo::ALL {
-                let s = rumor_point(a, n, trials, seed ^ n as u64, threads);
+                let s = rumor_point(a, n, trials, seed ^ n as u64, &fleet);
                 row.push(table::pm(s.mean, s.std_dev, 1));
             }
         }
@@ -89,7 +82,7 @@ fn main() {
     t.print();
     println!("# paper ordering: push-pull < push-fair-pull < pull < fair-pull < push < dating");
     println!("# paper claim: dating < 2x the bandwidth-honest baselines (push, fair-pull)");
-    if let Some(fleet) = &fleet {
+    if runtime {
         println!(
             "# fleet: one SweepSpec row per n, {} persistent workers, \
              streaming Welford aggregation",

@@ -6,17 +6,19 @@
 //! bucket bound; and it *increases with `m/n`* (§2: "the ratio `E[X]/m`
 //! is an increasing function of m/n").
 //!
-//! Usage: `exp_lemma1_expectation [--quick|--full] [--n N] [--seed S]`
+//! Usage: `exp_lemma1_expectation [--quick|--full] [--n N] [--seed S] [--threads T]`
+//!
+//! `--threads T`: worker threads (0 = one per core; sizes the fleet).
 
 use rendez_bench::{table, CliArgs, Table};
 use rendez_core::{analysis, CountWorkspace, DatingService, Platform, UniformSelector};
-use rendez_sim::run_trials;
+use rendez_fleet::Fleet;
 use rendez_stats::RunningStats;
 
 fn main() {
     let args = CliArgs::parse();
     let seed = args.get_u64("seed", 0x11);
-    let threads = args.get_u64("threads", 0) as usize;
+    let fleet = Fleet::new(args.get_u64("threads", 0) as usize);
     let n = args.get_u64("n", 1000) as usize;
     let rounds = args.scaled_trials(10_000, 200);
 
@@ -42,10 +44,10 @@ fn main() {
         let platform = Platform::homogeneous(n, mult);
         let selector = UniformSelector::new(n);
         let m = platform.m();
-        let fracs = run_trials(rounds as usize, seed ^ mult as u64, threads, |tr| {
+        let fracs = fleet.map(rounds as usize, seed ^ mult as u64, |_, seed| {
             let svc = DatingService::new(&platform, &selector);
             let mut ws = CountWorkspace::new(n);
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(tr.seed);
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
             use rand::SeedableRng as _;
             svc.count_dates(&mut ws, &mut rng) as f64 / m as f64
         });

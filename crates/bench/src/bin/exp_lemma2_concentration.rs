@@ -5,17 +5,19 @@
 //! the bound must dominate at every `t` (it is loose; the empirical tail
 //! is far smaller).
 //!
-//! Usage: `exp_lemma2_concentration [--quick|--full] [--n N] [--seed S]`
+//! Usage: `exp_lemma2_concentration [--quick|--full] [--n N] [--seed S] [--threads T]`
+//!
+//! `--threads T`: worker threads (0 = one per core; sizes the fleet).
 
 use rendez_bench::{CliArgs, Table};
 use rendez_core::{analysis, CountWorkspace, DatingService, Platform, UniformSelector};
-use rendez_sim::run_trials;
+use rendez_fleet::Fleet;
 use rendez_stats::RunningStats;
 
 fn main() {
     let args = CliArgs::parse();
     let seed = args.get_u64("seed", 0x12);
-    let threads = args.get_u64("threads", 0) as usize;
+    let fleet = Fleet::new(args.get_u64("threads", 0) as usize);
     let n = args.get_u64("n", 10_000) as usize;
     let rounds = args.scaled_trials(20_000, 500) as usize;
     let m = n as u64;
@@ -23,11 +25,11 @@ fn main() {
     println!("# Lemma 2 — concentration of the date count (n=m={n}, {rounds} rounds)");
     let platform = Platform::unit(n);
     let selector = UniformSelector::new(n);
-    let counts = run_trials(rounds, seed, threads, |tr| {
+    let counts = fleet.map(rounds, seed, |_, seed| {
         let svc = DatingService::new(&platform, &selector);
         let mut ws = CountWorkspace::new(n);
         use rand::SeedableRng as _;
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(tr.seed);
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         svc.count_dates(&mut ws, &mut rng) as f64
     });
     let stats = RunningStats::from_iter(counts.iter().copied()).summary();

@@ -6,20 +6,23 @@
 //! probability scales by `(1−p)`, so rounds grow by roughly
 //! `1/log₂(1/(combined failure))`, never stalling.
 //!
-//! Usage: `exp_loss_resilience [--quick|--full] [--n N] [--seed S]`
+//! Usage: `exp_loss_resilience [--quick|--full] [--n N] [--seed S] [--threads T]`
+//!
+//! `--threads T`: worker threads (0 = one per core; sizes the fleet).
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rendez_bench::{table, CliArgs, Table};
 use rendez_core::{Platform, UniformSelector};
+use rendez_fleet::Fleet;
 use rendez_gossip::{run_spread, LossyDating};
-use rendez_sim::{run_trials, NodeId};
+use rendez_sim::NodeId;
 use rendez_stats::RunningStats;
 
 fn main() {
     let args = CliArgs::parse();
     let seed = args.get_u64("seed", 0x1055);
-    let threads = args.get_u64("threads", 0) as usize;
+    let fleet = Fleet::new(args.get_u64("threads", 0) as usize);
     let n = args.get_u64("n", 10_000) as usize;
     let trials = args.scaled_trials(1_000, 40) as usize;
 
@@ -33,8 +36,8 @@ fn main() {
     let selector = UniformSelector::new(n);
     let mut base = 0.0;
     for loss in [0.0f64, 0.1, 0.25, 0.5, 0.75, 0.9] {
-        let results = run_trials(trials, seed ^ (loss * 100.0) as u64, threads, |tr| {
-            let mut rng = SmallRng::seed_from_u64(tr.seed);
+        let results = fleet.map(trials, seed ^ (loss * 100.0) as u64, |_, seed| {
+            let mut rng = SmallRng::seed_from_u64(seed);
             let mut p = LossyDating::new(&selector, loss);
             let r = run_spread(&mut p, &platform, NodeId(0), &mut rng, 1_000_000);
             assert!(r.completed, "loss={loss} did not complete");

@@ -13,10 +13,11 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rendez_bench::{table, CliArgs, Table};
 use rendez_core::{Platform, UniformSelector};
+use rendez_fleet::Fleet;
 use rendez_gossip::{
     run_spread, DatingSpread, FairPull, FairPushPull, Pull, Push, PushPull, SpreadProtocol,
 };
-use rendez_sim::{run_trials, NodeId};
+use rendez_sim::NodeId;
 use rendez_stats::RunningStats;
 
 fn measure<P: SpreadProtocol>(
@@ -24,10 +25,10 @@ fn measure<P: SpreadProtocol>(
     platform: &Platform,
     trials: usize,
     seed: u64,
-    threads: usize,
+    fleet: &Fleet,
 ) -> (f64, f64) {
-    let msgs = run_trials(trials, seed, threads, |t| {
-        let mut rng = SmallRng::seed_from_u64(t.seed);
+    let msgs = fleet.map(trials, seed, |_, seed| {
+        let mut rng = SmallRng::seed_from_u64(seed);
         let mut p = make();
         let r = run_spread(&mut p, platform, NodeId(0), &mut rng, 1_000_000);
         assert!(r.completed);
@@ -40,7 +41,7 @@ fn measure<P: SpreadProtocol>(
 fn main() {
     let args = CliArgs::parse();
     let seed = args.get_u64("seed", 0x3C);
-    let threads = args.get_u64("threads", 0) as usize;
+    let fleet = Fleet::new(args.get_u64("threads", 0) as usize);
     let ns = args.get_usize_list("n", &[100, 1_000, 10_000]);
     let trials = args.scaled_trials(1_000, 40) as usize;
 
@@ -63,23 +64,17 @@ fn main() {
         let platform = Platform::unit(n);
         let selector = UniformSelector::new(n);
         let cells: Vec<(f64, f64)> = vec![
-            measure(Push::new, &platform, trials, seed ^ 1, threads),
-            measure(Pull::new, &platform, trials, seed ^ 2, threads),
-            measure(PushPull::new, &platform, trials, seed ^ 3, threads),
-            measure(|| FairPull::new(n), &platform, trials, seed ^ 4, threads),
-            measure(
-                || FairPushPull::new(n),
-                &platform,
-                trials,
-                seed ^ 5,
-                threads,
-            ),
+            measure(Push::new, &platform, trials, seed ^ 1, &fleet),
+            measure(Pull::new, &platform, trials, seed ^ 2, &fleet),
+            measure(PushPull::new, &platform, trials, seed ^ 3, &fleet),
+            measure(|| FairPull::new(n), &platform, trials, seed ^ 4, &fleet),
+            measure(|| FairPushPull::new(n), &platform, trials, seed ^ 5, &fleet),
             measure(
                 || DatingSpread::new(&selector),
                 &platform,
                 trials,
                 seed ^ 6,
-                threads,
+                &fleet,
             ),
         ];
         let nlogn = n as f64 * (n as f64).ln();

@@ -5,20 +5,23 @@
 //! GF(256) removes it ("randomized network coding techniques have proven
 //! their efficiency" — the \[DMC06\] claim).
 //!
-//! Usage: `exp_mongering [--quick|--full] [--n N] [--seed S]`
+//! Usage: `exp_mongering [--quick|--full] [--n N] [--seed S] [--threads T]`
+//!
+//! `--threads T`: worker threads (0 = one per core; sizes the fleet).
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rendez_bench::{table, CliArgs, Table};
 use rendez_coding::{run_mongering, MongeringConfig, TransferMode};
 use rendez_core::{Platform, UniformSelector};
-use rendez_sim::{run_trials, NodeId};
+use rendez_fleet::Fleet;
+use rendez_sim::NodeId;
 use rendez_stats::RunningStats;
 
 fn main() {
     let args = CliArgs::parse();
     let seed = args.get_u64("seed", 0xC0DE);
-    let threads = args.get_u64("threads", 0) as usize;
+    let fleet = Fleet::new(args.get_u64("threads", 0) as usize);
     let n = args.get_u64("n", 200) as usize;
     let trials = args.scaled_trials(200, 10) as usize;
 
@@ -39,8 +42,8 @@ fn main() {
     let selector = UniformSelector::new(n);
     for k in [4usize, 16, 64] {
         let run_mode = |mode: TransferMode, salt: u64| {
-            let results = run_trials(trials, seed ^ salt ^ k as u64, threads, |tr| {
-                let mut rng = SmallRng::seed_from_u64(tr.seed);
+            let results = fleet.map(trials, seed ^ salt ^ k as u64, |_, seed| {
+                let mut rng = SmallRng::seed_from_u64(seed);
                 let r = run_mongering(
                     &platform,
                     &selector,

@@ -4,20 +4,22 @@
 //! each date stores one block. We sweep the replication factor, then
 //! crash 10% of the nodes and measure re-replication.
 //!
-//! Usage: `exp_storage [--quick|--full] [--n N] [--seed S]`
+//! Usage: `exp_storage [--quick|--full] [--n N] [--seed S] [--threads T]`
+//!
+//! `--threads T`: worker threads (0 = one per core; sizes the fleet).
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rendez_bench::{table, CliArgs, Table};
 use rendez_core::UniformSelector;
-use rendez_sim::run_trials;
+use rendez_fleet::Fleet;
 use rendez_stats::RunningStats;
 use rendez_storage::{crash_and_recover, run_exchange, StorageSystem};
 
 fn main() {
     let args = CliArgs::parse();
     let seed = args.get_u64("seed", 0x5706);
-    let threads = args.get_u64("threads", 0) as usize;
+    let fleet = Fleet::new(args.get_u64("threads", 0) as usize);
     let n = args.get_u64("n", 100) as usize;
     let blocks = 3u32;
     let net_bw = 4u32;
@@ -40,8 +42,8 @@ fn main() {
 
     for replication in [2u32, 3, 4] {
         let capacity = blocks * replication + 2; // modest supply slack
-        let results = run_trials(trials, seed ^ replication as u64, threads, |tr| {
-            let mut rng = SmallRng::seed_from_u64(tr.seed);
+        let results = fleet.map(trials, seed ^ replication as u64, |_, seed| {
+            let mut rng = SmallRng::seed_from_u64(seed);
             let sel = UniformSelector::new(n);
             let mut sys = StorageSystem::uniform(n, capacity, blocks, replication);
             let build = run_exchange(&mut sys, &sel, net_bw, &mut rng, 100_000);

@@ -7,20 +7,22 @@
 //! print measured rounds next to the bound shape, plus the unit-platform
 //! dating rounds as the `Θ(log n)` baseline.
 //!
-//! Usage: `exp_thm10_hetero [--quick|--full] [--seed S] [--weak-source]`
+//! Usage: `exp_thm10_hetero [--quick|--full] [--seed S] [--weak-source] [--threads T]`
+//!
+//! `--threads T`: worker threads (0 = one per core; sizes the fleet).
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rendez_bench::{table, CliArgs, Table};
 use rendez_core::{Platform, UniformSelector};
+use rendez_fleet::Fleet;
 use rendez_gossip::hetero::{run_hetero_trial, strongest_node, theorem10_prediction, weakest_node};
-use rendez_sim::run_trials;
 use rendez_stats::RunningStats;
 
 fn main() {
     let args = CliArgs::parse();
     let seed = args.get_u64("seed", 0x710);
-    let threads = args.get_u64("threads", 0) as usize;
+    let fleet = Fleet::new(args.get_u64("threads", 0) as usize);
     let weak = args.has("weak-source");
     let trials = args.scaled_trials(1_000, 40) as usize;
     let ns = args.get_usize_list("n", &[1_000, 10_000]);
@@ -48,15 +50,15 @@ fn main() {
             n,
             trials as u64,
             seed ^ n as u64,
-            threads,
+            &fleet,
         );
 
         for (label, avg) in [("log n", (n as f64).ln()), ("sqrt n", (n as f64).sqrt())] {
             let platform = Platform::power_law(n, 1.1, avg, seed ^ (n as u64) << 4);
             let selector = UniformSelector::new(n);
             let m_over_n = platform.m() as f64 / platform.n() as f64;
-            let outs = run_trials(trials, seed ^ avg as u64, threads, |tr| {
-                let mut rng = SmallRng::seed_from_u64(tr.seed);
+            let outs = fleet.map(trials, seed ^ avg as u64, |_, seed| {
+                let mut rng = SmallRng::seed_from_u64(seed);
                 let source = if weak {
                     weakest_node(&platform)
                 } else {

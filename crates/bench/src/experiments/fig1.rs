@@ -8,18 +8,19 @@
 use rand::SeedableRng;
 use rendez_core::{CountWorkspace, DatingService, NodeSelector, Platform, UniformSelector};
 use rendez_dht::DhtSelector;
-use rendez_sim::{derive_seed, run_trials, NodeId};
+use rendez_fleet::Fleet;
+use rendez_sim::{derive_seed, NodeId};
 use rendez_stats::{RunningStats, Summary};
 
 /// Mean date fraction over `rounds` independent rounds with the uniform
-/// selector (parallel across rounds — they are i.i.d.).
-pub fn uniform_point(n: usize, rounds: u64, seed: u64, threads: usize) -> Summary {
+/// selector (parallel across rounds on `fleet` — they are i.i.d.).
+pub fn uniform_point(n: usize, rounds: u64, seed: u64, fleet: &Fleet) -> Summary {
     let platform = Platform::unit(n);
     let selector = UniformSelector::new(n);
-    let fracs = run_trials(rounds as usize, seed, threads, |t| {
+    let fracs = fleet.map(rounds as usize, seed, |_, seed| {
         let svc = DatingService::new(&platform, &selector);
         let mut ws = CountWorkspace::new(n);
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(t.seed);
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         svc.count_dates(&mut ws, &mut rng) as f64 / n as f64
     });
     RunningStats::from_iter(fracs).summary()
@@ -55,12 +56,12 @@ pub struct DhtSweep {
     pub best_predicted: f64,
 }
 
-/// Run the DHT sweep (parallel across DHTs).
-pub fn dht_sweep(n: usize, n_dhts: usize, rounds: u64, seed: u64, threads: usize) -> DhtSweep {
+/// Run the DHT sweep (parallel across DHTs on `fleet`).
+pub fn dht_sweep(n: usize, n_dhts: usize, rounds: u64, seed: u64, fleet: &Fleet) -> DhtSweep {
     assert!(n_dhts >= 1, "need at least one DHT");
-    let results = run_trials(n_dhts, seed, threads, |t| {
-        let ring_seed = derive_seed(t.seed, 0xD47);
-        let s = dht_point(n, ring_seed, rounds, derive_seed(t.seed, 0x70F));
+    let results = fleet.map(n_dhts, seed, |_, seed| {
+        let ring_seed = derive_seed(seed, 0xD47);
+        let s = dht_point(n, ring_seed, rounds, derive_seed(seed, 0x70F));
         (ring_seed, s)
     });
     let cmp = |a: &&(u64, Summary), b: &&(u64, Summary)| {
@@ -95,7 +96,7 @@ mod tests {
 
     #[test]
     fn uniform_point_tracks_prediction() {
-        let s = uniform_point(1000, 300, 1, 0);
+        let s = uniform_point(1000, 300, 1, &Fleet::new(0));
         let predicted = analysis::expected_dates_uniform(1000, 1000, 1000) / 1000.0;
         assert!(
             (s.mean - predicted).abs() < 0.01,
@@ -107,7 +108,7 @@ mod tests {
 
     #[test]
     fn dht_sweep_orders_and_beats_uniform() {
-        let sweep = dht_sweep(200, 12, 150, 2, 0);
+        let sweep = dht_sweep(200, 12, 150, 2, &Fleet::new(0));
         assert!(sweep.worst.mean <= sweep.best.mean);
         // §4: even the worst DHT beats the uniform limit.
         assert!(
@@ -123,8 +124,8 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = uniform_point(100, 50, 9, 2);
-        let b = uniform_point(100, 50, 9, 4);
-        assert_eq!(a.mean, b.mean, "thread count must not matter");
+        let a = uniform_point(100, 50, 9, &Fleet::new(2));
+        let b = uniform_point(100, 50, 9, &Fleet::new(4));
+        assert_eq!(a.mean, b.mean, "pool size must not matter");
     }
 }

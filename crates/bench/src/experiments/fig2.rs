@@ -1,18 +1,20 @@
 //! Figure 2 kernel: rounds to spread a single rumor, per algorithm.
 //!
-//! Two engines produce the same figure: the legacy centralized samplers
-//! in `rendez_gossip` ([`rumor_point`]) and the message-passing runtime
-//! behind the [`Scenario`] builder ([`rumor_point_runtime`]), which also
-//! supports churned variants. Both report legacy-equivalent rounds, so
-//! their columns are directly comparable.
+//! Two engines produce the same figure, both on one Monte-Carlo
+//! [`Fleet`]: the legacy centralized samplers in `rendez_gossip`
+//! ([`rumor_point`], one algorithm per call) and the message-passing
+//! runtime behind the `Scenario` builder ([`rumor_row_fleet`], all six
+//! algorithms at one `n` as a single sweep), which also supports churned
+//! variants. Both report legacy-equivalent rounds, so their columns are
+//! directly comparable.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rendez_core::{Platform, UniformSelector};
 use rendez_fleet::{Fleet, SweepSpec};
 use rendez_gossip::{run_spread, DatingSpread, FairPull, FairPushPull, Pull, Push, PushPull};
-use rendez_runtime::{Churn, Scenario, Spreader};
-use rendez_sim::{run_trials, NodeId};
+use rendez_runtime::Spreader;
+use rendez_sim::NodeId;
 use rendez_stats::{RunningStats, Summary};
 
 /// The six Figure 2 algorithms.
@@ -69,13 +71,13 @@ impl Algo {
 }
 
 /// Rounds until all `n` nodes are informed: mean ± sd over `trials`
-/// independent runs (parallelized).
-pub fn rumor_point(algo: Algo, n: usize, trials: u64, seed: u64, threads: usize) -> Summary {
+/// independent runs (parallel on `fleet`).
+pub fn rumor_point(algo: Algo, n: usize, trials: u64, seed: u64, fleet: &Fleet) -> Summary {
     let platform = Platform::unit(n);
     let selector = UniformSelector::new(n);
     let max_rounds = 200 + 80 * (n as f64).log2().ceil() as u64;
-    let rounds = run_trials(trials as usize, seed, threads, |t| {
-        let mut rng = SmallRng::seed_from_u64(t.seed);
+    let rounds = fleet.map(trials as usize, seed, |_, seed| {
+        let mut rng = SmallRng::seed_from_u64(seed);
         let source = NodeId(0);
         let r = match algo {
             Algo::Push => run_spread(&mut Push::new(), &platform, source, &mut rng, max_rounds),
@@ -112,50 +114,12 @@ pub fn rumor_point(algo: Algo, n: usize, trials: u64, seed: u64, threads: usize)
     RunningStats::from_iter(rounds).summary()
 }
 
-/// Same figure, produced by the message-passing runtime through the
-/// [`Scenario`] builder: mean ± sd of legacy-equivalent rounds
-/// ([`SpreadRunSummary::cycles`](rendez_runtime::SpreadRunSummary::cycles))
-/// over `trials` runs. `churn_down` > 0 runs the churned variant (each
-/// node down that fraction of rounds; the source is protected).
-pub fn rumor_point_runtime(
-    algo: Algo,
-    n: usize,
-    trials: u64,
-    seed: u64,
-    threads: usize,
-    churn_down: f64,
-) -> Summary {
-    let scenario = {
-        let s = Scenario::new(n).protocol(algo.spreader());
-        if churn_down > 0.0 {
-            s.churn(Churn::intermittent(churn_down))
-        } else {
-            s
-        }
-    };
-    let rounds = run_trials(trials as usize, seed, threads, |t| {
-        let r = scenario.run(t.seed).expect("fig2 scenario must validate");
-        assert!(
-            r.completed,
-            "{} (runtime) did not complete at n={n}",
-            algo.name()
-        );
-        r.expect_output()
-            .spread()
-            .expect("spreading workload")
-            .cycles as f64
-    });
-    RunningStats::from_iter(rounds).summary()
-}
-
 /// One Figure-2 table row produced by the Monte-Carlo fleet: all six
 /// algorithms at one `n`, as a single-`n` [`SweepSpec`] scheduled onto
 /// `fleet`'s persistent pool. Returns `(algo, summary)` in
 /// [`Algo::ALL`] order, where the summary is over legacy-equivalent
-/// rounds — the same figure [`rumor_point_runtime`] computes, but with
-/// trials streamed through Welford accumulators instead of
-/// materialized, and with thread spawn cost paid once per table
-/// instead of once per cell.
+/// rounds, with trials streamed through Welford accumulators instead of
+/// materialized.
 pub fn rumor_row_fleet(
     fleet: &Fleet,
     n: usize,
@@ -207,9 +171,10 @@ mod tests {
         // push-pull, push-fair-pull, pull, fair-pull, push, dating.
         let n = 1000;
         let trials = 60;
+        let fleet = Fleet::new(0);
         let means: Vec<(Algo, f64)> = Algo::ALL
             .iter()
-            .map(|&a| (a, rumor_point(a, n, trials, 7, 0).mean))
+            .map(|&a| (a, rumor_point(a, n, trials, 7, &fleet).mean))
             .collect();
         let get = |a: Algo| means.iter().find(|&&(x, _)| x == a).expect("present").1;
         assert!(get(Algo::PushPull) < get(Algo::FairPushPull));
@@ -240,36 +205,20 @@ mod tests {
     fn runtime_engine_agrees_with_legacy_means() {
         let n = 500;
         let trials = 40;
-        for algo in [Algo::PushPull, Algo::Push, Algo::FairPull] {
-            let legacy = rumor_point(algo, n, trials, 3, 0).mean;
-            let runtime = rumor_point_runtime(algo, n, trials, 4, 0, 0.0).mean;
-            assert!(
-                (runtime - legacy).abs() < 0.2 * legacy + 1.5,
-                "{}: runtime mean {runtime} vs legacy mean {legacy}",
-                algo.name()
-            );
-        }
-    }
-
-    #[test]
-    fn fleet_row_agrees_with_per_cell_runtime_means() {
-        let n = 300;
-        let trials = 40;
-        let fleet = Fleet::new(2);
-        let row = rumor_row_fleet(&fleet, n, trials, 5, 0.0);
-        assert_eq!(row.len(), Algo::ALL.len());
-        for (algo, fleet_summary) in row {
+        let fleet = Fleet::new(0);
+        let row = rumor_row_fleet(&fleet, n, trials, 4, 0.0);
+        for (algo, runtime) in row {
             if !matches!(algo, Algo::PushPull | Algo::Push | Algo::FairPull) {
-                continue; // spot-check the same trio as the legacy test
+                continue;
             }
-            let reference = rumor_point_runtime(algo, n, trials, 6, 0, 0.0).mean;
+            let legacy = rumor_point(algo, n, trials, 3, &fleet).mean;
             assert!(
-                (fleet_summary.mean - reference).abs() < 0.2 * reference + 1.5,
-                "{}: fleet mean {} vs runtime mean {reference}",
+                (runtime.mean - legacy).abs() < 0.2 * legacy + 1.5,
+                "{}: runtime mean {} vs legacy mean {legacy}",
                 algo.name(),
-                fleet_summary.mean
+                runtime.mean
             );
-            assert_eq!(fleet_summary.n, trials);
+            assert_eq!(runtime.n, trials);
         }
     }
 
@@ -277,8 +226,18 @@ mod tests {
     fn churn_slows_runtime_spreading() {
         let n = 400;
         let trials = 30;
-        let clean = rumor_point_runtime(Algo::PushPull, n, trials, 9, 0, 0.0).mean;
-        let churned = rumor_point_runtime(Algo::PushPull, n, trials, 9, 0, 0.25).mean;
+        let fleet = Fleet::new(0);
+        let push_pull = |churn_down| {
+            let row = rumor_row_fleet(&fleet, n, trials, 9, churn_down);
+            row[Algo::ALL
+                .iter()
+                .position(|&a| a == Algo::PushPull)
+                .expect("listed")]
+            .1
+            .mean
+        };
+        let clean = push_pull(0.0);
+        let churned = push_pull(0.25);
         assert!(
             churned > clean,
             "25% downtime must cost rounds: {clean} vs {churned}"
@@ -287,8 +246,9 @@ mod tests {
 
     #[test]
     fn rounds_grow_logarithmically() {
-        let small = rumor_point(Algo::Dating, 100, 40, 1, 0);
-        let large = rumor_point(Algo::Dating, 10_000, 40, 1, 0);
+        let fleet = Fleet::new(0);
+        let small = rumor_point(Algo::Dating, 100, 40, 1, &fleet);
+        let large = rumor_point(Algo::Dating, 10_000, 40, 1, &fleet);
         // log(10⁴)/log(10²) = 2: rounds should roughly double, not 100×.
         let ratio = large.mean / small.mean;
         assert!(

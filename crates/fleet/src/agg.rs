@@ -141,13 +141,8 @@ impl BlockFolder {
         }
     }
 
-    /// Global index of the trial the next [`push`](Self::push) folds.
-    pub(crate) fn next(&self) -> usize {
-        self.next as usize
-    }
-
-    /// Fold trial [`next`](Self::next); close its block if it is the
-    /// block's last trial or the cell's.
+    /// Fold the next trial in canonical order; close its block if it is
+    /// the block's last trial or the cell's.
     pub(crate) fn push(&mut self, p: &TrialPoint) {
         self.block.push(p);
         let done = self.next % self.trials + 1;
@@ -186,7 +181,6 @@ mod tests {
             let point_of = |j: u64| point(((j * 37) % 23) as f64 + 0.25);
             let mut folder = BlockFolder::new(3, trials);
             for j in 0..3 * trials {
-                assert_eq!(folder.next(), j as usize);
                 folder.push(&point_of(j));
             }
             let expected: Vec<CellAgg> = (0..3)

@@ -1,20 +1,25 @@
 //! The fleet engine: one persistent worker pool, a work-stealing trial
-//! list, and an in-order block folder.
+//! list, and an in-order fold — the workspace's one Monte-Carlo trial
+//! scheduler.
 //!
-//! A sweep is `cells × trials` trials, each with a global index
-//! `j = cell · trials + trial` in one canonical order. The pool's
-//! workers claim trials one at a time from an atomic counter (the same
-//! work-stealing idiom as `rendez_sim::run_trials`), build each cell's
-//! scenario once for all the trials of it they claim, and stream
-//! `(j, TrialPoint)` to the caller's thread. There a reorder buffer
-//! releases the points **in `j` order** into one block folder, which
-//! pushes them into fixed blocks of
-//! [`TRIALS_PER_JOB`](crate::TRIALS_PER_JOB) trials and merges each
-//! block into its cell. Scheduling therefore decides only *when* a
-//! point is folded, never *in which order* — the source of the engine's
-//! bit-identical-at-any-pool-size guarantee, which [`run_serial`] shares
-//! by feeding the identical trial sequence through the identical folder
-//! inline.
+//! A job is `total` trials with indices `0..total` in one canonical
+//! order. The pool's workers claim trials one at a time from an atomic
+//! counter, run each against per-worker state, and stream `(j, result)`
+//! to the caller's thread. There a reorder buffer releases the results
+//! **in `j` order** into the caller's fold. Scheduling therefore
+//! decides only *when* a result is folded, never *in which order* — the
+//! source of the engine's bit-identical-at-any-pool-size guarantee.
+//! Two consumers share that core:
+//!
+//! * a sweep ([`Fleet::run`]) is `cells × trials` trials with
+//!   `j = cell · trials + trial`; each worker's state caches the
+//!   scenario of the cell it last ran, and the fold is one block folder,
+//!   which pushes trial points into fixed blocks of
+//!   [`TRIALS_PER_JOB`](crate::TRIALS_PER_JOB) trials and merges each
+//!   block into its cell. [`run_serial`] feeds the identical trial
+//!   sequence through the identical folder inline;
+//! * [`Fleet::map`] runs `f(i, derive_seed(seed, i))` and collects the
+//!   results in trial order — how every `exp_*` harness runs its trials.
 //!
 //! The scheduling unit is one trial, not one block, because cells
 //! differ in cost by orders of magnitude (a dating cell at the largest
@@ -23,29 +28,35 @@
 //! — last in canonical order — leave one worker running alone. A trial
 //! is milliseconds; its claim and its channel message are not.
 //!
-//! A panicking trial cancels the sweep: the panic is caught on the
+//! A panicking trial cancels the job: the panic is caught on the
 //! worker, the first payload is recorded, and every worker stops at its
-//! next claim. The pool survives and the sweep returns
-//! [`SweepError::TrialPanicked`].
+//! next claim. The pool survives; a sweep returns
+//! [`SweepError::TrialPanicked`] and a map resumes the panic on the
+//! caller.
 //!
 //! lint: deterministic
 
+use std::any::Any;
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 
 use rendez_runtime::{Scenario, WorkerPool};
+use rendez_sim::derive_seed;
 
 use crate::agg::{BlockFolder, CellAgg, TrialPoint};
 use crate::report::SweepReport;
 use crate::spec::{Cell, SweepError, SweepSpec};
 
+/// The first trial that panicked: its index and panic payload.
+type Panicked = (usize, Box<dyn Any + Send>);
+
 /// A persistent Monte-Carlo worker fleet.
 ///
-/// Create one [`Fleet`] and run as many sweeps as you like against it;
-/// the pool's threads are spawned once and parked between sweeps. See
-/// the [crate docs](crate) for a runnable example.
+/// Create one [`Fleet`] and run as many sweeps and maps as you like
+/// against it; the pool's threads are spawned once and parked between
+/// them. See the [crate docs](crate) for a runnable example.
 #[derive(Debug)]
 pub struct Fleet {
     pool: WorkerPool,
@@ -84,8 +95,37 @@ impl Fleet {
         Ok(SweepReport::assemble(spec, cells, aggs))
     }
 
-    /// The scheduler core, generic over the trial runner so tests can
-    /// inject panicking workloads.
+    /// Run `trials` independent trials on the fleet and return their
+    /// results in trial order. Trial `i` is `f(i, derive_seed(seed, i))`,
+    /// so the output is a pure function of `(trials, seed, f)` —
+    /// whatever the pool size, including 1.
+    ///
+    /// A panicking trial cancels the map (every worker stops at its next
+    /// claim) and its panic is resumed on the caller; the fleet remains
+    /// usable.
+    ///
+    /// ```rust
+    /// use rendez_fleet::Fleet;
+    ///
+    /// let fleet = Fleet::new(2);
+    /// let squares = fleet.map(5, 7, |i, _seed| i * i);
+    /// assert_eq!(squares, vec![0, 1, 4, 9, 16]);
+    /// ```
+    pub fn map<T, F>(&self, trials: usize, seed: u64, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize, u64) -> T + Sync,
+    {
+        let mut out = Vec::with_capacity(trials);
+        let trial = |_: &mut (), i: usize| f(i, derive_seed(seed, i as u64));
+        if let Err((_, payload)) = self.schedule(trials, &trial, |t| out.push(t)) {
+            resume_unwind(payload);
+        }
+        out
+    }
+
+    /// A sweep on the scheduler core, generic over the trial runner so
+    /// tests can inject panicking workloads.
     fn drive<F>(
         &self,
         spec: &SweepSpec,
@@ -95,14 +135,30 @@ impl Fleet {
     where
         F: Fn(&SweepSpec, &Scenario, &Cell, u64) -> TrialPoint + Sync,
     {
+        let mut folder = BlockFolder::new(cells.len(), spec.trials);
         let total = cells.len() * spec.trials as usize;
+        let trial = sweep_trial(spec, cells, runner);
+        self.schedule(total, &trial, |point| folder.push(&point))
+            .map_err(|failure| trial_panicked(spec, cells, failure))?;
+        Ok(folder.finish())
+    }
+
+    /// The scheduler core: run trials `0..total` on the pool, each
+    /// worker against its own default-initialised state, and `fold` the
+    /// results in trial order on the calling thread. Returns the first
+    /// trial that panicked, with the job cancelled at that point.
+    fn schedule<W: Default, T: Send>(
+        &self,
+        total: usize,
+        trial: &(impl Fn(&mut W, usize) -> T + Sync),
+        mut fold: impl FnMut(T),
+    ) -> Result<(), Panicked> {
         let next_trial = AtomicUsize::new(0);
         // Release on a panic pairs with the Acquire before each claim;
-        // it publishes nothing else (the error travels in `failure`).
+        // it publishes nothing else (the payload travels in `failure`).
         let cancel = AtomicBool::new(false);
-        let failure: Mutex<Option<SweepError>> = Mutex::new(None);
-        let mut folder = BlockFolder::new(cells.len(), spec.trials);
-        let (tx, rx) = mpsc::channel::<(usize, TrialPoint)>();
+        let failure: Mutex<Option<Panicked>> = Mutex::new(None);
+        let (tx, rx) = mpsc::channel::<(usize, T)>();
 
         self.pool.scope(|s| {
             for _ in 0..self.pool.size() {
@@ -116,14 +172,14 @@ impl Fleet {
                     };
                     // The receiver outlives the scope; send cannot fail
                     // while workers run.
-                    let emit = |j, point| {
-                        let _ = tx.send((j, point));
+                    let emit = |j, out| {
+                        let _ = tx.send((j, out));
                     };
-                    if let Err(err) = run_claimed(spec, cells, runner, claim, emit) {
+                    if let Err(panicked) = run_claimed(&mut W::default(), trial, claim, emit) {
                         failure
                             .lock()
                             .expect("failure lock poisoned")
-                            .get_or_insert(err);
+                            .get_or_insert(panicked);
                         cancel.store(true, Ordering::Release);
                     }
                 });
@@ -131,21 +187,23 @@ impl Fleet {
             drop(tx);
 
             // Fold on the calling thread while workers produce: the
-            // reorder buffer releases points in trial order, so the
-            // push/merge sequence is independent of scheduling. The
-            // loop ends when the last worker drops its sender.
-            let mut pending: BTreeMap<usize, TrialPoint> = BTreeMap::new();
-            for (j, point) in rx {
-                pending.insert(j, point);
-                while let Some(point) = pending.remove(&folder.next()) {
-                    folder.push(&point);
+            // reorder buffer releases results in trial order, so the
+            // fold sequence is independent of scheduling. The loop ends
+            // when the last worker drops its sender.
+            let mut pending: BTreeMap<usize, T> = BTreeMap::new();
+            let mut next = 0;
+            for (j, out) in rx {
+                pending.insert(j, out);
+                while let Some(out) = pending.remove(&next) {
+                    fold(out);
+                    next += 1;
                 }
             }
         });
 
         match failure.into_inner().expect("failure lock poisoned") {
-            Some(err) => Err(err),
-            None => Ok(folder.finish()),
+            Some(panicked) => Err(panicked),
+            None => Ok(()),
         }
     }
 }
@@ -170,49 +228,60 @@ where
     let mut folder = BlockFolder::new(cells.len(), spec.trials);
     let mut trials = 0..cells.len() * spec.trials as usize;
     run_claimed(
-        spec,
-        cells,
-        runner,
+        &mut None,
+        &sweep_trial(spec, cells, runner),
         || trials.next(),
         |_, point| folder.push(&point),
-    )?;
+    )
+    .map_err(|failure| trial_panicked(spec, cells, failure))?;
     Ok(folder.finish())
 }
 
 /// The worker loop of both engines: run each trial `claim` hands out,
-/// in the order it hands them out, and give its point to `emit`. Claims
-/// only move forward, so rebuilding the scenario whenever the claimed
-/// cell changes builds each cell's at most once. Stops at the first
-/// panicking trial and returns it.
-fn run_claimed<F>(
-    spec: &SweepSpec,
-    cells: &[Cell],
-    runner: &F,
+/// in the order it hands them out, against `state`, and give its result
+/// to `emit`. Stops at the first panicking trial and returns it.
+fn run_claimed<W, T>(
+    state: &mut W,
+    trial: &impl Fn(&mut W, usize) -> T,
     mut claim: impl FnMut() -> Option<usize>,
-    mut emit: impl FnMut(usize, TrialPoint),
-) -> Result<(), SweepError>
-where
-    F: Fn(&SweepSpec, &Scenario, &Cell, u64) -> TrialPoint,
-{
-    let mut built: Option<(usize, Scenario)> = None;
+    mut emit: impl FnMut(usize, T),
+) -> Result<(), Panicked> {
     while let Some(j) = claim() {
-        let cell = &cells[j / spec.trials as usize];
-        let scenario = match built {
-            Some((index, ref scenario)) if index == cell.index => scenario,
-            _ => &built.insert((cell.index, spec.scenario_for(cell))).1,
-        };
-        let trial = j as u64 % spec.trials;
-        match catch_unwind(AssertUnwindSafe(|| runner(spec, scenario, cell, trial))) {
-            Ok(point) => emit(j, point),
-            Err(payload) => {
-                return Err(SweepError::TrialPanicked {
-                    cell: cell.index,
-                    message: panic_message(&*payload),
-                })
-            }
+        match catch_unwind(AssertUnwindSafe(|| trial(state, j))) {
+            Ok(out) => emit(j, out),
+            Err(payload) => return Err((j, payload)),
         }
     }
     Ok(())
+}
+
+/// Sweep trial `j` against a worker's cached scenario. Claims only move
+/// forward, so rebuilding the scenario whenever the claimed cell
+/// changes builds each cell's at most once per worker.
+fn sweep_trial<'a, F>(
+    spec: &'a SweepSpec,
+    cells: &'a [Cell],
+    runner: &'a F,
+) -> impl Fn(&mut Option<(usize, Scenario)>, usize) -> TrialPoint + 'a
+where
+    F: Fn(&SweepSpec, &Scenario, &Cell, u64) -> TrialPoint,
+{
+    move |built, j| {
+        let cell = &cells[j / spec.trials as usize];
+        let scenario = match *built {
+            Some((index, ref scenario)) if index == cell.index => scenario,
+            _ => &built.insert((cell.index, spec.scenario_for(cell))).1,
+        };
+        runner(spec, scenario, cell, j as u64 % spec.trials)
+    }
+}
+
+/// The sweep's error for trial `j`'s panic.
+fn trial_panicked(spec: &SweepSpec, cells: &[Cell], (j, payload): Panicked) -> SweepError {
+    SweepError::TrialPanicked {
+        cell: cells[j / spec.trials as usize].index,
+        message: panic_message(&*payload),
+    }
 }
 
 /// Run trial `trial` of `cell` against the cell's scenario.
@@ -224,7 +293,7 @@ fn run_trial(spec: &SweepSpec, scenario: &Scenario, cell: &Cell, trial: u64) -> 
 }
 
 /// Best-effort text of a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -4,8 +4,8 @@
 //! [`WorkerPool`] keeps a fixed set of threads parked on a job queue;
 //! [`WorkerPool::scope`] hands out a [`PoolScope`] whose
 //! [`spawn`](PoolScope::spawn) accepts closures borrowing the caller's
-//! stack, exactly like `std::thread::scope`, but reusing the parked
-//! threads instead of spawning fresh ones.
+//! stack, exactly like the standard library's scoped threads, but
+//! reusing the parked threads instead of spawning fresh ones.
 //!
 //! Two consumers exist today:
 //!
@@ -16,8 +16,10 @@
 //!   caller-owned one that outlives many runs
 //!   ([`ShardedExecutor::run_in`](super::ShardedExecutor::run_in) /
 //!   [`Scenario::run_pooled`](crate::Scenario::run_pooled));
-//! * `rendez_fleet` — the Monte-Carlo sweep scheduler, which parks one
-//!   trial-crunching loop per pool thread for a whole parameter grid.
+//! * `rendez_fleet` — the workspace's one Monte-Carlo trial scheduler,
+//!   which parks one trial-crunching loop per pool thread for a whole
+//!   job: a parameter grid (`Fleet::run`) or a list of independent
+//!   trials (`Fleet::map`, which every `exp_*` harness runs on).
 //!
 //! Determinism: the pool schedules jobs in no particular order on no
 //! particular thread, so consumers must make their results independent

@@ -26,9 +26,9 @@
 //! | [`dht`] | Chord-style DHT substrate: random ring, arc ownership, finger routing, Naor–Wieder routing, the §4 DHT-based selector, and §4's routed (sequential vs pipelined) dating as a runtime protocol |
 //! | [`coding`] | §5 extension: GF(256) randomized network coding for rumor mongering |
 //! | [`storage`] | §5 extension: replicated storage via dating-driven block exchange |
-//! | [`sim`] | node ids, SplitMix64 seed streams, parallel Monte-Carlo trial runner |
+//! | [`sim`] | node ids and SplitMix64 seed streams |
 //! | [`runtime`] | sans-I/O round runtime: per-node protocol state machines behind pluggable sequential / sharded-parallel / conditioned executors, plus the persistent [`WorkerPool`](runtime::WorkerPool) |
-//! | [`fleet`] | Monte-Carlo fleet engine: persistent-pool sweep scheduler with streaming (Welford) aggregation into machine-readable sweep reports |
+//! | [`fleet`] | Monte-Carlo fleet engine, the one trial scheduler: persistent-pool sweeps with streaming (Welford) aggregation into machine-readable sweep reports, and `Fleet::map` for independent trials |
 //! | [`stats`] | Welford summaries, histograms, Poisson/Binomial/Hypergeometric/Geometric/Zipf, chi-square and KS tests |
 //!
 //! ## Quickstart
