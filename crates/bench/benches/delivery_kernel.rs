@@ -1,11 +1,11 @@
-//! Micro-benchmarks of the cache-resident message plane: SoA envelope
+//! Micro-benchmarks of the cache-resident message plane: SoA message
 //! batches, the hoisted fate kernel, and the end-to-end delivery path.
 //!
 //! Seven groups:
 //!
-//! * `emit` — filling an [`EnvBatch`] through run-length `push` vs the
-//!   legacy `Vec<Envelope>` stream, and reading it back in emission
-//!   order (`iter` reconstructs seqs from run headers);
+//! * `emit` — filling an [`EnvBatch`] through run-length `push`, and
+//!   reading it back in emission order (`iter` reconstructs seqs from
+//!   run headers);
 //! * `fate` — a fresh [`Conditions::fate_run`] per message vs the
 //!   hoisted kernel that derives the per-source seed once per run;
 //! * `deliver` — a full dating run on the sequential executor, which is
@@ -40,9 +40,9 @@ use rand::rngs::SmallRng;
 use rendez_core::{Platform, UniformSelector};
 use rendez_runtime::batch::{order_deliveries, DeliverScratch};
 use rendez_runtime::{
-    AsyncSpread, Conditions, EnvBatch, Envelope, EventExecutor, Executor, LatencyDist, Outbox,
-    RoundObs, RoundProtocol, RunConfig, RuntimeDating, SequentialExecutor, ShardedExecutor,
-    Spreader, Verdict, WakeQueue, WorkerPool, TICKS_PER_SEC,
+    AsyncSpread, Conditions, EnvBatch, EventExecutor, Executor, LatencyDist, Outbox, RoundObs,
+    RoundProtocol, RunConfig, RuntimeDating, SequentialExecutor, ShardedExecutor, Spreader,
+    Verdict, WakeQueue, WorkerPool, TICKS_PER_SEC,
 };
 use rendez_sim::{NodeId, SplitMix64};
 use std::cmp::Reverse;
@@ -52,21 +52,30 @@ const CYCLES: u64 = 3;
 
 /// Synthetic emission trace: `senders` sources each emit `per_src`
 /// messages in one burst (the executor phase pattern), destinations
-/// striding over the id space.
-fn emission(senders: usize, per_src: usize) -> Vec<Envelope<u64>> {
+/// striding over the id space, as `(src, seq, dst, msg)`.
+fn emission(senders: usize, per_src: usize) -> Vec<(NodeId, u64, NodeId, u64)> {
     let n = senders * 4;
     let mut out = Vec::with_capacity(senders * per_src);
     for s in 0..senders {
         for k in 0..per_src {
-            out.push(Envelope {
-                src: NodeId(s as u32),
-                dst: NodeId(((s * 7 + k * 13) % n) as u32),
-                seq: k as u64,
-                msg: (s * per_src + k) as u64,
-            });
+            out.push((
+                NodeId(s as u32),
+                k as u64,
+                NodeId(((s * 7 + k * 13) % n) as u32),
+                (s * per_src + k) as u64,
+            ));
         }
     }
     out
+}
+
+/// The trace pushed into one batch.
+fn batched(trace: &[(NodeId, u64, NodeId, u64)]) -> EnvBatch<u64> {
+    let mut batch = EnvBatch::new();
+    for &(src, seq, dst, msg) in trace {
+        batch.push(src, seq, dst, msg);
+    }
+    batch
 }
 
 fn bench_emit(c: &mut Criterion) {
@@ -79,22 +88,14 @@ fn bench_emit(c: &mut Criterion) {
         let mut batch = EnvBatch::new();
         b.iter(|| {
             batch.clear();
-            for e in &trace {
-                batch.push(e.src, e.seq, e.dst, e.msg);
+            for &(src, seq, dst, msg) in &trace {
+                batch.push(src, seq, dst, msg);
             }
             batch.len()
         });
     });
-    g.bench_function(BenchmarkId::new("legacy_vec_push", ""), |b| {
-        let mut envs: Vec<Envelope<u64>> = Vec::new();
-        b.iter(|| {
-            envs.clear();
-            envs.extend(trace.iter().cloned());
-            envs.len()
-        });
-    });
     g.bench_function(BenchmarkId::new("envbatch_iter", ""), |b| {
-        let batch = EnvBatch::from_envelopes(&trace);
+        let batch = batched(&trace);
         b.iter(|| {
             batch
                 .iter()
@@ -117,12 +118,12 @@ fn bench_fate(c: &mut Criterion) {
         b.iter(|| {
             trace
                 .iter()
-                .filter_map(|e| cond.fate_run(seed, e.src).fate(e.seq))
+                .filter_map(|&(src, seq, _, _)| cond.fate_run(seed, src).fate(seq))
                 .fold(0u64, u64::wrapping_add)
         });
     });
     g.bench_function(BenchmarkId::new("hoisted_run", ""), |b| {
-        let batch = EnvBatch::from_envelopes(&trace);
+        let batch = batched(&trace);
         b.iter(|| {
             let mut acc = 0u64;
             batch.for_each_run(|run, _dsts, msgs| {

@@ -11,7 +11,7 @@
 
 use rendez_bench::{CliArgs, Table};
 use rendez_core::distributed::PAYLOAD_BYTES;
-use rendez_core::overhead::{control_msgs_per_round, ControlOverhead, ADDRESS_BYTES};
+use rendez_core::overhead::{control_fraction, control_msgs_per_round, ADDRESS_BYTES};
 use rendez_core::{Platform, UniformSelector};
 use rendez_runtime::{Executor, RunConfig, RuntimeDating, SequentialExecutor};
 
@@ -48,14 +48,8 @@ fn main() {
         let control_bytes = stats.bytes_sent - r.payloads_received * PAYLOAD_BYTES as u64;
         let ctrl_bytes = control_bytes as f64 / cycles as f64;
         let frac = |payload: u64| {
-            let oh = ControlOverhead {
-                request_msgs: 2 * n as u64,
-                answer_msgs: 2 * n as u64,
-                payload_msgs: mean_dates as u64,
-                control_bytes: ctrl_bytes as u64,
-                payload_bytes: mean_dates as u64 * payload,
-            };
-            format!("{:.6}", oh.control_fraction())
+            let f = control_fraction(ctrl_bytes as u64, mean_dates as u64 * payload);
+            format!("{f:.6}")
         };
         t.row(vec![
             n.to_string(),

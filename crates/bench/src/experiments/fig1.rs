@@ -9,7 +9,7 @@ use rand::SeedableRng;
 use rendez_core::{CountWorkspace, DatingService, NodeSelector, Platform, UniformSelector};
 use rendez_dht::DhtSelector;
 use rendez_fleet::Fleet;
-use rendez_sim::{derive_seed, NodeId};
+use rendez_sim::derive_seed;
 use rendez_stats::{RunningStats, Summary};
 
 /// Mean date fraction over `rounds` independent rounds with the uniform
@@ -82,11 +82,6 @@ pub fn dht_sweep(n: usize, n_dhts: usize, rounds: u64, seed: u64, fleet: &Fleet)
         worst_predicted: predict(worst.0),
         best_predicted: predict(best.0),
     }
-}
-
-/// The source node used by spreading experiments (symmetric platforms).
-pub fn default_source() -> NodeId {
-    NodeId(0)
 }
 
 #[cfg(test)]

@@ -39,12 +39,6 @@ impl Symbol {
     pub fn is_zero(&self) -> bool {
         self.coeffs.iter().all(|&c| c == 0)
     }
-
-    /// Wire size in bytes: coefficients plus payload (the network-coding
-    /// header overhead is exactly `k` bytes per symbol).
-    pub fn wire_bytes(&self) -> usize {
-        self.coeffs.len() + self.payload.len()
-    }
 }
 
 #[cfg(test)]
@@ -58,7 +52,6 @@ mod tests {
         assert_eq!(s.payload, vec![9, 9]);
         assert!(!s.is_zero());
         assert_eq!(s.k(), 4);
-        assert_eq!(s.wire_bytes(), 6);
     }
 
     #[test]

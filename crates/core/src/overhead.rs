@@ -9,68 +9,19 @@
 //! each, and one payload message per arranged date.
 
 use crate::bandwidth::Platform;
-use crate::service::RoundOutcome;
 
 /// Wire size of a control message: one IPv4 address plus port, as in the
 /// paper's "one IP address in each message".
 pub const ADDRESS_BYTES: usize = 6;
 
-/// Control/payload accounting for one dating round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ControlOverhead {
-    /// Offer + request messages sent by originators (= `Bout + Bin`).
-    pub request_msgs: u64,
-    /// Answers sent by matchmakers (one per received request).
-    pub answer_msgs: u64,
-    /// Payload messages (one per arranged date).
-    pub payload_msgs: u64,
-    /// Bytes of control traffic (requests + answers).
-    pub control_bytes: u64,
-    /// Bytes of payload traffic.
-    pub payload_bytes: u64,
-}
-
-impl ControlOverhead {
-    /// Account a round given the payload message size in bytes.
-    ///
-    /// Every request receives an answer (a partner address, or a "no date"
-    /// notice of the same size), per Algorithm 1's reply loop.
-    pub fn for_round(outcome: &RoundOutcome, payload_msg_bytes: u64) -> Self {
-        let request_msgs = outcome.offers_sent + outcome.requests_sent;
-        let answer_msgs = request_msgs;
-        let payload_msgs = outcome.dates.len() as u64;
-        Self {
-            request_msgs,
-            answer_msgs,
-            payload_msgs,
-            control_bytes: (request_msgs + answer_msgs) * ADDRESS_BYTES as u64,
-            payload_bytes: payload_msgs * payload_msg_bytes,
-        }
+/// Control bytes as a fraction of all bytes on the wire: 1.0 when no
+/// payload moved (an all-control round), 0.0 when nothing moved at all.
+pub fn control_fraction(control_bytes: u64, payload_bytes: u64) -> f64 {
+    let total = control_bytes + payload_bytes;
+    if total == 0 {
+        return 0.0;
     }
-
-    /// Total control messages (requests + answers).
-    pub fn control_msgs(&self) -> u64 {
-        self.request_msgs + self.answer_msgs
-    }
-
-    /// Control bytes as a fraction of all bytes on the wire.
-    ///
-    /// Returns 1.0 when no payload moved (all-control round).
-    pub fn control_fraction(&self) -> f64 {
-        let total = self.control_bytes + self.payload_bytes;
-        if total == 0 {
-            return 0.0;
-        }
-        self.control_bytes as f64 / total as f64
-    }
-
-    /// Control messages per arranged date — the price of decentralization.
-    pub fn control_msgs_per_date(&self) -> f64 {
-        if self.payload_msgs == 0 {
-            return f64::INFINITY;
-        }
-        self.control_msgs() as f64 / self.payload_msgs as f64
-    }
+    control_bytes as f64 / total as f64
 }
 
 /// The theoretical per-round control message count for a platform:
@@ -82,59 +33,37 @@ pub fn control_msgs_per_round(platform: &Platform) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::selector::UniformSelector;
-    use crate::service::DatingService;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
-    fn sample_outcome(n: usize, seed: u64) -> (Platform, RoundOutcome) {
-        let p = Platform::unit(n);
-        let sel = UniformSelector::new(n);
-        let svc = DatingService::new(&p, &sel);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let out = svc.run_round(&mut rng);
-        (p, out)
-    }
+    /// Control bytes of a unit round at `n = 1000`: `4n` addresses.
+    const CONTROL: u64 = 4_000 * ADDRESS_BYTES as u64;
+    /// Dates of that round (≈ 0.476 m).
+    const DATES: u64 = 476;
 
     #[test]
-    fn accounting_matches_outcome() {
-        let (p, out) = sample_outcome(200, 1);
-        let oh = ControlOverhead::for_round(&out, 1 << 20); // 1 MiB payload
-        assert_eq!(oh.request_msgs, 400);
-        assert_eq!(oh.answer_msgs, 400);
-        assert_eq!(oh.payload_msgs, out.dates.len() as u64);
-        assert_eq!(oh.control_bytes, 800 * 6);
-        assert_eq!(oh.control_msgs(), control_msgs_per_round(&p));
+    fn control_msgs_per_round_counts_requests_and_answers() {
+        assert_eq!(control_msgs_per_round(&Platform::unit(200)), 800);
+        // 30 nodes of bandwidth 5 and 270 of bandwidth 1, both ways.
+        let p = Platform::bimodal(300, 0.1, 1, 5);
+        assert_eq!(control_msgs_per_round(&p), 2 * (420 + 420));
     }
 
     #[test]
     fn large_payload_dwarfs_control() {
         // The paper's "movie" scenario: control must be negligible.
-        let (_, out) = sample_outcome(1000, 2);
-        let oh = ControlOverhead::for_round(&out, 1 << 20);
-        assert!(oh.control_fraction() < 1e-4, "{}", oh.control_fraction());
+        let f = control_fraction(CONTROL, DATES << 20);
+        assert!(f < 1e-4, "{f}");
     }
 
     #[test]
     fn unit_payload_control_dominates() {
-        let (_, out) = sample_outcome(1000, 3);
-        let oh = ControlOverhead::for_round(&out, 1);
-        assert!(oh.control_fraction() > 0.9);
-        // ~2·2m control messages for ~0.476m dates → ~8.4 ctrl msgs/date.
-        let per_date = oh.control_msgs_per_date();
-        assert!(per_date > 6.0 && per_date < 12.0, "{per_date}");
+        let f = control_fraction(CONTROL, DATES);
+        assert!(f > 0.9, "{f}");
+        assert_eq!(control_fraction(3, 1), 0.75);
     }
 
     #[test]
-    fn no_dates_edge_case() {
-        let out = RoundOutcome {
-            dates: vec![],
-            offers_sent: 10,
-            requests_sent: 10,
-        };
-        let oh = ControlOverhead::for_round(&out, 100);
-        assert_eq!(oh.payload_bytes, 0);
-        assert!(oh.control_msgs_per_date().is_infinite());
-        assert_eq!(oh.control_fraction(), 1.0);
+    fn no_traffic_edge_cases() {
+        assert_eq!(control_fraction(0, 0), 0.0);
+        assert_eq!(control_fraction(120, 0), 1.0);
     }
 }

@@ -13,7 +13,7 @@
 //! ```
 //!
 //! State lives per node, so the protocol runs unchanged on the
-//! sequential, sharded and conditioned executors.
+//! sequential and sharded executors, under any conditions and churn.
 //! Equivalence with the oracle sampler is asserted by KS tests in
 //! `tests/oracle_vs_distributed.rs` and `tests/runtime_equivalence.rs`.
 //!

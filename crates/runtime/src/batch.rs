@@ -1,11 +1,11 @@
-//! The cache-resident message plane: SoA envelope batches with
+//! The cache-resident message plane: SoA message batches with
 //! run-length source headers, the emission lanes that route a message as
 //! it is sent, and the delivery kernel every round executor is built on;
 //! for the event executor, the parking a message is moved into as it is
 //! sent and taken out of when its destination wakes.
 //!
-//! An [`EnvBatch`] replaces `Vec<Envelope<M>>` on the hot path. Instead
-//! of one 24-byte-plus-payload AoS record per message, it keeps two flat
+//! An [`EnvBatch`] is how the hot path queues messages. Instead of a
+//! per-message `(src, dst, seq, msg)` record, it keeps two flat
 //! arrays — `dst: Vec<NodeId>` and `msg: Vec<M>` — plus a run-length
 //! header list ([`SrcRun`]): `(src, first_seq, len)` for each maximal
 //! stretch of consecutive messages that share a sender. `src` and `seq`
@@ -29,10 +29,9 @@
 //!    sender's consecutive sends may alternate between them: within a
 //!    lane its runs sit next to each other, each with its own
 //!    `first_seq`, and need not be seq-contiguous with one another (with
-//!    one lane a phase's sends form one run). The batch's `(src, dst,
-//!    seq, msg)` stream is recoverable bit-for-bit
-//!    ([`EnvBatch::to_envelopes`], property-tested in
-//!    `tests/batch_roundtrip.rs`).
+//!    one lane a phase's sends form one run). The batch's `(src, seq,
+//!    dst, msg)` stream is recoverable bit-for-bit ([`EnvBatch::iter`],
+//!    property-tested in `tests/batch_roundtrip.rs`).
 //! 2. **A lane is a routed bucket.** Where a message goes is decided
 //!    where it is sent: `Lanes::push` files it in the lane of its
 //!    destination's shard and — when the channel loses messages or
@@ -62,7 +61,6 @@
 
 use crate::conditions::{Conditions, FateRun};
 use crate::exec::{link, NIL};
-use crate::proto::Envelope;
 use rendez_sim::NodeId;
 
 /// Run-length header of an [`EnvBatch`]: `len` consecutive messages
@@ -210,32 +208,6 @@ impl<M> EnvBatch<M> {
                     )
                 })
             })
-    }
-}
-
-impl<M: Clone> EnvBatch<M> {
-    /// Reconstruct the legacy AoS stream (batch invariant 1); the
-    /// round-trip with [`from_envelopes`](Self::from_envelopes) is
-    /// property-tested.
-    pub fn to_envelopes(&self) -> Vec<Envelope<M>> {
-        self.iter()
-            .map(|(src, seq, dst, msg)| Envelope {
-                src,
-                dst,
-                seq,
-                msg: msg.clone(),
-            })
-            .collect()
-    }
-
-    /// Build a batch from a legacy AoS stream, merging runs exactly as
-    /// the emission path would.
-    pub fn from_envelopes(envs: &[Envelope<M>]) -> Self {
-        let mut batch = Self::new();
-        for e in envs {
-            batch.push(e.src, e.seq, e.dst, e.msg.clone());
-        }
-        batch
     }
 }
 
@@ -729,13 +701,28 @@ mod tests {
     use crate::conditions::LatencyDist;
     use crate::report::NetStats;
 
-    fn env(src: u32, dst: u32, seq: u64) -> Envelope<u32> {
-        Envelope {
-            src: NodeId(src),
-            dst: NodeId(dst),
-            seq,
-            msg: src * 1000 + seq as u32,
+    /// One message as [`EnvBatch::iter`] yields it: `(src, seq, dst, msg)`.
+    type Sent = (NodeId, u64, NodeId, u32);
+
+    /// `src`'s send number `seq` to `dst`, its payload naming both.
+    fn sent(src: u32, dst: u32, seq: u64) -> Sent {
+        (NodeId(src), seq, NodeId(dst), src * 1000 + seq as u32)
+    }
+
+    /// A batch of `(src, dst, seq)` sends, pushed in order.
+    fn batch(sends: &[(u32, u32, u64)]) -> EnvBatch<u32> {
+        let mut b = EnvBatch::new();
+        for &(src, dst, seq) in sends {
+            let (src, seq, dst, msg) = sent(src, dst, seq);
+            b.push(src, seq, dst, msg);
         }
+        b
+    }
+
+    fn stream(b: &EnvBatch<u32>) -> Vec<Sent> {
+        b.iter()
+            .map(|(src, seq, dst, &msg)| (src, seq, dst, msg))
+            .collect()
     }
 
     #[test]
@@ -753,16 +740,10 @@ mod tests {
     }
 
     #[test]
-    fn envelope_round_trip_is_exact() {
-        let envs = vec![env(0, 3, 0), env(0, 1, 1), env(2, 0, 4), env(0, 2, 2)];
-        let batch = EnvBatch::from_envelopes(&envs);
-        assert_eq!(batch.to_envelopes(), envs);
-        // iter() agrees with the reconstruction.
-        let via_iter: Vec<_> = batch
-            .iter()
-            .map(|(src, seq, dst, &msg)| Envelope { src, dst, seq, msg })
-            .collect();
-        assert_eq!(via_iter, envs);
+    fn iter_reconstructs_the_pushed_stream() {
+        let sends = [(0, 3, 0), (0, 1, 1), (2, 0, 4), (0, 2, 2)];
+        let want: Vec<_> = sends.iter().map(|&(s, d, q)| sent(s, d, q)).collect();
+        assert_eq!(stream(&batch(&sends)), want);
     }
 
     const SRCS: u32 = 6;
@@ -770,18 +751,18 @@ mod tests {
 
     /// One round's emission: in each phase senders emit in ascending id
     /// order (the engine's id-order hooks), seq counters carrying over.
-    fn emission(phases: &[Vec<(u32, u32)>]) -> Vec<Envelope<u32>> {
+    fn emission(phases: &[Vec<(u32, u32)>]) -> Vec<Sent> {
         let mut seqs = [0u64; SRCS as usize];
-        let mut envs = Vec::new();
+        let mut sends = Vec::new();
         for phase in phases {
             let mut phase = phase.clone();
             phase.sort_by_key(|&(src, _)| src);
             for (src, dst) in phase {
-                envs.push(env(src, dst, seqs[src as usize]));
+                sends.push(sent(src, dst, seqs[src as usize]));
                 seqs[src as usize] += 1;
             }
         }
-        envs
+        sends
     }
 
     /// What destinations `base..base + width` receive from `bucket`, in
@@ -824,26 +805,26 @@ mod tests {
             let chunk = DSTS.div_ceil(dests);
             let rows = slot_rows(&cond);
             let first_slot = cond.latency_slots() - rows;
-            let envs = emission(&phases);
+            let sends = emission(&phases);
 
             let mut want_stats = NetStats::default();
-            let mut due: Vec<Vec<&Envelope<u32>>> = vec![Vec::new(); rows * dests];
-            for e in &envs {
+            let mut due: Vec<Vec<Sent>> = vec![Vec::new(); rows * dests];
+            for &(src, seq, dst, msg) in &sends {
                 want_stats.sent += 1;
                 want_stats.bytes_sent += 1;
-                match cond.fate_run(seed, e.src).fate(e.seq) {
+                match cond.fate_run(seed, src).fate(seq) {
                     None => want_stats.dropped += 1,
                     Some(l) => {
                         let row = l as usize - 1 - first_slot;
-                        due[row * dests + e.dst.index() / chunk].push(e);
+                        due[row * dests + dst.index() / chunk].push((src, seq, dst, msg));
                     }
                 }
             }
             let want: Vec<Vec<_>> = due
                 .into_iter()
                 .map(|mut lane| {
-                    lane.sort_by_key(|e| (e.dst, e.src, e.seq));
-                    lane.iter().map(|e| (e.dst.index(), e.src, e.msg)).collect()
+                    lane.sort_by_key(|&(src, seq, dst, _)| (dst, src, seq));
+                    lane.iter().map(|&(src, _, dst, msg)| (dst.index(), src, msg)).collect()
                 })
                 .collect();
 
@@ -853,8 +834,8 @@ mod tests {
                 !cond.is_ideal(),
                 "fate is computed exactly where the channel needs it"
             );
-            for e in &envs {
-                lanes.push(e.src, e.seq, e.dst, e.msg);
+            for &(src, seq, dst, msg) in &sends {
+                lanes.push(src, seq, dst, msg);
             }
             // The round engine's tally: every message filed or lost.
             let lost = lanes.lost().map_or(0, |lost| std::mem::take(lost).len()) as u64;
@@ -953,8 +934,8 @@ mod tests {
     /// Run the kernel over `segments` (destinations `0..width`) and
     /// compare with the reference `(dst, src, seq)` sort.
     fn assert_orders_like_sort(mut segments: Vec<EnvBatch<u32>>, width: usize) {
-        let mut expect: Vec<_> = segments.iter().flat_map(EnvBatch::to_envelopes).collect();
-        expect.sort_by_key(|e| (e.dst, e.src, e.seq));
+        let mut expect: Vec<_> = segments.iter().flat_map(stream).collect();
+        expect.sort_by_key(|&(src, seq, dst, _)| (dst, src, seq));
         let mut ds = DeliverScratch::default();
         assert_eq!(
             order_deliveries(&mut segments, 0, width, &mut ds),
@@ -966,12 +947,14 @@ mod tests {
             .copied()
             .zip(ds.msgs.iter().copied())
             .collect();
-        let want: Vec<_> = expect.iter().map(|e| (e.src, e.msg)).collect();
+        let want: Vec<_> = expect.iter().map(|&(src, _, _, msg)| (src, msg)).collect();
         assert_eq!(got, want);
         // Group offsets address each destination's slice.
         for off in 0..width {
             let (s, e) = (ds.starts[off] as usize, ds.starts[off + 1] as usize);
-            assert!(expect[s..e].iter().all(|env| env.dst.index() == off));
+            assert!(expect[s..e]
+                .iter()
+                .all(|&(_, _, dst, _)| dst.index() == off));
         }
         assert!(segments.iter().all(EnvBatch::is_empty), "segments drained");
     }
@@ -979,8 +962,8 @@ mod tests {
     #[test]
     fn order_deliveries_counting_matches_sort() {
         // Two (src, seq)-sorted segments from contiguous shards.
-        let a = EnvBatch::from_envelopes(&[env(0, 2, 0), env(0, 1, 1), env(1, 2, 0)]);
-        let b = EnvBatch::from_envelopes(&[env(3, 0, 0), env(3, 2, 1), env(4, 1, 2)]);
+        let a = batch(&[(0, 2, 0), (0, 1, 1), (1, 2, 0)]);
+        let b = batch(&[(3, 0, 0), (3, 2, 1), (4, 1, 2)]);
         assert_orders_like_sort(vec![a, b], 5);
     }
 
@@ -989,8 +972,8 @@ mod tests {
         // Senders contributing to one bucket from two send rounds, each
         // round's segment src-ascending: the header merge must interleave
         // the rounds by sender and keep round order per (dst, src).
-        let round0 = EnvBatch::from_envelopes(&[env(1, 0, 0), env(2, 0, 0), env(2, 1, 1)]);
-        let round1 = EnvBatch::from_envelopes(&[env(0, 0, 3), env(1, 0, 7), env(2, 1, 2)]);
+        let round0 = batch(&[(1, 0, 0), (2, 0, 0), (2, 1, 1)]);
+        let round1 = batch(&[(0, 0, 3), (1, 0, 7), (2, 1, 2)]);
         assert_orders_like_sort(vec![round0, round1], 3);
     }
 
@@ -999,22 +982,16 @@ mod tests {
         // Two shards' lanes of a round that sent from two phases — each
         // steps back once, and shard 1's first stretch continues the
         // stream shard 0's second one opened — then the next round's.
-        let shard0 = EnvBatch::from_envelopes(&[
-            env(0, 1, 0),
-            env(1, 0, 0),
-            env(2, 1, 0),
-            env(0, 1, 1),
-            env(2, 1, 1),
+        let shard0 = batch(&[(0, 1, 0), (1, 0, 0), (2, 1, 0), (0, 1, 1), (2, 1, 1)]);
+        let shard1 = batch(&[
+            (3, 1, 0),
+            (4, 0, 0),
+            (5, 1, 0),
+            (3, 1, 1),
+            (3, 0, 2),
+            (5, 1, 1),
         ]);
-        let shard1 = EnvBatch::from_envelopes(&[
-            env(3, 1, 0),
-            env(4, 0, 0),
-            env(5, 1, 0),
-            env(3, 1, 1),
-            env(3, 0, 2),
-            env(5, 1, 1),
-        ]);
-        let later = EnvBatch::from_envelopes(&[env(0, 1, 2), env(2, 0, 2), env(3, 1, 3)]);
+        let later = batch(&[(0, 1, 2), (2, 0, 2), (3, 1, 3)]);
         assert!(!shard0.ascending && !shard1.ascending && later.ascending);
         assert_orders_like_sort(vec![shard0, shard1, later], 2);
     }

@@ -334,7 +334,7 @@ mod tests {
 
     #[test]
     fn fate_run_pins_legacy_formula() {
-        // The hoisted kernel must reproduce the historical per-envelope
+        // The hoisted kernel must reproduce the historical per-message
         // hash chain bit-for-bit — this inlines the legacy formula.
         let conds = [
             Conditions::with_loss(0.4),

@@ -115,9 +115,7 @@ pub use exec::{
     EventExecutor, Executor, PoolScope, SequentialExecutor, ShardedExecutor, WakeQueue, WakeTimer,
     WorkerPool, TICKS_PER_SEC,
 };
-pub use proto::{
-    observe_nodes, AsyncProtocol, Envelope, Outbox, RoundObs, RoundProtocol, SendHalf, Verdict,
-};
+pub use proto::{observe_nodes, AsyncProtocol, Outbox, RoundObs, RoundProtocol, SendHalf, Verdict};
 pub use registry::Spreader;
 pub use report::{NetStats, RunConfig, RunReport, TimeAxis};
 pub use scenario::{

@@ -23,33 +23,6 @@ use crate::batch::Lanes;
 use rand::rngs::SmallRng;
 use rendez_sim::NodeId;
 
-/// One queued message: `src` sent `msg` to `dst`; `seq` is the sender's
-/// private send counter.
-///
-/// `(src, seq)` uniquely identifies a message within a run and is a pure
-/// function of protocol behaviour (never of executor scheduling), which is
-/// what makes delivery order and per-message fate reproducible.
-///
-/// On the executor hot path this AoS record no longer exists: queued
-/// messages live in [`EnvBatch`](crate::EnvBatch) lanes, which store `dst` and `msg` in
-/// flat arrays and carry `(src, first_seq, len)` once per *run* of
-/// consecutive same-sender messages (see the [`batch`](crate::batch)
-/// module docs for the invariants). `Envelope` remains the canonical
-/// per-message identity — [`FateRun::fate`](crate::FateRun::fate) is
-/// specified against its `(src, seq)`, and `EnvBatch` round-trips to an
-/// `Envelope` stream bit-for-bit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Envelope<M> {
-    /// Sender.
-    pub src: NodeId,
-    /// Destination.
-    pub dst: NodeId,
-    /// Sender-local send counter at the time of sending.
-    pub seq: u64,
-    /// The payload.
-    pub msg: M,
-}
-
 /// Write-side of a node's network interface, handed to every callback.
 ///
 /// Messages queued here during round `t` are delivered at round
@@ -57,6 +30,15 @@ pub struct Envelope<M> {
 /// continuous time ([`EventExecutor`]) a message is parked at its
 /// destination as it is sent and delivered when the destination next
 /// wakes.
+///
+/// Every send is stamped with the sender's private counter `seq`. `(src,
+/// seq)` identifies a message within a run and is a pure function of
+/// protocol behaviour, never of executor scheduling: delivery order and
+/// per-message fate ([`FateRun::fate`](crate::FateRun::fate)) are
+/// specified against it. Queued messages live in
+/// [`EnvBatch`](crate::EnvBatch) lanes, which carry `(src, seq)` once per
+/// run of consecutive same-sender sends (see the [`batch`](crate::batch)
+/// module docs).
 ///
 /// [`Conditions`]: crate::Conditions
 /// [`EventExecutor`]: crate::EventExecutor
@@ -568,11 +550,14 @@ mod tests {
         let [env] = env.batches() else {
             panic!("one lane")
         };
-        let envs = env.to_envelopes();
-        assert_eq!(envs[0].src, NodeId(2));
-        assert_eq!(envs[0].dst, NodeId(0));
-        assert_eq!(envs[0].seq, 5);
-        assert_eq!(envs[1].seq, 6);
+        let sent: Vec<_> = env
+            .iter()
+            .map(|(src, seq, dst, &msg)| (src, seq, dst, msg))
+            .collect();
+        assert_eq!(
+            sent,
+            [(NodeId(2), 5, NodeId(0), 7), (NodeId(2), 6, NodeId(3), 9)]
+        );
         assert_eq!(env.runs().len(), 1, "consecutive sends share one run");
     }
 

@@ -467,11 +467,6 @@ impl<S: NodeSelector + Clone> Scenario<S> {
         self.protocol
     }
 
-    /// The configured time model.
-    pub fn time_model_choice(&self) -> TimeModel {
-        self.time
-    }
-
     /// Human-readable executor name, for experiment tables. Auto mode
     /// reports the executor it resolves to for this scenario's `n`.
     pub fn executor_name(&self) -> String {
@@ -933,14 +928,9 @@ mod tests {
 
     #[test]
     fn sugar_forwards_to_time_model() {
-        assert_eq!(
-            Scenario::new(50).sharded(2).time_model_choice(),
-            TimeModel::Rounds(ExecChoice::Sharded(2))
-        );
-        assert_eq!(
-            Scenario::new(50).sequential().time_model_choice(),
-            TimeModel::Rounds(ExecChoice::Sequential)
-        );
+        let sharded = Scenario::new(50).sharded(2);
+        assert_eq!(sharded.executor_name(), "sharded(2)");
+        assert_eq!(sharded.sequential().executor_name(), "sequential");
     }
 
     #[test]

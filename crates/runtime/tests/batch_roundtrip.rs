@@ -1,5 +1,5 @@
-//! Property tests: [`EnvBatch`] round-trips the legacy [`Envelope`]
-//! stream bit-identically (invariant 1 in `rendez_runtime::batch`) under
+//! Property tests: [`EnvBatch`] round-trips the pushed `(src, seq, dst,
+//! msg)` stream bit-identically (invariant 1 in `rendez_runtime::batch`) under
 //! random emission patterns, sources that never emit, and emission
 //! spliced across multiple batches with carried-over seq counters — and
 //! `order_deliveries` turns any list of src-ascending segments (batch
@@ -7,84 +7,93 @@
 
 use proptest::prelude::*;
 use rendez_runtime::batch::{order_deliveries, DeliverScratch};
-use rendez_runtime::{EnvBatch, Envelope};
+use rendez_runtime::EnvBatch;
 use rendez_sim::NodeId;
 
 const SRCS: u32 = 8;
 const DSTS: u32 = 16;
 
+/// One message as [`EnvBatch::iter`] yields it: `(src, seq, dst, msg)`.
+type Sent = (NodeId, u64, NodeId, u8);
+
 /// Replay `events` through Outbox-style emission: per-source contiguous
-/// seq counters, arbitrary interleaving across sources.
-fn emit(events: &[(u32, u32, u8)], seqs: &mut [u64]) -> (EnvBatch<u8>, Vec<Envelope<u8>>) {
+/// seq counters, arbitrary interleaving across sources. Returns the batch
+/// and the stream that was pushed into it.
+fn emit(events: &[(u32, u32, u8)], seqs: &mut [u64]) -> (EnvBatch<u8>, Vec<Sent>) {
     let mut batch = EnvBatch::new();
-    let mut legacy = Vec::new();
+    let mut sent = Vec::new();
     for &(src, dst, msg) in events {
         let (src, dst) = (NodeId(src), NodeId(dst));
         let seq = seqs[src.index()];
         seqs[src.index()] += 1;
         batch.push(src, seq, dst, msg);
-        legacy.push(Envelope { src, dst, seq, msg });
+        sent.push((src, seq, dst, msg));
     }
-    (batch, legacy)
+    (batch, sent)
+}
+
+/// The batch's stream, read back through [`EnvBatch::iter`].
+fn stream(batch: &EnvBatch<u8>) -> Vec<Sent> {
+    batch
+        .iter()
+        .map(|(src, seq, dst, &msg)| (src, seq, dst, msg))
+        .collect()
 }
 
 /// The memory-plane claim in EXPERIMENTS.md, pinned: a batched message
 /// costs `4 + size_of::<M>()` bytes plus one 16-byte run header
-/// amortized over its burst, where the AoS `Envelope` record pays
-/// another 16 bytes of per-message `src`/`seq` (plus padding).
+/// amortized over its burst, where a per-message record would pay
+/// another 16 bytes of `src`/`seq` (plus padding).
 #[test]
 fn batch_layout_is_compact() {
     use rendez_runtime::adapters::{DatingSpreadMsg, GossipMsg};
     use rendez_runtime::SrcRun;
     assert_eq!(std::mem::size_of::<SrcRun>(), 16);
     // The dating workloads' message enum (tag + 4-byte `Partner`, one
-    // word): 24-byte envelope vs 12 bytes batched per message.
+    // word): 12 bytes batched per message.
     assert_eq!(std::mem::size_of::<DatingSpreadMsg>(), 8);
-    assert_eq!(std::mem::size_of::<Envelope<DatingSpreadMsg>>(), 24);
-    // Unit-variant gossip messages: 24-byte envelope (padding-bound)
-    // vs 5 bytes batched.
+    // Unit-variant gossip messages: 5 bytes batched.
     assert_eq!(std::mem::size_of::<GossipMsg>(), 1);
-    assert_eq!(std::mem::size_of::<Envelope<GossipMsg>>(), 24);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random emission (most sources silent in short streams): iteration
-    /// order, reconstructed seqs, and envelope conversion are all
-    /// bit-identical to the legacy stream.
+    /// order and reconstructed seqs are bit-identical to the pushed
+    /// stream.
     #[test]
     fn batch_round_trips_random_emission(
         events in prop::collection::vec((0u32..SRCS, 0u32..DSTS, any::<u8>()), 0..200),
     ) {
         let mut seqs = vec![0u64; SRCS as usize];
-        let (batch, legacy) = emit(&events, &mut seqs);
-        prop_assert_eq!(batch.len(), legacy.len());
-        prop_assert_eq!(batch.is_empty(), legacy.is_empty());
-        let items: Vec<_> = batch.iter().map(|(s, q, d, m)| (s, q, d, *m)).collect();
-        let want: Vec<_> = legacy.iter().map(|e| (e.src, e.seq, e.dst, e.msg)).collect();
-        prop_assert_eq!(items, want);
-        prop_assert_eq!(batch.to_envelopes(), legacy.clone());
+        let (batch, sent) = emit(&events, &mut seqs);
+        prop_assert_eq!(batch.len(), sent.len());
+        prop_assert_eq!(batch.is_empty(), sent.is_empty());
+        prop_assert_eq!(stream(&batch), sent.clone());
         // Run headers account for every message exactly once.
         let total: u64 = batch.runs().iter().map(|r| u64::from(r.len)).sum();
-        prop_assert_eq!(total, legacy.len() as u64);
+        prop_assert_eq!(total, sent.len() as u64);
     }
 
-    /// `from_envelopes` is a right inverse of `to_envelopes` and re-splits
-    /// the stream into maximal seq-contiguous runs: a new run starts only
-    /// on a source change or a seq discontinuity.
+    /// Re-pushing a batch's stream rebuilds the same batch and splits the
+    /// stream into maximal seq-contiguous runs: a new run starts only on
+    /// a source change or a seq discontinuity.
     #[test]
-    fn from_envelopes_round_trips(
+    fn repushed_stream_round_trips(
         events in prop::collection::vec((0u32..SRCS, 0u32..DSTS, any::<u8>()), 0..200),
     ) {
         let mut seqs = vec![0u64; SRCS as usize];
-        let (_, legacy) = emit(&events, &mut seqs);
-        let batch = EnvBatch::from_envelopes(&legacy);
-        prop_assert_eq!(batch.to_envelopes(), legacy.clone());
+        let (batch, sent) = emit(&events, &mut seqs);
+        let mut rebuilt = EnvBatch::new();
+        for &(src, seq, dst, msg) in &stream(&batch) {
+            rebuilt.push(src, seq, dst, msg);
+        }
+        prop_assert_eq!(&rebuilt, &batch);
         let mut boundaries = 0usize;
-        let mut prev: Option<&Envelope<u8>> = None;
-        for e in &legacy {
-            if !prev.is_some_and(|p| p.src == e.src && p.seq + 1 == e.seq) {
+        let mut prev: Option<&Sent> = None;
+        for e in &sent {
+            if !prev.is_some_and(|p| p.0 == e.0 && p.1 + 1 == e.1) {
                 boundaries += 1;
             }
             prev = Some(e);
@@ -107,9 +116,9 @@ proptest! {
         let mut spliced = Vec::new();
         let mut whole = Vec::new();
         for events in &rounds {
-            let (batch, legacy) = emit(events, &mut seqs);
-            spliced.extend(batch.to_envelopes());
-            whole.extend(legacy);
+            let (batch, sent) = emit(events, &mut seqs);
+            spliced.extend(stream(&batch));
+            whole.extend(sent);
         }
         prop_assert_eq!(spliced, whole);
     }
@@ -142,23 +151,23 @@ proptest! {
                 events.sort_by_key(|&(src, _, _)| src);
                 let (lo, hi) = events.split_at(cut.min(events.len()));
                 for shard in [lo, hi] {
-                    let (batch, legacy) = emit(shard, &mut seqs);
+                    let (batch, sent) = emit(shard, &mut seqs);
                     segments.push(batch);
-                    expect.extend(legacy);
+                    expect.extend(sent);
                 }
             }
-            expect.sort_by_key(|e| (e.dst, e.src, e.seq));
+            expect.sort_by_key(|&(src, seq, dst, _)| (dst, src, seq));
 
             let total = order_deliveries(&mut segments, base as usize, DSTS as usize, &mut ds);
             prop_assert_eq!(total, expect.len());
             prop_assert!(segments.iter().all(EnvBatch::is_empty), "segments drained");
             let got: Vec<_> = ds.srcs.iter().copied().zip(ds.msgs.iter().copied()).collect();
-            let want: Vec<_> = expect.iter().map(|e| (e.src, e.msg)).collect();
+            let want: Vec<_> = expect.iter().map(|&(src, _, _, msg)| (src, msg)).collect();
             prop_assert_eq!(got, want);
             if total > 0 {
                 for (k, w) in ds.starts.windows(2).enumerate() {
                     let group = &expect[w[0] as usize..w[1] as usize];
-                    prop_assert!(group.iter().all(|e| e.dst == NodeId(base + k as u32)));
+                    prop_assert!(group.iter().all(|e| e.2 == NodeId(base + k as u32)));
                 }
             }
         }

@@ -1,16 +1,12 @@
-//! Discrete distributions: Poisson, Binomial, Hypergeometric, Geometric
-//! and Zipf.
+//! Discrete distributions: Poisson, Binomial, Hypergeometric and Zipf.
 //!
-//! The paper's analysis leans on three of these directly: Lemma 1
+//! The paper's analysis leans on each of these directly: Lemma 1
 //! Poissonizes binomial request counts, Lemma 3 characterizes per-set date
 //! counts as hypergeometric, and the §2 skew conjecture experiments sweep
-//! Zipf selector weights. Each distribution exposes exact `pmf`/`cdf`
-//! evaluation (log-space via [`crate::special`], so large parameters do not
-//! overflow) plus exact sampling for the simulators.
+//! Zipf selector weights. Probabilities are evaluated exactly in log space
+//! via [`crate::special`], so large parameters do not overflow.
 
-use crate::special::{ln_choose, ln_factorial, reg_lower_gamma, reg_upper_gamma};
-use rand::rngs::SmallRng;
-use rand::Rng;
+use crate::special::{ln_choose, ln_factorial, reg_lower_gamma};
 
 /// Poisson distribution with rate `lambda` (`support: k = 0, 1, 2, …`).
 #[derive(Debug, Clone, Copy)]
@@ -31,11 +27,6 @@ impl Poisson {
         Self { lambda }
     }
 
-    /// The rate (and mean, and variance) `λ`.
-    pub fn mean(&self) -> f64 {
-        self.lambda
-    }
-
     /// `P[X = k] = e^{−λ} λ^k / k!`.
     pub fn pmf(&self, k: u64) -> f64 {
         if self.lambda == 0.0 {
@@ -44,46 +35,13 @@ impl Poisson {
         (k as f64 * self.lambda.ln() - self.lambda - ln_factorial(k)).exp()
     }
 
-    /// `P[X ≤ k]`, via the regularized upper incomplete gamma identity
-    /// `P[X ≤ k] = Q(k + 1, λ)`.
-    pub fn cdf(&self, k: u64) -> f64 {
-        if self.lambda == 0.0 {
-            return 1.0;
-        }
-        reg_upper_gamma(k as f64 + 1.0, self.lambda)
-    }
-
     /// Survival `P[X > k] = P(k + 1, λ)` (regularized lower gamma), which
-    /// stays accurate deep in the tail where `1 − cdf` would cancel.
+    /// stays accurate deep in the tail where `1 − P[X ≤ k]` would cancel.
     pub fn sf(&self, k: u64) -> f64 {
         if self.lambda == 0.0 {
             return 0.0;
         }
         reg_lower_gamma(k as f64 + 1.0, self.lambda)
-    }
-
-    /// Exact sample by inversion along the pmf recurrence.
-    pub fn sample(&self, rng: &mut SmallRng) -> u64 {
-        if self.lambda == 0.0 {
-            return 0;
-        }
-        // Chunked multiplicative method: exp(λ) is split so the running
-        // product never underflows even for large λ.
-        let mut k = 0u64;
-        let mut remaining = self.lambda;
-        let mut p = 1.0f64;
-        loop {
-            p *= rng.gen::<f64>();
-            while p < 1.0 && remaining > 0.0 {
-                let chunk = remaining.min(500.0);
-                p *= chunk.exp();
-                remaining -= chunk;
-            }
-            if p <= 1.0 && remaining <= 0.0 {
-                return k;
-            }
-            k += 1;
-        }
     }
 }
 
@@ -107,16 +65,6 @@ impl Binomial {
         Self { n, p }
     }
 
-    /// Mean `np`.
-    pub fn mean(&self) -> f64 {
-        self.n as f64 * self.p
-    }
-
-    /// Variance `np(1−p)`.
-    pub fn variance(&self) -> f64 {
-        self.n as f64 * self.p * (1.0 - self.p)
-    }
-
     /// `P[X = k] = C(n, k) p^k (1−p)^{n−k}`.
     pub fn pmf(&self, k: u64) -> f64 {
         if k > self.n {
@@ -130,17 +78,6 @@ impl Binomial {
         }
         (ln_choose(self.n, k) + k as f64 * self.p.ln() + (self.n - k) as f64 * (1.0 - self.p).ln())
             .exp()
-    }
-
-    /// `P[X ≤ k]` by direct summation (exact over the integer support).
-    pub fn cdf(&self, k: u64) -> f64 {
-        let hi = k.min(self.n);
-        (0..=hi).map(|i| self.pmf(i)).sum::<f64>().min(1.0)
-    }
-
-    /// Exact sample (sum of `n` Bernoulli draws).
-    pub fn sample(&self, rng: &mut SmallRng) -> u64 {
-        (0..self.n).filter(|_| rng.gen::<f64>() < self.p).count() as u64
     }
 }
 
@@ -183,14 +120,6 @@ impl Hypergeometric {
         self.draws.min(self.marked)
     }
 
-    /// Mean `n·K/N`.
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        self.draws as f64 * self.marked as f64 / self.total as f64
-    }
-
     /// `P[X = x] = C(K, x) C(N−K, n−x) / C(N, n)`.
     pub fn pmf(&self, x: u64) -> f64 {
         if x < self.support_min() || x > self.support_max() {
@@ -199,82 +128,6 @@ impl Hypergeometric {
         (ln_choose(self.marked, x) + ln_choose(self.total - self.marked, self.draws - x)
             - ln_choose(self.total, self.draws))
         .exp()
-    }
-
-    /// `P[X ≤ x]` by summation over the support.
-    pub fn cdf(&self, x: u64) -> f64 {
-        let hi = x.min(self.support_max());
-        (self.support_min()..=hi)
-            .map(|i| self.pmf(i))
-            .sum::<f64>()
-            .min(1.0)
-    }
-
-    /// Exact sample by simulating the draws.
-    pub fn sample(&self, rng: &mut SmallRng) -> u64 {
-        let mut remaining_marked = self.marked;
-        let mut remaining_total = self.total;
-        let mut hits = 0u64;
-        for _ in 0..self.draws {
-            if rng.gen::<f64>() * (remaining_total as f64) < remaining_marked as f64 {
-                hits += 1;
-                remaining_marked -= 1;
-            }
-            remaining_total -= 1;
-        }
-        hits
-    }
-}
-
-/// Geometric distribution: trials until (and including) the first success.
-///
-/// Support `k = 1, 2, 3, …` with `P[X = k] = (1−p)^{k−1} p`; mean `1/p`.
-#[derive(Debug, Clone, Copy)]
-pub struct Geometric {
-    p: f64,
-}
-
-impl Geometric {
-    /// Geometric with success probability `p`.
-    ///
-    /// # Panics
-    /// Panics if `p ∉ (0, 1]`.
-    pub fn new(p: f64) -> Self {
-        assert!(p > 0.0 && p <= 1.0, "Geometric p must be in (0,1], got {p}");
-        Self { p }
-    }
-
-    /// Mean `1/p`.
-    pub fn mean(&self) -> f64 {
-        1.0 / self.p
-    }
-
-    /// `P[X = k]` for `k ≥ 1`.
-    pub fn pmf(&self, k: u64) -> f64 {
-        if k == 0 {
-            return 0.0;
-        }
-        (1.0 - self.p).powi((k - 1) as i32) * self.p
-    }
-
-    /// `P[X ≤ k] = 1 − (1−p)^k`.
-    pub fn cdf(&self, k: u64) -> f64 {
-        1.0 - (1.0 - self.p).powi(k as i32)
-    }
-
-    /// Exact sample by inversion.
-    pub fn sample(&self, rng: &mut SmallRng) -> u64 {
-        if self.p >= 1.0 {
-            return 1;
-        }
-        let u: f64 = rng.gen();
-        // ceil(ln(1-u) / ln(1-p)) maps U(0,1) to the geometric law.
-        let k = ((1.0 - u).ln() / (1.0 - self.p).ln()).ceil();
-        if k < 1.0 {
-            1
-        } else {
-            k as u64
-        }
     }
 }
 
@@ -307,17 +160,11 @@ impl Zipf {
     pub fn weights(&self) -> Vec<f64> {
         self.weights.clone()
     }
-
-    /// Number of ranks.
-    pub fn n(&self) -> usize {
-        self.weights.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn poisson_pmf_sums_to_one() {
@@ -329,20 +176,14 @@ mod tests {
     }
 
     #[test]
-    fn poisson_cdf_sf_complement() {
+    fn poisson_sf_complements_pmf_partial_sums() {
         let p = Poisson::new(7.5);
+        let mut below = 0.0;
         for k in 0..50 {
-            assert!((p.cdf(k) + p.sf(k) - 1.0).abs() < 1e-12);
+            below += p.pmf(k);
+            assert!((p.sf(k) - (1.0 - below)).abs() < 1e-12, "k={k}");
         }
-    }
-
-    #[test]
-    fn poisson_sample_mean() {
-        let p = Poisson::new(4.0);
-        let mut rng = SmallRng::seed_from_u64(1);
-        let n = 20_000;
-        let mean = (0..n).map(|_| p.sample(&mut rng)).sum::<u64>() as f64 / n as f64;
-        assert!((mean - 4.0).abs() < 0.05, "mean {mean}");
+        assert_eq!(Poisson::new(0.0).sf(0), 0.0);
     }
 
     #[test]
@@ -380,37 +221,11 @@ mod tests {
     }
 
     #[test]
-    fn hypergeometric_sample_mean() {
-        let h = Hypergeometric::new(50, 20, 10);
-        let mut rng = SmallRng::seed_from_u64(2);
-        let n = 20_000;
-        let mean = (0..n).map(|_| h.sample(&mut rng)).sum::<u64>() as f64 / n as f64;
-        assert!(
-            (mean - h.mean()).abs() < 0.05,
-            "mean {mean} vs {}",
-            h.mean()
-        );
-    }
-
-    #[test]
-    fn geometric_basics() {
-        let g = Geometric::new(0.25);
-        assert_eq!(g.pmf(0), 0.0);
-        let total: f64 = (1..200).map(|k| g.pmf(k)).sum();
-        assert!((total - 1.0).abs() < 1e-10);
-        assert!((g.cdf(4) - (1.0 - 0.75f64.powi(4))).abs() < 1e-12);
-        let mut rng = SmallRng::seed_from_u64(3);
-        let n = 20_000;
-        let mean = (0..n).map(|_| g.sample(&mut rng)).sum::<u64>() as f64 / n as f64;
-        assert!((mean - 4.0).abs() < 0.1, "mean {mean}");
-    }
-
-    #[test]
     fn zipf_uniform_at_zero_exponent() {
         let z = Zipf::new(5, 0.0);
         for w in z.weights() {
             assert!((w - 0.2).abs() < 1e-12);
         }
-        assert_eq!(z.n(), 5);
+        assert_eq!(z.weights().len(), 5);
     }
 }

@@ -65,14 +65,6 @@ pub fn chi_square_gof(observed: &[u64], expected: &[f64], ddof: usize) -> ChiSqu
     }
 }
 
-/// Chi-square test against a uniform null over `observed.len()` categories.
-pub fn chi_square_uniform(observed: &[u64]) -> ChiSquareResult {
-    let total: u64 = observed.iter().sum();
-    let e = total as f64 / observed.len() as f64;
-    let expected = vec![e; observed.len()];
-    chi_square_gof(observed, &expected, 0)
-}
-
 /// Result of a two-sample Kolmogorov–Smirnov test.
 #[derive(Debug, Clone, Copy)]
 pub struct KsResult {
@@ -156,7 +148,7 @@ mod tests {
     fn chi_square_accepts_fair_die() {
         // 600 rolls of a fair die, near-perfect counts.
         let observed = [98u64, 102, 100, 97, 103, 100];
-        let r = chi_square_uniform(&observed);
+        let r = chi_square_gof(&observed, &[100.0; 6], 0);
         assert_eq!(r.dof, 5);
         assert!(r.p_value > 0.9, "p={}", r.p_value);
         assert!(r.accepts(0.05));
@@ -165,7 +157,7 @@ mod tests {
     #[test]
     fn chi_square_rejects_loaded_die() {
         let observed = [300u64, 60, 60, 60, 60, 60];
-        let r = chi_square_uniform(&observed);
+        let r = chi_square_gof(&observed, &[100.0; 6], 0);
         assert!(r.p_value < 1e-6, "p={}", r.p_value);
         assert!(!r.accepts(0.05));
     }

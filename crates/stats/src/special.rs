@@ -1,4 +1,4 @@
-//! Special functions: `ln Γ`, regularized incomplete gamma, `erf`, normal CDF.
+//! Special functions: `ln Γ` and the regularized incomplete gamma.
 //!
 //! These are the numeric bedrock for the distribution CDFs in [`crate::dist`]
 //! and the chi-square p-values in [`crate::gof`]. Implementations follow
@@ -137,22 +137,6 @@ fn gamma_cont_frac(a: f64, x: f64) -> f64 {
     (h * (-x + a * x.ln() - ln_gamma(a)).exp()).clamp(0.0, 1.0)
 }
 
-/// Error function via `P(1/2, x²)`.
-pub fn erf(x: f64) -> f64 {
-    if x == 0.0 {
-        0.0
-    } else if x > 0.0 {
-        reg_lower_gamma(0.5, x * x)
-    } else {
-        -reg_lower_gamma(0.5, x * x)
-    }
-}
-
-/// Standard normal CDF.
-pub fn normal_cdf(x: f64) -> f64 {
-    0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,16 +200,6 @@ mod tests {
         close(cdf(1.0, 3.841_458_820_694_124), 0.95, 1e-9);
         close(cdf(5.0, 11.070_497_693_516_35), 0.95, 1e-9);
         close(cdf(10.0, 18.307_038_053_275_14), 0.95, 1e-9);
-    }
-
-    #[test]
-    fn erf_and_normal_cdf() {
-        close(erf(0.0), 0.0, 1e-15);
-        close(erf(1.0), 0.842_700_792_949_715, 1e-10);
-        close(erf(-1.0), -0.842_700_792_949_715, 1e-10);
-        close(normal_cdf(0.0), 0.5, 1e-12);
-        close(normal_cdf(1.959_963_985), 0.975, 1e-6);
-        close(normal_cdf(-1.959_963_985), 0.025, 1e-6);
     }
 
     #[test]

@@ -109,15 +109,6 @@ impl RunningStats {
         }
     }
 
-    /// Population variance (`n` denominator; 0.0 when empty).
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
     /// Unbiased sample standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
@@ -180,17 +171,6 @@ impl Summary {
     pub fn ci95(&self) -> (f64, f64) {
         let half = 1.959_963_985 * self.sem;
         (self.mean - half, self.mean + half)
-    }
-
-    /// `mean ± std_dev` formatted with the given precision, as in the
-    /// paper's error-bar plots.
-    pub fn format_pm(&self, precision: usize) -> String {
-        format!(
-            "{:.prec$} ± {:.prec$}",
-            self.mean,
-            self.std_dev,
-            prec = precision
-        )
     }
 }
 
@@ -281,11 +261,5 @@ mod tests {
         let w1 = few.ci95().1 - few.ci95().0;
         let w2 = many.ci95().1 - many.ci95().0;
         assert!(w2 < w1);
-    }
-
-    #[test]
-    fn format_pm_is_stable() {
-        let s = RunningStats::from_iter([1.0, 2.0, 3.0]).summary();
-        assert_eq!(s.format_pm(2), "2.00 ± 1.00");
     }
 }

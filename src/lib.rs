@@ -27,9 +27,9 @@
 //! | [`coding`] | §5 extension: GF(256) randomized network coding for rumor mongering |
 //! | [`storage`] | §5 extension: replicated storage via dating-driven block exchange |
 //! | [`sim`] | node ids and SplitMix64 seed streams |
-//! | [`runtime`] | sans-I/O round runtime: per-node protocol state machines behind pluggable sequential / sharded-parallel / conditioned executors, plus the persistent [`WorkerPool`](runtime::WorkerPool) |
+//! | [`runtime`] | sans-I/O round runtime: per-node protocol state machines behind pluggable sequential / sharded-parallel / event-driven executors, network conditions and churn, plus the persistent [`WorkerPool`](runtime::WorkerPool) |
 //! | [`fleet`] | Monte-Carlo fleet engine, the one trial scheduler: persistent-pool sweeps with streaming (Welford) aggregation into machine-readable sweep reports, and `Fleet::map` for independent trials |
-//! | [`stats`] | Welford summaries, histograms, Poisson/Binomial/Hypergeometric/Geometric/Zipf, chi-square and KS tests |
+//! | [`stats`] | Welford summaries, Poisson/Binomial tails, the Hypergeometric pmf, Zipf weights, chi-square and KS tests, line fits |
 //!
 //! ## Quickstart
 //!
