@@ -6,8 +6,9 @@
 //! * `emit` — filling an [`EnvBatch`] through run-length `push`, and
 //!   reading it back in emission order (`iter` reconstructs seqs from
 //!   run headers);
-//! * `fate` — a fresh [`Conditions::fate_run`] per message vs the
-//!   hoisted kernel that derives the per-source seed once per run;
+//! * `fate` — a fresh [`Conditions::fate_run`] per message vs one per
+//!   run header, which keys the sender once and then pays one `mix` per
+//!   message for the loss test;
 //! * `deliver` — a full dating run on the sequential executor, which is
 //!   dominated by the route → slot-row → counting-delivery pass;
 //! * `deliver_mixed` — [`order_deliveries`] on a bucket that `k` send
@@ -20,7 +21,11 @@
 //!   same messages emitted from two phases so the lane's headers step
 //!   back and delivery merges two stretches (`two_phase`), under
 //!   `Uniform{1,3}` latency so fate files each send in one of three slot
-//!   rows (`spread`), and lane by lane on two shards
+//!   rows (`spread`), under `spread-faulty-seq`'s channel — loss 0.05,
+//!   `Uniform{1,2}`, intermittent churn 0.05 — so every send looks up
+//!   its sender's fate key and every round fills a churn mask (`faulty`;
+//!   down nodes do not send, so it moves ≈ 5 % fewer messages than the
+//!   throughput counts), and lane by lane on two shards
 //!   (`ShardedExecutor::run_in` on a 2-thread pool);
 //! * `event_queue` — the event executor's wake queue under the hold
 //!   model (pop the earliest wake, push the same node back one
@@ -40,7 +45,7 @@ use rand::rngs::SmallRng;
 use rendez_core::{Platform, UniformSelector};
 use rendez_runtime::batch::{order_deliveries, DeliverScratch};
 use rendez_runtime::{
-    AsyncSpread, Conditions, EnvBatch, EventExecutor, Executor, LatencyDist, Outbox, RoundObs,
+    AsyncSpread, Churn, Conditions, EnvBatch, EventExecutor, Executor, LatencyDist, Outbox, RoundObs,
     RoundProtocol, RunConfig, RuntimeDating, SequentialExecutor, ShardedExecutor, Spreader,
     Verdict, WakeQueue, WorkerPool, TICKS_PER_SEC,
 };
@@ -275,11 +280,17 @@ fn bench_route(c: &mut Criterion) {
     g.throughput(Throughput::Elements(ROUNDS * n as u64));
     let pool = WorkerPool::new(2);
     let spread = Conditions::with_latency(LatencyDist::Uniform { min: 1, max: 3 });
-    for (path, two_phase, cond, shards) in [
-        ("whole_batch", false, Conditions::ideal(), 1),
-        ("two_phase", true, Conditions::ideal(), 1),
-        ("spread", false, spread, 1),
-        ("sharded(2)", false, Conditions::ideal(), 2),
+    let faulty = Conditions {
+        drop_prob: 0.05,
+        latency: LatencyDist::Uniform { min: 1, max: 2 },
+    };
+    let (ideal, none) = (Conditions::ideal(), Churn::none());
+    for (path, two_phase, cond, churn, shards) in [
+        ("whole_batch", false, ideal, none, 1),
+        ("two_phase", true, ideal, none, 1),
+        ("spread", false, spread, none, 1),
+        ("faulty", false, faulty, Churn::intermittent(0.05), 1),
+        ("sharded(2)", false, ideal, none, 2),
     ] {
         g.bench_with_input(BenchmarkId::new(path, n), &n, |b, &n| {
             b.iter(|| {
@@ -287,12 +298,17 @@ fn bench_route(c: &mut Criterion) {
                     n: n as u32,
                     two_phase,
                 };
-                let cfg = RunConfig::seeded(1).max_rounds(ROUNDS).conditions(cond);
+                let cfg = RunConfig::seeded(1)
+                    .max_rounds(ROUNDS)
+                    .conditions(cond)
+                    .churn(churn);
                 let report = match shards {
                     1 => SequentialExecutor.run(&mut proto, n, &cfg),
                     _ => ShardedExecutor::new(shards).run_in(&pool, &mut proto, n, &cfg),
                 };
-                assert_eq!(report.stats.sent, ROUNDS * n as u64);
+                if churn.is_none() {
+                    assert_eq!(report.stats.sent, ROUNDS * n as u64);
+                }
                 report.stats.delivered
             });
         });

@@ -36,8 +36,9 @@
 //!    where it is sent: `Lanes::push` files it in the lane of its
 //!    destination's shard and — when the channel loses messages or
 //!    spreads latencies — of the delivery slot its fate
-//!    ([`FateRun::fate`], a pure function of `(seed, src, seq)`) assigns,
-//!    and sets a lost message aside to be counted. Routing a round's
+//!    ([`FateRun::fate`](crate::FateRun::fate), a pure function of
+//!    `(seed, src, seq)`) assigns, and sets a lost message aside to be
+//!    counted. Routing a round's
 //!    sends is then a tally and a move of each lane; no message is
 //!    copied, filtered or regrouped between the send and
 //!    `order_deliveries`.
@@ -59,9 +60,10 @@
 //!
 //! lint: deterministic
 
-use crate::conditions::{Conditions, FateRun};
+use crate::conditions::{fate_keys, Conditions, FateLaw};
 use crate::exec::{link, NIL};
-use rendez_sim::NodeId;
+use rendez_sim::{NodeId, SeedKey};
+use std::ops::Range;
 
 /// Run-length header of an [`EnvBatch`]: `len` consecutive messages
 /// sent by `src`, message `k` of the run carrying sequence number
@@ -370,10 +372,13 @@ pub(crate) struct Fated<M> {
     lane_of: LaneOf,
     dests: usize,
     min_latency: u64,
-    seed: u64,
-    /// The fate kernel of the sender that sent last; re-keyed when
-    /// another sends (one `derive_seed` per sender and phase).
-    fate: (NodeId, FateRun),
+    law: FateLaw,
+    /// First id of the sending shard.
+    base: usize,
+    /// One fate key per node of the sending shard, sender `src`'s at
+    /// `src − base`, derived when the run starts: a send pays one `mix`
+    /// for its loss test and one for its latency draw, nothing to re-key.
+    keys: Vec<SeedKey>,
 }
 
 /// How many latencies `cond` can assign: the lanes a shard emits into
@@ -385,14 +390,12 @@ pub(crate) fn slot_rows(cond: &Conditions) -> usize {
 
 impl<M> Fated<M> {
     /// [`Lanes::push`] where fate is decided: file the message under the
-    /// latency [`FateRun::fate`] gives it, or with the lost. A call of
+    /// latency its sender's key gives it, or with the lost. A call of
     /// its own, so the other layouts keep a plain [`EnvBatch::push`]'s frame.
     #[inline(never)]
     fn push(&mut self, src: NodeId, seq: u64, dst: NodeId, msg: M) {
-        if self.fate.0 != src {
-            self.fate = (src, self.fate.1.for_src(self.seed, src));
-        }
-        let Some(latency) = self.fate.1.fate(seq) else {
+        let key = self.keys[src.index() - self.base];
+        let Some(latency) = self.law.fate(key, seq) else {
             self.lost.push(msg);
             return;
         };
@@ -413,11 +416,19 @@ impl<M> Lanes<M> {
         }
     }
 
-    /// Empty lanes for `dests ≥ 1` destination shards of `chunk ≥ 1` ids
-    /// in the run keyed by `seed` under `cond`: one row of them per
-    /// latency the channel can assign ([`slot_rows`]). Lossless fixed
-    /// latency needs no fate and gets the layouts of [`new`](Self::new).
-    pub(crate) fn conditioned(dests: usize, chunk: usize, seed: u64, cond: &Conditions) -> Self {
+    /// Empty lanes for `dests ≥ 1` destination shards of `chunk ≥ 1` ids,
+    /// filled by the senders `ids` of the run keyed by `seed` under
+    /// `cond`: one row of them per latency the channel can assign
+    /// ([`slot_rows`]). Lossless fixed latency needs no fate and gets the
+    /// layouts of [`new`](Self::new); otherwise every sender's fate key
+    /// is derived here.
+    pub(crate) fn conditioned(
+        dests: usize,
+        chunk: usize,
+        seed: u64,
+        cond: &Conditions,
+        ids: Range<usize>,
+    ) -> Self {
         let rows = slot_rows(cond);
         if cond.drop_prob <= 0.0 && rows == 1 {
             return Self::new(dests, chunk);
@@ -428,8 +439,9 @@ impl<M> Lanes<M> {
             lane_of: LaneOf::new(chunk),
             dests,
             min_latency: cond.latency.min_latency(),
-            seed,
-            fate: (NodeId(0), cond.fate_run(seed, NodeId(0))),
+            law: cond.fate_law(),
+            base: ids.start,
+            keys: fate_keys(seed, ids),
         })
     }
 
@@ -749,16 +761,17 @@ mod tests {
     const SRCS: u32 = 6;
     const DSTS: usize = 8;
 
-    /// One round's emission: in each phase senders emit in ascending id
-    /// order (the engine's id-order hooks), seq counters carrying over.
-    fn emission(phases: &[Vec<(u32, u32)>]) -> Vec<Sent> {
+    /// One round's emission by the shard of senders `base..base + SRCS`:
+    /// in each phase senders emit in ascending id order (the engine's
+    /// id-order hooks), seq counters carrying over.
+    fn emission(phases: &[Vec<(u32, u32)>], base: u32) -> Vec<Sent> {
         let mut seqs = [0u64; SRCS as usize];
         let mut sends = Vec::new();
         for phase in phases {
             let mut phase = phase.clone();
             phase.sort_by_key(|&(src, _)| src);
             for (src, dst) in phase {
-                sends.push(sent(src, dst, seqs[src as usize]));
+                sends.push(sent(base + src, dst, seqs[src as usize]));
                 seqs[src as usize] += 1;
             }
         }
@@ -784,7 +797,9 @@ mod tests {
         /// Filing at the send ≡ per-envelope fate plus a `(dst, src, seq)`
         /// sort, per delivery slot and destination shard, deliveries and
         /// `NetStats` alike. One phase gives src-ascending lanes; two or
-        /// three usually lanes whose headers step back.
+        /// three usually lanes whose headers step back. The sending shard
+        /// is shard 0 of 1, 1 of 2 or 2 of 3 of `SRCS`-id shards, so a
+        /// fate key looked up by `src` instead of `src − base` shows.
         #[test]
         fn lanes_filed_at_the_send_equal_the_per_envelope_reference(
             phases in proptest::collection::vec(
@@ -793,6 +808,7 @@ mod tests {
             ),
             pick in 0usize..4,
             sharded in proptest::prelude::any::<bool>(),
+            sender in 0u32..3,
             seed in proptest::prelude::any::<u64>(),
         ) {
             let cond = [
@@ -805,7 +821,8 @@ mod tests {
             let chunk = DSTS.div_ceil(dests);
             let rows = slot_rows(&cond);
             let first_slot = cond.latency_slots() - rows;
-            let sends = emission(&phases);
+            let base = sender * SRCS;
+            let sends = emission(&phases, base);
 
             let mut want_stats = NetStats::default();
             let mut due: Vec<Vec<Sent>> = vec![Vec::new(); rows * dests];
@@ -828,7 +845,8 @@ mod tests {
                 })
                 .collect();
 
-            let mut lanes = Lanes::conditioned(dests, chunk, seed, &cond);
+            let ids = base as usize..(base + SRCS) as usize;
+            let mut lanes = Lanes::conditioned(dests, chunk, seed, &cond, ids);
             proptest::prop_assert_eq!(
                 matches!(lanes, Lanes::Fated(_)),
                 !cond.is_ideal(),

@@ -23,8 +23,8 @@
 //!
 //! lint: deterministic
 
-use crate::conditions::to_unit;
-use rendez_sim::{derive_seed, NodeId, SplitMix64};
+use crate::conditions::{drop_threshold, to_unit};
+use rendez_sim::{derive_seed, NodeId, SeedKey, SplitMix64};
 
 /// Salt separating the churn stream from node RNG and message-fate streams.
 const CHURN_SALT: u64 = 0xDEAD_BEA7_u64;
@@ -159,8 +159,8 @@ impl Churn {
             ChurnModel::None => true,
             _ if self.protected == Some(node) => true,
             ChurnModel::Intermittent { down_prob } => {
-                let per_node = derive_seed(seed ^ CHURN_SALT, node.0 as u64);
-                to_unit(derive_seed(per_node, round)) >= down_prob
+                let h = derive_seed(derive_seed(seed ^ CHURN_SALT, node.0 as u64), round);
+                to_unit(h) >= down_prob
             }
             ChurnModel::CrashStop { fail_frac, horizon } => {
                 let h = derive_seed(seed ^ CHURN_SALT, node.0 as u64);
@@ -184,17 +184,19 @@ impl Churn {
     }
 
     /// Hoist the per-node half of the liveness hash for the id range
-    /// `base..base + len`: `derive_seed(seed ^ CHURN_SALT, node)` is
-    /// computed once per node up front instead of once per round — and
-    /// for crash-stop churn the whole crash schedule is resolved, making
-    /// the per-round check a plain comparison.
+    /// `base..base + len`: the key of each node's seed
+    /// `derive_seed(seed ^ CHURN_SALT, node)` is derived once up front,
+    /// from one master key — and for crash-stop churn the whole crash
+    /// schedule is resolved, making the per-round check a plain
+    /// comparison.
     pub(crate) fn cache(&self, seed: u64, base: usize, len: usize) -> ChurnCache {
+        let master = SeedKey::new(seed ^ CHURN_SALT);
         match self.model {
             ChurnModel::None => ChurnCache::None,
             ChurnModel::Intermittent { down_prob } => ChurnCache::Intermittent {
-                down_prob,
-                per_node: (0..len)
-                    .map(|off| derive_seed(seed ^ CHURN_SALT, (base + off) as u64))
+                up_from: drop_threshold(down_prob),
+                keys: (base..base + len)
+                    .map(|node| SeedKey::new(master.derive(node as u64)))
                     .collect(),
                 protected: self
                     .protected
@@ -209,7 +211,7 @@ impl Churn {
                         if self.protected == Some(node) {
                             return u64::MAX;
                         }
-                        let h = derive_seed(seed ^ CHURN_SALT, node.0 as u64);
+                        let h = master.derive(node.0 as u64);
                         if to_unit(h) >= fail_frac {
                             u64::MAX
                         } else {
@@ -230,11 +232,13 @@ impl Churn {
 pub(crate) enum ChurnCache {
     /// No churn: every node live, the mask fill is a `fill(true)`.
     None,
-    /// Per-node stream seeds hoisted; each round costs one `derive_seed`
-    /// per node instead of two.
+    /// Per-node stream keys hoisted; each round costs one `mix` and one
+    /// integer compare per node.
     Intermittent {
-        down_prob: f64,
-        per_node: Vec<u64>,
+        /// A node is up when `(h >> 11) >= up_from`: `to_unit(h) >=
+        /// down_prob` in integers ([`drop_threshold`]).
+        up_from: u64,
+        keys: Vec<SeedKey>,
         /// Offset of the protected node within the range, if in range.
         protected: Option<usize>,
     },
@@ -254,12 +258,12 @@ impl ChurnCache {
         match self {
             ChurnCache::None => mask.fill(true),
             ChurnCache::Intermittent {
-                down_prob,
-                per_node,
+                up_from,
+                keys,
                 protected,
             } => {
-                for (off, live) in mask.iter_mut().enumerate() {
-                    *live = to_unit(derive_seed(per_node[off], round)) >= *down_prob;
+                for (live, key) in mask.iter_mut().zip(keys) {
+                    *live = (key.derive(round) >> 11) >= *up_from;
                 }
                 if let Some(p) = protected {
                     mask[*p] = true;
@@ -359,27 +363,30 @@ mod tests {
 
     #[test]
     fn cache_matches_alive_bit_for_bit() {
-        // The hoisted per-node streams must reproduce every liveness bit
-        // of the uncached hash chain — including protected nodes inside
-        // and outside the cached range.
-        let configs = [
+        // The hoisted per-node keys and the integer threshold must
+        // reproduce every liveness bit of the uncached float-compare hash
+        // chain — at the edge probabilities too, with protected nodes
+        // inside and outside the cached range, which starts at 0 or not.
+        let mut configs = vec![
             Churn::none(),
-            Churn::intermittent(0.3),
-            Churn::intermittent(0.3).protect(NodeId(105)),
-            Churn::intermittent(0.3).protect(NodeId(5)), // out of range
             Churn::crash_stop(0.4, 25),
             Churn::crash_stop(0.4, 25).protect(NodeId(117)),
         ];
+        for down_prob in [0.0, f64::from_bits(1), 0.05, 0.5, 1.0 - f64::EPSILON] {
+            let churn = Churn::intermittent(down_prob);
+            configs.extend([churn, churn.protect(NodeId(105)), churn.protect(NodeId(5))]);
+        }
         for churn in configs {
-            let (base, len) = (100usize, 40usize);
-            let cache = churn.cache(0xC0FFEE, base, len);
-            assert_eq!(cache.is_none(), churn.is_none());
-            let mut mask = vec![false; len];
-            let mut reference = vec![false; len];
-            for round in 0..60 {
-                cache.fill_live_mask(round, &mut mask);
-                churn.fill_live_mask(0xC0FFEE, round, base, &mut reference);
-                assert_eq!(mask, reference, "churn={churn:?} round={round}");
+            for (base, len) in [(0usize, 40usize), (100, 40)] {
+                let cache = churn.cache(0xC0FFEE, base, len);
+                assert_eq!(cache.is_none(), churn.is_none());
+                let mut mask = vec![false; len];
+                let mut reference = vec![false; len];
+                for round in 0..60 {
+                    cache.fill_live_mask(round, &mut mask);
+                    churn.fill_live_mask(0xC0FFEE, round, base, &mut reference);
+                    assert_eq!(mask, reference, "churn={churn:?} base={base} round={round}");
+                }
             }
         }
     }

@@ -11,10 +11,27 @@
 //!
 //! lint: deterministic
 
-use rendez_sim::{derive_seed, NodeId, SplitMix64};
+use rendez_sim::{NodeId, SeedKey, SplitMix64};
+use std::ops::Range;
 
 /// Salt separating the conditioning stream from node RNG streams.
 const FATE_SALT: u64 = 0xC01D_F47E_u64;
+
+/// Sender `src`'s fate key in the run whose fate master key is `master`
+/// (`SeedKey::new(seed ^ FATE_SALT)`): the key of the sender's seed
+/// `derive_seed(seed ^ FATE_SALT, src)`, so that the hash of its message
+/// `seq`, `derive_seed(sender seed, seq)`, is one `derive` away.
+fn sender_key(master: SeedKey, src: usize) -> SeedKey {
+    SeedKey::new(master.derive(src as u64))
+}
+
+/// The fate keys of the senders `ids` in the run keyed by `seed`, one
+/// per node, from one master key: what a shard's fated lanes look a
+/// sender up in.
+pub(crate) fn fate_keys(seed: u64, ids: Range<usize>) -> Vec<SeedKey> {
+    let master = SeedKey::new(seed ^ FATE_SALT);
+    ids.map(|src| sender_key(master, src)).collect()
+}
 
 /// Latency distribution for conditioned delivery (in whole rounds ≥ 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -122,10 +139,12 @@ pub(crate) fn to_unit(u: u64) -> f64 {
 /// 53-bit integer `h >> 11` by an exact power of two, so the float
 /// compare is the real-number compare `h >> 11 < drop_prob · 2⁵³` (that
 /// product is exact too), and an integer is below a real exactly when
-/// it is below its ceiling — taken here without a libm call, since this
-/// runs once per sender and round. The casts saturate: NaN and negative
-/// probabilities give 0 = never drop, like the float compare.
-fn drop_threshold(drop_prob: f64) -> u64 {
+/// it is below its ceiling — taken here without a libm call. The casts
+/// saturate: NaN and negative probabilities give 0 = never drop, like
+/// the float compare. Negated, it is churn's liveness test:
+/// `to_unit(h) >= p` exactly when `(h >> 11) >= drop_threshold(p)`, for
+/// every `p` but NaN.
+pub(crate) fn drop_threshold(drop_prob: f64) -> u64 {
     let scaled = drop_prob * (1u64 << 53) as f64;
     let floor = scaled as u64;
     floor.saturating_add(u64::from((floor as f64) < scaled))
@@ -189,57 +208,44 @@ impl Conditions {
         self.latency.max_latency() as usize
     }
 
-    /// Hoist the per-sender half of the fate hash: derive
-    /// `derive_seed(seed ^ FATE_SALT, src)` once, then decide any number
-    /// of that sender's messages with [`FateRun::fate`] at one
-    /// `derive_seed` per message instead of two.
-    pub fn fate_run(&self, seed: u64, src: NodeId) -> FateRun {
-        FateRun {
-            per_src: 0,
+    /// What these conditions do to a message, given its sender's fate
+    /// key: the loss threshold and the latency law.
+    pub(crate) fn fate_law(&self) -> FateLaw {
+        FateLaw {
             drop_below: drop_threshold(self.drop_prob),
             latency: self.latency,
-            ideal: self.is_ideal(),
         }
-        .for_src(seed, src)
+    }
+
+    /// Hoist the per-sender half of the fate hash: key `src`'s seed
+    /// `derive_seed(seed ^ FATE_SALT, src)` once, then decide any number
+    /// of that sender's messages with [`FateRun::fate`] at one `mix` for
+    /// the loss test (and one more for a latency draw) per message.
+    pub fn fate_run(&self, seed: u64, src: NodeId) -> FateRun {
+        let key = (!self.is_ideal()).then(|| sender_key(SeedKey::new(seed ^ FATE_SALT), src.index()));
+        FateRun {
+            key,
+            law: self.fate_law(),
+        }
     }
 }
 
-/// The hoisted fate kernel for one sender's message stream: the
-/// per-sender seed is computed once by [`Conditions::fate_run`], after
-/// which each message costs a single `derive_seed` — or nothing at all
-/// under ideal conditions.
+/// The loss threshold and latency law of a conditioned channel: a
+/// message's fate once its sender's key is known. The executors keep one
+/// per shard and a key per sender ([`fate_keys`]).
 #[derive(Debug, Clone, Copy)]
-pub struct FateRun {
-    per_src: u64,
+pub(crate) struct FateLaw {
     /// [`drop_threshold`] of the conditions' `drop_prob`.
     drop_below: u64,
     latency: LatencyDist,
-    ideal: bool,
 }
 
-impl FateRun {
-    /// The same conditions' kernel for another sender of the run keyed
-    /// by `seed`: re-derives the per-sender seed only, not the loss
-    /// threshold — what a routing pass over many senders wants.
-    pub fn for_src(self, seed: u64, src: NodeId) -> FateRun {
-        let per_src = if self.ideal {
-            0
-        } else {
-            derive_seed(seed ^ FATE_SALT, src.0 as u64)
-        };
-        FateRun { per_src, ..self }
-    }
-
-    /// Decide the fate of the sender's message number `seq`: `None` =
+impl FateLaw {
+    /// The fate of message `seq` of the sender keyed `key`: `None` =
     /// lost, `Some(l)` = delivered `l ≥ 1` rounds after sending.
-    /// Deterministic in `(seed, src, seq)` alone: the same message gets
-    /// the same fate no matter which executor or thread asks.
     #[inline]
-    pub fn fate(&self, seq: u64) -> Option<u64> {
-        if self.ideal {
-            return Some(1);
-        }
-        let h = derive_seed(self.per_src, seq);
+    pub(crate) fn fate(&self, key: SeedKey, seq: u64) -> Option<u64> {
+        let h = key.derive(seq);
         if (h >> 11) < self.drop_below {
             return None;
         }
@@ -248,10 +254,35 @@ impl FateRun {
     }
 }
 
+/// The hoisted fate kernel for one sender's message stream: the sender's
+/// key is derived once by [`Conditions::fate_run`], after which each
+/// message costs one `mix` for the loss test and one for a latency draw
+/// — or nothing at all under ideal conditions.
+#[derive(Debug, Clone, Copy)]
+pub struct FateRun {
+    /// The sender's fate key; `None` on an ideal channel.
+    key: Option<SeedKey>,
+    law: FateLaw,
+}
+
+impl FateRun {
+    /// Decide the fate of the sender's message number `seq`: `None` =
+    /// lost, `Some(l)` = delivered `l ≥ 1` rounds after sending.
+    /// Deterministic in `(seed, src, seq)` alone: the same message gets
+    /// the same fate no matter which executor or thread asks.
+    #[inline]
+    pub fn fate(&self, seq: u64) -> Option<u64> {
+        match self.key {
+            None => Some(1),
+            Some(key) => self.law.fate(key, seq),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rendez_sim::NodeId;
+    use rendez_sim::{derive_seed, NodeId};
 
     #[test]
     fn ideal_is_always_next_round() {
@@ -358,10 +389,25 @@ mod tests {
         }
     }
 
+    #[test]
+    fn fate_keys_decide_like_fate_run() {
+        let c = Conditions {
+            drop_prob: 0.3,
+            latency: LatencyDist::Uniform { min: 1, max: 4 },
+        };
+        let (law, ids) = (c.fate_law(), 1_000..1_040);
+        for (src, key) in ids.clone().zip(fate_keys(0xBEEF, ids)) {
+            let run = c.fate_run(0xBEEF, NodeId::from_index(src));
+            for seq in 0..200 {
+                assert_eq!(law.fate(key, seq), run.fate(seq), "src {src} seq {seq}");
+            }
+        }
+    }
+
     proptest::proptest! {
-        /// The integer loss test is the float one, bit for bit: random
-        /// and edge-case probabilities, hashes random and straddling the
-        /// threshold.
+        /// The integer loss test is the float one, bit for bit, and so is
+        /// its negation, churn's liveness test: random and edge-case
+        /// probabilities, hashes random and straddling the threshold.
         #[test]
         fn drop_threshold_equals_float_compare(
             h in proptest::prelude::any::<u64>(),
@@ -385,6 +431,7 @@ mod tests {
                 k => ((t + k).saturating_sub(2) << 11) | (h & 0x7FF),
             };
             proptest::prop_assert_eq!((h >> 11) < t, p > 0.0 && to_unit(h) < p, "p={}, h={}", p, h);
+            proptest::prop_assert_eq!((h >> 11) >= t, to_unit(h) >= p, "p={}, h={}", p, h);
         }
     }
 

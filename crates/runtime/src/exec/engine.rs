@@ -97,7 +97,7 @@ use crate::conditions::Conditions;
 use crate::proto::{observe_nodes, Outbox, RoundObs, RoundProtocol, Verdict};
 use crate::report::{NetStats, RunConfig, RunReport, TimeAxis};
 use rand::rngs::SmallRng;
-use rendez_sim::{small_rng_for, NodeId};
+use rendez_sim::{NodeId, SeedKey};
 use std::collections::VecDeque;
 
 /// Shard layout of one run: `shards` contiguous ranges of `chunk` ids
@@ -287,8 +287,11 @@ impl<P: RoundProtocol> Shard<P> {
     fn new(proto: &P, cfg: &RunConfig, geo: Geometry, s: usize) -> Self {
         let base = s * geo.chunk;
         let len = geo.chunk.min(geo.n - base);
+        // Node `i`'s stream is `small_rng_for(seed, i)`, the seed's key
+        // derived once.
+        let key = SeedKey::new(cfg.seed);
         let mut rngs: Vec<SmallRng> = (base..base + len)
-            .map(|i| small_rng_for(cfg.seed, i as u64))
+            .map(|i| key.small_rng(i as u64))
             .collect();
         let nodes = rngs
             .iter_mut()
@@ -306,7 +309,13 @@ impl<P: RoundProtocol> Shard<P> {
             arena: NodeArena::new(base, len),
             // Backed when the first round begins, like every lane that
             // was handed over.
-            fresh: Lanes::conditioned(geo.shards, geo.chunk, cfg.seed, &cfg.conditions),
+            fresh: Lanes::conditioned(
+                geo.shards,
+                geo.chunk,
+                cfg.seed,
+                &cfg.conditions,
+                base..base + len,
+            ),
             stand_in: [0; 2],
             ds: DeliverScratch::default(),
             pool: Vec::new(),

@@ -11,7 +11,8 @@
 //!   exponential inversion of a unit uniform hashed from
 //!   `(seed, node, seq)` — never drawn from a shared RNG — so the whole
 //!   event schedule is a pure function of the seed, exactly like message
-//!   fate and churn liveness in the round executors.
+//!   fate and churn liveness in the round executors. Each node keeps the
+//!   key of its `(seed, node)` half, so a wake costs one `mix`.
 //! * **Integer simulated time.** Wake times are `u64` nanosecond ticks
 //!   ([`TICKS_PER_SEC`]); event order is the total order on
 //!   `(ticks, node)` with no float comparisons anywhere, so traces
@@ -65,7 +66,7 @@ use crate::conditions::to_unit;
 use crate::proto::{AsyncProtocol, Outbox, RoundObs, Verdict};
 use crate::report::{NetStats, RunConfig, RunReport, TimeAxis};
 use rand::rngs::SmallRng;
-use rendez_sim::{derive_seed, small_rng_for, NodeId, SplitMix64};
+use rendez_sim::{NodeId, SeedKey, SplitMix64};
 
 /// Simulated-time resolution: one tick is a nanosecond, so `u64` holds
 /// ~584 years of simulated time and every comparison is integral.
@@ -80,9 +81,9 @@ const WAKE_SALT: u64 = 0xA57C_C10C;
 struct Slot<N> {
     /// The node's one outstanding wake, in ticks.
     wake_at: u64,
-    /// The node's wake-clock stream ([`EventExecutor::wake_stream`]),
+    /// The node's wake-clock key ([`EventExecutor::wake_stream`]),
     /// derived once instead of once per wake.
-    wake_stream: u64,
+    wake_stream: SeedKey,
     /// Wakes taken so far — the index of the next inter-arrival.
     wake_seq: u64,
     /// The node's send counter ([`Outbox`] sequence numbers).
@@ -156,19 +157,21 @@ impl EventExecutor {
         "event".to_string()
     }
 
-    /// Node `node`'s wake-clock stream: the part of the wake hash that
-    /// does not depend on the wake index, derived once per node.
-    fn wake_stream(seed: u64, node: u64) -> u64 {
-        derive_seed(seed ^ WAKE_SALT, node)
+    /// Node `node`'s wake-clock stream, given the run's wake master key
+    /// `SeedKey::new(seed ^ WAKE_SALT)`: the key of the node's seed
+    /// `derive_seed(seed ^ WAKE_SALT, node)`, the part of the wake hash
+    /// that does not depend on the wake index, derived once per node.
+    fn wake_stream(master: SeedKey, node: u64) -> SeedKey {
+        SeedKey::new(master.derive(node))
     }
 
     /// The `seq`-th exponential inter-arrival of the node whose
-    /// [`wake_stream`](Self::wake_stream) is `stream`, in ticks ≥ 1.
-    /// A pure function of `(seed, node, seq)` — the async leg of the
-    /// determinism contract.
+    /// [`wake_stream`](Self::wake_stream) is `stream`, in ticks ≥ 1: one
+    /// `mix` and the inversion. A pure function of `(seed, node, seq)` —
+    /// the async leg of the determinism contract.
     #[inline]
-    fn wake_dt(&self, stream: u64, seq: u64) -> u64 {
-        let u = to_unit(derive_seed(stream, seq));
+    fn wake_dt(&self, stream: SeedKey, seq: u64) -> u64 {
+        let u = to_unit(stream.derive(seq));
         let dt = -(1.0 - u).ln() / self.rate * TICKS_PER_SEC as f64;
         (dt as u64).max(1)
     }
@@ -199,13 +202,16 @@ impl EventExecutor {
 
         // The global observation, kept incrementally via retract/merge.
         let mut obs = RoundObs::default();
+        // Each master's key once: node `i`'s RNG is
+        // `small_rng_for(seed, i)`, its wake stream keyed from the salted seed.
+        let (rng_key, wake_key) = (SeedKey::new(cfg.seed), SeedKey::new(cfg.seed ^ WAKE_SALT));
         let mut slots: Vec<Slot<P::Node>> = (0..n)
             .map(|i| {
                 let id = NodeId(link(i));
-                let mut rng = small_rng_for(cfg.seed, i as u64);
+                let mut rng = rng_key.small_rng(i as u64);
                 let node = proto.init_node(id, &mut rng);
                 proto.observe_node(&node, id, &mut obs);
-                let wake_stream = Self::wake_stream(cfg.seed, i as u64);
+                let wake_stream = Self::wake_stream(wake_key, i as u64);
                 Slot {
                     wake_at: self.wake_dt(wake_stream, 0),
                     wake_stream,
@@ -317,6 +323,7 @@ impl EventExecutor {
 mod tests {
     use super::*;
     use rand::Rng;
+    use rendez_sim::derive_seed;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Every wake sends one ping to a random peer; pings are counted at
@@ -446,7 +453,7 @@ mod tests {
     fn wake_schedule_matches_the_rate() {
         // Mean inter-arrival over many hashed draws ≈ 1/rate seconds.
         let exec = EventExecutor::new(4.0);
-        let stream = EventExecutor::wake_stream(99, 7);
+        let stream = EventExecutor::wake_stream(SeedKey::new(99 ^ WAKE_SALT), 7);
         let draws = 20_000u64;
         let total: u64 = (0..draws).map(|s| exec.wake_dt(stream, s)).sum();
         let mean_s = total as f64 / draws as f64 / TICKS_PER_SEC as f64;
@@ -466,8 +473,9 @@ mod tests {
         };
         for (rate, seed) in [(1.0, 0u64), (0.37, 0xBEEF), (250.0, u64::MAX)] {
             let exec = EventExecutor::new(rate);
+            let master = SeedKey::new(seed ^ WAKE_SALT);
             for node in (0..100u64).map(|k| k * k * 977) {
-                let stream = EventExecutor::wake_stream(seed, node);
+                let stream = EventExecutor::wake_stream(master, node);
                 for seq in (0..100u64).map(|k| k * 31) {
                     assert_eq!(
                         exec.wake_dt(stream, seq),

@@ -457,6 +457,44 @@ fn pooled_scenarios_match_sequential_under_every_routing_condition() {
     }
 }
 
+#[test]
+fn the_faulty_workload_matches_sequential_at_every_shard_count() {
+    // Loss, a latency spread and intermittent churn at once: every
+    // shard's senders look their fate keys up from its own first id, and
+    // its churn mask starts there too.
+    let pool = WorkerPool::new(2);
+    let faulty = Conditions {
+        drop_prob: 0.05,
+        latency: LatencyDist::Uniform { min: 1, max: 2 },
+    };
+    for protocol in [Spreader::Dating, Spreader::PushPull] {
+        let base = Scenario::new(250)
+            .protocol(protocol)
+            .source(NodeId(117))
+            .conditions(faulty)
+            .churn(Churn::intermittent(0.05))
+            .max_rounds(90);
+        for seed in [1, 0xBEEF] {
+            let reference = base.clone().sequential().run(seed).expect("valid");
+            assert!(reference.stats.dropped > 0 && reference.stats.churn_lost > 0);
+            for shards in [1, 2, 3, 5] {
+                let sharded = base.clone().sharded(shards);
+                for (path, report) in [
+                    ("run", sharded.run(seed)),
+                    ("run_pooled", sharded.run_pooled(&pool, seed)),
+                ] {
+                    let report = report.expect("valid");
+                    let what = format!("{protocol} seed={seed} shards={shards} {path}");
+                    assert_eq!(reference.digests, report.digests, "{what}");
+                    assert_eq!(reference.stats, report.stats, "{what}");
+                    assert_eq!(reference.rounds, report.rounds, "{what}");
+                    assert_eq!(reference.output, report.output, "{what}");
+                }
+            }
+        }
+    }
+}
+
 /// Every node sends one message a round, to a round-dependent target,
 /// while `round < stop`, then falls silent; nodes count what they
 /// receive. A round's digest is the reception count so far, and the run

@@ -9,7 +9,8 @@
 //! * [`node`] — [`NodeId`], node-indexed helpers and the 4-byte optional
 //!   id ([`Partner`]) the dating messages carry;
 //! * [`rng`] — SplitMix64 seed derivation: one independent, reproducible
-//!   RNG stream per node, per trial, per purpose.
+//!   RNG stream per node, per trial, per purpose; a [`SeedKey`] holds
+//!   the master's half of the hash for loops over many streams.
 //!
 //! Monte-Carlo trials run on `rendez_fleet`'s worker pool: `Fleet::map`,
 //! which the `exp_*` harnesses use, gives trial `i` the seed
@@ -22,4 +23,4 @@ pub mod node;
 pub mod rng;
 
 pub use node::{NodeId, Partner};
-pub use rng::{derive_seed, small_rng_for, SplitMix64};
+pub use rng::{derive_seed, small_rng_for, SeedKey, SplitMix64};

@@ -40,20 +40,45 @@ impl SplitMix64 {
     }
 }
 
+/// The half of [`derive_seed`] that depends on the master alone: one
+/// [`SplitMix64::mix`] of it. `SeedKey::new(master).derive(stream)` is
+/// `derive_seed(master, stream)`, so a loop that derives many streams
+/// from one master keeps the key and pays one `mix` per stream instead
+/// of two.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeedKey(u64);
+
+impl SeedKey {
+    /// The key of `master`.
+    #[inline]
+    pub fn new(master: u64) -> Self {
+        SeedKey(SplitMix64::mix(master ^ 0xA076_1D64_78BD_642F))
+    }
+
+    /// `derive_seed(master, stream)` for this key's master.
+    #[inline]
+    pub fn derive(self, stream: u64) -> u64 {
+        SplitMix64::mix(self.0 ^ stream.wrapping_mul(0xE703_7ED1_A0B4_28DB))
+    }
+
+    /// `small_rng_for(master, stream)` for this key's master.
+    pub fn small_rng(self, stream: u64) -> SmallRng {
+        SmallRng::seed_from_u64(self.derive(stream))
+    }
+}
+
 /// Derive an independent seed for stream `stream` from `master`.
 ///
 /// Distinct `(master, stream)` pairs yield (with overwhelming probability)
 /// uncorrelated seeds; streams are stable across runs and platforms.
 #[inline]
 pub fn derive_seed(master: u64, stream: u64) -> u64 {
-    let mut s = SplitMix64::new(master ^ 0xA076_1D64_78BD_642F);
-    let a = s.next_u64();
-    SplitMix64::mix(a ^ stream.wrapping_mul(0xE703_7ED1_A0B4_28DB))
+    SeedKey::new(master).derive(stream)
 }
 
 /// A `SmallRng` seeded for `(master, stream)`.
 pub fn small_rng_for(master: u64, stream: u64) -> SmallRng {
-    SmallRng::seed_from_u64(derive_seed(master, stream))
+    SeedKey::new(master).small_rng(stream)
 }
 
 #[cfg(test)]
@@ -114,5 +139,23 @@ mod tests {
     fn mix_is_stateless_hash() {
         assert_eq!(SplitMix64::mix(12345), SplitMix64::mix(12345));
         assert_ne!(SplitMix64::mix(12345), SplitMix64::mix(12346));
+    }
+
+    proptest::proptest! {
+        /// A key derives what the two-step formula, written out, gives.
+        #[test]
+        fn seed_key_is_the_two_step_formula(
+            master in proptest::prelude::any::<u64>(),
+            stream in proptest::prelude::any::<u64>(),
+        ) {
+            let mut outer = SplitMix64::new(master ^ 0xA076_1D64_78BD_642F);
+            let inner = outer.next_u64();
+            let want = SplitMix64::mix(inner ^ stream.wrapping_mul(0xE703_7ED1_A0B4_28DB));
+            proptest::prop_assert_eq!(SeedKey::new(master).derive(stream), want);
+            proptest::prop_assert_eq!(
+                SeedKey::new(master).small_rng(stream).next_u64(),
+                small_rng_for(master, stream).next_u64()
+            );
+        }
     }
 }
