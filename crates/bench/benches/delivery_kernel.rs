@@ -45,9 +45,9 @@ use rand::rngs::SmallRng;
 use rendez_core::{Platform, UniformSelector};
 use rendez_runtime::batch::{order_deliveries, DeliverScratch};
 use rendez_runtime::{
-    AsyncSpread, Churn, Conditions, EnvBatch, EventExecutor, Executor, LatencyDist, Outbox, RoundObs,
-    RoundProtocol, RunConfig, RuntimeDating, SequentialExecutor, ShardedExecutor, Spreader,
-    Verdict, WakeQueue, WorkerPool, TICKS_PER_SEC,
+    AsyncSpread, Churn, Conditions, EnvBatch, EventExecutor, Executor, LatencyDist, Outbox,
+    RoundObs, RoundProtocol, RunConfig, RuntimeDating, SequentialExecutor, ShardedExecutor,
+    Spreader, Verdict, WakeQueue, WorkerPool, TICKS_PER_SEC,
 };
 use rendez_sim::{NodeId, SplitMix64};
 use std::cmp::Reverse;

@@ -95,6 +95,7 @@ fn print_table(report: &SweepReport, csv: bool) {
         csv,
     );
     for c in &report.cells {
+        let (lo, hi) = c.value.ci95();
         t.row(vec![
             c.cell.n.to_string(),
             c.cell.protocol.name().to_string(),
@@ -102,8 +103,8 @@ fn print_table(report: &SweepReport, csv: bool) {
             format!("{:.2}", c.cell.loss),
             format!("{}/{}", c.completed, c.trials),
             format!("{:.2}", c.value.mean),
-            format!("{:.2}", c.value.sd),
-            format!("[{:.2}, {:.2}]", c.value.ci95_lo, c.value.ci95_hi),
+            format!("{:.2}", c.value.std_dev),
+            format!("[{lo:.2}, {hi:.2}]"),
         ]);
     }
     t.print();

@@ -99,18 +99,7 @@ pub fn rumor_row_fleet(
                 cell.completed, trials,
                 "{spreader} (fleet) did not complete at n={n}"
             );
-            let m = cell.value;
-            (
-                spreader,
-                Summary {
-                    n: m.n,
-                    mean: m.mean,
-                    std_dev: m.sd,
-                    sem: m.sem,
-                    min: m.min,
-                    max: m.max,
-                },
-            )
+            (spreader, cell.value)
         })
         .collect()
 }

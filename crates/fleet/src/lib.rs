@@ -21,7 +21,8 @@
 //! * aggregation is **streaming** — Welford accumulators per metric
 //!   ([`rendez_stats::RunningStats`]), folded through fixed blocks,
 //!   never a per-trial vector — into one machine-readable
-//!   [`SweepReport`] (schema `rendez-fleet/sweep-v1`).
+//!   [`SweepReport`] (schema `rendez-fleet/sweep-v1`) whose metrics are
+//!   [`rendez_stats::Summary`] records.
 //!
 //! ## Determinism
 //!
@@ -61,7 +62,8 @@
 //! assert_eq!(report.cells.len(), 8);
 //! let push_ideal = &report.cells[0];
 //! assert_eq!(push_ideal.completed, 8);
-//! assert!(push_ideal.value.ci95_lo <= push_ideal.value.ci95_hi);
+//! let (lo, hi) = push_ideal.value.ci95();
+//! assert!(lo <= push_ideal.value.mean && push_ideal.value.mean <= hi);
 //!
 //! // The pool is an implementation detail: the serial baseline
 //! // produces the same report, byte for byte.
@@ -79,5 +81,5 @@ pub mod spec;
 
 pub use agg::{CellAgg, TrialPoint, TRIALS_PER_JOB};
 pub use engine::{run_serial, Fleet};
-pub use report::{CellReport, MetricSummary, SweepReport};
+pub use report::{CellReport, SweepReport};
 pub use spec::{Cell, SweepError, SweepSpec};

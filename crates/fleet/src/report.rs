@@ -11,61 +11,26 @@
 //! lint: deterministic
 
 use rendez_runtime::TimeModel;
-use rendez_stats::RunningStats;
+use rendez_stats::Summary;
 
 use crate::agg::{CellAgg, TRIALS_PER_JOB};
 use crate::spec::{Cell, SweepSpec};
 
-/// Streamed summary of one metric over a cell's completed trials.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MetricSummary {
-    /// Observations folded in.
-    pub n: u64,
-    /// Sample mean.
-    pub mean: f64,
-    /// Unbiased sample standard deviation.
-    pub sd: f64,
-    /// Standard error of the mean.
-    pub sem: f64,
-    /// Smallest observation (`+inf` when `n == 0`).
-    pub min: f64,
-    /// Largest observation (`-inf` when `n == 0`).
-    pub max: f64,
-    /// Lower bound of the normal-approximation 95% CI for the mean.
-    pub ci95_lo: f64,
-    /// Upper bound of the normal-approximation 95% CI for the mean.
-    pub ci95_hi: f64,
-}
-
-impl MetricSummary {
-    fn from_stats(stats: &RunningStats) -> Self {
-        let s = stats.summary();
-        let (ci95_lo, ci95_hi) = s.ci95();
-        Self {
-            n: s.n,
-            mean: s.mean,
-            sd: s.std_dev,
-            sem: s.sem,
-            min: s.min,
-            max: s.max,
-            ci95_lo,
-            ci95_hi,
-        }
-    }
-
-    fn render(&self, out: &mut String) {
-        out.push_str(&format!(
-            "{{\"n\": {}, \"mean\": {}, \"sd\": {}, \"sem\": {}, \"min\": {}, \"max\": {}, \"ci95_lo\": {}, \"ci95_hi\": {}}}",
-            self.n,
-            fnum(self.mean),
-            fnum(self.sd),
-            fnum(self.sem),
-            fnum(self.min),
-            fnum(self.max),
-            fnum(self.ci95_lo),
-            fnum(self.ci95_hi),
-        ));
-    }
+/// Render one metric's [`Summary`] as a JSON object, with its
+/// normal-approximation 95% CI for the mean as `ci95_lo` / `ci95_hi`.
+fn render_summary(s: &Summary, out: &mut String) {
+    let (ci95_lo, ci95_hi) = s.ci95();
+    out.push_str(&format!(
+        "{{\"n\": {}, \"mean\": {}, \"sd\": {}, \"sem\": {}, \"min\": {}, \"max\": {}, \"ci95_lo\": {}, \"ci95_hi\": {}}}",
+        s.n,
+        fnum(s.mean),
+        fnum(s.std_dev),
+        fnum(s.sem),
+        fnum(s.min),
+        fnum(s.max),
+        fnum(ci95_lo),
+        fnum(ci95_hi),
+    ));
 }
 
 /// One grid cell's aggregated results.
@@ -76,17 +41,17 @@ pub struct CellReport {
     /// Trials run.
     pub trials: u64,
     /// Trials whose protocol halted by itself; the metric summaries
-    /// cover exactly these.
+    /// cover exactly these (`min` / `max` are `±inf` when none did).
     pub completed: u64,
     /// Headline figure: legacy-equivalent spreading rounds, or total
     /// dates for the dating service.
-    pub value: MetricSummary,
+    pub value: Summary,
     /// Engine rounds per trial.
-    pub rounds: MetricSummary,
+    pub rounds: Summary,
     /// Messages sent per trial.
-    pub sent: MetricSummary,
+    pub sent: Summary,
     /// Messages delivered per trial.
-    pub delivered: MetricSummary,
+    pub delivered: Summary,
 }
 
 /// A whole sweep's results: the spec's deterministic identity plus one
@@ -111,10 +76,10 @@ impl SweepReport {
                 cell,
                 trials: agg.trials,
                 completed: agg.completed,
-                value: MetricSummary::from_stats(&agg.value),
-                rounds: MetricSummary::from_stats(&agg.rounds),
-                sent: MetricSummary::from_stats(&agg.sent),
-                delivered: MetricSummary::from_stats(&agg.delivered),
+                value: agg.value.summary(),
+                rounds: agg.rounds.summary(),
+                sent: agg.sent.summary(),
+                delivered: agg.delivered.summary(),
             })
             .collect();
         Self {
@@ -144,7 +109,7 @@ impl SweepReport {
             // (continuous) cells, keeping classic rounds-only sweeps
             // byte-identical to the pre-axis schema.
             let time_model = match c.cell.time_model {
-                TimeModel::Rounds(_) => String::new(),
+                TimeModel::Rounds => String::new(),
                 TimeModel::Continuous { rate } => {
                     format!("\"time_model\": \"continuous\", \"rate\": {}, ", fnum(rate))
                 }
@@ -171,7 +136,7 @@ impl SweepReport {
             .enumerate()
             {
                 out.push_str(&format!("     \"{key}\": "));
-                m.render(&mut out);
+                render_summary(m, &mut out);
                 out.push_str(if j < 3 { ",\n" } else { "}" });
             }
             out.push_str(if i + 1 < self.cells.len() {
@@ -245,7 +210,7 @@ mod tests {
         );
 
         let spec = spec.time_models(vec![
-            rendez_runtime::TimeModel::Rounds(rendez_runtime::ExecChoice::Sequential),
+            rendez_runtime::TimeModel::Rounds,
             rendez_runtime::TimeModel::Continuous { rate: 1.0 },
         ]);
         let mixed_json = run_serial(&spec).expect("runs").to_json();
@@ -270,9 +235,8 @@ mod tests {
 
     #[test]
     fn non_finite_stats_render_as_null() {
-        let m = MetricSummary::from_stats(&RunningStats::new());
         let mut s = String::new();
-        m.render(&mut s);
+        render_summary(&rendez_stats::RunningStats::new().summary(), &mut s);
         assert!(s.contains("\"min\": null"));
         assert!(s.contains("\"max\": null"));
         assert!(crate::json::parse(&s).is_ok());

@@ -11,9 +11,7 @@
 //!
 //! lint: deterministic
 
-use rendez_runtime::{
-    Churn, Conditions, ExecChoice, Scenario, ScenarioError, Spreader, TimeModel, MAX_NODES,
-};
+use rendez_runtime::{Churn, Conditions, Scenario, ScenarioError, Spreader, TimeModel, MAX_NODES};
 use rendez_sim::rng::derive_seed;
 
 /// A parameter sweep: the cartesian product of four axes, each cell
@@ -36,8 +34,8 @@ pub struct SweepSpec {
     pub losses: Vec<f64>,
     /// Time-model axis: synchronous rounds and/or continuous time, so
     /// one sweep can compare sync vs async cells. Defaults to the
-    /// single point `TimeModel::Rounds(ExecChoice::Sequential)` — the
-    /// classic sweep shape, with byte-identical JSON.
+    /// single point [`TimeModel::Rounds`] — the classic sweep shape,
+    /// with byte-identical JSON.
     pub time_models: Vec<TimeModel>,
     /// Monte-Carlo trials per cell.
     pub trials: u64,
@@ -64,7 +62,7 @@ impl SweepSpec {
             protocols: Vec::new(),
             churns: vec![0.0],
             losses: vec![0.0],
-            time_models: vec![TimeModel::Rounds(ExecChoice::Sequential)],
+            time_models: vec![TimeModel::Rounds],
             trials: 32,
             seed: 0,
             cycles: 30,
@@ -163,9 +161,9 @@ impl SweepSpec {
     }
 
     /// The runtime scenario for one cell — within-run always
-    /// single-threaded (sequential rounds, or the serial event loop for
-    /// continuous cells): the fleet's parallelism is across trials, not
-    /// within a run.
+    /// single-threaded (the builder's default sequential rounds, or the
+    /// serial event loop for continuous cells): the fleet's parallelism
+    /// is across trials, not within a run.
     ///
     /// # Panics
     /// Panics if the cell's churn or loss is outside `[0, 1)`;
@@ -338,17 +336,11 @@ mod tests {
 
     #[test]
     fn time_model_axis_multiplies_the_grid() {
-        let spec = tiny().time_models(vec![
-            TimeModel::Rounds(ExecChoice::Sequential),
-            TimeModel::Continuous { rate: 1.0 },
-        ]);
+        let spec = tiny().time_models(vec![TimeModel::Rounds, TimeModel::Continuous { rate: 1.0 }]);
         assert_eq!(spec.cell_count(), 32);
         let cells = spec.cells();
         // Time model is the innermost axis: it varies fastest.
-        assert_eq!(
-            cells[0].time_model,
-            TimeModel::Rounds(ExecChoice::Sequential)
-        );
+        assert_eq!(cells[0].time_model, TimeModel::Rounds);
         assert_eq!(cells[1].time_model, TimeModel::Continuous { rate: 1.0 });
         assert_eq!(cells[0].loss, cells[1].loss);
         for (i, c) in cells.iter().enumerate() {
@@ -409,6 +401,19 @@ mod tests {
         assert!(report.completed);
         let out = report.expect_output();
         assert!(out.async_spread().expect("async output").seconds() > 0.0);
+    }
+
+    #[test]
+    fn no_cell_runs_sharded() {
+        let spec = tiny().time_models(vec![TimeModel::Rounds, TimeModel::Continuous { rate: 1.0 }]);
+        for cell in spec.cells() {
+            let name = spec.scenario_for(&cell).executor_name();
+            assert!(
+                name == "sequential" || name == "event",
+                "cell {}: {name}",
+                cell.index
+            );
+        }
     }
 
     #[test]
@@ -476,7 +481,7 @@ mod tests {
             protocol: Spreader::Push,
             churn: 0.1,
             loss: 0.05,
-            time_model: TimeModel::Rounds(ExecChoice::Sequential),
+            time_model: TimeModel::Rounds,
         };
         let s = spec.scenario_for(&cell);
         assert_eq!(s.n(), 8);

@@ -85,8 +85,9 @@ fn every_cell_is_fully_sampled_and_summarized() {
         assert_eq!(cell.trials, spec.trials, "cell {}", cell.cell.index);
         assert!(cell.completed > 0, "cell {}", cell.cell.index);
         assert_eq!(cell.value.n, cell.completed);
+        let (lo, hi) = cell.value.ci95();
         assert!(
-            cell.value.ci95_lo <= cell.value.mean && cell.value.mean <= cell.value.ci95_hi,
+            lo <= cell.value.mean && cell.value.mean <= hi,
             "cell {}: CI must bracket the mean",
             cell.cell.index
         );

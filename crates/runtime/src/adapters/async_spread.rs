@@ -24,6 +24,7 @@
 //!
 //! lint: deterministic
 
+use super::gossip::GossipMsg;
 use crate::arena::STASH_REQUESTS;
 use crate::exec::TICKS_PER_SEC;
 use crate::proto::{AsyncProtocol, Outbox, RoundObs, Verdict};
@@ -78,15 +79,6 @@ impl AsyncSpreadNode {
     pub fn knows(&self) -> bool {
         self.informed
     }
-}
-
-/// Messages of the asynchronous gossip family.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AsyncGossipMsg {
-    /// The rumor itself (a push, or the answer to a pull request).
-    Rumor,
-    /// "Send me the rumor if you have it."
-    PullRequest,
 }
 
 /// The five Figure-2 gossip baselines in continuous time, selected by
@@ -148,7 +140,7 @@ impl AsyncSpread {
 
 impl AsyncProtocol for AsyncSpread {
     type Node = AsyncSpreadNode;
-    type Msg = AsyncGossipMsg;
+    type Msg = GossipMsg;
     type Output = AsyncSpreadSummary;
 
     fn init_node(&self, id: NodeId, _rng: &mut SmallRng) -> AsyncSpreadNode {
@@ -162,21 +154,21 @@ impl AsyncProtocol for AsyncSpread {
         node: &mut AsyncSpreadNode,
         _id: NodeId,
         from: NodeId,
-        msg: AsyncGossipMsg,
+        msg: GossipMsg,
         _now_ticks: u64,
         _rng: &mut SmallRng,
-        out: &mut Outbox<'_, AsyncGossipMsg>,
+        out: &mut Outbox<'_, GossipMsg>,
     ) {
         match msg {
-            AsyncGossipMsg::Rumor => node.informed = true,
-            AsyncGossipMsg::PullRequest => {
+            GossipMsg::Rumor => node.informed = true,
+            GossipMsg::PullRequest => {
                 if self.fair() {
                     // Fair variants answer at most one request per wake:
                     // park the requester in this activation's stash and
                     // pick in `on_wake`.
                     out.stash(STASH_REQUESTS, from);
                 } else if node.informed {
-                    out.send(from, AsyncGossipMsg::Rumor);
+                    out.send(from, GossipMsg::Rumor);
                 }
             }
         }
@@ -188,23 +180,23 @@ impl AsyncProtocol for AsyncSpread {
         _id: NodeId,
         _now_ticks: u64,
         rng: &mut SmallRng,
-        out: &mut Outbox<'_, AsyncGossipMsg>,
+        out: &mut Outbox<'_, GossipMsg>,
     ) {
         if self.fair() && node.informed {
             let pending = out.stash_len(STASH_REQUESTS);
             if pending > 0 {
                 let who = out.stash_at(STASH_REQUESTS, rng.gen_range(0..pending));
-                out.send(who, AsyncGossipMsg::Rumor);
+                out.send(who, GossipMsg::Rumor);
             }
         }
         if node.informed {
             if self.pushes() {
                 let dst = self.uniform_peer(rng);
-                out.send(dst, AsyncGossipMsg::Rumor);
+                out.send(dst, GossipMsg::Rumor);
             }
         } else if self.pulls() {
             let dst = self.uniform_peer(rng);
-            out.send(dst, AsyncGossipMsg::PullRequest);
+            out.send(dst, GossipMsg::PullRequest);
         }
     }
 

@@ -35,7 +35,8 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use rendez_sim::NodeId;
 
-/// Messages of the uniform-gossip baselines.
+/// Messages of the uniform-gossip baselines, in both time models
+/// ([`RtGossip`] and [`AsyncSpread`](super::AsyncSpread)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GossipMsg {
     /// The rumor itself (push transmission or pull answer).

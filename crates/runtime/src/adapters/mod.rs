@@ -30,7 +30,10 @@ mod spread;
 
 pub(crate) use spread::check_loss;
 
-pub use async_spread::{AsyncGossipMsg, AsyncSpread, AsyncSpreadNode, AsyncSpreadSummary};
+pub use async_spread::{AsyncSpread, AsyncSpreadNode, AsyncSpreadSummary};
 pub use dating::{DatingRunSummary, RuntimeDating};
+/// [`AsyncSpread`]'s messages by their earlier name; both time models
+/// speak [`GossipMsg`]. Still imported by `benchmark/src/probes.rs`.
+pub use gossip::GossipMsg as AsyncGossipMsg;
 pub use gossip::{GossipMsg, RtFairPull, RtFairPushPull, RtGossip, RtPull, RtPush, RtPushPull};
 pub use spread::{DatingSpreadMsg, RtDatingSpread, SpreadNode, SpreadRunSummary};

@@ -222,7 +222,8 @@ impl Conditions {
     /// of that sender's messages with [`FateRun::fate`] at one `mix` for
     /// the loss test (and one more for a latency draw) per message.
     pub fn fate_run(&self, seed: u64, src: NodeId) -> FateRun {
-        let key = (!self.is_ideal()).then(|| sender_key(SeedKey::new(seed ^ FATE_SALT), src.index()));
+        let key =
+            (!self.is_ideal()).then(|| sender_key(SeedKey::new(seed ^ FATE_SALT), src.index()));
         FateRun {
             key,
             law: self.fate_law(),

@@ -44,11 +44,6 @@ impl ShardedExecutor {
         Self { shards }
     }
 
-    /// One shard per available core.
-    pub fn auto() -> Self {
-        Self::new(0)
-    }
-
     /// The configured shard count.
     pub fn shards(&self) -> usize {
         self.shards

@@ -118,7 +118,4 @@ pub use exec::{
 pub use proto::{observe_nodes, AsyncProtocol, Outbox, RoundObs, RoundProtocol, SendHalf, Verdict};
 pub use registry::Spreader;
 pub use report::{NetStats, RunConfig, RunReport, TimeAxis};
-pub use scenario::{
-    ExecChoice, Scenario, ScenarioError, ScenarioReport, TimeModel, WorkloadOutput,
-    AUTO_SEQUENTIAL_BELOW, MAX_NODES,
-};
+pub use scenario::{Scenario, ScenarioError, ScenarioReport, TimeModel, WorkloadOutput, MAX_NODES};

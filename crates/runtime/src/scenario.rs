@@ -28,16 +28,21 @@
 //!
 //! ## Time models
 //!
-//! The builder's scheduling axis is the **time model** — synchronous
-//! rounds (under any round executor) or continuous time (exponential
-//! per-node wake clocks, on the [`EventExecutor`]) — selected via
-//! [`Scenario::time_model`]:
+//! The **time model** says what a run means: synchronous rounds (the
+//! paper's model) or continuous time (exponential per-node wake
+//! clocks, on the [`EventExecutor`]), selected via
+//! [`Scenario::time_model`]. Which round executor computes a rounds run
+//! — [`sequential`](Scenario::sequential) (the default) or
+//! [`sharded`](Scenario::sharded) — is a separate choice that changes
+//! wall-clock time and never the report. A continuous run ignores it:
+//! the event loop is serial.
 //!
 //! ```rust
-//! use rendez_runtime::{ExecChoice, Scenario, Spreader, TimeModel};
+//! use rendez_runtime::{Scenario, Spreader, TimeModel};
 //!
-//! // Rounds, executor picked from the node count.
-//! let sync = Scenario::new(50_000).time_model(TimeModel::Rounds(ExecChoice::Auto));
+//! // Rounds on two shards: the sequential report, computed in parallel.
+//! let sync = Scenario::new(5_000).protocol(Spreader::PushPull).sharded(2);
+//! assert_eq!(sync.executor_name(), "sharded(2)");
 //!
 //! // Asynchronous PUSH&PULL: each node wakes ~1.0 times per simulated
 //! // second; the report's time axis is simulated seconds + events.
@@ -49,10 +54,6 @@
 //! let out = report.expect_output();
 //! assert_eq!(out.async_spread().unwrap().final_informed(), 500);
 //! ```
-//!
-//! The [`sharded`](Scenario::sharded) / [`sequential`](Scenario::sequential)
-//! conveniences remain first-class sugar for
-//! `time_model(TimeModel::Rounds(...))`.
 //!
 //! lint: deterministic
 
@@ -69,53 +70,20 @@ use crate::report::{RunConfig, RunReport};
 use rendez_core::{NodeSelector, Platform, UniformSelector};
 use rendez_sim::NodeId;
 
-/// Below this node count, [`ExecChoice::Auto`] resolves to sequential
-/// execution.
-///
-/// A sharded round ends in a barrier, and below some round length the
-/// barrier costs more than the second core saves. Recorded with the
-/// lane-routing engine on the 2-vCPU shared host (dating spread to
-/// completion, sequential against `sharded(2)`, medians of three blocks
-/// of 12–60 runs each, EXPERIMENTS.md "route at emission"): at
-/// `n = 2 500` 24 / 22 / 18 ms against 28 / 23 / 18 ms, at `n = 10⁴`
-/// 129 / 115 / 89 ms against 125 / 86 / 81 ms, at `n = 5×10⁴`
-/// 842 / 811 / 806 ms against 509 / 481 / 476 ms — level at a few
-/// thousand nodes, 1.1–1.2× at 16 384, 1.2–1.4× at 32 768, 1.7× at
-/// 5×10⁴. That is the host at rest; when a neighbour takes a core
-/// mid-round the barrier waits for it, and a recording of the same
-/// sizes on a busy phase read 183 against 32 ms at `n = 2 500` and 337
-/// against 124 ms at `n = 10⁴`. 32 768 stays, as the conservative cut:
-/// below it sharding gains at most 1.2× on a host at rest and loses
-/// multiples on a busy one.
-pub const AUTO_SEQUENTIAL_BELOW: usize = 32_768;
-
-/// Round-executor selection for the synchronous time model
-/// ([`TimeModel::Rounds`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecChoice {
-    /// Run on the calling thread.
-    Sequential,
-    /// Run shard-parallel over `k` threads (`0` = one per core).
-    Sharded(usize),
-    /// Pick by node count: sequential below
-    /// [`AUTO_SEQUENTIAL_BELOW`], sharded (one shard per core) at or
-    /// above it.
-    Auto,
-}
-
 /// The scenario's time model: how simulated time advances.
 ///
-/// This is the builder's scheduling axis ([`Scenario::time_model`]).
-/// `Rounds` is the paper's synchronous model — all executors produce
-/// bit-identical reports, so [`ExecChoice`] only affects wall-clock
-/// time. `Continuous` is the asynchronous setting (Patsonakis &
+/// It carries only what changes the report ([`Scenario::time_model`]).
+/// `Rounds` is the paper's synchronous model; the round executor
+/// ([`Scenario::sequential`] / [`Scenario::sharded`]) is not part of
+/// it, because every executor produces a bit-identical report.
+/// `Continuous` is the asynchronous setting (Patsonakis &
 /// Roussopoulos): each node wakes on its own exponential clock and the
 /// run is driven by the [`EventExecutor`]; the
 /// report's [`time`](RunReport::time) axis becomes simulated seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TimeModel {
-    /// Synchronous rounds, under the given round executor.
-    Rounds(ExecChoice),
+    /// Synchronous rounds (the default).
+    Rounds,
     /// Continuous time: every node wakes `rate` times per simulated
     /// second on average. Only workloads with a continuous-time port
     /// run here ([`Spreader::supports_continuous`]); channel
@@ -320,6 +288,9 @@ pub struct Scenario<S: NodeSelector + Clone = UniformSelector> {
     conditions: Conditions,
     churn: Churn,
     time: TimeModel,
+    /// Round executor: `None` = sequential, `Some(k)` = sharded over
+    /// `k` shards. Ignored under [`TimeModel::Continuous`].
+    shards: Option<usize>,
     source: NodeId,
     cycles: u64,
     loss: f64,
@@ -342,7 +313,8 @@ impl Scenario<UniformSelector> {
             protocol: Spreader::DatingService,
             conditions: Conditions::ideal(),
             churn: Churn::none(),
-            time: TimeModel::Rounds(ExecChoice::Sequential),
+            time: TimeModel::Rounds,
+            shards: None,
             source: NodeId(0),
             cycles: 30,
             loss: 0.2,
@@ -369,6 +341,7 @@ impl<S: NodeSelector + Clone> Scenario<S> {
             conditions: self.conditions,
             churn: self.churn,
             time: self.time,
+            shards: self.shards,
             source: self.source,
             cycles: self.cycles,
             loss: self.loss,
@@ -405,9 +378,9 @@ impl<S: NodeSelector + Clone> Scenario<S> {
         self
     }
 
-    /// Set the time model: synchronous rounds under a chosen round
-    /// executor, or continuous time on the event-driven executor. This
-    /// is the scheduling axis — see the [module docs](self).
+    /// Set the time model: synchronous rounds (the default) or
+    /// continuous time on the event-driven executor — see the [module
+    /// docs](self).
     pub fn time_model(mut self, time: TimeModel) -> Self {
         self.time = time;
         self
@@ -416,15 +389,16 @@ impl<S: NodeSelector + Clone> Scenario<S> {
     /// Execute rounds shard-parallel over `k` shards (`0` = one shard
     /// per core). The report is bit-identical to sequential
     /// execution for every `k` — that is the runtime's contract.
-    /// Shorthand for `time_model(TimeModel::Rounds(ExecChoice::Sharded(k)))`.
-    pub fn sharded(self, k: usize) -> Self {
-        self.time_model(TimeModel::Rounds(ExecChoice::Sharded(k)))
+    /// A continuous-time run ignores this.
+    pub fn sharded(mut self, k: usize) -> Self {
+        self.shards = Some(k);
+        self
     }
 
-    /// Execute rounds on the calling thread (the default). Shorthand
-    /// for `time_model(TimeModel::Rounds(ExecChoice::Sequential))`.
-    pub fn sequential(self) -> Self {
-        self.time_model(TimeModel::Rounds(ExecChoice::Sequential))
+    /// Execute rounds on the calling thread (the default).
+    pub fn sequential(mut self) -> Self {
+        self.shards = None;
+        self
     }
 
     /// Set the rumor source (default: node 0). Ignored by the
@@ -467,31 +441,12 @@ impl<S: NodeSelector + Clone> Scenario<S> {
         self.protocol
     }
 
-    /// Human-readable executor name, for experiment tables. Auto mode
-    /// reports the executor it resolves to for this scenario's `n`.
+    /// Human-readable executor name, for experiment tables.
     pub fn executor_name(&self) -> String {
-        match self.time {
-            TimeModel::Continuous { rate } => EventExecutor::new(rate).name(),
-            TimeModel::Rounds(_) => match self.resolve_shards() {
-                None => SequentialExecutor.name(),
-                Some(k) => ShardedExecutor::new(k).name(),
-            },
-        }
-    }
-
-    /// Resolve the round-model [`ExecChoice`] to a concrete executor:
-    /// `None` = sequential, `Some(k)` = sharded over `k` threads.
-    /// Only meaningful under [`TimeModel::Rounds`].
-    fn resolve_shards(&self) -> Option<usize> {
-        let choice = match self.time {
-            TimeModel::Rounds(choice) => choice,
-            TimeModel::Continuous { .. } => return None,
-        };
-        match choice {
-            ExecChoice::Sequential => None,
-            ExecChoice::Sharded(k) => Some(k),
-            ExecChoice::Auto if self.n < AUTO_SEQUENTIAL_BELOW => None,
-            ExecChoice::Auto => Some(0),
+        match (self.time, self.shards) {
+            (TimeModel::Continuous { rate }, _) => EventExecutor::new(rate).name(),
+            (TimeModel::Rounds, None) => SequentialExecutor.name(),
+            (TimeModel::Rounds, Some(k)) => ShardedExecutor::new(k).name(),
         }
     }
 
@@ -575,8 +530,8 @@ impl<S: NodeSelector + Clone> Scenario<S> {
     /// shard workers on parked threads borrowed from `pool`
     /// ([`ShardedExecutor::run_in`]) — back-to-back runs then reuse the
     /// same threads instead of spawning fresh ones per run. Sequential
-    /// scenarios ignore the pool. The report is bit-identical to
-    /// [`run`](Self::run)'s for the same seed.
+    /// and continuous-time scenarios ignore the pool. The report is
+    /// bit-identical to [`run`](Self::run)'s for the same seed.
     pub fn run_pooled(
         &self,
         pool: &WorkerPool,
@@ -607,8 +562,8 @@ impl<S: NodeSelector + Clone> Scenario<S> {
             .churn(churn);
 
         if let TimeModel::Continuous { rate } = self.time {
-            // Event processing is inherently serial; the worker pool is
-            // a round-model optimization and is ignored here.
+            // Event processing is inherently serial; the round executor
+            // and the worker pool are round-model choices, ignored here.
             let mut p = AsyncSpread::new(self.n, self.source, self.protocol);
             let report = EventExecutor::new(rate)
                 .run(&mut p, self.n, &cfg)
@@ -675,7 +630,7 @@ impl<S: NodeSelector + Clone> Scenario<S> {
         cfg: &RunConfig,
         pool: Option<&WorkerPool>,
     ) -> RunReport<P::Output> {
-        match (self.resolve_shards(), pool) {
+        match (self.shards, pool) {
             (None, _) => SequentialExecutor.run(proto, self.n, cfg),
             (Some(k), None) => ShardedExecutor::new(k).run(proto, self.n, cfg),
             (Some(k), Some(pool)) => ShardedExecutor::new(k).run_in(pool, proto, self.n, cfg),
@@ -895,42 +850,10 @@ mod tests {
     fn executor_names_surface() {
         assert_eq!(Scenario::new(4).executor_name(), "sequential");
         assert_eq!(Scenario::new(4).sharded(3).executor_name(), "sharded(3)");
-    }
-
-    #[test]
-    fn auto_choice_picks_by_node_count() {
-        let auto = |n: usize| Scenario::new(n).time_model(TimeModel::Rounds(ExecChoice::Auto));
-        // Below the cut a round is too short to pay for its barrier
-        // (see `AUTO_SEQUENTIAL_BELOW`), so auto must resolve small
-        // scenarios to sequential.
-        assert_eq!(auto(4_000).executor_name(), "sequential");
         assert_eq!(
-            auto(AUTO_SEQUENTIAL_BELOW - 1).executor_name(),
+            Scenario::new(4).sharded(3).sequential().executor_name(),
             "sequential"
         );
-        // At or above the cut: one shard per core.
-        assert!(auto(AUTO_SEQUENTIAL_BELOW)
-            .executor_name()
-            .starts_with("sharded("));
-        // Explicit choices always beat the heuristic.
-        assert_eq!(auto(1_000_000).sequential().executor_name(), "sequential");
-        assert_eq!(auto(100).sharded(2).executor_name(), "sharded(2)");
-        // The heuristic changes wall-clock, never the report.
-        let base = Scenario::new(200).protocol(Spreader::PushPull);
-        assert_eq!(
-            base.clone().run(9).expect("valid").digests,
-            base.time_model(TimeModel::Rounds(ExecChoice::Auto))
-                .run(9)
-                .expect("valid")
-                .digests
-        );
-    }
-
-    #[test]
-    fn sugar_forwards_to_time_model() {
-        let sharded = Scenario::new(50).sharded(2);
-        assert_eq!(sharded.executor_name(), "sharded(2)");
-        assert_eq!(sharded.sequential().executor_name(), "sequential");
     }
 
     #[test]

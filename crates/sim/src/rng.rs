@@ -103,7 +103,10 @@ mod tests {
         assert_eq!(derive_seed(1, 2), 0x6E52_42A9_475D_D47A);
         assert_eq!(derive_seed(u64::MAX, 7), 0xD085_6843_4A09_8FB2);
         // A sender's fate seed in the benchmark's default run.
-        assert_eq!(derive_seed(0x5ca1e ^ 0xC01D_F47E, 2_499), 0x248D_8EC8_516D_B9B0);
+        assert_eq!(
+            derive_seed(0x5ca1e ^ 0xC01D_F47E, 2_499),
+            0x248D_8EC8_516D_B9B0
+        );
         let mut rng = small_rng_for(99, 7);
         assert_eq!(rng.next_u64(), 0xF917_3403_A75D_FFDE);
         assert_eq!(rng.next_u64(), 0xC18F_10AE_F9C5_3EFA);

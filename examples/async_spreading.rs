@@ -1,10 +1,13 @@
 //! Synchronous vs asynchronous spreading, one table.
 //!
 //! Every workload with a continuous-time port runs twice from the same
-//! builder: once under lockstep rounds (`TimeModel::Rounds`, completion
-//! measured in legacy-equivalent rounds) and once under the
-//! event-driven executor (`TimeModel::Continuous`, per-node exponential
-//! wake clocks at rate 1/s, completion measured in simulated seconds).
+//! builder: once under lockstep rounds (the default `TimeModel::Rounds`,
+//! on the default sequential executor; completion measured in
+//! legacy-equivalent rounds) and once under continuous time
+//! (`TimeModel::Continuous`, per-node exponential wake clocks at rate
+//! 1/s on the event-driven executor, completion measured in simulated
+//! seconds). The time model changes what a run means; the round
+//! executor (`.sequential()` / `.sharded(k)`) only how fast it goes.
 //! At one expected wake per node per second the two time units are
 //! directly comparable; the async column pays a modest constant factor
 //! for giving up the round barrier.

@@ -74,9 +74,9 @@ pub mod prelude {
     pub use rendez_fleet::{Fleet, SweepReport, SweepSpec};
     pub use rendez_gossip::{run_spread, DatingSpread, SpreadProtocol};
     pub use rendez_runtime::{
-        AsyncProtocol, AsyncSpread, AsyncSpreadSummary, Churn, EventExecutor, ExecChoice, Executor,
-        RunConfig, RuntimeDating, Scenario, ScenarioError, SequentialExecutor, ShardedExecutor,
-        Spreader, TimeAxis, TimeModel, WorkloadOutput,
+        AsyncProtocol, AsyncSpread, AsyncSpreadSummary, Churn, EventExecutor, Executor, RunConfig,
+        RuntimeDating, Scenario, ScenarioError, SequentialExecutor, ShardedExecutor, Spreader,
+        TimeAxis, TimeModel, WorkloadOutput,
     };
     pub use rendez_sim::NodeId;
 }

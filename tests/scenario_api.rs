@@ -248,47 +248,35 @@ fn registry_names_drive_the_builder() {
 // rounds-case JSON schema.
 
 #[test]
-fn time_model_is_the_one_axis_for_executor_choice() {
-    let n = 400;
-    let base = Scenario::new(n).protocol(Spreader::PushPull);
-    let seq = base
-        .clone()
-        .time_model(TimeModel::Rounds(ExecChoice::Sequential))
-        .run(9)
-        .expect("valid");
-    let sh = base
-        .clone()
-        .time_model(TimeModel::Rounds(ExecChoice::Sharded(3)))
-        .run(9)
-        .expect("valid");
-    assert_eq!(seq.digests, sh.digests, "rounds executors share one trace");
+fn rounds_reports_do_not_depend_on_the_executor() {
+    let base = Scenario::new(400)
+        .protocol(Spreader::PushPull)
+        .time_model(TimeModel::Rounds);
+    let seq = base.clone().sequential().run(9).expect("valid");
+    let sh = base.sharded(3).run(9).expect("valid");
+    assert_identical(&seq, &sh, "sequential vs sharded(3)");
     assert_eq!(seq.time, TimeAxis::Rounds(seq.rounds));
-
-    let cont = base
-        .time_model(TimeModel::Continuous { rate: 1.0 })
-        .run(9)
-        .expect("valid");
-    assert!(cont.completed);
-    assert!(matches!(cont.time, TimeAxis::SimSeconds { .. }));
-    assert!(cont
-        .output
-        .as_ref()
-        .and_then(|o| o.async_spread())
-        .is_some());
 }
 
 #[test]
-fn sharded_sugar_is_equivalent_to_explicit_time_model() {
-    let n = 400;
-    let base = Scenario::new(n).protocol(Spreader::Push);
-    let via_sugar = base.clone().sharded(2).run(4);
-    let via_axis = base
-        .time_model(TimeModel::Rounds(ExecChoice::Sharded(2)))
-        .run(4);
-    assert_eq!(
-        via_sugar.expect("valid").digests,
-        via_axis.expect("valid").digests
-    );
+fn sharding_never_overrides_continuous_time() {
+    let base = Scenario::new(400).protocol(Spreader::PushPull);
+    let continuous = TimeModel::Continuous { rate: 1.0 };
+    let plain = base.clone().time_model(continuous);
+    let reference = plain.run(9).expect("valid");
+    assert!(matches!(reference.time, TimeAxis::SimSeconds { .. }));
+    for (order, s) in [
+        (
+            "sharded first",
+            base.clone().sharded(2).time_model(continuous),
+        ),
+        ("sharded last", plain.clone().sharded(2)),
+    ] {
+        assert_eq!(s.executor_name(), "event", "{order}");
+        let report = s.run(9).expect("valid");
+        assert_eq!(report.time, reference.time, "{order}: time axis");
+        assert_identical(&report, &reference, order);
+    }
 }
 
 #[test]
