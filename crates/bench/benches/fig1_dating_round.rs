@@ -4,8 +4,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rendez_core::{CountWorkspace, DatingService, Platform, RoundWorkspace, UniformSelector};
+use rendez_core::{Platform, UniformSelector};
 use rendez_dht::DhtSelector;
+use rendez_gossip::{CountWorkspace, DatingService, RoundWorkspace};
 
 fn bench_dating_round(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig1_dating_round");

@@ -7,16 +7,20 @@
 //! hotspot boosts and random DHT rings, printing the measured ratio and
 //! the Poisson prediction; every skewed row must beat the uniform row.
 //!
+//! That holds only for balanced totals (ΣBout = ΣBin), as on this
+//! harness's `bin = bout = 1` platform: at ΣBout = 4 000, ΣBin = 1 000 a
+//! two-level selector's exact `E[X]` is 929.7818 against uniform's 934.1513
+//! (pinned in `rendez_core::analysis`'s tests).
+//!
 //! Usage: `exp_conjecture_skew [--quick|--full] [--n N] [--seed S] [--threads T]`
 //!
 //! `--threads T`: worker threads (0 = one per core; sizes the fleet).
 
 use rendez_bench::{table, CliArgs, Table};
-use rendez_core::{
-    analysis, AliasSelector, CountWorkspace, DatingService, NodeSelector, Platform, UniformSelector,
-};
+use rendez_core::{analysis, AliasSelector, NodeSelector, Platform, UniformSelector};
 use rendez_dht::DhtSelector;
 use rendez_fleet::Fleet;
+use rendez_gossip::{CountWorkspace, DatingService};
 use rendez_stats::RunningStats;
 
 fn measure(

@@ -11,8 +11,9 @@
 //! `--threads T`: worker threads (0 = one per core; sizes the fleet).
 
 use rendez_bench::{table, CliArgs, Table};
-use rendez_core::{analysis, CountWorkspace, DatingService, Platform, UniformSelector};
+use rendez_core::{analysis, Platform, UniformSelector};
 use rendez_fleet::Fleet;
+use rendez_gossip::{CountWorkspace, DatingService};
 use rendez_stats::RunningStats;
 
 fn main() {

@@ -12,10 +12,8 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rendez_bench::{CliArgs, Table};
-use rendez_core::{
-    date_loads, AliasSelector, DatingService, NodeSelector, Platform, SingleTargetSelector,
-    UniformSelector,
-};
+use rendez_core::{AliasSelector, NodeSelector, Platform, SingleTargetSelector, UniformSelector};
+use rendez_gossip::{date_loads, DatingService};
 use rendez_sim::NodeId;
 
 fn main() {

@@ -6,9 +6,10 @@
 //! of which the paper reports the worst and best.
 
 use rand::SeedableRng;
-use rendez_core::{CountWorkspace, DatingService, NodeSelector, Platform, UniformSelector};
+use rendez_core::{NodeSelector, Platform, UniformSelector};
 use rendez_dht::DhtSelector;
 use rendez_fleet::Fleet;
+use rendez_gossip::{CountWorkspace, DatingService};
 use rendez_sim::derive_seed;
 use rendez_stats::{RunningStats, Summary};
 

@@ -16,7 +16,8 @@ use crate::decoder::Decoder;
 use crate::encoder::{recombine, Encoder};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use rendez_core::{DatingService, NodeSelector, Platform, RoundWorkspace};
+use rendez_core::{NodeSelector, Platform};
+use rendez_gossip::{DatingService, RoundWorkspace};
 use rendez_sim::NodeId;
 
 /// How a sender fills a date's unit message.

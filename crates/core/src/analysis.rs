@@ -349,4 +349,23 @@ mod tests {
         let b = expected_dates_weighted_exact(&w, m, m);
         close(a, b, 0.02 * a);
     }
+
+    #[test]
+    fn uniform_is_not_the_worst_case_on_imbalanced_totals() {
+        // §2 conjectures that uniform selection arranges the fewest dates.
+        // A two-level selector (1.5/n on even ids, 0.5/n on odd ids) goes
+        // below uniform at ΣBout = 4·ΣBin (bin = 1, bout = 4, so C = 4),
+        // but not on the balanced control.
+        for (n, bout, bin, skewed, uniform) in [
+            (1_000, 4_000, 1_000, 929.7818, 934.1513),
+            (200, 200, 200, 100.5906, 95.4603),
+        ] {
+            let w: Vec<f64> = (0..n).map(|v| [1.5, 0.5][v % 2] / n as f64).collect();
+            let s = expected_dates_weighted_exact(&w, bout, bin);
+            let u = expected_dates_weighted_exact(&vec![1.0 / n as f64; n], bout, bin);
+            close(s, skewed, 1e-3);
+            close(u, uniform, 1e-3);
+            assert_eq!(s < u, bout > bin, "skewed {s} vs uniform {u}");
+        }
+    }
 }

@@ -1,9 +1,10 @@
 //! Algorithm 1's wire format — the messages of the distributed dating
 //! service.
 //!
-//! The oracle form in [`crate::service`] samples the algorithm's random
-//! process centrally; the message-passing form runs on the round runtime
-//! (`rendez_runtime::RuntimeDating`) and exchanges these messages:
+//! The oracle form (`rendez_gossip::DatingService`, the test reference)
+//! samples the algorithm's random process centrally; the message-passing
+//! form runs on the round runtime (`rendez_runtime::RuntimeDating`) and
+//! exchanges these messages:
 //!
 //! ```text
 //! cycle = 3 rounds

@@ -1,7 +1,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-//! # rendez-core — the heterogeneous dating service
+//! # rendez-core — the model of the heterogeneous dating service
 //!
 //! Reproduction of the primary contribution of *"Heterogenous dating
 //! service with application to rumor spreading"* (Beaumont, Duchon,
@@ -9,6 +9,10 @@
 //! matchmaking primitive that pairs supply ("offers") and demand
 //! ("requests") of a per-node-bounded resource without ever exceeding any
 //! node's capabilities.
+//!
+//! This crate is the model the runtime (`rendez_runtime`) runs the protocol
+//! on. The centralised sampler of the same process, the oracle the tests
+//! compare the runtime against, is `rendez_gossip`.
 //!
 //! ## The algorithm (paper's Algorithm 1)
 //!
@@ -28,7 +32,8 @@
 //! * **Lemma 3** conditional uniformity of the date set over
 //!   `k`-matchings of `K_{Bout,Bin}` ([`matching::uniform_k_matching`] is
 //!   the reference sampler it is tested against).
-//! * **Capacity safety**: dates never exceed `bin`/`bout` ([`capacity`]).
+//! * **Capacity safety**: dates never exceed `bin`/`bout`
+//!   (`rendez_gossip::verify_dates` checks the oracle's dates).
 //!
 //! ## Module map
 //!
@@ -36,33 +41,24 @@
 //!   `bin`/`bout` capabilities with the paper's C-bounded per-node ratio;
 //! * [`selector`] — the shared request-target distribution (uniform,
 //!   alias-weighted, Zipf, hotspot, degenerate);
-//! * [`service`] — Algorithm 1, oracle form (fast centralized sampling of
-//!   the identical process; used for the `n = 10⁵` sweeps);
 //! * [`distributed`] — Algorithm 1's request/answer/payload messages (the
 //!   protocol itself runs on the round runtime: `RuntimeDating`);
 //! * [`matching`] — uniform subset/matching primitives;
-//! * [`capacity`] — invariant checkers;
 //! * [`analysis`] — numeric theory (Poisson/binomial predictions, bounds);
 //! * [`overhead`] — §2's control-traffic accounting;
 //! * [`pipeline`] — §4's pipelined-dating latency model.
 
 pub mod analysis;
 pub mod bandwidth;
-pub mod capacity;
 pub mod distributed;
 pub mod matching;
 pub mod overhead;
 pub mod pipeline;
 pub mod selector;
-pub mod service;
 
 pub use bandwidth::{NodeCaps, Platform};
-pub use capacity::{date_loads, verify_dates, CapacityViolation, DateLoads, LoadSummary};
 pub use distributed::DatingMsg;
 pub use selector::{AliasSelector, NodeSelector, SingleTargetSelector, UniformSelector};
-pub use service::{
-    run_round_counts, CountWorkspace, Date, DatingService, RoundOutcome, RoundWorkspace,
-};
 
 // Re-export the substrate id type: every public API here speaks NodeId.
 pub use rendez_sim::NodeId;

@@ -120,7 +120,8 @@ mod tests {
 
     #[test]
     fn selector_works_with_dating_service() {
-        use rendez_core::{DatingService, Platform};
+        use rendez_core::Platform;
+        use rendez_gossip::DatingService;
         let n = 400;
         let p = Platform::unit(n);
         let sel = DhtSelector::random(n, 4);

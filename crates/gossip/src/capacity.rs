@@ -7,8 +7,8 @@
 //! checkers used throughout the test suite (including under churn, skewed
 //! selectors and the distributed protocol form).
 
-use crate::bandwidth::Platform;
 use crate::service::Date;
+use rendez_core::Platform;
 use rendez_sim::NodeId;
 
 /// A violated capacity bound.
@@ -160,11 +160,10 @@ pub fn date_loads(n: usize, dates: &[Date]) -> DateLoads {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bandwidth::NodeCaps;
-    use crate::selector::{AliasSelector, NodeSelector, UniformSelector};
     use crate::service::DatingService;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use rendez_core::{AliasSelector, NodeCaps, NodeSelector, UniformSelector};
 
     fn date(s: u32, r: u32, m: u32) -> Date {
         Date {
@@ -284,7 +283,7 @@ mod tests {
         );
         assert!(s.max <= 8, "uniform max matchmaker load {} too high", s.max);
 
-        let central = crate::selector::SingleTargetSelector::new(n, NodeId(9));
+        let central = rendez_core::SingleTargetSelector::new(n, NodeId(9));
         let out = DatingService::new(&p, &central).run_round(&mut rng);
         let s = date_loads(n, &out.dates).matchmaker_summary();
         assert_eq!(s.busy_nodes, 1);

@@ -1,7 +1,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-//! # rendez-gossip — rumor spreading over the dating service
+//! # rendez-gossip — the centralised oracle and test reference
+//!
+//! The runtime (`rendez_runtime`) runs the paper as a distributed
+//! protocol; this crate samples the same random processes centrally. It
+//! is the reference the tests compare the runtime against and the fast
+//! sampler behind the `n = 10⁵` sweeps: [`service`] is Algorithm 1 in one
+//! pass ([`DatingService`]), [`capacity`] checks its dates.
 //!
 //! The paper's application (§3): a single node knows a rumor; per round
 //! the dating service arranges dates, and every date whose sender is
@@ -30,20 +36,23 @@
 //! baselines, and [`DatingSpread`] with optional payload loss),
 //! [`spread`] (the round loop and result records), [`phases`] (Theorem 4's
 //! three-phase decomposition),
-//! [`hetero`] (Theorem 10 / Corollary 11 experiments) and
-//! [`multi_rumor`] (rumors injected over time, §1's extension).
+//! and [`hetero`] (Theorem 10 / Corollary 11 experiments).
 
+pub mod capacity;
 pub mod hetero;
 pub mod informed;
-pub mod multi_rumor;
 pub mod phases;
 pub mod protocols;
+pub mod service;
 pub mod spread;
-pub mod termination;
 
+pub use capacity::{date_loads, verify_dates, CapacityViolation, DateLoads, LoadSummary};
 pub use informed::InformedSet;
 pub use phases::{phase_breakdown, PhaseBreakdown};
 pub use protocols::{
     DatingSpread, FairPull, FairPushPull, Gossip, Pull, Push, PushPull, SpreadProtocol, SpreadState,
+};
+pub use service::{
+    run_round_counts, CountWorkspace, Date, DatingService, RoundOutcome, RoundWorkspace,
 };
 pub use spread::{run_spread, run_spread_until, SpreadResult};

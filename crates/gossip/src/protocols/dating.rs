@@ -15,9 +15,10 @@
 //! rumor-carrying payload independently with probability `loss`.
 
 use super::{InformBuffer, SpreadProtocol, SpreadState};
+use crate::service::{DatingService, RoundWorkspace};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use rendez_core::{DatingService, NodeSelector, RoundWorkspace};
+use rendez_core::NodeSelector;
 
 /// The dating-service spreading protocol, parameterized by the shared
 /// request-target distribution (uniform in Figure 2; DHT-based in §4),

@@ -2,7 +2,7 @@
 //!
 //! This is the paper's algorithm executed as one centralized sampling of
 //! the *identical* random process (the distributed message-passing form
-//! is `rendez_runtime::RuntimeDating`, speaking [`crate::distributed`]'s
+//! is `rendez_runtime::RuntimeDating`, speaking [`rendez_core::distributed`]'s
 //! messages; the integration test `oracle_vs_distributed` certifies the
 //! two produce the same date-count distribution).
 //!
@@ -21,10 +21,9 @@
 //! exclude it, and at `m = n` self-dates are a `Θ(1/n)` fraction); the
 //! rumor-spreading layer treats them as no-ops.
 
-use crate::bandwidth::Platform;
-use crate::matching::partial_shuffle;
-use crate::selector::NodeSelector;
 use rand::rngs::SmallRng;
+use rendez_core::matching::partial_shuffle;
+use rendez_core::{NodeSelector, Platform};
 use rendez_sim::NodeId;
 
 /// One arranged communication: `sender` will transmit a unit message to
@@ -54,11 +53,6 @@ impl RoundOutcome {
     /// Number of arranged dates.
     pub fn date_count(&self) -> usize {
         self.dates.len()
-    }
-
-    /// Fraction of the centralized optimum `m` that was arranged.
-    pub fn fraction_of(&self, m: u64) -> f64 {
-        self.dates.len() as f64 / m as f64
     }
 }
 
@@ -98,7 +92,8 @@ impl RoundWorkspace {
 /// The dating service bound to a platform and a selector.
 ///
 /// ```
-/// use rendez_core::{DatingService, Platform, UniformSelector, verify_dates};
+/// use rendez_core::{Platform, UniformSelector};
+/// use rendez_gossip::{verify_dates, DatingService};
 /// use rand::{rngs::SmallRng, SeedableRng};
 ///
 /// let platform = Platform::unit(100);            // bin = bout = 1, m = 100
@@ -298,8 +293,8 @@ impl CountWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::selector::{SingleTargetSelector, UniformSelector};
     use rand::SeedableRng;
+    use rendez_core::{SingleTargetSelector, UniformSelector};
     use rendez_sim::small_rng_for;
 
     fn unit_service(n: usize) -> (Platform, UniformSelector) {
@@ -373,15 +368,15 @@ mod tests {
     #[test]
     fn heterogeneous_platform_respects_multiplicity() {
         let p = Platform::new(vec![
-            crate::bandwidth::NodeCaps {
+            rendez_core::NodeCaps {
                 bw_in: 3,
                 bw_out: 1,
             },
-            crate::bandwidth::NodeCaps {
+            rendez_core::NodeCaps {
                 bw_in: 1,
                 bw_out: 3,
             },
-            crate::bandwidth::NodeCaps {
+            rendez_core::NodeCaps {
                 bw_in: 2,
                 bw_out: 2,
             },

@@ -4,9 +4,9 @@
 //! [`RoundProtocol`](crate::RoundProtocol) state machine, so any
 //! executor — sequential, sharded, conditioned — can run it, with or
 //! without churn. The integration tests pin the adapters statistically
-//! to the centralised oracle samplers of `rendez_core` and
-//! `rendez_gossip` (same date-count distribution as the oracle, same
-//! round-count distribution per spreader).
+//! to the centralised oracle samplers of `rendez_gossip` (same
+//! date-count distribution as the oracle, same round-count distribution
+//! per spreader).
 //!
 //! All eight workloads are hosted here: the distributed dating service
 //! ([`RuntimeDating`]) and the seven Figure-2 spreaders — dating

@@ -6,7 +6,7 @@
 //! Every protocol in this workspace — the dating service and all seven
 //! Figure-2 spreaders — is a round-based message-passing protocol, and
 //! this crate is the workspace's one engine for running them (the oracle
-//! samplers in `rendez_core` and `rendez_gossip` draw the same random
+//! samplers in `rendez_gossip`, the tests' reference, draw the same random
 //! processes centrally). It separates **what a protocol does** from **how
 //! its rounds are executed**, in the style of manul's round-based
 //! protocol framework:

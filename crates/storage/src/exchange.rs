@@ -2,7 +2,8 @@
 
 use crate::model::StorageSystem;
 use rand::rngs::SmallRng;
-use rendez_core::{run_round_counts, NodeSelector, RoundWorkspace};
+use rendez_core::NodeSelector;
+use rendez_gossip::{run_round_counts, RoundWorkspace};
 use rendez_sim::NodeId;
 
 /// Result of an exchange run.

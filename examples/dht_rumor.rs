@@ -12,10 +12,10 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use rendez_gossip::{run_spread, DatingService, RoundWorkspace};
 use rendezvous::core::analysis;
 use rendezvous::core::pipeline;
 use rendezvous::dht::{analysis::ArcStats, ChordNet, DhtSelector, Ring};
-use rendezvous::gossip::run_spread;
 use rendezvous::prelude::*;
 
 fn main() {
@@ -52,7 +52,7 @@ fn main() {
     );
 
     // Rumor spreading over DHT-selected dates.
-    let mut p = rendezvous::gossip::DatingSpread::new(&selector);
+    let mut p = rendez_gossip::DatingSpread::new(&selector);
     let r = run_spread(&mut p, &platform, NodeId(0), &mut rng, 10_000);
     println!("rumor informed all {n} nodes in {} rounds", r.rounds);
 

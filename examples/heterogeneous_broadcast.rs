@@ -11,8 +11,8 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rendezvous::gossip::hetero::{run_hetero_trial, strongest_node, theorem10_prediction};
-use rendezvous::gossip::{phase_breakdown, run_spread, DatingSpread};
+use rendez_gossip::hetero::{run_hetero_trial, strongest_node, theorem10_prediction};
+use rendez_gossip::{phase_breakdown, run_spread, DatingSpread};
 use rendezvous::prelude::*;
 
 fn main() {

@@ -1,64 +1,49 @@
-//! Quickstart: one dating round, inspected.
+//! Quickstart: the dating service on the runtime, inspected.
 //!
-//! Builds the paper's Figure 1 workload (`n` nodes, `bin = bout = 1`),
-//! runs a few dating rounds, and prints what the service arranged — the
-//! date fraction against the `E[min(Po(1), Po(1))] ≈ 0.476` prediction,
-//! the capacity check, and a peek at individual dates.
+//! Runs Algorithm 1 as a distributed protocol on the paper's Figure 1
+//! workload (`n` nodes, `bin = bout = 1`), prints the dates per cycle
+//! against the `E[min(Po(1), Po(1))] ≈ 0.476` prediction, then spreads a
+//! rumor over the dates.
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use rendezvous::core::analysis;
 use rendezvous::prelude::*;
 
 fn main() {
-    let n = 1_000;
-    let platform = Platform::unit(n);
-    let selector = UniformSelector::new(n);
-    let service = DatingService::new(&platform, &selector);
-    let mut rng = SmallRng::seed_from_u64(2008);
-
-    println!(
-        "dating service on {n} nodes, bin = bout = 1 (m = {})",
-        platform.m()
-    );
+    let (n, cycles, seed) = (1_000, 20, 2008);
+    println!("dating service on {n} nodes, bin = bout = 1 (m = {n})");
     println!(
         "prediction: E[dates]/m = {:.4} (paper measures 'slightly more than 0.47')\n",
         analysis::expected_dates_uniform(n, n as u64, n as u64) / n as f64
     );
 
-    let mut ws = RoundWorkspace::new(n);
-    let mut total = 0usize;
-    let rounds = 20;
-    for round in 1..=rounds {
-        let outcome = service.run_round_with(&mut ws, &mut rng);
-        verify_dates(&platform, &outcome.dates).expect("bandwidth exceeded — impossible");
-        total += outcome.date_count();
-        if round <= 3 {
-            let d = outcome.dates[0];
-            println!(
-                "round {round:2}: {:4} dates ({:.1}% of m); e.g. {} sends to {} (matchmaker {})",
-                outcome.date_count(),
-                100.0 * outcome.fraction_of(platform.m()),
-                d.sender,
-                d.receiver,
-                d.matchmaker
-            );
-        }
+    let out = Scenario::new(n)
+        .cycles(cycles)
+        .run(seed)
+        .unwrap()
+        .expect_output();
+    let dating = out.dating().expect("dating run");
+    for (cycle, &dates) in dating.dates_per_cycle.iter().enumerate().take(3) {
+        println!("cycle {:2}: {dates:4} dates", cycle + 1);
     }
+    assert!(dating.dates_per_cycle.iter().all(|&d| d <= n as u64));
     println!(
-        "\nmean over {rounds} rounds: {:.4} of m — every round passed the capacity check",
-        total as f64 / (rounds * n) as f64
+        "\nmean over {cycles} cycles: {:.4} of m — never more than m dates in a cycle",
+        dating.total_dates() as f64 / (cycles as usize * n) as f64
     );
 
-    // The same service, used to spread a rumor (§3 of the paper).
-    let mut spread = DatingSpread::new(&selector);
-    let result =
-        rendezvous::gossip::run_spread(&mut spread, &platform, NodeId(0), &mut rng, 10_000);
+    // The same runtime, used to spread a rumor over the dates (§3).
+    let out = Scenario::new(n)
+        .protocol(Spreader::Dating)
+        .run(seed)
+        .unwrap()
+        .expect_output();
+    let rumor = out.spread().expect("spread run");
     println!(
-        "rumor spreading: all {n} nodes informed in {} rounds (log2 n = {:.1})",
-        result.rounds,
+        "rumor spreading: {} of {n} nodes informed in {} rounds (log2 n = {:.1})",
+        rumor.final_informed(),
+        rumor.cycles,
         (n as f64).log2()
     );
 }

@@ -21,33 +21,40 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`core`] | the dating service: platforms, selectors, Algorithm 1 (oracle form and the distributed wire format), matchings, capacity invariants, analytic predictions, overhead and pipelining models |
-//! | [`gossip`] | rumor spreading over dates + the PUSH/PULL baseline family of Figure 2, Theorem 4 phase instrumentation, Theorem 10 heterogeneous experiments, multi-rumor |
+//! | [`core`] | the model the runtime runs: platforms, selectors, Algorithm 1's wire format, matchings, analytic predictions, overhead and pipelining models |
+//! | [`runtime`] | sans-I/O round runtime: per-node protocol state machines (Algorithm 1 as `RuntimeDating`, the Figure-2 spreaders) behind pluggable sequential / sharded-parallel / event-driven executors, network conditions and churn, the [`Scenario`](runtime::Scenario) builder, plus the persistent [`WorkerPool`](runtime::WorkerPool) |
 //! | [`dht`] | Chord-style DHT substrate: random ring, arc ownership, finger routing, Naor–Wieder routing, the §4 DHT-based selector, and §4's routed (sequential vs pipelined) dating as a runtime protocol |
 //! | [`coding`] | §5 extension: GF(256) randomized network coding for rumor mongering |
 //! | [`storage`] | §5 extension: replicated storage via dating-driven block exchange |
 //! | [`sim`] | node ids and SplitMix64 seed streams |
-//! | [`runtime`] | sans-I/O round runtime: per-node protocol state machines behind pluggable sequential / sharded-parallel / event-driven executors, network conditions and churn, plus the persistent [`WorkerPool`](runtime::WorkerPool) |
 //! | [`fleet`] | Monte-Carlo fleet engine, the one trial scheduler: persistent-pool sweeps with streaming (Welford) aggregation into machine-readable sweep reports, and `Fleet::map` for independent trials |
 //! | [`stats`] | Welford summaries, Poisson/Binomial tails, the Hypergeometric pmf, Zipf weights, chi-square and KS tests, line fits |
+//!
+//! The centralised oracle, `rendez_gossip`, is the reference the tests
+//! compare the runtime against; it is not part of this facade.
 //!
 //! ## Quickstart
 //!
 //! ```rust
+//! use rendezvous::core::analysis;
 //! use rendezvous::prelude::*;
-//! use rand::SeedableRng;
 //!
-//! // 100 nodes, bin = bout = 1 (the paper's Figure 1 workload).
-//! let platform = Platform::unit(100);
-//! let selector = UniformSelector::new(100);
-//! let service = DatingService::new(&platform, &selector);
+//! // 100 nodes, bin = bout = 1 (the paper's Figure 1 workload): twenty
+//! // cycles of Algorithm 1 on the runtime.
+//! let n = 100;
+//! let out = Scenario::new(n).cycles(20).run(42).unwrap().expect_output();
+//! let dating = out.dating().expect("dating run");
 //!
-//! let mut rng = rand::rngs::SmallRng::seed_from_u64(42);
-//! let outcome = service.run_round(&mut rng);
+//! // Ω(m) dates per cycle (≈ 0.476·m predicted), never more than m = n.
+//! let predicted = analysis::expected_dates_uniform(n, n as u64, n as u64);
+//! let mean = dating.total_dates() as f64 / dating.dates_per_cycle.len() as f64;
+//! assert!((mean - predicted).abs() < 0.1 * n as f64);
+//! assert!(dating.dates_per_cycle.iter().all(|&d| d <= n as u64));
 //!
-//! // Ω(m) dates, and nobody's bandwidth was exceeded.
-//! assert!(outcome.date_count() > 30);
-//! assert!(verify_dates(&platform, &outcome.dates).is_ok());
+//! // The same runtime spreads a rumor over the dates (§3).
+//! let out = Scenario::new(n).protocol(Spreader::Dating).run(42).unwrap().expect_output();
+//! let rumor = out.spread().expect("spread run");
+//! assert_eq!(rumor.final_informed(), n as u64);
 //! ```
 //!
 //! See `examples/` for rumor spreading, DHT-backed dating, heterogeneous
@@ -58,7 +65,6 @@ pub use rendez_coding as coding;
 pub use rendez_core as core;
 pub use rendez_dht as dht;
 pub use rendez_fleet as fleet;
-pub use rendez_gossip as gossip;
 pub use rendez_runtime as runtime;
 pub use rendez_sim as sim;
 pub use rendez_stats as stats;
@@ -66,13 +72,9 @@ pub use rendez_storage as storage;
 
 /// The most common imports, one `use` away.
 pub mod prelude {
-    pub use rendez_core::{
-        verify_dates, AliasSelector, Date, DatingService, NodeCaps, NodeSelector, Platform,
-        RoundOutcome, RoundWorkspace, UniformSelector,
-    };
+    pub use rendez_core::{AliasSelector, NodeCaps, NodeSelector, Platform, UniformSelector};
     pub use rendez_dht::DhtSelector;
     pub use rendez_fleet::{Fleet, SweepReport, SweepSpec};
-    pub use rendez_gossip::{run_spread, DatingSpread, SpreadProtocol};
     pub use rendez_runtime::{
         AsyncProtocol, AsyncSpread, AsyncSpreadSummary, Churn, EventExecutor, Executor, RunConfig,
         RuntimeDating, Scenario, ScenarioError, SequentialExecutor, ShardedExecutor, Spreader,

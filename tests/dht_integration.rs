@@ -4,9 +4,9 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rendezvous::core::{analysis, pipeline, verify_dates};
+use rendez_gossip::{run_spread, verify_dates, DatingService, DatingSpread, RoundWorkspace};
+use rendezvous::core::{analysis, pipeline};
 use rendezvous::dht::{ChordNet, DhtSelector, NaorWiederNet, Ring};
-use rendezvous::gossip::run_spread;
 use rendezvous::prelude::*;
 
 #[test]

@@ -3,9 +3,8 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rendezvous::gossip::hetero::{
-    run_hetero_trial, strongest_node, theorem10_prediction, weakest_node,
-};
+use rendez_gossip::hetero::{run_hetero_trial, strongest_node, theorem10_prediction, weakest_node};
+use rendez_gossip::DatingSpread;
 use rendezvous::prelude::*;
 
 fn mean_avg_rounds(platform: &Platform, strong_source: bool, trials: u64, seed: u64) -> f64 {
@@ -52,7 +51,7 @@ fn log_n_average_beats_unit_platform() {
     for t in 0..15u64 {
         let mut rng = SmallRng::seed_from_u64(400 + t);
         let mut p = DatingSpread::new(&selector);
-        let r = rendezvous::gossip::run_spread(&mut p, &unit, NodeId(0), &mut rng, 100_000);
+        let r = rendez_gossip::run_spread(&mut p, &unit, NodeId(0), &mut rng, 100_000);
         total += r.rounds;
     }
     let unit_rounds = total as f64 / 15.0;

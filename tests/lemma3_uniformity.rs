@@ -11,6 +11,7 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use rendez_gossip::{DatingService, RoundWorkspace};
 use rendezvous::core::matching::{canonical_matching, uniform_k_matching};
 use rendezvous::prelude::*;
 use rendezvous::stats::{chi_square_gof, Hypergeometric};

@@ -7,7 +7,7 @@ mod support;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rendezvous::core::verify_dates;
+use rendez_gossip::{verify_dates, DatingService, RoundWorkspace};
 use rendezvous::prelude::*;
 use rendezvous::runtime::{Conditions, DatingRunSummary, RunReport};
 use rendezvous::stats::ks_two_sample;

@@ -3,7 +3,7 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rendezvous::gossip::{phase_breakdown, run_spread};
+use rendez_gossip::{phase_breakdown, run_spread, DatingSpread};
 use rendezvous::prelude::*;
 
 #[test]

@@ -14,6 +14,7 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use rendez_gossip::{DatingService, RoundWorkspace};
 use rendezvous::prelude::*;
 use rendezvous::runtime::{
     Conditions, LatencyDist, Outbox, RoundObs, RoundProtocol, RtDatingSpread, RtPushPull, Verdict,

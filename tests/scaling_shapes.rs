@@ -3,7 +3,7 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rendezvous::gossip::run_spread;
+use rendez_gossip::{run_spread, DatingService, DatingSpread};
 use rendezvous::prelude::*;
 use rendezvous::stats::fit_log2;
 
@@ -57,7 +57,7 @@ fn push_rounds_scale_as_log_n_with_known_constant() {
             let trials = 12;
             for t in 0..trials {
                 let mut rng = SmallRng::seed_from_u64(9000 + n as u64 + t);
-                let mut p = rendezvous::gossip::Push::new();
+                let mut p = rendez_gossip::Push::new();
                 let r = run_spread(&mut p, &platform, NodeId(0), &mut rng, 1_000_000);
                 total += r.rounds;
             }
@@ -78,7 +78,7 @@ fn push_rounds_scale_as_log_n_with_known_constant() {
 fn date_fraction_is_flat_in_n() {
     // Figure 1's uniform series converges: the fraction must not trend
     // with n (slope ≈ 0 against log n).
-    use rendezvous::core::CountWorkspace;
+    use rendez_gossip::CountWorkspace;
     let ns = [100usize, 1_000, 10_000];
     let ys: Vec<f64> = ns
         .iter()

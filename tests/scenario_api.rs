@@ -14,7 +14,7 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rendezvous::gossip::{
+use rendez_gossip::{
     run_spread, DatingSpread, FairPull, FairPushPull, Pull, Push, PushPull, SpreadProtocol,
 };
 use rendezvous::prelude::*;
