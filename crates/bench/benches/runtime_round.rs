@@ -165,7 +165,7 @@ fn phase_round(n: usize, conditions: Conditions, phase: usize) -> Duration {
 /// What a round of the dating cycle costs per node (throughput is nodes
 /// per second of one round): the emit round (offers and requests go out,
 /// the last cycle's payloads land), the matchmaking round (they land and
-/// are paired at round end), the answer round (answers land, payloads go
+/// are paired as they land), the answer round (answers land, payloads go
 /// out) — and an off-phase round with nothing to deliver, where all
 /// three engine loops meet a guard that fails. The last is a round
 /// `≡ 2 (mod 3)` under a fixed latency of one whole cycle: offers land in

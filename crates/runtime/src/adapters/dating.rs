@@ -7,10 +7,14 @@
 //!
 //! ```text
 //! phase 0: every node sends bout(i) Offer and bin(i) Request messages
-//! phase 1: matchmakers keep a uniform min(s, r) of each side at round
-//!          end, match them uniformly, and answer every originator
+//! phase 1: offers and requests land; as a matchmaker's delivery run
+//!          ends it keeps a uniform min(s, r) of each side, matches them
+//!          uniformly, and answers every originator
 //! phase 2: matched senders receive their partner and ship the payload
 //! ```
+//!
+//! Offers and requests that land in another phase (a latency spread
+//! displaces them) are counted as delivered and dropped unread.
 //!
 //! State lives per node, so the protocol runs unchanged on the
 //! sequential and sharded executors, under any conditions and churn.
@@ -19,10 +23,16 @@
 //!
 //! # Millions-of-nodes layout
 //!
-//! [`DatingNode`] is a flat 40-byte struct — no heap. The offer/request
-//! inboxes live in the executor shard's [`NodeArena`](crate::NodeArena)
-//! (filled via [`Outbox::stash`] during the delivery phase, drained at
-//! round end of the same round), and per-cycle date history is
+//! [`DatingNode`] is a flat 40-byte struct — no heap. A matchmaker's
+//! offers and requests arrive in one
+//! [`on_receive_run`](RoundProtocol::on_receive_run) call, so they are
+//! paired where the mail lands: the run files them, in arrival order,
+//! into the shard's two-lane inbox (one `Vec` per side, kept by the
+//! [`NodeArena`](crate::NodeArena) and reused by every matchmaker of the
+//! shard) and runs [`matchmake`] on it before returning. No per-node
+//! range is kept and the round-end pass has nothing to pair; only the
+//! per-message default stashes (via [`Outbox::stash`]) and pairs at
+//! round end, with the same kernel. Per-cycle date history is
 //! accumulated **in the protocol object** from the streaming
 //! [`RoundObs`] date lane, one entry per matchmaking round — so node
 //! count no longer multiplies allocations, and the coordinator never
@@ -31,7 +41,7 @@
 //! lint: deterministic
 
 use crate::arena::{STASH_OFFERS, STASH_REQUESTS};
-use crate::proto::{Outbox, RoundObs, RoundProtocol, Verdict};
+use crate::proto::{Outbox, RoundObs, RoundProtocol, SendHalf, Verdict};
 use rand::rngs::SmallRng;
 use rendez_core::distributed::{DatingMsg, PAYLOAD_BYTES};
 use rendez_core::matching::partial_shuffle;
@@ -115,24 +125,27 @@ pub(super) fn emit<S: NodeSelector, M: Copy>(
     }
 }
 
-/// Phase-1 round end of the dating cycle, shared by both dating
-/// adapters: keep a uniform `q = min(offers, requests)` of each side,
-/// pair them positionally and answer every originator; returns `q`.
+/// Phase 1 of the dating cycle, the one matchmaker kernel both dating
+/// adapters run: keep a uniform `q = min(offers, requests)` of each
+/// side, pair them positionally and answer every originator through
+/// `tx`; returns `q`.
 ///
 /// Uniform q-subsets in uniform order → positional pairing is a uniform
-/// random perfect matching (identical to the oracle form). The stash is
-/// shuffled where it lies in the arena — offers first, then requests,
-/// each consuming the RNG exactly like [`partial_shuffle`] on the old
-/// per-node inbox `Vec`s — and never cleared: it expires at the round
-/// boundary.
+/// random perfect matching (identical to the oracle form). The slices
+/// are shuffled where they lie — offers first, then requests, each
+/// consuming the RNG exactly like [`partial_shuffle`] on the old
+/// per-node inbox `Vec`s. On the engine's run path they are the shard
+/// inbox a phase-1 delivery run filled (module docs); driven message by
+/// message, the node's stash, at round end ([`matchmake_stash`]).
 #[inline(never)]
 pub(super) fn matchmake<M>(
+    offers: &mut [NodeId],
+    requests: &mut [NodeId],
     rng: &mut SmallRng,
-    out: &mut Outbox<'_, M>,
+    tx: &mut SendHalf<'_, M>,
     answer_offer: impl Fn(Option<NodeId>) -> M,
     answer_request: impl Fn(Option<NodeId>) -> M,
 ) -> usize {
-    let ([offers, requests], tx) = out.split_stash();
     let q = offers.len().min(requests.len());
     partial_shuffle(offers, q, rng);
     partial_shuffle(requests, q, rng);
@@ -151,6 +164,32 @@ pub(super) fn matchmake<M>(
     q
 }
 
+/// Phase-1 round end of both dating adapters: [`matchmake`] on what the
+/// per-message path stashed, or `None` when nothing was — always, on the
+/// engine's run path, which pairs a matchmaker's mail as it lands and
+/// never stashes. The stash is not cleared: it expires at the round
+/// boundary.
+#[inline]
+pub(super) fn matchmake_stash<M>(
+    rng: &mut SmallRng,
+    out: &mut Outbox<'_, M>,
+    answer_offer: impl Fn(Option<NodeId>) -> M,
+    answer_request: impl Fn(Option<NodeId>) -> M,
+) -> Option<usize> {
+    let ([offers, requests], tx) = out.split_stash();
+    if offers.is_empty() && requests.is_empty() {
+        return None;
+    }
+    Some(matchmake(
+        offers,
+        requests,
+        rng,
+        tx,
+        answer_offer,
+        answer_request,
+    ))
+}
+
 /// Per-node dating state: flat scalars only (40 bytes, no heap — the
 /// inboxes live in the shard's arena, the per-cycle history in the
 /// protocol object).
@@ -167,6 +206,26 @@ pub struct DatingNode {
     dates_total: u64,
     payloads_received: u64,
     answers_received: u64,
+}
+
+impl DatingNode {
+    /// Record `q` dates arranged in `cycle`'s matchmaking round. A
+    /// matchmaker that received neither offers nor requests records
+    /// nothing, which the round observation reads the same as `q = 0`.
+    fn matched(&mut self, q: usize, cycle: u64) {
+        self.dates_cycle = q as u64;
+        self.dates_mark = cycle + 1;
+        self.dates_total += q as u64;
+    }
+}
+
+/// [`DatingMsg`]'s answers, as [`matchmake`] builds them.
+fn answer_offer(partner: Option<NodeId>) -> DatingMsg {
+    DatingMsg::AnswerOffer(Partner::new(partner))
+}
+
+fn answer_request(partner: Option<NodeId>) -> DatingMsg {
+    DatingMsg::AnswerRequest(Partner::new(partner))
 }
 
 /// Aggregate outcome of a runtime-hosted dating run.
@@ -246,13 +305,19 @@ impl<S: NodeSelector> RoundProtocol for RuntimeDating<S> {
         _id: NodeId,
         srcs: &[NodeId],
         msgs: &[DatingMsg],
-        _round: u64,
-        _rng: &mut SmallRng,
+        round: u64,
+        rng: &mut SmallRng,
         out: &mut Outbox<'_, DatingMsg>,
     ) {
-        // Same transitions as the per-message hook, in the same order
-        // (no RNG is consumed here); the counters accumulate in locals
-        // and write back once per run instead of once per message.
+        // Same transitions as the per-message hook and its phase-1 round
+        // end, in the same order: the run's payload sends, then the
+        // matchmaker's shuffle and answers (no RNG is consumed before
+        // them). A phase-1 run files its offers and requests in the
+        // inbox and pairs them as it ends; in any other phase they are
+        // dropped unread, as the stash would let them expire. The
+        // counters accumulate in locals and write back once per run.
+        let matchmaking = Self::phase_of(round) == 1;
+        let (inbox, tx) = out.split_inbox();
         let mut answers = 0u64;
         let mut payloads = 0u64;
         for (from, msg) in srcs.iter().zip(msgs) {
@@ -260,13 +325,15 @@ impl<S: NodeSelector> RoundProtocol for RuntimeDating<S> {
                 // One arm, the lane computed: a matchmaker's mail is
                 // offers and requests in no order, a coin-flip branch.
                 DatingMsg::Offer | DatingMsg::Request => {
-                    let request = matches!(msg, DatingMsg::Request);
-                    out.stash(STASH_OFFERS + usize::from(request), *from);
+                    if matchmaking {
+                        let request = matches!(msg, DatingMsg::Request);
+                        inbox[STASH_OFFERS + usize::from(request)].push(*from);
+                    }
                 }
                 DatingMsg::AnswerOffer(partner) => {
                     answers += 1;
                     if let Some(p) = partner.get() {
-                        out.send(p, DatingMsg::Payload);
+                        tx.send(p, DatingMsg::Payload);
                     }
                 }
                 DatingMsg::AnswerRequest(_) => answers += 1,
@@ -275,6 +342,11 @@ impl<S: NodeSelector> RoundProtocol for RuntimeDating<S> {
         }
         node.answers_received += answers;
         node.payloads_received += payloads;
+        if matchmaking {
+            let [offers, requests] = inbox;
+            let q = matchmake(offers, requests, rng, tx, answer_offer, answer_request);
+            node.matched(q, Self::cycle_of(round));
+        }
     }
 
     #[inline]
@@ -287,15 +359,9 @@ impl<S: NodeSelector> RoundProtocol for RuntimeDating<S> {
         out: &mut Outbox<'_, DatingMsg>,
     ) {
         if Self::phase_of(round) == 1 {
-            let q = matchmake(
-                rng,
-                out,
-                |p| DatingMsg::AnswerOffer(Partner::new(p)),
-                |p| DatingMsg::AnswerRequest(Partner::new(p)),
-            ) as u64;
-            node.dates_cycle = q;
-            node.dates_mark = Self::cycle_of(round) + 1;
-            node.dates_total += q;
+            if let Some(q) = matchmake_stash(rng, out, answer_offer, answer_request) {
+                node.matched(q, Self::cycle_of(round));
+            }
         }
     }
 
@@ -397,6 +463,10 @@ mod tests {
         sent
     }
 
+    /// Both paths into the one kernel against the `Vec` reference: the
+    /// round-end path on the arena stash, and the run path — one phase-1
+    /// delivery run with offers, requests and answers interleaved, paired
+    /// in the shard inbox as the run ends.
     #[test]
     fn arena_matchmaking_matches_the_vec_reference() {
         use crate::arena::NodeArena;
@@ -405,6 +475,15 @@ mod tests {
 
         const N: usize = 16;
         let ids = |v: &[u32]| v.iter().map(|&i| NodeId(i)).collect::<Vec<_>>();
+        // Matchmaker 3's sends, as `(dst, msg)` in send order.
+        let sent_by_3 = |env: &mut Lanes<DatingMsg>| -> Vec<(NodeId, DatingMsg)> {
+            let [lane] = env.batches() else {
+                panic!("one lane")
+            };
+            let sent = lane.iter().filter(|&(src, ..)| src == NodeId(3));
+            sent.map(|(_, _, dst, &msg)| (dst, msg)).collect()
+        };
+        let proto = RuntimeDating::new(Platform::unit(N), UniformSelector::new(N), 2);
         // (offers, requests) of matchmaker 3: nothing at all (q = 0), one
         // side empty either way, either side longer, level.
         let cases: [(&[u32], &[u32]); 7] = [
@@ -417,6 +496,11 @@ mod tests {
             (&[14], &[14]),
         ];
         for (case, (offers, requests)) in cases.into_iter().enumerate() {
+            let q = offers.len().min(requests.len());
+            let rngs = || {
+                let seed = case as u64;
+                (SmallRng::seed_from_u64(seed), SmallRng::seed_from_u64(seed))
+            };
             // `relocated`: matchmaker 4 stashes between 3's first entry
             // and the rest, so the arena moves 3's range to the tail.
             for relocated in [false, true] {
@@ -431,28 +515,87 @@ mod tests {
                         arena.push(NodeId(3), lane, NodeId(e));
                     }
                 }
-                let what = format!("case {case}, relocated: {relocated}");
-                let (mut rng, mut ref_rng) = (
-                    SmallRng::seed_from_u64(case as u64),
-                    SmallRng::seed_from_u64(case as u64),
-                );
+                let what = format!("case {case}, stash, relocated: {relocated}");
+                let (mut rng, mut ref_rng) = rngs();
                 let want = matchmake_on_vecs(ids(offers), ids(requests), &mut ref_rng);
                 let mut out = Outbox::new(NodeId(3), N, &mut seq, &mut env, &mut arena);
-                let q = matchmake(
-                    &mut rng,
-                    &mut out,
-                    |p| DatingMsg::AnswerOffer(Partner::new(p)),
-                    |p| DatingMsg::AnswerRequest(Partner::new(p)),
-                );
-                assert_eq!(q, offers.len().min(requests.len()), "{what}");
-                let [lane] = env.batches() else {
-                    panic!("one lane")
-                };
-                let got: Vec<_> = lane.iter().map(|(_, _, dst, &msg)| (dst, msg)).collect();
-                assert_eq!(got, want, "{what}");
+                let paired = matchmake_stash(&mut rng, &mut out, answer_offer, answer_request);
+                let stashed = !(offers.is_empty() && requests.is_empty());
+                assert_eq!(paired, stashed.then_some(q), "{what}");
+                assert_eq!(sent_by_3(&mut env), want, "{what}");
                 assert_eq!(seq, 5 + want.len() as u64, "{what}");
                 assert_eq!(rng.gen::<u64>(), ref_rng.gen::<u64>(), "RNG state, {what}");
             }
+
+            // The run path. Matchmaker 4's phase-1 run goes first and
+            // leaves the shard inbox dirty: 3's run must start empty.
+            // Every answer of 3's run is filed between an offer and a
+            // request; the matched ones ship their payloads as they land.
+            let what = format!("case {case}, run");
+            let (mut seq, mut env) = (5u64, Lanes::<DatingMsg>::new(1, N));
+            let mut arena = NodeArena::new(0, N);
+            arena.begin_round();
+            let (round, mut node) = (4, DatingNode::default());
+            let (mut other, mut other_seq) = (DatingNode::default(), 0u64);
+            let (mut rng, mut ref_rng) = rngs();
+            let mut out = Outbox::new(NodeId(4), N, &mut other_seq, &mut env, &mut arena);
+            let other_run = [(NodeId(9), DatingMsg::Offer), (NodeId(8), DatingMsg::Offer)];
+            let (srcs, msgs): (Vec<_>, Vec<_>) = other_run.into_iter().unzip();
+            let mut other_rng = SmallRng::seed_from_u64(99);
+            proto.on_receive_run(
+                &mut other,
+                NodeId(4),
+                &srcs,
+                &msgs,
+                round,
+                &mut other_rng,
+                &mut out,
+            );
+            let answers = [
+                (NodeId(6), answer_offer(Some(NodeId(11)))),
+                (NodeId(2), answer_request(Some(NodeId(5)))),
+                (NodeId(12), DatingMsg::Payload),
+                (NodeId(7), answer_offer(None)),
+                (NodeId(0), answer_offer(Some(NodeId(1)))),
+            ];
+            let mut run = Vec::new();
+            for k in 0..offers.len().max(requests.len()).max(answers.len()) {
+                let offer = offers.get(k).map(|&o| (NodeId(o), DatingMsg::Offer));
+                let request = requests.get(k).map(|&r| (NodeId(r), DatingMsg::Request));
+                run.extend(
+                    offer
+                        .into_iter()
+                        .chain(answers.get(k).copied())
+                        .chain(request),
+                );
+            }
+            let (srcs, msgs): (Vec<_>, Vec<_>) = run.into_iter().unzip();
+            let mut want = vec![
+                (NodeId(11), DatingMsg::Payload),
+                (NodeId(1), DatingMsg::Payload),
+            ];
+            want.extend(matchmake_on_vecs(ids(offers), ids(requests), &mut ref_rng));
+            let mut out = Outbox::new(NodeId(3), N, &mut seq, &mut env, &mut arena);
+            proto.on_receive_run(
+                &mut node,
+                NodeId(3),
+                &srcs,
+                &msgs,
+                round,
+                &mut rng,
+                &mut out,
+            );
+            assert_eq!(sent_by_3(&mut env), want, "{what}");
+            assert_eq!(seq, 5 + want.len() as u64, "{what}");
+            assert_eq!(rng.gen::<u64>(), ref_rng.gen::<u64>(), "RNG state, {what}");
+            let tally = (node.dates_cycle, node.dates_mark, node.dates_total);
+            assert_eq!(tally, (q as u64, 2, q as u64), "{what}");
+            let received = (node.answers_received, node.payloads_received);
+            assert_eq!(received, (4, 1), "{what}");
+            assert!(
+                !arena.stash_allocated(),
+                "the run path stashes nothing, {what}"
+            );
         }
     }
 

@@ -24,6 +24,13 @@
 //! | [`RtFairPull`] | 3 | uninformed request | informed answer **one** | answers land |
 //! | [`RtFairPushPull`] | 3 | push + request | rumor lands; answer **one** | answers land |
 //!
+//! A fair target answers as its phase-1 delivery run ends: the run is
+//! all of the round's pull requests to it, so it counts them, draws one
+//! uniformly and answers it there. Only the per-message default stashes
+//! the requests in the shard's [`NodeArena`](crate::NodeArena) and draws
+//! at round end; requests that land off phase 1 (a latency spread) are
+//! dropped unread either way.
+//!
 //! lint: deterministic
 
 use super::spread::{
@@ -110,10 +117,10 @@ impl<const PUSH: bool, const PULL: bool, const FAIR: bool> RtGossip<PUSH, PULL, 
         }
     }
 
-    /// One delivered message: a rumor is buffered; a pull request is
-    /// stashed for the round-end draw when `FAIR`, else answered from
-    /// cycle-start knowledge (`informed` cannot change mid-cycle, so
-    /// delivery order leaks nothing).
+    /// One delivered message, as the per-message hook takes it: a rumor
+    /// is buffered; a pull request is stashed for the round-end draw when
+    /// `FAIR`, else answered from cycle-start knowledge (`informed`
+    /// cannot change mid-cycle, so delivery order leaks nothing).
     #[inline]
     fn take(
         informed: bool,
@@ -158,12 +165,13 @@ fn gossip_cycle_start(
     }
 }
 
-/// Phase-1 round end for the fair variants: an informed node answers one
-/// uniform request from its arena stash. No clearing is needed — the
-/// stash expires at the round boundary, so an uninformed target silently
+/// Phase-1 round end for the fair variants, driven message by message:
+/// an informed node answers one uniform request from its arena stash.
+/// The engine's run path stashes nothing (it draws as the run ends), so
+/// this finds the stash empty there. No clearing is needed — the stash
+/// expires at the round boundary, so an uninformed target silently
 /// wastes the requests addressed to it, exactly as in the legacy
-/// grouping (and the RNG is consumed only when an answer is drawn, same
-/// as before).
+/// grouping (and the RNG is consumed only when an answer is drawn).
 #[inline(never)]
 fn answer_one_request(informed: bool, rng: &mut SmallRng, out: &mut Outbox<'_, GossipMsg>) {
     let pending = out.stash_len(STASH_REQUESTS);
@@ -217,17 +225,39 @@ impl<const PUSH: bool, const PULL: bool, const FAIR: bool> RoundProtocol
         _id: NodeId,
         srcs: &[NodeId],
         msgs: &[GossipMsg],
-        _round: u64,
-        _rng: &mut SmallRng,
+        round: u64,
+        rng: &mut SmallRng,
         out: &mut Outbox<'_, GossipMsg>,
     ) {
         // `informed` cannot change mid-run (only `pending` is written),
-        // so it is hoisted; answers and stashes go out in arrival order,
-        // exactly like the per-message hook.
+        // so it is hoisted; answers go out in arrival order, exactly
+        // like the per-message hook.
         let informed = node.informed;
         let mut pending = node.pending;
-        for (from, msg) in srcs.iter().zip(msgs) {
-            Self::take(informed, &mut pending, *from, *msg, out);
+        if FAIR {
+            // The run is all of this round's requests, and delivery sends
+            // nothing else: the round-end draw, taken as the run ends.
+            // Requests off phase 1 are dropped unread, as the stash would
+            // let them expire.
+            let mut requests = 0usize;
+            for msg in msgs {
+                match msg {
+                    GossipMsg::Rumor => pending = true,
+                    GossipMsg::PullRequest => requests += 1,
+                }
+            }
+            if round % Self::CYCLE == 1 && informed && requests > 0 {
+                let k = rng.gen_range(0..requests);
+                let (&winner, _) = (srcs.iter().zip(msgs))
+                    .filter(|(_, msg)| **msg == GossipMsg::PullRequest)
+                    .nth(k)
+                    .expect("k < requests");
+                out.send(winner, GossipMsg::Rumor);
+            }
+        } else {
+            for (from, msg) in srcs.iter().zip(msgs) {
+                Self::take(informed, &mut pending, *from, *msg, out);
+            }
         }
         node.pending = pending;
     }

@@ -30,13 +30,23 @@
 //!   their pins and `spread-faulty-seq` loses its own
 //!   (`benchmark/pins.json`).
 //!
+//! Whatever a phase decides from a round's mail it decides in the
+//! delivery run that brings it: a destination's whole round mail is one
+//! [`on_receive_run`](RoundProtocol::on_receive_run) call. The
+//! [`RtDatingSpread`] matchmakers pair their phase-1 offers and requests
+//! as the run ends, with the kernel of [`RuntimeDating`](crate::RuntimeDating)
+//! (see the [`dating`](super::dating) module docs), and the fair gossip
+//! spreaders draw their one answer there; only the per-message default
+//! stashes in the shard's [`NodeArena`](crate::NodeArena) and finishes
+//! the phase at round end.
+//!
 //! [`SpreadRunSummary::cycles`] reports the legacy-equivalent round
 //! count, which is what the KS-agreement tests in
 //! `tests/scenario_api.rs` pin to the centralized oracle.
 //!
 //! lint: deterministic
 
-use super::dating::{emit, matchmake};
+use super::dating::{emit, matchmake, matchmake_stash};
 use crate::arena::{STASH_OFFERS, STASH_REQUESTS};
 use crate::proto::{Outbox, RoundObs, RoundProtocol, Verdict};
 use rand::rngs::SmallRng;
@@ -47,8 +57,9 @@ use rendez_core::{NodeSelector, Platform};
 use rendez_sim::{NodeId, Partner, SplitMix64};
 
 /// Per-node rumor state shared by the spread adapters: two booleans, no
-/// heap — the offer/request inboxes of the dating-style adapters live in
-/// the executor shard's [`NodeArena`](crate::NodeArena) stash lanes.
+/// heap — a matchmaker's offers and requests are paired as its delivery
+/// run lands, in the executor shard's [`NodeArena`](crate::NodeArena)
+/// inbox, and a fair spreader draws its one answer from the run itself.
 #[derive(Debug, Default)]
 pub struct SpreadNode {
     /// Informed as of the current cycle's start.
@@ -195,6 +206,15 @@ pub enum DatingSpreadMsg {
 
 const _: () = assert!(std::mem::size_of::<DatingSpreadMsg>() == 8);
 
+/// [`DatingSpreadMsg`]'s answers, as [`matchmake`] builds them.
+fn answer_offer(partner: Option<NodeId>) -> DatingSpreadMsg {
+    DatingSpreadMsg::AnswerOffer(Partner::new(partner))
+}
+
+fn answer_request(partner: Option<NodeId>) -> DatingSpreadMsg {
+    DatingSpreadMsg::AnswerRequest(Partner::new(partner))
+}
+
 impl<S: NodeSelector> RtDatingSpread<S> {
     /// Engine rounds per dating cycle.
     pub const CYCLE: u64 = 3;
@@ -306,14 +326,20 @@ impl<S: NodeSelector> RoundProtocol for RtDatingSpread<S> {
         _id: NodeId,
         srcs: &[NodeId],
         msgs: &[DatingSpreadMsg],
-        _round: u64,
+        round: u64,
         rng: &mut SmallRng,
         out: &mut Outbox<'_, DatingSpreadMsg>,
     ) {
         // `informed` is never written during delivery, so it is hoisted;
         // the lossy branch must draw from `rng` exactly once per matched
-        // answer, in arrival order, to keep the node's private stream
-        // bit-identical to the per-message hook.
+        // answer, in arrival order, and before the matchmaker's shuffle,
+        // to keep the node's private stream bit-identical to the
+        // per-message hook and its round end. A phase-1 run files its
+        // offers and requests in the inbox and pairs them as it ends;
+        // in any other phase they are dropped unread, as the stash
+        // would let them expire.
+        let matchmaking = round % Self::CYCLE == 1;
+        let (inbox, tx) = out.split_inbox();
         let my_informed = node.informed;
         let mut pending = node.pending;
         for (from, msg) in srcs.iter().zip(msgs) {
@@ -321,15 +347,17 @@ impl<S: NodeSelector> RoundProtocol for RtDatingSpread<S> {
                 // One arm, the lane computed: a matchmaker's mail is
                 // offers and requests in no order, a coin-flip branch.
                 DatingSpreadMsg::Offer | DatingSpreadMsg::Request => {
-                    let request = matches!(msg, DatingSpreadMsg::Request);
-                    out.stash(STASH_OFFERS + usize::from(request), *from);
+                    if matchmaking {
+                        let request = matches!(msg, DatingSpreadMsg::Request);
+                        inbox[STASH_OFFERS + usize::from(request)].push(*from);
+                    }
                 }
                 DatingSpreadMsg::AnswerOffer(partner) => {
                     if let Some(p) = partner.get() {
                         if self.loss > 0.0 && rng.gen::<f64>() < self.loss {
                             continue;
                         }
-                        out.send(
+                        tx.send(
                             p,
                             DatingSpreadMsg::Payload {
                                 informed: my_informed,
@@ -346,6 +374,10 @@ impl<S: NodeSelector> RoundProtocol for RtDatingSpread<S> {
             }
         }
         node.pending = pending;
+        if matchmaking {
+            let [offers, requests] = inbox;
+            matchmake(offers, requests, rng, tx, answer_offer, answer_request);
+        }
     }
 
     #[inline]
@@ -358,13 +390,7 @@ impl<S: NodeSelector> RoundProtocol for RtDatingSpread<S> {
         out: &mut Outbox<'_, DatingSpreadMsg>,
     ) {
         if round % Self::CYCLE == 1 {
-            use DatingSpreadMsg::{AnswerOffer, AnswerRequest};
-            matchmake(
-                rng,
-                out,
-                |p| AnswerOffer(Partner::new(p)),
-                |p| AnswerRequest(Partner::new(p)),
-            );
+            matchmake_stash(rng, out, answer_offer, answer_request);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Shard-owned arena storage for per-node inbox scratch.
 //!
-//! Before this module every stash-and-drain protocol (the dating
-//! service's offer/request inboxes, the fair spreaders' request queues)
+//! A stash-and-drain protocol keeps what a node receives in one phase
+//! for a decision it takes later in the round. Before this module each
 //! kept a heap `Vec` **per node** — at `n = 10⁷` that is tens of
 //! millions of small allocations and a pointer chase per delivery. A
 //! [`NodeArena`] replaces them with two flat, shard-owned buffers plus
@@ -41,6 +41,22 @@
 //! a control message off its phase, the message is counted as delivered
 //! but its stash entry expires unread — deterministically, on every
 //! executor.
+//!
+//! # Who still stashes
+//!
+//! On the round engine nobody, unless driven message by message. A
+//! round delivers a destination's whole mail in one
+//! [`on_receive_run`](crate::RoundProtocol::on_receive_run) call, so the
+//! dating matchmakers file a phase-1 run's offers and requests into the
+//! arena's *inbox* — two plain `Vec`s for the node being delivered to,
+//! emptied on every loan — and pair them before the call returns, and
+//! the fair gossip spreaders draw their one answer from the run itself.
+//! The stash lanes stay unallocated on that path. They serve the
+//! per-message default (`on_message` stashes, the round-end hook drains
+//! through [`Outbox::split_stash`](crate::Outbox::split_stash)), the
+//! reference every `on_receive_run` override is compared against, and
+//! the event executor's [`AsyncSpread`](crate::AsyncSpread), which
+//! stashes within one activation.
 //!
 //! lint: deterministic
 
@@ -84,6 +100,9 @@ pub struct NodeArena {
     len: usize,
     epoch: u32,
     lanes: [Lane; STASH_LANES],
+    /// One node's offers and requests while its delivery run is open
+    /// (module docs, "Who still stashes"); empty between loans.
+    inbox: [Vec<NodeId>; STASH_LANES],
 }
 
 impl NodeArena {
@@ -95,7 +114,32 @@ impl NodeArena {
             len,
             epoch: 0,
             lanes: [Lane::default(), Lane::default()],
+            inbox: [Vec::new(), Vec::new()],
         }
+    }
+
+    /// The two-lane inbox, emptied — scratch for one node's delivery
+    /// run. Its capacity is kept, so it grows to the largest run a
+    /// matchmaker of this shard receives and then allocates nothing.
+    pub(crate) fn inbox(&mut self) -> &mut [Vec<NodeId>; STASH_LANES] {
+        for lane in &mut self.inbox {
+            lane.clear();
+        }
+        &mut self.inbox
+    }
+
+    /// Whether no node stashed anything this round: what lets a
+    /// round-end drain pass a node by without looking up its ranges.
+    #[inline]
+    pub(crate) fn stash_is_empty(&self) -> bool {
+        self.lanes.iter().all(|lane| lane.data.is_empty())
+    }
+
+    /// Whether either stash lane ever held an entry or a range table.
+    #[cfg(test)]
+    pub(crate) fn stash_allocated(&self) -> bool {
+        let held = |lane: &Lane| lane.data.capacity() > 0 || lane.ranges.capacity() > 0;
+        self.lanes.iter().any(held)
     }
 
     /// Start a new round: all stashed entries of the previous round
@@ -245,6 +289,17 @@ mod tests {
         assert_eq!(a.len_of(NodeId(0), STASH_OFFERS), 0);
         assert_eq!(ids(&a, 0, STASH_REQUESTS), vec![2]);
         assert!(a.lanes[STASH_OFFERS].ranges.is_empty());
+    }
+
+    #[test]
+    fn inbox_is_lent_empty_and_leaves_the_stash_alone() {
+        let mut a = NodeArena::new(0, 3);
+        a.begin_round();
+        a.inbox()[STASH_REQUESTS].extend([NodeId(1), NodeId(2)]);
+        assert!(a.inbox().iter().all(Vec::is_empty), "emptied on every loan");
+        assert!(!a.stash_allocated());
+        a.push(NodeId(0), STASH_OFFERS, NodeId(2));
+        assert!(a.stash_allocated());
     }
 
     #[test]

@@ -625,6 +625,76 @@ mod tests {
         }
     }
 
+    /// `proto` over `n` nodes in `shards` shards, each round's segments
+    /// spliced and its partials merged as [`drive`] does, until the
+    /// verdict halts; returns the shards. The shards run inline: the
+    /// layout, not the threads, decides which arena a node uses.
+    fn layout_after_run<P: RoundProtocol>(
+        proto: &mut P,
+        n: usize,
+        cfg: &RunConfig,
+        shards: usize,
+    ) -> Vec<Shard<P>> {
+        let geo = Geometry::new(n, shards, &cfg.conditions);
+        let mut layout: Vec<_> = (0..geo.shards)
+            .map(|s| Shard::new(&*proto, cfg, geo, s))
+            .collect();
+        let mut ring: VecDeque<Vec<Vec<EnvBatch<P::Msg>>>> = (0..geo.slots)
+            .map(|_| (0..geo.shards).map(|_| Vec::new()).collect())
+            .collect();
+        for round in 0..cfg.max_rounds {
+            let mut dues = ring.pop_front().expect("`slots` rows");
+            let mut merged = RoundObs::default();
+            for (shard, due) in layout.iter_mut().zip(&mut dues) {
+                merged.merge(&shard.round(proto, cfg, geo, round, due).1);
+            }
+            ring.push_back(dues);
+            for shard in &mut layout {
+                for (buckets, row) in shard.routed.iter_mut().zip(ring.iter_mut()) {
+                    for (seg, due) in buckets.iter_mut().zip(row) {
+                        if !seg.is_empty() {
+                            due.push(std::mem::take(seg));
+                        }
+                    }
+                }
+            }
+            if let Verdict::Halt(_) = proto.finalize_obs(&merged, round) {
+                return layout;
+            }
+        }
+        panic!("no verdict in {} rounds", cfg.max_rounds);
+    }
+
+    /// The dating matchmakers pair their mail in the delivery run, in
+    /// the arena's inbox: after whole runs of both dating adapters, on
+    /// one shard and on three, ideal and under a latency spread, no
+    /// shard arena has allocated a stash lane.
+    #[test]
+    fn dating_runs_leave_the_arena_stash_unallocated() {
+        use crate::adapters::{RtDatingSpread, RuntimeDating};
+        use rendez_core::{Platform, UniformSelector};
+
+        const N: usize = 300;
+        let spread = Conditions::with_latency(LatencyDist::Uniform { min: 1, max: 3 });
+        fn stash_free<P: RoundProtocol>(layout: &[Shard<P>]) -> bool {
+            layout.iter().all(|shard| !shard.arena.stash_allocated())
+        }
+        for shards in [1, 3] {
+            for cond in [Conditions::ideal(), spread] {
+                let what = format!("shards={shards} {cond:?}");
+                let cfg = RunConfig::seeded(11).max_rounds(2_000).conditions(cond);
+                let platform = Platform::power_law(N, 1.1, 4.0, 5);
+                let mut dating = RuntimeDating::new(platform, UniformSelector::new(N), 5);
+                let layout = layout_after_run(&mut dating, N, &cfg, shards);
+                assert!(stash_free(&layout), "dating service, {what}");
+                let platform = Platform::unit(N);
+                let mut rumor = RtDatingSpread::new(platform, UniformSelector::new(N), NodeId(0));
+                let layout = layout_after_run(&mut rumor, N, &cfg, shards);
+                assert!(stash_free(&layout), "dating spread, {what}");
+            }
+        }
+    }
+
     #[test]
     fn recycle_pool_is_bounded_by_one_round_of_the_layout() {
         let slots = |max| Conditions::with_latency(LatencyDist::Uniform { min: 1, max });

@@ -139,7 +139,23 @@ impl<'a, M> Outbox<'a, M> {
     /// together with the send half, so a matchmaker can shuffle and pair
     /// the slices in place and answer as it goes.
     pub fn split_stash(&mut self) -> ([&mut [NodeId]; STASH_LANES], &mut SendHalf<'a, M>) {
-        (self.arena.slices_mut(self.tx.src), &mut self.tx)
+        let lent = if self.arena.stash_is_empty() {
+            [&mut [][..], &mut []]
+        } else {
+            self.arena.slices_mut(self.tx.src)
+        };
+        (lent, &mut self.tx)
+    }
+
+    /// Lend out the shard's two-lane inbox, emptied, together with the
+    /// send half: scratch a delivery run files its offers and requests
+    /// into, in arrival order, to pair them before the run returns (see
+    /// the [`arena`](crate::arena) module docs). Nothing in it outlives
+    /// the loan.
+    pub(crate) fn split_inbox(
+        &mut self,
+    ) -> (&mut [Vec<NodeId>; STASH_LANES], &mut SendHalf<'a, M>) {
+        (self.arena.inbox(), &mut self.tx)
     }
 }
 
@@ -322,13 +338,23 @@ pub trait RoundProtocol: Sync {
     /// delivering destinations in ascending order, exactly the
     /// per-message `(dst, src, seq)` schedule.
     ///
+    /// One call carries the destination's whole mail of the round: no
+    /// more arrives for `id` before [`on_round_end`](Self::on_round_end).
+    /// An override may therefore finish a phase here — pair a
+    /// matchmaker's offers and requests, answer one pull request — that
+    /// the per-message path can only finish at round end, as long as
+    /// nothing between the two reads or writes what it touches.
+    ///
     /// The default forwards to [`on_message`](Self::on_message) once per
     /// entry and **must stay observably equivalent in any override**:
     /// same state transitions, same sends in the same order, same RNG
-    /// consumption. Overriding buys batch-level optimisation (hoisted
-    /// field accesses, one accumulator write-back instead of `len`
-    /// read-modify-writes), not different semantics — digest traces are
-    /// compared across executors, which all dispatch through this hook.
+    /// consumption — counted over the call and the round-end hook
+    /// together when the override does round-end work early. Overriding
+    /// buys batch-level optimisation (hoisted field accesses, one
+    /// accumulator write-back instead of `len` read-modify-writes, a
+    /// phase finished while its input is hot), not different semantics —
+    /// digest traces are compared across executors, which all dispatch
+    /// through this hook.
     /// The gate is `tests/per_message.rs`: every registry adapter, with
     /// its override taken away by a `PerMessage` wrapper, must reproduce
     /// its whole report.

@@ -4,7 +4,7 @@
 //! adapter with the override taken away must produce the same report.
 
 use rand::rngs::SmallRng;
-use rendez_core::{Platform, UniformSelector};
+use rendez_core::{AliasSelector, Platform, UniformSelector};
 use rendez_runtime::adapters::{
     RtDatingSpread, RtFairPull, RtFairPushPull, RtPull, RtPush, RtPushPull, RuntimeDating,
 };
@@ -110,6 +110,17 @@ where
             Conditions::ideal(),
             Churn::intermittent(0.05).protect(SOURCE),
         ),
+        // Offers land in foreign phases and in a later cycle's phase 1.
+        (
+            "latency geometric(0.5) capped at 4",
+            Conditions::with_latency(LatencyDist::Geometric { p: 0.5, cap: 4 }),
+            Churn::none(),
+        ),
+        (
+            "crash-stop 0.2 by round 60",
+            Conditions::ideal(),
+            Churn::crash_stop(0.2, 60).protect(SOURCE),
+        ),
     ];
     for (cname, cond, churn) in conditions {
         let cfg = RunConfig::seeded(0xd47e)
@@ -154,6 +165,11 @@ fn receive_run_overrides_equal_the_per_message_default() {
             UniformSelector::new(N),
             8,
         )
+    });
+    check("dating-service, bw_in alias selector", || {
+        let platform = Platform::power_law(N, 1.1, 4.0, 5);
+        let weights: Vec<f64> = platform.iter().map(|(_, caps)| caps.bw_in as f64).collect();
+        RuntimeDating::new(platform, AliasSelector::new(&weights, "bw_in"), 8)
     });
     check("dating", || dating(0.0));
     check("dating-lossy", || dating(0.2));
