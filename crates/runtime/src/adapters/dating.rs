@@ -136,7 +136,8 @@ pub(super) fn emit<S: NodeSelector, M: Copy>(
 /// consuming the RNG exactly like [`partial_shuffle`] on the old
 /// per-node inbox `Vec`s. On the engine's run path they are the shard
 /// inbox a phase-1 delivery run filled (module docs); driven message by
-/// message, the node's stash, at round end ([`matchmake_stash`]).
+/// message, the same inbox filled with the node's stash, at round end
+/// ([`matchmake_stash`]).
 #[inline(never)]
 pub(super) fn matchmake<M>(
     offers: &mut [NodeId],
@@ -164,11 +165,12 @@ pub(super) fn matchmake<M>(
     q
 }
 
-/// Phase-1 round end of both dating adapters: [`matchmake`] on what the
-/// per-message path stashed, or `None` when nothing was — always, on the
-/// engine's run path, which pairs a matchmaker's mail as it lands and
-/// never stashes. The stash is not cleared: it expires at the round
-/// boundary.
+/// Phase-1 round end of both dating adapters: [`matchmake`] on a copy of
+/// what the per-message path stashed, or `None` when nothing was —
+/// always, on the engine's run path, which pairs a matchmaker's mail as
+/// it lands and never stashes. The copy holds the stash's entries in the
+/// stash's order, so the shuffles, sends and RNG draws are the ones the
+/// stash itself would give; the stash expires at the round boundary.
 #[inline]
 pub(super) fn matchmake_stash<M>(
     rng: &mut SmallRng,
@@ -176,7 +178,7 @@ pub(super) fn matchmake_stash<M>(
     answer_offer: impl Fn(Option<NodeId>) -> M,
     answer_request: impl Fn(Option<NodeId>) -> M,
 ) -> Option<usize> {
-    let ([offers, requests], tx) = out.split_stash();
+    let ([offers, requests], tx) = out.split_stashed_inbox()?;
     if offers.is_empty() && requests.is_empty() {
         return None;
     }
@@ -415,7 +417,7 @@ impl<S: NodeSelector> RoundProtocol for RuntimeDating<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{Executor, SequentialExecutor, ShardedExecutor};
+    use crate::exec::{Executor, SequentialExecutor};
     use crate::report::{RunConfig, RunReport};
     use rendez_core::{analysis, UniformSelector};
 
@@ -655,22 +657,6 @@ mod tests {
         let control = r.stats.bytes_sent - payloads * PAYLOAD_BYTES as u64;
         assert_eq!(control, cycles * (2 * n + 2 * n) * ADDRESS_BYTES as u64);
         assert_eq!(r.stats.sent - payloads, cycles * (2 * n + 2 * n));
-    }
-
-    #[test]
-    fn sharded_run_is_identical() {
-        let n = 300;
-        let mk = || RuntimeDating::new(Platform::unit(n), UniformSelector::new(n), 6);
-        let cfg = RunConfig::seeded(9).max_rounds(mk().total_rounds());
-        let mut a = mk();
-        let seq = SequentialExecutor.run(&mut a, n, &cfg);
-        for shards in [2, 7] {
-            let mut b = mk();
-            let sh = ShardedExecutor::new(shards).run(&mut b, n, &cfg);
-            assert_eq!(seq.digests, sh.digests, "shards={shards}");
-            assert_eq!(seq.output, sh.output, "shards={shards}");
-            assert_eq!(seq.stats, sh.stats, "shards={shards}");
-        }
     }
 
     #[test]

@@ -292,7 +292,7 @@ impl<const PUSH: bool, const PULL: bool, const FAIR: bool> RoundProtocol
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{Executor, SequentialExecutor, ShardedExecutor};
+    use crate::exec::{Executor, SequentialExecutor};
     use crate::report::RunConfig;
 
     fn run_seq<P: RoundProtocol<Output = SpreadRunSummary>>(
@@ -388,30 +388,6 @@ mod tests {
         let fp = mean(&|s| run_seq(RtFairPull::new(n, NodeId(0)), n, 200 + s));
         assert!(fpp < push, "combo ({fpp}) must beat push ({push})");
         assert!(fpp < fp, "combo ({fpp}) must beat fair pull ({fp})");
-    }
-
-    #[test]
-    fn all_baselines_are_executor_independent() {
-        let n = 600;
-        let cfg = RunConfig::seeded(9).max_rounds(5_000);
-        macro_rules! check {
-            ($mk:expr) => {{
-                let mut a = $mk;
-                let seq = SequentialExecutor.run(&mut a, n, &cfg);
-                for shards in [2, 7] {
-                    let mut b = $mk;
-                    let sh = ShardedExecutor::new(shards).run(&mut b, n, &cfg);
-                    assert_eq!(seq.digests, sh.digests, "shards={shards}");
-                    assert_eq!(seq.output, sh.output, "shards={shards}");
-                    assert_eq!(seq.stats, sh.stats, "shards={shards}");
-                }
-            }};
-        }
-        check!(RtPush::new(n, NodeId(1)));
-        check!(RtPull::new(n, NodeId(1)));
-        check!(RtPushPull::new(n, NodeId(1)));
-        check!(RtFairPull::new(n, NodeId(1)));
-        check!(RtFairPushPull::new(n, NodeId(1)));
     }
 
     #[test]

@@ -426,7 +426,7 @@ impl<S: NodeSelector> RoundProtocol for RtDatingSpread<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{Executor, SequentialExecutor, ShardedExecutor};
+    use crate::exec::{Executor, SequentialExecutor};
     use crate::report::RunConfig;
     use crate::Conditions;
     use rendez_core::UniformSelector;
@@ -441,20 +441,6 @@ mod tests {
         assert_eq!(out.final_informed(), n as u64);
         // O(log n) cycles; generous cap.
         assert!(out.cycles < 120, "took {} cycles", out.cycles);
-    }
-
-    #[test]
-    fn executors_agree_on_spreading_traces() {
-        let n = 700;
-        let cfg = RunConfig::seeded(3).max_rounds(2000);
-        let mut a = RtDatingSpread::new(Platform::unit(n), UniformSelector::new(n), NodeId(5));
-        let seq = SequentialExecutor.run(&mut a, n, &cfg);
-        for shards in [2, 5, 16] {
-            let mut b = RtDatingSpread::new(Platform::unit(n), UniformSelector::new(n), NodeId(5));
-            let sh = ShardedExecutor::new(shards).run(&mut b, n, &cfg);
-            assert_eq!(seq.digests, sh.digests, "shards={shards}");
-            assert_eq!(seq.output, sh.output, "shards={shards}");
-        }
     }
 
     #[test]

@@ -53,7 +53,7 @@
 //! the fair gossip spreaders draw their one answer from the run itself.
 //! The stash lanes stay unallocated on that path. They serve the
 //! per-message default (`on_message` stashes, the round-end hook drains
-//! through [`Outbox::split_stash`](crate::Outbox::split_stash)), the
+//! through a copy in the inbox, `Outbox::split_stashed_inbox`), the
 //! reference every `on_receive_run` override is compared against, and
 //! the event executor's [`AsyncSpread`](crate::AsyncSpread), which
 //! stashes within one activation.
@@ -125,6 +125,19 @@ impl NodeArena {
         for lane in &mut self.inbox {
             lane.clear();
         }
+        &mut self.inbox
+    }
+
+    /// The two-lane inbox, filled with `id`'s stash in arrival order —
+    /// the per-message round-end drain's copy of what the node stashed.
+    /// The stash itself is left to expire at the round boundary.
+    pub(crate) fn inbox_of_stash(&mut self, id: NodeId) -> &mut [Vec<NodeId>; STASH_LANES] {
+        let mut inbox = std::mem::take(&mut self.inbox);
+        for (lane, copy) in inbox.iter_mut().enumerate() {
+            copy.clear();
+            copy.extend_from_slice(self.slice(id, lane));
+        }
+        self.inbox = inbox;
         &mut self.inbox
     }
 
@@ -212,21 +225,6 @@ impl NodeArena {
             }
             _ => &[],
         }
-    }
-
-    /// `id`'s stashed entries in every lane at once, mutable — what a
-    /// matchmaker shuffles and pairs in place (same entries, same order
-    /// as [`slice`](Self::slice); a lane never stashed into reads empty).
-    pub(crate) fn slices_mut(&mut self, id: NodeId) -> [&mut [NodeId]; STASH_LANES] {
-        let (off, epoch) = (self.off(id), self.epoch);
-        self.lanes
-            .each_mut()
-            .map(|lane| match lane.ranges.get(off) {
-                Some(r) if r.epoch == epoch => {
-                    &mut lane.data[r.start as usize..(r.start + r.len) as usize]
-                }
-                _ => &mut [],
-            })
     }
 
     /// Partial Fisher–Yates over `id`'s stash in `lane`: afterwards the

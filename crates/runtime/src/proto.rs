@@ -48,8 +48,8 @@ pub struct Outbox<'a, M> {
 }
 
 /// The send half of an [`Outbox`]: the sender's identity and counter and
-/// the shard's emission lanes, without the stash — what is left to send
-/// through while [`Outbox::split_stash`] lends the stash out.
+/// the shard's emission lanes, without the arena — what is left to send
+/// through while a matchmaker borrows the arena's inbox.
 pub struct SendHalf<'a, M> {
     src: NodeId,
     n: usize,
@@ -125,8 +125,7 @@ impl<'a, M> Outbox<'a, M> {
         self.arena.len_of(self.tx.src, lane)
     }
 
-    /// The `j`-th stashed entry in `lane` (arrival order, unless permuted
-    /// through [`split_stash`](Self::split_stash)).
+    /// The `j`-th stashed entry in `lane` (arrival order).
     ///
     /// # Panics
     /// Panics if `j` is out of range.
@@ -134,17 +133,18 @@ impl<'a, M> Outbox<'a, M> {
         self.arena.get(self.tx.src, lane, j)
     }
 
-    /// Lend out this node's whole stash — one mutable slice per lane,
-    /// the entries [`stash_at`](Self::stash_at) reads, in that order —
-    /// together with the send half, so a matchmaker can shuffle and pair
-    /// the slices in place and answer as it goes.
-    pub fn split_stash(&mut self) -> ([&mut [NodeId]; STASH_LANES], &mut SendHalf<'a, M>) {
-        let lent = if self.arena.stash_is_empty() {
-            [&mut [][..], &mut []]
-        } else {
-            self.arena.slices_mut(self.tx.src)
-        };
-        (lent, &mut self.tx)
+    /// Lend out the shard's two-lane inbox filled with this node's stash
+    /// — the entries [`stash_at`](Self::stash_at) reads, in that order —
+    /// together with the send half, so the per-message round-end drain
+    /// pairs them the way a delivery run pairs its own inbox. `None` when
+    /// no node of the shard stashed anything this round.
+    pub(crate) fn split_stashed_inbox(
+        &mut self,
+    ) -> Option<(&mut [Vec<NodeId>; STASH_LANES], &mut SendHalf<'a, M>)> {
+        if self.arena.stash_is_empty() {
+            return None;
+        }
+        Some((self.arena.inbox_of_stash(self.tx.src), &mut self.tx))
     }
 
     /// Lend out the shard's two-lane inbox, emptied, together with the
@@ -638,38 +638,34 @@ mod tests {
     }
 
     #[test]
-    fn split_stash_lends_the_slices_stash_at_reads() {
-        let mut seq = 0u64;
-        let mut env: Lanes<u8> = Lanes::new(1, 4);
-        let mut arena = arena(4);
-        // Node 1's stash in between relocates node 2's offers.
-        for (node, lane, v) in [
-            (2, STASH_OFFERS, 7),
-            (1, STASH_OFFERS, 5),
-            (2, STASH_OFFERS, 8),
-            (2, STASH_REQUESTS, 9),
-        ] {
-            Outbox::new(NodeId(node), 4, &mut seq, &mut env, &mut arena).stash(lane, NodeId(v));
+    fn provided_slice_methods_are_the_streaming_fold() {
+        use crate::exec::testproto::{PingNode, RandomPing};
+        // No executor exposes a node slice, so build one.
+        let nodes: Vec<PingNode> = (0..40)
+            .map(|i| PingNode {
+                received: i * 3 % 7,
+                sent: i,
+            })
+            .collect();
+        // One threshold the slice reaches (halt), one it does not.
+        for target_total in [60, 1_000] {
+            let mut by_slice = RandomPing {
+                n: 40,
+                target_total,
+            };
+            let mut by_obs = RandomPing {
+                n: 40,
+                target_total,
+            };
+            assert!(by_slice.streams());
+            for round in [0, 5] {
+                let obs = observe_nodes(&by_obs, 0, &nodes, round);
+                let digest = by_obs.digest_obs(&obs, round);
+                assert_eq!(by_slice.digest(&nodes, round), digest);
+                let verdict = by_obs.finalize_obs(&obs, round);
+                assert_eq!(by_slice.finalize(&nodes, round), verdict);
+            }
         }
-        let mut out = Outbox::new(NodeId(2), 4, &mut seq, &mut env, &mut arena);
-        let read = |out: &Outbox<'_, u8>, lane| -> Vec<NodeId> {
-            (0..out.stash_len(lane))
-                .map(|j| out.stash_at(lane, j))
-                .collect()
-        };
-        let want = [read(&out, STASH_OFFERS), read(&out, STASH_REQUESTS)];
-        assert_eq!(want[STASH_OFFERS], [NodeId(7), NodeId(8)]);
-        let (lent, tx) = out.split_stash();
-        assert_eq!([lent[0].to_vec(), lent[1].to_vec()], want);
-        // The slices are the stash itself, and the half still sends.
-        lent[STASH_OFFERS].swap(0, 1);
-        tx.send(NodeId(0), 1);
-        assert_eq!(read(&out, STASH_OFFERS), [NodeId(8), NodeId(7)]);
-        // A node with nothing stashed — or a lane never stashed into by
-        // anyone — is lent empty slices.
-        let mut out = Outbox::new(NodeId(3), 4, &mut seq, &mut env, &mut arena);
-        assert!(out.split_stash().0.iter().all(|lane| lane.is_empty()));
-        assert_eq!(seq, 1);
     }
 
     #[test]

@@ -674,21 +674,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_matches_sequential_through_the_builder() {
-        let base = Scenario::new(300).protocol(Spreader::FairPushPull);
-        let seq = base.clone().run(5).expect("valid").expect_output();
-        for k in [2, 7] {
-            let sh = base
-                .clone()
-                .sharded(k)
-                .run(5)
-                .expect("valid")
-                .expect_output();
-            assert_eq!(seq, sh, "k={k}");
-        }
-    }
-
-    #[test]
     fn pooled_scenario_runs_match_unpooled() {
         use crate::exec::WorkerPool;
         let pool = WorkerPool::new(2);

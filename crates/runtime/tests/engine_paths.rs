@@ -1,18 +1,20 @@
 //! The ways into the one round engine — `SequentialExecutor`,
-//! `ShardedExecutor::run` (run-scoped pool), `ShardedExecutor::run_in`
-//! and `Scenario::run_pooled` (shared pool) — agree on *which thread*
-//! runs a shard, on what a panicking protocol callback looks like to the
-//! caller, and on the report whatever the channel and the phases a round
-//! sends from: every emission lane is handed over whole — read off the
-//! number of times the engine cloned a message, never off a clock. And
-//! every path keeps the books: each message sent is delivered, lost to
-//! the channel or lost to churn, never before its latency is up.
+//! `ShardedExecutor::run` (run-scoped pool) and `ShardedExecutor::run_in`
+//! (shared pool) — agree on *which thread* runs a shard, on what a
+//! panicking protocol callback looks like to the caller, and on the
+//! report whatever the channel and the phases a round sends from: every
+//! emission lane is handed over whole — read off the number of times the
+//! engine cloned a message, never off a clock. And every path keeps the
+//! books: each message sent is delivered, lost to the channel or lost to
+//! churn, never before its latency is up. The registry workloads on
+//! every path, `Scenario::run_pooled` included, are the differential
+//! grid's (`tests/differential.rs` at the workspace root).
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rendez_runtime::{
     Churn, Conditions, Executor, LatencyDist, Outbox, RoundObs, RoundProtocol, RunConfig,
-    RunReport, Scenario, SequentialExecutor, ShardedExecutor, Spreader, Verdict, WorkerPool,
+    RunReport, SequentialExecutor, ShardedExecutor, Verdict, WorkerPool,
 };
 use rendez_sim::{NodeId, SplitMix64};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -418,81 +420,6 @@ fn a_latency_spread_hands_every_lane_over() {
     let (report, layouts) = echo_everywhere(false, long_tail);
     assert!(report.stats.delivered > 400, "{:?}", report.stats);
     assert_handed_over(&report, &layouts, "geometric");
-}
-
-#[test]
-fn pooled_scenarios_match_sequential_under_every_routing_condition() {
-    // The dating spreader through the builder: three phases a cycle, so
-    // lanes of different volume meet in the segment pools.
-    let pool = WorkerPool::new(2);
-    for cond in [
-        Conditions::ideal(),
-        Conditions {
-            drop_prob: 0.1,
-            latency: LatencyDist::Fixed(3),
-        },
-        Conditions::with_latency(LatencyDist::Uniform { min: 1, max: 3 }),
-    ] {
-        // (Late answers stall the dating cycle, so the delayed runs end
-        // at the round cap; what is compared is the trace up to it.)
-        let base = Scenario::new(211)
-            .protocol(Spreader::Dating)
-            .conditions(cond)
-            .max_rounds(60);
-        let reference = base.clone().sequential().run(17).expect("valid");
-        assert!(reference.stats.delivered > 1000, "{cond:?}");
-        for shards in [2, 3, 5, 211, 300] {
-            let pooled = base
-                .clone()
-                .sharded(shards)
-                .run_pooled(&pool, 17)
-                .expect("valid");
-            let what = format!("{cond:?} shards={shards}");
-            assert_eq!(reference.digests, pooled.digests, "{what}");
-            assert_eq!(reference.stats, pooled.stats, "{what}");
-            assert_eq!(reference.rounds, pooled.rounds, "{what}");
-            assert_eq!(reference.output, pooled.output, "{what}");
-            assert_eq!(reference.node_bytes, pooled.node_bytes, "{what}");
-        }
-    }
-}
-
-#[test]
-fn the_faulty_workload_matches_sequential_at_every_shard_count() {
-    // Loss, a latency spread and intermittent churn at once: every
-    // shard's senders look their fate keys up from its own first id, and
-    // its churn mask starts there too.
-    let pool = WorkerPool::new(2);
-    let faulty = Conditions {
-        drop_prob: 0.05,
-        latency: LatencyDist::Uniform { min: 1, max: 2 },
-    };
-    for protocol in [Spreader::Dating, Spreader::PushPull] {
-        let base = Scenario::new(250)
-            .protocol(protocol)
-            .source(NodeId(117))
-            .conditions(faulty)
-            .churn(Churn::intermittent(0.05))
-            .max_rounds(90);
-        for seed in [1, 0xBEEF] {
-            let reference = base.clone().sequential().run(seed).expect("valid");
-            assert!(reference.stats.dropped > 0 && reference.stats.churn_lost > 0);
-            for shards in [1, 2, 3, 5] {
-                let sharded = base.clone().sharded(shards);
-                for (path, report) in [
-                    ("run", sharded.run(seed)),
-                    ("run_pooled", sharded.run_pooled(&pool, seed)),
-                ] {
-                    let report = report.expect("valid");
-                    let what = format!("{protocol} seed={seed} shards={shards} {path}");
-                    assert_eq!(reference.digests, report.digests, "{what}");
-                    assert_eq!(reference.stats, report.stats, "{what}");
-                    assert_eq!(reference.rounds, report.rounds, "{what}");
-                    assert_eq!(reference.output, report.output, "{what}");
-                }
-            }
-        }
-    }
 }
 
 /// Every node sends one message a round, to a round-dependent target,

@@ -290,6 +290,7 @@ proptest! {
         prop_assert_eq!(&seq.digests, &sh.digests);
         prop_assert_eq!(seq.stats, sh.stats);
         prop_assert_eq!(seq.output, sh.output);
+        prop_assert_eq!(seq.node_bytes, sh.node_bytes);
     }
 }
 
