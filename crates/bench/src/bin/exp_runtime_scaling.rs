@@ -1,60 +1,50 @@
 //! Runtime scaling experiment: sequential vs sharded execution at large
-//! `n`, plus the full-registry determinism gate and the recorded perf
-//! baseline.
+//! `n`, plus the full-registry determinism gates.
 //!
-//! Three sections:
+//! Four sections:
 //!
 //! 1. **Scaling** — the dating-service rumor spread at paper scale
 //!    (`n = 10⁵`), sequential vs sharded, measuring wall-clock speedup
 //!    and message throughput while verifying the headline property end
-//!    to end: same seed → identical round count, informed history and
-//!    per-round digest trace.
+//!    to end: same seed → identical [`RunReport`], field for field.
 //! 2. **Determinism gate** — every workload in the [`Spreader`] registry
 //!    (dating service + all seven Figure-2 spreaders), with and without
 //!    churn, run through the [`Scenario`] builder on the sequential and
-//!    sharded executors; every report must be bit-identical.
-//! 3. **Recorded baseline** — `--bench-out PATH` additionally writes
-//!    machine-readable records (ns/round, msgs/sec per
-//!    `{workload, n, shards}`) so the hot path's perf trajectory is
-//!    tracked across PRs; see `BENCH_runtime.json` and `EXPERIMENTS.md`.
-//! 4. **n-scaling series** (`--n-series`) — the millions-of-nodes tier:
+//!    sharded executors; every report must be bit-identical. Each row
+//!    also prints the messages sent and both executors' wall times.
+//! 3. **n-scaling series** (`--n-series`) — the millions-of-nodes tier:
 //!    the dating-spread workload at each `--series-n` point (default
 //!    `10⁵` and `10⁶`), sequential plus every `--series-shards` count,
 //!    exercising the streaming per-shard finalize and arena-backed node
-//!    state. Each point verifies digest-trace identity across
-//!    executors and records ns/round, msgs/sec and resident bytes/node
-//!    into the `scaling` series of the benchmark file. Points whose
+//!    state. Each point verifies report identity across executors and
+//!    prints ns/round, msgs/sec and resident bytes/node. Points whose
 //!    estimated footprint exceeds `MemAvailable` are skipped.
-//! 5. **Async determinism gate** (`--time-model continuous`) — every
+//! 4. **Async determinism gate** (`--time-model continuous`) — every
 //!    workload with a continuous-time port, run [`ASYNC_RUNS`] times
 //!    through the event-driven [`EventExecutor`] at each `--async-n`
-//!    size; every repetition must reproduce the first one's event
-//!    trace bit for bit, and each `{workload, n}` cell records
-//!    events/sec and ns/event at the median wall time into the
-//!    `async_events` series of the benchmark file.
+//!    size; every repetition must reproduce the first one's report bit
+//!    for bit, and each `{workload, n}` cell prints events/sec and
+//!    ns/event at the median wall time.
 //!
 //! Usage: `exp_runtime_scaling [--quick] [--n N] [--seed S]
-//!         [--shards 2,4,8] [--gate-n N] [--bench-out PATH]
+//!         [--shards 2,4,8] [--gate-n N]
 //!         [--n-series] [--series-n 100000,1000000]
 //!         [--series-shards 1,2,8] [--series-floor MSGS_PER_SEC]
 //!         [--time-model continuous] [--async-n 20000,100000] [--csv]`
 //!
-//! `--series-floor` turns the n-scaling series into a perf regression
-//! gate: every regenerated scaling point must sustain at least the
-//! given msgs/sec (CI pins this to the pre-refactor throughput of the
-//! message plane at the smoke-test `n`, so a hot-path regression fails
-//! the job instead of silently shipping).
+//! `--csv` prints every table as CSV, the machine-readable form of the
+//! numbers. `--series-floor` turns the n-scaling series into a perf
+//! regression gate: every regenerated scaling point must sustain at
+//! least the given msgs/sec (CI pins this to the pre-refactor
+//! throughput of the message plane at the smoke-test `n`, so a hot-path
+//! regression fails the job instead of silently shipping).
 //!
 //! Defaults run the paper-scale `n = 10⁵` spread; `--quick` drops to
 //! `n = 10⁴` for CI.
 
-use rendez_bench::{
-    load_bench_json, write_bench_json, AsyncEventsRecord, BenchRecord, CliArgs, ScalingRecord,
-    Table,
-};
+use rendez_bench::{CliArgs, Table};
 use rendez_runtime::{
-    AsyncSpread, AsyncSpreadSummary, Churn, EventExecutor, RunConfig, RunReport, Scenario,
-    ScenarioReport, Spreader,
+    AsyncSpread, Churn, EventExecutor, RunConfig, RunReport, Scenario, ScenarioReport, Spreader,
 };
 use rendez_sim::NodeId;
 use std::time::Instant;
@@ -65,24 +55,39 @@ fn timed_run(scenario: &Scenario, seed: u64) -> (ScenarioReport, f64) {
     (report, start.elapsed().as_secs_f64())
 }
 
-fn identical(a: &ScenarioReport, b: &ScenarioReport) -> bool {
-    a.rounds == b.rounds && a.digests == b.digests && a.stats == b.stats && a.output == b.output
+/// The determinism contract: every field of the report agrees.
+fn identical<R: PartialEq>(a: &RunReport<R>, b: &RunReport<R>) -> bool {
+    a.rounds == b.rounds
+        && a.time == b.time
+        && a.completed == b.completed
+        && a.output == b.output
+        && a.digests == b.digests
+        && a.stats == b.stats
+        && a.node_bytes == b.node_bytes
 }
 
-fn record(workload: &str, n: usize, shards: usize, r: &ScenarioReport, wall_s: f64) -> BenchRecord {
-    BenchRecord {
-        workload: workload.to_string(),
-        n,
-        shards,
-        rounds: r.rounds,
-        wall_s,
-        msgs_sent: r.stats.sent,
-        msgs_delivered: r.stats.delivered,
+/// `count` per wall-clock second (0 for an untimed run).
+fn per_sec(count: u64, wall_s: f64) -> f64 {
+    if wall_s <= 0.0 {
+        return 0.0;
     }
+    count as f64 / wall_s
+}
+
+/// Wall-clock nanoseconds per unit of `count` (0 when nothing ran).
+fn ns_per(wall_s: f64, count: u64) -> f64 {
+    if count == 0 {
+        return 0.0;
+    }
+    wall_s * 1e9 / count as f64
+}
+
+fn trace_cell(same: bool) -> String {
+    if same { "identical" } else { "DIVERGED" }.to_string()
 }
 
 /// Identical runs per async gate cell: all must produce one event
-/// trace, and the recorded wall time is their median (odd, so the
+/// trace, and the printed wall time is their median (odd, so the
 /// median is a run).
 const ASYNC_RUNS: usize = 5;
 
@@ -100,29 +105,15 @@ fn available_mem_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-fn scaling_point(n: usize, shards: usize, r: &ScenarioReport, wall_s: f64) -> ScalingRecord {
-    ScalingRecord {
-        workload: Spreader::Dating.name().to_string(),
-        n,
-        shards,
-        rounds: r.rounds,
-        wall_s,
-        msgs_sent: r.stats.sent,
-        node_bytes: r.node_bytes,
-    }
-}
-
 fn main() {
     let args = CliArgs::parse();
     let n = args.get_u64("n", if args.has("quick") { 10_000 } else { 100_000 }) as usize;
     let gate_n = args.get_u64("gate-n", if args.has("quick") { 1_500 } else { 4_000 }) as usize;
     let seed = args.get_u64("seed", 0x5CA1E);
     let shard_counts = args.get_usize_list("shards", &[2, 4, 8]);
-    let bench_out = args.get_str("bench-out", "");
     let cores = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
-    let mut records: Vec<BenchRecord> = Vec::new();
 
     println!("# Runtime scaling — dating-service rumor spread, sequential vs sharded");
     println!("# n={n} seed={seed:#x} cores={cores}");
@@ -137,29 +128,45 @@ fn main() {
 
     let mut t = Table::new(
         vec![
-            "executor", "rounds", "informed", "wall_s", "speedup", "Mmsg/s", "trace",
+            "executor",
+            "rounds",
+            "informed",
+            "sent",
+            "delivered",
+            "wall_s",
+            "speedup",
+            "Mmsg/s",
+            "trace",
         ],
         args.has("csv"),
     );
 
     let scaling = Scenario::new(n).protocol(Spreader::Dating);
     let (seq, seq_wall) = timed_run(&scaling, seed);
-    let seq_out = seq.output.clone().expect("sequential run must complete");
-    let seq_rec = record("dating", n, 0, &seq, seq_wall);
-    t.row(vec![
+    let mut scaling_row = |executor: String, r: &ScenarioReport, wall: f64, trace: String| {
+        t.row(vec![
+            executor,
+            r.rounds.to_string(),
+            r.output
+                .as_ref()
+                .and_then(|o| o.spread())
+                .expect("run must complete")
+                .final_informed()
+                .to_string(),
+            r.stats.sent.to_string(),
+            r.stats.delivered.to_string(),
+            format!("{wall:.3}"),
+            format!("{:.2}", seq_wall / wall),
+            format!("{:.2}", per_sec(r.stats.sent, wall) / 1e6),
+            trace,
+        ]);
+    };
+    scaling_row(
         scaling.executor_name(),
-        seq.rounds.to_string(),
-        seq_out
-            .spread()
-            .expect("spread")
-            .final_informed()
-            .to_string(),
-        format!("{seq_wall:.3}"),
-        "1.00".to_string(),
-        format!("{:.2}", seq_rec.msgs_per_sec() / 1e6),
+        &seq,
+        seq_wall,
         "reference".to_string(),
-    ]);
-    records.push(seq_rec);
+    );
 
     let mut all_identical = true;
     for &shards in &shard_counts {
@@ -167,22 +174,7 @@ fn main() {
         let (sh, wall) = timed_run(&sharded, seed);
         let same = identical(&seq, &sh);
         all_identical &= same;
-        let rec = record("dating", n, shards, &sh, wall);
-        t.row(vec![
-            sharded.executor_name(),
-            sh.rounds.to_string(),
-            sh.output
-                .as_ref()
-                .and_then(|o| o.spread())
-                .expect("sharded run must complete")
-                .final_informed()
-                .to_string(),
-            format!("{wall:.3}"),
-            format!("{:.2}", seq_wall / wall),
-            format!("{:.2}", rec.msgs_per_sec() / 1e6),
-            if same { "identical" } else { "DIVERGED" }.to_string(),
-        ]);
-        records.push(rec);
+        scaling_row(sharded.executor_name(), &sh, wall, trace_cell(same));
     }
     t.print();
 
@@ -198,8 +190,11 @@ fn main() {
             "workload",
             "churn",
             "rounds",
+            "sent",
             "delivered",
             "churn_lost",
+            "seq_s",
+            "sharded_s",
             "trace",
         ],
         args.has("csv"),
@@ -219,17 +214,16 @@ fn main() {
             let (b, sh_wall) = timed_run(&sharded, seed ^ 0x6A7E);
             let same = identical(&a, &b);
             all_identical &= same;
-            if !churned {
-                records.push(record(spreader.name(), gate_n, 0, &a, seq_wall));
-                records.push(record(spreader.name(), gate_n, gate_shards, &b, sh_wall));
-            }
             gate.row(vec![
                 spreader.name().to_string(),
                 if churned { "5%" } else { "none" }.to_string(),
                 a.rounds.to_string(),
+                a.stats.sent.to_string(),
                 a.stats.delivered.to_string(),
                 a.stats.churn_lost.to_string(),
-                if same { "identical" } else { "DIVERGED" }.to_string(),
+                format!("{seq_wall:.3}"),
+                format!("{sh_wall:.3}"),
+                trace_cell(same),
             ]);
         }
     }
@@ -245,7 +239,6 @@ fn main() {
     );
 
     // ---- n-scaling series: the millions-of-nodes tier.
-    let mut scaling_records: Vec<ScalingRecord> = Vec::new();
     if args.has("n-series") {
         let series_n = args.get_usize_list("series-n", &[100_000, 1_000_000]);
         let series_shards = args.get_usize_list("series-shards", &[1, 2, 8]);
@@ -256,10 +249,12 @@ fn main() {
         );
         let mut st = Table::new(
             vec![
-                "n", "shards", "rounds", "wall_s", "ns/round", "Mmsg/s", "B/node", "trace",
+                "n", "shards", "rounds", "sent", "wall_s", "ns/round", "Mmsg/s", "B/node", "trace",
             ],
             args.has("csv"),
         );
+        // (n, shards, msgs/sec) of every point, for the floor below.
+        let mut throughputs: Vec<(usize, usize, f64)> = Vec::new();
         for &sn in &series_n {
             if let Some(avail) = available_mem_bytes() {
                 let est = sn as u64 * EST_BYTES_PER_NODE;
@@ -273,61 +268,50 @@ fn main() {
             }
             let sc = Scenario::new(sn).protocol(Spreader::Dating);
             let (seq, seq_wall) = timed_run(&sc, seed);
-            let mut point_rows =
-                vec![(0usize, seq_wall, scaling_point(sn, 0, &seq, seq_wall), true)];
+            let mut point_rows = vec![(0usize, seq_wall, "reference".to_string())];
+            let mut reports = vec![seq];
             for &k in &series_shards {
                 let sharded = sc.clone().sharded(k);
                 let (sh, wall) = timed_run(&sharded, seed);
-                let same = seq.digests == sh.digests && identical(&seq, &sh);
+                let same = identical(&reports[0], &sh);
                 all_identical &= same;
-                point_rows.push((k, wall, scaling_point(sn, k, &sh, wall), same));
+                point_rows.push((k, wall, trace_cell(same)));
+                reports.push(sh);
             }
-            for (k, wall, rec, same) in point_rows {
+            for ((k, wall, trace), r) in point_rows.into_iter().zip(&reports) {
+                let msgs_per_sec = per_sec(r.stats.sent, wall);
                 st.row(vec![
                     sn.to_string(),
                     k.to_string(),
-                    rec.rounds.to_string(),
+                    r.rounds.to_string(),
+                    r.stats.sent.to_string(),
                     format!("{wall:.3}"),
-                    format!("{:.0}", rec.ns_per_round()),
-                    format!("{:.2}", rec.msgs_per_sec() / 1e6),
-                    format!("{:.1}", rec.bytes_per_node()),
-                    if k == 0 {
-                        "reference".to_string()
-                    } else if same {
-                        "identical".to_string()
-                    } else {
-                        "DIVERGED".to_string()
-                    },
+                    format!("{:.0}", ns_per(wall, r.rounds)),
+                    format!("{:.2}", msgs_per_sec / 1e6),
+                    format!("{:.1}", r.node_bytes as f64 / sn.max(1) as f64),
+                    trace,
                 ]);
-                scaling_records.push(rec);
+                throughputs.push((sn, k, msgs_per_sec));
             }
         }
         st.print();
 
         let floor = args.get_f64("series-floor", 0.0);
         if floor > 0.0 {
-            let slowest = scaling_records
-                .iter()
-                .min_by(|a, b| a.msgs_per_sec().total_cmp(&b.msgs_per_sec()));
+            let slowest = throughputs.iter().min_by(|a, b| a.2.total_cmp(&b.2));
             match slowest {
                 None => println!("# series floor: no scaling points ran (all skipped)"),
-                Some(rec) => {
+                Some(&(sn, k, msgs_per_sec)) => {
                     println!(
-                        "# series floor: slowest point n={} shards={} at {:.2} Mmsg/s \
+                        "# series floor: slowest point n={sn} shards={k} at {:.2} Mmsg/s \
                          (floor {:.2} Mmsg/s)",
-                        rec.n,
-                        rec.shards,
-                        rec.msgs_per_sec() / 1e6,
+                        msgs_per_sec / 1e6,
                         floor / 1e6
                     );
                     assert!(
-                        rec.msgs_per_sec() >= floor,
-                        "n-scaling throughput regression: n={} shards={} ran at {:.0} msgs/s, \
-                         below --series-floor {:.0}",
-                        rec.n,
-                        rec.shards,
-                        rec.msgs_per_sec(),
-                        floor
+                        msgs_per_sec >= floor,
+                        "n-scaling throughput regression: n={sn} shards={k} ran at \
+                         {msgs_per_sec:.0} msgs/s, below --series-floor {floor:.0}"
                     );
                 }
             }
@@ -336,9 +320,7 @@ fn main() {
 
     // ---- Async determinism gate: the continuous-time executor must
     // reproduce its event trace run after run.
-    let mut async_records: Vec<AsyncEventsRecord> = Vec::new();
-    let run_async = args.get_str("time-model", "") == "continuous";
-    if run_async {
+    if args.get_str("time-model", "") == "continuous" {
         let async_ns = args.get_usize_list("async-n", &[20_000]);
         println!();
         println!(
@@ -358,7 +340,7 @@ fn main() {
                 .filter(|s| s.supports_continuous())
             {
                 let mut walls = Vec::with_capacity(ASYNC_RUNS);
-                let mut reference: Option<RunReport<AsyncSpreadSummary>> = None;
+                let mut reference = None;
                 let mut same = true;
                 for _ in 0..ASYNC_RUNS {
                     let mut proto = AsyncSpread::new(an, NodeId(0), sp);
@@ -368,36 +350,23 @@ fn main() {
                     assert!(r.completed, "{sp} must complete at n={an}");
                     match &reference {
                         None => reference = Some(r),
-                        Some(first) => {
-                            same &= r.rounds == first.rounds
-                                && r.digests == first.digests
-                                && r.stats == first.stats
-                                && r.output == first.output
-                                && r.time == first.time
-                        }
+                        Some(first) => same &= identical(first, &r),
                     }
                 }
                 all_identical &= same;
                 let first = reference.expect("ASYNC_RUNS > 0");
                 walls.sort_by(f64::total_cmp);
-                let rec = AsyncEventsRecord {
-                    workload: sp.name().to_string(),
-                    n: an,
-                    reps: ASYNC_RUNS,
-                    events: first.rounds,
-                    wall_s: walls[ASYNC_RUNS / 2],
-                };
+                let wall = walls[ASYNC_RUNS / 2];
                 at.row(vec![
                     sp.name().to_string(),
                     an.to_string(),
                     first.rounds.to_string(),
                     format!("{:.2}", first.time.sim_seconds().unwrap_or(0.0)),
-                    format!("{:.3}", rec.wall_s),
-                    format!("{:.0}", rec.ns_per_event()),
-                    format!("{:.2}", rec.events_per_sec() / 1e6),
-                    if same { "identical" } else { "DIVERGED" }.to_string(),
+                    format!("{wall:.3}"),
+                    format!("{:.0}", ns_per(wall, first.rounds)),
+                    format!("{:.2}", per_sec(first.rounds, wall) / 1e6),
+                    trace_cell(same),
                 ]);
-                async_records.push(rec);
             }
         }
         at.print();
@@ -411,32 +380,6 @@ fn main() {
         );
     }
 
-    if !bench_out.is_empty() {
-        let path = std::path::Path::new(&bench_out);
-        // Preserve the sweep_throughput series exp_sweep owns; rewrite
-        // only the records this binary produced. The scaling and
-        // async_events series are replaced only when their sections
-        // actually ran.
-        let (_, sweeps, old_scaling, old_async) = load_bench_json(path);
-        let scaling_out = if args.has("n-series") {
-            &scaling_records
-        } else {
-            &old_scaling
-        };
-        let async_out = if run_async {
-            &async_records
-        } else {
-            &old_async
-        };
-        write_bench_json(path, cores, seed, &records, &sweeps, scaling_out, async_out)
-            .unwrap_or_else(|e| panic!("cannot write {bench_out}: {e}"));
-        println!(
-            "# wrote {} benchmark records, {} scaling points and {} async points to {bench_out}",
-            records.len(),
-            scaling_out.len(),
-            async_out.len()
-        );
-    }
     assert!(
         all_identical,
         "a run diverged from its reference trace (sharded vs sequential, or async run vs run)"

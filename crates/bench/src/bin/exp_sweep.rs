@@ -12,11 +12,8 @@
 //!
 //! `--serial` runs the same sweep inline on the calling thread instead —
 //! the honest baseline for speedup claims, byte-identical output by the
-//! fleet's determinism contract (run both and `diff` the files). With
-//! `--bench-out PATH` the harness times **both** engines, verifies that
-//! byte-identity, and appends `{engine, pool, scenarios/sec}` records to
-//! the `sweep_throughput` series of `BENCH_runtime.json`, preserving the
-//! `records` series that `exp_runtime_scaling` owns.
+//! fleet's determinism contract (run both and `cmp` the files). Either
+//! engine prints its wall time and scenarios/sec.
 //!
 //! Before writing anything the harness re-parses its own JSON and checks
 //! every cell carries 95% CI bounds that bracket the mean — the emitted
@@ -24,9 +21,9 @@
 //!
 //! Usage: `exp_sweep [--n LIST] [--protocols LIST] [--churn LIST]
 //!         [--loss LIST] [--trials N] [--cycles N] [--seed S] [--pool P]
-//!         [--serial] [--out PATH] [--bench-out PATH] [--quick] [--csv]`
+//!         [--serial] [--out PATH] [--quick] [--csv]`
 
-use rendez_bench::{load_bench_json, write_bench_json, CliArgs, SweepThroughputRecord, Table};
+use rendez_bench::{CliArgs, Table};
 use rendez_fleet::{json, run_serial, Fleet, SweepReport, SweepSpec};
 use std::time::Instant;
 
@@ -115,8 +112,7 @@ fn main() {
     let spec = spec_from_args(&args);
     let pool = args.get_u64("pool", 0) as usize;
     let out = args.get_str("out", "");
-    let bench_out = args.get_str("bench-out", "");
-    let serial_only = args.has("serial") && bench_out.is_empty();
+    let serial = args.has("serial");
     let cores = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
@@ -128,55 +124,24 @@ fn main() {
         spec.trials,
         spec.cell_count() as u64 * spec.trials,
         spec.seed,
-        if serial_only {
+        if serial {
             "serial".to_string()
         } else {
             format!("fleet (pool={pool}, 0=cores; cores={cores})")
         }
     );
 
-    // --bench-out times both engines (the speedup claim needs the
-    // serial baseline) and verifies their byte-identity on the way.
-    let (report, timings) = if !bench_out.is_empty() {
-        let start = Instant::now();
-        let serial = run_serial(&spec).unwrap_or_else(|e| panic!("serial sweep failed: {e}"));
-        let serial_wall = start.elapsed().as_secs_f64();
-        let fleet = Fleet::new(pool);
-        let start = Instant::now();
-        let fleet_report = fleet
-            .run(&spec)
-            .unwrap_or_else(|e| panic!("sweep failed: {e}"));
-        let fleet_wall = start.elapsed().as_secs_f64();
-        assert_eq!(
-            serial.to_json(),
-            fleet_report.to_json(),
-            "fleet output diverged from the serial baseline"
-        );
-        println!(
-            "# engines agree byte-for-byte (serial vs fleet at pool={})",
-            fleet.size()
-        );
-        (
-            fleet_report,
-            vec![
-                ("serial", 0, serial_wall),
-                ("fleet", fleet.size(), fleet_wall),
-            ],
-        )
-    } else if serial_only {
+    let (report, engine, wall_s) = if serial {
         let start = Instant::now();
         let report = run_serial(&spec).unwrap_or_else(|e| panic!("serial sweep failed: {e}"));
-        (report, vec![("serial", 0, start.elapsed().as_secs_f64())])
+        (report, "serial", start.elapsed().as_secs_f64())
     } else {
         let fleet = Fleet::new(pool);
         let start = Instant::now();
         let report = fleet
             .run(&spec)
             .unwrap_or_else(|e| panic!("sweep failed: {e}"));
-        (
-            report,
-            vec![("fleet", fleet.size(), start.elapsed().as_secs_f64())],
-        )
+        (report, "fleet", start.elapsed().as_secs_f64())
     };
 
     print_table(&report, args.has("csv"));
@@ -188,57 +153,16 @@ fn main() {
         report.cells.len()
     );
 
-    let total_trials = report.cells.iter().map(|c| c.trials).sum::<u64>();
-    for (engine, pool, wall_s) in &timings {
-        let rec = SweepThroughputRecord {
-            engine: engine.to_string(),
-            pool: *pool,
-            cells: report.cells.len(),
-            trials_per_cell: spec.trials,
-            trials: total_trials,
-            wall_s: *wall_s,
-        };
-        println!(
-            "# {engine}: {wall_s:.3}s wall, {:.1} scenarios/sec",
-            rec.scenarios_per_sec()
-        );
-    }
+    let trials = report.cells.iter().map(|c| c.trials).sum::<u64>();
+    let scenarios_per_sec = if wall_s > 0.0 {
+        trials as f64 / wall_s
+    } else {
+        0.0
+    };
+    println!("# {engine}: {wall_s:.3}s wall, {scenarios_per_sec:.1} scenarios/sec");
 
     if !out.is_empty() {
         std::fs::write(&out, &json_text).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
         println!("# wrote sweep report to {out}");
-    }
-
-    if !bench_out.is_empty() {
-        let path = std::path::Path::new(&bench_out);
-        // Preserve the `records`, `scaling` and `async_events` series
-        // exp_runtime_scaling owns; rewrite only the sweep series.
-        let (records, _, scaling, async_events) = load_bench_json(path);
-        let sweeps: Vec<SweepThroughputRecord> = timings
-            .iter()
-            .map(|(engine, pool, wall_s)| SweepThroughputRecord {
-                engine: engine.to_string(),
-                pool: *pool,
-                cells: report.cells.len(),
-                trials_per_cell: spec.trials,
-                trials: total_trials,
-                wall_s: *wall_s,
-            })
-            .collect();
-        write_bench_json(
-            path,
-            cores,
-            spec.seed,
-            &records,
-            &sweeps,
-            &scaling,
-            &async_events,
-        )
-        .unwrap_or_else(|e| panic!("cannot write {bench_out}: {e}"));
-        println!(
-            "# wrote {} sweep_throughput records to {bench_out} ({} records preserved)",
-            sweeps.len(),
-            records.len()
-        );
     }
 }

@@ -156,7 +156,7 @@ mod tests {
         assert_eq!(a.get_u64("seed", 7), 7);
         assert_eq!(a.get_f64("alpha", 0.5), 0.5);
         assert_eq!(a.get_usize_list("n", &[3, 4]), vec![3, 4]);
-        assert_eq!(a.get_str("bench-out", "BENCH.json"), "BENCH.json");
+        assert_eq!(a.get_str("out", "sweep.json"), "sweep.json");
     }
 
     #[test]
@@ -170,8 +170,8 @@ mod tests {
 
     #[test]
     fn string_values_pass_through() {
-        let a = args(&["--bench-out", "out/BENCH_runtime.json"]);
-        assert_eq!(a.get_str("bench-out", "x"), "out/BENCH_runtime.json");
+        let a = args(&["--out", "out/sweep.json"]);
+        assert_eq!(a.get_str("out", "x"), "out/sweep.json");
     }
 
     #[test]

@@ -13,15 +13,14 @@
 //! * `--quick` — CI-scale parameters (seconds, not minutes);
 //! * `--full`  — the paper's full trial counts;
 //! * `--seed N`, `--threads N`, `--csv` — reproducibility and output.
+//!
+//! A harness prints every number it measures in its tables; `--csv` is
+//! the machine-readable form. Performance claims are measured with the
+//! stand-alone `benchmark/` package, not with these harnesses.
 
-pub mod benchjson;
 pub mod cli;
 pub mod experiments;
 pub mod table;
 
-pub use benchjson::{
-    load_bench_json, write_bench_json, AsyncEventsRecord, BenchRecord, ScalingRecord,
-    SweepThroughputRecord,
-};
 pub use cli::CliArgs;
 pub use table::Table;

@@ -1,15 +1,16 @@
-//! A minimal JSON reader — just enough to verify and merge the
-//! artifacts this workspace emits.
+//! A minimal JSON reader — just enough to verify the artifacts this
+//! workspace emits.
 //!
 //! The workspace has no serde (the environment is offline and vendors
 //! only tiny compat shims), and its writers are hand-rolled string
 //! builders ([`SweepReport::to_json`](crate::SweepReport::to_json),
-//! `rendez_bench`'s `BENCH_runtime.json`). This module is the matching
+//! `rendez_lint`'s `--json` report). This module is the matching
 //! reader: a strict recursive-descent parser over the full JSON grammar
 //! minus the exotica nobody here emits (`\u` escapes decode only the
-//! BMP, numbers parse via `str::parse::<f64>`). `rendez_bench` uses it
-//! to merge report files; `exp_sweep --check` uses it to prove its own
-//! output parses.
+//! BMP, numbers parse via `str::parse::<f64>`). `exp_sweep` uses it to
+//! prove its own output parses before writing it; the stand-alone
+//! `benchmark/` package reads its pins and its children's reports with
+//! it.
 //!
 //! lint: deterministic
 

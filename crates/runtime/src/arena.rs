@@ -211,12 +211,12 @@ impl NodeArena {
     ///
     /// # Panics
     /// Panics if `j` is out of range.
-    pub fn get(&self, id: NodeId, lane: usize, j: usize) -> NodeId {
+    pub(crate) fn get(&self, id: NodeId, lane: usize, j: usize) -> NodeId {
         self.slice(id, lane)[j]
     }
 
     /// `id`'s stashed entries in `lane`, in arrival order.
-    pub fn slice(&self, id: NodeId, lane: usize) -> &[NodeId] {
+    pub(crate) fn slice(&self, id: NodeId, lane: usize) -> &[NodeId] {
         let off = self.off(id);
         let lane = &self.lanes[lane];
         match lane.ranges.get(off) {

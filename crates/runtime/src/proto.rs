@@ -50,7 +50,7 @@ pub struct Outbox<'a, M> {
 /// The send half of an [`Outbox`]: the sender's identity and counter and
 /// the shard's emission lanes, without the arena — what is left to send
 /// through while a matchmaker borrows the arena's inbox.
-pub struct SendHalf<'a, M> {
+pub(crate) struct SendHalf<'a, M> {
     src: NodeId,
     n: usize,
     seq: &'a mut u64,

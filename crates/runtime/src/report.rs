@@ -149,18 +149,21 @@ pub struct RunReport<R> {
     pub completed: bool,
     /// The protocol's output, when it halted.
     pub output: Option<R>,
-    /// Per-round state fingerprints from
-    /// [`RoundProtocol::digest`](crate::RoundProtocol::digest); entry `t`
-    /// describes the state after round `t`. Identical across executors
-    /// for the same `(protocol, config)`.
+    /// The run's state fingerprints. The round executors record
+    /// [`RoundProtocol::digest_obs`](crate::RoundProtocol::digest_obs) of
+    /// each round's merged observation, so entry `t` describes the state
+    /// after round `t`; the event executor records one chained hash per
+    /// event (the event's time and index and the protocol's
+    /// [`AsyncProtocol::digest_obs`](crate::AsyncProtocol::digest_obs),
+    /// folded into the previous entry). Identical across executors for
+    /// the same `(protocol, config)`.
     pub digests: Vec<u64>,
     /// Message accounting.
     pub stats: NetStats,
     /// Total resident bytes of node state at the end of the run, from
     /// [`RoundProtocol::node_mem_bytes`](crate::RoundProtocol::node_mem_bytes)
-    /// — divide by `n` for the bytes/node scaling metric. Diagnostic
-    /// only: not part of the cross-executor bit-identity contract
-    /// (though it is in practice identical across executors).
+    /// — divide by `n` for the bytes/node scaling metric. Part of the
+    /// cross-executor bit-identity contract, like every other field.
     pub node_bytes: u64,
 }
 
