@@ -49,12 +49,14 @@ fn main() {
     let fleet = Fleet::new(args.get_u64("threads", 0) as usize);
     let n = args.get_u64("n", 1000) as usize;
     let rounds = args.scaled_trials(5_000, 200) as usize;
+    let csv = args.has("csv");
+    args.reject_unread();
     let platform = Platform::unit(n);
 
     println!("# §2 conjecture — skewed selectors arrange MORE dates (n=m={n}, {rounds} rounds)");
     let mut t = Table::new(
         vec!["selector", "measured", "predicted", "beats_uniform"],
-        args.has("csv"),
+        csv,
     );
 
     let selectors: Vec<Box<dyn NodeSelector>> = vec![

@@ -22,11 +22,14 @@ fn main() {
         vec![10, 100, 1000, 10_000, 100_000]
     };
     let ns = args.get_usize_list("n", &default_ns);
+    let scale = args.scale();
+    let csv = args.has("csv");
+    args.reject_unread();
 
     println!("# Figure 1 — fraction of dates arranged by the dating service");
     println!(
         "# seed={seed} scale={} (uniform limit = {:.4})",
-        args.scale(),
+        scale,
         analysis::uniform_ratio_limit()
     );
     let mut t = Table::new(
@@ -40,7 +43,7 @@ fn main() {
             "dht_best_pred",
             "dhts",
         ],
-        args.has("csv"),
+        csv,
     );
 
     for &n in &ns {

@@ -43,11 +43,16 @@ fn main() {
         vec![10, 100, 1000, 10_000, 100_000]
     };
     let ns = args.get_usize_list("n", &default_ns);
+    // 0: the paper's trial count at each n, scaled.
+    let fixed_trials = args.get_u64("trials", 0);
+    let scale = args.scale();
+    let csv = args.has("csv");
+    args.reject_unread();
 
     println!("# Figure 2 — rounds to spread a single rumor (mean ± sd)");
     println!(
         "# seed={seed} scale={} engine={}{}",
-        args.scale(),
+        scale,
         if runtime {
             "runtime (Scenario grid on the Monte-Carlo fleet)"
         } else {
@@ -61,11 +66,14 @@ fn main() {
     );
     let mut headers = vec!["n".to_string(), "trials".to_string()];
     headers.extend(COLUMNS.iter().map(|s| s.name().to_string()));
-    let mut t = Table::new(headers, args.has("csv"));
+    let mut t = Table::new(headers, csv);
 
     for &n in &ns {
         let paper_trials: u64 = if n >= 10_000 { 1_000 } else { 10_000 };
-        let trials = args.get_u64("trials", args.scaled_trials(paper_trials, 30));
+        let trials = match fixed_trials {
+            0 => args.scaled_trials(paper_trials, 30),
+            t => t,
+        };
         let mut row = vec![n.to_string(), trials.to_string()];
         if runtime {
             for (_, s) in rumor_row_fleet(&fleet, n, trials, seed ^ n as u64, churn) {

@@ -22,6 +22,8 @@ fn main() {
     let fleet = Fleet::new(args.get_u64("threads", 0) as usize);
     let n = args.get_u64("n", 1000) as usize;
     let rounds = args.scaled_trials(10_000, 200);
+    let csv = args.has("csv");
+    args.reject_unread();
 
     println!("# Lemma 1 — expected dates vs m/n (n={n}, {rounds} rounds per point)");
     println!(
@@ -37,7 +39,7 @@ fn main() {
             "exact_binomial",
             "above_0.064",
         ],
-        args.has("csv"),
+        csv,
     );
 
     let mut prev = 0.0;

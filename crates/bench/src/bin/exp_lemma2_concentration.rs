@@ -21,6 +21,8 @@ fn main() {
     let fleet = Fleet::new(args.get_u64("threads", 0) as usize);
     let n = args.get_u64("n", 10_000) as usize;
     let rounds = args.scaled_trials(20_000, 500) as usize;
+    let csv = args.has("csv");
+    args.reject_unread();
     let m = n as u64;
 
     println!("# Lemma 2 — concentration of the date count (n=m={n}, {rounds} rounds)");
@@ -49,7 +51,7 @@ fn main() {
             "mcdiarmid_bound",
             "bound_holds",
         ],
-        args.has("csv"),
+        csv,
     );
     for scale in [0.5f64, 1.0, 1.5, 2.0, 3.0, 4.0] {
         let tt = scale * (m as f64).sqrt();

@@ -25,12 +25,11 @@ fn main() {
     let fleet = Fleet::new(args.get_u64("threads", 0) as usize);
     let n = args.get_u64("n", 10_000) as usize;
     let trials = args.scaled_trials(1_000, 40) as usize;
+    let csv = args.has("csv");
+    args.reject_unread();
 
     println!("# loss resilience — dating spread under payload loss (n={n}, {trials} trials)");
-    let mut t = Table::new(
-        vec!["loss", "rounds", "slowdown", "dropped/trial"],
-        args.has("csv"),
-    );
+    let mut t = Table::new(vec!["loss", "rounds", "slowdown", "dropped/trial"], csv);
 
     let platform = Platform::unit(n);
     let selector = UniformSelector::new(n);

@@ -21,6 +21,8 @@ fn main() {
     let seed = args.get_u64("seed", 0x10AD);
     let n = args.get_u64("n", 2_000) as usize;
     let rounds = args.scaled_trials(1_000, 50);
+    let csv = args.has("csv");
+    args.reject_unread();
 
     println!("# §2 load balancing — matchmaking load per selector (n=m={n}, {rounds} rounds)");
     let mut t = Table::new(
@@ -31,7 +33,7 @@ fn main() {
             "max_load",
             "max/mean_load",
         ],
-        args.has("csv"),
+        csv,
     );
 
     let platform = Platform::unit(n);

@@ -45,12 +45,14 @@ fn main() {
     let fleet = Fleet::new(args.get_u64("threads", 0) as usize);
     let ns = args.get_usize_list("n", &[100, 1_000, 10_000]);
     let trials = args.scaled_trials(1_000, 40) as usize;
+    let csv = args.has("csv");
+    args.reject_unread();
 
     println!("# message cost — rumor-carrying messages until full spread ({trials} trials)");
     let mut headers = vec!["n"];
     headers.extend(COLUMNS.map(Spreader::name));
     headers.push("dating/nlogn");
-    let mut t = Table::new(headers, args.has("csv"));
+    let mut t = Table::new(headers, csv);
 
     for &n in &ns {
         let platform = Platform::unit(n);

@@ -24,6 +24,8 @@ fn main() {
     let fleet = Fleet::new(args.get_u64("threads", 0) as usize);
     let n = args.get_u64("n", 200) as usize;
     let trials = args.scaled_trials(200, 10) as usize;
+    let csv = args.has("csv");
+    args.reject_unread();
 
     println!("# §5 mongering — k-block broadcast, coded vs uncoded (n={n}, {trials} trials)");
     let mut t = Table::new(
@@ -35,7 +37,7 @@ fn main() {
             "coded_eff",
             "coded_speedup",
         ],
-        args.has("csv"),
+        csv,
     );
 
     let platform = Platform::unit(n);

@@ -20,6 +20,8 @@ fn main() {
     let seed = args.get_u64("seed", 0x0B);
     let cycles = args.scaled_trials(100, 10);
     let ns = args.get_usize_list("n", &[100, 1_000, 10_000]);
+    let csv = args.has("csv");
+    args.reject_unread();
 
     println!("# §2 overhead — control traffic of the distributed protocol ({cycles} cycles)");
     println!("# control message size: {ADDRESS_BYTES} bytes (one address)");
@@ -33,7 +35,7 @@ fn main() {
             "ctrl_frac@1KiB",
             "ctrl_frac@1MiB",
         ],
-        args.has("csv"),
+        csv,
     );
 
     for &n in &ns {

@@ -36,6 +36,11 @@ fn main() {
         vec![100, 1_000, 10_000, 100_000]
     };
     let ns = args.get_usize_list("n", &default_ns);
+    let shards = args.get_u64("shards", 4) as usize;
+    let cycles = args.scaled_trials(200, 40);
+    let runtime_ns = args.get_usize_list("runtime-n", &[1_000, 10_000]);
+    let csv = args.has("csv");
+    args.reject_unread();
 
     println!("# §4 pipelining — k={k} dating rounds over DHT routing ({samples} lookups/point)");
     let mut t = Table::new(
@@ -49,7 +54,7 @@ fn main() {
             "pipelined",
             "speedup",
         ],
-        args.has("csv"),
+        csv,
     );
 
     for &n in &ns {
@@ -76,9 +81,6 @@ fn main() {
     // ---- §4 on the runtime: DHT-selected dating via the Scenario
     // builder, sequential vs sharded (ROADMAP: "DHT selector through the
     // builder").
-    let shards = args.get_u64("shards", 4) as usize;
-    let cycles = args.scaled_trials(200, 40);
-    let runtime_ns = args.get_usize_list("runtime-n", &[1_000, 10_000]);
     println!();
     println!(
         "# §4 workload on the runtime — dating service over DhtSelector, \
@@ -93,7 +95,7 @@ fn main() {
             "shard_wall_s",
             "trace",
         ],
-        args.has("csv"),
+        csv,
     );
     for &n in &runtime_ns {
         let selector = DhtSelector::random(n, seed ^ 0xD47 ^ n as u64);

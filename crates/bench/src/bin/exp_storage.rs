@@ -24,6 +24,8 @@ fn main() {
     let blocks = 3u32;
     let net_bw = 4u32;
     let trials = args.scaled_trials(200, 10) as usize;
+    let csv = args.has("csv");
+    args.reject_unread();
 
     println!(
         "# §5 storage — replication exchange then 10% crash recovery (n={n}, {trials} trials)"
@@ -37,7 +39,7 @@ fn main() {
             "recovery_rounds",
             "replicas_lost",
         ],
-        args.has("csv"),
+        csv,
     );
 
     for replication in [2u32, 3, 4] {

@@ -113,6 +113,8 @@ fn main() {
     let pool = args.get_u64("pool", 0) as usize;
     let out = args.get_str("out", "");
     let serial = args.has("serial");
+    let csv = args.has("csv");
+    args.reject_unread();
     let cores = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
@@ -144,7 +146,7 @@ fn main() {
         (report, "fleet", start.elapsed().as_secs_f64())
     };
 
-    print_table(&report, args.has("csv"));
+    print_table(&report, csv);
 
     let json_text = report.to_json();
     self_check(&json_text).unwrap_or_else(|e| panic!("emitted report failed self-check: {e}"));

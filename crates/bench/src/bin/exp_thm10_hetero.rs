@@ -28,6 +28,8 @@ fn main() {
     let weak = args.has("weak-source");
     let trials = args.scaled_trials(1_000, 40) as usize;
     let ns = args.get_usize_list("n", &[1_000, 10_000]);
+    let csv = args.has("csv");
+    args.reject_unread();
 
     println!(
         "# Theorem 10 / Corollary 11 — heterogeneous speed-up ({} source, {trials} trials)",
@@ -42,7 +44,7 @@ fn main() {
             "bound log n/log(m/n)",
             "unit-platform dating",
         ],
-        args.has("csv"),
+        csv,
     );
 
     for &n in &ns {

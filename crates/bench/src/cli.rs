@@ -1,15 +1,20 @@
 //! Dependency-free command-line flags for the experiment harnesses.
 //!
 //! Syntax: `--name value` pairs and boolean `--flag`s. Values never start
-//! with `--`. Unknown flags are tolerated (harnesses share a vocabulary).
+//! with `--`. Every getter records the name it reads; a harness calls
+//! [`CliArgs::reject_unread`] once it has read its flags, so a flag it
+//! does not read (a typo, a retired flag) fails the run instead of being
+//! silently ignored.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
 
 /// Parsed flags.
 #[derive(Debug, Clone, Default)]
 pub struct CliArgs {
     values: HashMap<String, String>,
     flags: Vec<String>,
+    read: RefCell<BTreeSet<String>>,
 }
 
 impl CliArgs {
@@ -39,18 +44,52 @@ impl CliArgs {
                 i += 1; // stray positional: ignored
             }
         }
-        Self { values, flags }
+        Self {
+            values,
+            flags,
+            read: RefCell::default(),
+        }
+    }
+
+    /// Record that the harness reads `--name`.
+    fn note(&self, name: &str) {
+        self.read.borrow_mut().insert(name.to_string());
+    }
+
+    /// `--name`'s value, noting the read.
+    fn value(&self, name: &str) -> Option<&String> {
+        self.note(name);
+        self.values.get(name)
+    }
+
+    /// The flags given that no getter has read yet, sorted.
+    fn unread(&self) -> Vec<String> {
+        let read = self.read.borrow();
+        let given = self.values.keys().chain(&self.flags);
+        let unread: BTreeSet<&String> = given.filter(|f| !read.contains(*f)).collect();
+        unread.into_iter().cloned().collect()
+    }
+
+    /// Exit with status 2, naming them, if any flag given was never read.
+    /// Call once every flag the harness knows has been read.
+    pub fn reject_unread(&self) {
+        let unread = self.unread();
+        if !unread.is_empty() {
+            let names: Vec<String> = unread.iter().map(|f| format!("--{f}")).collect();
+            eprintln!("error: unrecognised flag(s): {}", names.join(", "));
+            std::process::exit(2);
+        }
     }
 
     /// Boolean flag presence (`--quick`, `--csv`, …).
     pub fn has(&self, name: &str) -> bool {
+        self.note(name);
         self.flags.iter().any(|f| f == name)
     }
 
     /// `--name N` as u64.
     pub fn get_u64(&self, name: &str, default: u64) -> u64 {
-        self.values
-            .get(name)
+        self.value(name)
             .map(|v| {
                 v.parse()
                     .unwrap_or_else(|_| panic!("--{name} wants an integer, got {v}"))
@@ -60,16 +99,14 @@ impl CliArgs {
 
     /// `--name value` as a string (e.g. an output path).
     pub fn get_str(&self, name: &str, default: &str) -> String {
-        self.values
-            .get(name)
+        self.value(name)
             .cloned()
             .unwrap_or_else(|| default.to_string())
     }
 
     /// `--name X` as f64.
     pub fn get_f64(&self, name: &str, default: f64) -> f64 {
-        self.values
-            .get(name)
+        self.value(name)
             .map(|v| {
                 v.parse()
                     .unwrap_or_else(|_| panic!("--{name} wants a number, got {v}"))
@@ -79,7 +116,7 @@ impl CliArgs {
 
     /// `--name a,b,c` as a usize list.
     pub fn get_usize_list(&self, name: &str, default: &[usize]) -> Vec<usize> {
-        match self.values.get(name) {
+        match self.value(name) {
             None => default.to_vec(),
             Some(v) => v
                 .split(',')
@@ -94,7 +131,7 @@ impl CliArgs {
 
     /// `--name 0.0,0.1,0.25` as an f64 list.
     pub fn get_f64_list(&self, name: &str, default: &[f64]) -> Vec<f64> {
-        match self.values.get(name) {
+        match self.value(name) {
             None => default.to_vec(),
             Some(v) => v
                 .split(',')
@@ -109,7 +146,7 @@ impl CliArgs {
 
     /// `--name a,b,c` as a string list.
     pub fn get_str_list(&self, name: &str, default: &[&str]) -> Vec<String> {
-        match self.values.get(name) {
+        match self.value(name) {
             None => default.iter().map(|s| s.to_string()).collect(),
             Some(v) => v.split(',').map(|s| s.trim().to_string()).collect(),
         }
@@ -118,9 +155,10 @@ impl CliArgs {
     /// Shared scale convention: multiply paper-scale trial counts by this.
     /// `--quick` → 1/50 scale (CI), `--full` → 1, default → 1/10.
     pub fn scale(&self) -> f64 {
-        if self.has("quick") {
+        let (quick, full) = (self.has("quick"), self.has("full"));
+        if quick {
             0.02
-        } else if self.has("full") {
+        } else if full {
             1.0
         } else {
             0.1
@@ -188,6 +226,15 @@ mod tests {
         let a = args(&["--csv", "--seed", "1"]);
         assert!(a.has("csv"));
         assert_eq!(a.get_u64("seed", 0), 1);
+    }
+
+    #[test]
+    fn unread_flags_are_named() {
+        let a = args(&["--quick", "--full", "--n-series", "--seed", "1"]);
+        assert_eq!(a.scale(), 0.02); // reads both --quick and --full
+        assert_eq!(a.unread(), vec!["n-series", "seed"]);
+        let _ = (a.get_u64("seed", 0), a.has("n-series"));
+        assert!(a.unread().is_empty());
     }
 
     #[test]

@@ -8,11 +8,15 @@
 //! ([`experiments`]) that both the binaries and the integration tests
 //! call.
 //!
-//! Every harness accepts:
+//! The harnesses share a flag vocabulary:
 //!
 //! * `--quick` — CI-scale parameters (seconds, not minutes);
-//! * `--full`  — the paper's full trial counts;
-//! * `--seed N`, `--threads N`, `--csv` — reproducibility and output.
+//! * `--full`  — the paper's full trial counts (harnesses that scale one);
+//! * `--seed N`, `--threads N` (fleet harnesses), `--csv` —
+//!   reproducibility and output.
+//!
+//! Each harness reads its flags first and then calls
+//! [`CliArgs::reject_unread`]: a flag it does not read is an error.
 //!
 //! A harness prints every number it measures in its tables; `--csv` is
 //! the machine-readable form. Performance claims are measured with the

@@ -64,9 +64,9 @@
 //!
 //! Consequently `SequentialExecutor` and `ShardedExecutor::new(k)` return
 //! identical [`RunReport`]s (rounds, output, digest trace, statistics)
-//! for every `k` — the property the `exp_runtime_scaling` experiment
-//! checks at `n = 10⁵` (and up to `n = 10⁷` with `--n-series`) while
-//! measuring the parallel speedup.
+//! for every `k` — the property `tests/differential.rs` checks on every
+//! executor, and `exp_runtime_scaling` checks at each `--n` (up to
+//! `n = 10⁷`) while measuring the parallel speedup.
 //!
 //! ## Quickstart: the `Scenario` builder
 //!

@@ -248,17 +248,6 @@ fn registry_names_drive_the_builder() {
 // rounds-case JSON schema.
 
 #[test]
-fn rounds_reports_do_not_depend_on_the_executor() {
-    let base = Scenario::new(400)
-        .protocol(Spreader::PushPull)
-        .time_model(TimeModel::Rounds);
-    let seq = base.clone().sequential().run(9).expect("valid");
-    let sh = base.sharded(3).run(9).expect("valid");
-    assert_identical(&seq, &sh, "sequential vs sharded(3)");
-    assert_eq!(seq.time, TimeAxis::Rounds(seq.rounds));
-}
-
-#[test]
 fn sharding_never_overrides_continuous_time() {
     let base = Scenario::new(400).protocol(Spreader::PushPull);
     let continuous = TimeModel::Continuous { rate: 1.0 };
