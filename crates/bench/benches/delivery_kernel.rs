@@ -3,12 +3,11 @@
 //!
 //! Seven groups:
 //!
-//! * `emit` — filling an [`EnvBatch`] through run-length `push`, and
-//!   reading it back in emission order (`iter` reconstructs seqs from
-//!   run headers);
+//! * `emit` — filling an [`EnvBatch`] through `push` (three appends per
+//!   message), and reading it back in emission order through `iter`;
 //! * `fate` — a fresh [`Conditions::fate_run`] per message vs one per
-//!   run header, which keys the sender once and then pays one `mix` per
-//!   message for the loss test;
+//!   sender's burst, which keys the sender once and then pays one `mix`
+//!   per message for the loss test;
 //! * `deliver` — a full dating run on the sequential executor, which is
 //!   dominated by the route → slot-row → counting-delivery pass;
 //! * `deliver_mixed` — [`order_deliveries`] on a bucket that `k` send
@@ -18,7 +17,7 @@
 //! * `route` — a round's sends from `Outbox::send` to delivery, at 10⁵
 //!   messages a round, every emission lane handed over whole: on one
 //!   shard with every sender emitting in one phase (`whole_batch`), the
-//!   same messages emitted from two phases so the lane's headers step
+//!   same messages emitted from two phases so the lane's senders step
 //!   back and delivery merges two stretches (`two_phase`), under
 //!   `Uniform{1,3}` latency so fate files each send in one of three slot
 //!   rows (`spread`), under `spread-faulty-seq`'s channel — loss 0.05,
@@ -104,7 +103,7 @@ fn bench_emit(c: &mut Criterion) {
         b.iter(|| {
             batch
                 .iter()
-                .map(|(_, seq, dst, msg)| seq ^ dst.0 as u64 ^ *msg)
+                .map(|(src, dst, msg)| u64::from(src.0 ^ dst.0) ^ *msg)
                 .fold(0u64, u64::wrapping_add)
         });
     });
@@ -128,17 +127,16 @@ fn bench_fate(c: &mut Criterion) {
         });
     });
     g.bench_function(BenchmarkId::new("hoisted_run", ""), |b| {
-        let batch = batched(&trace);
         b.iter(|| {
             let mut acc = 0u64;
-            batch.for_each_run(|run, _dsts, msgs| {
-                let fr = cond.fate_run(seed, run.src);
-                for k in 0..msgs.len() as u64 {
-                    if let Some(l) = fr.fate(run.first_seq + k) {
+            for burst in trace.chunk_by(|a, b| a.0 == b.0) {
+                let fr = cond.fate_run(seed, burst[0].0);
+                for &(_, seq, _, _) in burst {
+                    if let Some(l) = fr.fate(seq) {
                         acc = acc.wrapping_add(l);
                     }
                 }
-            });
+            }
             acc
         });
     });
@@ -180,8 +178,8 @@ fn bench_deliver_mixed(c: &mut Criterion) {
                 // send round `r`, `total / k` messages from senders in
                 // ascending id order, the same senders in every round —
                 // so all `k` streams interleave sender by sender, and a
-                // sender's burst splits into `k` shorter runs, as under
-                // a latency spread. The refill is timed too; it pushes
+                // sender's burst splits into `k` shorter stretches, as
+                // under a latency spread. The refill is timed too; it pushes
                 // the same messages for every `k`.
                 let per_seg = total / k;
                 for (r, seg) in segments.iter_mut().enumerate() {
@@ -201,7 +199,7 @@ fn bench_deliver_mixed(c: &mut Criterion) {
 /// One message per node and round to a strided target, nothing else.
 /// With `two_phase` the upper half of the ids sends from `on_round_start`
 /// and the lower half from `on_round_end`: the same messages, but the
-/// round's run headers step back once, and delivery merges the lane's
+/// round's senders step back once, and delivery merges the lane's
 /// two stretches instead of walking it straight through.
 struct Stride {
     n: u32,

@@ -48,7 +48,7 @@ fn send(lane: &mut EnvBatch<DatingMsg>, src: NodeId, seq: u64, dst: NodeId, msg:
 
 fn emits<S: NodeSelector>(b: &mut Bencher<'_>, sel: &S) {
     let mut rng = SmallRng::seed_from_u64(9);
-    let mut lane = EnvBatch::with_capacity(DRAWS as usize, (DRAWS / BW) as usize);
+    let mut lane = EnvBatch::with_capacity(DRAWS as usize);
     // Opaque, as `emit`'s message argument is to the adapter's send loop.
     let msg = std::hint::black_box(DatingMsg::Offer);
     b.iter(|| {

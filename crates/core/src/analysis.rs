@@ -368,4 +368,29 @@ mod tests {
             assert_eq!(s < u, bout > bin, "skewed {s} vs uniform {u}");
         }
     }
+
+    #[test]
+    fn per_matchmaker_expectation_is_convex_only_for_balanced_totals() {
+        // E[X] = Σ_v g(w_v) with Σ_v w_v = 1 and g(p) = E[min(Bi(ΣBout, p),
+        // Bi(ΣBin, p))]: where g is convex, Jensen puts the minimum at
+        // uniform weights. For balanced totals every second difference on
+        // a dense p-grid is positive (the smallest, 2h² at s = 1, where
+        // g(p) = p², is far above rounding).
+        const STEPS: usize = 200;
+        let h = 1.0 / STEPS as f64;
+        let second = |bout: u64, bin: u64, p: f64| {
+            let g = |p: f64| expected_min_binomial(bout, bin, p);
+            g(p - h) - 2.0 * g(p) + g(p + h)
+        };
+        for s in [1, 2, 3, 5, 8, 16, 64, 256] {
+            for i in 1..STEPS {
+                let p = i as f64 * h;
+                let d = second(s, s, p);
+                assert!(d > 0.5 * h * h, "s = {s}, p = {p}: second difference {d}");
+            }
+        }
+        // (ΣBout, ΣBin) = (16, 4): g bends the other way at p = 1/4, so
+        // Jensen says nothing there (the imbalanced counterexample above).
+        close(second(16, 4, 0.25), -4.492_018_9e-5, 1e-10);
+    }
 }

@@ -483,7 +483,7 @@ mod tests {
                 panic!("one lane")
             };
             let sent = lane.iter().filter(|&(src, ..)| src == NodeId(3));
-            sent.map(|(_, _, dst, &msg)| (dst, msg)).collect()
+            sent.map(|(_, dst, &msg)| (dst, msg)).collect()
         };
         let proto = RuntimeDating::new(Platform::unit(N), UniformSelector::new(N), 2);
         // (offers, requests) of matchmaker 3: nothing at all (q = 0), one

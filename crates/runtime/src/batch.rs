@@ -1,37 +1,28 @@
-//! The cache-resident message plane: SoA message batches with
-//! run-length source headers, the emission lanes that route a message as
-//! it is sent, and the delivery kernel every round executor is built on;
-//! for the event executor, the parking a message is moved into as it is
-//! sent and taken out of when its destination wakes.
+//! The cache-resident message plane: SoA message batches, the emission
+//! lanes that route a message as it is sent, and the delivery kernel
+//! every round executor is built on; for the event executor, the parking
+//! a message is moved into as it is sent and taken out of when its
+//! destination wakes.
 //!
-//! An [`EnvBatch`] is how the hot path queues messages. Instead of a
-//! per-message `(src, dst, seq, msg)` record, it keeps two flat
-//! arrays — `dst: Vec<NodeId>` and `msg: Vec<M>` — plus a run-length
-//! header list ([`SrcRun`]): `(src, first_seq, len)` for each maximal
-//! stretch of consecutive messages that share a sender. `src` and `seq`
-//! are stored once per run instead of once per message, which is ~16
-//! bytes/message saved on the workloads that matter (small `Copy`
-//! payloads, runs of a node's whole phase emission). A dating message
-//! costs 4 (`dst`) + 8 (`DatingMsg` / `DatingSpreadMsg`, one word — the
-//! partner of an answer is a 4-byte `rendez_sim::Partner`) + its share of
-//! a 16-byte header — 14.3 bytes where a header covers seven sends, the
-//! benchmark's `batch.bytes_per_msg` on `hetero-dating-seq` — and 4 + 8
-//! again in the delivery scratch (`srcs` + `msgs`).
+//! An [`EnvBatch`] is how the hot path queues messages: three flat
+//! arrays — `dst: Vec<NodeId>`, `src: Vec<NodeId>` and `msg: Vec<M>` —
+//! so a message costs `4 + 4 + size_of::<M>()` bytes and a push is three
+//! appends. Its sequence number is not stored: fate, the only reader of
+//! `seq`, has used it by the time the message is filed. A dating message
+//! costs 4 (`dst`) + 4 (`src`) + 8 (`DatingMsg` / `DatingSpreadMsg`, one
+//! word — the partner of an answer is a 4-byte `rendez_sim::Partner`) =
+//! 16 bytes, the benchmark's `batch.bytes_per_msg`, and 4 + 8 again in
+//! the delivery scratch (`srcs` + `msgs`).
 //!
 //! # Batch invariants
 //!
-//! 1. **Exact sequence numbers.** Every batch is filled through
-//!    [`EnvBatch::push`] — by [`Outbox::send`](crate::Outbox::send) —
-//!    and never rewritten: message `k` of a run has sequence number
-//!    `first_seq + k`, because [`push`](EnvBatch::push) extends a run
-//!    only with the sender's next sequence number and starts a new one
-//!    otherwise. A shard emits into several lanes (`Lanes`), so a
-//!    sender's consecutive sends may alternate between them: within a
-//!    lane its runs sit next to each other, each with its own
-//!    `first_seq`, and need not be seq-contiguous with one another (with
-//!    one lane a phase's sends form one run). The batch's `(src, seq,
-//!    dst, msg)` stream is recoverable bit-for-bit ([`EnvBatch::iter`],
-//!    property-tested in `tests/batch_roundtrip.rs`).
+//! 1. **Send order.** Every batch is filled through [`EnvBatch::push`] —
+//!    by [`Outbox::send`](crate::Outbox::send) — and never rewritten, so
+//!    its messages sit in the order they were sent. A shard emits into
+//!    several lanes (`Lanes`), so a sender's consecutive sends may
+//!    alternate between them; within a lane a sender's messages keep
+//!    their seq order, which is what delivery order needs of `seq`
+//!    (property-tested in `tests/batch_roundtrip.rs`).
 //! 2. **A lane is a routed bucket.** Where a message goes is decided
 //!    where it is sent: `Lanes::push` files it in the lane of its
 //!    destination's shard and — when the channel loses messages or
@@ -44,16 +35,16 @@
 //!    `order_deliveries`.
 //! 3. **Order.** Senders emit in ascending id order within a phase of a
 //!    round, each in seq order, so a lane is a sequence of src-ascending
-//!    *stretches* — one per phase that sent into it, its headers stepping
+//!    *stretches* — one per phase that sent into it, its senders stepping
 //!    back where a later phase begins (the batch tracks whether any do as
 //!    it is pushed to) — and a sender's later messages lie in the same or
 //!    a later stretch. A delivery bucket lists such segments in send
 //!    order (round by round, shard by shard within a round), so the same
-//!    holds across segments. Merging the stretches' run *headers* by
-//!    `(src, stretch position)` therefore yields the bucket's `(src,
-//!    seq)` order, and one stable counting pass by destination over the
-//!    runs in that order (`order_deliveries`) the canonical `(dst, src,
-//!    seq)` order — no comparison sort over messages, whatever the
+//!    holds across segments. Merging the stretches' messages by `(src,
+//!    stretch position)` therefore yields the bucket's `(src, seq)`
+//!    order, and one stable counting pass by destination over the
+//!    messages in that order (`order_deliveries`) the canonical `(dst,
+//!    src, seq)` order — no comparison sort over messages, whatever the
 //!    latency distribution. Stretches that continue ascending across a
 //!    segment boundary (contiguous shards of one round) form one stream:
 //!    a single-round, single-phase bucket is plain concatenation.
@@ -65,36 +56,35 @@ use crate::exec::{link, NIL};
 use rendez_sim::{NodeId, SeedKey};
 use std::ops::Range;
 
-/// Run-length header of an [`EnvBatch`]: `len` consecutive messages
-/// sent by `src`, message `k` of the run carrying sequence number
-/// `first_seq + k` (batch invariant 1).
+/// A maximal stretch of an [`EnvBatch`]'s consecutive messages that
+/// share a sender, as [`EnvBatch::for_each_run`] yields it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SrcRun {
-    /// Sequence number of the run's first message.
-    pub first_seq: u64,
-    /// The sender of every message in the run.
+    /// The sender of every message in the stretch.
     pub src: NodeId,
-    /// Number of messages in the run.
+    /// Number of messages in the stretch.
     pub len: u32,
 }
 
-/// A compact SoA batch of queued messages: flat destination and payload
-/// arrays plus run-length [`SrcRun`] headers. See the [module
-/// docs](self) for the invariants.
+/// A compact SoA batch of queued messages: flat destination, sender and
+/// payload arrays. See the [module docs](self) for the invariants.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnvBatch<M> {
     dst: Vec<NodeId>,
+    src: Vec<NodeId>,
     msg: Vec<M>,
-    runs: Vec<SrcRun>,
-    /// Whether `runs` is src-ascending (no header steps back below its
-    /// predecessor's sender) — kept by `push`, one compare per new run,
-    /// so `merge_runs` knows in O(1) that the batch is one stretch.
+    /// Whether `src` is ascending (no sender steps back below its
+    /// predecessor) — kept by `push`, so `merge_stretches` knows in O(1)
+    /// that the batch is one stretch.
     ascending: bool,
+    /// The last sender pushed (`NodeId(0)` when empty), so that `push`
+    /// keeps `ascending` without loading from the array it appends to.
+    last: NodeId,
 }
 
 impl<M> Default for EnvBatch<M> {
     fn default() -> Self {
-        Self::with_capacity(0, 0)
+        Self::with_capacity(0)
     }
 }
 
@@ -104,13 +94,14 @@ impl<M> EnvBatch<M> {
         Self::default()
     }
 
-    /// An empty batch with room for `msgs` messages in `runs` runs.
-    pub fn with_capacity(msgs: usize, runs: usize) -> Self {
+    /// An empty batch with room for `msgs` messages.
+    pub fn with_capacity(msgs: usize) -> Self {
         Self {
             dst: Vec::with_capacity(msgs),
+            src: Vec::with_capacity(msgs),
             msg: Vec::with_capacity(msgs),
-            runs: Vec::with_capacity(runs),
             ascending: true,
+            last: NodeId(0),
         }
     }
 
@@ -127,30 +118,33 @@ impl<M> EnvBatch<M> {
     /// Drop all messages, keeping the allocations.
     pub fn clear(&mut self) {
         self.dst.clear();
+        self.src.clear();
         self.msg.clear();
-        self.runs.clear();
         self.ascending = true;
+        self.last = NodeId(0);
     }
 
-    /// Whether any of the backing arrays holds reusable capacity —
-    /// the executors' buffer pools only keep such batches.
+    /// Whether the batch holds reusable capacity — the executors' buffer
+    /// pools only keep such batches. The arrays are sized and filled in
+    /// step, so the destinations' capacity speaks for all three.
     pub(crate) fn has_capacity(&self) -> bool {
-        self.dst.capacity() > 0 || self.msg.capacity() > 0 || self.runs.capacity() > 0
+        self.dst.capacity() > 0
     }
 
-    /// Capacities of the destination, payload and header arrays.
+    /// Capacities of the destination, sender and payload arrays.
     #[cfg(test)]
     pub(crate) fn capacities(&self) -> [usize; 3] {
         [
             self.dst.capacity(),
+            self.src.capacity(),
             self.msg.capacity(),
-            self.runs.capacity(),
         ]
     }
 
-    /// The run headers, in storage order.
-    pub fn runs(&self) -> &[SrcRun] {
-        &self.runs
+    /// The sender of every message, in storage order — one word per
+    /// message; the name is the one `benchmark/`'s `batch.*` probe reads.
+    pub fn runs(&self) -> &[NodeId] {
+        &self.src
     }
 
     /// The payloads, in storage order.
@@ -158,58 +152,43 @@ impl<M> EnvBatch<M> {
         &self.msg
     }
 
-    /// Queue one emission: `src`'s send number `seq` to `dst`. Extends
-    /// the last run when `src` matches and `seq` is contiguous with it
-    /// (batch invariant 1), otherwise starts a new run.
+    /// Queue one emission: `src`'s send number `seq` to `dst`. Fate has
+    /// already used `seq` where the channel needs it (batch invariant
+    /// 2), and delivery order needs only the send order (invariant 1),
+    /// so the batch does not store it.
     #[inline]
-    pub fn push(&mut self, src: NodeId, seq: u64, dst: NodeId, msg: M) {
-        match self.runs.last_mut() {
-            Some(run) if run.src == src && run.first_seq + run.len as u64 == seq => run.len += 1,
-            last => {
-                self.ascending &= last.is_none_or(|run| run.src <= src);
-                self.runs.push(SrcRun {
-                    first_seq: seq,
-                    src,
-                    len: 1,
-                });
-            }
-        }
+    pub fn push(&mut self, src: NodeId, _seq: u64, dst: NodeId, msg: M) {
+        self.ascending &= self.last <= src;
+        self.last = src;
         self.dst.push(dst);
+        self.src.push(src);
         self.msg.push(msg);
     }
 
-    /// Visit every run with its destination and payload slices, in
-    /// storage order.
+    /// Visit every maximal stretch of consecutive same-sender messages
+    /// with its destination and payload slices, in storage order.
     pub fn for_each_run(&self, mut f: impl FnMut(&SrcRun, &[NodeId], &[M])) {
         let mut start = 0usize;
-        for run in &self.runs {
-            let end = start + run.len as usize;
-            f(run, &self.dst[start..end], &self.msg[start..end]);
+        while let Some(&src) = self.src.get(start) {
+            let rest = &self.src[start..];
+            let len = rest.iter().position(|&s| s != src).unwrap_or(rest.len());
+            let end = start + len;
+            let run = SrcRun {
+                src,
+                len: len as u32,
+            };
+            f(&run, &self.dst[start..end], &self.msg[start..end]);
             start = end;
         }
     }
 
-    /// Iterate the batch as `(src, seq, dst, &msg)` tuples in storage
-    /// order, sequence numbers reconstructed from the run headers
-    /// (batch invariant 1).
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, u64, NodeId, &M)> + '_ {
-        self.runs
+    /// Iterate the batch as `(src, dst, &msg)` tuples in storage order.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, NodeId, &M)> + '_ {
+        self.src
             .iter()
-            .scan(0usize, |start, run| {
-                let s = *start;
-                *start += run.len as usize;
-                Some((run, s))
-            })
-            .flat_map(move |(run, s)| {
-                (0..run.len as usize).map(move |k| {
-                    (
-                        run.src,
-                        run.first_seq + k as u64,
-                        self.dst[s + k],
-                        &self.msg[s + k],
-                    )
-                })
-            })
+            .zip(&self.dst)
+            .zip(&self.msg)
+            .map(|((&src, &dst), msg)| (src, dst, msg))
     }
 }
 
@@ -496,7 +475,7 @@ impl<M> Lanes<M> {
 /// order as two parallel arrays plus per-destination group offsets.
 #[derive(Debug)]
 pub struct DeliverScratch<M> {
-    /// Senders, delivery-ordered (expanded from the run headers).
+    /// Senders, delivery-ordered.
     pub srcs: Vec<NodeId>,
     /// Payloads, delivery-ordered.
     pub msgs: Vec<M>,
@@ -520,105 +499,109 @@ impl<M> Default for DeliverScratch<M> {
     }
 }
 
-/// Read position of one merge stream: from run `run` of segment `seg`,
-/// whose first message sits at offset `off`, through whole segments up
-/// to run `stop` (exclusive) of segment `last`. `key` is the head run's
-/// `(src, stream index)` packed into a `u64`, `MAX` once exhausted.
+/// Read position of one merge stream: from message `at` of segment
+/// `seg`, through whole segments up to message `stop` (exclusive) of
+/// segment `last`. `key` is the head message's `(src, stream index)`
+/// packed into a `u64`, `MAX` once exhausted.
 #[derive(Debug, Clone, Copy)]
 struct Cursor {
     key: u64,
     seg: usize,
-    run: usize,
-    off: usize,
+    at: usize,
     last: usize,
     stop: usize,
 }
 
 impl Cursor {
-    /// Hand the stream's runs to `emit` while their key is below `bound`.
+    /// Hand the stream's messages to `emit` while their key is below
+    /// `bound`, as `(srcs, dsts, msgs)` slices of one segment.
     fn drain_below<M>(
         &mut self,
         bound: u64,
         segments: &[EnvBatch<M>],
-        emit: &mut impl FnMut(NodeId, &[NodeId], &[M]),
+        emit: &mut impl FnMut(&[NodeId], &[NodeId], &[M]),
     ) {
         let stream = self.key & u64::from(u32::MAX);
+        let key = |src: NodeId| u64::from(src.0) << 32 | stream;
         loop {
             let seg = &segments[self.seg];
             let ending = self.seg == self.last;
-            let runs = if ending {
-                &seg.runs[..self.stop]
+            let end = if ending { self.stop } else { seg.len() };
+            let srcs = &seg.src[self.at..end];
+            let taken = if bound == u64::MAX {
+                srcs.len()
             } else {
-                &seg.runs[..]
+                srcs.iter()
+                    .position(|&src| key(src) >= bound)
+                    .unwrap_or(srcs.len())
             };
-            while let Some(run) = runs.get(self.run) {
-                self.key = u64::from(run.src.0) << 32 | stream;
-                if self.key >= bound {
-                    return;
-                }
-                let end = self.off + run.len as usize;
-                emit(run.src, &seg.dst[self.off..end], &seg.msg[self.off..end]);
-                (self.run, self.off) = (self.run + 1, end);
+            let to = self.at + taken;
+            if taken > 0 {
+                let at = self.at;
+                emit(&seg.src[at..to], &seg.dst[at..to], &seg.msg[at..to]);
+            }
+            self.at = to;
+            if to < end {
+                self.key = key(seg.src[to]);
+                return;
             }
             if ending {
                 break;
             }
-            (self.seg, self.run, self.off) = (self.seg + 1, 0, 0);
+            (self.seg, self.at) = (self.seg + 1, 0);
         }
         self.key = u64::MAX;
     }
 }
 
-/// Hand every run of `segments` to `emit` exactly once, in the bucket's
-/// `(src, seq)` order (batch invariant 3): a k-way merge of run headers
-/// over the src-ascending streams the segment list splits into — one
-/// per stretch, except that a stretch which opens a segment without
-/// stepping back below the previous segment's last sender continues that
-/// stream (next shard, same round). k is at most 1 + the header descents
-/// in the bucket per send round — 1 per send round when every round
-/// sends from one phase, so at most the latency spread: scan it.
-fn merge_runs<M>(
+/// Hand every message of `segments` to `emit` exactly once, in the
+/// bucket's `(src, seq)` order (batch invariant 3): a k-way merge by
+/// `(src, stream)` over the src-ascending streams the segment list
+/// splits into — one per stretch, except that a stretch which opens a
+/// segment without stepping back below the previous segment's last
+/// sender continues that stream (next shard, same round). k is at most
+/// 1 + the descents in the bucket per send round — 1 per send round when
+/// every round sends from one phase, so at most the latency spread: scan
+/// it. With one stream every segment is emitted whole.
+fn merge_stretches<M>(
     segments: &[EnvBatch<M>],
     cursors: &mut Vec<Cursor>,
-    mut emit: impl FnMut(NodeId, &[NodeId], &[M]),
+    mut emit: impl FnMut(&[NodeId], &[NodeId], &[M]),
 ) {
     cursors.clear();
     let mut last_src = None;
     for (i, seg) in segments.iter().enumerate() {
-        let (Some(first), Some(last)) = (seg.runs.first(), seg.runs.last()) else {
+        let (Some(&first), Some(&last)) = (seg.src.first(), seg.src.last()) else {
             continue;
         };
-        let open = |cursors: &mut Vec<Cursor>, run: usize, off: usize, src: NodeId| {
+        let open = |cursors: &mut Vec<Cursor>, at: usize, src: NodeId| {
             cursors.push(Cursor {
                 key: u64::from(src.0) << 32 | cursors.len() as u64,
                 seg: i,
-                run,
-                off,
+                at,
                 last: i,
-                stop: seg.runs.len(),
+                stop: seg.len(),
             })
         };
         match cursors.last_mut() {
-            Some(c) if last_src <= Some(first.src) => (c.last, c.stop) = (i, seg.runs.len()),
-            _ => open(cursors, 0, 0, first.src),
+            Some(c) if last_src <= Some(first) => (c.last, c.stop) = (i, seg.len()),
+            _ => open(cursors, 0, first),
         }
         if !seg.ascending {
-            // Sends from several phases: end the stream at each header
+            // Sends from several phases: end the stream at each sender
             // that steps back and open the next one there.
-            let mut off = 0;
-            for (r, pair) in seg.runs.windows(2).enumerate() {
-                off += pair[0].len as usize;
-                if pair[1].src < pair[0].src {
-                    cursors.last_mut().expect("one is open").stop = r + 1;
-                    open(cursors, r + 1, off, pair[1].src);
+            for (at, pair) in seg.src.windows(2).enumerate() {
+                if pair[1] < pair[0] {
+                    cursors.last_mut().expect("one is open").stop = at + 1;
+                    open(cursors, at + 1, pair[1]);
                 }
             }
         }
-        last_src = Some(last.src);
+        last_src = Some(last);
     }
     loop {
         // Drain the smallest head until it passes the runner-up; keys
-        // are distinct (stream index), so each step emits a run.
+        // are distinct (stream index), so each step emits a message.
         let (mut best, mut best_key, mut bound) = (0, u64::MAX, u64::MAX);
         for (i, c) in cursors.iter().enumerate() {
             if c.key < best_key {
@@ -639,8 +622,8 @@ fn merge_runs<M>(
 /// destinations are `base..base + width`.
 ///
 /// Segments must be in send order (batch invariant 3). No messages are
-/// compared: the run headers are merged into `(src, seq)` order
-/// (`merge_runs`) and each run's messages go through one stable counting
+/// compared: the segments' stretches are merged into `(src, seq)` order
+/// (`merge_stretches`) and the messages go through one stable counting
 /// pass by destination — per message one histogram bump and one
 /// 4-byte-plus-payload scatter write, whatever the latency distribution.
 pub fn order_deliveries<M: Clone>(
@@ -676,8 +659,8 @@ pub fn order_deliveries<M: Clone>(
     ds.starts.push(acc);
     ds.srcs.reserve(total);
     ds.msgs.reserve(total);
-    // SAFETY: `merge_runs` hands every run of every segment to the
-    // closure exactly once, so the write positions `counts[dst
+    // SAFETY: `merge_stretches` hands every message of every segment to
+    // the closure exactly once, so the write positions `counts[dst
     // offset]++` enumerate each destination group's slots in arrival
     // order; the exclusive prefix sums were exact over the same
     // messages, so the positions are a permutation of `0..total` —
@@ -686,8 +669,8 @@ pub fn order_deliveries<M: Clone>(
     let sp = ds.srcs.as_mut_ptr();
     let mp = ds.msgs.as_mut_ptr();
     let counts = &mut ds.counts;
-    merge_runs(segments, &mut ds.cursors, |src, dsts, msgs| {
-        for (dst, m) in dsts.iter().zip(msgs) {
+    merge_stretches(segments, &mut ds.cursors, |srcs, dsts, msgs| {
+        for ((&src, dst), m) in srcs.iter().zip(dsts).zip(msgs) {
             let k = dst.index() - base;
             let pos = counts[k] as usize;
             counts[k] += 1;
@@ -713,7 +696,7 @@ mod tests {
     use crate::conditions::LatencyDist;
     use crate::report::NetStats;
 
-    /// One message as [`EnvBatch::iter`] yields it: `(src, seq, dst, msg)`.
+    /// One sent message: `(src, seq, dst, msg)`.
     type Sent = (NodeId, u64, NodeId, u32);
 
     /// `src`'s send number `seq` to `dst`, its payload naming both.
@@ -731,31 +714,32 @@ mod tests {
         b
     }
 
+    /// The batch's messages, each `seq` read back from the payload that
+    /// [`sent`] gave it.
     fn stream(b: &EnvBatch<u32>) -> Vec<Sent> {
         b.iter()
-            .map(|(src, seq, dst, &msg)| (src, seq, dst, msg))
+            .map(|(src, dst, &msg)| (src, u64::from(msg % 1000), dst, msg))
             .collect()
-    }
-
-    #[test]
-    fn push_merges_contiguous_runs_only() {
-        let mut b = EnvBatch::new();
-        b.push(NodeId(1), 0, NodeId(9), 'a');
-        b.push(NodeId(1), 1, NodeId(8), 'b');
-        b.push(NodeId(2), 0, NodeId(7), 'c');
-        b.push(NodeId(1), 2, NodeId(6), 'd'); // same src, interleaved: new run
-        b.push(NodeId(1), 5, NodeId(5), 'e'); // seq gap: new run
-        assert_eq!(b.len(), 5);
-        assert_eq!(b.runs().len(), 4);
-        assert_eq!(b.runs()[0].len, 2);
-        assert_eq!(b.runs()[3].first_seq, 5);
     }
 
     #[test]
     fn iter_reconstructs_the_pushed_stream() {
         let sends = [(0, 3, 0), (0, 1, 1), (2, 0, 4), (0, 2, 2)];
+        let b = batch(&sends);
         let want: Vec<_> = sends.iter().map(|&(s, d, q)| sent(s, d, q)).collect();
-        assert_eq!(stream(&batch(&sends)), want);
+        assert_eq!(stream(&b), want);
+        assert!(!b.ascending, "sender 0 after sender 2 steps back");
+        // `for_each_run` groups maximal one-sender stretches, whatever
+        // their sequence numbers.
+        let mut runs = Vec::new();
+        b.for_each_run(|run, dsts, msgs| {
+            assert_eq!(
+                (dsts.len(), msgs.len()),
+                (run.len as usize, run.len as usize)
+            );
+            runs.push((run.src.0, run.len));
+        });
+        assert_eq!(runs, [(0, 2), (2, 1), (0, 1)]);
     }
 
     const SRCS: u32 = 6;
@@ -797,7 +781,7 @@ mod tests {
         /// Filing at the send ≡ per-envelope fate plus a `(dst, src, seq)`
         /// sort, per delivery slot and destination shard, deliveries and
         /// `NetStats` alike. One phase gives src-ascending lanes; two or
-        /// three usually lanes whose headers step back. The sending shard
+        /// three usually lanes whose senders step back. The sending shard
         /// is shard 0 of 1, 1 of 2 or 2 of 3 of `SRCS`-id shards, so a
         /// fate key looked up by `src` instead of `src − base` shows.
         #[test]
@@ -871,7 +855,7 @@ mod tests {
                 .iter_mut()
                 .enumerate()
                 .map(|(i, lane)| {
-                    let ascending = lane.runs().windows(2).all(|w| w[0].src <= w[1].src);
+                    let ascending = lane.runs().windows(2).all(|w| w[0] <= w[1]);
                     assert_eq!(lane.ascending, ascending);
                     let base = i % dests * chunk;
                     delivered(std::mem::take(lane), base, chunk.min(DSTS - base))
@@ -988,7 +972,7 @@ mod tests {
     #[test]
     fn order_deliveries_mixed_is_stable_across_rounds() {
         // Senders contributing to one bucket from two send rounds, each
-        // round's segment src-ascending: the header merge must interleave
+        // round's segment src-ascending: the merge must interleave
         // the rounds by sender and keep round order per (dst, src).
         let round0 = batch(&[(1, 0, 0), (2, 0, 0), (2, 1, 1)]);
         let round1 = batch(&[(0, 0, 3), (1, 0, 7), (2, 1, 2)]);

@@ -57,12 +57,13 @@
 //! 4. **Delivery order.** Messages due in a round are consumed in
 //!    `(dst, src, seq)` order. A ring lane holds segments in (send
 //!    round, shard) order, each src-ascending but for a step back where
-//!    a later phase of its round began; [`order_deliveries`] merges their
-//!    run *headers* into `(src, seq)` order — one stream per send round
-//!    and phase, so a lane filled by one single-phase round (the paper's
-//!    synchronous model) is plain concatenation — and one stable counting
-//!    pass by destination completes the sort in `O(m + shard_width)`,
-//!    with no comparison sort over messages.
+//!    a later phase of its round began, and every message carries its
+//!    sender; [`order_deliveries`] merges them by sender into `(src,
+//!    seq)` order — one stream per send round and phase, so a lane filled
+//!    by one single-phase round (the paper's synchronous model) is plain
+//!    concatenation — and one stable counting pass by destination
+//!    completes the sort in `O(m + shard_width)`, with no comparison sort
+//!    over messages.
 //! 5. **Associative observation.** [`RoundObs::merge`] is commutative
 //!    and associative, so the shard-order merge of per-shard partials
 //!    equals a single whole-run fold.
@@ -81,11 +82,11 @@
 //! sized, not grown, and not before it is needed: a lane without a batch
 //! — every lane when the run begins, later one that was handed over while
 //! the pool was empty — is backed as the next round starts, with room for
-//! its share of one message and one run per node and for a round like the
-//! one just routed ([`Geometry::lane_room`]). So cold rounds do not grow
-//! buffers from zero, warm rounds do not allocate, a lane nothing is ever
-//! due in keeps its first batch, and a run's last round leaves no batch
-//! behind for a round that does not come.
+//! its share of [`FRESH_SENDS_PER_NODE`] sends per node and for a round
+//! like the one just routed ([`Geometry::lane_room`]). So cold rounds do
+//! not grow or copy buffers, warm rounds do not allocate, a lane nothing
+//! is ever due in keeps its first batch, and a run's last round leaves no
+//! batch behind for a round that does not come.
 //!
 //! lint: deterministic
 
@@ -99,6 +100,18 @@ use crate::report::{NetStats, RunConfig, RunReport, TimeAxis};
 use rand::rngs::SmallRng;
 use rendez_sim::{NodeId, SeedKey};
 use std::collections::VecDeque;
+
+/// Sends per node that a fresh emission lane reserves room for, split
+/// over the shard's lanes: more than the first round of any benchmark
+/// workload sends per node (the dating service on `hetero-dating-seq`'s
+/// power-law platform sends `bout + bin`, eight), so no lane grows, and
+/// no array is copied, in the round that fills it. Capacity a round
+/// leaves untouched is address space, not resident memory. With room for
+/// one send per node the three arrays of that workload's lane grew three
+/// times in round 0, and glibc trimming the freed heap after each set-up
+/// doubled its page faults; EXPERIMENTS.md ("One sender word per
+/// message") records faults and peak memory for both sizings.
+const FRESH_SENDS_PER_NODE: usize = 16;
 
 /// Shard layout of one run: `shards` contiguous ranges of `chunk` ids
 /// (the last may be shorter) and `slots` latency slots, of which a
@@ -158,10 +171,10 @@ struct Shard<P: RoundProtocol> {
     /// This round's emissions, one lane per latency slot they can be due
     /// in and destination shard ([`back_lanes`], [`hand_over`]).
     fresh: Lanes<P::Msg>,
-    /// Messages and runs of the largest lane handed over last round with
-    /// no pooled batch to take its place: what the next round sizes such
+    /// Messages of the largest lane handed over last round with no
+    /// pooled batch to take its place: what the next round sizes such
     /// lanes' new batches for.
-    stand_in: [usize; 2],
+    stand_in: usize,
     ds: DeliverScratch<P::Msg>,
     /// Drained delivery segments, kept to back the next emission lanes.
     pool: Vec<EnvBatch<P::Msg>>,
@@ -211,26 +224,26 @@ fn each_live<P: RoundProtocol>(
 }
 
 /// As a round begins, give every lane without a batch one (module docs,
-/// "Memory discipline"): room for its share of one message and one run
-/// per node of the shard's `len` and for a round like the last
-/// (`stand_in`), and for the share `drop_prob` of them that fate loses.
+/// "Memory discipline"): room for its share of [`FRESH_SENDS_PER_NODE`]
+/// messages per node of the shard's `len` and for a round like the last
+/// (`stand_in`), and for the `drop_prob · len` messages fate loses.
 /// Out of line with [`hand_over`], which says why.
 #[inline(never)]
 fn back_lanes<M>(
     fresh: &mut Lanes<M>,
-    stand_in: &mut [usize; 2],
+    stand_in: &mut usize,
     geo: Geometry,
     len: usize,
     drop_prob: f64,
 ) {
-    let share = geo.lane_room(len.div_ceil(geo.shards * geo.rows));
-    let [msgs, runs] = stand_in.map(|last| share.max(geo.lane_room(last)));
+    let share = geo.lane_room((FRESH_SENDS_PER_NODE * len).div_ceil(geo.shards * geo.rows));
+    let msgs = share.max(geo.lane_room(*stand_in));
     for lane in fresh.batches() {
         if !lane.has_capacity() {
-            *lane = EnvBatch::with_capacity(msgs, runs);
+            *lane = EnvBatch::with_capacity(msgs);
         }
     }
-    *stand_in = [0; 2];
+    *stand_in = 0;
     if let Some(lost) = fresh.lost() {
         lost.reserve((drop_prob * len as f64).ceil() as usize);
     }
@@ -249,7 +262,7 @@ fn hand_over<P: RoundProtocol>(
     proto: &P,
     geo: Geometry,
     fresh: &mut Lanes<P::Msg>,
-    (pool, stand_in): (&mut Vec<EnvBatch<P::Msg>>, &mut [usize; 2]),
+    (pool, stand_in): (&mut Vec<EnvBatch<P::Msg>>, &mut usize),
     routed: &mut [Vec<EnvBatch<P::Msg>>],
     tally: &mut NetStats,
 ) {
@@ -267,8 +280,7 @@ fn hand_over<P: RoundProtocol>(
             }
             sent(lane.msgs());
             let next = pool.pop().unwrap_or_else(|| {
-                let emitted = [lane.len(), lane.runs().len()];
-                *stand_in = [0, 1].map(|i| stand_in[i].max(emitted[i]));
+                *stand_in = (*stand_in).max(lane.len());
                 EnvBatch::new()
             });
             *bucket = std::mem::replace(lane, next);
@@ -316,7 +328,7 @@ impl<P: RoundProtocol> Shard<P> {
                 &cfg.conditions,
                 base..base + len,
             ),
-            stand_in: [0; 2],
+            stand_in: 0,
             ds: DeliverScratch::default(),
             pool: Vec::new(),
             routed: (0..geo.slots)
@@ -368,8 +380,8 @@ impl<P: RoundProtocol> Shard<P> {
         let states = (&mut nodes[..], &mut rngs[..], &mut seqs[..]);
         each_live(proto, P::on_round_start, states, live, at, (fresh, arena));
 
-        // Phase 2: deliveries in (dst, src, seq) order — run-header merge
-        // plus one stable counting pass, then one `on_receive_run`
+        // Phase 2: deliveries in (dst, src, seq) order — a merge by
+        // sender plus one stable counting pass, then one `on_receive_run`
         // dispatch per destination.
         let total = order_deliveries(due, base, len, ds);
         let pool_cap = geo.pool_cap();
@@ -598,7 +610,7 @@ mod tests {
                     for shard in &mut layout {
                         for (buckets, row) in shard.routed.iter_mut().zip(ring.iter_mut()) {
                             for (seg, due) in buckets.iter_mut().zip(row) {
-                                assert!(!seg.runs().is_empty(), "every lane was handed over");
+                                assert!(!seg.is_empty(), "every lane was handed over");
                                 due.push(std::mem::take(seg));
                             }
                         }
@@ -705,7 +717,7 @@ mod tests {
         assert_eq!(wide, 600);
         let mut pool: Vec<EnvBatch<u32>> = Vec::new();
         for _ in 0..(small + 10) {
-            recycle(&mut pool, small, EnvBatch::with_capacity(1, 1));
+            recycle(&mut pool, small, EnvBatch::with_capacity(1));
         }
         assert_eq!(pool.len(), small);
         // Zero-capacity batches are not worth pooling.

@@ -247,7 +247,7 @@ impl EventExecutor {
             let i = woken as usize;
             let id = NodeId(woken);
             let slot = &mut slots[i];
-            let first_seq = slot.seq;
+            let seq_before = slot.seq;
 
             // Retract the waking node's old contribution, run its event,
             // merge the new one — obs stays the exact whole-slice fold.
@@ -273,7 +273,7 @@ impl EventExecutor {
                 proto.on_wake(&mut slot.node, id, now, &mut slot.rng, &mut out);
             }
             // The callbacks parked every send on the way.
-            stats.sent += slot.seq - first_seq;
+            stats.sent += slot.seq - seq_before;
 
             observe_alone(proto, &slot.node, id, &mut scratch);
             obs.merge(&scratch);

@@ -237,7 +237,7 @@ mod tests {
     fn mixed_send_rounds_in_one_bucket_deliver_in_sequential_order() {
         // Uniform latency interleaves several send rounds into one
         // delivery bucket, so `order_deliveries` merges up to six
-        // streams of run headers. The spread (min 1, max 6) guarantees
+        // src-ascending streams. The spread (min 1, max 6) guarantees
         // in-flight messages at halt too.
         let cond = Conditions::with_latency(LatencyDist::Uniform { min: 1, max: 6 });
         let run = |shards: Option<usize>| {

@@ -36,9 +36,9 @@ use rendez_sim::NodeId;
 /// protocol behaviour, never of executor scheduling: delivery order and
 /// per-message fate ([`FateRun::fate`](crate::FateRun::fate)) are
 /// specified against it. Queued messages live in
-/// [`EnvBatch`](crate::EnvBatch) lanes, which carry `(src, seq)` once per
-/// run of consecutive same-sender sends (see the [`batch`](crate::batch)
-/// module docs).
+/// [`EnvBatch`](crate::EnvBatch) lanes, which keep each message's sender
+/// and its place in send order but not its `seq`: fate has used it by
+/// then (see the [`batch`](crate::batch) module docs).
 ///
 /// [`Conditions`]: crate::Conditions
 /// [`EventExecutor`]: crate::EventExecutor
@@ -576,15 +576,13 @@ mod tests {
         let [env] = env.batches() else {
             panic!("one lane")
         };
-        let sent: Vec<_> = env
-            .iter()
-            .map(|(src, seq, dst, &msg)| (src, seq, dst, msg))
-            .collect();
+        let sent: Vec<_> = env.iter().map(|(src, dst, &msg)| (src, dst, msg)).collect();
+        assert_eq!(sent, [(NodeId(2), NodeId(0), 7), (NodeId(2), NodeId(3), 9)]);
         assert_eq!(
-            sent,
-            [(NodeId(2), 5, NodeId(0), 7), (NodeId(2), 6, NodeId(3), 9)]
+            env.runs(),
+            [NodeId(2); 2],
+            "every message carries its sender"
         );
-        assert_eq!(env.runs().len(), 1, "consecutive sends share one run");
     }
 
     #[test]
@@ -598,15 +596,15 @@ mod tests {
             out.send(NodeId(dst), dst as u8);
         }
         let filed = |lane: &EnvBatch<u8>| -> Vec<_> {
-            lane.iter().map(|(_, seq, dst, _)| (seq, dst.0)).collect()
+            lane.iter().map(|(src, dst, _)| (src.0, dst.0)).collect()
         };
         let lanes = env.batches();
-        assert_eq!(filed(&lanes[0]), [(0, 0), (2, 2), (5, 1)]);
-        assert_eq!(filed(&lanes[1]), [(3, 3), (4, 5)]);
-        assert_eq!(filed(&lanes[2]), [(1, 6)]);
-        // Sends that alternated between lanes head their own runs.
-        assert_eq!(lanes[0].runs().len(), 3);
-        assert_eq!(lanes[1].runs().len(), 1);
+        // Each lane keeps its sends in send order.
+        assert_eq!(filed(&lanes[0]), [(4, 0), (4, 2), (4, 1)]);
+        assert_eq!(filed(&lanes[1]), [(4, 3), (4, 5)]);
+        assert_eq!(filed(&lanes[2]), [(4, 6)]);
+        let sizes: Vec<_> = lanes.iter().map(|lane| lane.runs().len()).collect();
+        assert_eq!(sizes, [3, 2, 1], "one sender word per message");
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! Property tests: [`EnvBatch`] round-trips the pushed `(src, seq, dst,
-//! msg)` stream bit-identically (invariant 1 in `rendez_runtime::batch`) under
-//! random emission patterns, sources that never emit, and emission
-//! spliced across multiple batches with carried-over seq counters — and
-//! `order_deliveries` turns any list of src-ascending segments (batch
-//! invariant 3) into the `(dst, src, seq)` order a sort would give.
+//! Property tests: [`EnvBatch`] keeps the pushed `(src, dst, msg)`
+//! stream bit-identically and in send order (invariant 1 in
+//! `rendez_runtime::batch`) under random emission patterns, sources that
+//! never emit, and emission spliced across multiple batches with
+//! carried-over seq counters — and `order_deliveries` turns any list of
+//! src-ascending segments (batch invariant 3) into the `(dst, src, seq)`
+//! order a sort would give.
 
 use proptest::prelude::*;
 use rendez_runtime::batch::{order_deliveries, DeliverScratch};
@@ -13,8 +14,11 @@ use rendez_sim::NodeId;
 const SRCS: u32 = 8;
 const DSTS: u32 = 16;
 
-/// One message as [`EnvBatch::iter`] yields it: `(src, seq, dst, msg)`.
+/// One pushed message: `(src, seq, dst, msg)`.
 type Sent = (NodeId, u64, NodeId, u8);
+
+/// One message as [`EnvBatch::iter`] yields it: `(src, dst, msg)`.
+type Kept = (NodeId, NodeId, u8);
 
 /// Replay `events` through Outbox-style emission: per-source contiguous
 /// seq counters, arbitrary interleaving across sources. Returns the batch
@@ -33,35 +37,48 @@ fn emit(events: &[(u32, u32, u8)], seqs: &mut [u64]) -> (EnvBatch<u8>, Vec<Sent>
 }
 
 /// The batch's stream, read back through [`EnvBatch::iter`].
-fn stream(batch: &EnvBatch<u8>) -> Vec<Sent> {
+fn stream(batch: &EnvBatch<u8>) -> Vec<Kept> {
     batch
         .iter()
-        .map(|(src, seq, dst, &msg)| (src, seq, dst, msg))
+        .map(|(src, dst, &msg)| (src, dst, msg))
+        .collect()
+}
+
+/// What a batch keeps of a pushed stream: everything but `seq`.
+fn kept(sent: &[Sent]) -> Vec<Kept> {
+    sent.iter()
+        .map(|&(src, _, dst, msg)| (src, dst, msg))
         .collect()
 }
 
 /// The memory-plane claim in EXPERIMENTS.md, pinned: a batched message
-/// costs `4 + size_of::<M>()` bytes plus one 16-byte run header
-/// amortized over its burst, where a per-message record would pay
-/// another 16 bytes of `src`/`seq` (plus padding).
+/// costs `4 (dst) + 4 (src) + size_of::<M>()` bytes — three flat arrays,
+/// one sender word per message, no run header and no `seq`.
 #[test]
 fn batch_layout_is_compact() {
     use rendez_runtime::adapters::{DatingSpreadMsg, GossipMsg};
-    use rendez_runtime::SrcRun;
-    assert_eq!(std::mem::size_of::<SrcRun>(), 16);
+    use std::mem::{size_of, size_of_val};
+    assert_eq!(size_of::<NodeId>(), 4);
+    assert_eq!(
+        size_of::<EnvBatch<u8>>(),
+        3 * size_of::<Vec<u8>>() + size_of::<usize>(),
+        "three arrays, the ascending flag and the last sender"
+    );
+    let (batch, sent) = emit(&[(1, 2, 3), (1, 4, 5), (0, 6, 7)], &mut [0; 2]);
+    assert_eq!(size_of_val(batch.runs()), sent.len() * size_of::<NodeId>());
     // The dating workloads' message enum (tag + 4-byte `Partner`, one
-    // word): 12 bytes batched per message.
-    assert_eq!(std::mem::size_of::<DatingSpreadMsg>(), 8);
-    // Unit-variant gossip messages: 5 bytes batched.
-    assert_eq!(std::mem::size_of::<GossipMsg>(), 1);
+    // word): 16 bytes batched per message.
+    assert_eq!(size_of::<DatingSpreadMsg>(), 8);
+    // Unit-variant gossip messages: 9 bytes batched.
+    assert_eq!(size_of::<GossipMsg>(), 1);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random emission (most sources silent in short streams): iteration
-    /// order and reconstructed seqs are bit-identical to the pushed
-    /// stream.
+    /// order, senders, destinations and payloads are bit-identical to the
+    /// pushed stream, and every message carries its sender.
     #[test]
     fn batch_round_trips_random_emission(
         events in prop::collection::vec((0u32..SRCS, 0u32..DSTS, any::<u8>()), 0..200),
@@ -70,35 +87,15 @@ proptest! {
         let (batch, sent) = emit(&events, &mut seqs);
         prop_assert_eq!(batch.len(), sent.len());
         prop_assert_eq!(batch.is_empty(), sent.is_empty());
-        prop_assert_eq!(stream(&batch), sent.clone());
-        // Run headers account for every message exactly once.
-        let total: u64 = batch.runs().iter().map(|r| u64::from(r.len)).sum();
+        prop_assert_eq!(stream(&batch), kept(&sent));
+        prop_assert_eq!(batch.runs().len(), sent.len());
+        // `for_each_run` covers every message once, in maximal
+        // one-sender stretches.
+        let mut runs = Vec::new();
+        batch.for_each_run(|run, _, _| runs.push(*run));
+        prop_assert!(runs.windows(2).all(|w| w[0].src != w[1].src));
+        let total: u64 = runs.iter().map(|r| u64::from(r.len)).sum();
         prop_assert_eq!(total, sent.len() as u64);
-    }
-
-    /// Re-pushing a batch's stream rebuilds the same batch and splits the
-    /// stream into maximal seq-contiguous runs: a new run starts only on
-    /// a source change or a seq discontinuity.
-    #[test]
-    fn repushed_stream_round_trips(
-        events in prop::collection::vec((0u32..SRCS, 0u32..DSTS, any::<u8>()), 0..200),
-    ) {
-        let mut seqs = vec![0u64; SRCS as usize];
-        let (batch, sent) = emit(&events, &mut seqs);
-        let mut rebuilt = EnvBatch::new();
-        for &(src, seq, dst, msg) in &stream(&batch) {
-            rebuilt.push(src, seq, dst, msg);
-        }
-        prop_assert_eq!(&rebuilt, &batch);
-        let mut boundaries = 0usize;
-        let mut prev: Option<&Sent> = None;
-        for e in &sent {
-            if !prev.is_some_and(|p| p.0 == e.0 && p.1 + 1 == e.1) {
-                boundaries += 1;
-            }
-            prev = Some(e);
-        }
-        prop_assert_eq!(batch.runs().len(), boundaries);
     }
 
     /// Multi-run splices: emission split across several batches (rounds),
@@ -118,7 +115,7 @@ proptest! {
         for events in &rounds {
             let (batch, sent) = emit(events, &mut seqs);
             spliced.extend(stream(&batch));
-            whole.extend(sent);
+            whole.extend(kept(&sent));
         }
         prop_assert_eq!(spliced, whole);
     }

@@ -186,7 +186,7 @@ fn one_shard_runs_inline_on_the_calling_thread() {
 
 /// Every node pings a round-dependent target from `on_round_start`;
 /// with `reply`, a pinged node answers from `on_receive_run` in the same
-/// round, so that round's run headers step back (senders `0..n` from
+/// round, so that round's senders step back (senders `0..n` from
 /// the first phase, then repliers from the second) and delivery has to
 /// merge the two stretches. Node state is an order-sensitive hash of
 /// everything received.
@@ -395,7 +395,7 @@ fn a_lane_that_was_sent_to_from_two_phases_is_handed_over_like_any_other() {
         echo_everywhere(false, Conditions::ideal()).0.digests,
         "the replies are observable"
     );
-    // The lanes' headers step back where the replies begin; delivery
+    // The lanes' senders step back where the replies begin; delivery
     // merges the two stretches, routing does not look.
     assert_handed_over(&report, &layouts, "two phases");
     // The same under loss, and under loss and a latency spread at once.

@@ -149,7 +149,7 @@ impl RoundProtocol for OrderWitness {
 #[test]
 fn geometric_latency_delivers_in_canonical_order_on_every_executor() {
     // Geometric latency with a 16-round cap puts up to 16 send rounds
-    // into one delivery bucket: the run-header merge at its widest, with
+    // into one delivery bucket: the merge by sender at its widest, with
     // each sender present in many segments.
     let n = 300;
     let cfg = RunConfig::seeded(0xE3)
