@@ -25,8 +25,9 @@
 //!   sorted-inserted. Every wake of an earlier bucket precedes every
 //!   wake of a later one, hence the pop sequence is exactly the total
 //!   order above — the one a binary heap pops, which
-//!   `tests/event_exec.rs` checks against a reference heap and pins with
-//!   digests recorded from the heap-based executor. Bucket width and
+//!   `tests/event_exec.rs` checks against a reference heap, and whose
+//!   n = 300 traces, recorded when the queue was a heap, are pinned by
+//!   `tests/differential.golden`. Bucket width and
 //!   ring length derive from `n` and the wake rate and influence cost
 //!   only, never order.
 //! * **One slot per node.** Wake time, calendar link, RNG, send and wake

@@ -6,16 +6,23 @@
 //! platform with a `bw_in`-weighted alias selector) × latency law × loss
 //! × churn × seed, at n = 60 with a mid-range source, capped at 240
 //! rounds (12 dating cycles); one n = 700 row per workload and the five
-//! asynchronous spreaders on the event executor join it. Every cell runs
+//! asynchronous spreaders on the event executor join it. Last come the
+//! runtime's exact pins at n = 300 on `Scenario`'s own defaults (source
+//! node 0, 30 cycles, no round cap), each of which must complete: the
+//! five uniform-gossip spreaders on an ideal channel and on a faulty one
+//! (loss 0.1, latency uniform on 1..=3, intermittent churn 0.05), and
+//! their asynchronous ports in continuous time, where the trace holds
+//! one digest per event. Every cell runs
 //! on `sequential`, `sharded(1/2/3/5)`, `run_pooled` on one shared pool
 //! and one node per shard (shards ≥ n), and every report must equal the
 //! sequential one whole, `{:?}` for `{:?}` — `time` and `node_bytes`
 //! included. A mismatch names the cell, the executor and the first
 //! divergent round. Cells that differ only in seed must differ in report.
 //!
-//! A quick subset (every pair of axes, both seeds) is also pinned: the
-//! FNV-1a of each cell's `{:?}` report must match
-//! `tests/differential.golden`. On a mismatch the regenerated list is
+//! A quick subset (every pair of axes, both seeds, and every n = 300
+//! cell) is also pinned: the FNV-1a of each cell's `{:?}` report must
+//! match `tests/differential.golden`, the one file that holds the
+//! runtime's exact behaviour. On a mismatch the regenerated list is
 //! written under `CARGO_TARGET_TMPDIR`; a deliberate re-bless copies it
 //! over the golden. The full product is `#[ignore]`d (run it in
 //! release) and prints one `cell hash` line per cell, so two builds
@@ -35,6 +42,10 @@ const N: usize = 60;
 /// Nodes in the one large row per workload.
 const N_LARGE: usize = 700;
 const SEEDS: [u64; 2] = [17, 0xBEEF];
+/// Nodes and seeds of the gossip and asynchronous rows that run on
+/// `Scenario`'s own defaults.
+const N_DEFAULTS: usize = 300;
+const SEEDS_DEFAULTS: [u64; 2] = [0x1, 0xBEEF];
 
 const LATENCIES: [(&str, LatencyDist); 6] = [
     ("fixed1", LatencyDist::Fixed(1)),
@@ -67,6 +78,9 @@ struct Cell {
     conditions: Conditions,
     churn: Churn,
     continuous: bool,
+    /// `Scenario`'s own source (node 0), cycle budget and round cap
+    /// instead of the grid's; the run must complete.
+    defaults: bool,
     seed: u64,
     quick: bool,
 }
@@ -81,11 +95,14 @@ impl Cell {
     fn reports(&self, pool: &WorkerPool, one_node_shards: bool) -> Vec<(String, ScenarioReport)> {
         let mut base = Scenario::new(self.n)
             .protocol(self.spreader)
-            .source(NodeId::from_index(self.n / 2))
-            .cycles(12)
-            .max_rounds(240)
             .conditions(self.conditions)
             .churn(self.churn);
+        if !self.defaults {
+            base = base
+                .source(NodeId::from_index(self.n / 2))
+                .cycles(12)
+                .max_rounds(240);
+        }
         if self.continuous {
             base = base.time_model(TimeModel::Continuous { rate: 1.0 });
         }
@@ -151,6 +168,7 @@ fn grid() -> Vec<Cell> {
         conditions: Conditions::ideal(),
         churn: Churn::none(),
         continuous: false,
+        defaults: false,
         seed,
         quick: true,
     };
@@ -183,12 +201,49 @@ fn grid() -> Vec<Cell> {
         let stem = format!("{spreader}/unit n={N_LARGE} ideal");
         cells.push(cell(stem, spreader, N_LARGE, SEEDS[0]));
     }
-    for spreader in gossip {
+    for &spreader in &gossip {
         for seed in SEEDS {
             let stem = format!("{spreader}/async n={N}");
             cells.push(Cell {
                 continuous: true,
                 ..cell(stem, spreader, N, seed)
+            });
+        }
+    }
+    // On `Scenario`'s defaults: the gossip spreaders on an ideal and a
+    // faulty channel, then their asynchronous ports.
+    let faulty = Conditions {
+        drop_prob: 0.1,
+        latency: LatencyDist::Uniform { min: 1, max: 3 },
+    };
+    let channels = [
+        ("ideal", Conditions::ideal(), Churn::none()),
+        (
+            "uniform1-3 loss=0.1 churn=intermittent0.05",
+            faulty,
+            Churn::intermittent(0.05),
+        ),
+    ];
+    for &spreader in &gossip {
+        for (channel, conditions, churn) in channels {
+            let stem = format!("{spreader}/unit n={N_DEFAULTS} {channel}");
+            for seed in SEEDS_DEFAULTS {
+                cells.push(Cell {
+                    conditions,
+                    churn,
+                    defaults: true,
+                    ..cell(stem.clone(), spreader, N_DEFAULTS, seed)
+                });
+            }
+        }
+    }
+    for &spreader in &gossip {
+        for seed in SEEDS_DEFAULTS {
+            let stem = format!("{spreader}/async n={N_DEFAULTS}");
+            cells.push(Cell {
+                continuous: true,
+                defaults: true,
+                ..cell(stem, spreader, N_DEFAULTS, seed)
             });
         }
     }
@@ -241,13 +296,20 @@ fn run_cell(cell: &Cell, pool: &WorkerPool, one_node_shards: bool) -> u64 {
         }
     }
     if cell.continuous {
+        // One digest per event.
+        let events = reference.rounds;
+        assert_eq!(reference.digests.len() as u64, events, "{key}");
         assert!(
-            matches!(reference.time, TimeAxis::SimSeconds { .. }),
+            matches!(reference.time, TimeAxis::SimSeconds { events: e, .. } if e == events),
             "{key}"
         );
     } else {
         assert_eq!(reference.time, TimeAxis::Rounds(reference.rounds), "{key}");
     }
+    assert!(
+        !cell.defaults || reference.completed,
+        "{key}: must complete"
+    );
     if cell.conditions.drop_prob > 0.0 {
         assert!(reference.stats.dropped > 0, "{key}: loss must bite");
     }

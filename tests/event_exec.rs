@@ -1,10 +1,10 @@
 //! Integration tests for the event-driven continuous-time executor:
-//! the event trace pinned to what the heap-based executor produced, the
-//! calendar wake queue against a reference binary heap, agreement
+//! the calendar wake queue against a reference binary heap, agreement
 //! between the `Scenario` front door and a hand-driven
 //! [`EventExecutor`], the completion-time distribution of asynchronous
 //! PUSH&PULL against its synchronous counterpart, and a property test
-//! that message parking never reorders same-destination messages.
+//! that message parking never reorders same-destination messages. The
+//! exact event traces are pinned by `tests/differential.rs`.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -24,72 +24,6 @@ fn pick<T: Copy + 'static>(xs: &'static [T]) -> impl Strategy<Value = T> {
 fn async_run(spreader: Spreader, n: usize, seed: u64) -> RunReport<AsyncSpreadSummary> {
     let mut proto = AsyncSpread::new(n, NodeId(0), spreader);
     EventExecutor::new(1.0).run(&mut proto, n, &RunConfig::seeded(seed))
-}
-
-// ---------------------------------------------------------------------
-// Trace pins: the event trace is a pure function of the seed, and it is
-// the trace the executor produced when its wake queue was a binary heap
-// and its mailboxes were one `Vec` per node. Recorded from that
-// executor (commit e91a798) at n = 300, rate 1/s; a wake popped out of
-// `(ticks, node)` order or a message delivered out of arrival order
-// anywhere in a run changes the chained digest.
-
-/// Order-sensitive fold of a `u64` sequence.
-fn fold(xs: &[u64]) -> u64 {
-    xs.iter().fold(0u64, |h, &x| SplitMix64::mix(h ^ x))
-}
-
-/// `(workload, seed, events, sent, bytes_sent, delivered,
-/// fold(digests), completion ticks, fold(informed_history))`.
-#[allow(clippy::type_complexity)]
-#[rustfmt::skip]
-const HEAP_EXECUTOR_PINS: [(Spreader, u64, u64, u64, u64, u64, u64, u64, u64); 10] = [
-    (Spreader::Push, 0x1, 4087, 2288, 2288, 1992, 0xe6eecc09a52e2c78, 13349420821, 0x0ea07c066076b878),
-    (Spreader::Push, 0xBEEF, 5129, 2899, 2899, 2590, 0x54f8672320823bd4, 17040233983, 0x441c08847d94416a),
-    (Spreader::Pull, 0x1, 5955, 3224, 3224, 3224, 0xf46286d39ba88cd8, 19478717217, 0x3c26b2a3069fa9f0),
-    (Spreader::Pull, 0xBEEF, 5680, 3529, 3529, 3525, 0xc9dc33f448ee46e4, 18824721612, 0xe06f650e51d119c7),
-    (Spreader::PushPull, 0x1, 3556, 3740, 3740, 3437, 0xe330f116cf46fd46, 11648024232, 0x4b1c2693ef8854c2),
-    (Spreader::PushPull, 0xBEEF, 3873, 4082, 4082, 3795, 0x81146a6e734975c0, 13036215143, 0x545a0dd589dddf25),
-    (Spreader::FairPull, 0x1, 6573, 4006, 4006, 4005, 0x2eed7ec23f71daf2, 21462261593, 0x090a5eb85819faf8),
-    (Spreader::FairPull, 0xBEEF, 7198, 4902, 4902, 4897, 0xabe53d56d774d963, 23909304137, 0xa188e3cce56207ff),
-    (Spreader::FairPushPull, 0x1, 3556, 3771, 3771, 3446, 0x1c4720f0e6a4c3d4, 11648024232, 0x939dbc21d84bd39b),
-    (Spreader::FairPushPull, 0xBEEF, 3771, 3992, 3992, 3710, 0x2531c792a3e9c6c0, 12604415000, 0xa9e6662379fc355c),
-];
-
-#[test]
-fn event_traces_match_the_heap_executor_pins() {
-    for (spreader, seed, events, sent, bytes_sent, delivered, digests, ticks, history) in
-        HEAP_EXECUTOR_PINS
-    {
-        let run = async_run(spreader, 300, seed);
-        let what = format!("{spreader} seed {seed:#x}");
-        assert!(run.completed, "{what}");
-        assert_eq!(run.rounds, events, "{what}: event count");
-        assert_eq!(
-            run.digests.len() as u64,
-            events,
-            "{what}: one digest per event"
-        );
-        assert_eq!(fold(&run.digests), digests, "{what}: event trace");
-        let stats = run.stats;
-        assert_eq!(
-            (stats.sent, stats.bytes_sent, stats.delivered),
-            (sent, bytes_sent, delivered),
-            "{what}: net stats"
-        );
-        assert_eq!((stats.dropped, stats.churn_lost), (0, 0), "{what}");
-        assert_eq!(
-            run.time,
-            TimeAxis::SimSeconds {
-                seconds: ticks as f64 / TICKS_PER_SEC as f64,
-                events
-            },
-            "{what}: time axis"
-        );
-        let out = run.expect_output();
-        assert_eq!((out.ticks, out.events), (ticks, events), "{what}: output");
-        assert_eq!(fold(&out.informed_history), history, "{what}: history");
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -166,28 +100,29 @@ proptest! {
     }
 }
 
+/// The hand-driven executor and the `Scenario` front door give one
+/// report, `{:?}` for `{:?}`, for the asynchronous runs that
+/// `tests/differential.rs` pins at n = 300.
 #[test]
 fn scenario_continuous_agrees_with_hand_driven_executor() {
     let n = 300;
-    let seed = 0xDA7E;
-    let scenario = Scenario::new(n)
-        .protocol(Spreader::PushPull)
-        .time_model(TimeModel::Continuous { rate: 1.0 });
-    let via_scenario = scenario.run(seed).expect("valid scenario");
-    let direct = async_run(Spreader::PushPull, n, seed);
-    assert_eq!(via_scenario.digests, direct.digests);
-    assert_eq!(via_scenario.rounds, direct.rounds);
-    assert_eq!(via_scenario.stats, direct.stats);
-    assert_eq!(
-        via_scenario.output.as_ref().and_then(|o| o.async_spread()),
-        direct.output.as_ref()
-    );
-    match via_scenario.time {
-        TimeAxis::SimSeconds { seconds, events } => {
-            assert!(seconds > 0.0);
-            assert_eq!(events, via_scenario.rounds);
+    let spreaders = Spreader::ALL
+        .into_iter()
+        .filter(|s| s.supports_continuous());
+    for spreader in spreaders {
+        for seed in [0x1, 0xBEEF] {
+            let via_scenario = Scenario::new(n)
+                .protocol(spreader)
+                .time_model(TimeModel::Continuous { rate: 1.0 })
+                .run(seed)
+                .expect("valid scenario");
+            let direct = async_run(spreader, n, seed).map(WorkloadOutput::AsyncSpread);
+            assert_eq!(
+                format!("{via_scenario:?}"),
+                format!("{direct:?}"),
+                "{spreader} seed {seed:#x}"
+            );
         }
-        TimeAxis::Rounds(_) => panic!("continuous run must report simulated time"),
     }
 }
 
