@@ -12,46 +12,42 @@
 //! two-level selector's exact `E[X]` is 929.7818 against uniform's 934.1513
 //! (pinned in `rendez_core::analysis`'s tests).
 //!
-//! Usage: `exp_conjecture_skew [--quick|--full] [--n N] [--seed S] [--threads T]`
+//! Each selector's point is one run of the dating service on the runtime
+//! (`Scenario`, `RuntimeDating`) for `rounds` cycles.
 //!
-//! `--threads T`: worker threads (0 = one per core; sizes the fleet).
+//! Usage: `exp_conjecture_skew [--quick|--full] [--n N] [--seed S] [--csv]`
 
 use rendez_bench::{table, CliArgs, Table};
-use rendez_core::{analysis, AliasSelector, NodeSelector, Platform, UniformSelector};
+use rendez_core::{analysis, AliasSelector, NodeSelector, UniformSelector};
 use rendez_dht::DhtSelector;
-use rendez_fleet::Fleet;
-use rendez_gossip::{CountWorkspace, DatingService};
-use rendez_stats::RunningStats;
+use rendez_runtime::Scenario;
+use rendez_stats::{RunningStats, Summary};
 
-fn measure(
-    platform: &Platform,
-    selector: &dyn NodeSelector,
-    rounds: usize,
-    seed: u64,
-    fleet: &Fleet,
-) -> (f64, f64) {
-    let n = platform.n();
-    let m = platform.m();
-    let fracs = fleet.map(rounds, seed, |_, seed| {
-        let svc = DatingService::new(platform, selector);
-        let mut ws = CountWorkspace::new(n);
-        use rand::SeedableRng as _;
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-        svc.count_dates(&mut ws, &mut rng) as f64 / m as f64
-    });
-    let s = RunningStats::from_iter(fracs).summary();
-    (s.mean, s.std_dev)
+/// `selector`'s name, its measured date fraction over one `rounds`-cycle
+/// run on the unit platform, and its Poisson prediction.
+fn measure<S: NodeSelector + Clone>(selector: S, rounds: u64, seed: u64) -> (String, Summary, f64) {
+    let n = selector.n();
+    let name = selector.name().to_string();
+    let predicted =
+        analysis::expected_dates_weighted(&selector.weights(), n as u64, n as u64) / n as f64;
+    let report = Scenario::new(n)
+        .selector(selector)
+        .cycles(rounds)
+        .run(seed)
+        .expect("a conjecture scenario validates");
+    let out = report.expect_output();
+    let dating = out.dating().expect("the dating-service workload");
+    let fracs = dating.dates_per_cycle.iter().map(|&d| d as f64 / n as f64);
+    (name, RunningStats::from_iter(fracs).summary(), predicted)
 }
 
 fn main() {
     let args = CliArgs::parse();
     let seed = args.get_u64("seed", 0x5E);
-    let fleet = Fleet::new(args.get_u64("threads", 0) as usize);
     let n = args.get_u64("n", 1000) as usize;
-    let rounds = args.scaled_trials(5_000, 200) as usize;
+    let rounds = args.scaled_trials(5_000, 200);
     let csv = args.has("csv");
     args.reject_unread();
-    let platform = Platform::unit(n);
 
     println!("# §2 conjecture — skewed selectors arrange MORE dates (n=m={n}, {rounds} rounds)");
     let mut t = Table::new(
@@ -59,35 +55,33 @@ fn main() {
         csv,
     );
 
-    let selectors: Vec<Box<dyn NodeSelector>> = vec![
-        Box::new(UniformSelector::new(n)),
-        Box::new(AliasSelector::zipf(n, 0.25)),
-        Box::new(AliasSelector::zipf(n, 0.5)),
-        Box::new(AliasSelector::zipf(n, 1.0)),
-        Box::new(AliasSelector::zipf(n, 1.5)),
-        Box::new(AliasSelector::zipf(n, 2.0)),
-        Box::new(AliasSelector::hotspot(n, n / 20, 10.0)),
-        Box::new(AliasSelector::hotspot(n, 1, (n as f64) / 2.0)),
-        Box::new(DhtSelector::random(n, seed ^ 0xD)),
+    let skewed = [
+        AliasSelector::zipf(n, 0.25),
+        AliasSelector::zipf(n, 0.5),
+        AliasSelector::zipf(n, 1.0),
+        AliasSelector::zipf(n, 1.5),
+        AliasSelector::zipf(n, 2.0),
+        AliasSelector::hotspot(n, n / 20, 10.0),
+        AliasSelector::hotspot(n, 1, (n as f64) / 2.0),
     ];
+    let mut rows = vec![measure(UniformSelector::new(n), rounds, seed)];
+    for (sel, i) in skewed.into_iter().zip(1u64..) {
+        rows.push(measure(sel, rounds, seed ^ i));
+    }
+    let dht = DhtSelector::random(n, seed ^ 0xD);
+    rows.push(measure(dht, rounds, seed ^ rows.len() as u64));
 
-    let mut uniform_mean = 0.0;
-    for (i, sel) in selectors.iter().enumerate() {
-        let (mean, sd) = measure(&platform, sel.as_ref(), rounds, seed ^ i as u64, &fleet);
-        let predicted =
-            analysis::expected_dates_weighted(&sel.weights(), n as u64, n as u64) / n as f64;
-        if i == 0 {
-            uniform_mean = mean;
-        }
-        let beats = mean >= uniform_mean - 1e-9;
+    let uniform_mean = rows[0].1.mean;
+    for (name, s, predicted) in rows {
+        let beats = s.mean >= uniform_mean - 1e-9;
         assert!(
             beats,
-            "{} ratio {mean} fell below uniform {uniform_mean} — conjecture violated",
-            sel.name()
+            "{name} ratio {} fell below uniform {uniform_mean} — conjecture violated",
+            s.mean
         );
         t.row(vec![
-            sel.name().to_string(),
-            table::pm(mean, sd, 4),
+            name,
+            table::pm(s.mean, s.std_dev, 4),
             format!("{predicted:.4}"),
             beats.to_string(),
         ]);

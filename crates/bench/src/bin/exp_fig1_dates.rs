@@ -5,6 +5,11 @@
 //! than 0.47·n"; worst DHT > 0.52·n; best DHT 0.67·n at n=10 down to
 //! ≈ 0.55·n at n=10⁴ (no DHT run at n=10⁵).
 //!
+//! Every point is one run of the dating service on the runtime
+//! (`Scenario`, `RuntimeDating`): `rounds` cycles, one date fraction per
+//! cycle. `--threads T` sizes the fleet that runs the DHTs in parallel
+//! (0 = one per core).
+//!
 //! Usage: `exp_fig1_dates [--quick|--full] [--seed S] [--threads T] [--csv]`
 
 use rendez_bench::experiments::fig1;
@@ -50,7 +55,7 @@ fn main() {
         // Paper: 10^4 rounds (10^3 for n >= 10^4).
         let paper_rounds: u64 = if n >= 10_000 { 1_000 } else { 10_000 };
         let rounds = args.scaled_trials(paper_rounds, 100);
-        let uni = fig1::uniform_point(n, rounds, seed ^ n as u64, &fleet);
+        let uni = fig1::uniform_point(n, rounds, seed ^ n as u64);
         let uni_pred = analysis::expected_dates_uniform(n, n as u64, n as u64) / n as f64;
 
         // Paper: 200 DHTs; none at n = 10^5.

@@ -6,20 +6,20 @@
 //! bucket bound; and it *increases with `m/n`* (§2: "the ratio `E[X]/m`
 //! is an increasing function of m/n").
 //!
-//! Usage: `exp_lemma1_expectation [--quick|--full] [--n N] [--seed S] [--threads T]`
+//! Each `m/n` point is one run of the dating service on the runtime
+//! (`Scenario`, `RuntimeDating`) for `rounds` cycles; its cycles are
+//! independent rounds of Algorithm 1.
 //!
-//! `--threads T`: worker threads (0 = one per core; sizes the fleet).
+//! Usage: `exp_lemma1_expectation [--quick|--full] [--n N] [--seed S] [--csv]`
 
 use rendez_bench::{table, CliArgs, Table};
-use rendez_core::{analysis, Platform, UniformSelector};
-use rendez_fleet::Fleet;
-use rendez_gossip::{CountWorkspace, DatingService};
+use rendez_core::{analysis, Platform};
+use rendez_runtime::Scenario;
 use rendez_stats::RunningStats;
 
 fn main() {
     let args = CliArgs::parse();
     let seed = args.get_u64("seed", 0x11);
-    let fleet = Fleet::new(args.get_u64("threads", 0) as usize);
     let n = args.get_u64("n", 1000) as usize;
     let rounds = args.scaled_trials(10_000, 200);
     let csv = args.has("csv");
@@ -45,15 +45,15 @@ fn main() {
     let mut prev = 0.0;
     for mult in [1u32, 2, 4, 8, 16] {
         let platform = Platform::homogeneous(n, mult);
-        let selector = UniformSelector::new(n);
         let m = platform.m();
-        let fracs = fleet.map(rounds as usize, seed ^ mult as u64, |_, seed| {
-            let svc = DatingService::new(&platform, &selector);
-            let mut ws = CountWorkspace::new(n);
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-            use rand::SeedableRng as _;
-            svc.count_dates(&mut ws, &mut rng) as f64 / m as f64
-        });
+        let report = Scenario::new(n)
+            .platform(platform)
+            .cycles(rounds)
+            .run(seed ^ mult as u64)
+            .expect("a Lemma 1 scenario validates");
+        let out = report.expect_output();
+        let dating = out.dating().expect("the dating-service workload");
+        let fracs = dating.dates_per_cycle.iter().map(|&d| d as f64 / m as f64);
         let s = RunningStats::from_iter(fracs).summary();
         let pred = analysis::expected_dates_uniform(n, m, m) / m as f64;
         let exact = analysis::expected_min_binomial(m, m, 1.0 / n as f64) * n as f64 / m as f64;

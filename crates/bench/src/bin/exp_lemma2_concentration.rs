@@ -5,36 +5,34 @@
 //! the bound must dominate at every `t` (it is loose; the empirical tail
 //! is far smaller).
 //!
-//! Usage: `exp_lemma2_concentration [--quick|--full] [--n N] [--seed S] [--threads T]`
+//! The sample is one run of the dating service on the runtime
+//! (`Scenario`, `RuntimeDating`): one date count per cycle, each cycle an
+//! independent round of Algorithm 1.
 //!
-//! `--threads T`: worker threads (0 = one per core; sizes the fleet).
+//! Usage: `exp_lemma2_concentration [--quick|--full] [--n N] [--seed S] [--csv]`
 
 use rendez_bench::{CliArgs, Table};
-use rendez_core::{analysis, Platform, UniformSelector};
-use rendez_fleet::Fleet;
-use rendez_gossip::{CountWorkspace, DatingService};
+use rendez_core::analysis;
+use rendez_runtime::Scenario;
 use rendez_stats::RunningStats;
 
 fn main() {
     let args = CliArgs::parse();
     let seed = args.get_u64("seed", 0x12);
-    let fleet = Fleet::new(args.get_u64("threads", 0) as usize);
     let n = args.get_u64("n", 10_000) as usize;
-    let rounds = args.scaled_trials(20_000, 500) as usize;
+    let rounds = args.scaled_trials(20_000, 500);
     let csv = args.has("csv");
     args.reject_unread();
     let m = n as u64;
 
     println!("# Lemma 2 — concentration of the date count (n=m={n}, {rounds} rounds)");
-    let platform = Platform::unit(n);
-    let selector = UniformSelector::new(n);
-    let counts = fleet.map(rounds, seed, |_, seed| {
-        let svc = DatingService::new(&platform, &selector);
-        let mut ws = CountWorkspace::new(n);
-        use rand::SeedableRng as _;
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-        svc.count_dates(&mut ws, &mut rng) as f64
-    });
+    let report = Scenario::new(n)
+        .cycles(rounds)
+        .run(seed)
+        .expect("a Lemma 2 scenario validates");
+    let out = report.expect_output();
+    let dating = out.dating().expect("the dating-service workload");
+    let counts: Vec<f64> = dating.dates_per_cycle.iter().map(|&d| d as f64).collect();
     let stats = RunningStats::from_iter(counts.iter().copied()).summary();
     println!(
         "# mean={:.1} sd={:.2} (Poisson-pred sd-scale √m = {:.1})",

@@ -6,6 +6,11 @@
 //! probability scales by `(1−p)`, so rounds grow by roughly
 //! `1/log₂(1/(combined failure))`, never stalling.
 //!
+//! This harness samples the centralised oracle
+//! (`rendez_gossip::DatingSpread::with_loss`): the payloads dropped per
+//! trial are a quantity the runtime's lossy dating spread does not
+//! report.
+//!
 //! Usage: `exp_loss_resilience [--quick|--full] [--n N] [--seed S] [--threads T]`
 //!
 //! `--threads T`: worker threads (0 = one per core; sizes the fleet).

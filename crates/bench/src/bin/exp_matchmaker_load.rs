@@ -7,6 +7,11 @@
 //! concentrates it, and the single-target extreme is fully centralized
 //! (with the highest date count, Lemma 1's other end of the trade-off).
 //!
+//! This harness samples the centralised oracle (`rendez_gossip`'s
+//! `DatingService` and `date_loads`): the load of each matchmaker is a
+//! quantity the runtime does not report (`RuntimeDating` sums dates over
+//! matchmakers).
+//!
 //! Usage: `exp_matchmaker_load [--quick|--full] [--n N] [--seed S]`
 
 use rand::rngs::SmallRng;

@@ -7,18 +7,39 @@
 //! making the trade-off (simplicity + bandwidth-safety vs message count)
 //! explicit.
 //!
-//! Usage: `exp_message_cost [--quick|--full] [--seed S] [--threads T]`
+//! This harness samples the centralised oracle (`rendez_gossip`'s
+//! Figure-2 samplers): rumor-carrying messages are a quantity the
+//! runtime does not report (its message counts include requests,
+//! answers and empty replies).
+//!
+//! Usage: `exp_message_cost [--quick|--full] [--seed S] [--threads T] [--csv]`
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rendez_bench::experiments::fig2::{legacy_sampler, COLUMNS};
+use rendez_bench::experiments::fig2::COLUMNS;
 use rendez_bench::{table, CliArgs, Table};
 use rendez_core::{Platform, UniformSelector};
 use rendez_fleet::Fleet;
-use rendez_gossip::run_spread;
+use rendez_gossip::{
+    run_spread, DatingSpread, FairPull, FairPushPull, Pull, Push, PushPull, SpreadProtocol,
+};
 use rendez_runtime::Spreader;
 use rendez_sim::NodeId;
 use rendez_stats::RunningStats;
+
+/// The centralised sampler of a [`COLUMNS`] algorithm, dating over
+/// `selector`.
+fn legacy_sampler(spreader: Spreader, selector: &UniformSelector) -> Box<dyn SpreadProtocol + '_> {
+    match spreader {
+        Spreader::Push => Box::new(Push::new()),
+        Spreader::Pull => Box::new(Pull::new()),
+        Spreader::PushPull => Box::new(PushPull::new()),
+        Spreader::FairPull => Box::new(FairPull::new()),
+        Spreader::FairPushPull => Box::new(FairPushPull::new()),
+        Spreader::Dating => Box::new(DatingSpread::new(selector)),
+        other => panic!("{other} is not a Figure 2 algorithm"),
+    }
+}
 
 fn measure(
     spreader: Spreader,

@@ -4,42 +4,36 @@
 //! requests of each type per round); the metric is `#dates / n` averaged
 //! over many rounds. Two selector families: uniform, and 200 random DHTs
 //! of which the paper reports the worst and best.
+//!
+//! Each point is one `Scenario` run of the dating service
+//! (`RuntimeDating`) for `rounds` cycles: its cycles are independent
+//! rounds of Algorithm 1, so `dates_per_cycle` is the point's sample.
 
-use rand::SeedableRng;
-use rendez_core::{NodeSelector, Platform, UniformSelector};
+use rendez_core::{NodeSelector, UniformSelector};
 use rendez_dht::DhtSelector;
 use rendez_fleet::Fleet;
-use rendez_gossip::{CountWorkspace, DatingService};
+use rendez_runtime::Scenario;
 use rendez_sim::derive_seed;
 use rendez_stats::{RunningStats, Summary};
 
-/// Mean date fraction over `rounds` independent rounds with the uniform
-/// selector (parallel across rounds on `fleet` — they are i.i.d.).
-pub fn uniform_point(n: usize, rounds: u64, seed: u64, fleet: &Fleet) -> Summary {
-    let platform = Platform::unit(n);
-    let selector = UniformSelector::new(n);
-    let fracs = fleet.map(rounds as usize, seed, |_, seed| {
-        let svc = DatingService::new(&platform, &selector);
-        let mut ws = CountWorkspace::new(n);
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-        svc.count_dates(&mut ws, &mut rng) as f64 / n as f64
-    });
+/// Mean date fraction `dates / n` over one `rounds`-cycle run of the
+/// dating service with `selector` on the unit platform.
+fn date_fraction<S: NodeSelector + Clone>(selector: S, rounds: u64, seed: u64) -> Summary {
+    let n = selector.n();
+    let report = Scenario::new(n)
+        .selector(selector)
+        .cycles(rounds)
+        .run(seed)
+        .expect("a Figure 1 scenario validates");
+    let out = report.expect_output();
+    let dating = out.dating().expect("the dating-service workload");
+    let fracs = dating.dates_per_cycle.iter().map(|&d| d as f64 / n as f64);
     RunningStats::from_iter(fracs).summary()
 }
 
-/// One DHT's mean date fraction over `rounds` rounds (sequential; the
-/// sweep parallelizes across DHTs).
-pub fn dht_point(n: usize, ring_seed: u64, rounds: u64, round_seed: u64) -> Summary {
-    let platform = Platform::unit(n);
-    let selector = DhtSelector::random(n, ring_seed);
-    let svc = DatingService::new(&platform, &selector);
-    let mut ws = CountWorkspace::new(n);
-    let mut stats = RunningStats::new();
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(round_seed);
-    for _ in 0..rounds {
-        stats.push(svc.count_dates(&mut ws, &mut rng) as f64 / n as f64);
-    }
-    stats.summary()
+/// Mean date fraction over `rounds` rounds with the uniform selector.
+pub fn uniform_point(n: usize, rounds: u64, seed: u64) -> Summary {
+    date_fraction(UniformSelector::new(n), rounds, seed)
 }
 
 /// The paper's DHT experiment: generate `n_dhts` random rings, measure
@@ -62,7 +56,8 @@ pub fn dht_sweep(n: usize, n_dhts: usize, rounds: u64, seed: u64, fleet: &Fleet)
     assert!(n_dhts >= 1, "need at least one DHT");
     let results = fleet.map(n_dhts, seed, |_, seed| {
         let ring_seed = derive_seed(seed, 0xD47);
-        let s = dht_point(n, ring_seed, rounds, derive_seed(seed, 0x70F));
+        let selector = DhtSelector::random(n, ring_seed);
+        let s = date_fraction(selector, rounds, derive_seed(seed, 0x70F));
         (ring_seed, s)
     });
     let cmp = |a: &&(u64, Summary), b: &&(u64, Summary)| {
@@ -92,7 +87,7 @@ mod tests {
 
     #[test]
     fn uniform_point_tracks_prediction() {
-        let s = uniform_point(1000, 300, 1, &Fleet::new(0));
+        let s = uniform_point(1000, 300, 1);
         let predicted = analysis::expected_dates_uniform(1000, 1000, 1000) / 1000.0;
         assert!(
             (s.mean - predicted).abs() < 0.01,
@@ -100,6 +95,7 @@ mod tests {
             s.mean
         );
         assert!(s.std_dev < 0.05);
+        assert_eq!(s.n, 300, "one sample per cycle");
     }
 
     #[test]
@@ -116,12 +112,5 @@ mod tests {
         // Predictions should be close to measurements.
         assert!((sweep.worst.mean - sweep.worst_predicted).abs() < 0.03);
         assert!((sweep.best.mean - sweep.best_predicted).abs() < 0.03);
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let a = uniform_point(100, 50, 9, &Fleet::new(2));
-        let b = uniform_point(100, 50, 9, &Fleet::new(4));
-        assert_eq!(a.mean, b.mean, "pool size must not matter");
     }
 }

@@ -1,8 +1,5 @@
-//! Reusable experiment kernels shared by the harness binaries and the
-//! integration tests.
+//! The Figure 1 and Figure 2 kernels, shared by their harnesses and
+//! unit tests.
 
 pub mod fig1;
 pub mod fig2;
-
-pub use fig1::{dht_sweep, uniform_point, DhtSweep};
-pub use fig2::rumor_point;

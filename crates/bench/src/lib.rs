@@ -4,9 +4,8 @@
 //! One binary per paper artifact (see `src/bin/exp_*.rs`) plus Criterion
 //! micro-benchmarks (see `benches/`). This library holds the shared
 //! machinery: a dependency-free flag parser ([`cli`]), aligned/CSV table
-//! printing ([`table`]) and the reusable experiment kernels
-//! ([`experiments`]) that both the binaries and the integration tests
-//! call.
+//! printing ([`table`]) and the Figure 1 / Figure 2 kernels
+//! ([`experiments`]) that their harnesses call and unit tests check.
 //!
 //! The harnesses share a flag vocabulary:
 //!

@@ -6,13 +6,11 @@
 //! lengths. The dating service still arranges ≥ the uniform fraction of
 //! dates (§2's conjecture says *more*), rumors still spread in O(log n)
 //! rounds, and Chord-style routing pays the Θ(log n) hops that motivate
-//! the paper's pipelining remark.
+//! the paper's pipelining remark. Both the date fraction and the spread
+//! are `Scenario` runs on the message-passing runtime.
 //!
 //! Run: `cargo run --release --example dht_rumor`
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use rendez_gossip::{run_spread, DatingService, RoundWorkspace};
 use rendezvous::core::analysis;
 use rendezvous::core::pipeline;
 use rendezvous::dht::{analysis::ArcStats, ChordNet, DhtSelector, Ring};
@@ -32,29 +30,36 @@ fn main() {
     );
 
     let selector = DhtSelector::new(ring.clone());
-    let platform = Platform::unit(n);
-    let service = DatingService::new(&platform, &selector);
-    let mut rng = SmallRng::seed_from_u64(4);
+    let scenario = Scenario::new(n).selector(selector.clone());
 
     // Date fraction: measured vs the per-ring analytic prediction.
     let predicted =
         analysis::expected_dates_weighted(&selector.weights(), n as u64, n as u64) / n as f64;
-    let mut ws = RoundWorkspace::new(n);
-    let rounds = 200;
-    let mut total = 0usize;
-    for _ in 0..rounds {
-        total += service.run_round_with(&mut ws, &mut rng).date_count();
-    }
-    let measured = total as f64 / (rounds * n) as f64;
+    let cycles = 200;
+    let report = scenario
+        .clone()
+        .cycles(cycles)
+        .run(4)
+        .expect("valid scenario");
+    let dating = report.expect_output();
+    let total = dating
+        .dating()
+        .expect("dating-service workload")
+        .total_dates();
+    let measured = total as f64 / (cycles * n as u64) as f64;
     println!(
         "date fraction: measured {measured:.4}, predicted {predicted:.4}, uniform limit {:.4}",
         analysis::uniform_ratio_limit()
     );
 
     // Rumor spreading over DHT-selected dates.
-    let mut p = rendez_gossip::DatingSpread::new(&selector);
-    let r = run_spread(&mut p, &platform, NodeId(0), &mut rng, 10_000);
-    println!("rumor informed all {n} nodes in {} rounds", r.rounds);
+    let report = scenario
+        .protocol(Spreader::Dating)
+        .run(5)
+        .expect("valid scenario");
+    let spread = report.expect_output();
+    let rounds = spread.spread().expect("spreading workload").cycles;
+    println!("rumor informed all {n} nodes in {rounds} rounds");
 
     // Routing cost and the pipelining fix (§4).
     let chord = ChordNet::build(ring);

@@ -12,7 +12,9 @@
 //! five uniform-gossip spreaders on an ideal channel and on a faulty one
 //! (loss 0.1, latency uniform on 1..=3, intermittent churn 0.05), and
 //! their asynchronous ports in continuous time, where the trace holds
-//! one digest per event. Every cell runs
+//! one digest per event. The last cell is `exp_overhead --quick`'s
+//! n = 100 run (the dating service for 10 cycles at seed `0x0B ^ 100`),
+//! whose table row CI reads. Every cell runs
 //! on `sequential`, `sharded(1/2/3/5)`, `run_pooled` on one shared pool
 //! and one node per shard (shards ≥ n), and every report must equal the
 //! sequential one whole, `{:?}` for `{:?}` — `time` and `node_bytes`
@@ -81,6 +83,8 @@ struct Cell {
     /// `Scenario`'s own source (node 0), cycle budget and round cap
     /// instead of the grid's; the run must complete.
     defaults: bool,
+    /// A dating cycle budget of the cell's own, overriding either.
+    cycles: Option<u64>,
     seed: u64,
     quick: bool,
 }
@@ -102,6 +106,9 @@ impl Cell {
                 .source(NodeId::from_index(self.n / 2))
                 .cycles(12)
                 .max_rounds(240);
+        }
+        if let Some(cycles) = self.cycles {
+            base = base.cycles(cycles);
         }
         if self.continuous {
             base = base.time_model(TimeModel::Continuous { rate: 1.0 });
@@ -169,6 +176,7 @@ fn grid() -> Vec<Cell> {
         churn: Churn::none(),
         continuous: false,
         defaults: false,
+        cycles: None,
         seed,
         quick: true,
     };
@@ -247,6 +255,14 @@ fn grid() -> Vec<Cell> {
             });
         }
     }
+    // `exp_overhead --quick`'s n = 100 row: its cycle count and seed.
+    let (n, cycles) = (100, 10);
+    let stem = format!("{}/unit n={n} cycles={cycles}", Spreader::DatingService);
+    cells.push(Cell {
+        defaults: true,
+        cycles: Some(cycles),
+        ..cell(stem, Spreader::DatingService, n, 0x0B ^ n as u64)
+    });
     cells
 }
 

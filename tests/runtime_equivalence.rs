@@ -4,23 +4,18 @@
 //!    `ShardedExecutor` produce identical informed-set traces (per-round
 //!    digests), round counts, outputs and message statistics for the same
 //!    seed — for ideal and conditioned channels alike.
-//! 2. **Statistical fidelity**: the runtime-hosted dating service draws
-//!    its date counts from the same distribution as the oracle sampler,
-//!    checked with the same KS harness as `oracle_vs_distributed`.
-//! 3. **Property sweep**: random `(workload, shards, loss, latency,
+//! 2. **Property sweep**: random `(workload, shards, loss, latency,
 //!    churn)` combinations — not just the pairwise fixtures — must keep
 //!    sequential and sharded reports bit-identical.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use rendez_gossip::{DatingService, RoundWorkspace};
+use rand::Rng;
 use rendezvous::prelude::*;
 use rendezvous::runtime::{
     Conditions, LatencyDist, Outbox, RoundObs, RoundProtocol, RtDatingSpread, Verdict,
 };
 use rendezvous::sim::SplitMix64;
-use rendezvous::stats::ks_two_sample;
 
 #[test]
 fn spread_trace_identical_across_executors() {
@@ -167,54 +162,6 @@ fn geometric_latency_delivers_in_canonical_order_on_every_executor() {
     }
 }
 
-fn oracle_samples(platform: &Platform, trials: usize, seed: u64) -> Vec<f64> {
-    let selector = UniformSelector::new(platform.n());
-    let svc = DatingService::new(platform, &selector);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut ws = RoundWorkspace::new(platform.n());
-    (0..trials)
-        .map(|_| svc.run_round_with(&mut ws, &mut rng).date_count() as f64)
-        .collect()
-}
-
-fn runtime_samples(platform: &Platform, cycles: u64, seed: u64) -> Vec<f64> {
-    let n = platform.n();
-    let mut proto = RuntimeDating::new(platform.clone(), UniformSelector::new(n), cycles);
-    let rounds = proto.total_rounds();
-    let out = ShardedExecutor::new(4)
-        .run(&mut proto, n, &RunConfig::seeded(seed).max_rounds(rounds))
-        .expect_output();
-    out.dates_per_cycle.iter().map(|&d| d as f64).collect()
-}
-
-#[test]
-fn runtime_dating_matches_oracle_distribution_unit_platform() {
-    let platform = Platform::unit(300);
-    let a = oracle_samples(&platform, 400, 0xD1);
-    let b = runtime_samples(&platform, 400, 0xD2);
-    let r = ks_two_sample(&a, &b);
-    assert!(
-        r.accepts(0.001),
-        "oracle vs runtime diverge: D={:.4} p={:.5}",
-        r.statistic,
-        r.p_value
-    );
-}
-
-#[test]
-fn runtime_dating_matches_oracle_distribution_heterogeneous() {
-    let platform = Platform::power_law(200, 1.0, 3.0, 9);
-    let a = oracle_samples(&platform, 400, 0xD3);
-    let b = runtime_samples(&platform, 400, 0xD4);
-    let r = ks_two_sample(&a, &b);
-    assert!(
-        r.accepts(0.001),
-        "heterogeneous: oracle vs runtime diverge: D={:.4} p={:.5}",
-        r.statistic,
-        r.p_value
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -263,25 +210,4 @@ proptest! {
         prop_assert_eq!(seq.output, sh.output);
         prop_assert_eq!(seq.node_bytes, sh.node_bytes);
     }
-}
-
-#[test]
-fn runtime_transport_is_lossless_under_ideal_conditions() {
-    let n = 250u64;
-    let cycles = 20u64;
-    let mut proto = RuntimeDating::new(
-        Platform::unit(n as usize),
-        UniformSelector::new(n as usize),
-        cycles,
-    );
-    let rounds = proto.total_rounds();
-    let r = SequentialExecutor
-        .run(
-            &mut proto,
-            n as usize,
-            &RunConfig::seeded(0xD5).max_rounds(rounds),
-        )
-        .expect_output();
-    assert_eq!(r.payloads_received, r.total_dates());
-    assert_eq!(r.answers_received, 2 * n * cycles);
 }
