@@ -65,12 +65,14 @@ mod tests {
     fn paper_ordering_holds_at_n_1000() {
         // Figure 2's ordering, fastest → slowest:
         // push-pull, push-fair-pull, pull, fair-pull, push, dating.
+        // Fair pull and push are within a standard error of each other
+        // at this n; `fair_pull_beats_push_at_n_30000` orders them.
         let row = rumor_row_fleet(&Fleet::new(0), 1000, 60, 7, 0.0);
         let get = |s: Spreader| row.iter().find(|&&(x, _)| x == s).expect("present").1.mean;
         assert!(get(Spreader::PushPull) < get(Spreader::FairPushPull));
         assert!(get(Spreader::FairPushPull) < get(Spreader::Pull));
         assert!(get(Spreader::Pull) < get(Spreader::FairPull));
-        assert!(get(Spreader::FairPull) < get(Spreader::Push));
+        assert!(get(Spreader::FairPull) < get(Spreader::Dating));
         assert!(get(Spreader::Push) < get(Spreader::Dating));
         // §4's headline comparison: "we should actually compare the rumor
         // spreading based on the dating service only with the PUSH and
@@ -88,6 +90,28 @@ mod tests {
             "dating {} vs 2× fair-pull {}",
             get(Spreader::Dating),
             2.0 * get(Spreader::FairPull)
+        );
+    }
+
+    /// Figure 2 puts fair pull ahead of push. At n = 1000 the two means
+    /// are a quarter of a standard error apart; at n = 3·10⁴ seeds 0..8
+    /// put them 1.9–5.9 standard errors apart (3.9 on average), so this
+    /// is where the order is checked.
+    #[test]
+    #[ignore = "n = 3·10⁴; run it in release"]
+    fn fair_pull_beats_push_at_n_30000() {
+        let spec = SweepSpec::new()
+            .ns(vec![30_000])
+            .protocols(vec![Spreader::Push, Spreader::FairPull])
+            .trials(60)
+            .seed(7);
+        let report = Fleet::new(0).run(&spec).expect("valid sweep");
+        let [push, fair_pull] = [0, 1].map(|i| report.cells[i].value);
+        let z = (push.mean - fair_pull.mean) / push.sem.hypot(fair_pull.sem);
+        println!("push {push:?}\nfair-pull {fair_pull:?}\nz = {z:.2}");
+        assert!(
+            fair_pull.mean < push.mean,
+            "fair-pull {fair_pull:?} vs push {push:?}: z = {z:.2}"
         );
     }
 

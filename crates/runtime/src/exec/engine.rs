@@ -7,13 +7,13 @@
 //! needs to stay allocation-free: the emission lanes, the delivery
 //! kernel's scratch, a pool of recycled envelope segments, the hoisted
 //! churn streams and the node arena. [`Shard::round`] is the only round
-//! body in the crate: churn mask → round-start → deliveries → round-end
-//! → observation fold → routing of the shard's own sends into
-//! `routed[latency_slot][destination_shard]`. Where a message goes is
-//! decided where it is emitted — [`Outbox::send`] files it in the
-//! emission lane of its destination's shard and, on a channel that loses
-//! or delays, of the latency slot its fate assigns — so routing is a
-//! tally and a move of each lane (see "Memory discipline").
+//! body in the crate: churn mask → delivery ordering → round-start →
+//! deliveries → round-end → observation fold → routing of the shard's
+//! own sends into `routed[latency_slot][destination_shard]`. Where a
+//! message goes is decided where it is emitted — [`Outbox::send`] files
+//! it in the emission lane of its destination's shard and, on a channel
+//! that loses or delays, of the latency slot its fate assigns — so
+//! routing is a tally and a move of each lane (see "Memory discipline").
 //!
 //! [`drive`] is the only coordinator: it keeps the latency ring, hands
 //! each shard the segments due this round, splices the routed lanes back
@@ -72,21 +72,26 @@
 //!
 //! Messages travel in compact SoA [`EnvBatch`] lanes (see the
 //! [`batch`](crate::batch) module), and batches cycle rather than churn:
-//! lane → ring → due → pool → lane, on every shard count and under every
+//! lane → ring → due → lane, on every shard count and under every
 //! [`Conditions`]. A lane *is* the routed bucket for its latency slot and
 //! destination shard: it is tallied, moved (pointer-level) into the ring,
-//! later handed to the destination shard as a delivery segment, drained
-//! there and kept in that shard's segment pool, which backs that shard's
-//! next lanes. Two batches alternate per lane and no message is copied
-//! between emission and delivery ordering. What the pool cannot supply is
-//! sized, not grown, and not before it is needed: a lane without a batch
-//! — every lane when the run begins, later one that was handed over while
-//! the pool was empty — is backed as the next round starts, with room for
-//! its share of [`FRESH_SENDS_PER_NODE`] sends per node and for a round
-//! like the one just routed ([`Geometry::lane_room`]). So cold rounds do
-//! not grow or copy buffers, warm rounds do not allocate, a lane nothing
-//! is ever due in keeps its first batch, and a run's last round leaves no
-//! batch behind for a round that does not come.
+//! later handed to the destination shard as a delivery segment, and
+//! drained there by delivery ordering — which a round does first, before
+//! any hook — so the same round's lanes are backed by it. One batch per
+//! lane is in flight, none waits drained while a lane fills, and no
+//! message is copied between emission and delivery ordering; a lane's
+//! first sends land on lines ordering has just read. The shard's segment
+//! pool is only the buffer between ordering and [`back_lanes`], and holds
+//! what a round brought in beyond the lanes it had to back. What the pool
+//! cannot supply is sized, not grown, and not before it is needed: a lane
+//! without a batch — every lane when the run begins, later one whose
+//! batch was handed over while no segment came back to replace it — is
+//! backed as the next round starts, with room for its share of
+//! [`FRESH_SENDS_PER_NODE`] sends per node and for a round like the one
+//! just routed ([`Geometry::lane_room`]). So cold rounds do not grow or
+//! copy buffers, warm rounds do not allocate, a lane nothing is ever due
+//! in keeps its first batch, and a run's last round leaves no batch
+//! behind for a round that does not come.
 //!
 //! lint: deterministic
 
@@ -102,15 +107,21 @@ use rendez_sim::{NodeId, SeedKey};
 use std::collections::VecDeque;
 
 /// Sends per node that a fresh emission lane reserves room for, split
-/// over the shard's lanes: more than the first round of any benchmark
-/// workload sends per node (the dating service on `hetero-dating-seq`'s
-/// power-law platform sends `bout + bin`, eight), so no lane grows, and
-/// no array is copied, in the round that fills it. Capacity a round
-/// leaves untouched is address space, not resident memory. With room for
-/// one send per node the three arrays of that workload's lane grew three
-/// times in round 0, and glibc trimming the freed heap after each set-up
-/// doubled its page faults; EXPERIMENTS.md ("One sender word per
-/// message") records faults and peak memory for both sizings.
+/// over the shard's lanes. A batch is made fresh only where no drained
+/// delivery segment is left to back a lane — every lane in round 0, and
+/// under a latency spread the rows whose mail is not yet due back — so
+/// this sizes a run's first lanes, and each later cycles lane → ring →
+/// due → lane at the capacity it has. It is more than the first round of
+/// any benchmark workload sends per node (the dating service on
+/// `hetero-dating-seq`'s power-law platform sends `bout + bin`, eight),
+/// so no lane grows, and no array is copied, in the round that fills it.
+/// Capacity a round leaves untouched is address space, not resident
+/// memory. With room for one send per node the three arrays of that
+/// workload's lane grew three times in round 0, and glibc trimming the
+/// freed heap after each set-up raised its page faults from 595 to 1 516
+/// a set-up (`spread-ideal-sharded` from 0 to 771); EXPERIMENTS.md ("One
+/// sender word per message", "One batch per lane") records faults and
+/// peak memory for both sizings.
 const FRESH_SENDS_PER_NODE: usize = 16;
 
 /// Shard layout of one run: `shards` contiguous ranges of `chunk` ids
@@ -171,12 +182,13 @@ struct Shard<P: RoundProtocol> {
     /// This round's emissions, one lane per latency slot they can be due
     /// in and destination shard ([`back_lanes`], [`hand_over`]).
     fresh: Lanes<P::Msg>,
-    /// Messages of the largest lane handed over last round with no
-    /// pooled batch to take its place: what the next round sizes such
-    /// lanes' new batches for.
+    /// Messages of the largest lane handed over last round: what
+    /// [`back_lanes`] sizes a fresh batch for when the pool runs dry.
     stand_in: usize,
     ds: DeliverScratch<P::Msg>,
-    /// Drained delivery segments, kept to back the next emission lanes.
+    /// Drained delivery segments on their way to backing emission lanes:
+    /// empty once a round's lanes are backed, unless it brought in more
+    /// segments than it had lanes to back.
     pool: Vec<EnvBatch<P::Msg>>,
     /// This round's surviving sends: `routed[slot][dest_shard]`, each
     /// batch an emission lane; slot `k` is due `k + 1` rounds on. The
@@ -223,15 +235,18 @@ fn each_live<P: RoundProtocol>(
     }
 }
 
-/// As a round begins, give every lane without a batch one (module docs,
-/// "Memory discipline"): room for its share of [`FRESH_SENDS_PER_NODE`]
-/// messages per node of the shard's `len` and for a round like the last
-/// (`stand_in`), and for the `drop_prob · len` messages fate loses.
-/// Out of line with [`hand_over`], which says why.
+/// As a round begins, once its due segments are ordered and pooled, give
+/// every lane without a batch one (module docs, "Memory discipline"): a
+/// drained segment from `pool` while it lasts, then a fresh batch with
+/// room for its share of [`FRESH_SENDS_PER_NODE`] messages per node of
+/// the shard's `len` and for a round like the last (`stand_in`); and
+/// room for the `drop_prob · len` messages fate loses. The only place a
+/// lane takes from the pool. Out of line with [`hand_over`], which says
+/// why.
 #[inline(never)]
 fn back_lanes<M>(
     fresh: &mut Lanes<M>,
-    stand_in: &mut usize,
+    (pool, stand_in): (&mut Vec<EnvBatch<M>>, &mut usize),
     geo: Geometry,
     len: usize,
     drop_prob: f64,
@@ -240,7 +255,7 @@ fn back_lanes<M>(
     let msgs = share.max(geo.lane_room(*stand_in));
     for lane in fresh.batches() {
         if !lane.has_capacity() {
-            *lane = EnvBatch::with_capacity(msgs);
+            *lane = pool.pop().unwrap_or_else(|| EnvBatch::with_capacity(msgs));
         }
     }
     *stand_in = 0;
@@ -252,8 +267,10 @@ fn back_lanes<M>(
 /// The routing of a round: every lane of `fresh` is one routed bucket as
 /// emitted — row by row the shard's surviving sends due in one slot,
 /// lane `dest` of a row those to shard `dest` — so each is tallied and
-/// moved into `routed[slot][dest]`, a batch from `pool` taking its place.
-/// What fate lost is tallied and dropped.
+/// moved into `routed[slot][dest]`, leaving the lane without a batch
+/// until [`back_lanes`] backs it next round; `stand_in` keeps the
+/// largest lane's length for that. What fate lost is tallied and
+/// dropped.
 /// Not inlined, nor is [`back_lanes`] — like [`each_live`], measured:
 /// with the two inline, `spread-ideal-seq` read 0.97–0.98 of what it
 /// read with the copying router, out of line 1.00–1.02.
@@ -262,7 +279,7 @@ fn hand_over<P: RoundProtocol>(
     proto: &P,
     geo: Geometry,
     fresh: &mut Lanes<P::Msg>,
-    (pool, stand_in): (&mut Vec<EnvBatch<P::Msg>>, &mut usize),
+    stand_in: &mut usize,
     routed: &mut [Vec<EnvBatch<P::Msg>>],
     tally: &mut NetStats,
 ) {
@@ -279,11 +296,8 @@ fn hand_over<P: RoundProtocol>(
                 continue;
             }
             sent(lane.msgs());
-            let next = pool.pop().unwrap_or_else(|| {
-                *stand_in = (*stand_in).max(lane.len());
-                EnvBatch::new()
-            });
-            *bucket = std::mem::replace(lane, next);
+            *stand_in = (*stand_in).max(lane.len());
+            *bucket = std::mem::take(lane);
         }
     }
     if let Some(lost) = fresh.lost() {
@@ -374,20 +388,24 @@ impl<P: RoundProtocol> Shard<P> {
         let up = |off: usize| live.is_empty() || live[off];
         arena.begin_round();
 
-        back_lanes(fresh, stand_in, geo, len, cfg.conditions.drop_prob);
-
-        // Phase 1: round-start hooks, id order.
-        let states = (&mut nodes[..], &mut rngs[..], &mut seqs[..]);
-        each_live(proto, P::on_round_start, states, live, at, (fresh, arena));
-
-        // Phase 2: deliveries in (dst, src, seq) order — a merge by
-        // sender plus one stable counting pass, then one `on_receive_run`
-        // dispatch per destination.
+        // The mail due this round in (dst, src, seq) order — a merge by
+        // sender plus one stable counting pass — before any hook runs:
+        // ordering reads only `due` and writes only the scratch, so no
+        // callback can tell, and the drained segments back this round's
+        // lanes.
         let total = order_deliveries(due, base, len, ds);
         let pool_cap = geo.pool_cap();
         for seg in due.drain(..) {
             recycle(pool, pool_cap, seg);
         }
+        back_lanes(fresh, (pool, stand_in), geo, len, cfg.conditions.drop_prob);
+
+        // Phase 1: round-start hooks, id order.
+        let states = (&mut nodes[..], &mut rngs[..], &mut seqs[..]);
+        each_live(proto, P::on_round_start, states, live, at, (fresh, arena));
+
+        // Phase 2: deliveries, one `on_receive_run` dispatch per
+        // destination.
         if total > 0 {
             for off in 0..len {
                 let (s, e) = (ds.starts[off] as usize, ds.starts[off + 1] as usize);
@@ -419,7 +437,7 @@ impl<P: RoundProtocol> Shard<P> {
 
         let obs = observe_nodes(proto, base, nodes, round);
 
-        hand_over(proto, geo, fresh, (pool, stand_in), routed, &mut tally);
+        hand_over(proto, geo, fresh, stand_in, routed, &mut tally);
         (tally, obs)
     }
 }
@@ -573,11 +591,11 @@ mod tests {
         }
     }
 
-    /// The batch cycle lane → ring → due → pool → lane closes: once the
-    /// batches are warm no round allocates, grows or strands one — one
-    /// batch per lane and one per bucket in flight, with and without
-    /// loss, under a latency spread (two slot rows), on one shard and on
-    /// two.
+    /// The batch cycle lane → ring → due → lane closes: once the batches
+    /// are warm no round allocates, grows or strands one — one batch per
+    /// bucket in flight and none besides (between rounds every lane is
+    /// handed over and the pool is empty), with and without loss, under a
+    /// latency spread (two slot rows), on one shard and on two.
     #[test]
     fn batch_capacities_are_stable_after_three_warm_rounds() {
         // Large enough that a lane's random share of a round stays
@@ -621,6 +639,9 @@ mod tests {
                         caps.extend(lanes.chain(&shard.pool).map(EnvBatch::capacities));
                     }
                     caps.extend(ring.iter().flatten().flatten().map(EnvBatch::capacities));
+                    // Only a batch with capacity holds memory; a lane
+                    // handed over has none until the next round backs it.
+                    caps.retain(|&[dst, ..]| dst > 0);
                     caps.sort_unstable();
                     live.push(caps);
                 }
@@ -629,8 +650,8 @@ mod tests {
                 let in_flight: usize = (geo.slots - geo.rows + 1..=geo.slots).sum();
                 assert_eq!(
                     live[3].len(),
-                    (geo.rows + in_flight) * shards * shards,
-                    "lanes + in flight, {what}"
+                    in_flight * shards * shards,
+                    "one batch per bucket in flight, {what}"
                 );
                 assert!(live[3..].iter().all(|caps| *caps == live[3]), "{what}");
             }
@@ -721,7 +742,7 @@ mod tests {
         }
         assert_eq!(pool.len(), small);
         // Zero-capacity batches are not worth pooling.
-        pool.pop();
+        pool.truncate(small - 1);
         recycle(&mut pool, small, EnvBatch::new());
         assert_eq!(pool.len(), small - 1);
     }
