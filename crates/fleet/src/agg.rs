@@ -2,16 +2,18 @@
 //! folded through fixed blocks in a deterministic order.
 //!
 //! The fleet never materializes per-trial vectors. Its block folder
-//! takes trial points in canonical trial order, pushes each into a
-//! block [`CellAgg`] and merges the block into its cell every
-//! [`TRIALS_PER_JOB`] trials (and at a cell's short last block).
+//! takes trial points in any order, pushes each cell's points into a
+//! block [`CellAgg`] in trial order and merges the block into its cell
+//! every [`TRIALS_PER_JOB`] trials (and at a cell's short last block).
 //! Because floating-point Welford merges are order-dependent, that fixed
 //! block structure and order — not the thread schedule — is what makes
 //! a cell's aggregate bit-identical across pool sizes and identical to
-//! the serial engine, which feeds the very same folder the very same
-//! sequence.
+//! the serial engine, which feeds the very same folder in canonical
+//! order.
 //!
 //! lint: deterministic
+
+use std::collections::BTreeMap;
 
 use rendez_runtime::{ScenarioReport, WorkloadOutput};
 use rendez_stats::RunningStats;
@@ -118,16 +120,29 @@ impl CellAgg {
     }
 }
 
-/// Folds a sweep's trial points, fed in canonical order (trial
-/// `j = cell · trials + trial`), into per-cell aggregates through the
+/// Folds a sweep's trial points into per-cell aggregates through the
 /// fixed [`TRIALS_PER_JOB`]-trial blocks — the one Welford
 /// `push`/`merge` sequence both engines produce.
+///
+/// Trial `j = cell · trials + trial` may arrive in any order. Each cell
+/// folds on its own: a point is pushed as soon as it is its cell's next
+/// trial, and one that arrives ahead of that waits in `pending` until
+/// its cell catches up. The cells' orders never interact, so a point
+/// waits only for the trials of its own cell still in flight, whatever
+/// order the cells were claimed in.
 #[derive(Debug)]
 pub(crate) struct BlockFolder {
     trials: u64,
+    cells: Vec<CellFold>,
+    pending: BTreeMap<u64, TrialPoint>,
+}
+
+/// One cell's fold: its next trial, its open block and its aggregate.
+#[derive(Debug, Clone, Default)]
+struct CellFold {
     next: u64,
     block: CellAgg,
-    cells: Vec<CellAgg>,
+    agg: CellAgg,
 }
 
 impl BlockFolder {
@@ -135,27 +150,42 @@ impl BlockFolder {
     pub(crate) fn new(cells: usize, trials: u64) -> Self {
         Self {
             trials,
-            next: 0,
-            block: CellAgg::new(),
-            cells: vec![CellAgg::new(); cells],
+            cells: vec![CellFold::default(); cells],
+            pending: BTreeMap::new(),
         }
     }
 
-    /// Fold the next trial in canonical order; close its block if it is
-    /// the block's last trial or the cell's.
-    pub(crate) fn push(&mut self, p: &TrialPoint) {
-        self.block.push(p);
-        let done = self.next % self.trials + 1;
-        if done.is_multiple_of(TRIALS_PER_JOB) || done == self.trials {
-            let cell = (self.next / self.trials) as usize;
-            self.cells[cell].merge(&std::mem::take(&mut self.block));
+    /// Fold trial `j`, and after it every pending trial of its cell it
+    /// was holding up.
+    pub(crate) fn push(&mut self, j: u64, p: &TrialPoint) {
+        let cell = &mut self.cells[(j / self.trials) as usize];
+        if j % self.trials != cell.next {
+            self.pending.insert(j, *p);
+            return;
         }
-        self.next += 1;
+        let mut p = *p;
+        let base = j - cell.next;
+        loop {
+            // Close the block at its last trial or the cell's.
+            cell.block.push(&p);
+            cell.next += 1;
+            if cell.next.is_multiple_of(TRIALS_PER_JOB) || cell.next == self.trials {
+                cell.agg.merge(&std::mem::take(&mut cell.block));
+            }
+            if cell.next == self.trials {
+                return;
+            }
+            match self.pending.remove(&(base + cell.next)) {
+                Some(held) => p = held,
+                None => return,
+            }
+        }
     }
 
     /// The per-cell aggregates, in cell order.
     pub(crate) fn finish(self) -> Vec<CellAgg> {
-        self.cells
+        debug_assert!(self.pending.is_empty(), "a trial never arrived");
+        self.cells.into_iter().map(|cell| cell.agg).collect()
     }
 }
 
@@ -181,7 +211,7 @@ mod tests {
             let point_of = |j: u64| point(((j * 37) % 23) as f64 + 0.25);
             let mut folder = BlockFolder::new(3, trials);
             for j in 0..3 * trials {
-                folder.push(&point_of(j));
+                folder.push(j, &point_of(j));
             }
             let expected: Vec<CellAgg> = (0..3)
                 .map(|cell| {
@@ -198,6 +228,47 @@ mod tests {
                 })
                 .collect();
             assert_eq!(folder.finish(), expected, "trials={trials}");
+        }
+    }
+
+    #[test]
+    fn cells_fold_alone_and_pending_stays_inside_the_window() {
+        // Cells claimed longest-first (not canonically), each cell's
+        // trials contiguous; arrivals then shuffled inside consecutive
+        // windows of `w` claims, as `w` threads finishing out of turn
+        // would deliver them. Only the window may wait, and the bits
+        // must equal the canonical fold's.
+        let (cells, trials) = (4u64, 17u64);
+        let point_of = |j: u64| point(((j * 29) % 31) as f64 - 3.5);
+        let mut reference = BlockFolder::new(cells as usize, trials);
+        for j in 0..cells * trials {
+            reference.push(j, &point_of(j));
+        }
+        let reference = reference.finish();
+        let claims: Vec<u64> = [3u64, 1, 0, 2]
+            .iter()
+            .flat_map(|&cell| (0..trials).map(move |t| cell * trials + t))
+            .collect();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for w in [1usize, 2, 3, 5, 8] {
+            let mut arrivals = claims.clone();
+            for window in arrivals.chunks_mut(w) {
+                // Fisher–Yates on an xorshift stream.
+                for i in (1..window.len()).rev() {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    window.swap(i, (state % (i as u64 + 1)) as usize);
+                }
+            }
+            let mut folder = BlockFolder::new(cells as usize, trials);
+            let mut most = 0;
+            for &j in &arrivals {
+                folder.push(j, &point_of(j));
+                most = most.max(folder.pending.len());
+            }
+            assert!(most < w, "w={w}: {most} trials pending");
+            assert_eq!(folder.finish(), reference, "w={w}");
         }
     }
 

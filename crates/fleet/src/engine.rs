@@ -1,46 +1,66 @@
 //! The fleet engine: one persistent worker pool, a work-stealing trial
-//! list, and an in-order fold — the workspace's one Monte-Carlo trial
+//! list, and a per-cell fold — the workspace's one Monte-Carlo trial
 //! scheduler.
 //!
 //! A job is `total` trials with indices `0..total` in one canonical
-//! order. The pool's workers claim trials one at a time from an atomic
-//! counter, run each against per-worker state, and stream `(j, result)`
-//! to the caller's thread. There a reorder buffer releases the results
-//! **in `j` order** into the caller's fold. Scheduling therefore
-//! decides only *when* a result is folded, never *in which order* — the
-//! source of the engine's bit-identical-at-any-pool-size guarantee.
-//! Two consumers share that core:
+//! order, claimed one at a time from an atomic counter in a claim order
+//! the job fixes up front. Each thread runs its claims against its own
+//! state and folds each result the moment it finishes. Two consumers
+//! share that core:
 //!
 //! * a sweep ([`Fleet::run`]) is `cells × trials` trials with
-//!   `j = cell · trials + trial`; each worker's state caches the
+//!   `j = cell · trials + trial`; each thread's state caches the
 //!   scenario of the cell it last ran, and the fold is one block folder,
-//!   which pushes trial points into fixed blocks of
-//!   [`TRIALS_PER_JOB`](crate::TRIALS_PER_JOB) trials and merges each
-//!   block into its cell. [`run_serial`] feeds the identical trial
-//!   sequence through the identical folder inline;
-//! * [`Fleet::map`] runs `f(i, derive_seed(seed, i))` and collects the
-//!   results in trial order — how every `exp_*` harness runs its trials.
+//!   which pushes each cell's trial points in trial order into fixed
+//!   blocks of [`TRIALS_PER_JOB`](crate::TRIALS_PER_JOB) trials and
+//!   merges each block into its cell. [`run_serial`] feeds the same
+//!   trials in canonical order through the identical folder inline;
+//! * [`Fleet::map`] runs `f(i, derive_seed(seed, i))`, claims in
+//!   canonical order, and files result `i` in slot `i` — how every
+//!   `exp_*` harness runs its trials.
+//!
+//! # Scheduling
 //!
 //! The scheduling unit is one trial, not one block, because cells
 //! differ in cost by orders of magnitude (a dating cell at the largest
-//! `n` can outweigh a dozen spreading cells): with a block per claim, a
-//! grid of 16-trial cells is one claim per cell, and the heaviest cells
-//! — last in canonical order — leave one worker running alone. A trial
-//! is milliseconds; its claim and its channel message are not.
+//! `n` can outweigh a dozen spreading cells). A trial is milliseconds;
+//! its claim and its fold are not.
 //!
-//! A panicking trial cancels the job: the panic is caught on the
-//! worker, the first payload is recorded, and every worker stops at its
-//! next claim. The pool survives; a sweep returns
+//! * **Longest cells first.** A sweep claims its cells sorted by
+//!   `(n, churn, loss)` descending — each of the three only lengthens a
+//!   run — with ties in canonical order, and each cell's trials
+//!   contiguous and in trial order. The order is a pure function of the
+//!   cells. A sweep with few trials per cell then ends on its cheapest
+//!   cells with every thread busy, instead of on one thread running the
+//!   largest, which canonical order (`ns` ascending) claims last.
+//! * **The calling thread works.** A fleet of `size()` threads spawns
+//!   `size() − 1` pool jobs and runs the same claim loop on the calling
+//!   thread, the round engine's pattern (its coordinator runs the last
+//!   shard itself). No thread sleeps on a channel to fold, and one pool
+//!   thread stays parked for the job's whole length; it is there for
+//!   [`Scenario::run_pooled`](rendez_runtime::Scenario::run_pooled)
+//!   callers sharing [`Fleet::pool`].
+//! * **Each cell folds on its own.** The folder pushes a point as soon
+//!   as it is its cell's next trial; a point that finishes ahead of a
+//!   same-cell trial still running waits for it alone. So the reorder
+//!   buffer holds only trials overtaken in flight, whatever the claim
+//!   order, and each cell's Welford `push`/`merge` sequence is the
+//!   canonical one: scheduling decides when a point is folded, never in
+//!   which order within its cell — the source of the engine's
+//!   bit-identical-at-any-pool-size guarantee.
+//!
+//! A panicking trial cancels the job: the panic is caught on the thread
+//! that ran it, the first payload is recorded, and every thread stops
+//! at its next claim. The pool survives; a sweep returns
 //! [`SweepError::TrialPanicked`] and a map resumes the panic on the
 //! caller.
 //!
 //! lint: deterministic
 
 use std::any::Any;
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 
 use rendez_runtime::{Scenario, WorkerPool};
 use rendez_sim::derive_seed;
@@ -70,7 +90,8 @@ impl Fleet {
         }
     }
 
-    /// Number of worker threads.
+    /// Number of threads a job runs on: the calling thread and
+    /// `size() − 1` pool threads.
     pub fn size(&self) -> usize {
         self.pool.size()
     }
@@ -116,12 +137,14 @@ impl Fleet {
         T: Send,
         F: Fn(usize, u64) -> T + Sync,
     {
-        let mut out = Vec::with_capacity(trials);
+        let mut out: Vec<Option<T>> = std::iter::repeat_with(|| None).take(trials).collect();
         let trial = |_: &mut (), i: usize| f(i, derive_seed(seed, i as u64));
-        if let Err((_, payload)) = self.schedule(trials, &trial, |t| out.push(t)) {
+        if let Err((_, payload)) = self.schedule(trials, &|i| i, &trial, |i, t| out[i] = Some(t)) {
             resume_unwind(payload);
         }
-        out
+        out.into_iter()
+            .map(|t| t.expect("every trial ran"))
+            .collect()
     }
 
     /// A sweep on the scheduler core, generic over the trial runner so
@@ -136,69 +159,59 @@ impl Fleet {
         F: Fn(&SweepSpec, &Scenario, &Cell, u64) -> TrialPoint + Sync,
     {
         let mut folder = BlockFolder::new(cells.len(), spec.trials);
-        let total = cells.len() * spec.trials as usize;
+        let trials = spec.trials as usize;
+        let order = claim_order(cells);
+        let job = |k: usize| order[k / trials] * trials + k % trials;
         let trial = sweep_trial(spec, cells, runner);
-        self.schedule(total, &trial, |point| folder.push(&point))
-            .map_err(|failure| trial_panicked(spec, cells, failure))?;
+        self.schedule(cells.len() * trials, &job, &trial, |j, point| {
+            folder.push(j as u64, &point)
+        })
+        .map_err(|failure| trial_panicked(spec, cells, failure))?;
         Ok(folder.finish())
     }
 
-    /// The scheduler core: run trials `0..total` on the pool, each
-    /// worker against its own default-initialised state, and `fold` the
-    /// results in trial order on the calling thread. Returns the first
-    /// trial that panicked, with the job cancelled at that point.
+    /// The scheduler core: run trials `job(0), job(1), …, job(total − 1)`
+    /// in that claim order, each thread against its own
+    /// default-initialised state, and `fold` every `(trial, result)` as
+    /// it finishes. The calling thread claims trials like the
+    /// `size() − 1` pool jobs it spawns. Returns the first trial that
+    /// panicked, with the job cancelled at that point.
     fn schedule<W: Default, T: Send>(
         &self,
         total: usize,
+        job: &(impl Fn(usize) -> usize + Sync),
         trial: &(impl Fn(&mut W, usize) -> T + Sync),
-        mut fold: impl FnMut(T),
+        fold: impl FnMut(usize, T) + Send,
     ) -> Result<(), Panicked> {
-        let next_trial = AtomicUsize::new(0);
+        let next_claim = AtomicUsize::new(0);
         // Release on a panic pairs with the Acquire before each claim;
         // it publishes nothing else (the payload travels in `failure`).
         let cancel = AtomicBool::new(false);
         let failure: Mutex<Option<Panicked>> = Mutex::new(None);
-        let (tx, rx) = mpsc::channel::<(usize, T)>();
+        // Whichever thread finishes a trial folds it: a fold is a few
+        // Welford updates against a trial's milliseconds.
+        let fold = Mutex::new(fold);
 
+        let work = || {
+            let claim = || {
+                let k = (!cancel.load(Ordering::Acquire))
+                    .then(|| next_claim.fetch_add(1, Ordering::Relaxed))?;
+                (k < total).then(|| job(k))
+            };
+            let emit = |j, out| (*fold.lock().expect("fold lock poisoned"))(j, out);
+            if let Err(panicked) = run_claimed(&mut W::default(), trial, claim, emit) {
+                failure
+                    .lock()
+                    .expect("failure lock poisoned")
+                    .get_or_insert(panicked);
+                cancel.store(true, Ordering::Release);
+            }
+        };
         self.pool.scope(|s| {
-            for _ in 0..self.pool.size() {
-                let tx = tx.clone();
-                let (next_trial, cancel, failure) = (&next_trial, &cancel, &failure);
-                s.spawn(move || {
-                    let claim = || {
-                        let j = (!cancel.load(Ordering::Acquire))
-                            .then(|| next_trial.fetch_add(1, Ordering::Relaxed))?;
-                        (j < total).then_some(j)
-                    };
-                    // The receiver outlives the scope; send cannot fail
-                    // while workers run.
-                    let emit = |j, out| {
-                        let _ = tx.send((j, out));
-                    };
-                    if let Err(panicked) = run_claimed(&mut W::default(), trial, claim, emit) {
-                        failure
-                            .lock()
-                            .expect("failure lock poisoned")
-                            .get_or_insert(panicked);
-                        cancel.store(true, Ordering::Release);
-                    }
-                });
+            for _ in 1..self.pool.size() {
+                s.spawn(work);
             }
-            drop(tx);
-
-            // Fold on the calling thread while workers produce: the
-            // reorder buffer releases results in trial order, so the
-            // fold sequence is independent of scheduling. The loop ends
-            // when the last worker drops its sender.
-            let mut pending: BTreeMap<usize, T> = BTreeMap::new();
-            let mut next = 0;
-            for (j, out) in rx {
-                pending.insert(j, out);
-                while let Some(out) = pending.remove(&next) {
-                    fold(out);
-                    next += 1;
-                }
-            }
+            work();
         });
 
         match failure.into_inner().expect("failure lock poisoned") {
@@ -206,6 +219,22 @@ impl Fleet {
             None => Ok(()),
         }
     }
+}
+
+/// The order a sweep claims its cells in: longest first. A larger `n`,
+/// more churn and more loss each only lengthen a run, so cells sort by
+/// `(n, churn, loss)` descending, ties in canonical order (the sort is
+/// stable). A short sweep then ends on its cheapest cells, with every
+/// thread busy, instead of on one thread running the largest.
+fn claim_order(cells: &[Cell]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..cells.len()).collect();
+    order.sort_by(|&a, &b| {
+        let (a, b) = (&cells[a], &cells[b]);
+        b.n.cmp(&a.n)
+            .then(b.churn.total_cmp(&a.churn))
+            .then(b.loss.total_cmp(&a.loss))
+    });
+    order
 }
 
 /// Run the same sweep without the pool: the caller's thread walks the
@@ -231,7 +260,7 @@ where
         &mut None,
         &sweep_trial(spec, cells, runner),
         || trials.next(),
-        |_, point| folder.push(&point),
+        |j, point| folder.push(j as u64, &point),
     )
     .map_err(|failure| trial_panicked(spec, cells, failure))?;
     Ok(folder.finish())
@@ -255,9 +284,9 @@ fn run_claimed<W, T>(
     Ok(())
 }
 
-/// Sweep trial `j` against a worker's cached scenario. Claims only move
-/// forward, so rebuilding the scenario whenever the claimed cell
-/// changes builds each cell's at most once per worker.
+/// Sweep trial `j` against a worker's cached scenario. Each cell's
+/// trials are claimed contiguously, so rebuilding the scenario whenever
+/// the claimed cell changes builds each cell's at most once per thread.
 fn sweep_trial<'a, F>(
     spec: &'a SweepSpec,
     cells: &'a [Cell],
@@ -362,16 +391,84 @@ mod tests {
                 message: "injected trial failure".to_string()
             }
         );
-        // Each worker stops at its next claim; how many trials the other
-        // worker finishes first is up to the schedule, but the panicking
-        // trial (global index 25) was claimed, and the fleet is still
-        // fully usable afterwards.
-        assert!(claimed.load(Ordering::Relaxed) >= 26);
+        // Each thread stops at its next claim; how many trials the other
+        // one finishes first is up to the schedule, but every claim up to
+        // the panicking one was made, and the fleet is still fully usable
+        // afterwards.
+        let position = claim_order(&cells).iter().position(|&c| c == 1);
+        let panicking_claim = position.expect("cell 1 is claimed") * 20 + 5;
+        assert!(claimed.load(Ordering::Relaxed) > panicking_claim);
         let report = fleet.run(&spec).expect("fleet survives a panic");
         assert_eq!(
             report.to_json(),
             run_serial(&spec).expect("serial").to_json()
         );
+    }
+
+    #[test]
+    fn cells_are_claimed_longest_first_ties_in_canonical_order() {
+        let spec = SweepSpec::new()
+            .ns(vec![16, 64, 32])
+            .protocols(vec![Spreader::Push, Spreader::Dating])
+            .churns(vec![0.1, 0.0])
+            .losses(vec![0.0, 0.05]);
+        let cells = spec.cells();
+        let order = claim_order(&cells);
+        let key = |c: &Cell| (c.n, c.churn, c.loss);
+        for pair in order.windows(2) {
+            let (a, b) = (&cells[pair[0]], &cells[pair[1]]);
+            assert!(
+                key(a) > key(b) || (key(a) == key(b) && a.index < b.index),
+                "{a:?} before {b:?}"
+            );
+        }
+        let first = &cells[order[0]];
+        assert_eq!(key(first), (64, 0.1, 0.05));
+        assert_eq!(first.protocol, Spreader::Push);
+    }
+
+    #[test]
+    fn a_panic_in_the_first_claimed_cell_is_reported_for_that_cell() {
+        // ns ascending: the largest-n cell with the most churn and loss
+        // is canonically last but claimed first; its first trial panics.
+        let spec = spec().churns(vec![0.0, 0.1]).losses(vec![0.05, 0.0]);
+        let cells = spec.cells();
+        let first = claim_order(&cells)[0];
+        assert_eq!((cells[first].n, cells[first].churn), (32, 0.1));
+        assert_eq!(cells[first].loss, 0.05);
+        for threads in [1, 2, 3] {
+            let fleet = Fleet::new(threads);
+            let err = fleet
+                .drive(&spec, &cells, &|spec, scenario, cell, trial| {
+                    if cell.index == first && trial == 0 {
+                        panic!("largest cell failed");
+                    }
+                    run_trial(spec, scenario, cell, trial)
+                })
+                .expect_err("must cancel");
+            assert_eq!(
+                err,
+                SweepError::TrialPanicked {
+                    cell: first,
+                    message: "largest cell failed".to_string()
+                },
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn map_returns_results_in_trial_order_at_any_pool_size() {
+        let expected: Vec<(usize, u64)> = (0..37).map(|i| (i, derive_seed(5, i as u64))).collect();
+        for threads in [1, 2, 3] {
+            let fleet = Fleet::new(threads);
+            // Uneven trial costs, so threads finish out of turn.
+            let got = fleet.map(37, 5, |i, seed| {
+                std::thread::sleep(std::time::Duration::from_micros((i as u64 * 7919) % 300));
+                (i, seed)
+            });
+            assert_eq!(got, expected, "threads={threads}");
+        }
     }
 
     #[test]

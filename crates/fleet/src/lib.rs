@@ -15,9 +15,10 @@
 //!   a trials-per-cell budget and one master seed;
 //! * a [`Fleet`] owns a persistent
 //!   [`WorkerPool`](rendez_runtime::WorkerPool): its threads are
-//!   spawned once and parked between sweeps, and they claim trials one
-//!   at a time from a shared counter (work stealing at trial grain, so
-//!   every worker shares in an expensive cell);
+//!   spawned once and parked between sweeps, and they — with the
+//!   calling thread — claim trials one at a time from a shared counter,
+//!   the longest cells first (work stealing at trial grain, so every
+//!   thread shares in an expensive cell);
 //! * aggregation is **streaming** — Welford accumulators per metric
 //!   ([`rendez_stats::RunningStats`]), folded through fixed blocks,
 //!   never a per-trial vector — into one machine-readable
@@ -27,9 +28,10 @@
 //! ## Determinism
 //!
 //! Trial seeds derive from `(sweep seed, cell index, trial index)`
-//! alone, and trial results are folded in canonical trial order through
-//! a reorder buffer, so a sweep's report — down to its JSON bytes — is a
-//! pure function of the [`SweepSpec`]: independent of pool size, trial
+//! alone, and each cell's trial results are folded in trial order (a
+//! result that finishes ahead of its cell's next trial waits for it), so
+//! a sweep's report — down to its JSON bytes — is a pure function of the
+//! [`SweepSpec`]: independent of pool size, claim order, trial
 //! interleaving, and of whether [`Fleet::run`] or the inline
 //! [`run_serial`] baseline produced it. Floating-point merge order is
 //! the one hazard (Welford merges don't commute bit-for-bit), which is

@@ -2,14 +2,15 @@
 //! produces byte-identical `SweepReport` JSON at pool sizes 1, 2 and 8,
 //! and identical to the serial baseline — scheduling decides wall-clock
 //! time only, never a single output bit. Trial counts around the
-//! aggregation-block edge get the same check at pool sizes 1, 2, 3, 8.
+//! aggregation-block edge, and grids whose `ns` are listed descending
+//! as well as ascending, get the same check at pool sizes 1, 2, 3, 8.
 
 use rendez_fleet::{run_serial, Fleet, SweepSpec, TRIALS_PER_JOB};
 use rendez_runtime::Spreader;
 
 /// A 64-cell grid (4 × 4 × 2 × 2) with enough trials per cell that
 /// every cell folds several blocks, the last one short, exercising the
-/// reorder buffer's out-of-order arrivals at larger pool sizes.
+/// per-cell folder's out-of-order arrivals at larger pool sizes.
 fn grid() -> SweepSpec {
     let trials = 2 * TRIALS_PER_JOB + TRIALS_PER_JOB / 2; // 3 blocks/cell
     SweepSpec::new()
@@ -70,6 +71,33 @@ fn trials_around_block_edges_are_byte_identical_at_any_pool_size() {
                 reference,
                 fleet.run(&spec).expect("fleet sweep").to_json(),
                 "trials {trials}, pool size {}",
+                fleet.size()
+            );
+        }
+    }
+}
+
+/// Longest-first claims reorder the cells, never a cell's fold: with
+/// `ns` listed either way round, churn and loss mixed, and a short last
+/// block (17 = 16 + 1), every pool size reproduces the serial bytes.
+#[test]
+fn longest_first_claims_keep_the_serial_bytes_whichever_way_ns_is_listed() {
+    let fleets: Vec<Fleet> = [1usize, 2, 3, 8].into_iter().map(Fleet::new).collect();
+    for ns in [vec![24, 12, 6], vec![6, 12, 24]] {
+        let spec = SweepSpec::new()
+            .ns(ns.clone())
+            .protocols(vec![Spreader::Push, Spreader::DatingService])
+            .churns(vec![0.1, 0.0])
+            .losses(vec![0.0, 0.05])
+            .trials(17)
+            .cycles(4)
+            .seed(48);
+        let reference = run_serial(&spec).expect("serial sweep").to_json();
+        for fleet in &fleets {
+            assert_eq!(
+                reference,
+                fleet.run(&spec).expect("fleet sweep").to_json(),
+                "ns {ns:?}, pool size {}",
                 fleet.size()
             );
         }

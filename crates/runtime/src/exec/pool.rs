@@ -17,9 +17,10 @@
 //!   ([`ShardedExecutor::run_in`](super::ShardedExecutor::run_in) /
 //!   [`Scenario::run_pooled`](crate::Scenario::run_pooled));
 //! * `rendez_fleet` — the workspace's one Monte-Carlo trial scheduler,
-//!   which parks one trial-crunching loop per pool thread for a whole
-//!   job: a parameter grid (`Fleet::run`) or a list of independent
-//!   trials (`Fleet::map`, which every `exp_*` harness runs on).
+//!   which runs one trial-crunching loop on the calling thread and one
+//!   on each of `size() − 1` pool threads for a whole job: a parameter
+//!   grid (`Fleet::run`) or a list of independent trials (`Fleet::map`,
+//!   which every `exp_*` harness runs on).
 //!
 //! Determinism: the pool schedules jobs in no particular order on no
 //! particular thread, so consumers must make their results independent
