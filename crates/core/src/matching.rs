@@ -7,7 +7,6 @@
 //!
 //! * [`partial_shuffle`] — a partial Fisher–Yates: after the call the first
 //!   `q` slots hold a uniform random `q`-subset in uniform random order;
-//! * [`random_permutation`] — a full Fisher–Yates permutation;
 //! * [`uniform_k_matching`] — the *reference* sampler for Lemma 3: a
 //!   uniform `k`-matching of the complete bipartite graph
 //!   `K_{left,right}`, against which the dating service's conditional date
@@ -28,16 +27,6 @@ pub fn partial_shuffle<T>(items: &mut [T], q: usize, rng: &mut SmallRng) {
         let j = rng.gen_range(i..items.len());
         items.swap(i, j);
     }
-}
-
-/// A uniform random permutation of `0..q` (Fisher–Yates).
-pub fn random_permutation(q: usize, rng: &mut SmallRng) -> Vec<u32> {
-    let mut perm: Vec<u32> = (0..q as u32).collect();
-    for i in (1..q).rev() {
-        let j = rng.gen_range(0..=i);
-        perm.swap(i, j);
-    }
-    perm
 }
 
 /// A uniform random `k`-matching of the complete bipartite graph with
@@ -124,29 +113,6 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0);
         let mut items = [1u32, 2];
         partial_shuffle(&mut items, 3, &mut rng);
-    }
-
-    #[test]
-    fn random_permutation_is_uniform() {
-        // All 3! = 6 permutations equally likely.
-        let mut rng = SmallRng::seed_from_u64(4);
-        let mut counts: HashMap<Vec<u32>, u64> = HashMap::new();
-        let trials = 60_000;
-        for _ in 0..trials {
-            *counts.entry(random_permutation(3, &mut rng)).or_insert(0) += 1;
-        }
-        assert_eq!(counts.len(), 6);
-        for &c in counts.values() {
-            let f = c as f64 / trials as f64;
-            assert!((f - 1.0 / 6.0).abs() < 0.01);
-        }
-    }
-
-    #[test]
-    fn random_permutation_empty_and_single() {
-        let mut rng = SmallRng::seed_from_u64(5);
-        assert!(random_permutation(0, &mut rng).is_empty());
-        assert_eq!(random_permutation(1, &mut rng), vec![0]);
     }
 
     #[test]

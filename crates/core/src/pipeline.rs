@@ -8,8 +8,10 @@
 //! This means that for k rounds of dating service we need time
 //! Θ(log n + k)."
 //!
-//! This module provides the closed-form makespans and a small discrete
-//! event simulation that validates them tick by tick.
+//! This module holds the closed-form makespans only. `rendez_dht`'s
+//! `RoutedDating` runs the routed dating as real traffic, and its tests
+//! check the same shape on it: a pipelined makespan within
+//! `O(log n) + k`, under half the sequential one.
 
 /// Time steps for one dating round issued in isolation: the request routes
 /// `hops` steps to the matchmaker, the answer routes `hops` steps back,
@@ -35,21 +37,6 @@ pub fn pipelined_makespan(k: u64, hops: u64) -> u64 {
     round_latency(hops) + (k - 1)
 }
 
-/// Tick-accurate simulation of the pipeline: returns the completion time
-/// of each of the `k` rounds. Round `i` is issued at tick `i` (pipelined)
-/// or after round `i−1` completes (sequential).
-pub fn simulate_completion_times(k: u64, hops: u64, pipelined: bool) -> Vec<u64> {
-    let latency = round_latency(hops);
-    let mut completions = Vec::with_capacity(k as usize);
-    let mut next_issue = 0u64;
-    for _ in 0..k {
-        let done = next_issue + latency;
-        completions.push(done);
-        next_issue = if pipelined { next_issue + 1 } else { done };
-    }
-    completions
-}
-
 /// Speedup of pipelining for `k` rounds at the given hop count.
 pub fn pipeline_speedup(k: u64, hops: u64) -> f64 {
     sequential_makespan(k, hops) as f64 / pipelined_makespan(k, hops).max(1) as f64
@@ -67,26 +54,6 @@ mod tests {
     }
 
     #[test]
-    fn simulation_matches_closed_forms() {
-        for hops in [0u64, 1, 4, 10] {
-            for k in [1u64, 2, 7, 100] {
-                let seq = simulate_completion_times(k, hops, false);
-                assert_eq!(*seq.last().unwrap(), sequential_makespan(k, hops));
-                let pip = simulate_completion_times(k, hops, true);
-                assert_eq!(*pip.last().unwrap(), pipelined_makespan(k, hops));
-            }
-        }
-    }
-
-    #[test]
-    fn pipelined_completes_once_per_tick_after_warmup() {
-        let pip = simulate_completion_times(50, 8, true);
-        for w in pip.windows(2) {
-            assert_eq!(w[1] - w[0], 1);
-        }
-    }
-
-    #[test]
     fn speedup_approaches_round_latency() {
         // For k >> hops, speedup → 2·hops + 1.
         let hops = 10;
@@ -100,7 +67,6 @@ mod tests {
     fn zero_rounds() {
         assert_eq!(pipelined_makespan(0, 7), 0);
         assert_eq!(sequential_makespan(0, 7), 0);
-        assert!(simulate_completion_times(0, 7, true).is_empty());
     }
 
     #[test]

@@ -5,18 +5,17 @@
 //! ids. A [`Shard`] **owns** its chunk of the run state — node states,
 //! RNG streams, send counters, liveness mask — plus everything a round
 //! needs to stay allocation-free: the emission lanes, the delivery
-//! kernel's scratch, a pool of recycled envelope segments, the hoisted
-//! churn streams and the node arena. [`Shard::round`] is the only round
-//! body in the crate: churn mask → delivery ordering → round-start →
-//! deliveries → round-end → observation fold → routing of the shard's
-//! own sends into `routed[latency_slot][destination_shard]`. Where a
-//! message goes is decided where it is emitted — [`Outbox::send`] files
-//! it in the emission lane of its destination's shard and, on a channel
-//! that loses or delays, of the latency slot its fate assigns — so
-//! routing is a tally and a move of each lane (see "Memory discipline").
+//! kernel's scratch, the hoisted churn streams and the node arena.
+//! [`Shard::round`] is the only round body in the crate: churn mask →
+//! delivery ordering → round-start → deliveries → round-end → observation
+//! fold → tally of the shard's own sends. Where a message goes is decided
+//! where it is emitted — [`Outbox::send`] files it in the emission lane
+//! of its destination's shard and, on a channel that loses or delays, of
+//! the latency slot its fate assigns — so a lane is its own routed
+//! bucket, and routing is a move of each lane (see "Memory discipline").
 //!
 //! [`drive`] is the only coordinator: it keeps the latency ring, hands
-//! each shard the segments due this round, splices the routed lanes back
+//! each shard the segments due this round, [`splice`]s the shards' lanes
 //! into the ring in shard order (whole-batch moves — no envelope is
 //! touched), merges the per-shard [`RoundObs`] partials and asks the
 //! protocol for the digest and the verdict. Between-round coordinator
@@ -48,12 +47,12 @@
 //!    alone, so deciding it in the sending shard cannot change any
 //!    outcome.
 //! 3. **Splice order = emission order.** Shards are contiguous id ranges
-//!    spliced in shard order, and each shard's routed bucket for a slot
-//!    and destination shard is its emission lane for them, as emitted.
-//!    Filing a send by slot and destination shard keeps the relative
-//!    order of the sends that share a lane, so concatenating shard
-//!    buckets in shard order yields, per bucket, the one-shard run's
-//!    messages for those destinations in the one-shard run's order.
+//!    spliced in shard order, and a shard's lane for a slot and
+//!    destination shard holds its sends to them as emitted. Filing a
+//!    send by slot and destination shard keeps the relative order of the
+//!    sends that share a lane, so concatenating the shards' lanes in
+//!    shard order yields, per lane, the one-shard run's messages for
+//!    those destinations in the one-shard run's order.
 //! 4. **Delivery order.** Messages due in a round are consumed in
 //!    `(dst, src, seq)` order. A ring lane holds segments in (send
 //!    round, shard) order, each src-ascending but for a step back where
@@ -73,25 +72,23 @@
 //! Messages travel in compact SoA [`EnvBatch`] lanes (see the
 //! [`batch`](crate::batch) module), and batches cycle rather than churn:
 //! lane → ring → due → lane, on every shard count and under every
-//! [`Conditions`]. A lane *is* the routed bucket for its latency slot and
-//! destination shard: it is tallied, moved (pointer-level) into the ring,
-//! later handed to the destination shard as a delivery segment, and
-//! drained there by delivery ordering — which a round does first, before
-//! any hook — so the same round's lanes are backed by it. One batch per
-//! lane is in flight, none waits drained while a lane fills, and no
-//! message is copied between emission and delivery ordering; a lane's
-//! first sends land on lines ordering has just read. The shard's segment
-//! pool is only the buffer between ordering and [`back_lanes`], and holds
-//! what a round brought in beyond the lanes it had to back. What the pool
-//! cannot supply is sized, not grown, and not before it is needed: a lane
-//! without a batch — every lane when the run begins, later one whose
-//! batch was handed over while no segment came back to replace it — is
-//! backed as the next round starts, with room for its share of
-//! [`FRESH_SENDS_PER_NODE`] sends per node and for a round like the one
-//! just routed ([`Geometry::lane_room`]). So cold rounds do not grow or
-//! copy buffers, warm rounds do not allocate, a lane nothing is ever due
-//! in keeps its first batch, and a run's last round leaves no batch
-//! behind for a round that does not come.
+//! [`Conditions`]. A lane that carries mail is moved (pointer-level) into
+//! the ring by [`splice`], later handed to the destination shard as a
+//! delivery segment, and drained there by delivery ordering — which a
+//! round does first, before any hook — so [`back_lanes`] backs the same
+//! round's lanes with it. One batch per lane is in flight, none waits
+//! drained while a lane fills, and no message is copied between emission
+//! and delivery ordering; a lane's first sends land on lines ordering has
+//! just read. What the drained segments cannot supply is sized, not
+//! grown, and not before it is needed: a lane without a batch — every
+//! lane when the run begins, later one whose batch was spliced while no
+//! segment came back to replace it — is backed as the next round starts,
+//! with room for its share of [`FRESH_SENDS_PER_NODE`] sends per node and
+//! for a round like the one just routed ([`Geometry::lane_room`]); a
+//! segment left over once every lane is backed is freed. So cold rounds
+//! do not grow or copy buffers, warm rounds do not allocate, a lane
+//! nothing is ever due in keeps its first batch, and a run's last round
+//! leaves no batch behind for a round that does not come.
 //!
 //! lint: deterministic
 
@@ -160,12 +157,6 @@ impl Geometry {
             msgs
         }
     }
-
-    /// Cap on a shard's pool of recycled envelope segments: room for the
-    /// segments one round of this layout can bring in, twice over.
-    fn pool_cap(&self) -> usize {
-        (2 * self.shards * self.slots).max(64)
-    }
 }
 
 /// One contiguous id range `base..base + nodes.len()` of a run, with
@@ -180,28 +171,14 @@ struct Shard<P: RoundProtocol> {
     churn: ChurnCache,
     arena: NodeArena,
     /// This round's emissions, one lane per latency slot they can be due
-    /// in and destination shard ([`back_lanes`], [`hand_over`]).
+    /// in and destination shard ([`back_lanes`], [`hand_over`],
+    /// [`splice`]).
     fresh: Lanes<P::Msg>,
-    /// Messages of the largest lane handed over last round: what
-    /// [`back_lanes`] sizes a fresh batch for when the pool runs dry.
+    /// Messages of the largest lane tallied last round: what
+    /// [`back_lanes`] sizes a fresh batch for when the drained segments
+    /// run out.
     stand_in: usize,
     ds: DeliverScratch<P::Msg>,
-    /// Drained delivery segments on their way to backing emission lanes:
-    /// empty once a round's lanes are backed, unless it brought in more
-    /// segments than it had lanes to back.
-    pool: Vec<EnvBatch<P::Msg>>,
-    /// This round's surviving sends: `routed[slot][dest_shard]`, each
-    /// batch an emission lane; slot `k` is due `k + 1` rounds on. The
-    /// coordinator's splice takes the batches and leaves the skeleton.
-    routed: Vec<Vec<EnvBatch<P::Msg>>>,
-}
-
-/// Keep a drained segment in `pool` for reuse (bounded by `cap`, so a
-/// bursty round cannot pin memory forever).
-fn recycle<M>(pool: &mut Vec<EnvBatch<M>>, cap: usize, seg: EnvBatch<M>) {
-    if pool.len() < cap && seg.has_capacity() {
-        pool.push(seg);
-    }
 }
 
 /// Phases 1 and 3 of a round: `hook` (`on_round_start`, `on_round_end`)
@@ -235,18 +212,18 @@ fn each_live<P: RoundProtocol>(
     }
 }
 
-/// As a round begins, once its due segments are ordered and pooled, give
-/// every lane without a batch one (module docs, "Memory discipline"): a
-/// drained segment from `pool` while it lasts, then a fresh batch with
-/// room for its share of [`FRESH_SENDS_PER_NODE`] messages per node of
-/// the shard's `len` and for a round like the last (`stand_in`); and
-/// room for the `drop_prob · len` messages fate loses. The only place a
-/// lane takes from the pool. Out of line with [`hand_over`], which says
-/// why.
+/// As a round begins, once its due segments are ordered, give every lane
+/// without a batch one (module docs, "Memory discipline"): a drained
+/// segment from `due` while they last, then a fresh batch with room for
+/// its share of [`FRESH_SENDS_PER_NODE`] messages per node of the shard's
+/// `len` and for a round like the last (`stand_in`); and room for the
+/// `drop_prob · len` messages fate loses. The segments no lane needs are
+/// freed, leaving `due` empty. The only place a lane takes a drained
+/// segment. Out of line with [`hand_over`], which says why.
 #[inline(never)]
 fn back_lanes<M>(
     fresh: &mut Lanes<M>,
-    (pool, stand_in): (&mut Vec<EnvBatch<M>>, &mut usize),
+    (due, stand_in): (&mut Vec<EnvBatch<M>>, &mut usize),
     geo: Geometry,
     len: usize,
     drop_prob: f64,
@@ -255,32 +232,29 @@ fn back_lanes<M>(
     let msgs = share.max(geo.lane_room(*stand_in));
     for lane in fresh.batches() {
         if !lane.has_capacity() {
-            *lane = pool.pop().unwrap_or_else(|| EnvBatch::with_capacity(msgs));
+            *lane = due.pop().unwrap_or_else(|| EnvBatch::with_capacity(msgs));
         }
     }
+    due.clear();
     *stand_in = 0;
     if let Some(lost) = fresh.lost() {
         lost.reserve((drop_prob * len as f64).ceil() as usize);
     }
 }
 
-/// The routing of a round: every lane of `fresh` is one routed bucket as
-/// emitted — row by row the shard's surviving sends due in one slot,
-/// lane `dest` of a row those to shard `dest` — so each is tallied and
-/// moved into `routed[slot][dest]`, leaving the lane without a batch
-/// until [`back_lanes`] backs it next round; `stand_in` keeps the
-/// largest lane's length for that. What fate lost is tallied and
-/// dropped.
+/// The tally of a round's sends: every message in a lane of `fresh` —
+/// the shard's surviving sends, a lane per latency slot and destination
+/// shard — is counted as sent, and `stand_in` keeps the largest lane's
+/// length for [`back_lanes`] to size a fresh batch by; the lanes stay
+/// where they are for [`splice`]. What fate lost is tallied and dropped.
 /// Not inlined, nor is [`back_lanes`] — like [`each_live`], measured:
 /// with the two inline, `spread-ideal-seq` read 0.97–0.98 of what it
 /// read with the copying router, out of line 1.00–1.02.
 #[inline(never)]
 fn hand_over<P: RoundProtocol>(
     proto: &P,
-    geo: Geometry,
     fresh: &mut Lanes<P::Msg>,
     stand_in: &mut usize,
-    routed: &mut [Vec<EnvBatch<P::Msg>>],
     tally: &mut NetStats,
 ) {
     let mut sent = |msgs: &[P::Msg]| {
@@ -289,21 +263,37 @@ fn hand_over<P: RoundProtocol>(
             tally.bytes_sent += proto.msg_bytes(m) as u64;
         }
     };
-    let rows = fresh.batches().chunks_mut(geo.shards);
-    for (row, buckets) in rows.zip(&mut routed[geo.slots - geo.rows..]) {
-        for (lane, bucket) in row.iter_mut().zip(buckets) {
-            if lane.is_empty() {
-                continue;
-            }
-            sent(lane.msgs());
-            *stand_in = (*stand_in).max(lane.len());
-            *bucket = std::mem::take(lane);
-        }
+    for lane in fresh.batches() {
+        sent(lane.msgs());
+        *stand_in = (*stand_in).max(lane.len());
     }
     if let Some(lost) = fresh.lost() {
         sent(lost);
         tally.dropped += lost.len() as u64;
         lost.clear();
+    }
+}
+
+/// `ring[k][dest_shard]` lists the segments due `k + 1` rounds after the
+/// current one, in arrival (= emission) order.
+type Ring<M> = VecDeque<Vec<Vec<EnvBatch<M>>>>;
+
+/// Move one shard's lanes into the ring once its round is over: row `j`
+/// of `fresh` holds the sends due in ring row `slots − rows + j`, lane
+/// `dest` of a row those to shard `dest`, and each lane that carries mail
+/// is appended whole to `ring[slots − rows + j][dest]`, leaving it
+/// without a batch until [`back_lanes`] backs it next round. Called in
+/// shard order, so each ring lane lists the shards' segments in shard
+/// order (module docs, invariant 3). The only place a lane moves into the
+/// ring.
+fn splice<M>(fresh: &mut Lanes<M>, ring: &mut Ring<M>, geo: Geometry) {
+    let rows = fresh.batches().chunks_mut(geo.shards);
+    for (row, dues) in rows.zip(ring.range_mut(geo.slots - geo.rows..)) {
+        for (lane, due) in row.iter_mut().zip(dues) {
+            if !lane.is_empty() {
+                due.push(std::mem::take(lane));
+            }
+        }
     }
 }
 
@@ -334,7 +324,7 @@ impl<P: RoundProtocol> Shard<P> {
             churn,
             arena: NodeArena::new(base, len),
             // Backed when the first round begins, like every lane that
-            // was handed over.
+            // was spliced.
             fresh: Lanes::conditioned(
                 geo.shards,
                 geo.chunk,
@@ -344,17 +334,13 @@ impl<P: RoundProtocol> Shard<P> {
             ),
             stand_in: 0,
             ds: DeliverScratch::default(),
-            pool: Vec::new(),
-            routed: (0..geo.slots)
-                .map(|_| (0..geo.shards).map(|_| EnvBatch::new()).collect())
-                .collect(),
         }
     }
 
     /// One full round for this shard's nodes: the three phase hooks, the
-    /// observation fold, then routing of the shard's own sends into
-    /// `self.routed`. `due` holds the delivery segments due this
-    /// round, in splice order, and is left empty.
+    /// observation fold, then the tally of the shard's own sends, which
+    /// stay in its lanes for [`splice`]. `due` holds the delivery
+    /// segments due this round, in splice order, and is left empty.
     fn round(
         &mut self,
         proto: &P,
@@ -374,8 +360,6 @@ impl<P: RoundProtocol> Shard<P> {
             fresh,
             stand_in,
             ds,
-            pool,
-            routed,
         } = self;
         let (base, len, n) = (*base, nodes.len(), geo.n);
         let mut tally = NetStats::default();
@@ -394,11 +378,7 @@ impl<P: RoundProtocol> Shard<P> {
         // callback can tell, and the drained segments back this round's
         // lanes.
         let total = order_deliveries(due, base, len, ds);
-        let pool_cap = geo.pool_cap();
-        for seg in due.drain(..) {
-            recycle(pool, pool_cap, seg);
-        }
-        back_lanes(fresh, (pool, stand_in), geo, len, cfg.conditions.drop_prob);
+        back_lanes(fresh, (due, stand_in), geo, len, cfg.conditions.drop_prob);
 
         // Phase 1: round-start hooks, id order.
         let states = (&mut nodes[..], &mut rngs[..], &mut seqs[..]);
@@ -437,7 +417,7 @@ impl<P: RoundProtocol> Shard<P> {
 
         let obs = observe_nodes(proto, base, nodes, round);
 
-        hand_over(proto, geo, fresh, stand_in, routed, &mut tally);
+        hand_over(proto, fresh, stand_in, &mut tally);
         (tally, obs)
     }
 }
@@ -468,11 +448,9 @@ pub(super) fn drive<P: RoundProtocol>(
         .map(|s| Shard::new(&*proto, cfg, geo, s))
         .collect();
 
-    // `ring[k][dest_shard]` lists the segments due `k` rounds after the
-    // current pop, in arrival (= emission) order: `slots` rows, popped
-    // at the front and pushed back hollow once per round, so filing
-    // never grows the ring.
-    let mut ring: VecDeque<Vec<Vec<EnvBatch<P::Msg>>>> = (0..geo.slots)
+    // `slots` rows, popped at the front and pushed back hollow once per
+    // round, so filing never grows the ring.
+    let mut ring: Ring<P::Msg> = (0..geo.slots)
         .map(|_| (0..geo.shards).map(|_| Vec::new()).collect())
         .collect();
     let mut outs = vec![(NetStats::default(), RoundObs::default()); geo.shards];
@@ -502,21 +480,12 @@ pub(super) fn drive<P: RoundProtocol>(
         }
         ring.push_back(row);
 
-        // Splice in shard order: shard s's bucket for (slot, dest) is
-        // appended after shards 0..s's, so each lane's concatenation
-        // equals the one-shard emission order (module docs, invariant
-        // 3). The partials merge in the same order.
+        // Splice and merge in shard order.
         let mut merged = RoundObs::default();
         for (shard, (tally, obs)) in shards.iter_mut().zip(&outs) {
             stats.absorb(tally);
             merged.merge(obs);
-            for (lanes, row) in shard.routed.iter_mut().zip(ring.iter_mut()) {
-                for (seg, due) in lanes.iter_mut().zip(row) {
-                    if !seg.is_empty() {
-                        due.push(std::mem::take(seg));
-                    }
-                }
-            }
+            splice(&mut shard.fresh, &mut ring, geo);
         }
         digests.push(proto.digest_obs(&merged, round));
         if let Verdict::Halt(out) = proto.finalize_obs(&merged, round) {
@@ -593,9 +562,9 @@ mod tests {
 
     /// The batch cycle lane → ring → due → lane closes: once the batches
     /// are warm no round allocates, grows or strands one — one batch per
-    /// bucket in flight and none besides (between rounds every lane is
-    /// handed over and the pool is empty), with and without loss, under a
-    /// latency spread (two slot rows), on one shard and on two.
+    /// lane in flight and none besides (between rounds every lane is
+    /// spliced into the ring), with and without loss, under a latency
+    /// spread (two slot rows), on one shard and on two.
     #[test]
     fn batch_capacities_are_stable_after_three_warm_rounds() {
         // Large enough that a lane's random share of a round stays
@@ -613,9 +582,7 @@ mod tests {
                 let mut layout: Vec<_> = (0..shards)
                     .map(|s| Shard::new(&proto, &cfg, geo, s))
                     .collect();
-                // The coordinator's ring: `ring[k][dest]` is due `k` rounds on.
-                let mut ring: VecDeque<Vec<Vec<EnvBatch<u8>>>> =
-                    vec![vec![Vec::new(); shards]; geo.slots].into();
+                let mut ring: Ring<u8> = vec![vec![Vec::new(); shards]; geo.slots].into();
                 let mut live = Vec::new();
                 for round in 0..8 {
                     let mut dues = ring.pop_front().expect("`slots` rows");
@@ -625,33 +592,27 @@ mod tests {
                         assert!(due.is_empty());
                     }
                     ring.push_back(dues);
-                    for shard in &mut layout {
-                        for (buckets, row) in shard.routed.iter_mut().zip(ring.iter_mut()) {
-                            for (seg, due) in buckets.iter_mut().zip(row) {
-                                assert!(!seg.is_empty(), "every lane was handed over");
-                                due.push(std::mem::take(seg));
-                            }
-                        }
-                    }
                     let mut caps = Vec::new();
                     for shard in &mut layout {
-                        let lanes = shard.fresh.batches().iter();
-                        caps.extend(lanes.chain(&shard.pool).map(EnvBatch::capacities));
+                        let full = shard.fresh.batches().iter().all(|lane| !lane.is_empty());
+                        assert!(full, "every lane carries mail");
+                        splice(&mut shard.fresh, &mut ring, geo);
+                        caps.extend(shard.fresh.batches().iter().map(EnvBatch::capacities));
                     }
                     caps.extend(ring.iter().flatten().flatten().map(EnvBatch::capacities));
                     // Only a batch with capacity holds memory; a lane
-                    // handed over has none until the next round backs it.
+                    // spliced has none until the next round backs it.
                     caps.retain(|&[dst, ..]| dst > 0);
                     caps.sort_unstable();
                     live.push(caps);
                 }
                 let what = format!("shards={shards} {cond:?}: {live:?}");
-                // A bucket due `l` rounds on is in flight for `l` rounds.
+                // A lane due `l` rounds on is in flight for `l` rounds.
                 let in_flight: usize = (geo.slots - geo.rows + 1..=geo.slots).sum();
                 assert_eq!(
                     live[3].len(),
                     in_flight * shards * shards,
-                    "one batch per bucket in flight, {what}"
+                    "one batch per lane in flight, {what}"
                 );
                 assert!(live[3..].iter().all(|caps| *caps == live[3]), "{what}");
             }
@@ -672,7 +633,7 @@ mod tests {
         let mut layout: Vec<_> = (0..geo.shards)
             .map(|s| Shard::new(&*proto, cfg, geo, s))
             .collect();
-        let mut ring: VecDeque<Vec<Vec<EnvBatch<P::Msg>>>> = (0..geo.slots)
+        let mut ring: Ring<P::Msg> = (0..geo.slots)
             .map(|_| (0..geo.shards).map(|_| Vec::new()).collect())
             .collect();
         for round in 0..cfg.max_rounds {
@@ -683,13 +644,7 @@ mod tests {
             }
             ring.push_back(dues);
             for shard in &mut layout {
-                for (buckets, row) in shard.routed.iter_mut().zip(ring.iter_mut()) {
-                    for (seg, due) in buckets.iter_mut().zip(row) {
-                        if !seg.is_empty() {
-                            due.push(std::mem::take(seg));
-                        }
-                    }
-                }
+                splice(&mut shard.fresh, &mut ring, geo);
             }
             if let Verdict::Halt(_) = proto.finalize_obs(&merged, round) {
                 return layout;
@@ -726,24 +681,5 @@ mod tests {
                 assert!(stash_free(&layout), "dating spread, {what}");
             }
         }
-    }
-
-    #[test]
-    fn recycle_pool_is_bounded_by_one_round_of_the_layout() {
-        let slots = |max| Conditions::with_latency(LatencyDist::Uniform { min: 1, max });
-        let small = Geometry::new(1000, 8, &slots(2)).pool_cap();
-        assert_eq!(small, 64);
-        // 100 shards × 3 slots can bring 300 segments into one round.
-        let wide = Geometry::new(1000, 100, &slots(3)).pool_cap();
-        assert_eq!(wide, 600);
-        let mut pool: Vec<EnvBatch<u32>> = Vec::new();
-        for _ in 0..(small + 10) {
-            recycle(&mut pool, small, EnvBatch::with_capacity(1));
-        }
-        assert_eq!(pool.len(), small);
-        // Zero-capacity batches are not worth pooling.
-        pool.truncate(small - 1);
-        recycle(&mut pool, small, EnvBatch::new());
-        assert_eq!(pool.len(), small - 1);
     }
 }

@@ -1,14 +1,19 @@
-//! Lemma 1 on the runtime: the dating service's mean dates per cycle
-//! meet the exact expectation
+//! Lemmas 1 and 2 on the runtime: the dating service's mean dates per
+//! cycle meet the exact expectation
 //! `E[X] = Σ_v E[min(Bi(ΣBout, w_v), Bi(ΣBin, w_v))]`
-//! (`analysis::expected_dates_weighted_exact`).
+//! (`analysis::expected_dates_weighted_exact`), and its cycles stray from
+//! it no more often than Lemma 2's McDiarmid tail allows.
 //!
 //! The paper's tables read `RuntimeDating`'s `dates_per_cycle`, so this
 //! is the check that they estimate Lemma 1's quantity. Each cycle is an
 //! independent round of Algorithm 1; the tolerance is 4 standard errors
 //! of the mean over the run's cycles, with the per-cycle variance taken
 //! from `analysis::variance_upper_bound_weighted` — the paper's quantity,
-//! not a sample statistic.
+//! not a sample statistic. On the same cycles, for t = k·√m with k in
+//! {0.5, 1, 1.5, 2, 3, 4}, the fraction with |X − E[X]| ≥ t must not
+//! exceed `analysis::mcdiarmid_tail(m, t)`, where m = (ΣBout + ΣBin)/2:
+//! the bound's derivation counts 2m independent request destinations,
+//! and on a balanced platform this is the paper's m.
 //!
 //! The rows: unit, bimodal and power-law platforms with the uniform
 //! selector, power-law with the `bw_in` alias, and §2's counterexample
@@ -40,7 +45,8 @@ impl Row {
 
 /// Run the dating service for `cycles` cycles on `platform` with
 /// `selector` and assert its mean dates per cycle lies within 4
-/// standard errors of the exact expectation.
+/// standard errors of the exact expectation, and its cycles' deviations
+/// from it within Lemma 2's tail.
 fn assert_meets_exact<S: NodeSelector + Clone>(
     what: &str,
     platform: Platform,
@@ -79,6 +85,18 @@ fn assert_meets_exact<S: NodeSelector + Clone>(
         row.mean,
         row.se()
     );
+    let m = (bout + bin) / 2;
+    for k in [0.5, 1.0, 1.5, 2.0, 3.0, 4.0] {
+        let t = k * (m as f64).sqrt();
+        let far = dating.dates_per_cycle.iter();
+        let far = far.filter(|&&x| (x as f64 - exact).abs() >= t).count();
+        let (frac, bound) = (far as f64 / cycles as f64, analysis::mcdiarmid_tail(m, t));
+        assert!(
+            frac <= bound,
+            "{what}: {far} of {cycles} cycles at least {k}·√m = {t:.1} dates from \
+             exact {exact:.3}, more than Lemma 2's tail {bound:.3e} allows (m = {m})"
+        );
+    }
     row
 }
 
